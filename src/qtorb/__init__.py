@@ -76,6 +76,8 @@ from .model import (
 )
 from .sectors import (
     BoxElement,
+    LocalGroup,
+    LocalGroupTable,
     NonIntegralAgeError,
     age_polynomial,
     age_polynomial_of_columns,

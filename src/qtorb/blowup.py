@@ -28,12 +28,7 @@ from .model import (
     faces,
     make_model,
 )
-from .sectors import (
-    age_polynomial_of_columns,
-    box_interior,
-    ensure_quasi_sl,
-    is_quasi_sl,
-)
+from .sectors import LocalGroupTable, age_polynomial_of_columns
 
 
 class BlowupError(ValueError):
@@ -118,18 +113,24 @@ def blow_up(model: Model, spec: BlowupSpec) -> Model:
         raise BlowupError(f"blown-up model fails validation: {exc}") from exc
 
 
-def crepant_candidates(model: Model) -> list[BlowupSpec]:
+def crepant_candidates(
+    model: Model, groups: LocalGroupTable | None = None
+) -> list[BlowupSpec]:
     """Every crepant blowup the model admits: interior box elements of
     age exactly 1 with a primitive lattice point, over all faces of
     codimension at least 2."""
+    table = LocalGroupTable(model) if groups is None else groups
     out = []
-    for face in faces(model):
-        if face.codim < 2:
+    for group in table.groups:
+        if group.face.codim < 2:
             continue
-        for element in box_interior(face, model):
-            if element.age == 1 and is_primitive(element.point):
+        for i in group.interior:
+            if sum(group.numerators[i]) == group.exponent and is_primitive(group.points[i]):
+                element = group.box_element(i)
                 out.append(
-                    BlowupSpec(face=face.facet_set, weights=element.coeffs, lambda0=element.point)
+                    BlowupSpec(
+                        face=group.face.facet_set, weights=element.coeffs, lambda0=element.point
+                    )
                 )
     return out
 
@@ -248,9 +249,10 @@ def induced_triangulation(subface: Face, tau: Subdivision, model: Model) -> Subd
         return tau
     extra = [i for i in subface.facet_set if i not in set(parent.facet_set)]
     cols = mat_from_cols([model.char_vectors[i] for i in subface.facet_set])
-
-    def in_subface(points: Sequence[IntVec]) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(coords_in_basis(cols, p) for p in points)
+    # Each distinct vertex is solved once, however many simplices share it.
+    vertices = {v for sx in tau.simplices for v in sx.verts}
+    vertices.update(model.char_vectors[i] for i in extra)
+    coords = {v: coords_in_basis(cols, v) for v in vertices}
 
     simplices = []
     theta_options: list[tuple[IntVec, ...]] = [()]
@@ -263,7 +265,7 @@ def induced_triangulation(subface: Face, tau: Subdivision, model: Model) -> Subd
                 verts = tuple(theta) + tuple(model.char_vectors[i] for i in beta)
                 simplices.append(
                     LatticeSimplex(
-                        ambient_face=subface, verts=verts, coords=in_subface(verts)
+                        ambient_face=subface, verts=verts, coords=tuple(coords[v] for v in verts)
                     )
                 )
     return _validated_subdivision(subface, simplices)
@@ -280,14 +282,18 @@ class TriangulationCheck:
 
 
 def check_triangulation_identity(
-    face: Face, subdivision: Subdivision, model: Model
+    face: Face, subdivision: Subdivision, model: Model, groups: LocalGroupTable | None = None
 ) -> TriangulationCheck:
     """The age polynomial of a face simplex must equal the sum, over the
     subdivision simplices meeting its interior, of (s-1)^codim times the
-    age polynomial of the cone over the simplex."""
-    lhs = age_polynomial_of_columns(
-        [model.char_vectors[i] for i in face.facet_set], model.n
-    )
+    age polynomial of the cone over the simplex.  The face side is read
+    from ``groups`` when given."""
+    if groups is None:
+        lhs = age_polynomial_of_columns(
+            [model.char_vectors[i] for i in face.facet_set], model.n
+        )
+    else:
+        lhs = groups.group(face).age_polynomial
     rhs = Poly.zero()
     for sx in subdivision.interior:
         rhs = rhs + e_torus(sx.codim) * age_polynomial_of_columns(sx.verts, model.n)
@@ -322,27 +328,31 @@ class McKayReport:
         )
 
 
-def mckay_check(model: Model, spec: BlowupSpec) -> McKayReport:
+def mckay_check(model: Model, spec: BlowupSpec, before: CrReport | None = None) -> McKayReport:
     """Blow up, certify the result stays quasi-SL, recompute the Chen-Ruan
     polynomial of both models by all three routes, and run the
     triangulation identity on the subdivided face simplex and on every
-    simplex it induces on subfaces."""
-    ensure_quasi_sl(model)
+    simplex it induces on subfaces.  ``before``, the model's own report,
+    is computed here unless given."""
+    groups = LocalGroupTable(model) if before is None else before.groups
+    groups.ensure_quasi_sl()
     if not is_crepant(spec):
         raise BlowupError(
             f"weights sum to {sum(spec.weights)}, expected 1 for a crepant blowup"
         )
     blown = blow_up(model, spec)
-    quasi_after = is_quasi_sl(blown)
-    before = cr_report(model)
-    after = cr_report(blown) if quasi_after else None
+    blown_groups = LocalGroupTable(blown)
+    quasi_after = blown_groups.quasi_sl
+    if before is None:
+        before = cr_report(model, groups)
+    after = cr_report(blown, blown_groups) if quasi_after else None
     face = face_by_indices(model, spec.face)
     tau = star_subdivide(face, spec.lambda0, model)
     checks = []
     for sub in faces(model):
         if set(spec.face) <= set(sub.facet_set):
             sub_tau = induced_triangulation(sub, tau, model)
-            checks.append(check_triangulation_identity(sub, sub_tau, model))
+            checks.append(check_triangulation_identity(sub, sub_tau, model, groups))
     return McKayReport(
         model=model,
         blown=blown,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import kernels
@@ -38,12 +39,8 @@ from .model import (
 )
 from .sectors import (
     NonIntegralAgeError,
-    age_polynomial,
     box_by_exhaustion,
-    box_interior,
-    box_of_columns,
     ensure_quasi_sl,
-    enumerate_box,
     is_quasi_sl,
     local_group_order,
     sectors,
@@ -138,11 +135,11 @@ def _cmd_cr(args) -> int:
         "pp": list(report.pp.coeffs),
         "pp_cr": list(report.pp_cr.coeffs),
         "routes_agree": report.routes_agree,
-        "sectors": [_sector_json(e) for e in sectors(model)],
+        "sectors": [_sector_json(e) for e in sectors(model, report.groups)],
         "identities": {
             "morestrat": all(ok for _, ok in report.morestrat),
-            "h_identity": report.identities[0].passed,
-            "newpon": report.identities[1].passed,
+            "h_identity": report.identity("h_identity").passed,
+            "newpon": report.identity("newpon").passed,
         },
     }
     _emit(payload)
@@ -244,51 +241,47 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
         if not ok:
             failures.append(f"{label}: age partition fails at face {list(face.facet_set)}")
 
-    interior_by_face = {
-        f.facet_set: box_interior(f, model) for f in faces(model)
-    }
-    for face in faces(model):
-        if face.codim != model.n:
+    groups = report.groups
+    for vertex in groups.groups:
+        if vertex.face.codim != model.n:
             continue
-        whole = sorted(e.point for e in enumerate_box(face, model))
+        whole = sorted(vertex.points)
         pieces = sorted(
-            e.point
-            for other, elements in interior_by_face.items()
-            if set(other) <= set(face.facet_set)
-            for e in elements
+            other.points[i]
+            for other in groups.groups
+            if set(other.face.facet_set) <= set(vertex.face.facet_set)
+            for i in other.interior
         )
         if whole != pieces:
             failures.append(
-                f"{label}: box partition fails at vertex {list(face.facet_set)}"
+                f"{label}: box partition fails at vertex {list(vertex.face.facet_set)}"
             )
 
     if include_oracle:
-        for face in faces(model):
-            if face.codim == 0:
+        for group in groups.groups:
+            face = group.face
+            if face.codim == 0 or group.order > 200:
                 continue
-            order = local_group_order(face, model)
-            if order > 200:
-                continue
-            cols = [model.char_vectors[i] for i in face.facet_set]
-            if box_of_columns(cols, model.n) != box_by_exhaustion(cols, model.n):
+            exhaustive = box_by_exhaustion(group.columns, model.n)
+            if [replace(e, face=face) for e in exhaustive] != group.box_elements():
                 failures.append(
                     f"{label}: box enumeration disagrees with exhaustion at {list(face.facet_set)}"
                 )
             sx = face_simplex(face, model)
             psi = ehrhart_numerator(sx, counter=dilate_count)
-            w_coeffs = age_polynomial(face, model).coeffs
+            w_coeffs = group.age_polynomial.coeffs
             if tuple(psi[: len(w_coeffs)]) != w_coeffs or any(p for p in psi[len(w_coeffs):]):
                 failures.append(
                     f"{label}: dilate-series numerator {list(psi)} does not match ages at {list(face.facet_set)}"
                 )
 
-    for spec in crepant_candidates(model):
-        report = mckay_check(model, spec)
-        if not report.quasi_sl_after:
+    for spec in crepant_candidates(model, groups):
+        mckay = mckay_check(model, spec, report)
+        if not mckay.quasi_sl_after:
             failures.append(
                 f"{label}: crepant blowup at {list(spec.face)} loses integral ages"
             )
-        if not report.verdict:
+        if not mckay.verdict:
             failures.append(
                 f"{label}: crepant blowup at {list(spec.face)} changes the Betti numbers"
             )
@@ -375,7 +368,7 @@ def main(argv=None) -> int:
     except (ModelValidationError,) as exc:
         _emit({"error": "invalid model", "violations": exc.violations})
         return 2
-    except (BlowupError, NonIntegralAgeError, ValueError) as exc:
+    except (BlowupError, NonIntegralAgeError, ValueError, ArithmeticError, RuntimeError) as exc:
         _emit({"error": str(exc)})
         return 2
     except OSError as exc:

@@ -16,16 +16,12 @@ torus-stratification identities, is what the verdict commands certify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from .exact import Poly
 from .model import Face, Model, faces, h_vector
-from .sectors import (
-    age_polynomial,
-    box_interior,
-    ensure_quasi_sl,
-    interior_age_polynomial,
-)
+from .sectors import LocalGroupTable
 
 
 def pp_ordinary(face: Face, model: Model) -> Poly:
@@ -39,53 +35,70 @@ def e_torus(k: int) -> Poly:
     return Poly((-1, 1)) ** k
 
 
-def pp_cr_direct(model: Model) -> Poly:
+def _quasi_sl_table(model: Model, groups: LocalGroupTable | None) -> LocalGroupTable:
+    table = LocalGroupTable(model) if groups is None else groups
+    table.ensure_quasi_sl()
+    return table
+
+
+def _sector_terms(table: LocalGroupTable) -> Iterator[tuple[Face, int, Poly]]:
+    """(face, age, s^age times the face's ordinary polynomial) per sector,
+    untwisted sector first."""
+    for group, h in zip(table.groups, table.h_vectors):
+        pp_face = Poly(h)
+        for i in group.interior:
+            age = group.age(i)
+            yield group.face, age, pp_face.shifted(age)
+
+
+def _sum(polys) -> Poly:
+    total = Poly.zero()
+    for p in polys:
+        total = total + p
+    return total
+
+
+def pp_cr_direct(model: Model, groups: LocalGroupTable | None = None) -> Poly:
     """Chen-Ruan polynomial from the sector decomposition: each interior
     box element g of each face contributes s^age(g) times the face's
     ordinary polynomial."""
-    ensure_quasi_sl(model)
-    total = Poly.zero()
-    for face in faces(model):
-        pp_face = pp_ordinary(face, model)
-        for element in box_interior(face, model):
-            total = total + pp_face.shifted(element.age.numerator)
-    return total
+    table = _quasi_sl_table(model, groups)
+    return _sum(term for _, _, term in _sector_terms(table))
 
 
-def pp_cr_via_closures(model: Model) -> Poly:
+def pp_cr_via_closures(model: Model, groups: LocalGroupTable | None = None) -> Poly:
     """Chen-Ruan polynomial regrouped by face closures: ordinary
     polynomial of each face times its interior age polynomial."""
-    ensure_quasi_sl(model)
-    total = Poly.zero()
-    for face in faces(model):
-        total = total + pp_ordinary(face, model) * interior_age_polynomial(face, model)
-    return total
+    table = _quasi_sl_table(model, groups)
+    return _sum(
+        Poly(h) * group.interior_age_polynomial
+        for group, h in zip(table.groups, table.h_vectors)
+    )
 
 
-def pp_cr_via_strata(model: Model) -> Poly:
+def pp_cr_via_strata(model: Model, groups: LocalGroupTable | None = None) -> Poly:
     """Chen-Ruan polynomial summed over open torus strata: torus
     E-polynomial of each stratum times the full age polynomial."""
-    ensure_quasi_sl(model)
-    total = Poly.zero()
-    for face in faces(model):
-        total = total + e_torus(face.dim) * age_polynomial(face, model)
-    return total
+    table = _quasi_sl_table(model, groups)
+    return _sum(e_torus(group.face.dim) * group.age_polynomial for group in table.groups)
 
 
-def check_age_partition(model: Model) -> list[tuple[Face, bool]]:
+def check_age_partition(
+    model: Model, groups: LocalGroupTable | None = None
+) -> list[tuple[Face, bool]]:
     """Per-face check that the full age polynomial equals the sum of the
     interior age polynomials over all faces containing it (the box of a
     face is partitioned by the interiors of its superfaces)."""
-    all_faces = faces(model)
-    interior = {f.facet_set: interior_age_polynomial(f, model) for f in all_faces}
+    table = LocalGroupTable(model) if groups is None else groups
     out = []
-    for face in all_faces:
-        fs = set(face.facet_set)
-        rhs = Poly.zero()
-        for other in all_faces:
-            if set(other.facet_set) <= fs:
-                rhs = rhs + interior[other.facet_set]
-        out.append((face, age_polynomial(face, model) == rhs))
+    for group in table.groups:
+        fs = set(group.face.facet_set)
+        rhs = _sum(
+            other.interior_age_polynomial
+            for other in table.groups
+            if set(other.face.facet_set) <= fs
+        )
+        out.append((group.face, group.age_polynomial == rhs))
     return out
 
 
@@ -110,7 +123,8 @@ class IdentityCheck:
 
 @dataclass(frozen=True)
 class CrReport:
-    """Bundle of all polynomial computations and identity checks for one model."""
+    """Bundle of all polynomial computations and identity checks for one
+    model, with the local-group table they were computed from."""
 
     pp: Poly
     pp_cr_direct: Poly
@@ -119,6 +133,7 @@ class CrReport:
     per_sector: tuple[tuple[Face, int, Poly], ...]
     identities: tuple[IdentityCheck, ...]
     morestrat: tuple[tuple[Face, bool], ...]
+    groups: LocalGroupTable = field(compare=False, repr=False)
 
     @property
     def routes_agree(self) -> bool:
@@ -136,26 +151,23 @@ class CrReport:
             and all(ok for _, ok in self.morestrat)
         )
 
-
-def sector_contributions(model: Model) -> list[tuple[Face, int, Poly]]:
-    """(face, age, contribution) per sector, untwisted sector first."""
-    ensure_quasi_sl(model)
-    out = []
-    for face in faces(model):
-        pp_face = pp_ordinary(face, model)
-        for element in box_interior(face, model):
-            out.append((face, element.age.numerator, pp_face.shifted(element.age.numerator)))
-    return out
+    def identity(self, name: str) -> IdentityCheck:
+        """The identity check called ``name``; KeyError if there is none."""
+        for check in self.identities:
+            if check.name == name:
+                return check
+        raise KeyError(name)
 
 
-def cr_report(model: Model) -> CrReport:
+def cr_report(model: Model, groups: LocalGroupTable | None = None) -> CrReport:
     """Full report: the three routes, per-sector contributions, and every
-    combinatorial identity the construction is supposed to satisfy."""
-    ensure_quasi_sl(model)
-    whole = faces(model)[0]
-    direct = pp_cr_direct(model)
-    closures = pp_cr_via_closures(model)
-    strata = pp_cr_via_strata(model)
+    combinatorial identity the construction is supposed to satisfy, all
+    read from one local-group table (built here unless given)."""
+    table = _quasi_sl_table(model, groups)
+    per_sector = tuple(_sector_terms(table))
+    direct = _sum(term for _, _, term in per_sector)
+    closures = pp_cr_via_closures(model, table)
+    strata = pp_cr_via_strata(model, table)
     strat_ok, strat_lhs, strat_rhs = check_torus_stratification(model)
     identities = (
         IdentityCheck("h_identity", strat_ok, strat_lhs, strat_rhs),
@@ -163,11 +175,12 @@ def cr_report(model: Model) -> CrReport:
         IdentityCheck("closures", direct == closures, direct, closures),
     )
     return CrReport(
-        pp=pp_ordinary(whole, model),
+        pp=Poly(table.h_vectors[0]),
         pp_cr_direct=direct,
         pp_cr_closures=closures,
         pp_cr_strata=strata,
-        per_sector=tuple(sector_contributions(model)),
+        per_sector=per_sector,
         identities=identities,
-        morestrat=tuple(check_age_partition(model)),
+        morestrat=tuple(check_age_partition(model, table)),
+        groups=table,
     )

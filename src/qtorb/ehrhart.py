@@ -17,6 +17,7 @@ from . import kernels
 from .exact import binom
 from .intlat import (
     IntVec,
+    RankDeficientError,
     adjugate,
     coords_in_basis,
     det,
@@ -24,7 +25,7 @@ from .intlat import (
     transpose,
 )
 from .model import Face, Model
-from .sectors import BoxElement, NonIntegralAgeError, box_of_columns
+from .sectors import NonIntegralAgeError, box_of_columns
 
 Counter = Callable[["LatticeSimplex", int], int]
 
@@ -98,7 +99,9 @@ def dilate_count(sx: LatticeSimplex, k: int) -> int:
         tuple(sum(a * b for a, b in zip(row, col)) for col in verts) for row in verts
     )
     det_g = det(gram)
-    assert det_g > 0, "independent vertices have positive Gram determinant"
+    # The Gram determinant is positive exactly when the vertices are independent.
+    if det_g <= 0:
+        raise RankDeficientError(f"simplex vertices {list(verts)} are linearly dependent")
     adj = adjugate(gram)
     return kernels.count_in_dilate(
         lo, hi, [list(r) for r in vt], [list(r) for r in adj], det_g, k * det_g,
@@ -141,8 +144,3 @@ def ehrhart_numerator(sx: LatticeSimplex, counter: Counter = dilate_count) -> tu
             )
         psi.append(value)
     return tuple(psi)
-
-
-def box_elements_of_simplex(sx: LatticeSimplex) -> list[BoxElement]:
-    """Box elements of the cone over the simplex's vertices."""
-    return box_of_columns(sx.verts, len(sx.verts[0]))

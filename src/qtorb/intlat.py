@@ -36,10 +36,6 @@ def as_mat(rows: Sequence[Sequence[int]]) -> IntMat:
     return mat
 
 
-def zero_vec(n: int) -> IntVec:
-    return (0,) * n
-
-
 def identity(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -51,10 +47,6 @@ def transpose(m: IntMat) -> IntMat:
 def mat_from_cols(cols: Sequence[Sequence[int]]) -> IntMat:
     """Matrix whose j-th column is cols[j]."""
     return transpose(as_mat(cols))
-
-
-def mat_cols(m: IntMat) -> list[IntVec]:
-    return list(transpose(m))
 
 
 def mat_vec(m: IntMat, v: Sequence[int]) -> IntVec:

@@ -245,7 +245,9 @@ def model_to_json(model: Model) -> str:
     return json.dumps(model_to_dict(model), sort_keys=True, indent=2) + "\n"
 
 
-@lru_cache(maxsize=256)
+# A command works on a few models at a time (a model and its blowups), and
+# each cached model holds its whole face list for the life of the process.
+@lru_cache(maxsize=16)
 def faces(model: Model) -> tuple[Face, ...]:
     """Every face, ordered by (codimension, facet set).
 

@@ -5,7 +5,8 @@ normal form of its characteristic vectors: coset representatives map to
 the unique coefficient vector with entries in [0, 1).  Each element
 carries its lattice point, its age (the coefficient sum), and its height
 (the number of nonzero coefficients, which equals the rank of g - id on
-the tangent representation).
+the tangent representation).  :class:`LocalGroupTable` holds the group
+of every face of a model, built once, for everything computed on it.
 
 A second, independent enumeration by exhaustive search over denominators
 dividing the group order is provided for cross-checking.
@@ -13,16 +14,16 @@ dividing the group order is provided for cross-checking.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 from .exact import Poly
-from .intlat import IntVec, lattice_index, mat_from_cols, smith_normal_form
-from .model import Face, Model, faces
+from .intlat import IntMat, IntVec, lattice_index, mat_from_cols, smith_normal_form
+from .model import Face, Model, faces, h_vector
 
 
 class NonIntegralAgeError(ValueError):
@@ -68,13 +69,146 @@ def _element_from_coeffs(coeffs: Sequence[Fraction], cols: Sequence[IntVec], n: 
     for c, col in zip(coeffs, cols):
         for i in range(n):
             point[i] += c * col[i]
-    assert all(p.denominator == 1 for p in point), "box point must be integral"
+    if any(p.denominator != 1 for p in point):
+        raise ArithmeticError(f"box point {[str(p) for p in point]} is not integral")
     return BoxElement(
         coeffs=tuple(coeffs),
         point=tuple(p.numerator for p in point),
         age=sum(coeffs, Fraction(0)),
         height=sum(1 for c in coeffs if c),
     )
+
+
+class LocalGroup:
+    """The local group of a cone over k independent lattice vectors.
+
+    One Smith normal form ``U @ A @ V = D`` of the column matrix A fixes
+    the group: it is Z^k modulo the column lattice, a product of cyclic
+    groups of orders d_1 | ... | d_k.  Every element is stored as the
+    integer numerators of its box coefficients over the group exponent
+    d_k, so enumeration, points and ages stay in integer arithmetic;
+    ``Fraction`` appears only when a :class:`BoxElement` is built.
+
+    Whether every age is an integer is read off the Smith form alone:
+    age mod 1 is a homomorphism to Q/Z, and generator j has age
+    ``(column sum j of V) / d_j``.  The elements, interior elements and
+    age polynomials are enumerated on first use and then kept.
+    """
+
+    def __init__(self, columns: Sequence[IntVec], ambient_dim: int, face: Face | None = None):
+        self.columns = tuple(tuple(c) for c in columns)
+        self.ambient_dim = ambient_dim
+        self.face = face
+        k = len(self.columns)
+        self.smith: tuple[IntMat, IntMat, IntMat] = ((), (), ())
+        self.invariants: tuple[int, ...] = ()
+        if k:
+            self.smith = smith_normal_form(mat_from_cols(self.columns))
+            d = self.smith[1]
+            if len(d) < k or any(d[i][i] == 0 for i in range(k)):
+                raise ValueError("box enumeration requires independent columns")
+            self.invariants = tuple(d[i][i] for i in range(k))
+        self.exponent = self.invariants[-1] if k else 1
+        self.order = math.prod(self.invariants)
+        v = self.smith[2]
+        self.integral_ages = all(
+            sum(row[j] for row in v) % dj == 0 for j, dj in enumerate(self.invariants)
+        )
+
+    @cached_property
+    def numerators(self) -> tuple[tuple[int, ...], ...]:
+        """Box coefficients of every element times the exponent, sorted;
+        the identity comes first."""
+        k = len(self.columns)
+        e = self.exponent
+        v = self.smith[2]
+        elements = [(0,) * k]
+        for j, dj in enumerate(self.invariants):
+            if dj == 1:
+                continue
+            step = e // dj
+            gen = tuple(v[i][j] * step % e for i in range(k))
+            grown = []
+            for element in elements:
+                for _ in range(dj):
+                    grown.append(element)
+                    element = tuple((a + b) % e for a, b in zip(element, gen))
+            elements = grown
+        elements.sort()
+        if any(a == b for a, b in zip(elements, elements[1:])):
+            raise ArithmeticError(f"coset representatives of {list(self.columns)} repeat")
+        return tuple(elements)
+
+    @cached_property
+    def points(self) -> tuple[IntVec, ...]:
+        """Lattice point ``sum(coeffs[j] * column_j)`` of every element."""
+        e = self.exponent
+        out = []
+        for nums in self.numerators:
+            point = []
+            for r in range(self.ambient_dim):
+                q, rem = divmod(sum(c * col[r] for c, col in zip(nums, self.columns)), e)
+                if rem:
+                    raise ArithmeticError(f"box point of {list(nums)}/{e} is not integral")
+                point.append(q)
+            out.append(tuple(point))
+        return tuple(out)
+
+    @cached_property
+    def interior(self) -> tuple[int, ...]:
+        """Indices of the elements with every coefficient positive."""
+        return tuple(i for i, nums in enumerate(self.numerators) if all(nums))
+
+    def box_element(self, i: int) -> BoxElement:
+        nums = self.numerators[i]
+        e = self.exponent
+        return BoxElement(
+            coeffs=tuple(Fraction(c, e) for c in nums),
+            point=self.points[i],
+            age=Fraction(sum(nums), e),
+            height=sum(1 for c in nums if c),
+            face=self.face,
+        )
+
+    def box_elements(self) -> list[BoxElement]:
+        return [self.box_element(i) for i in range(len(self.numerators))]
+
+    def interior_elements(self) -> list[BoxElement]:
+        return [self.box_element(i) for i in self.interior]
+
+    def age(self, i: int) -> int:
+        """Integral age of element i; raises for a fractional one."""
+        q, rem = divmod(sum(self.numerators[i]), self.exponent)
+        if rem:
+            raise NonIntegralAgeError(self.box_element(i))
+        return q
+
+    def _age_counts(self, indices: Iterable[int]) -> Poly:
+        counts: list[int] = []
+        for i in indices:
+            age = self.age(i)
+            if age >= len(counts):
+                counts.extend([0] * (age + 1 - len(counts)))
+            counts[age] += 1
+        return Poly(counts)
+
+    @cached_property
+    def age_polynomial(self) -> Poly:
+        """Sum of s^age over the whole box."""
+        return self._age_counts(range(len(self.numerators)))
+
+    @cached_property
+    def interior_age_polynomial(self) -> Poly:
+        """Sum of s^age over the interior elements."""
+        return self._age_counts(self.interior)
+
+    def first_fractional_age(self) -> BoxElement:
+        """The first element, in sorted order, whose age is not an integer."""
+        return next(
+            self.box_element(i)
+            for i, nums in enumerate(self.numerators)
+            if sum(nums) % self.exponent
+        )
 
 
 def box_of_columns(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxElement]:
@@ -84,26 +218,7 @@ def box_of_columns(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxElement]
     maps every coset to its unique representative in [0, 1)^k.  The
     result is sorted by coefficient vector; the identity comes first.
     """
-    k = len(cols)
-    if k == 0:
-        return [BoxElement((), (0,) * ambient_dim, Fraction(0), 0)]
-    lattice = mat_from_cols(cols)
-    _, d, v = smith_normal_form(lattice)
-    diag = [d[i][i] for i in range(k)] if len(d) >= k else []
-    if len(diag) < k or any(x == 0 for x in diag):
-        raise ValueError("box enumeration requires independent columns")
-    elements = []
-    for z in itertools.product(*(range(x) for x in diag)):
-        scaled = [Fraction(z[i], diag[i]) for i in range(k)]
-        coeffs = []
-        for i in range(k):
-            c = sum((v[i][j] * scaled[j] for j in range(k)), Fraction(0))
-            coeffs.append(c - math.floor(c))
-        elements.append(_element_from_coeffs(coeffs, cols, ambient_dim))
-    elements.sort(key=lambda e: e.coeffs)
-    order = math.prod(diag)
-    assert len({e.coeffs for e in elements}) == order, "coset representatives must be distinct"
-    return elements
+    return LocalGroup(cols, ambient_dim).box_elements()
 
 
 def box_by_exhaustion(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxElement]:
@@ -131,22 +246,19 @@ def _face_columns(face: Face, model: Model) -> list[IntVec]:
     return [model.char_vectors[i] for i in face.facet_set]
 
 
+def _face_group(face: Face, model: Model) -> LocalGroup:
+    return LocalGroup(_face_columns(face, model), model.n, face)
+
+
 def local_group_order(face: Face, model: Model) -> int:
     """Order of the local group: the product of the invariant factors of
     the face's characteristic vectors (1 for the whole polytope)."""
-    if face.codim == 0:
-        return 1
-    cols = _face_columns(face, model)
-    _, d, _ = smith_normal_form(mat_from_cols(cols))
-    return math.prod(d[i][i] for i in range(face.codim))
+    return _face_group(face, model).order
 
 
 def enumerate_box(face: Face, model: Model) -> list[BoxElement]:
     """Box elements of a face, tagged with the face, sorted by coefficients."""
-    return [
-        replace(e, face=face)
-        for e in box_of_columns(_face_columns(face, model), model.n)
-    ]
+    return _face_group(face, model).box_elements()
 
 
 def box_interior(face: Face, model: Model) -> list[BoxElement]:
@@ -156,76 +268,91 @@ def box_interior(face: Face, model: Model) -> list[BoxElement]:
     element, matching the convention that the open stratum carries the
     trivial group.
     """
-    return [e for e in enumerate_box(face, model) if e.is_interior]
-
-
-def _age_degree(element: BoxElement) -> int:
-    if element.age.denominator != 1:
-        raise NonIntegralAgeError(element)
-    return element.age.numerator
+    return _face_group(face, model).interior_elements()
 
 
 def age_polynomial_of_columns(cols: Sequence[IntVec], ambient_dim: int) -> Poly:
     """Generating polynomial of ages over the box of a cone: sum of s^age."""
-    acc: dict[int, int] = {}
-    for element in box_of_columns(cols, ambient_dim):
-        deg = _age_degree(element)
-        acc[deg] = acc.get(deg, 0) + 1
-    if not acc:
-        return Poly.zero()
-    out = [0] * (max(acc) + 1)
-    for deg, count in acc.items():
-        out[deg] = count
-    return Poly(out)
+    return LocalGroup(cols, ambient_dim).age_polynomial
 
 
 def age_polynomial(face: Face, model: Model) -> Poly:
     """Sum of s^age over the whole box of the face (1 for the polytope)."""
-    out = Poly.zero()
-    for element in enumerate_box(face, model):
-        out = out + Poly.monomial(_age_degree(element))
-    return out
+    return _face_group(face, model).age_polynomial
 
 
 def interior_age_polynomial(face: Face, model: Model) -> Poly:
     """Sum of s^age over box elements of full height, i.e. the interior
     ones; equals 1 for the whole polytope and 0 for any smooth face of
     positive codimension."""
-    out = Poly.zero()
-    for element in box_interior(face, model):
-        out = out + Poly.monomial(_age_degree(element))
-    return out
+    return _face_group(face, model).interior_age_polynomial
+
+
+def _vertex_groups(model: Model) -> Iterator[LocalGroup]:
+    # Vertex faces suffice for quasi-SL: every box element of any face
+    # reappears in some vertex box.
+    for face in faces(model):
+        if face.codim == model.n:
+            yield _face_group(face, model)
 
 
 def quasi_sl_violations(model: Model) -> list[BoxElement]:
-    """Box elements with fractional ages; vertex faces suffice because
-    every box element of any face reappears in some vertex box."""
-    out = []
-    for face in faces(model):
-        if face.codim != model.n:
-            continue
-        for element in enumerate_box(face, model):
-            if element.age.denominator != 1:
-                out.append(element)
-    return out
+    """Box elements of vertex faces with fractional ages; only vertices
+    whose Smith form shows a fractional age are enumerated."""
+    return [
+        element
+        for group in _vertex_groups(model)
+        if not group.integral_ages
+        for element in group.box_elements()
+        if element.age.denominator != 1
+    ]
 
 
 def is_quasi_sl(model: Model) -> bool:
     """True iff every age of every twisted sector is an integer."""
-    return not quasi_sl_violations(model)
+    return all(group.integral_ages for group in _vertex_groups(model))
+
+
+def _raise_first_violation(vertex_groups: Iterable[LocalGroup]) -> None:
+    for group in vertex_groups:
+        if not group.integral_ages:
+            raise NonIntegralAgeError(group.first_fractional_age())
 
 
 def ensure_quasi_sl(model: Model) -> None:
-    violations = quasi_sl_violations(model)
-    if violations:
-        raise NonIntegralAgeError(violations[0])
+    _raise_first_violation(_vertex_groups(model))
 
 
-def sectors(model: Model) -> list[BoxElement]:
+class LocalGroupTable:
+    """The local group and the h-vector of every face of one model, in
+    ``faces(model)`` order, each built once from one Smith form.
+
+    Every computation on a model reads its faces' groups from one table:
+    quasi-SL, sectors, the three Chen-Ruan routes and the identities.  A
+    table lives as long as the command that built it; nothing keeps it
+    beyond that.
+    """
+
+    def __init__(self, model: Model):
+        self.model = model
+        self.groups = tuple(_face_group(face, model) for face in faces(model))
+        self.h_vectors = tuple(h_vector(face, model) for face in faces(model))
+        self._by_facets = {group.face.facet_set: group for group in self.groups}
+        self._vertices = tuple(g for g in self.groups if g.face.codim == model.n)
+        self.quasi_sl = all(g.integral_ages for g in self._vertices)
+
+    def group(self, face: Face) -> LocalGroup:
+        return self._by_facets[face.facet_set]
+
+    def ensure_quasi_sl(self) -> None:
+        """Raise :class:`NonIntegralAgeError` for the first fractional age
+        at the first vertex that has one."""
+        _raise_first_violation(self._vertices)
+
+
+def sectors(model: Model, groups: LocalGroupTable | None = None) -> list[BoxElement]:
     """All sectors in canonical order: the untwisted sector (identity over
     the whole polytope) first, then every interior box element of every
     proper face."""
-    out = []
-    for face in faces(model):
-        out.extend(box_interior(face, model))
-    return out
+    table = LocalGroupTable(model) if groups is None else groups
+    return [element for group in table.groups for element in group.interior_elements()]

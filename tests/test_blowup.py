@@ -255,3 +255,18 @@ def test_iterated_blowups(z3):
         model = blow_up(model, candidates[0])
         assert is_quasi_sl(model)
         assert cr_report(model).pp_cr == before
+
+
+def test_induced_triangulation_solves_each_vertex_once(monkeypatch, prism):
+    import qtorb.blowup as blowup_mod
+
+    solved = []
+    real = blowup_mod.coords_in_basis
+    monkeypatch.setattr(
+        blowup_mod, "coords_in_basis", lambda basis, w: solved.append(tuple(w)) or real(basis, w)
+    )
+    edge = face_by_indices(prism, (0, 1))
+    tau = star_subdivide(edge, (1, 1, 0), prism)
+    solved.clear()
+    induced = induced_triangulation(face_by_indices(prism, (0, 1, 3)), tau, prism)
+    assert len(solved) == len(set(solved)) == len({v for sx in induced.simplices for v in sx.verts})

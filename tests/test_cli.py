@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -248,3 +249,65 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["not-a-command"])
     assert err.value.code == 2
+
+
+def test_arithmetic_error_is_structured(capsys, monkeypatch, wp112_path):
+    import qtorb.cli as cli_mod
+
+    def negative(*args, **kwargs):
+        raise ArithmeticError("negative numerator coefficient psi_1 = -1")
+
+    monkeypatch.setattr(cli_mod, "ehrhart_numerator", negative)
+    rc, out = run(capsys, "ehrhart", wp112_path)
+    assert rc == 2
+    assert json.loads(out) == {"error": "negative numerator coefficient psi_1 = -1"}
+
+
+def test_runtime_error_is_structured(capsys, monkeypatch, wp112_path):
+    sectors_mod = importlib.import_module("qtorb.sectors")
+
+    def diverges(m):
+        raise RuntimeError("smith normal form did not converge")
+
+    monkeypatch.setattr(sectors_mod, "smith_normal_form", diverges)
+    rc, out = run(capsys, "betti", wp112_path)
+    assert rc == 2
+    assert json.loads(out) == {"error": "smith normal form did not converge"}
+
+
+def test_cr_reads_identities_by_name(capsys, monkeypatch, wp112_path):
+    import dataclasses
+
+    import qtorb.cli as cli_mod
+    from qtorb.cohomology import cr_report
+
+    def reordered(model):
+        report = cr_report(model)
+        failing = dataclasses.replace(report.identity("newpon"), passed=False)
+        others = [c for c in report.identities if c.name != "newpon"]
+        return dataclasses.replace(report, identities=(failing, *reversed(others)))
+
+    monkeypatch.setattr(cli_mod, "cr_report", reordered)
+    rc, out = run(capsys, "cr", wp112_path)
+    assert rc == 1
+    assert json.loads(out)["identities"] == {"h_identity": True, "morestrat": True, "newpon": False}
+
+
+def test_identity_failures_reports_each_model_once(monkeypatch, z3, prism):
+    import qtorb.blowup as blowup_mod
+    import qtorb.cli as cli_mod
+    from qtorb import crepant_candidates, is_quasi_sl
+
+    reported = []
+
+    def counting(real):
+        return lambda model, groups=None: reported.append(model) or real(model, groups)
+
+    monkeypatch.setattr(cli_mod, "cr_report", counting(cli_mod.cr_report))
+    monkeypatch.setattr(blowup_mod, "cr_report", counting(blowup_mod.cr_report))
+    for model in (z3, prism):
+        reported.clear()
+        assert cli_mod.identity_failures(model) == []
+        blown = [blowup_mod.blow_up(model, spec) for spec in crepant_candidates(model)]
+        assert blown
+        assert reported == [model] + [b for b in blown if is_quasi_sl(b)]

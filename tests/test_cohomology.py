@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from qtorb import (
@@ -137,3 +139,23 @@ def test_cr_report(wp112):
     # untwisted sector first, then the age-1 vertex sector
     assert report.per_sector[0][1] == 0
     assert report.per_sector[1][1:] == (1, Poly([0, 1]))
+
+
+def test_cr_report_runs_one_smith_form_per_proper_face(monkeypatch, corpus):
+    sectors_mod = importlib.import_module("qtorb.sectors")
+
+    calls = []
+    real = sectors_mod.smith_normal_form
+    monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: calls.append(m) or real(m))
+    for model in corpus[::5]:
+        calls.clear()
+        cr_report(model)
+        assert len(calls) == sum(1 for f in faces(model) if f.codim > 0)
+
+
+def test_identity_lookup_by_name(wp112):
+    report = cr_report(wp112)
+    for check in report.identities:
+        assert report.identity(check.name) is check
+    with pytest.raises(KeyError):
+        report.identity("no-such-identity")

@@ -159,3 +159,15 @@ def test_subdivision_simplex_codim(z3):
     for sx in tau.simplices:
         assert sx.codim == (vertex.codim - 1) - sx.dim
         assert sx.codim >= 0
+
+
+def test_dilate_count_rejects_dependent_vertices(wp112):
+    from qtorb import RankDeficientError
+
+    sx = LatticeSimplex(
+        ambient_face=face_by_indices(wp112, (0, 2)),
+        verts=((1, 0), (2, 0)),
+        coords=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+    )
+    with pytest.raises(RankDeficientError, match="dependent"):
+        dilate_count(sx, 1)

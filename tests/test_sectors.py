@@ -1,10 +1,16 @@
+import importlib
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qtorb import (
+    LocalGroup,
+    LocalGroupTable,
     NonIntegralAgeError,
+    RankDeficientError,
     age_polynomial,
     age_polynomial_of_columns,
     apply_unimodular,
@@ -17,11 +23,13 @@ from qtorb import (
     faces,
     interior_age_polynomial,
     is_quasi_sl,
+    lattice_index,
     local_group_order,
     make_model,
     quasi_sl_violations,
     random_unimodular,
     sectors,
+    smith_normal_form,
 )
 from qtorb.exact import Poly
 
@@ -237,3 +245,93 @@ def test_unimodular_invariance_of_ages(z3, rng):
             assert [e.coeffs for e in enumerate_box(face, z3)] == [
                 e.coeffs for e in enumerate_box(moved_face, moved)
             ]
+
+
+independent_columns = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(1, n).flatmap(
+            lambda k: st.lists(
+                st.tuples(*[st.integers(-6, 6)] * n), min_size=k, max_size=k
+            )
+        ),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(independent_columns)
+def test_generator_ages_decide_quasi_sl(data):
+    # Reference: enumerate the whole group and look at every age.
+    n, cols = data
+    try:
+        order = lattice_index(cols)
+    except RankDeficientError:
+        assume(False)
+    assume(order <= 400)
+    enumerated = all(e.age.denominator == 1 for e in box_of_columns(cols, n))
+    assert LocalGroup(cols, n).integral_ages == enumerated
+
+
+def test_local_group_matches_box_of_columns(corpus):
+    for model in corpus:
+        table = LocalGroupTable(model)
+        for face, group in zip(faces(model), table.groups):
+            assert group.face == face and table.group(face) is group
+            assert group.order == local_group_order(face, model)
+            assert group.box_elements() == enumerate_box(face, model)
+            assert group.interior_elements() == box_interior(face, model)
+            assert group.age_polynomial == age_polynomial(face, model)
+            assert group.interior_age_polynomial == interior_age_polynomial(face, model)
+        assert table.quasi_sl == is_quasi_sl(model)
+        assert sectors(model, table) == sectors(model)
+
+
+def test_table_reports_first_fractional_age():
+    bad = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -3)])
+    table = LocalGroupTable(bad)
+    assert not table.quasi_sl
+    with pytest.raises(NonIntegralAgeError) as from_table:
+        table.ensure_quasi_sl()
+    with pytest.raises(NonIntegralAgeError) as from_model:
+        ensure_quasi_sl(bad)
+    assert str(from_table.value) == str(from_model.value)
+    assert from_table.value.element == quasi_sl_violations(bad)[0]
+
+
+def test_quasi_sl_enumerates_no_group(monkeypatch):
+    # The order-10^6 vertex would take seconds to enumerate.
+    big = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -10**6)])
+    monkeypatch.setattr(LocalGroup, "numerators", property(lambda self: pytest.fail("enumerated")))
+    assert not is_quasi_sl(big)
+    assert not LocalGroupTable(big).quasi_sl
+
+
+def test_repeated_cosets_raise(monkeypatch):
+    sectors_mod = importlib.import_module("qtorb.sectors")
+
+    def broken_smith(m):
+        u, d, v = smith_normal_form(m)
+        return u, d, tuple((0,) * len(row) for row in v)
+
+    monkeypatch.setattr(sectors_mod, "smith_normal_form", broken_smith)
+    with pytest.raises(ArithmeticError, match="repeat"):
+        box_of_columns([(1, 0), (1, 2)], 2)
+
+
+def test_fractional_box_point_raises(monkeypatch):
+    sectors_mod = importlib.import_module("qtorb.sectors")
+
+    monkeypatch.setattr(
+        sectors_mod, "smith_normal_form", lambda m: (((1, 0), (0, 1)), ((1, 0), (0, 2)), ((1, 0), (0, 1)))
+    )
+    with pytest.raises(ArithmeticError, match="not integral"):
+        box_of_columns([(1, 0), (1, 2)], 2)
+
+
+def test_exhaustion_rejects_fractional_point(monkeypatch):
+    sectors_mod = importlib.import_module("qtorb.sectors")
+
+    monkeypatch.setattr(sectors_mod.kernels, "box_solutions", lambda cols_mod, r: [(0, 1)])
+    with pytest.raises(ArithmeticError, match="not integral"):
+        box_by_exhaustion([(1, 0), (1, 2)], 2)
