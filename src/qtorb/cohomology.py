@@ -58,11 +58,11 @@ def _sum(polys) -> Poly:
     return total
 
 
-def pp_cr_direct(model: Model, groups: LocalGroupTable | None = None) -> Poly:
+def pp_cr_direct(model: Model) -> Poly:
     """Chen-Ruan polynomial from the sector decomposition: each interior
     box element g of each face contributes s^age(g) times the face's
     ordinary polynomial."""
-    table = _quasi_sl_table(model, groups)
+    table = _quasi_sl_table(model, None)
     return _sum(term for _, _, term in _sector_terms(table))
 
 
