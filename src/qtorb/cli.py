@@ -48,7 +48,10 @@ from .sectors import (
 
 
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # json.dump writes the indented text chunk by chunk; json.dumps would
+    # first hold every chunk of a large sector listing in one list.
+    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
 
 
 def _age_json(age: Fraction):

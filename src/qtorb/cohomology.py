@@ -35,7 +35,7 @@ def e_torus(k: int) -> Poly:
     return Poly((-1, 1)) ** k
 
 
-def _quasi_sl_table(model: Model, groups: LocalGroupTable | None) -> LocalGroupTable:
+def _quasi_sl_table(model: Model, groups: LocalGroupTable | None = None) -> LocalGroupTable:
     table = LocalGroupTable(model) if groups is None else groups
     table.ensure_quasi_sl()
     return table
@@ -62,7 +62,7 @@ def pp_cr_direct(model: Model) -> Poly:
     """Chen-Ruan polynomial from the sector decomposition: each interior
     box element g of each face contributes s^age(g) times the face's
     ordinary polynomial."""
-    table = _quasi_sl_table(model, None)
+    table = _quasi_sl_table(model)
     return _sum(term for _, _, term in _sector_terms(table))
 
 

@@ -334,7 +334,6 @@ class LocalGroupTable:
     """
 
     def __init__(self, model: Model):
-        self.model = model
         self.groups = tuple(_face_group(face, model) for face in faces(model))
         self.h_vectors = tuple(h_vector(face, model) for face in faces(model))
         self._by_facets = {group.face.facet_set: group for group in self.groups}
