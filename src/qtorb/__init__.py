@@ -11,6 +11,7 @@ from .blowup import (
     blow_up,
     check_triangulation_identity,
     crepant_candidates,
+    identity_failures,
     induced_triangulation,
     is_crepant,
     make_blowup_spec,
@@ -36,6 +37,7 @@ from .ehrhart import (
     dilate_count_fast,
     ehrhart_numerator,
     face_simplex,
+    numerator_from_counts,
     simplex_in_face,
 )
 from .exact import Poly, Rat, binom, rat_from_str, rat_to_str

@@ -1,6 +1,7 @@
 """Combinatorial blowups: face truncation with an extended characteristic
-function, the induced subdivisions of face simplices, and the end-to-end
-check that a crepant blowup preserves the Chen-Ruan Betti numbers.
+function, the induced subdivisions of face simplices, the end-to-end
+check that a crepant blowup preserves the Chen-Ruan Betti numbers, and
+the identity suite that runs that check for every crepant candidate.
 
 A blowup replaces the chosen face by a new facet whose characteristic
 vector is a positive combination of the vectors meeting at the face.
@@ -12,12 +13,12 @@ result is accepted exactly when it passes full model validation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .cohomology import CrReport, cr_report, e_torus
-from .ehrhart import LatticeSimplex
+from .ehrhart import LatticeSimplex, dilate_count, ehrhart_numerator, face_simplex
 from .exact import Poly
 from .intlat import IntVec, coords_in_basis, frac_det, is_primitive, mat_from_cols
 from .model import (
@@ -28,7 +29,7 @@ from .model import (
     faces,
     make_model,
 )
-from .sectors import LocalGroupTable, age_polynomial_of_columns
+from .sectors import LocalGroupTable, age_polynomial_of_columns, box_by_exhaustion
 
 
 class BlowupError(ValueError):
@@ -362,3 +363,71 @@ def mckay_check(model: Model, spec: BlowupSpec, before: CrReport | None = None) 
         after=after,
         triangulation_checks=tuple(checks),
     )
+
+
+def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
+    """Run the full identity suite on one model; returns failure messages.
+
+    Covers the box partition over vertices, the per-face age partition,
+    the torus stratification, three-route agreement, and the crepant
+    blowup invariance for every candidate.  With `include_oracle`, the
+    Smith-form box enumeration and the dilate-series numerators are also
+    cross-checked against the exhaustive search paths.
+    """
+    failures: list[str] = []
+    label = model.name or "<model>"
+    report = cr_report(model)
+    if not report.routes_agree:
+        failures.append(f"{label}: the three Chen-Ruan routes disagree")
+    for check in report.identities:
+        if not check.passed:
+            failures.append(f"{label}: identity {check.name} fails ({check.lhs} != {check.rhs})")
+    for face, ok in report.morestrat:
+        if not ok:
+            failures.append(f"{label}: age partition fails at face {list(face.facet_set)}")
+
+    groups = report.groups
+    for vertex in groups.groups:
+        if vertex.face.codim != model.n:
+            continue
+        whole = sorted(vertex.points)
+        pieces = sorted(
+            other.points[i]
+            for other in groups.groups
+            if set(other.face.facet_set) <= set(vertex.face.facet_set)
+            for i in other.interior
+        )
+        if whole != pieces:
+            failures.append(
+                f"{label}: box partition fails at vertex {list(vertex.face.facet_set)}"
+            )
+
+    if include_oracle:
+        for group in groups.groups:
+            face = group.face
+            if face.codim == 0 or group.order > 200:
+                continue
+            exhaustive = box_by_exhaustion(group.columns, model.n)
+            if [replace(e, face=face) for e in exhaustive] != group.box_elements():
+                failures.append(
+                    f"{label}: box enumeration disagrees with exhaustion at {list(face.facet_set)}"
+                )
+            sx = face_simplex(face, model)
+            psi = ehrhart_numerator(sx, counter=dilate_count)
+            w_coeffs = group.age_polynomial.coeffs
+            if tuple(psi[: len(w_coeffs)]) != w_coeffs or any(p for p in psi[len(w_coeffs):]):
+                failures.append(
+                    f"{label}: dilate-series numerator {list(psi)} does not match ages at {list(face.facet_set)}"
+                )
+
+    for spec in crepant_candidates(model, groups):
+        mckay = mckay_check(model, spec, report)
+        if not mckay.quasi_sl_after:
+            failures.append(
+                f"{label}: crepant blowup at {list(spec.face)} loses integral ages"
+            )
+        if not mckay.verdict:
+            failures.append(
+                f"{label}: crepant blowup at {list(spec.face)} changes the Betti numbers"
+            )
+    return failures

@@ -12,20 +12,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import kernels
 from .blowup import (
     BlowupError,
     blow_up,
-    crepant_candidates,
+    identity_failures,
     is_crepant,
     make_blowup_spec,
     mckay_check,
 )
 from .cohomology import cr_report
-from .ehrhart import dilate_count, dilate_count_fast, ehrhart_numerator, face_simplex
+from .ehrhart import dilate_count, dilate_count_fast, face_simplex, numerator_from_counts
 from .exact import rat_to_str
 from .model import (
     Model,
@@ -39,7 +38,6 @@ from .model import (
 )
 from .sectors import (
     NonIntegralAgeError,
-    box_by_exhaustion,
     ensure_quasi_sl,
     is_quasi_sl,
     local_group_order,
@@ -158,13 +156,13 @@ def _cmd_ehrhart(args) -> int:
         if face.codim == 0:
             continue
         sx = face_simplex(face, model)
-        psi = ehrhart_numerator(sx, counter=counter)
+        counts = [counter(sx, k) for k in range(face.codim)]
         entries.append(
             {
                 "face": list(face.facet_set),
-                "psi": list(psi),
+                "psi": list(numerator_from_counts(counts)),
                 "order": local_group_order(face, model),
-                "dilates": [counter(sx, k) for k in range(face.codim)],
+                "dilates": counts,
             }
         )
     _emit(entries)
@@ -221,74 +219,6 @@ def _cmd_mckay(args) -> int:
     }
     _emit(payload)
     return 0 if report.verdict else 1
-
-
-def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
-    """Run the full identity suite on one model; returns failure messages.
-
-    Covers the box partition over vertices, the per-face age partition,
-    the torus stratification, three-route agreement, and the crepant
-    blowup invariance for every candidate.  With `include_oracle`, the
-    Smith-form box enumeration and the dilate-series numerators are also
-    cross-checked against the exhaustive search paths.
-    """
-    failures: list[str] = []
-    label = model.name or "<model>"
-    report = cr_report(model)
-    if not report.routes_agree:
-        failures.append(f"{label}: the three Chen-Ruan routes disagree")
-    for check in report.identities:
-        if not check.passed:
-            failures.append(f"{label}: identity {check.name} fails ({check.lhs} != {check.rhs})")
-    for face, ok in report.morestrat:
-        if not ok:
-            failures.append(f"{label}: age partition fails at face {list(face.facet_set)}")
-
-    groups = report.groups
-    for vertex in groups.groups:
-        if vertex.face.codim != model.n:
-            continue
-        whole = sorted(vertex.points)
-        pieces = sorted(
-            other.points[i]
-            for other in groups.groups
-            if set(other.face.facet_set) <= set(vertex.face.facet_set)
-            for i in other.interior
-        )
-        if whole != pieces:
-            failures.append(
-                f"{label}: box partition fails at vertex {list(vertex.face.facet_set)}"
-            )
-
-    if include_oracle:
-        for group in groups.groups:
-            face = group.face
-            if face.codim == 0 or group.order > 200:
-                continue
-            exhaustive = box_by_exhaustion(group.columns, model.n)
-            if [replace(e, face=face) for e in exhaustive] != group.box_elements():
-                failures.append(
-                    f"{label}: box enumeration disagrees with exhaustion at {list(face.facet_set)}"
-                )
-            sx = face_simplex(face, model)
-            psi = ehrhart_numerator(sx, counter=dilate_count)
-            w_coeffs = group.age_polynomial.coeffs
-            if tuple(psi[: len(w_coeffs)]) != w_coeffs or any(p for p in psi[len(w_coeffs):]):
-                failures.append(
-                    f"{label}: dilate-series numerator {list(psi)} does not match ages at {list(face.facet_set)}"
-                )
-
-    for spec in crepant_candidates(model, groups):
-        mckay = mckay_check(model, spec, report)
-        if not mckay.quasi_sl_after:
-            failures.append(
-                f"{label}: crepant blowup at {list(spec.face)} loses integral ages"
-            )
-        if not mckay.verdict:
-            failures.append(
-                f"{label}: crepant blowup at {list(spec.face)} changes the Betti numbers"
-            )
-    return failures
 
 
 def _cmd_fuzz(args) -> int:

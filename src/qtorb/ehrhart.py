@@ -125,16 +125,16 @@ def dilate_count_fast(sx: LatticeSimplex, k: int) -> int:
     return total
 
 
-def ehrhart_numerator(sx: LatticeSimplex, counter: Counter = dilate_count) -> tuple[int, ...]:
-    """Numerator coefficients (psi_0, ..., psi_{d-1}) of the dilate series.
+def numerator_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
+    """Numerator coefficients (psi_0, ..., psi_{d-1}) of the dilate series
+    from the d leading dilate counts l(0 Delta), ..., l((d-1) Delta).
 
     The series sum_k l(k Delta) t^k equals (sum_i psi_i t^i) / (1-t)^d
     with d = dim + 1, so d leading counts determine the numerator:
     psi_j = sum_i (-1)^i C(d, i) l((j-i) Delta).  Negative coefficients
     would mean an upstream counting bug and raise immediately.
     """
-    d = sx.dim + 1
-    counts = [counter(sx, k) for k in range(d)]
+    d = len(counts)
     psi = []
     for j in range(d):
         value = sum((-1) ** i * binom(d, i) * counts[j - i] for i in range(j + 1))
@@ -144,3 +144,9 @@ def ehrhart_numerator(sx: LatticeSimplex, counter: Counter = dilate_count) -> tu
             )
         psi.append(value)
     return tuple(psi)
+
+
+def ehrhart_numerator(sx: LatticeSimplex, counter: Counter = dilate_count) -> tuple[int, ...]:
+    """Numerator coefficients of the dilate series of ``sx``, from the
+    first dim + 1 counts of ``counter``; see :func:`numerator_from_counts`."""
+    return numerator_from_counts([counter(sx, k) for k in range(sx.dim + 1)])

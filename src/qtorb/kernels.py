@@ -1,67 +1,72 @@
-"""Backend dispatch for the enumeration kernels.
+"""The two enumeration kernels behind the oracles.
 
-The compiled extension (qtorb._core) is used when it imported cleanly,
-unless QTORB_PURE is set in the environment or the input magnitudes
-could overflow 64-bit intermediates; in those cases the pure big-int
-implementation runs instead.  Both backends implement identical
-algorithms, which the test suite and the bundled benchmark compare.
+Both run on Python big integers, so they are exact for inputs of any
+magnitude.  They stay independent of the Smith-form machinery in
+:mod:`qtorb.sectors`: ``count_in_dilate`` backs the brute-force dilate
+count and ``box_solutions`` the exhaustive box search.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _core_py
-
-try:
-    from . import _core
-except ImportError:  # pragma: no cover - depends on the build environment
-    _core = None
-
-_INT64_SAFE = 2**62
-
-
-def compiled_available() -> bool:
-    return _core is not None
-
-
-def _compiled_enabled() -> bool:
-    return _core is not None and not os.environ.get("QTORB_PURE")
-
 
 def backend_name() -> str:
-    """Name of the backend the next kernel call will try first."""
-    return "compiled" if _compiled_enabled() else "pure"
-
-
-def _dilate_fits_int64(lo, hi, vt, adj, det_g, level, vmat) -> bool:
-    """Exact worst-case bound for every intermediate of count_in_dilate."""
-    x_max = max(max(abs(a), abs(b)) for a, b in zip(lo, hi))
-    w_max = max(sum(abs(e) for e in row) for row in vt) * x_max
-    c_max = max(sum(abs(e) for e in row) for row in adj) * w_max
-    span_max = max(sum(abs(e) for e in row) for row in vmat) * c_max
-    worst = max(
-        w_max,
-        c_max,
-        len(adj) * c_max,
-        span_max,
-        abs(det_g) * x_max,
-        abs(level),
-    )
-    return worst < _INT64_SAFE
+    """Name of the kernel implementation, as reported by ``qtorb fuzz``."""
+    return "pure"
 
 
 def count_in_dilate(lo, hi, vt, adj, det_g, level, vmat) -> int:
-    """Count lattice points of a dilated simplex; see _core_py for the contract."""
-    if _compiled_enabled() and _dilate_fits_int64(lo, hi, vt, adj, det_g, level, vmat):
-        return _core.count_in_dilate(lo, hi, vt, adj, det_g, level, vmat)
-    return _core_py.count_in_dilate(lo, hi, vt, adj, det_g, level, vmat)
+    """Count integer points x with lo <= x <= hi, componentwise, whose
+    coordinates c = adj @ (vt @ x) satisfy c >= 0, sum(c) == level and
+    vmat @ c == det_g * x (membership in the dilated simplex)."""
+    n = len(lo)
+    d = len(vt)
+    count = 0
+    x = list(lo)
+    while True:
+        w = [sum(vt[i][j] * x[j] for j in range(n)) for i in range(d)]
+        c = [sum(adj[i][j] * w[j] for j in range(d)) for i in range(d)]
+        if all(ci >= 0 for ci in c) and sum(c) == level:
+            if all(
+                sum(vmat[i][j] * c[j] for j in range(d)) == det_g * x[i]
+                for i in range(n)
+            ):
+                count += 1
+        i = 0
+        while i < n and x[i] == hi[i]:
+            x[i] = lo[i]
+            i += 1
+        if i == n:
+            break
+        x[i] += 1
+    return count
 
 
 def box_solutions(cols_mod, r: int) -> list[tuple[int, ...]]:
-    """Sorted list of t in [0, r)^k with sum_j t_j*cols_mod[j] == 0 mod r."""
-    if _compiled_enabled() and 1 <= r < 2**20:
-        sols = _core.box_solutions(cols_mod, r)
-    else:
-        sols = _core_py.box_solutions(cols_mod, r)
+    """Sorted list of t in [0, r)^k with sum_j t_j * cols_mod[j] == 0 (mod r).
+
+    cols_mod holds the k column vectors already reduced mod r.  The
+    odometer keeps the running sum reduced mod r: rolling a digit from
+    r-1 back to 0 is congruent to adding the column once more.
+    """
+    k = len(cols_mod)
+    n = len(cols_mod[0]) if k else 0
+    t = [0] * k
+    total = [0] * n
+    sols = [tuple(t)]
+    while True:
+        i = 0
+        while i < k and t[i] == r - 1:
+            t[i] = 0
+            col = cols_mod[i]
+            for j in range(n):
+                total[j] = (total[j] + col[j]) % r
+            i += 1
+        if i == k:
+            break
+        t[i] += 1
+        col = cols_mod[i]
+        for j in range(n):
+            total[j] = (total[j] + col[j]) % r
+        if all(e == 0 for e in total):
+            sols.append(tuple(t))
     return sorted(sols)

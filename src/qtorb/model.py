@@ -185,7 +185,9 @@ def parse_model(text: str | bytes) -> Model:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides JSONDecodeError, undecodable bytes and over-long integer
+        # literals raise ValueError; deep nesting exhausts the recursion limit.
         raise ModelValidationError([f"malformed JSON: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ModelValidationError(["top-level JSON value must be an object"])

@@ -1,7 +1,13 @@
+import contextlib
 import importlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtorb import model_to_json, parse_model
 from qtorb.cli import main
@@ -51,6 +57,23 @@ def test_validate_broken_model(capsys, tmp_path):
     report = json.loads(out)
     assert not report["valid"]
     assert any("not primitive" in v for v in report["violations"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.binary(max_size=64), st.sampled_from([b"\x80", b"\xff\xfe{", b"[" * 100000])))
+def test_validate_any_bytes_reports_json(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "wb") as handle:
+            handle.write(raw)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main(["validate", path])
+    assert rc in (0, 2)
+    report = json.loads(buf.getvalue())
+    assert report["valid"] is (rc == 0)
+    if rc == 2:
+        assert report["violations"]
 
 
 def test_missing_file(capsys, tmp_path):
@@ -257,7 +280,7 @@ def test_arithmetic_error_is_structured(capsys, monkeypatch, wp112_path):
     def negative(*args, **kwargs):
         raise ArithmeticError("negative numerator coefficient psi_1 = -1")
 
-    monkeypatch.setattr(cli_mod, "ehrhart_numerator", negative)
+    monkeypatch.setattr(cli_mod, "numerator_from_counts", negative)
     rc, out = run(capsys, "ehrhart", wp112_path)
     assert rc == 2
     assert json.loads(out) == {"error": "negative numerator coefficient psi_1 = -1"}
@@ -295,7 +318,6 @@ def test_cr_reads_identities_by_name(capsys, monkeypatch, wp112_path):
 
 def test_identity_failures_reports_each_model_once(monkeypatch, z3, prism):
     import qtorb.blowup as blowup_mod
-    import qtorb.cli as cli_mod
     from qtorb import crepant_candidates, is_quasi_sl
 
     reported = []
@@ -303,11 +325,10 @@ def test_identity_failures_reports_each_model_once(monkeypatch, z3, prism):
     def counting(real):
         return lambda model, groups=None: reported.append(model) or real(model, groups)
 
-    monkeypatch.setattr(cli_mod, "cr_report", counting(cli_mod.cr_report))
     monkeypatch.setattr(blowup_mod, "cr_report", counting(blowup_mod.cr_report))
     for model in (z3, prism):
         reported.clear()
-        assert cli_mod.identity_failures(model) == []
+        assert blowup_mod.identity_failures(model) == []
         blown = [blowup_mod.blow_up(model, spec) for spec in crepant_candidates(model)]
         assert blown
         assert reported == [model] + [b for b in blown if is_quasi_sl(b)]

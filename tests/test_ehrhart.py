@@ -11,6 +11,7 @@ from qtorb import (
     face_simplex,
     faces,
     local_group_order,
+    numerator_from_counts,
     simplex_in_face,
 )
 from qtorb.ehrhart import LatticeSimplex
@@ -128,6 +129,14 @@ def test_ehrhart_numerator_examples():
     assert ehrhart_numerator(simplex_from_cols([(1, 0), (1, 2)])) == (1, 1)
     assert ehrhart_numerator(simplex_from_cols(list(Z3_COLS))) == (1, 1, 1)
     assert ehrhart_numerator(simplex_from_cols([(1,)])) == (1,)
+
+
+def test_numerator_from_counts_rejects_negative():
+    # No segment has a first dilate without lattice points:
+    # psi_1 = l(1) - 2 l(0) = -2 exposes the bad count.
+    assert numerator_from_counts([1, 3]) == (1, 1)
+    with pytest.raises(ArithmeticError, match="psi_1 = -2"):
+        numerator_from_counts([1, 0])
 
 
 def test_ehrhart_numerator_with_fast_counter():

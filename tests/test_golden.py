@@ -69,12 +69,6 @@ def _expected(name: str) -> tuple[int, str]:
     return codes[name], text
 
 
-@pytest.fixture(autouse=True)
-def _pure_backend(monkeypatch):
-    # fuzz reports the kernel backend; the goldens are taken with the pure one.
-    monkeypatch.setenv("QTORB_PURE", "1")
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     assert _run_in_process(CASES[name]) == _expected(name)
@@ -84,7 +78,7 @@ def test_golden_output_under_optimize_flag():
     # ``python -O`` strips asserts, so a check that relies on one would
     # change the output here.
     name = "z3tetra-ehrhart-oracle"
-    env = dict(os.environ, QTORB_PURE="1")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "qtorb", *CASES[name]],
@@ -99,7 +93,6 @@ def test_every_golden_file_has_a_case():
 
 
 if __name__ == "__main__":
-    os.environ["QTORB_PURE"] = "1"
     codes = {}
     for case, argv in sorted(CASES.items()):
         rc, out = _run_in_process(argv)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtorb import (
     Model,
@@ -95,6 +97,45 @@ def test_parse_structural_errors():
     with pytest.raises(ModelValidationError) as err:
         parse_model(json.dumps(bad))
     assert any("distinct facet indices" in v for v in err.value.violations)
+
+
+# Bytes that json.loads rejects with something other than JSONDecodeError:
+# invalid UTF-8, a truncated UTF-16 text, nesting past the recursion
+# limit and an integer literal past the digit limit.
+UNDECODABLE = [b"\x80", b"\xff\xfe{", b"[" * 100000, b"1" * 5000]
+
+
+@pytest.mark.parametrize("raw", UNDECODABLE, ids=["utf8", "utf16", "nesting", "digits"])
+def test_parse_undecodable_input_is_malformed_json(raw):
+    with pytest.raises(ModelValidationError) as err:
+        parse_model(raw)
+    assert len(err.value.violations) == 1
+    assert err.value.violations[0].startswith("malformed JSON: ")
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(), st.text(max_size=3)
+)
+_json_values = st.recursive(
+    _json_scalars, lambda inner: st.lists(inner, max_size=4), max_leaves=12
+)
+# Objects with the schema's keys and values of any JSON type, so the
+# generated inputs reach the field checks and not only the decoder.
+_near_models = st.fixed_dictionaries(
+    {},
+    optional={key: _json_values for key in ("name", "n", "m", "vertices", "lambda")},
+).map(lambda data: json.dumps(data).encode("utf-8"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=64), st.sampled_from(UNDECODABLE), _near_models))
+def test_parse_model_returns_model_or_validation_error(raw):
+    try:
+        model = parse_model(raw)
+    except ModelValidationError as exc:
+        assert exc.violations
+    else:
+        assert isinstance(model, Model)
 
 
 def test_parse_rejects_unused_facet():
