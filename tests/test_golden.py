@@ -40,6 +40,7 @@ def _cases() -> dict[str, list[str]]:
         cases[f"tri-m1-m100-{command}"] = [command, NON_QUASI_SL]
     for n in (2, 3, 4):
         cases[f"fuzz-n{n}"] = ["fuzz", "--seed", "1", "--count", "5", "--n", str(n)]
+    cases["fuzz-n3-oracle"] = ["fuzz", "--seed", "7", "--count", "5", "--n", "3", "--oracle"]
     return cases
 
 
