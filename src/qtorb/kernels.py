@@ -44,7 +44,6 @@ def count_in_dilate(lo, hi, vt, adj, det_g, level, vmat) -> int:
             count += 1
         i = 0
         while i < n and x[i] == hi[i]:
-            # Roll x_i back from hi_i to lo_i.
             span = hi[i] - lo[i]
             x[i] = lo[i]
             step = steps[i]

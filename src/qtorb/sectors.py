@@ -224,9 +224,10 @@ def box_of_columns(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxElement]
 def box_by_exhaustion(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxElement]:
     """Independent slow enumeration of the same box.
 
-    The group order is read off as the gcd of the maximal minors, then
-    every coefficient vector with denominator dividing that order is
-    tried and kept when the combination is a lattice point.
+    The group order r is read off as the gcd of the maximal minors, then
+    every coefficient vector with denominator dividing r is kept when the
+    combination is a lattice point; :func:`qtorb.kernels.box_solutions`
+    finds them in r^(k-1) + r steps.
     """
     k = len(cols)
     if k == 0:
