@@ -249,11 +249,22 @@ def induced_triangulation(subface: Face, tau: Subdivision, model: Model) -> Subd
     if subface.facet_set == parent.facet_set:
         return tau
     extra = [i for i in subface.facet_set if i not in set(parent.facet_set)]
-    cols = mat_from_cols([model.char_vectors[i] for i in subface.facet_set])
-    # Each distinct vertex is solved once, however many simplices share it.
-    vertices = {v for sx in tau.simplices for v in sx.verts}
-    vertices.update(model.char_vectors[i] for i in extra)
-    coords = {v: coords_in_basis(cols, v) for v in vertices}
+    # The subface's columns are independent and contain the parent's, so
+    # a vertex keeps its parent coordinates at the parent facets'
+    # positions, and each extra vector is a unit vector: nothing to solve.
+    k = subface.codim
+    position = {i: p for p, i in enumerate(subface.facet_set)}
+    coords: dict[IntVec, tuple[Fraction, ...]] = {}
+    for sx in tau.simplices:
+        for v, parent_coords in zip(sx.verts, sx.coords):
+            full = [Fraction(0)] * k
+            for i, c in zip(parent.facet_set, parent_coords):
+                full[position[i]] = c
+            coords[v] = tuple(full)
+    for i in extra:
+        unit = [Fraction(0)] * k
+        unit[position[i]] = Fraction(1)
+        coords[model.char_vectors[i]] = tuple(unit)
 
     simplices = []
     theta_options: list[tuple[IntVec, ...]] = [()]
@@ -283,12 +294,18 @@ class TriangulationCheck:
 
 
 def check_triangulation_identity(
-    face: Face, subdivision: Subdivision, model: Model, groups: LocalGroupTable | None = None
+    face: Face,
+    subdivision: Subdivision,
+    model: Model,
+    groups: LocalGroupTable | None = None,
+    cones: LocalGroupTable | None = None,
 ) -> TriangulationCheck:
     """The age polynomial of a face simplex must equal the sum, over the
     subdivision simplices meeting its interior, of (s-1)^codim times the
     age polynomial of the cone over the simplex.  The face side is read
-    from ``groups`` when given."""
+    from ``groups`` when given, and each cone from ``cones``, the table
+    of a model that has every interior cone as a face (the blown-up
+    model's, for a star subdivision and the triangulations it induces)."""
     if groups is None:
         lhs = age_polynomial_of_columns(
             [model.char_vectors[i] for i in face.facet_set], model.n
@@ -297,7 +314,11 @@ def check_triangulation_identity(
         lhs = groups.group(face).age_polynomial
     rhs = Poly.zero()
     for sx in subdivision.interior:
-        rhs = rhs + e_torus(sx.codim) * age_polynomial_of_columns(sx.verts, model.n)
+        if cones is None:
+            ages = age_polynomial_of_columns(sx.verts, model.n)
+        else:
+            ages = cones.cone(sx.verts).age_polynomial
+        rhs = rhs + e_torus(sx.codim) * ages
     return TriangulationCheck(face=face, passed=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
@@ -342,10 +363,12 @@ def mckay_check(model: Model, spec: BlowupSpec, before: CrReport | None = None) 
             f"weights sum to {sum(spec.weights)}, expected 1 for a crepant blowup"
         )
     blown = blow_up(model, spec)
-    blown_groups = LocalGroupTable(blown)
-    quasi_after = blown_groups.quasi_sl
     if before is None:
         before = cr_report(model, groups)
+    # Faces away from the new facet keep the base model's groups; the
+    # faces on it are the interior cones of the triangulations below.
+    blown_groups = LocalGroupTable(blown, groups)
+    quasi_after = blown_groups.quasi_sl
     after = cr_report(blown, blown_groups) if quasi_after else None
     face = face_by_indices(model, spec.face)
     tau = star_subdivide(face, spec.lambda0, model)
@@ -353,7 +376,7 @@ def mckay_check(model: Model, spec: BlowupSpec, before: CrReport | None = None) 
     for sub in faces(model):
         if set(spec.face) <= set(sub.facet_set):
             sub_tau = induced_triangulation(sub, tau, model)
-            checks.append(check_triangulation_identity(sub, sub_tau, model, groups))
+            checks.append(check_triangulation_identity(sub, sub_tau, model, groups, blown_groups))
     return McKayReport(
         model=model,
         blown=blown,
@@ -392,10 +415,7 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
             continue
         whole = sorted(vertex.points)
         pieces = sorted(
-            other.points[i]
-            for other in groups.groups
-            if set(other.face.facet_set) <= set(vertex.face.facet_set)
-            for i in other.interior
+            other.points[i] for other in groups.containing(vertex.face) for i in other.interior
         )
         if whole != pieces:
             failures.append(

@@ -24,7 +24,7 @@ from .blowup import (
     mckay_check,
 )
 from .cohomology import cr_report
-from .ehrhart import dilate_count, dilate_count_fast, face_simplex, numerator_from_counts
+from .ehrhart import count_from_ages, dilate_count, face_simplex, numerator_from_counts
 from .exact import rat_to_str
 from .model import (
     Model,
@@ -36,13 +36,7 @@ from .model import (
     positively_omnioriented,
     vertex_sign,
 )
-from .sectors import (
-    NonIntegralAgeError,
-    ensure_quasi_sl,
-    is_quasi_sl,
-    local_group_order,
-    sectors,
-)
+from .sectors import LocalGroupTable, NonIntegralAgeError, is_quasi_sl, sectors
 
 
 def _emit(payload) -> None:
@@ -149,19 +143,24 @@ def _cmd_cr(args) -> int:
 
 def _cmd_ehrhart(args) -> int:
     model = load_model(args.model)
-    ensure_quasi_sl(model)
-    counter = dilate_count if args.oracle else dilate_count_fast
+    table = LocalGroupTable(model)
+    table.ensure_quasi_sl()
     entries = []
-    for face in faces(model):
+    for group in table.groups:
+        face = group.face
         if face.codim == 0:
             continue
-        sx = face_simplex(face, model)
-        counts = [counter(sx, k) for k in range(face.codim)]
+        if args.oracle:
+            sx = face_simplex(face, model)
+            counts = [dilate_count(sx, k) for k in range(face.codim)]
+        else:
+            ages = group.age_polynomial
+            counts = [count_from_ages(ages, face.codim, k) for k in range(face.codim)]
         entries.append(
             {
                 "face": list(face.facet_set),
                 "psi": list(numerator_from_counts(counts)),
-                "order": local_group_order(face, model),
+                "order": group.order,
                 "dilates": counts,
             }
         )

@@ -16,6 +16,7 @@ torus-stratification identities, is what the verdict commands certify.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -31,8 +32,11 @@ def pp_ordinary(face: Face, model: Model) -> Poly:
 
 
 def e_torus(k: int) -> Poly:
-    """E-polynomial of the k-dimensional complex torus: (s - 1)^k."""
-    return Poly((-1, 1)) ** k
+    """E-polynomial of the k-dimensional complex torus: (s - 1)^k, whose
+    coefficient of s^i is C(k, i) (-1)^(k-i)."""
+    if k < 0:
+        raise ValueError(f"torus dimension must be nonnegative, got {k}")
+    return Poly(math.comb(k, i) * (-1) ** (k - i) for i in range(k + 1))
 
 
 def _quasi_sl_table(model: Model, groups: LocalGroupTable | None = None) -> LocalGroupTable:
@@ -92,12 +96,7 @@ def check_age_partition(
     table = LocalGroupTable(model) if groups is None else groups
     out = []
     for group in table.groups:
-        fs = set(group.face.facet_set)
-        rhs = _sum(
-            other.interior_age_polynomial
-            for other in table.groups
-            if set(other.face.facet_set) <= fs
-        )
+        rhs = _sum(other.interior_age_polynomial for other in table.containing(group.face))
         out.append((group.face, group.age_polynomial == rhs))
     return out
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import kernels
-from .exact import binom
+from .exact import Poly, binom
 from .intlat import (
     IntVec,
     RankDeficientError,
@@ -25,7 +25,7 @@ from .intlat import (
     transpose,
 )
 from .model import Face, Model
-from .sectors import NonIntegralAgeError, box_of_columns
+from .sectors import LocalGroup
 
 Counter = Callable[["LatticeSimplex", int], int]
 
@@ -109,20 +109,22 @@ def dilate_count(sx: LatticeSimplex, k: int) -> int:
     )
 
 
+def count_from_ages(ages: Poly, d: int, k: int) -> int:
+    """Level-k lattice points of the cone over d independent vectors whose
+    box has age polynomial ``ages``: every point splits uniquely as a box
+    element plus a nonnegative integer combination of the vectors, so
+    the count is sum_a w_a C(k - a + d - 1, d - 1) over the ages a."""
+    return sum(w * binom(k - a + d - 1, d - 1) for a, w in enumerate(ages.coeffs))
+
+
 def dilate_count_fast(sx: LatticeSimplex, k: int) -> int:
-    """Dilate count through the box decomposition: every lattice point of
-    the cone splits uniquely as a box element plus a nonnegative integer
-    combination of the vertices, so level-k points are counted by
-    compositions above each age."""
+    """Dilate count through the box decomposition of the cone over the
+    simplex; see :func:`count_from_ages`.  Raises
+    :class:`NonIntegralAgeError` for a fractional age."""
     if k < 0:
         raise ValueError("dilation factor must be nonnegative")
-    d = len(sx.verts)
-    total = 0
-    for element in box_of_columns(sx.verts, len(sx.verts[0])):
-        if element.age.denominator != 1:
-            raise NonIntegralAgeError(element)
-        total += binom(k - element.age.numerator + d - 1, d - 1)
-    return total
+    ages = LocalGroup(sx.verts, len(sx.verts[0])).age_polynomial
+    return count_from_ages(ages, len(sx.verts), k)
 
 
 def numerator_from_counts(counts: Sequence[int]) -> tuple[int, ...]:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exact import Poly
 from .intlat import IntMat, IntVec, as_vec, det, is_primitive, mat_from_cols, mat_vec
 
 JSON_INT_LIMIT = 2**53
@@ -293,17 +293,41 @@ def f_vector(face: Face, model: Model) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def h_from_f(fv: Sequence[int]) -> tuple[int, ...]:
+    """h-vector from the f-vector (f_0, ..., f_d) of a simple polytope:
+    h_i is the coefficient of t^(d-i) in sum_j f_j (t-1)^j, that is
+    sum_j f_j C(j, d-i) (-1)^(j-d+i)."""
+    d = len(fv) - 1
+    return tuple(
+        sum(
+            count * math.comb(j, d - i) * (-1) ** (j - d + i)
+            for j, count in enumerate(fv)
+            if j >= d - i
+        )
+        for i in range(d + 1)
+    )
+
+
 def h_vector(face: Face, model: Model) -> tuple[int, ...]:
-    """h-vector of the (simple) face: h_i is the coefficient of t^(d-i)
-    in sum_j f_j (t-1)^j.  These are the even Betti numbers of the
-    orbifold piece living over the face."""
-    fv = f_vector(face, model)
-    t_minus_1 = Poly((-1, 1))
-    acc = Poly.zero()
-    for j, count in enumerate(fv):
-        acc = acc + count * t_minus_1**j
-    coeffs = list(acc.coeffs) + [0] * (face.dim + 1 - len(acc.coeffs))
-    return tuple(reversed(coeffs[: face.dim + 1]))
+    """h-vector of the (simple) face.  These are the even Betti numbers
+    of the orbifold piece living over the face."""
+    return h_from_f(f_vector(face, model))
+
+
+def h_vectors(model: Model) -> tuple[tuple[int, ...], ...]:
+    """The h-vector of every face, in ``faces(model)`` order.
+
+    The f-vectors are counted in one pass: each face is a face of every
+    sub-polytope whose facet set is a subset of its own, so it adds 1 to
+    the count of its dimension at each subset of its facet set.
+    """
+    all_faces = faces(model)
+    counts = {face.facet_set: [0] * (face.dim + 1) for face in all_faces}
+    for face in all_faces:
+        for r in range(face.codim + 1):
+            for sub in itertools.combinations(face.facet_set, r):
+                counts[sub][face.dim] += 1
+    return tuple(h_from_f(counts[face.facet_set]) for face in all_faces)
 
 
 def vertex_matrix(model: Model, vertex: Sequence[int]) -> IntMat:

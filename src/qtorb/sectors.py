@@ -14,6 +14,8 @@ dividing the group order is provided for cross-checking.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 from . import kernels
 from .exact import Poly
 from .intlat import IntMat, IntVec, lattice_index, mat_from_cols, smith_normal_form
-from .model import Face, Model, faces, h_vector
+from .model import Face, Model, faces, h_vectors
 
 
 class NonIntegralAgeError(ValueError):
@@ -158,6 +160,13 @@ class LocalGroup:
     def interior(self) -> tuple[int, ...]:
         """Indices of the elements with every coefficient positive."""
         return tuple(i for i, nums in enumerate(self.numerators) if all(nums))
+
+    def retagged(self, face: Face) -> "LocalGroup":
+        """The same group, Smith form and enumerated data shared, tagged
+        with another face over the same columns."""
+        group = copy.copy(self)
+        group.face = face
+        return group
 
     def box_element(self, i: int) -> BoxElement:
         nums = self.numerators[i]
@@ -332,17 +341,51 @@ class LocalGroupTable:
     quasi-SL, sectors, the three Chen-Ruan routes and the identities.  A
     table lives as long as the command that built it; nothing keeps it
     beyond that.
+
+    With ``base``, the table of another model in the same dimension
+    (the model a blowup came from), a face whose facet set and columns
+    are those of a face of ``base`` takes that face's group, Smith form
+    and enumerated data included; only the other faces run a Smith form.
     """
 
-    def __init__(self, model: Model):
-        self.groups = tuple(_face_group(face, model) for face in faces(model))
-        self.h_vectors = tuple(h_vector(face, model) for face in faces(model))
+    def __init__(self, model: Model, base: LocalGroupTable | None = None):
+        reuse = {} if base is None else base._by_facets
+        groups = []
+        for face in faces(model):
+            columns = tuple(_face_columns(face, model))
+            known = reuse.get(face.facet_set)
+            if known is not None and known.columns == columns and known.ambient_dim == model.n:
+                groups.append(known.retagged(face))
+            else:
+                groups.append(LocalGroup(columns, model.n, face))
+        self.groups = tuple(groups)
+        self.h_vectors = h_vectors(model)
         self._by_facets = {group.face.facet_set: group for group in self.groups}
         self._vertices = tuple(g for g in self.groups if g.face.codim == model.n)
         self.quasi_sl = all(g.integral_ages for g in self._vertices)
 
     def group(self, face: Face) -> LocalGroup:
         return self._by_facets[face.facet_set]
+
+    def containing(self, face: Face) -> Iterator[LocalGroup]:
+        """The group of every face containing ``face``, itself included:
+        in a simple polytope these are the subsets of its facet set."""
+        facet_set = face.facet_set
+        for r in range(len(facet_set) + 1):
+            for sub in itertools.combinations(facet_set, r):
+                yield self._by_facets[sub]
+
+    @cached_property
+    def _by_cone(self) -> dict[frozenset[IntVec], LocalGroup]:
+        return {frozenset(group.columns): group for group in self.groups}
+
+    def cone(self, columns: Iterable[IntVec]) -> LocalGroup:
+        """The group of a face whose columns are ``columns`` in any order;
+        ValueError when no face of the model has them."""
+        key = frozenset(columns)
+        if key not in self._by_cone:
+            raise ValueError(f"the cone over {sorted(key)} is not a face of the model")
+        return self._by_cone[key]
 
     def ensure_quasi_sl(self) -> None:
         """Raise :class:`NonIntegralAgeError` for the first fractional age

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qtorb import generate_test_models, make_model
+from qtorb import blow_up, crepant_candidates, generate_test_models, make_model
 
 # Session-wide fuzz corpus sizes; acceptance wants at least 20 per dimension.
 CORPUS_SEEDS = {2: 20240811, 3: 90125}
@@ -80,6 +80,16 @@ def fuzz_corpus():
 def corpus(fuzz_corpus):
     """Fuzz corpus plus the hand-built golden models."""
     return fuzz_corpus + [wp112_model(), cp2_model(), z3_model(), prism_model()]
+
+
+@pytest.fixture(scope="session")
+def crepant_blowups(corpus):
+    """(model, spec, blown-up model) for every crepant candidate of the corpus."""
+    return [
+        (model, spec, blow_up(model, spec))
+        for model in corpus
+        for spec in crepant_candidates(model)
+    ]
 
 
 @pytest.fixture

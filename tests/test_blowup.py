@@ -1,15 +1,18 @@
+import importlib
 from fractions import Fraction
 
 import pytest
 
 from qtorb import (
     BlowupError,
+    LocalGroupTable,
     NonIntegralAgeError,
     blow_up,
     check_triangulation_identity,
     cr_report,
     crepant_candidates,
     face_by_indices,
+    faces,
     induced_triangulation,
     is_crepant,
     is_quasi_sl,
@@ -23,7 +26,7 @@ from qtorb import (
     vertex_matrix,
 )
 from qtorb.exact import Poly
-from qtorb.intlat import det, frac_det
+from qtorb.intlat import coords_in_basis, det, frac_det, mat_from_cols
 
 
 def test_make_spec_validations(wp112):
@@ -257,7 +260,7 @@ def test_iterated_blowups(z3):
         assert cr_report(model).pp_cr == before
 
 
-def test_induced_triangulation_solves_each_vertex_once(monkeypatch, prism):
+def test_induced_triangulation_solves_no_vertex(monkeypatch, prism):
     import qtorb.blowup as blowup_mod
 
     solved = []
@@ -269,4 +272,71 @@ def test_induced_triangulation_solves_each_vertex_once(monkeypatch, prism):
     tau = star_subdivide(edge, (1, 1, 0), prism)
     solved.clear()
     induced = induced_triangulation(face_by_indices(prism, (0, 1, 3)), tau, prism)
-    assert len(solved) == len(set(solved)) == len({v for sx in induced.simplices for v in sx.verts})
+    assert solved == []
+    assert len({v for sx in induced.simplices for v in sx.verts}) == 4
+
+
+def test_blown_table_from_base_equals_fresh_table(crepant_blowups):
+    assert crepant_blowups
+    for model, _, blown in crepant_blowups:
+        reused = LocalGroupTable(blown, LocalGroupTable(model))
+        fresh = LocalGroupTable(blown)
+        assert reused.h_vectors == fresh.h_vectors
+        assert len(reused.groups) == len(fresh.groups)
+        for a, b in zip(reused.groups, fresh.groups):
+            assert a.face == b.face
+            assert a.invariants == b.invariants
+            assert a.numerators == b.numerators
+            assert a.points == b.points
+            assert a.age_polynomial == b.age_polynomial
+            assert a.interior_age_polynomial == b.interior_age_polynomial
+            assert a.box_elements() == b.box_elements()
+
+
+def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(monkeypatch, crepant_blowups):
+    """The blown table takes every face off the new facet m from the base
+    table; the faces on m are exactly the interior cones of the star and
+    induced triangulations, which read them from that table."""
+    sectors_mod = importlib.import_module("qtorb.sectors")
+    blowup_mod = importlib.import_module("qtorb.blowup")
+    inside: list[bool] = []
+    calls: list[bool] = []
+    cones: list[frozenset] = []
+    real_smith = sectors_mod.smith_normal_form
+    real_check = blowup_mod.check_triangulation_identity
+
+    def check(face, subdivision, model, groups=None, cones_table=None):
+        cones.extend(frozenset(sx.verts) for sx in subdivision.interior)
+        inside.append(True)
+        try:
+            return real_check(face, subdivision, model, groups, cones_table)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: calls.append(bool(inside)) or real_smith(m))
+    monkeypatch.setattr(blowup_mod, "check_triangulation_identity", check)
+    for model, spec, blown in crepant_blowups:
+        before = cr_report(model)
+        calls.clear()
+        cones.clear()
+        assert mckay_check(model, spec, before).verdict
+        on_new_facet = [f for f in faces(blown) if model.m in f.facet_set]
+        assert len(calls) == len(on_new_facet)
+        assert not any(calls)
+        assert len(cones) == len(set(cones)) == len(on_new_facet)
+        assert set(cones) == {
+            frozenset(blown.char_vectors[i] for i in f.facet_set) for f in on_new_facet
+        }
+
+
+def test_induced_coordinates_equal_the_solve(crepant_blowups):
+    for model, spec, _ in crepant_blowups:
+        face = face_by_indices(model, spec.face)
+        tau = star_subdivide(face, spec.lambda0, model)
+        for sub in faces(model):
+            if not set(spec.face) <= set(sub.facet_set):
+                continue
+            cols = mat_from_cols([model.char_vectors[i] for i in sub.facet_set])
+            for sx in induced_triangulation(sub, tau, model).simplices:
+                for v, c in zip(sx.verts, sx.coords):
+                    assert c == coords_in_basis(cols, v)

@@ -332,3 +332,18 @@ def test_identity_failures_reports_each_model_once(monkeypatch, z3, prism):
         blown = [blowup_mod.blow_up(model, spec) for spec in crepant_candidates(model)]
         assert blown
         assert reported == [model] + [b for b in blown if is_quasi_sl(b)]
+
+
+def test_ehrhart_runs_one_smith_form_per_proper_face(capsys, monkeypatch):
+    sectors_mod = importlib.import_module("qtorb.sectors")
+    calls = []
+    real = sectors_mod.smith_normal_form
+    monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: calls.append(m) or real(m))
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "models", "z3tetra.json")
+    rc, out = run(capsys, "ehrhart", path)
+    assert rc == 0
+    assert len(calls) == len(json.loads(out)) == 14
+    calls.clear()
+    rc, oracle_out = run(capsys, "ehrhart", path, "--oracle")
+    assert rc == 0 and oracle_out == out
+    assert len(calls) == 14

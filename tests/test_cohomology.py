@@ -44,6 +44,10 @@ def test_e_torus():
     assert e_torus(0) == Poly.one()
     assert e_torus(1) == Poly([-1, 1])
     assert e_torus(2) == Poly([1, -2, 1])
+    for k in range(10):
+        assert e_torus(k) == Poly((-1, 1)) ** k
+    with pytest.raises(ValueError):
+        e_torus(-1)
 
 
 def test_pp_cr_golden_values(wp112, cp2, z3):

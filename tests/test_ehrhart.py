@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from qtorb import (
+    LocalGroupTable,
     age_polynomial,
+    count_from_ages,
     dilate_count,
     dilate_count_fast,
     ehrhart_numerator,
@@ -180,3 +182,18 @@ def test_dilate_count_rejects_dependent_vertices(wp112):
     )
     with pytest.raises(RankDeficientError, match="dependent"):
         dilate_count(sx, 1)
+
+
+def test_fast_counts_from_the_table_equal_the_oracle(crepant_blowups):
+    checked = 0
+    for _, _, blown in crepant_blowups:
+        for group in LocalGroupTable(blown).groups:
+            face = group.face
+            if face.codim == 0 or group.order > 12:
+                continue
+            sx = face_simplex(face, blown)
+            for k in range(face.codim + 1):
+                fast = count_from_ages(group.age_polynomial, face.codim, k)
+                assert fast == dilate_count(sx, k) == dilate_count_fast(sx, k)
+            checked += 1
+    assert checked > 0

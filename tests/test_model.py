@@ -13,6 +13,7 @@ from qtorb import (
     faces,
     generate_test_models,
     h_vector,
+    h_vectors,
     is_quasi_sl,
     make_model,
     model_to_dict,
@@ -20,6 +21,7 @@ from qtorb import (
     parse_model,
     random_unimodular,
     relabel_facets,
+    subfaces,
     vertex_matrix,
     vertex_sign,
 )
@@ -298,3 +300,24 @@ def test_model_is_hashable_and_frozen(wp112):
     )
     with pytest.raises(AttributeError):
         wp112.n = 3
+
+
+def _h_vector_by_definition(face, model):
+    """h_i = coefficient of t^(d-i) in sum_j f_j (t-1)^j, with the f-vector
+    counted from the subfaces."""
+    fv = [0] * (face.dim + 1)
+    for h in subfaces(face, model):
+        fv[h.dim] += 1
+    acc = Poly.zero()
+    for j, count in enumerate(fv):
+        acc = acc + count * Poly((-1, 1)) ** j
+    coeffs = list(acc.coeffs) + [0] * (face.dim + 1 - len(acc.coeffs))
+    return tuple(reversed(coeffs[: face.dim + 1]))
+
+
+def test_one_pass_h_vectors_match_definition(corpus, crepant_blowups):
+    models = list(corpus) + [blown for _, _, blown in crepant_blowups]
+    for model in models:
+        expected = tuple(_h_vector_by_definition(face, model) for face in faces(model))
+        assert h_vectors(model) == expected
+        assert tuple(h_vector(face, model) for face in faces(model)) == expected
