@@ -1,4 +1,7 @@
 import importlib
+import pathlib
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from qtorb import (
     crepant_candidates,
     face_by_indices,
     faces,
+    generate_test_models,
     induced_triangulation,
     is_crepant,
     is_quasi_sl,
@@ -25,8 +29,11 @@ from qtorb import (
     trivial_subdivision,
     vertex_matrix,
 )
+from qtorb.blowup import _validated_subdivision
 from qtorb.exact import Poly
 from qtorb.intlat import coords_in_basis, det, frac_det, mat_from_cols
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_make_spec_validations(wp112):
@@ -340,3 +347,100 @@ def test_induced_coordinates_equal_the_solve(crepant_blowups):
             for sx in induced_triangulation(sub, tau, model).simplices:
                 for v, c in zip(sx.verts, sx.coords):
                     assert c == coords_in_basis(cols, v)
+
+
+def _fraction_det(rows):
+    """Determinant of a square matrix of rationals by Gaussian elimination;
+    the reference for subdivision volumes."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            result = -result
+        result *= a[c][c]
+        for r in range(c + 1, n):
+            factor = a[r][c] / a[c][c]
+            for j in range(c, n):
+                a[r][j] -= factor * a[c][j]
+    return result
+
+
+def _z3tetra_star():
+    model = parse_model((ROOT / "models" / "z3tetra.json").read_text(encoding="utf-8"))
+    face = face_by_indices(model, (0, 1, 2))
+    return face, star_subdivide(face, (0, 0, 1), model)
+
+
+def _fuzz_codim4_induced():
+    """An induced triangulation of a vertex (codimension 4) of a fuzz n = 4
+    model, from the crepant blowup of an edge with weights 1/6, 5/6: two
+    maximal simplices of volumes 1/6 and 5/6."""
+    (model,) = generate_test_models(11, 1, n=4)
+    spec = next(
+        s for s in crepant_candidates(model)
+        if s.face == (0, 4) and s.weights == (Fraction(1, 6), Fraction(5, 6))
+    )
+    tau = star_subdivide(face_by_indices(model, spec.face), spec.lambda0, model)
+    vertex = face_by_indices(model, (0, 1, 2, 4))
+    return vertex, induced_triangulation(vertex, tau, model)
+
+
+@pytest.mark.parametrize(
+    "build, short_volumes",
+    [(_z3tetra_star, {"2/3"}), (_fuzz_codim4_induced, {"1/6", "5/6"})],
+    ids=["z3tetra-star", "fuzz-n4-codim4"],
+)
+def test_subdivision_missing_any_simplex_is_rejected(build, short_volumes):
+    face, tau = build()
+    top_dim = face.codim - 1
+    dims = set()
+    volumes = set()
+    for removed in tau.simplices:
+        dims.add(removed.dim)
+        rest = [sx for sx in tau.simplices if sx is not removed]
+        if removed.dim == top_dim:
+            volume = 1 - abs(_fraction_det(removed.coords))
+            volumes.add(str(volume))
+            message = f"maximal simplices cover volume {volume}, expected 1"
+        else:
+            message = "subdivision is not closed under faces"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _validated_subdivision(face, rest)
+    assert dims == set(range(top_dim + 1))
+    assert volumes == short_volumes
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (Fraction(-1, 3), Fraction(2, 3), Fraction(2, 3)),
+        (Fraction(1, 3), Fraction(1, 3), Fraction(1, 2)),
+    ],
+    ids=["negative", "sum-not-one"],
+)
+def test_subdivision_vertex_outside_face_simplex_is_rejected(bad):
+    face, tau = _z3tetra_star()
+    apex = (0, 0, 1)
+    moved = [
+        replace(sx, coords=tuple(bad if v == apex else c for v, c in zip(sx.verts, sx.coords)))
+        for sx in tau.simplices
+    ]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'vertex {bad} lies outside the face simplex')}$"):
+        _validated_subdivision(face, moved)
+    # One simplex holding the bad coordinates is enough.
+    first = next(i for i, sx in enumerate(tau.simplices) if apex in sx.verts)
+    alone = list(tau.simplices)
+    alone[first] = moved[first]
+    with pytest.raises(ValueError, match="lies outside the face simplex"):
+        _validated_subdivision(face, alone)
+
+
+def test_subdivision_accepts_the_unchanged_inputs():
+    for build in (_z3tetra_star, _fuzz_codim4_induced):
+        face, tau = build()
+        assert _validated_subdivision(face, list(reversed(tau.simplices))) == tau
