@@ -12,15 +12,18 @@ result is accepted exactly when it passes full model validation.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .cohomology import CrReport, cr_report, e_torus
+from .cohomology import CrReport, _sum, cr_report, e_torus
 from .ehrhart import LatticeSimplex, dilate_count, ehrhart_numerator, face_simplex
 from .exact import Poly
-from .intlat import IntVec, coords_in_basis, frac_det, is_primitive, mat_from_cols
+from .intlat import IntVec, coords_in_basis, det, is_primitive, mat_from_cols
 from .model import (
     Face,
     Model,
@@ -145,38 +148,63 @@ class Subdivision:
     interior: tuple[LatticeSimplex, ...]
 
 
-def _supports_whole_face(sx: LatticeSimplex) -> bool:
-    # A simplex meets the relative interior iff its vertices' coordinate
-    # supports jointly cover every facet position of the ambient face.
-    covered: set[int] = set()
-    for coord in sx.coords:
-        covered.update(i for i, c in enumerate(coord) if c)
-    return len(covered) == sx.ambient_face.codim
+def _maximal_volumes(
+    ambient_face: Face, simplices: Sequence[LatticeSimplex]
+) -> tuple[list[int], int]:
+    """Volume of each maximal simplex, relative to the face simplex, as
+    integers over one whole: with D the common denominator of the
+    coordinates and k = codim, each volume is the determinant of its
+    coordinates' numerators over D, and the whole is D^k."""
+    k = ambient_face.codim
+    maximal = [sx for sx in simplices if sx.dim == k - 1]
+    denom = math.lcm(*(c.denominator for sx in maximal for coord in sx.coords for c in coord))
+    volumes = [
+        abs(det(tuple(
+            tuple(c.numerator * (denom // c.denominator) for c in coord) for coord in sx.coords
+        )))
+        for sx in maximal
+    ]
+    return volumes, denom**k
 
 
 def _validated_subdivision(
     ambient_face: Face, simplices: Sequence[LatticeSimplex]
 ) -> Subdivision:
-    """Checks closure under faces, containment in the face simplex, and
-    exact volume bookkeeping (maximal simplex volumes sum to the whole)."""
-    by_verts = {frozenset(sx.verts): sx for sx in simplices}
+    """Checks containment in the face simplex, closure under faces, and
+    exact volume bookkeeping (maximal simplex volumes sum to the whole).
+
+    Each coordinate tuple is checked once.  The builders share one tuple
+    per vertex among the simplices holding it, so tuples are told apart
+    by identity: hashing their Fractions would cost about as much as
+    checking them.  Closure is checked through the facets of each
+    simplex: if every simplex's facets are present, so is every nonempty
+    face, by induction on dimension."""
+    by_verts = {frozenset(sx.verts) for sx in simplices}
+    # Support of each checked coordinate tuple, one bit per facet position.
+    support: dict[int, int] = {}
     for sx in simplices:
         for coord in sx.coords:
+            if id(coord) in support:
+                continue
             if any(c < 0 for c in coord) or sum(coord) != 1:
                 raise ValueError(f"vertex {coord} lies outside the face simplex")
-        for r in range(1, len(sx.verts)):
-            for sub in itertools.combinations(sx.verts, r):
-                if frozenset(sub) not in by_verts:
-                    raise ValueError("subdivision is not closed under faces")
-    top_dim = ambient_face.codim - 1
-    volume = sum(
-        (abs(frac_det([list(c) for c in sx.coords])) for sx in simplices if sx.dim == top_dim),
-        Fraction(0),
-    )
-    if volume != 1:
+            support[id(coord)] = sum(1 << i for i, c in enumerate(coord) if c)
+        if len(sx.verts) > 1:
+            verts = frozenset(sx.verts)
+            if any(verts - {v} not in by_verts for v in verts):
+                raise ValueError("subdivision is not closed under faces")
+    volumes, whole = _maximal_volumes(ambient_face, simplices)
+    if sum(volumes) != whole:
+        volume = Fraction(sum(volumes), whole)
         raise ValueError(f"maximal simplices cover volume {volume}, expected 1")
     ordered = tuple(sorted(simplices, key=lambda sx: (len(sx.verts), sx.verts)))
-    interior = tuple(sx for sx in ordered if _supports_whole_face(sx))
+    # A simplex meets the relative interior iff its vertices' supports
+    # jointly cover every facet position of the ambient face.
+    whole_face = (1 << ambient_face.codim) - 1
+    interior = tuple(
+        sx for sx in ordered
+        if functools.reduce(operator.or_, (support[id(c)] for c in sx.coords), 0) == whole_face
+    )
     return Subdivision(ambient_face=ambient_face, simplices=ordered, interior=interior)
 
 
@@ -312,13 +340,14 @@ def check_triangulation_identity(
         )
     else:
         lhs = groups.group(face).age_polynomial
-    rhs = Poly.zero()
+    terms = []
     for sx in subdivision.interior:
         if cones is None:
             ages = age_polynomial_of_columns(sx.verts, model.n)
         else:
             ages = cones.cone(sx.verts).age_polynomial
-        rhs = rhs + e_torus(sx.codim) * ages
+        terms.append(e_torus(sx.codim) * ages)
+    rhs = _sum(terms)
     return TriangulationCheck(face=face, passed=lhs == rhs, lhs=lhs, rhs=rhs)
 
 

@@ -36,7 +36,7 @@ def e_torus(k: int) -> Poly:
     coefficient of s^i is C(k, i) (-1)^(k-i)."""
     if k < 0:
         raise ValueError(f"torus dimension must be nonnegative, got {k}")
-    return Poly(math.comb(k, i) * (-1) ** (k - i) for i in range(k + 1))
+    return Poly._of_ints([math.comb(k, i) * (-1) ** (k - i) for i in range(k + 1)])
 
 
 def _quasi_sl_table(model: Model, groups: LocalGroupTable | None = None) -> LocalGroupTable:
@@ -56,10 +56,15 @@ def _sector_terms(table: LocalGroupTable) -> Iterator[tuple[Face, int, Poly]]:
 
 
 def _sum(polys) -> Poly:
-    total = Poly.zero()
+    """Sum of polynomials, adding coefficient lists in one pass."""
+    total: list[int] = []
     for p in polys:
-        total = total + p
-    return total
+        coeffs = p.coeffs
+        if len(coeffs) > len(total):
+            total.extend([0] * (len(coeffs) - len(total)))
+        for i, c in enumerate(coeffs):
+            total[i] += c
+    return Poly._of_ints(total)
 
 
 def pp_cr_direct(model: Model) -> Poly:
@@ -101,14 +106,20 @@ def check_age_partition(
     return out
 
 
-def check_torus_stratification(model: Model) -> tuple[bool, Poly, Poly]:
+def check_torus_stratification(
+    model: Model, groups: LocalGroupTable | None = None
+) -> tuple[bool, Poly, Poly]:
     """The ordinary Poincare polynomial must equal the sum of torus
-    E-polynomials over all faces; returns (passed, lhs, rhs)."""
-    whole = faces(model)[0]
-    lhs = pp_ordinary(whole, model)
-    rhs = Poly.zero()
-    for face in faces(model):
-        rhs = rhs + e_torus(face.dim)
+    E-polynomials over all faces; returns (passed, lhs, rhs).  With
+    ``groups``, the model's table, the polytope's h-vector and the faces
+    are read from it."""
+    if groups is None:
+        all_faces = faces(model)
+        lhs = pp_ordinary(all_faces[0], model)
+    else:
+        all_faces = [group.face for group in groups.groups]
+        lhs = Poly(groups.h_vectors[0])
+    rhs = _sum(e_torus(face.dim) for face in all_faces)
     return lhs == rhs, lhs, rhs
 
 
@@ -167,7 +178,7 @@ def cr_report(model: Model, groups: LocalGroupTable | None = None) -> CrReport:
     direct = _sum(term for _, _, term in per_sector)
     closures = pp_cr_via_closures(model, table)
     strata = pp_cr_via_strata(model, table)
-    strat_ok, strat_lhs, strat_rhs = check_torus_stratification(model)
+    strat_ok, strat_lhs, strat_rhs = check_torus_stratification(model, table)
     identities = (
         IdentityCheck("h_identity", strat_ok, strat_lhs, strat_rhs),
         IdentityCheck("newpon", direct == strata, direct, strata),

@@ -64,6 +64,17 @@ class Poly:
         self.coeffs = tuple(norm)
 
     @classmethod
+    def _of_ints(cls, coeffs: list[int]) -> "Poly":
+        """The polynomial of a list of ints, which is trimmed in place;
+        for arithmetic inside the package, whose coefficients are ints by
+        construction, so the public constructor's checks are skipped."""
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        poly = object.__new__(cls)
+        poly.coeffs = tuple(coeffs)
+        return poly
+
+    @classmethod
     def zero(cls) -> "Poly":
         return cls()
 
@@ -109,12 +120,12 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._of_ints(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._of_ints([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, int):
@@ -128,17 +139,17 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, int):
-            return Poly(tuple(other * c for c in self.coeffs))
+            return Poly._of_ints([other * c for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return Poly()
+            return Poly._of_ints([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return Poly(out)
+        return Poly._of_ints(out)
 
     __rmul__ = __mul__
 
@@ -163,7 +174,7 @@ class Poly:
             raise ValueError("shift must be nonnegative")
         if not self.coeffs:
             return Poly()
-        return Poly((0,) * k + self.coeffs)
+        return Poly._of_ints([0] * k + list(self.coeffs))
 
     def even_expansion(self) -> list[int]:
         """Coefficients re-indexed by true (doubled) degree: s**i -> degree 2i."""

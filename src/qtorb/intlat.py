@@ -93,30 +93,6 @@ def det(m: IntMat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def frac_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square matrix of rationals (Gaussian elimination)."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant requires a square matrix")
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                factor = a[i][c] * inv
-                for j in range(c, n):
-                    a[i][j] -= factor * a[c][j]
-    return result
-
-
 def adjugate(m: IntMat) -> IntMat:
     """Integer adjugate: adjugate(m) @ m = det(m) * I."""
     n = len(m)
@@ -151,13 +127,15 @@ def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     U and V are unimodular, D is diagonal with nonnegative entries and
     d_i | d_{i+1}.  Pivoting always takes the smallest nonzero entry in
     absolute value, scanning the trailing block row-major, so repeated
-    runs produce identical transforms.
+    runs produce identical transforms.  The input is checked once by
+    :func:`as_mat` (ValueError for a ragged matrix), and the outputs are
+    built from it as tuples of ints.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    a = [list(row) for row in m]
-    u = [list(row) for row in identity(nrows)]
-    v = [list(row) for row in identity(ncols)]
+    a = [list(row) for row in as_mat(m)]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     limit = min(nrows, ncols)
 
     def row_swap(i, j):
@@ -237,7 +215,7 @@ def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
         diagonalize()
     else:  # pragma: no cover - guarded by the property tests
         raise RuntimeError("smith normal form did not converge")
-    return as_mat(u), as_mat(a), as_mat(v)
+    return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
 
 
 def invariant_factors(m: IntMat) -> tuple[int, ...]:

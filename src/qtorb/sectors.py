@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 from .exact import Poly
-from .intlat import IntMat, IntVec, lattice_index, mat_from_cols, smith_normal_form
+from .intlat import IntMat, IntVec, lattice_index, smith_normal_form
 from .model import Face, Model, faces, h_vectors
 
 
@@ -105,7 +105,7 @@ class LocalGroup:
         self.smith: tuple[IntMat, IntMat, IntMat] = ((), (), ())
         self.invariants: tuple[int, ...] = ()
         if k:
-            self.smith = smith_normal_form(mat_from_cols(self.columns))
+            self.smith = smith_normal_form(tuple(zip(*self.columns, strict=True)))
             d = self.smith[1]
             if len(d) < k or any(d[i][i] == 0 for i in range(k)):
                 raise ValueError("box enumeration requires independent columns")

@@ -29,9 +29,9 @@ from qtorb import (
     trivial_subdivision,
     vertex_matrix,
 )
-from qtorb.blowup import _validated_subdivision
+from qtorb.blowup import _maximal_volumes, _validated_subdivision
 from qtorb.exact import Poly
-from qtorb.intlat import coords_in_basis, det, frac_det, mat_from_cols
+from qtorb.intlat import coords_in_basis, det, mat_from_cols
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -117,7 +117,7 @@ def test_star_subdivide_triangle(z3):
     assert len(tau.interior) == 7
     # volumes of the maximal pieces add up to the whole simplex
     total = sum(
-        (abs(frac_det([list(c) for c in sx.coords])) for sx in maximal),
+        (abs(_fraction_det(sx.coords)) for sx in maximal),
         Fraction(0),
     )
     assert total == 1
@@ -444,3 +444,22 @@ def test_subdivision_accepts_the_unchanged_inputs():
     for build in (_z3tetra_star, _fuzz_codim4_induced):
         face, tau = build()
         assert _validated_subdivision(face, list(reversed(tau.simplices))) == tau
+
+
+def test_integer_volumes_equal_fraction_determinants(crepant_blowups):
+    checked = 0
+    for model, spec, _ in crepant_blowups:
+        face = face_by_indices(model, spec.face)
+        tau = star_subdivide(face, spec.lambda0, model)
+        for sub in faces(model):
+            if not set(spec.face) <= set(sub.facet_set):
+                continue
+            sub_tau = induced_triangulation(sub, tau, model)
+            maximal = [sx for sx in sub_tau.simplices if sx.dim == sub.codim - 1]
+            volumes, whole = _maximal_volumes(sub, sub_tau.simplices)
+            assert [Fraction(v, whole) for v in volumes] == [
+                abs(_fraction_det(sx.coords)) for sx in maximal
+            ]
+            assert sum(volumes) == whole
+            checked += 1
+    assert checked > 0

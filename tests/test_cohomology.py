@@ -1,8 +1,11 @@
 import importlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtorb import (
+    LocalGroupTable,
     NonIntegralAgeError,
     apply_unimodular,
     box_interior,
@@ -20,6 +23,7 @@ from qtorb import (
     random_unimodular,
     relabel_facets,
 )
+from qtorb.cohomology import _sum
 from qtorb.exact import Poly
 
 
@@ -89,6 +93,48 @@ def test_torus_stratification(wp112, corpus):
     assert ok and lhs == Poly([1, 2, 1])
     for model in corpus:
         assert check_torus_stratification(model)[0]
+
+
+def test_torus_stratification_from_the_table(monkeypatch, corpus):
+    cohomology_mod = importlib.import_module("qtorb.cohomology")
+    tables = [LocalGroupTable(model) for model in corpus]
+
+    def unused(*args):
+        raise AssertionError("read from the table")
+
+    expected = [check_torus_stratification(model) for model in corpus]
+    monkeypatch.setattr(cohomology_mod, "h_vector", unused)
+    monkeypatch.setattr(cohomology_mod, "faces", unused)
+    for model, table, before in zip(corpus, tables, expected):
+        assert check_torus_stratification(model, table) == before
+        assert cr_report(model, table).identity("h_identity").passed
+
+
+def _chained_sum(polys):
+    total = Poly.zero()
+    for p in polys:
+        total = total + p
+    return total
+
+
+# Small ranges and cancelling pairs make sums that end in zeros.
+sum_inputs = st.lists(
+    st.lists(st.integers(-3, 3), max_size=5).map(Poly), max_size=6
+).flatmap(lambda ps: st.permutations(ps + [-p for p in ps[:2]]))
+
+
+@given(sum_inputs)
+def test_one_pass_sum_equals_chained_addition(polys):
+    total = _sum(iter(polys))
+    assert total == _chained_sum(polys)
+    assert not total.coeffs or total.coeffs[-1] != 0
+
+
+def test_one_pass_sum_edge_cases():
+    assert _sum([]).coeffs == ()
+    assert _sum([Poly([1, 2, 3]), Poly([0, 0, -3])]).coeffs == (1, 2)
+    assert _sum([Poly([1, -1]), Poly([-1, 1])]).coeffs == ()
+    assert _sum([Poly([0, 5]), Poly([-2])]).coeffs == (-2, 5)
 
 
 def test_pp_cr_at_one_counts_sectors_with_vertices(corpus):

@@ -76,6 +76,14 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+@given(polys, polys, st.integers(-3, 3), st.integers(0, 3))
+def test_arithmetic_results_are_trimmed(p, q, c, k):
+    # Equality is tuple comparison, so an untrimmed result would compare
+    # unequal to the same polynomial built by the public constructor.
+    for result in (p + q, p - q, -p, p * q, p * c, c * p, p.shifted(k), p + (-p)):
+        assert not result.coeffs or result.coeffs[-1] != 0
+
+
 @given(polys, st.integers(0, 4))
 def test_pow_matches_repeated_mul(p, k):
     expected = Poly.one()

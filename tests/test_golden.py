@@ -75,10 +75,11 @@ def test_golden_output(name):
     assert _run_in_process(CASES[name]) == _expected(name)
 
 
-def test_golden_output_under_optimize_flag():
+@pytest.mark.parametrize("name", ["z3tetra-ehrhart-oracle", "fuzz-n4"])
+def test_golden_output_under_optimize_flag(name):
     # ``python -O`` strips asserts, so a check that relies on one would
-    # change the output here.
-    name = "z3tetra-ehrhart-oracle"
+    # change the output here; fuzz-n4 runs crepant blowups and their
+    # subdivision checks.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(

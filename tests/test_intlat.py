@@ -11,7 +11,6 @@ from qtorb.intlat import (
     as_mat,
     coords_in_basis,
     det,
-    frac_det,
     identity,
     invariant_factors,
     is_primitive,
@@ -36,6 +35,26 @@ def naive_det(m):
         minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
         total += (-1) ** j * m[0][j] * naive_det(minor)
     return total
+
+
+def fraction_det(rows):
+    """Determinant of a square matrix of rationals by Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            result = -result
+        result *= a[c][c]
+        for r in range(c + 1, n):
+            factor = a[r][c] / a[c][c]
+            for j in range(c, n):
+                a[r][j] -= factor * a[c][j]
+    return result
 
 
 small_square = st.integers(1, 4).flatmap(
@@ -86,9 +105,9 @@ def test_det_multiplicative(a, b):
     assert det(mat_mul(a, b)) == det(a) * det(b)
 
 
-def test_frac_det():
+def test_fraction_det_reference():
     rows = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 3)]]
-    assert frac_det(rows) == Fraction(1, 6)
+    assert fraction_det(rows) == Fraction(1, 6)
 
 
 def test_adjugate_identity():
@@ -116,6 +135,19 @@ def test_snf_hand_example():
     u, d, v = smith_normal_form(as_mat([[1, 1], [0, 2]]))
     assert (d[0][0], d[1][1]) == (1, 2)
     assert mat_mul(mat_mul(u, as_mat([[1, 1], [0, 2]])), v) == d
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[2, 0, 0], [0, 3]]])
+def test_snf_rejects_ragged_matrix(rows):
+    with pytest.raises(ValueError, match="ragged matrix"):
+        smith_normal_form(rows)
+
+
+def test_snf_of_lists_equals_snf_of_tuples():
+    rows = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    result = smith_normal_form(rows)
+    assert result == smith_normal_form(as_mat(rows))
+    assert all(type(m) is tuple and all(type(r) is tuple for r in m) for m in result)
 
 
 def test_snf_zero_matrix():
@@ -183,7 +215,7 @@ def test_saturation_index_one_pair():
         c = coords_in_basis(sat, col)
         assert all(x.denominator == 1 for x in c)
     mat = [[c for c in coords_in_basis(sat, col)] for col in cols]
-    assert abs(frac_det([list(r) for r in zip(*mat)])) == 1
+    assert abs(fraction_det([list(r) for r in zip(*mat)])) == 1
 
 
 def test_saturation_full_rank_index_three():
@@ -220,7 +252,7 @@ def test_saturation_contract(data):
     for row in coord_rows:
         assert all(x.denominator == 1 for x in row)
     # index of the column lattice inside its saturation
-    assert abs(frac_det([list(r) for r in zip(*coord_rows)])) == index
+    assert abs(fraction_det([list(r) for r in zip(*coord_rows)])) == index
     product = 1
     for f in invariant_factors(mat_from_cols(cols)):
         product *= f

@@ -60,6 +60,11 @@ def test_local_group_order_examples():
     assert len(box_of_columns(Z3_COLS, 3)) == 3
 
 
+def test_local_group_rejects_ragged_columns():
+    with pytest.raises(ValueError):
+        LocalGroup([(1, 0), (0, 1, 2)], 2)
+
+
 def test_box_of_columns_order_two():
     elements = box_of_columns([(1, 0), (1, 2)], 2)
     identity, twist = elements
