@@ -12,10 +12,8 @@ result is accepted exactly when it passes full model validation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -158,12 +156,12 @@ def _maximal_volumes(
     k = ambient_face.codim
     maximal = [sx for sx in simplices if sx.dim == k - 1]
     denom = math.lcm(*(c.denominator for sx in maximal for coord in sx.coords for c in coord))
-    volumes = [
-        abs(det(tuple(
+    volumes = []
+    for sx in maximal:
+        rows = tuple(
             tuple(c.numerator * (denom // c.denominator) for c in coord) for coord in sx.coords
-        )))
-        for sx in maximal
-    ]
+        )
+        volumes.append(abs(det(rows)))
     return volumes, denom**k
 
 
@@ -197,14 +195,18 @@ def _validated_subdivision(
     if sum(volumes) != whole:
         volume = Fraction(sum(volumes), whole)
         raise ValueError(f"maximal simplices cover volume {volume}, expected 1")
-    ordered = tuple(sorted(simplices, key=lambda sx: (len(sx.verts), sx.verts)))
     # A simplex meets the relative interior iff its vertices' supports
     # jointly cover every facet position of the ambient face.
     whole_face = (1 << ambient_face.codim) - 1
-    interior = tuple(
-        sx for sx in ordered
-        if functools.reduce(operator.or_, (support[id(c)] for c in sx.coords), 0) == whole_face
-    )
+
+    def meets_interior(sx: LatticeSimplex) -> bool:
+        covered = 0
+        for coord in sx.coords:
+            covered |= support[id(coord)]
+        return covered == whole_face
+
+    ordered = tuple(sorted(simplices, key=lambda sx: (len(sx.verts), sx.verts)))
+    interior = tuple(sx for sx in ordered if meets_interior(sx))
     return Subdivision(ambient_face=ambient_face, simplices=ordered, interior=interior)
 
 

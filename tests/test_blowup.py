@@ -430,13 +430,15 @@ def test_subdivision_vertex_outside_face_simplex_is_rejected(bad):
         replace(sx, coords=tuple(bad if v == apex else c for v, c in zip(sx.verts, sx.coords)))
         for sx in tau.simplices
     ]
-    with pytest.raises(ValueError, match=f"^{re.escape(f'vertex {bad} lies outside the face simplex')}$"):
+    message = f"vertex {bad} lies outside the face simplex"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _validated_subdivision(face, moved)
-    # One simplex holding the bad coordinates is enough.
-    first = next(i for i, sx in enumerate(tau.simplices) if apex in sx.verts)
+    # The last simplex holding the apex is the only one with the bad
+    # coordinates: every coordinate tuple is checked, not each vertex once.
+    last = max(i for i, sx in enumerate(tau.simplices) if apex in sx.verts)
     alone = list(tau.simplices)
-    alone[first] = moved[first]
-    with pytest.raises(ValueError, match="lies outside the face simplex"):
+    alone[last] = moved[last]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _validated_subdivision(face, alone)
 
 
