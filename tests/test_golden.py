@@ -41,6 +41,7 @@ def _cases() -> dict[str, list[str]]:
     for n in (2, 3, 4):
         cases[f"fuzz-n{n}"] = ["fuzz", "--seed", "1", "--count", "5", "--n", str(n)]
     cases["fuzz-n3-oracle"] = ["fuzz", "--seed", "7", "--count", "5", "--n", "3", "--oracle"]
+    cases["fuzz-n4-oracle"] = ["fuzz", "--seed", "1", "--count", "5", "--n", "4", "--oracle"]
     return cases
 
 
