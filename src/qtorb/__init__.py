@@ -94,7 +94,6 @@ from .sectors import (
     is_quasi_sl,
     local_group_order,
     quasi_sl_violations,
-    sectors,
 )
 
 __version__ = "0.1.0"

@@ -49,7 +49,9 @@ def _sector_terms(table: LocalGroupTable) -> Iterator[tuple[Face, int, Poly]]:
     """(face, age, s^age times the face's ordinary polynomial) per sector,
     untwisted sector first."""
     for group, h in zip(table.groups, table.h_vectors):
-        pp_face = Poly(h)
+        if not group.interior:
+            continue
+        pp_face = Poly._of_ints(list(h))
         for i in group.interior:
             age = group.age(i)
             yield group.face, age, pp_face.shifted(age)
@@ -77,11 +79,13 @@ def pp_cr_direct(model: Model) -> Poly:
 
 def pp_cr_via_closures(model: Model, groups: LocalGroupTable | None = None) -> Poly:
     """Chen-Ruan polynomial regrouped by face closures: ordinary
-    polynomial of each face times its interior age polynomial."""
+    polynomial of each face times its interior age polynomial, which is
+    zero for a face without interior elements."""
     table = _quasi_sl_table(model, groups)
     return _sum(
-        Poly(h) * group.interior_age_polynomial
+        Poly._of_ints(list(h)) * group.interior_age_polynomial
         for group, h in zip(table.groups, table.h_vectors)
+        if group.interior
     )
 
 

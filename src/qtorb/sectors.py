@@ -7,6 +7,10 @@ carries its lattice point, its age (the coefficient sum), and its height
 (the number of nonzero coefficients, which equals the rank of g - id on
 the tangent representation).  :class:`LocalGroupTable` holds the group
 of every face of a model, built once, for everything computed on it.
+A face's box elements are those of any vertex through it whose
+coefficients vanish off the face, so every face through a smooth vertex
+has the trivial group, and the table runs a Smith form only for the
+vertices and for the faces through no smooth vertex.
 
 A second, independent enumeration by exhaustive search over denominators
 dividing the group order is provided for cross-checking.
@@ -86,10 +90,12 @@ class LocalGroup:
 
     One Smith normal form ``U @ A @ V = D`` of the column matrix A fixes
     the group: it is Z^k modulo the column lattice, a product of cyclic
-    groups of orders d_1 | ... | d_k.  Every element is stored as the
-    integer numerators of its box coefficients over the group exponent
-    d_k, so enumeration, points and ages stay in integer arithmetic;
-    ``Fraction`` appears only when a :class:`BoxElement` is built.
+    groups of orders d_1 | ... | d_k, and column j of V, read modulo
+    d_j, generates the j-th factor.  Only the invariants d_j and V are
+    kept.  Every element is stored as the integer numerators of its box
+    coefficients over the group exponent d_k, so enumeration, points and
+    ages stay in integer arithmetic; ``Fraction`` appears only when a
+    :class:`BoxElement` is built.
 
     Whether every age is an integer is read off the Smith form alone:
     age mod 1 is a homomorphism to Q/Z, and generator j has age
@@ -98,23 +104,44 @@ class LocalGroup:
     """
 
     def __init__(self, columns: Sequence[IntVec], ambient_dim: int, face: Face | None = None):
-        self.columns = tuple(tuple(c) for c in columns)
-        self.ambient_dim = ambient_dim
-        self.face = face
-        k = len(self.columns)
-        self.smith: tuple[IntMat, IntMat, IntMat] = ((), (), ())
-        self.invariants: tuple[int, ...] = ()
+        columns = tuple(tuple(c) for c in columns)
+        k = len(columns)
+        invariants: tuple[int, ...] = ()
+        v: IntMat = ()
         if k:
-            self.smith = smith_normal_form(tuple(zip(*self.columns, strict=True)))
-            d = self.smith[1]
+            _, d, v = smith_normal_form(tuple(zip(*columns, strict=True)))
             if len(d) < k or any(d[i][i] == 0 for i in range(k)):
                 raise ValueError("box enumeration requires independent columns")
-            self.invariants = tuple(d[i][i] for i in range(k))
-        self.exponent = self.invariants[-1] if k else 1
-        self.order = math.prod(self.invariants)
-        v = self.smith[2]
+            invariants = tuple(d[i][i] for i in range(k))
+        self._set(columns, ambient_dim, face, invariants, v)
+
+    @classmethod
+    def _trivial(cls, columns: Sequence[IntVec], ambient_dim: int, face: Face) -> "LocalGroup":
+        """The trivial group of columns that are part of a lattice basis,
+        built without a Smith form.  Every invariant is 1, so no
+        generator is ever read from V, which is left empty."""
+        group = cls.__new__(cls)
+        columns = tuple(tuple(c) for c in columns)
+        group._set(columns, ambient_dim, face, (1,) * len(columns), ())
+        return group
+
+    def _set(
+        self,
+        columns: tuple[IntVec, ...],
+        ambient_dim: int,
+        face: Face | None,
+        invariants: tuple[int, ...],
+        v: IntMat,
+    ) -> None:
+        self.columns = columns
+        self.ambient_dim = ambient_dim
+        self.face = face
+        self.invariants = invariants
+        self._v = v
+        self.exponent = invariants[-1] if invariants else 1
+        self.order = math.prod(invariants)
         self.integral_ages = all(
-            sum(row[j] for row in v) % dj == 0 for j, dj in enumerate(self.invariants)
+            sum(row[j] for row in v) % dj == 0 for j, dj in enumerate(invariants)
         )
 
     @cached_property
@@ -123,7 +150,7 @@ class LocalGroup:
         the identity comes first."""
         k = len(self.columns)
         e = self.exponent
-        v = self.smith[2]
+        v = self._v
         elements = [(0,) * k]
         for j, dj in enumerate(self.invariants):
             if dj == 1:
@@ -162,8 +189,8 @@ class LocalGroup:
         return tuple(i for i, nums in enumerate(self.numerators) if all(nums))
 
     def retagged(self, face: Face) -> "LocalGroup":
-        """The same group, Smith form and enumerated data shared, tagged
-        with another face over the same columns."""
+        """The same group, invariants, V and enumerated data shared,
+        tagged with another face over the same columns."""
         group = copy.copy(self)
         group.face = face
         return group
@@ -335,33 +362,52 @@ def ensure_quasi_sl(model: Model) -> None:
 
 class LocalGroupTable:
     """The local group and the h-vector of every face of one model, in
-    ``faces(model)`` order, each built once from one Smith form.
+    ``faces(model)`` order, each built once.
 
     Every computation on a model reads its faces' groups from one table:
     quasi-SL, sectors, the three Chen-Ruan routes and the identities.  A
     table lives as long as the command that built it; nothing keeps it
     beyond that.
 
+    Each vertex runs one Smith form.  A lower face through a smooth
+    vertex (group order 1) has the trivial group and runs none: its
+    columns are part of that vertex's lattice basis, so its box elements,
+    which are the vertex's box elements with coefficients vanishing off
+    the face, reduce to the identity.  Every other face runs one Smith
+    form.
+
     With ``base``, the table of another model in the same dimension
     (the model a blowup came from), a face whose facet set and columns
-    are those of a face of ``base`` takes that face's group, Smith form
-    and enumerated data included; only the other faces run a Smith form.
+    are those of a face of ``base`` takes that face's group, enumerated
+    data included, before any of the above.
     """
 
     def __init__(self, model: Model, base: LocalGroupTable | None = None):
         reuse = {} if base is None else base._by_facets
-        groups = []
-        for face in faces(model):
+
+        def build(face: Face, trivial: bool = False) -> LocalGroup:
             columns = tuple(_face_columns(face, model))
             known = reuse.get(face.facet_set)
             if known is not None and known.columns == columns and known.ambient_dim == model.n:
-                groups.append(known.retagged(face))
-            else:
-                groups.append(LocalGroup(columns, model.n, face))
-        self.groups = tuple(groups)
+                return known.retagged(face)
+            if trivial:
+                return LocalGroup._trivial(columns, model.n, face)
+            return LocalGroup(columns, model.n, face)
+
+        all_faces = faces(model)
+        vertices = {face.facet_set: build(face) for face in all_faces if face.codim == model.n}
+        smooth = {
+            i for group in vertices.values() if group.order == 1 for i in group.face.vertex_ids
+        }
+        self.groups = tuple(
+            vertices[face.facet_set]
+            if face.codim == model.n
+            else build(face, not smooth.isdisjoint(face.vertex_ids))
+            for face in all_faces
+        )
         self.h_vectors = h_vectors(model)
         self._by_facets = {group.face.facet_set: group for group in self.groups}
-        self._vertices = tuple(g for g in self.groups if g.face.codim == model.n)
+        self._vertices = tuple(vertices.values())
         self.quasi_sl = all(g.integral_ages for g in self._vertices)
 
     def group(self, face: Face) -> LocalGroup:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from qtorb import blow_up, crepant_candidates, generate_test_models, make_model
+from qtorb import blow_up, crepant_candidates, faces, generate_test_models, make_model
+from qtorb.intlat import det, mat_from_cols
 
 # Session-wide fuzz corpus sizes; acceptance wants at least 20 per dimension.
 CORPUS_SEEDS = {2: 20240811, 3: 90125}
@@ -90,6 +91,35 @@ def crepant_blowups(corpus):
         for model in corpus
         for spec in crepant_candidates(model)
     ]
+
+
+def smith_form_faces(model, base=None):
+    """The faces for which ``LocalGroupTable(model, base)`` runs a Smith
+    form: every proper face not taken from ``base`` (same facet set and
+    columns) that is a vertex or has no vertex of order 1.  Vertex orders
+    are read from determinants, not from a Smith form."""
+    smooth = {
+        i
+        for i, vertex in enumerate(model.vertices)
+        if abs(det(mat_from_cols([model.char_vectors[j] for j in vertex]))) == 1
+    }
+    base_columns = {}
+    if base is not None:
+        base_columns = {
+            f.facet_set: [base.char_vectors[i] for i in f.facet_set] for f in faces(base)
+        }
+    return [
+        f
+        for f in faces(model)
+        if f.codim > 0
+        and base_columns.get(f.facet_set) != [model.char_vectors[i] for i in f.facet_set]
+        and (f.codim == model.n or smooth.isdisjoint(f.vertex_ids))
+    ]
+
+
+@pytest.fixture(name="smith_form_faces")
+def smith_form_faces_fixture():
+    return smith_form_faces
 
 
 @pytest.fixture

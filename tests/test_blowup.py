@@ -1,4 +1,3 @@
-import importlib
 import pathlib
 import re
 from dataclasses import replace
@@ -6,17 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+import qtorb.blowup as blowup_mod
+import qtorb.sectors as sectors_mod
 from qtorb import (
     BlowupError,
     LocalGroupTable,
     NonIntegralAgeError,
     blow_up,
+    check_age_partition,
     check_triangulation_identity,
     cr_report,
     crepant_candidates,
     face_by_indices,
     faces,
     generate_test_models,
+    identity_failures,
     induced_triangulation,
     is_crepant,
     is_quasi_sl,
@@ -321,12 +324,65 @@ def test_blown_table_from_base_equals_fresh_table(crepant_blowups):
             assert a.box_elements() == b.box_elements()
 
 
-def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(monkeypatch, crepant_blowups):
+def _mislabel_as_trivial(monkeypatch, facet_set):
+    """Make every table build the group of the face ``facet_set`` as the
+    trivial group, as a faulty smoothness test would."""
+    real_init = LocalGroupTable.__init__
+
+    def init(self, model, base=None):
+        real_init(self, model, base)
+        self.groups = tuple(
+            sectors_mod.LocalGroup._trivial(g.columns, g.ambient_dim, g.face)
+            if g.face.facet_set == facet_set
+            else g
+            for g in self.groups
+        )
+        self._by_facets = {g.face.facet_set: g for g in self.groups}
+
+    monkeypatch.setattr(LocalGroupTable, "__init__", init)
+
+
+def test_partition_checks_catch_a_wrongly_trivial_face(monkeypatch, prism):
+    """The prism's edge (0, 1) has order 2, and so do both vertices on it;
+    built as the trivial group, the edge loses the sector that both vertex
+    boxes, computed by their own Smith forms, still hold."""
+    assert LocalGroupTable(prism).group(face_by_indices(prism, (0, 1))).order == 2
+    assert identity_failures(prism, include_oracle=True) == []
+    _mislabel_as_trivial(monkeypatch, (0, 1))
+    failures = identity_failures(prism, include_oracle=True)
+    for vertex in ([0, 1, 3], [0, 1, 4]):
+        assert f"prism: box partition fails at vertex {vertex}" in failures
+        assert f"prism: age partition fails at face {vertex}" in failures
+    assert "prism: box enumeration disagrees with exhaustion at [0, 1]" in failures
+    failing = [face.facet_set for face, ok in check_age_partition(prism) if not ok]
+    assert failing == [(0, 1, 3), (0, 1, 4)]
+
+
+def test_age_partition_catches_every_wrongly_trivial_face(monkeypatch, corpus):
+    """Whichever face other than a vertex has a nontrivial group, building
+    it as the trivial group fails the age partition: a lost element lies in
+    the face's interior, and so in the box of every vertex through it, or
+    in the interior of a larger face, and so in the face's own box."""
+    mutated = 0
+    for model in corpus[::3]:
+        for group in LocalGroupTable(model).groups:
+            if group.order == 1 or group.face.codim == model.n:
+                continue
+            with monkeypatch.context() as patch:
+                _mislabel_as_trivial(patch, group.face.facet_set)
+                failing = [face for face, ok in check_age_partition(model) if not ok]
+            assert failing, (model.name, group.face)
+            mutated += 1
+    assert mutated > 0
+
+
+def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(
+    monkeypatch, crepant_blowups, smith_form_faces
+):
     """The blown table takes every face off the new facet m from the base
     table; the faces on m are exactly the interior cones of the star and
-    induced triangulations, which read them from that table."""
-    sectors_mod = importlib.import_module("qtorb.sectors")
-    blowup_mod = importlib.import_module("qtorb.blowup")
+    induced triangulations, which read them from that table.  Of those,
+    the vertices and the faces through no smooth vertex run a Smith form."""
     inside: list[bool] = []
     calls: list[bool] = []
     cones: list[frozenset] = []
@@ -349,7 +405,8 @@ def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(monkeypatch, crepan
         cones.clear()
         assert mckay_check(model, spec, before).verdict
         on_new_facet = [f for f in faces(blown) if model.m in f.facet_set]
-        assert len(calls) == len(on_new_facet)
+        assert len(calls) == len(smith_form_faces(blown, model))
+        assert all(model.m in f.facet_set for f in smith_form_faces(blown, model))
         assert not any(calls)
         assert len(cones) == len(set(cones)) == len(on_new_facet)
         assert set(cones) == {

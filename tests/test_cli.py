@@ -1,5 +1,4 @@
 import contextlib
-import importlib
 import io
 import json
 import os
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtorb.sectors as sectors_mod
 from qtorb import model_to_json, parse_model
 from qtorb.cli import main
 
@@ -287,8 +287,6 @@ def test_arithmetic_error_is_structured(capsys, monkeypatch, wp112_path):
 
 
 def test_runtime_error_is_structured(capsys, monkeypatch, wp112_path):
-    sectors_mod = importlib.import_module("qtorb.sectors")
-
     def diverges(m):
         raise RuntimeError("smith normal form did not converge")
 
@@ -334,16 +332,18 @@ def test_identity_failures_reports_each_model_once(monkeypatch, z3, prism):
         assert reported == [model] + [b for b in blown if is_quasi_sl(b)]
 
 
-def test_ehrhart_runs_one_smith_form_per_proper_face(capsys, monkeypatch):
-    sectors_mod = importlib.import_module("qtorb.sectors")
+def test_ehrhart_runs_one_smith_form_per_proper_face(capsys, monkeypatch, smith_form_faces):
     calls = []
     real = sectors_mod.smith_normal_form
     monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: calls.append(m) or real(m))
     path = os.path.join(os.path.dirname(__file__), os.pardir, "models", "z3tetra.json")
+    with open(path, encoding="utf-8") as handle:
+        expected = len(smith_form_faces(parse_model(handle.read())))
     rc, out = run(capsys, "ehrhart", path)
     assert rc == 0
-    assert len(calls) == len(json.loads(out)) == 14
+    assert len(json.loads(out)) == 14
+    assert len(calls) == expected == 4
     calls.clear()
     rc, oracle_out = run(capsys, "ehrhart", path, "--oracle")
     assert rc == 0 and oracle_out == out
-    assert len(calls) == 14
+    assert len(calls) == expected

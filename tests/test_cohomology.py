@@ -1,9 +1,10 @@
-import importlib
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qtorb.cohomology as cohomology_mod
+import qtorb.sectors as sectors_mod
 from qtorb import (
     LocalGroupTable,
     NonIntegralAgeError,
@@ -96,7 +97,6 @@ def test_torus_stratification(wp112, corpus):
 
 
 def test_torus_stratification_from_the_table(monkeypatch, corpus):
-    cohomology_mod = importlib.import_module("qtorb.cohomology")
     tables = [LocalGroupTable(model) for model in corpus]
 
     def unused(*args):
@@ -191,16 +191,20 @@ def test_cr_report(wp112):
     assert report.per_sector[1][1:] == (1, Poly([0, 1]))
 
 
-def test_cr_report_runs_one_smith_form_per_proper_face(monkeypatch, corpus):
-    sectors_mod = importlib.import_module("qtorb.sectors")
+def test_cr_report_runs_one_smith_form_per_proper_face(monkeypatch, corpus, smith_form_faces):
+    """One Smith form per vertex and per proper face through no smooth
+    vertex; the faces through a smooth vertex run none."""
 
     calls = []
     real = sectors_mod.smith_normal_form
     monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: calls.append(m) or real(m))
+    skipped = 0
     for model in corpus[::5]:
         calls.clear()
         cr_report(model)
-        assert len(calls) == sum(1 for f in faces(model) if f.codim > 0)
+        assert len(calls) == len(smith_form_faces(model))
+        skipped += sum(1 for f in faces(model) if f.codim > 0) - len(calls)
+    assert skipped > 0
 
 
 def test_identity_lookup_by_name(wp112):

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 from fractions import Fraction
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qtorb.sectors as sectors_mod
 from qtorb import (
     LocalGroup,
     LocalGroupTable,
@@ -28,10 +28,10 @@ from qtorb import (
     make_model,
     quasi_sl_violations,
     random_unimodular,
-    sectors,
     smith_normal_form,
 )
 from qtorb.exact import Poly
+from qtorb.sectors import sectors
 
 Z3_COLS = [(1, 0, 0), (0, 1, 0), (-1, -1, 3)]
 
@@ -312,9 +312,38 @@ def test_quasi_sl_enumerates_no_group(monkeypatch):
     assert not LocalGroupTable(big).quasi_sl
 
 
-def test_repeated_cosets_raise(monkeypatch):
-    sectors_mod = importlib.import_module("qtorb.sectors")
+def test_table_groups_equal_smith_form_groups(corpus, crepant_blowups, smith_form_faces):
+    """Every group a table holds, the trivial ones built without a Smith
+    form included, equals the group of a Smith form on the same columns."""
+    tables = [(model, LocalGroupTable(model)) for model in corpus]
+    tables += [
+        (blown, LocalGroupTable(blown, LocalGroupTable(model))) for model, _, blown in crepant_blowups
+    ]
+    skipped = 0
+    for model, table in tables:
+        skipped += sum(1 for f in faces(model) if f.codim > 0) - len(smith_form_faces(model))
+        for group in table.groups:
+            fresh = LocalGroup(group.columns, model.n, group.face)
+            assert group.invariants == fresh.invariants
+            assert group.order == fresh.order
+            assert group.integral_ages == fresh.integral_ages
+            assert group.numerators == fresh.numerators
+            assert group.points == fresh.points
+            assert group.age_polynomial == fresh.age_polynomial
+            assert group.interior_age_polynomial == fresh.interior_age_polynomial
+    assert skipped > 0
 
+
+def test_package_attribute_is_the_sectors_module():
+    # Patching this module's names must reach the code that reads them.
+    import qtorb
+
+    assert qtorb.sectors is sectors_mod
+    assert sectors_mod.__name__ == "qtorb.sectors"
+    assert sectors_mod.sectors is sectors
+
+
+def test_repeated_cosets_raise(monkeypatch):
     def broken_smith(m):
         u, d, v = smith_normal_form(m)
         return u, d, tuple((0,) * len(row) for row in v)
@@ -325,8 +354,6 @@ def test_repeated_cosets_raise(monkeypatch):
 
 
 def test_fractional_box_point_raises(monkeypatch):
-    sectors_mod = importlib.import_module("qtorb.sectors")
-
     monkeypatch.setattr(
         sectors_mod, "smith_normal_form", lambda m: (((1, 0), (0, 1)), ((1, 0), (0, 2)), ((1, 0), (0, 1)))
     )
@@ -335,8 +362,6 @@ def test_fractional_box_point_raises(monkeypatch):
 
 
 def test_exhaustion_rejects_fractional_point(monkeypatch):
-    sectors_mod = importlib.import_module("qtorb.sectors")
-
     monkeypatch.setattr(sectors_mod.kernels, "box_solutions", lambda cols_mod, r: [(0, 1)])
     with pytest.raises(ArithmeticError, match="not integral"):
         box_by_exhaustion([(1, 0), (1, 2)], 2)
