@@ -65,7 +65,6 @@ from .model import (
     faces,
     generate_test_models,
     h_vector,
-    h_vectors,
     load_model,
     make_model,
     model_to_dict,

@@ -422,9 +422,10 @@ def mckay_check(model: Model, spec: BlowupSpec, before: CrReport | None = None) 
 def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
     """Run the full identity suite on one model; returns failure messages.
 
-    Covers the box partition over vertices, the per-face age partition,
-    the torus stratification, three-route agreement, and the crepant
-    blowup invariance for every candidate.  With `include_oracle`, the
+    Covers each vertex group's order against the determinant of its
+    columns, the box partition over vertices, the per-face age
+    partition, the torus stratification, three-route agreement, and the
+    crepant blowup invariance for every candidate.  With `include_oracle`, the
     Smith-form box enumeration and the dilate-series numerators are also
     cross-checked against the exhaustive search paths.
     """
@@ -444,6 +445,13 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
     for vertex in groups.groups:
         if vertex.face.codim != model.n:
             continue
+        # Bareiss elimination, independent of the Smith form the group came from.
+        index = abs(det(vertex.columns))
+        if vertex.order != index:
+            failures.append(
+                f"{label}: group order {vertex.order} is not |det| {index} "
+                f"at vertex {list(vertex.face.facet_set)}"
+            )
         whole = sorted(vertex.points)
         pieces = sorted(
             other.points[i] for other in groups.containing(vertex.face) for i in other.interior

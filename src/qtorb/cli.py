@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -292,11 +293,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so that the interpreter's last
+    flush of what is still buffered does not hit the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``qtorb sectors m.json | head``):
+        # nothing more can be written, an error report included.
+        _discard_stdout()
+        return 2
+    return code
+
+
+def _run(args) -> int:
+    try:
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except (ModelValidationError,) as exc:
         _emit({"error": "invalid model", "violations": exc.violations})
         return 2

@@ -17,6 +17,7 @@ torus-stratification identities, is what the verdict commands certify.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -48,10 +49,8 @@ def _quasi_sl_table(model: Model, groups: LocalGroupTable | None = None) -> Loca
 def _sector_terms(table: LocalGroupTable) -> Iterator[tuple[Face, int, Poly]]:
     """(face, age, s^age times the face's ordinary polynomial) per sector,
     untwisted sector first."""
-    for group, h in zip(table.groups, table.h_vectors):
-        if not group.interior:
-            continue
-        pp_face = Poly._of_ints(list(h))
+    for facet_set, group in table.sector_groups.items():
+        pp_face = Poly._of_ints(list(table.sector_h_vectors[facet_set]))
         for i in group.interior:
             age = group.age(i)
             yield group.face, age, pp_face.shifted(age)
@@ -80,20 +79,23 @@ def pp_cr_direct(model: Model) -> Poly:
 def pp_cr_via_closures(model: Model, groups: LocalGroupTable | None = None) -> Poly:
     """Chen-Ruan polynomial regrouped by face closures: ordinary
     polynomial of each face times its interior age polynomial, which is
-    zero for a face without interior elements."""
+    zero for a face without interior elements, so only the faces that
+    carry sectors are summed."""
     table = _quasi_sl_table(model, groups)
     return _sum(
-        Poly._of_ints(list(h)) * group.interior_age_polynomial
-        for group, h in zip(table.groups, table.h_vectors)
-        if group.interior
+        Poly._of_ints(list(table.sector_h_vectors[facet_set])) * group.interior_age_polynomial
+        for facet_set, group in table.sector_groups.items()
     )
 
 
 def pp_cr_via_strata(model: Model, groups: LocalGroupTable | None = None) -> Poly:
     """Chen-Ruan polynomial summed over open torus strata: torus
-    E-polynomial of each stratum times the full age polynomial."""
+    E-polynomial of each stratum times the full age polynomial.  Strata
+    of one dimension and one age polynomial share their term, which is
+    built once and taken as often as they occur."""
     table = _quasi_sl_table(model, groups)
-    return _sum(e_torus(group.face.dim) * group.age_polynomial for group in table.groups)
+    terms = Counter((group.face.dim, group.age_polynomial) for group in table.groups)
+    return _sum(count * (e_torus(dim) * ages) for (dim, ages), count in terms.items())
 
 
 def check_age_partition(
@@ -101,11 +103,18 @@ def check_age_partition(
 ) -> list[tuple[Face, bool]]:
     """Per-face check that the full age polynomial equals the sum of the
     interior age polynomials over all faces containing it (the box of a
-    face is partitioned by the interiors of its superfaces)."""
+    face is partitioned by the interiors of its superfaces).  A face
+    without interior elements adds zero, so the sum runs over the faces
+    that carry sectors and whose facet set is part of the face's."""
     table = LocalGroupTable(model) if groups is None else groups
+    pieces = [
+        (frozenset(facet_set), group.interior_age_polynomial)
+        for facet_set, group in table.sector_groups.items()
+    ]
     out = []
     for group in table.groups:
-        rhs = _sum(other.interior_age_polynomial for other in table.containing(group.face))
+        facets = frozenset(group.face.facet_set)
+        rhs = _sum(ages for sector_facets, ages in pieces if sector_facets <= facets)
         out.append((group.face, group.age_polynomial == rhs))
     return out
 
@@ -116,14 +125,16 @@ def check_torus_stratification(
     """The ordinary Poincare polynomial must equal the sum of torus
     E-polynomials over all faces; returns (passed, lhs, rhs).  With
     ``groups``, the model's table, the polytope's h-vector and the faces
-    are read from it."""
+    are read from it.  Each dimension's torus polynomial is built once
+    and taken as often as faces of that dimension occur."""
     if groups is None:
         all_faces = faces(model)
         lhs = pp_ordinary(all_faces[0], model)
     else:
         all_faces = [group.face for group in groups.groups]
-        lhs = Poly(groups.h_vectors[0])
-    rhs = _sum(e_torus(face.dim) for face in all_faces)
+        lhs = Poly(groups.sector_h_vectors[()])
+    dims = Counter(face.dim for face in all_faces)
+    rhs = _sum(count * e_torus(dim) for dim, count in dims.items())
     return lhs == rhs, lhs, rhs
 
 
@@ -189,7 +200,7 @@ def cr_report(model: Model, groups: LocalGroupTable | None = None) -> CrReport:
         IdentityCheck("closures", direct == closures, direct, closures),
     )
     return CrReport(
-        pp=Poly(table.h_vectors[0]),
+        pp=Poly(table.sector_h_vectors[()]),
         pp_cr_direct=direct,
         pp_cr_closures=closures,
         pp_cr_strata=strata,

@@ -314,22 +314,6 @@ def h_vector(face: Face, model: Model) -> tuple[int, ...]:
     return h_from_f(f_vector(face, model))
 
 
-def h_vectors(model: Model) -> tuple[tuple[int, ...], ...]:
-    """The h-vector of every face, in ``faces(model)`` order.
-
-    The f-vectors are counted in one pass: each face is a face of every
-    sub-polytope whose facet set is a subset of its own, so it adds 1 to
-    the count of its dimension at each subset of its facet set.
-    """
-    all_faces = faces(model)
-    counts = {face.facet_set: [0] * (face.dim + 1) for face in all_faces}
-    for face in all_faces:
-        for r in range(face.codim + 1):
-            for sub in itertools.combinations(face.facet_set, r):
-                counts[sub][face.dim] += 1
-    return tuple(h_from_f(counts[face.facet_set]) for face in all_faces)
-
-
 def vertex_matrix(model: Model, vertex: Sequence[int]) -> IntMat:
     """Characteristic vectors at a vertex as columns, in increasing facet order."""
     idx = tuple(sorted(vertex))

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 from . import kernels
 from .exact import Poly
 from .intlat import IntMat, IntVec, lattice_index, smith_normal_form
-from .model import Face, Model, faces, h_vectors
+from .model import Face, Model, faces, h_vector
 
 
 class NonIntegralAgeError(ValueError):
@@ -361,8 +361,9 @@ def ensure_quasi_sl(model: Model) -> None:
 
 
 class LocalGroupTable:
-    """The local group and the h-vector of every face of one model, in
-    ``faces(model)`` order, each built once.
+    """The local group of every face of one model, in ``faces(model)``
+    order, each built once, and the h-vector of every face that carries
+    sectors.
 
     Every computation on a model reads its faces' groups from one table:
     quasi-SL, sectors, the three Chen-Ruan routes and the identities.  A
@@ -380,9 +381,16 @@ class LocalGroupTable:
     (the model a blowup came from), a face whose facet set and columns
     are those of a face of ``base`` takes that face's group, enumerated
     data included, before any of the above.
+
+    Only the faces with interior elements carry sectors, and only they
+    add nonzero terms to the sector routes and the age partition.  They
+    are the :attr:`sector_groups`; the polytope, whose interior element
+    is the identity, is always the first.  Their h-vectors are the only
+    ones computed.
     """
 
     def __init__(self, model: Model, base: LocalGroupTable | None = None):
+        self.model = model
         reuse = {} if base is None else base._by_facets
 
         def build(face: Face, trivial: bool = False) -> LocalGroup:
@@ -405,10 +413,24 @@ class LocalGroupTable:
             else build(face, not smooth.isdisjoint(face.vertex_ids))
             for face in all_faces
         )
-        self.h_vectors = h_vectors(model)
         self._by_facets = {group.face.facet_set: group for group in self.groups}
         self._vertices = tuple(vertices.values())
         self.quasi_sl = all(g.integral_ages for g in self._vertices)
+
+    @cached_property
+    def sector_groups(self) -> dict[tuple[int, ...], LocalGroup]:
+        """The groups with interior elements, keyed by facet set, in
+        ``faces(model)`` order."""
+        return {group.face.facet_set: group for group in self.groups if group.interior}
+
+    @cached_property
+    def sector_h_vectors(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The h-vector of every face in :attr:`sector_groups`, keyed by
+        facet set."""
+        return {
+            facet_set: h_vector(group.face, self.model)
+            for facet_set, group in self.sector_groups.items()
+        }
 
     def group(self, face: Face) -> LocalGroup:
         return self._by_facets[face.facet_set]

@@ -312,7 +312,7 @@ def test_blown_table_from_base_equals_fresh_table(crepant_blowups):
     for model, _, blown in crepant_blowups:
         reused = LocalGroupTable(blown, LocalGroupTable(model))
         fresh = LocalGroupTable(blown)
-        assert reused.h_vectors == fresh.h_vectors
+        assert reused.sector_h_vectors == fresh.sector_h_vectors
         assert len(reused.groups) == len(fresh.groups)
         for a, b in zip(reused.groups, fresh.groups):
             assert a.face == b.face
@@ -374,6 +374,20 @@ def test_age_partition_catches_every_wrongly_trivial_face(monkeypatch, corpus):
             assert failing, (model.name, group.face)
             mutated += 1
     assert mutated > 0
+
+
+def test_vertex_order_is_checked_against_the_determinant(monkeypatch, z3):
+    """The order-3 vertex (0, 1, 2) of the tetrahedron built as the trivial
+    group gives a wrong PP_CR that both partition checks accept: its lower
+    faces are all trivial.  The vertex order against |det| flags it
+    without the oracle."""
+    assert identity_failures(z3) == []
+    _mislabel_as_trivial(monkeypatch, (0, 1, 2))
+    assert cr_report(z3).pp_cr == Poly([1, 1, 1, 1])
+    assert all(ok for _, ok in check_age_partition(z3))
+    assert identity_failures(z3) == [
+        "z3-tetrahedron: group order 1 is not |det| 3 at vertex [0, 1, 2]"
+    ]
 
 
 def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(

@@ -347,3 +347,38 @@ def test_ehrhart_runs_one_smith_form_per_proper_face(capsys, monkeypatch, smith_
     rc, oracle_out = run(capsys, "ehrhart", path, "--oracle")
     assert rc == 0 and oracle_out == out
     assert len(calls) == expected
+
+
+def test_closed_stdout_exits_2_without_traceback(tmp_path):
+    """The reader closes the pipe after one line of a 20000-sector listing:
+    the command stops with exit 2 and writes no error report to it."""
+    import pathlib
+    import subprocess
+    import sys
+
+    path = tmp_path / "tri.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "m": 3,
+                "vertices": [[0, 1], [1, 2], [0, 2]],
+                "lambda": [[1, 0], [0, 1], [1, 20000]],
+            }
+        )
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtorb", "sectors", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert b"Traceback" not in stderr
+    assert b"BrokenPipeError" not in stderr

@@ -15,6 +15,7 @@ from qtorb import (
     e_torus,
     face_by_indices,
     faces,
+    h_vector,
     make_model,
     pp_cr_direct,
     pp_cr_via_closures,
@@ -134,6 +135,37 @@ def test_one_pass_sum_edge_cases():
     assert _sum([Poly([1, 2, 3]), Poly([0, 0, -3])]).coeffs == (1, 2)
     assert _sum([Poly([1, -1]), Poly([-1, 1])]).coeffs == ()
     assert _sum([Poly([0, 5]), Poly([-2])]).coeffs == (-2, 5)
+
+
+def test_sector_sums_equal_all_face_definitions(corpus, crepant_blowups):
+    """Summed over the faces that carry sectors, the age partition, the
+    closure and strata routes and the torus sum equal their definitions
+    over every face."""
+    models = list(corpus) + [blown for _, _, blown in crepant_blowups]
+    for model in models:
+        table = LocalGroupTable(model)
+        all_faces = faces(model)
+        groups = [table.group(face) for face in all_faces]
+        assert list(table.sector_groups) == [
+            g.face.facet_set for g in groups if g.interior_age_polynomial
+        ]
+        partition = []
+        for face, group in zip(all_faces, groups):
+            above = [g for g in groups if set(g.face.facet_set) <= set(face.facet_set)]
+            rhs = _chained_sum(g.interior_age_polynomial for g in above)
+            assert group.age_polynomial == rhs, (model.name, face)
+            partition.append((face, True))
+        assert check_age_partition(model, table) == partition
+        closures = _chained_sum(
+            Poly(h_vector(g.face, model)) * g.interior_age_polynomial for g in groups
+        )
+        strata = _chained_sum(e_torus(g.face.dim) * g.age_polynomial for g in groups)
+        assert pp_cr_via_closures(model, table) == closures
+        assert pp_cr_via_strata(model, table) == strata
+        torus = _chained_sum(e_torus(face.dim) for face in all_faces)
+        pp = Poly(h_vector(all_faces[0], model))
+        assert check_torus_stratification(model, table) == (pp == torus, pp, torus)
+        assert cr_report(model, table).pp == pp
 
 
 def test_pp_cr_at_one_counts_sectors_with_vertices(corpus):

@@ -13,7 +13,6 @@ from qtorb import (
     faces,
     generate_test_models,
     h_vector,
-    h_vectors,
     is_quasi_sl,
     make_model,
     model_to_dict,
@@ -27,7 +26,7 @@ from qtorb import (
 )
 from qtorb.exact import Poly
 from qtorb.intlat import det
-from qtorb.sectors import box_by_exhaustion
+from qtorb.sectors import LocalGroupTable, box_by_exhaustion
 
 
 def square_model():
@@ -315,9 +314,14 @@ def _h_vector_by_definition(face, model):
     return tuple(reversed(coeffs[: face.dim + 1]))
 
 
-def test_one_pass_h_vectors_match_definition(corpus, crepant_blowups):
+def test_sector_h_vectors_match_definition(corpus, crepant_blowups):
     models = list(corpus) + [blown for _, _, blown in crepant_blowups]
     for model in models:
         expected = tuple(_h_vector_by_definition(face, model) for face in faces(model))
-        assert h_vectors(model) == expected
         assert tuple(h_vector(face, model) for face in faces(model)) == expected
+        table = LocalGroupTable(model)
+        assert table.sector_h_vectors == {
+            face.facet_set: h
+            for face, h in zip(faces(model), expected)
+            if table.group(face).interior
+        }
