@@ -296,12 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _discard_stdout() -> None:
     """Point stdout at the null device, so that the interpreter's last
     flush of what is still buffered does not hit the closed pipe again."""
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, OSError, ValueError):
-        return
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
+    os.dup2(devnull, sys.stdout.fileno())
     os.close(devnull)
 
 
