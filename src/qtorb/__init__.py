@@ -29,13 +29,11 @@ from .cohomology import (
     pp_cr_direct,
     pp_cr_via_closures,
     pp_cr_via_strata,
-    pp_ordinary,
 )
 from .ehrhart import (
     LatticeSimplex,
     count_from_ages,
     dilate_count,
-    dilate_count_fast,
     ehrhart_numerator,
     face_simplex,
     numerator_from_counts,
@@ -82,17 +80,9 @@ from .sectors import (
     LocalGroup,
     LocalGroupTable,
     NonIntegralAgeError,
-    age_polynomial,
-    age_polynomial_of_columns,
     box_by_exhaustion,
-    box_interior,
     box_of_columns,
-    ensure_quasi_sl,
-    enumerate_box,
-    interior_age_polynomial,
     is_quasi_sl,
-    local_group_order,
-    quasi_sl_violations,
 )
 
 __version__ = "0.1.0"

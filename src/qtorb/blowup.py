@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cohomology import CrReport, _sum, cr_report, e_torus
-from .ehrhart import LatticeSimplex, dilate_count, ehrhart_numerator, face_simplex
+from .ehrhart import LatticeSimplex, ehrhart_numerator, face_simplex
 from .exact import Poly
 from .intlat import IntVec, coords_in_basis, det, is_primitive, mat_from_cols
 from .model import (
@@ -30,7 +30,7 @@ from .model import (
     faces,
     make_model,
 )
-from .sectors import LocalGroupTable, age_polynomial_of_columns, box_by_exhaustion
+from .sectors import LocalGroupTable, box_by_exhaustion
 
 
 class BlowupError(ValueError):
@@ -53,9 +53,12 @@ def make_blowup_spec(
 
     The face must be a genuine face of codimension at least 2, the
     weights strictly positive, and the weighted combination of the
-    face's characteristic vectors an integral primitive vector.
+    face's characteristic vectors an integral primitive vector.  The
+    weights pair with ``face_indices`` in the order given; the spec
+    holds both sorted by facet index.
     """
-    key = tuple(sorted(int(i) for i in face_indices))
+    indices = [int(i) for i in face_indices]
+    key = tuple(sorted(indices))
     try:
         face = face_by_indices(model, key)
     except ValueError as exc:
@@ -69,6 +72,7 @@ def make_blowup_spec(
         raise BlowupError(f"expected {face.codim} weights, got {len(ws)}")
     if any(w <= 0 for w in ws):
         raise BlowupError("blowup weights must be strictly positive")
+    ws = tuple(w for _, w in sorted(zip(indices, ws)))
     combo = [Fraction(0)] * model.n
     for w, i in zip(ws, key):
         vec = model.char_vectors[i]
@@ -327,29 +331,20 @@ def check_triangulation_identity(
     face: Face,
     subdivision: Subdivision,
     model: Model,
-    groups: LocalGroupTable | None = None,
-    cones: LocalGroupTable | None = None,
+    groups: LocalGroupTable,
+    cones: LocalGroupTable,
 ) -> TriangulationCheck:
     """The age polynomial of a face simplex must equal the sum, over the
     subdivision simplices meeting its interior, of (s-1)^codim times the
     age polynomial of the cone over the simplex.  The face side is read
-    from ``groups`` when given, and each cone from ``cones``, the table
-    of a model that has every interior cone as a face (the blown-up
-    model's, for a star subdivision and the triangulations it induces)."""
-    if groups is None:
-        lhs = age_polynomial_of_columns(
-            [model.char_vectors[i] for i in face.facet_set], model.n
-        )
-    else:
-        lhs = groups.group(face).age_polynomial
-    terms = []
-    for sx in subdivision.interior:
-        if cones is None:
-            ages = age_polynomial_of_columns(sx.verts, model.n)
-        else:
-            ages = cones.cone(sx.verts).age_polynomial
-        terms.append(e_torus(sx.codim) * ages)
-    rhs = _sum(terms)
+    from ``groups``, the table of ``model``, and each cone from
+    ``cones``, the table of a model that has every interior cone as a
+    face (the blown-up model's, for a star subdivision and the
+    triangulations it induces; ``groups`` itself, for a trivial one)."""
+    lhs = groups.group(face).age_polynomial
+    rhs = _sum(
+        e_torus(sx.codim) * cones.cone(sx.verts).age_polynomial for sx in subdivision.interior
+    )
     return TriangulationCheck(face=face, passed=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
@@ -472,7 +467,7 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
                     f"{label}: box enumeration disagrees with exhaustion at {list(face.facet_set)}"
                 )
             sx = face_simplex(face, model)
-            psi = ehrhart_numerator(sx, counter=dilate_count)
+            psi = ehrhart_numerator(sx)
             w_coeffs = group.age_polynomial.coeffs
             if tuple(psi[: len(w_coeffs)]) != w_coeffs or any(p for p in psi[len(w_coeffs):]):
                 failures.append(

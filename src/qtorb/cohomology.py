@@ -22,14 +22,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .exact import Poly
-from .model import Face, Model, faces, h_vector
+from .model import Face, Model
 from .sectors import LocalGroupTable
-
-
-def pp_ordinary(face: Face, model: Model) -> Poly:
-    """Poincare polynomial of the orbifold piece over a face: its even
-    Betti numbers are the h-vector of the face."""
-    return Poly(h_vector(face, model))
 
 
 def e_torus(k: int) -> Poly:
@@ -119,21 +113,14 @@ def check_age_partition(
     return out
 
 
-def check_torus_stratification(
-    model: Model, groups: LocalGroupTable | None = None
-) -> tuple[bool, Poly, Poly]:
+def check_torus_stratification(groups: LocalGroupTable) -> tuple[bool, Poly, Poly]:
     """The ordinary Poincare polynomial must equal the sum of torus
-    E-polynomials over all faces; returns (passed, lhs, rhs).  With
-    ``groups``, the model's table, the polytope's h-vector and the faces
-    are read from it.  Each dimension's torus polynomial is built once
-    and taken as often as faces of that dimension occur."""
-    if groups is None:
-        all_faces = faces(model)
-        lhs = pp_ordinary(all_faces[0], model)
-    else:
-        all_faces = [group.face for group in groups.groups]
-        lhs = Poly(groups.sector_h_vectors[()])
-    dims = Counter(face.dim for face in all_faces)
+    E-polynomials over all faces; returns (passed, lhs, rhs).  The
+    polytope's h-vector and the faces are read from ``groups``, the
+    model's table.  Each dimension's torus polynomial is built once and
+    taken as often as faces of that dimension occur."""
+    lhs = Poly(groups.sector_h_vectors[()])
+    dims = Counter(group.face.dim for group in groups.groups)
     rhs = _sum(count * e_torus(dim) for dim, count in dims.items())
     return lhs == rhs, lhs, rhs
 
@@ -193,7 +180,7 @@ def cr_report(model: Model, groups: LocalGroupTable | None = None) -> CrReport:
     direct = _sum(term for _, _, term in per_sector)
     closures = pp_cr_via_closures(model, table)
     strata = pp_cr_via_strata(model, table)
-    strat_ok, strat_lhs, strat_rhs = check_torus_stratification(model, table)
+    strat_ok, strat_lhs, strat_rhs = check_torus_stratification(table)
     identities = (
         IdentityCheck("h_identity", strat_ok, strat_lhs, strat_rhs),
         IdentityCheck("newpon", direct == strata, direct, strata),

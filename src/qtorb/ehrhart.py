@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import kernels
 from .exact import Poly, binom
@@ -25,9 +25,6 @@ from .intlat import (
     transpose,
 )
 from .model import Face, Model
-from .sectors import LocalGroup
-
-Counter = Callable[["LatticeSimplex", int], int]
 
 
 @dataclass(frozen=True)
@@ -117,16 +114,6 @@ def count_from_ages(ages: Poly, d: int, k: int) -> int:
     return sum(w * binom(k - a + d - 1, d - 1) for a, w in enumerate(ages.coeffs))
 
 
-def dilate_count_fast(sx: LatticeSimplex, k: int) -> int:
-    """Dilate count through the box decomposition of the cone over the
-    simplex; see :func:`count_from_ages`.  Raises
-    :class:`NonIntegralAgeError` for a fractional age."""
-    if k < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    ages = LocalGroup(sx.verts, len(sx.verts[0])).age_polynomial
-    return count_from_ages(ages, len(sx.verts), k)
-
-
 def numerator_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
     """Numerator coefficients (psi_0, ..., psi_{d-1}) of the dilate series
     from the d leading dilate counts l(0 Delta), ..., l((d-1) Delta).
@@ -148,7 +135,8 @@ def numerator_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(psi)
 
 
-def ehrhart_numerator(sx: LatticeSimplex, counter: Counter = dilate_count) -> tuple[int, ...]:
-    """Numerator coefficients of the dilate series of ``sx``, from the
-    first dim + 1 counts of ``counter``; see :func:`numerator_from_counts`."""
-    return numerator_from_counts([counter(sx, k) for k in range(sx.dim + 1)])
+def ehrhart_numerator(sx: LatticeSimplex) -> tuple[int, ...]:
+    """Numerator coefficients of the dilate series of ``sx``, from its
+    first dim + 1 brute-force dilate counts; see
+    :func:`numerator_from_counts`."""
+    return numerator_from_counts([dilate_count(sx, k) for k in range(sx.dim + 1)])

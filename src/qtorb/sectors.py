@@ -65,10 +65,6 @@ class BoxElement:
     def is_identity(self) -> bool:
         return self.height == 0
 
-    @property
-    def is_interior(self) -> bool:
-        return all(c > 0 for c in self.coeffs)
-
 
 def _element_from_coeffs(coeffs: Sequence[Fraction], cols: Sequence[IntVec], n: int) -> BoxElement:
     point = [Fraction(0)] * n
@@ -283,81 +279,15 @@ def _face_columns(face: Face, model: Model) -> list[IntVec]:
     return [model.char_vectors[i] for i in face.facet_set]
 
 
-def _face_group(face: Face, model: Model) -> LocalGroup:
-    return LocalGroup(_face_columns(face, model), model.n, face)
-
-
-def local_group_order(face: Face, model: Model) -> int:
-    """Order of the local group: the product of the invariant factors of
-    the face's characteristic vectors (1 for the whole polytope)."""
-    return _face_group(face, model).order
-
-
-def enumerate_box(face: Face, model: Model) -> list[BoxElement]:
-    """Box elements of a face, tagged with the face, sorted by coefficients."""
-    return _face_group(face, model).box_elements()
-
-
-def box_interior(face: Face, model: Model) -> list[BoxElement]:
-    """Box elements with every coefficient strictly positive.
-
-    For the whole polytope (no facets) this is the single identity
-    element, matching the convention that the open stratum carries the
-    trivial group.
-    """
-    return _face_group(face, model).interior_elements()
-
-
-def age_polynomial_of_columns(cols: Sequence[IntVec], ambient_dim: int) -> Poly:
-    """Generating polynomial of ages over the box of a cone: sum of s^age."""
-    return LocalGroup(cols, ambient_dim).age_polynomial
-
-
-def age_polynomial(face: Face, model: Model) -> Poly:
-    """Sum of s^age over the whole box of the face (1 for the polytope)."""
-    return _face_group(face, model).age_polynomial
-
-
-def interior_age_polynomial(face: Face, model: Model) -> Poly:
-    """Sum of s^age over box elements of full height, i.e. the interior
-    ones; equals 1 for the whole polytope and 0 for any smooth face of
-    positive codimension."""
-    return _face_group(face, model).interior_age_polynomial
-
-
-def _vertex_groups(model: Model) -> Iterator[LocalGroup]:
-    # Vertex faces suffice for quasi-SL: every box element of any face
-    # reappears in some vertex box.
-    for face in faces(model):
-        if face.codim == model.n:
-            yield _face_group(face, model)
-
-
-def quasi_sl_violations(model: Model) -> list[BoxElement]:
-    """Box elements of vertex faces with fractional ages; only vertices
-    whose Smith form shows a fractional age are enumerated."""
-    return [
-        element
-        for group in _vertex_groups(model)
-        if not group.integral_ages
-        for element in group.box_elements()
-        if element.age.denominator != 1
-    ]
-
-
 def is_quasi_sl(model: Model) -> bool:
-    """True iff every age of every twisted sector is an integer."""
-    return all(group.integral_ages for group in _vertex_groups(model))
-
-
-def _raise_first_violation(vertex_groups: Iterable[LocalGroup]) -> None:
-    for group in vertex_groups:
-        if not group.integral_ages:
-            raise NonIntegralAgeError(group.first_fractional_age())
-
-
-def ensure_quasi_sl(model: Model) -> None:
-    _raise_first_violation(_vertex_groups(model))
+    """True iff every age of every twisted sector is an integer.  Vertex
+    groups suffice, since every box element of any face reappears in
+    some vertex box, and each is decided from its Smith form alone."""
+    return all(
+        LocalGroup(_face_columns(face, model), model.n, face).integral_ages
+        for face in faces(model)
+        if face.codim == model.n
+    )
 
 
 class LocalGroupTable:
@@ -458,7 +388,9 @@ class LocalGroupTable:
     def ensure_quasi_sl(self) -> None:
         """Raise :class:`NonIntegralAgeError` for the first fractional age
         at the first vertex that has one."""
-        _raise_first_violation(self._vertices)
+        for group in self._vertices:
+            if not group.integral_ages:
+                raise NonIntegralAgeError(group.first_fractional_age())
 
 
 def sectors(model: Model, groups: LocalGroupTable | None = None) -> list[BoxElement]:

@@ -13,7 +13,7 @@ import pathlib
 import time
 
 from qtorb import (
-    age_polynomial,
+    LocalGroupTable,
     blow_up,
     box_by_exhaustion,
     box_of_columns,
@@ -22,15 +22,11 @@ from qtorb import (
     check_triangulation_identity,
     cr_report,
     crepant_candidates,
-    box_interior,
-    dilate_count,
     ehrhart_numerator,
-    enumerate_box,
     face_by_indices,
     face_simplex,
     faces,
     is_quasi_sl,
-    local_group_order,
     make_blowup_spec,
     mckay_check,
     pp_cr_direct,
@@ -85,7 +81,9 @@ def test_criterion_2_z3_resolution(z3):
     assert result.after.pp_cr == expected
     vertex = face_by_indices(z3, (0, 1, 2))
     tau = star_subdivide(vertex, spec.lambda0, z3)
-    assert check_triangulation_identity(vertex, tau, z3).passed
+    groups = LocalGroupTable(z3)
+    cones = LocalGroupTable(blown, groups)
+    assert check_triangulation_identity(vertex, tau, z3, groups, cones).passed
     report("2 (order-3 corner resolution)", started, limit=1.0)
 
 
@@ -93,15 +91,16 @@ def test_criterion_3_oracle_equivalence(corpus):
     started = time.perf_counter()
     boxes = numerators = 0
     for model in corpus:
-        for face in faces(model):
-            if face.codim == 0 or local_group_order(face, model) > 200:
+        for group in LocalGroupTable(model).groups:
+            face = group.face
+            if face.codim == 0 or group.order > 200:
                 continue
             cols = [model.char_vectors[i] for i in face.facet_set]
             assert box_of_columns(cols, model.n) == box_by_exhaustion(cols, model.n)
             boxes += 1
             sx = face_simplex(face, model)
-            psi = ehrhart_numerator(sx, counter=dilate_count)
-            ages = age_polynomial(face, model).coeffs
+            psi = ehrhart_numerator(sx)
+            ages = group.age_polynomial.coeffs
             assert psi[: len(ages)] == ages
             assert all(p == 0 for p in psi[len(ages) :])
             numerators += 1
@@ -112,15 +111,16 @@ def test_criterion_3_oracle_equivalence(corpus):
 def test_criterion_4_identity_suite(corpus):
     started = time.perf_counter()
     for model in corpus:
+        table = LocalGroupTable(model)
         assert all(ok for _, ok in check_age_partition(model))
-        assert check_torus_stratification(model)[0]
+        assert check_torus_stratification(table)[0]
         rep = cr_report(model)
         assert rep.routes_agree and rep.all_pass
-        interior = {f.facet_set: box_interior(f, model) for f in faces(model)}
+        interior = {f.facet_set: table.group(f).interior_elements() for f in faces(model)}
         for face in faces(model):
             if face.codim != model.n:
                 continue
-            whole = sorted(e.point for e in enumerate_box(face, model))
+            whole = sorted(e.point for e in table.group(face).box_elements())
             pieces = sorted(
                 e.point
                 for fs, elements in interior.items()

@@ -39,6 +39,13 @@ from qtorb.intlat import coords_in_basis, det, mat_from_cols
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def blown_tables(model, spec):
+    """The model's table and the blown-up model's, which has every
+    interior cone of the star subdivision at ``spec.lambda0`` as a face."""
+    groups = LocalGroupTable(model)
+    return groups, LocalGroupTable(blow_up(model, spec), groups)
+
+
 def _fraction_det(rows):
     """Determinant of a square matrix of rationals by Gaussian elimination;
     the reference for subdivision volumes."""
@@ -159,7 +166,8 @@ def test_trivial_subdivision_identity(wp112):
     vertex = face_by_indices(wp112, (0, 2))
     tau = trivial_subdivision(vertex, wp112)
     assert len(tau.interior) == 1
-    check = check_triangulation_identity(vertex, tau, wp112)
+    groups = LocalGroupTable(wp112)
+    check = check_triangulation_identity(vertex, tau, wp112, groups, groups)
     assert check.passed
     assert check.lhs == check.rhs == Poly([1, 1])
 
@@ -200,18 +208,38 @@ def test_induced_triangulation_rejects_non_subface(prism):
 def test_triangulation_identity_wp112(wp112):
     vertex = face_by_indices(wp112, (0, 2))
     tau = star_subdivide(vertex, (0, -1), wp112)
-    check = check_triangulation_identity(vertex, tau, wp112)
+    groups, cones = blown_tables(wp112, make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"]))
+    check = check_triangulation_identity(vertex, tau, wp112, groups, cones)
     assert check.passed
     assert check.lhs == Poly([1, 1])
     assert check.rhs == Poly([1, 1])
 
 
+def test_triangulation_identity_names_a_missing_cone(z3):
+    """The base model's table lacks the cones through the new vertex of a
+    star subdivision; the first interior one is that vertex alone."""
+    vertex = face_by_indices(z3, (0, 1, 2))
+    tau = star_subdivide(vertex, (0, 0, 1), z3)
+    groups = LocalGroupTable(z3)
+    with pytest.raises(ValueError, match=re.escape("cone over [(0, 0, 1)] is not a face")):
+        check_triangulation_identity(vertex, tau, z3, groups, groups)
+
+
 def test_triangulation_identity_z3(z3):
     vertex = face_by_indices(z3, (0, 1, 2))
     tau = star_subdivide(vertex, (0, 0, 1), z3)
-    check = check_triangulation_identity(vertex, tau, z3)
+    groups, cones = blown_tables(z3, make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3))
+    check = check_triangulation_identity(vertex, tau, z3, groups, cones)
     assert check.passed
     assert check.lhs == Poly([1, 1, 1])
+
+
+def test_weights_pair_with_the_face_as_given(wp112):
+    # 1 * lambda_2 + 2 * lambda_0 = (-1, -2) + (2, 0)
+    spec = make_blowup_spec(wp112, (2, 0), [1, 2])
+    assert spec == make_blowup_spec(wp112, (0, 2), [2, 1])
+    assert spec.face == (0, 2) and spec.weights == (2, 1)
+    assert spec.lambda0 == (1, -2)
 
 
 def test_mckay_wp112(wp112):

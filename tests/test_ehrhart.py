@@ -3,16 +3,14 @@ from fractions import Fraction
 import pytest
 
 from qtorb import (
+    LocalGroup,
     LocalGroupTable,
-    age_polynomial,
     count_from_ages,
     dilate_count,
-    dilate_count_fast,
     ehrhart_numerator,
     face_by_indices,
     face_simplex,
     faces,
-    local_group_order,
     numerator_from_counts,
     simplex_in_face,
 )
@@ -83,14 +81,20 @@ def test_dilate_count_rejects_negative():
         dilate_count(simplex_from_cols([(1, 0)]), -1)
 
 
+def fast_count(sx, k):
+    """The box-formula count that ``qtorb ehrhart`` runs without --oracle."""
+    ages = LocalGroup(sx.verts, len(sx.verts[0])).age_polynomial
+    return count_from_ages(ages, len(sx.verts), k)
+
+
 def test_dilate_count_fast_examples():
     sx = simplex_from_cols([(1, 0), (1, 2)])
-    assert dilate_count_fast(sx, 3) == 7
+    assert fast_count(sx, 3) == 7
     for d in (2, 3):
         cols = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
         unimod = simplex_from_cols(cols)
         for k in range(5):
-            assert dilate_count_fast(unimod, k) == binom(k + d - 1, d - 1)
+            assert fast_count(unimod, k) == binom(k + d - 1, d - 1)
             assert dilate_count(unimod, k) == binom(k + d - 1, d - 1)
 
 
@@ -105,25 +109,26 @@ def test_fast_equals_brute_force_synthetic():
         sx = simplex_from_cols(cols)
         d = len(cols)
         for k in range(d + 3):
-            assert dilate_count_fast(sx, k) == dilate_count(sx, k)
+            assert fast_count(sx, k) == dilate_count(sx, k)
 
 
 def test_fast_count_rejects_fractional_ages():
     from qtorb import NonIntegralAgeError
 
     with pytest.raises(NonIntegralAgeError):
-        dilate_count_fast(simplex_from_cols([(2, 1), (1, 3)]), 2)
+        fast_count(simplex_from_cols([(2, 1), (1, 3)]), 2)
 
 
 def test_fast_equals_brute_force_on_corpus(corpus):
     for model in corpus:
-        for face in faces(model):
-            if face.codim == 0 or local_group_order(face, model) > 200:
+        for group in LocalGroupTable(model).groups:
+            face = group.face
+            if face.codim == 0 or group.order > 200:
                 continue
             sx = face_simplex(face, model)
             d = face.codim
             for k in range(d + 3):
-                assert dilate_count_fast(sx, k) == dilate_count(sx, k)
+                assert fast_count(sx, k) == dilate_count(sx, k)
 
 
 def test_ehrhart_numerator_examples():
@@ -141,24 +146,20 @@ def test_numerator_from_counts_rejects_negative():
         numerator_from_counts([1, 0])
 
 
-def test_ehrhart_numerator_with_fast_counter():
-    sx = simplex_from_cols(list(Z3_COLS))
-    assert ehrhart_numerator(sx, counter=dilate_count_fast) == (1, 1, 1)
-
-
 def test_numerator_matches_ages_on_corpus(corpus):
     # The dilate-count route and the box-age route must produce the same
     # numerator coefficients; they share no code.
     for model in corpus:
-        for face in faces(model):
-            if face.codim == 0 or local_group_order(face, model) > 200:
+        for group in LocalGroupTable(model).groups:
+            face = group.face
+            if face.codim == 0 or group.order > 200:
                 continue
             sx = face_simplex(face, model)
             psi = ehrhart_numerator(sx)
-            ages = age_polynomial(face, model).coeffs
+            ages = group.age_polynomial.coeffs
             assert psi[: len(ages)] == ages
             assert all(p == 0 for p in psi[len(ages) :])
-            assert sum(psi) == local_group_order(face, model)
+            assert sum(psi) == group.order
             assert all(p >= 0 for p in psi)
 
 
@@ -194,6 +195,6 @@ def test_fast_counts_from_the_table_equal_the_oracle(crepant_blowups):
             sx = face_simplex(face, blown)
             for k in range(face.codim + 1):
                 fast = count_from_ages(group.age_polynomial, face.codim, k)
-                assert fast == dilate_count(sx, k) == dilate_count_fast(sx, k)
+                assert fast == dilate_count(sx, k) == fast_count(sx, k)
             checked += 1
     assert checked > 0

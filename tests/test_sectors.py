@@ -1,32 +1,30 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qtorb.intlat as intlat_mod
 import qtorb.sectors as sectors_mod
 from qtorb import (
     LocalGroup,
     LocalGroupTable,
     NonIntegralAgeError,
     RankDeficientError,
-    age_polynomial,
-    age_polynomial_of_columns,
     apply_unimodular,
     box_by_exhaustion,
-    box_interior,
     box_of_columns,
-    ensure_quasi_sl,
-    enumerate_box,
+    count_from_ages,
+    dilate_count,
+    ehrhart_numerator,
     face_by_indices,
+    face_simplex,
     faces,
-    interior_age_polynomial,
     is_quasi_sl,
     lattice_index,
-    local_group_order,
     make_model,
-    quasi_sl_violations,
     random_unimodular,
     smith_normal_form,
 )
@@ -49,9 +47,10 @@ def brute_box(cols, r, n):
 
 
 def test_local_group_orders(wp112):
-    assert local_group_order(faces(wp112)[0], wp112) == 1
-    assert local_group_order(face_by_indices(wp112, (0,)), wp112) == 1
-    assert local_group_order(face_by_indices(wp112, (0, 2)), wp112) == 2
+    table = LocalGroupTable(wp112)
+    assert table.group(faces(wp112)[0]).order == 1
+    assert table.group(face_by_indices(wp112, (0,))).order == 1
+    assert table.group(face_by_indices(wp112, (0, 2))).order == 2
 
 
 def test_local_group_order_examples():
@@ -94,54 +93,56 @@ def test_box_unimodular_face_is_trivial():
 
 def test_enumerate_box_attaches_face(wp112):
     face = face_by_indices(wp112, (0, 2))
-    elements = enumerate_box(face, wp112)
+    elements = LocalGroupTable(wp112).group(face).box_elements()
     assert all(e.face == face for e in elements)
     assert [e.point for e in elements] == [(0, 0), (0, -1)]
 
 
 def test_box_interior(wp112):
+    table = LocalGroupTable(wp112)
     face = face_by_indices(wp112, (0, 2))
-    interior = box_interior(face, wp112)
+    interior = table.group(face).interior_elements()
     assert len(interior) == 1 and interior[0].age == 1
     facet = face_by_indices(wp112, (0,))
-    assert box_interior(facet, wp112) == []
+    assert table.group(facet).interior_elements() == []
     whole = faces(wp112)[0]
-    only = box_interior(whole, wp112)
+    only = table.group(whole).interior_elements()
     assert len(only) == 1 and only[0].is_identity
 
 
 def test_age_polynomials():
-    assert age_polynomial_of_columns(Z3_COLS, 3) == Poly([1, 1, 1])
-    assert age_polynomial_of_columns([(1, 0), (1, 2)], 2) == Poly([1, 1])
-    assert age_polynomial_of_columns([(1, 0), (0, 1)], 2) == Poly.one()
+    assert LocalGroup(Z3_COLS, 3).age_polynomial == Poly([1, 1, 1])
+    assert LocalGroup([(1, 0), (1, 2)], 2).age_polynomial == Poly([1, 1])
+    assert LocalGroup([(1, 0), (0, 1)], 2).age_polynomial == Poly.one()
 
 
 def test_face_age_polynomials(wp112, z3):
-    vertex = face_by_indices(wp112, (0, 2))
-    assert age_polynomial(vertex, wp112) == Poly([1, 1])
-    assert interior_age_polynomial(vertex, wp112) == Poly([0, 1])
-    smooth = face_by_indices(wp112, (0, 1))
-    assert age_polynomial(smooth, wp112) == Poly.one()
-    assert interior_age_polynomial(smooth, wp112) == Poly.zero()
-    z3_vertex = face_by_indices(z3, (0, 1, 2))
-    assert age_polynomial(z3_vertex, z3) == Poly([1, 1, 1])
-    assert interior_age_polynomial(z3_vertex, z3) == Poly([0, 1, 1])
-    whole = faces(wp112)[0]
-    assert age_polynomial(whole, wp112) == Poly.one()
-    assert interior_age_polynomial(whole, wp112) == Poly.one()
+    table = LocalGroupTable(wp112)
+    vertex = table.group(face_by_indices(wp112, (0, 2)))
+    assert vertex.age_polynomial == Poly([1, 1])
+    assert vertex.interior_age_polynomial == Poly([0, 1])
+    smooth = table.group(face_by_indices(wp112, (0, 1)))
+    assert smooth.age_polynomial == Poly.one()
+    assert smooth.interior_age_polynomial == Poly.zero()
+    z3_vertex = LocalGroupTable(z3).group(face_by_indices(z3, (0, 1, 2)))
+    assert z3_vertex.age_polynomial == Poly([1, 1, 1])
+    assert z3_vertex.interior_age_polynomial == Poly([0, 1, 1])
+    whole = table.group(faces(wp112)[0])
+    assert whole.age_polynomial == Poly.one()
+    assert whole.interior_age_polynomial == Poly.one()
 
 
 def test_age_polynomial_at_one_is_group_order(corpus):
     for model in corpus:
-        for face in faces(model):
-            assert age_polynomial(face, model)(1) == local_group_order(face, model)
+        for group in LocalGroupTable(model).groups:
+            assert group.age_polynomial(1) == group.order
 
 
 def test_non_integral_age_error_names_face():
     model = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -3)])
     vertex = face_by_indices(model, (0, 2))
     with pytest.raises(NonIntegralAgeError) as err:
-        age_polynomial(vertex, model)
+        LocalGroupTable(model).group(vertex).age_polynomial
     assert "[0, 2]" in str(err.value)
     assert err.value.element.age.denominator == 3
 
@@ -151,10 +152,9 @@ def test_quasi_sl(wp112, cp2):
     assert is_quasi_sl(cp2)
     bad = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -3)])
     assert not is_quasi_sl(bad)
-    witnesses = quasi_sl_violations(bad)
-    assert witnesses and witnesses[0].age in (Fraction(2, 3), Fraction(4, 3))
-    with pytest.raises(NonIntegralAgeError):
-        ensure_quasi_sl(bad)
+    with pytest.raises(NonIntegralAgeError) as err:
+        LocalGroupTable(bad).ensure_quasi_sl()
+    assert err.value.element.age in (Fraction(2, 3), Fraction(4, 3))
 
 
 def test_sectors_listing(wp112, cp2, z3):
@@ -173,13 +173,14 @@ def test_box_partition_over_vertices(corpus):
     # The box of a vertex is the disjoint union of the interiors of the
     # boxes of all faces containing it, as sets of lattice points.
     for model in corpus:
+        table = LocalGroupTable(model)
         interior = {
-            f.facet_set: box_interior(f, model) for f in faces(model)
+            f.facet_set: table.group(f).interior_elements() for f in faces(model)
         }
         for face in faces(model):
             if face.codim != model.n:
                 continue
-            whole = sorted(e.point for e in enumerate_box(face, model))
+            whole = sorted(e.point for e in table.group(face).box_elements())
             pieces = sorted(
                 e.point
                 for fs, elements in interior.items()
@@ -191,8 +192,9 @@ def test_box_partition_over_vertices(corpus):
 
 def test_heights(corpus):
     for model in corpus:
-        for face in faces(model):
-            for e in enumerate_box(face, model):
+        for group in LocalGroupTable(model).groups:
+            face = group.face
+            for e in group.box_elements():
                 assert e.height <= face.codim
                 assert (e.height == 0) == (e.point == (0,) * model.n)
                 assert all(0 <= c < 1 for c in e.coeffs)
@@ -200,17 +202,46 @@ def test_heights(corpus):
 
 def test_box_count_matches_order(corpus):
     for model in corpus:
-        for face in faces(model):
-            assert len(enumerate_box(face, model)) == local_group_order(face, model)
+        for group in LocalGroupTable(model).groups:
+            assert len(group.box_elements()) == group.order
 
 
 def test_exhaustion_matches_snf_on_corpus(corpus):
     for model in corpus:
-        for face in faces(model):
-            if face.codim == 0 or local_group_order(face, model) > 200:
+        for group in LocalGroupTable(model).groups:
+            if group.face.codim == 0 or group.order > 200:
                 continue
-            cols = [model.char_vectors[i] for i in face.facet_set]
+            cols = group.columns
             assert box_of_columns(cols, model.n) == box_by_exhaustion(cols, model.n)
+
+
+def test_oracles_run_without_the_smith_form(monkeypatch, corpus):
+    """With every Smith form patched to raise, the exhaustive box, the
+    brute-force dilate counts and the dilate-series numerator of each
+    face of order at most 200 still equal the table's Smith-form values."""
+    expected = []
+    for model in corpus:
+        for group in LocalGroupTable(model).groups:
+            face, d = group.face, group.face.codim
+            if d == 0 or group.order > 200:
+                continue
+            ages = group.age_polynomial
+            counts = [count_from_ages(ages, d, k) for k in range(d)]
+            psi = ages.coeffs + (0,) * (d - len(ages.coeffs))
+            expected.append((model, group, group.box_elements(), counts, psi))
+
+    def no_smith_form(m):
+        raise AssertionError("an oracle ran a Smith normal form")
+
+    monkeypatch.setattr(intlat_mod, "smith_normal_form", no_smith_form)
+    monkeypatch.setattr(sectors_mod, "smith_normal_form", no_smith_form)
+    for model, group, elements, counts, psi in expected:
+        exhaustive = box_by_exhaustion(group.columns, model.n)
+        assert [replace(e, face=group.face) for e in exhaustive] == elements
+        sx = face_simplex(group.face, model)
+        assert [dilate_count(sx, k) for k in range(len(counts))] == counts
+        assert ehrhart_numerator(sx) == psi
+    assert len(expected) > 100
 
 
 @pytest.mark.parametrize(
@@ -239,16 +270,17 @@ def test_exhaustion_matches_tiny_brute_force():
 
 
 def test_unimodular_invariance_of_ages(z3, rng):
+    table = LocalGroupTable(z3)
     for _ in range(5):
         u = random_unimodular(rng, 3)
         moved = apply_unimodular(z3, u)
+        moved_table = LocalGroupTable(moved)
         for face, moved_face in zip(faces(z3), faces(moved)):
-            assert age_polynomial(face, z3) == age_polynomial(moved_face, moved)
-            assert interior_age_polynomial(face, z3) == interior_age_polynomial(
-                moved_face, moved
-            )
-            assert [e.coeffs for e in enumerate_box(face, z3)] == [
-                e.coeffs for e in enumerate_box(moved_face, moved)
+            group, moved_group = table.group(face), moved_table.group(moved_face)
+            assert group.age_polynomial == moved_group.age_polynomial
+            assert group.interior_age_polynomial == moved_group.interior_age_polynomial
+            assert [e.coeffs for e in group.box_elements()] == [
+                e.coeffs for e in moved_group.box_elements()
             ]
 
 
@@ -283,11 +315,8 @@ def test_local_group_matches_box_of_columns(corpus):
         table = LocalGroupTable(model)
         for face, group in zip(faces(model), table.groups):
             assert group.face == face and table.group(face) is group
-            assert group.order == local_group_order(face, model)
-            assert group.box_elements() == enumerate_box(face, model)
-            assert group.interior_elements() == box_interior(face, model)
-            assert group.age_polynomial == age_polynomial(face, model)
-            assert group.interior_age_polynomial == interior_age_polynomial(face, model)
+            bare = box_of_columns(group.columns, model.n)
+            assert group.box_elements() == [replace(e, face=face) for e in bare]
         assert table.quasi_sl == is_quasi_sl(model)
         assert sectors(model, table) == sectors(model)
 
@@ -296,12 +325,17 @@ def test_table_reports_first_fractional_age():
     bad = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -3)])
     table = LocalGroupTable(bad)
     assert not table.quasi_sl
-    with pytest.raises(NonIntegralAgeError) as from_table:
+    with pytest.raises(NonIntegralAgeError) as err:
         table.ensure_quasi_sl()
-    with pytest.raises(NonIntegralAgeError) as from_model:
-        ensure_quasi_sl(bad)
-    assert str(from_table.value) == str(from_model.value)
-    assert from_table.value.element == quasi_sl_violations(bad)[0]
+    fractional = [
+        element
+        for group in table.groups
+        if group.face.codim == bad.n
+        for element in group.box_elements()
+        if element.age.denominator != 1
+    ]
+    assert err.value.element == fractional[0]
+    assert "[0, 2]" in str(err.value)
 
 
 def test_quasi_sl_enumerates_no_group(monkeypatch):
