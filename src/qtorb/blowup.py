@@ -330,20 +330,29 @@ class TriangulationCheck:
 def check_triangulation_identity(
     face: Face,
     subdivision: Subdivision,
-    model: Model,
     groups: LocalGroupTable,
     cones: LocalGroupTable,
+    extra: tuple[IntVec, ...] = (),
 ) -> TriangulationCheck:
     """The age polynomial of a face simplex must equal the sum, over the
-    subdivision simplices meeting its interior, of (s-1)^codim times the
-    age polynomial of the cone over the simplex.  The face side is read
-    from ``groups``, the table of ``model``, and each cone from
+    simplices of its triangulation that meet its interior, of
+    (s-1)^codim times the age polynomial of the cone over the simplex.
+
+    ``subdivision`` triangulates the simplex of a face F whose facets are
+    among those of ``face``, and ``extra`` holds the characteristic
+    vectors of ``face``'s other facets (``extra=()`` when F is ``face``).
+    The triangulation of ``face``'s simplex is the join of the two, and
+    its simplices meeting the interior are exactly theta + extra for
+    theta in ``subdivision.interior``, each of theta's codimension in F.
+    The face side
+    is read from ``groups``, the table of the model, and each cone from
     ``cones``, the table of a model that has every interior cone as a
-    face (the blown-up model's, for a star subdivision and the
-    triangulations it induces; ``groups`` itself, for a trivial one)."""
+    face (the blown-up model's, for a star subdivision; ``groups``
+    itself, for a trivial one)."""
     lhs = groups.group(face).age_polynomial
     rhs = _sum(
-        e_torus(sx.codim) * cones.cone(sx.verts).age_polynomial for sx in subdivision.interior
+        e_torus(sx.codim) * cones.cone(sx.verts + extra).age_polynomial
+        for sx in subdivision.interior
     )
     return TriangulationCheck(face=face, passed=lhs == rhs, lhs=lhs, rhs=rhs)
 
@@ -354,6 +363,7 @@ class McKayReport:
 
     model: Model
     blown: Model
+    blown_groups: LocalGroupTable
     spec: BlowupSpec
     quasi_sl_after: bool
     before: CrReport
@@ -380,8 +390,12 @@ def mckay_check(model: Model, spec: BlowupSpec, before: CrReport | None = None) 
     """Blow up, certify the result stays quasi-SL, recompute the Chen-Ruan
     polynomial of both models by all three routes, and run the
     triangulation identity on the subdivided face simplex and on every
-    simplex it induces on subfaces.  ``before``, the model's own report,
-    is computed here unless given."""
+    subface's simplex.  The star subdivision is validated in full; each
+    subface's triangulation is its join with the subface's extra
+    vectors, so its identity reads the interior simplices of the star
+    subdivision and builds nothing else (``induced_triangulation`` builds
+    it whole, as the oracle).  ``before``, the model's own report, is
+    computed here unless given."""
     groups = LocalGroupTable(model) if before is None else before.groups
     groups.ensure_quasi_sl()
     if not is_crepant(spec):
@@ -398,14 +412,16 @@ def mckay_check(model: Model, spec: BlowupSpec, before: CrReport | None = None) 
     after = cr_report(blown, blown_groups) if quasi_after else None
     face = face_by_indices(model, spec.face)
     tau = star_subdivide(face, spec.lambda0, model)
+    cut = set(spec.face)
     checks = []
     for sub in faces(model):
-        if set(spec.face) <= set(sub.facet_set):
-            sub_tau = induced_triangulation(sub, tau, model)
-            checks.append(check_triangulation_identity(sub, sub_tau, model, groups, blown_groups))
+        if cut <= set(sub.facet_set):
+            extra = tuple(model.char_vectors[i] for i in sub.facet_set if i not in cut)
+            checks.append(check_triangulation_identity(sub, tau, groups, blown_groups, extra))
     return McKayReport(
         model=model,
         blown=blown,
+        blown_groups=blown_groups,
         spec=spec,
         quasi_sl_after=quasi_after,
         before=before,
@@ -422,7 +438,9 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
     partition, the torus stratification, three-route agreement, and the
     crepant blowup invariance for every candidate.  With `include_oracle`, the
     Smith-form box enumeration and the dilate-series numerators are also
-    cross-checked against the exhaustive search paths.
+    cross-checked against the exhaustive search paths, and each subface's
+    triangulation identity in a McKay check against the validated
+    induced triangulation built whole.
     """
     failures: list[str] = []
     label = model.name or "<model>"
@@ -484,4 +502,19 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
             failures.append(
                 f"{label}: crepant blowup at {list(spec.face)} changes the Betti numbers"
             )
+        if include_oracle:
+            cut = set(spec.face)
+            tau = star_subdivide(face_by_indices(model, spec.face), spec.lambda0, model)
+            lazy = {check.face: check.rhs for check in mckay.triangulation_checks}
+            for sub in faces(model):
+                if not cut <= set(sub.facet_set):
+                    continue
+                induced = induced_triangulation(sub, tau, model)
+                rhs = check_triangulation_identity(sub, induced, groups, mckay.blown_groups).rhs
+                if lazy.get(sub) != rhs:
+                    failures.append(
+                        f"{label}: crepant blowup at {list(spec.face)}: the induced "
+                        f"triangulation of {list(sub.facet_set)} sums to {rhs}, "
+                        f"the star subdivision's join to {lazy.get(sub)}"
+                    )
     return failures

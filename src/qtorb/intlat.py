@@ -36,10 +36,6 @@ def as_mat(rows: Sequence[Sequence[int]]) -> IntMat:
     return mat
 
 
-def identity(n: int) -> IntMat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def transpose(m: IntMat) -> IntMat:
     return tuple(zip(*m)) if m else ()
 

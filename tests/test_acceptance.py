@@ -83,7 +83,7 @@ def test_criterion_2_z3_resolution(z3):
     tau = star_subdivide(vertex, spec.lambda0, z3)
     groups = LocalGroupTable(z3)
     cones = LocalGroupTable(blown, groups)
-    assert check_triangulation_identity(vertex, tau, z3, groups, cones).passed
+    assert check_triangulation_identity(vertex, tau, groups, cones).passed
     report("2 (order-3 corner resolution)", started, limit=1.0)
 
 

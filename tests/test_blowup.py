@@ -167,7 +167,7 @@ def test_trivial_subdivision_identity(wp112):
     tau = trivial_subdivision(vertex, wp112)
     assert len(tau.interior) == 1
     groups = LocalGroupTable(wp112)
-    check = check_triangulation_identity(vertex, tau, wp112, groups, groups)
+    check = check_triangulation_identity(vertex, tau, groups, groups)
     assert check.passed
     assert check.lhs == check.rhs == Poly([1, 1])
 
@@ -209,7 +209,7 @@ def test_triangulation_identity_wp112(wp112):
     vertex = face_by_indices(wp112, (0, 2))
     tau = star_subdivide(vertex, (0, -1), wp112)
     groups, cones = blown_tables(wp112, make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"]))
-    check = check_triangulation_identity(vertex, tau, wp112, groups, cones)
+    check = check_triangulation_identity(vertex, tau, groups, cones)
     assert check.passed
     assert check.lhs == Poly([1, 1])
     assert check.rhs == Poly([1, 1])
@@ -222,14 +222,14 @@ def test_triangulation_identity_names_a_missing_cone(z3):
     tau = star_subdivide(vertex, (0, 0, 1), z3)
     groups = LocalGroupTable(z3)
     with pytest.raises(ValueError, match=re.escape("cone over [(0, 0, 1)] is not a face")):
-        check_triangulation_identity(vertex, tau, z3, groups, groups)
+        check_triangulation_identity(vertex, tau, groups, groups)
 
 
 def test_triangulation_identity_z3(z3):
     vertex = face_by_indices(z3, (0, 1, 2))
     tau = star_subdivide(vertex, (0, 0, 1), z3)
     groups, cones = blown_tables(z3, make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3))
-    check = check_triangulation_identity(vertex, tau, z3, groups, cones)
+    check = check_triangulation_identity(vertex, tau, groups, cones)
     assert check.passed
     assert check.lhs == Poly([1, 1, 1])
 
@@ -422,8 +422,9 @@ def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(
     monkeypatch, crepant_blowups, smith_form_faces
 ):
     """The blown table takes every face off the new facet m from the base
-    table; the faces on m are exactly the interior cones of the star and
-    induced triangulations, which read them from that table.  Of those,
+    table; the faces on m are exactly the interior cones of the star
+    subdivision joined with each subface's extra vectors, which the
+    identity reads from that table.  Of those,
     the vertices and the faces through no smooth vertex run a Smith form."""
     inside: list[bool] = []
     calls: list[bool] = []
@@ -431,11 +432,11 @@ def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(
     real_smith = sectors_mod.smith_normal_form
     real_check = blowup_mod.check_triangulation_identity
 
-    def check(face, subdivision, model, groups=None, cones_table=None):
-        cones.extend(frozenset(sx.verts) for sx in subdivision.interior)
+    def check(face, subdivision, groups, cones_table, extra=()):
+        cones.extend(frozenset(sx.verts + extra) for sx in subdivision.interior)
         inside.append(True)
         try:
-            return real_check(face, subdivision, model, groups, cones_table)
+            return real_check(face, subdivision, groups, cones_table, extra)
         finally:
             inside.pop()
 
@@ -454,6 +455,132 @@ def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(
         assert set(cones) == {
             frozenset(blown.char_vectors[i] for i in f.facet_set) for f in on_new_facet
         }
+
+
+def _subfaces(model, spec):
+    return [sub for sub in faces(model) if set(spec.face) <= set(sub.facet_set)]
+
+
+def _z4_tetra_blowups():
+    """A tetrahedron whose order-2 edge (0, 1), w = 1 + s, lies on an
+    order-4 vertex (0, 1, 2), w = 1 + 2s + s^2, and on an order-2 vertex
+    (0, 1, 3), w = 1 + s.  No fuzz corpus model has a crepant blowup with
+    a subface whose age polynomial differs from the blown-up face's."""
+    model = make_model(
+        3,
+        4,
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+        [(1, 0, 0), (1, 2, 0), (1, 1, 2), (-1, -1, -1)],
+        name="z4-tetrahedron",
+    )
+    return [(model, spec, blow_up(model, spec)) for spec in crepant_candidates(model)]
+
+
+def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
+    """The interior simplices of each subface's induced triangulation are
+    the star subdivision's joined with the subface's extra vectors, of the
+    same codimension, so the lazy right-hand sides of ``mckay_check``
+    equal those of the validated induced triangulations."""
+    proper = 0
+    for model, spec, _ in crepant_blowups + _z4_tetra_blowups():
+        report = mckay_check(model, spec)
+        tau = star_subdivide(face_by_indices(model, spec.face), spec.lambda0, model)
+        subfaces = _subfaces(model, spec)
+        assert [check.face for check in report.triangulation_checks] == subfaces
+        for check, sub in zip(report.triangulation_checks, subfaces):
+            extra = tuple(model.char_vectors[i] for i in sub.facet_set if i not in spec.face)
+            induced = induced_triangulation(sub, tau, model)
+            assert sorted((sx.codim, sorted(sx.verts)) for sx in induced.interior) == sorted(
+                (sx.codim, sorted(sx.verts + extra)) for sx in tau.interior
+            )
+            oracle = check_triangulation_identity(
+                sub, induced, report.before.groups, report.blown_groups
+            )
+            assert check.rhs == oracle.rhs
+            assert check.passed and oracle.passed
+            proper += bool(extra)
+    assert proper > 0
+    z4_tetra = _z4_tetra_blowups()[0][0]
+    assert identity_failures(z4_tetra, include_oracle=True) == []
+
+
+def _drop_interior_simplex(monkeypatch, index):
+    """Make ``mckay_check`` read a star subdivision that lacks its
+    ``index``-th interior simplex."""
+    real = blowup_mod.star_subdivide
+
+    def star(face, lambda0, model):
+        tau = real(face, lambda0, model)
+        return replace(tau, interior=tau.interior[:index] + tau.interior[index + 1:])
+
+    monkeypatch.setattr(blowup_mod, "star_subdivide", star)
+
+
+def test_mckay_fails_without_an_interior_simplex(monkeypatch, crepant_blowups):
+    """Every dropped simplex drops a nonzero term (s-1)^codim w(cone) from
+    every subface's sum, so every identity fails."""
+    mutated = 0
+    for model, spec, _ in crepant_blowups:
+        before = cr_report(model)
+        size = len(star_subdivide(face_by_indices(model, spec.face), spec.lambda0, model).interior)
+        for index in range(size):
+            with monkeypatch.context() as patch:
+                _drop_interior_simplex(patch, index)
+                report = mckay_check(model, spec, before)
+            assert not report.verdict, (model.name, spec, index)
+            assert not any(check.passed for check in report.triangulation_checks)
+            mutated += 1
+    assert mutated > len(crepant_blowups)
+
+
+def test_mckay_fails_without_the_extra_vectors(monkeypatch, crepant_blowups):
+    """Passing ``extra=()`` for a proper subface S sums the face F's own
+    right-hand side, w(F), so S's identity fails exactly when w(S) differs
+    from w(F)."""
+    real = blowup_mod.check_triangulation_identity
+    monkeypatch.setattr(
+        blowup_mod,
+        "check_triangulation_identity",
+        lambda face, subdivision, groups, cones, extra=(): real(face, subdivision, groups, cones),
+    )
+    flipped = []
+    for model, spec, _ in crepant_blowups + _z4_tetra_blowups():
+        groups = LocalGroupTable(model)
+        report = mckay_check(model, spec, cr_report(model, groups))
+        own = groups.group(face_by_indices(model, spec.face)).age_polynomial
+        differ = [
+            sub for sub in _subfaces(model, spec) if groups.group(sub).age_polynomial != own
+        ]
+        assert [c.face for c in report.triangulation_checks if not c.passed] == differ
+        assert report.verdict == (not differ)
+        if differ:
+            flipped.append((model.name, spec.face, [sub.facet_set for sub in differ]))
+    assert flipped == [("z4-tetrahedron", (0, 1), [(0, 1, 2)])]
+
+
+def test_oracle_reports_a_lazy_sum_that_disagrees(monkeypatch, prism):
+    """With a simplex missing from the star subdivision that ``mckay_check``
+    reads, every subface's lazy sum differs from the one the oracle gets
+    from the validated induced triangulation."""
+    assert identity_failures(prism, include_oracle=True) == []
+    real_mckay = blowup_mod.mckay_check
+
+    def mckay(model, spec, before=None):
+        with monkeypatch.context() as patch:
+            _drop_interior_simplex(patch, 0)
+            return real_mckay(model, spec, before)
+
+    monkeypatch.setattr(blowup_mod, "mckay_check", mckay)
+    betti = "prism: crepant blowup at [0, 1] changes the Betti numbers"
+    assert identity_failures(prism) == [betti]
+    failures = identity_failures(prism, include_oracle=True)
+    assert failures[0] == betti
+    subfaces = [[0, 1], [0, 1, 3], [0, 1, 4]]
+    assert len(failures) == 1 + len(subfaces)
+    for message, sub in zip(failures[1:], subfaces):
+        assert message.startswith(
+            f"prism: crepant blowup at [0, 1]: the induced triangulation of {sub} sums to "
+        )
 
 
 def test_induced_coordinates_equal_the_solve(crepant_blowups):

@@ -11,7 +11,6 @@ from qtorb.intlat import (
     as_mat,
     coords_in_basis,
     det,
-    identity,
     invariant_factors,
     is_primitive,
     lattice_index,
@@ -21,6 +20,10 @@ from qtorb.intlat import (
     smith_normal_form,
     unimodular_inverse,
 )
+
+
+def identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def naive_det(m):
