@@ -17,7 +17,6 @@ from .blowup import (
     make_blowup_spec,
     mckay_check,
     star_subdivide,
-    trivial_subdivision,
 )
 from .cohomology import (
     CrReport,
@@ -37,9 +36,8 @@ from .ehrhart import (
     ehrhart_numerator,
     face_simplex,
     numerator_from_counts,
-    simplex_in_face,
 )
-from .exact import Poly, Rat, binom, rat_from_str, rat_to_str
+from .exact import Poly, binom, rat_to_str
 from .intlat import (
     IntMat,
     IntVec,
@@ -47,10 +45,8 @@ from .intlat import (
     RankDeficientError,
     coords_in_basis,
     det,
-    invariant_factors,
     is_primitive,
     lattice_index,
-    saturation,
     smith_normal_form,
 )
 from .model import (

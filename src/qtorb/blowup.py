@@ -119,13 +119,10 @@ def blow_up(model: Model, spec: BlowupSpec) -> Model:
         raise BlowupError(f"blown-up model fails validation: {exc}") from exc
 
 
-def crepant_candidates(
-    model: Model, groups: LocalGroupTable | None = None
-) -> list[BlowupSpec]:
-    """Every crepant blowup the model admits: interior box elements of
-    age exactly 1 with a primitive lattice point, over all faces of
-    codimension at least 2."""
-    table = LocalGroupTable(model) if groups is None else groups
+def crepant_candidates(table: LocalGroupTable) -> list[BlowupSpec]:
+    """Every crepant blowup the table's model admits: interior box
+    elements of age exactly 1 with a primitive lattice point, over all
+    faces of codimension at least 2."""
     out = []
     for group in table.groups:
         if group.face.codim < 2:
@@ -212,24 +209,6 @@ def _validated_subdivision(
     ordered = tuple(sorted(simplices, key=lambda sx: (len(sx.verts), sx.verts)))
     interior = tuple(sx for sx in ordered if meets_interior(sx))
     return Subdivision(ambient_face=ambient_face, simplices=ordered, interior=interior)
-
-
-def trivial_subdivision(face: Face, model: Model) -> Subdivision:
-    """The face simplex triangulated by itself (all vertex subsets)."""
-    cols = [model.char_vectors[i] for i in face.facet_set]
-    k = len(cols)
-    unit = [tuple(Fraction(1 if j == i else 0) for j in range(k)) for i in range(k)]
-    simplices = []
-    for r in range(1, k + 1):
-        for idx in itertools.combinations(range(k), r):
-            simplices.append(
-                LatticeSimplex(
-                    ambient_face=face,
-                    verts=tuple(cols[i] for i in idx),
-                    coords=tuple(unit[i] for i in idx),
-                )
-            )
-    return _validated_subdivision(face, simplices)
 
 
 def star_subdivide(face: Face, lambda0: IntVec, model: Model) -> Subdivision:
@@ -347,8 +326,7 @@ def check_triangulation_identity(
     The face side
     is read from ``groups``, the table of the model, and each cone from
     ``cones``, the table of a model that has every interior cone as a
-    face (the blown-up model's, for a star subdivision; ``groups``
-    itself, for a trivial one)."""
+    face (the blown-up model's, for a star subdivision)."""
     lhs = groups.group(face).age_polynomial
     rhs = _sum(
         e_torus(sx.codim) * cones.cone(sx.verts + extra).age_polynomial
@@ -359,16 +337,20 @@ def check_triangulation_identity(
 
 @dataclass(frozen=True)
 class McKayReport:
-    """Everything the crepant-blowup invariance check produces."""
+    """Everything the crepant-blowup invariance check produces, with the
+    star subdivision it validated."""
 
-    model: Model
-    blown: Model
-    blown_groups: LocalGroupTable
-    spec: BlowupSpec
-    quasi_sl_after: bool
     before: CrReport
+    spec: BlowupSpec
+    blown_groups: LocalGroupTable
+    quasi_sl_after: bool
     after: CrReport | None
+    subdivision: Subdivision
     triangulation_checks: tuple[TriangulationCheck, ...]
+
+    @property
+    def blown(self) -> Model:
+        return self.blown_groups.model
 
     @property
     def pp_cr_match(self) -> bool:
@@ -386,30 +368,27 @@ class McKayReport:
         )
 
 
-def mckay_check(model: Model, spec: BlowupSpec, before: CrReport | None = None) -> McKayReport:
-    """Blow up, certify the result stays quasi-SL, recompute the Chen-Ruan
-    polynomial of both models by all three routes, and run the
-    triangulation identity on the subdivided face simplex and on every
-    subface's simplex.  The star subdivision is validated in full; each
-    subface's triangulation is its join with the subface's extra
-    vectors, so its identity reads the interior simplices of the star
-    subdivision and builds nothing else (``induced_triangulation`` builds
-    it whole, as the oracle).  ``before``, the model's own report, is
-    computed here unless given."""
-    groups = LocalGroupTable(model) if before is None else before.groups
-    groups.ensure_quasi_sl()
+def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
+    """Blow up the model that ``before`` reports on, certify the result
+    stays quasi-SL, compute the Chen-Ruan polynomial of the blown-up
+    model by all three routes, and run the triangulation identity on the
+    subdivided face simplex and on every subface's simplex.  The star
+    subdivision is validated in full; each subface's triangulation is its
+    join with the subface's extra vectors, so its identity reads the
+    interior simplices of the star subdivision and builds nothing else
+    (``induced_triangulation`` builds it whole, as the oracle)."""
+    groups = before.groups
+    model = groups.model
     if not is_crepant(spec):
         raise BlowupError(
             f"weights sum to {sum(spec.weights)}, expected 1 for a crepant blowup"
         )
     blown = blow_up(model, spec)
-    if before is None:
-        before = cr_report(model, groups)
     # Faces away from the new facet keep the base model's groups; the
     # faces on it are the interior cones of the triangulations below.
     blown_groups = LocalGroupTable(blown, groups)
     quasi_after = blown_groups.quasi_sl
-    after = cr_report(blown, blown_groups) if quasi_after else None
+    after = cr_report(blown_groups) if quasi_after else None
     face = face_by_indices(model, spec.face)
     tau = star_subdivide(face, spec.lambda0, model)
     cut = set(spec.face)
@@ -419,13 +398,12 @@ def mckay_check(model: Model, spec: BlowupSpec, before: CrReport | None = None) 
             extra = tuple(model.char_vectors[i] for i in sub.facet_set if i not in cut)
             checks.append(check_triangulation_identity(sub, tau, groups, blown_groups, extra))
     return McKayReport(
-        model=model,
-        blown=blown,
-        blown_groups=blown_groups,
-        spec=spec,
-        quasi_sl_after=quasi_after,
         before=before,
+        spec=spec,
+        blown_groups=blown_groups,
+        quasi_sl_after=quasi_after,
         after=after,
+        subdivision=tau,
         triangulation_checks=tuple(checks),
     )
 
@@ -440,11 +418,13 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
     Smith-form box enumeration and the dilate-series numerators are also
     cross-checked against the exhaustive search paths, and each subface's
     triangulation identity in a McKay check against the validated
-    induced triangulation built whole.
+    induced triangulation built whole from the star subdivision that the
+    check kept.
     """
     failures: list[str] = []
     label = model.name or "<model>"
-    report = cr_report(model)
+    groups = LocalGroupTable(model)
+    report = cr_report(groups)
     if not report.routes_agree:
         failures.append(f"{label}: the three Chen-Ruan routes disagree")
     for check in report.identities:
@@ -454,7 +434,6 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
         if not ok:
             failures.append(f"{label}: age partition fails at face {list(face.facet_set)}")
 
-    groups = report.groups
     for vertex in groups.groups:
         if vertex.face.codim != model.n:
             continue
@@ -492,8 +471,8 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
                     f"{label}: dilate-series numerator {list(psi)} does not match ages at {list(face.facet_set)}"
                 )
 
-    for spec in crepant_candidates(model, groups):
-        mckay = mckay_check(model, spec, report)
+    for spec in crepant_candidates(groups):
+        mckay = mckay_check(report, spec)
         if not mckay.quasi_sl_after:
             failures.append(
                 f"{label}: crepant blowup at {list(spec.face)} loses integral ages"
@@ -504,12 +483,11 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
             )
         if include_oracle:
             cut = set(spec.face)
-            tau = star_subdivide(face_by_indices(model, spec.face), spec.lambda0, model)
             lazy = {check.face: check.rhs for check in mckay.triangulation_checks}
             for sub in faces(model):
                 if not cut <= set(sub.facet_set):
                     continue
-                induced = induced_triangulation(sub, tau, model)
+                induced = induced_triangulation(sub, mckay.subdivision, model)
                 rhs = check_triangulation_identity(sub, induced, groups, mckay.blown_groups).rhs
                 if lazy.get(sub) != rhs:
                     failures.append(

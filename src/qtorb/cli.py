@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import kernels
 from .blowup import (
-    BlowupError,
     blow_up,
     identity_failures,
     is_crepant,
@@ -37,7 +36,7 @@ from .model import (
     positively_omnioriented,
     vertex_sign,
 )
-from .sectors import LocalGroupTable, NonIntegralAgeError, is_quasi_sl, sectors
+from .sectors import LocalGroupTable, is_quasi_sl, sectors
 
 
 def _emit(payload) -> None:
@@ -102,13 +101,13 @@ def _cmd_faces(args) -> int:
 
 def _cmd_sectors(args) -> int:
     model = load_model(args.model)
-    _emit([_sector_json(e) for e in sectors(model)])
+    _emit([_sector_json(e) for e in sectors(LocalGroupTable(model))])
     return 0
 
 
 def _cmd_betti(args) -> int:
     model = load_model(args.model)
-    report = cr_report(model)
+    report = cr_report(LocalGroupTable(model))
     _emit(
         {
             "pp": {
@@ -126,12 +125,13 @@ def _cmd_betti(args) -> int:
 
 def _cmd_cr(args) -> int:
     model = load_model(args.model)
-    report = cr_report(model)
+    table = LocalGroupTable(model)
+    report = cr_report(table)
     payload = {
         "pp": list(report.pp.coeffs),
         "pp_cr": list(report.pp_cr.coeffs),
         "routes_agree": report.routes_agree,
-        "sectors": [_sector_json(e) for e in sectors(model, report.groups)],
+        "sectors": [_sector_json(e) for e in sectors(table)],
         "identities": {
             "morestrat": all(ok for _, ok in report.morestrat),
             "h_identity": report.identity("h_identity").passed,
@@ -194,7 +194,7 @@ def _cmd_blowup(args) -> int:
 def _cmd_mckay(args) -> int:
     model = load_model(args.model)
     spec = _parse_spec(args, model)
-    report = mckay_check(model, spec)
+    report = mckay_check(cr_report(LocalGroupTable(model)), spec)
     payload = {
         "verdict": report.verdict,
         "lambda0": list(spec.lambda0),
@@ -320,13 +320,10 @@ def _run(args) -> int:
         return args.func(args)
     except BrokenPipeError:
         raise
-    except (ModelValidationError,) as exc:
+    except ModelValidationError as exc:
         _emit({"error": "invalid model", "violations": exc.violations})
         return 2
-    except (BlowupError, NonIntegralAgeError, ValueError, ArithmeticError, RuntimeError) as exc:
-        _emit({"error": str(exc)})
-        return 2
-    except OSError as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         _emit({"error": str(exc)})
         return 2
 

@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .exact import Poly
-from .model import Face, Model
+from .model import Face
 from .sectors import LocalGroupTable
 
 
@@ -32,22 +31,6 @@ def e_torus(k: int) -> Poly:
     if k < 0:
         raise ValueError(f"torus dimension must be nonnegative, got {k}")
     return Poly._of_ints([math.comb(k, i) * (-1) ** (k - i) for i in range(k + 1)])
-
-
-def _quasi_sl_table(model: Model, groups: LocalGroupTable | None = None) -> LocalGroupTable:
-    table = LocalGroupTable(model) if groups is None else groups
-    table.ensure_quasi_sl()
-    return table
-
-
-def _sector_terms(table: LocalGroupTable) -> Iterator[tuple[Face, int, Poly]]:
-    """(face, age, s^age times the face's ordinary polynomial) per sector,
-    untwisted sector first."""
-    for facet_set, group in table.sector_groups.items():
-        pp_face = Poly._of_ints(list(table.sector_h_vectors[facet_set]))
-        for i in group.interior:
-            age = group.age(i)
-            yield group.face, age, pp_face.shifted(age)
 
 
 def _sum(polys) -> Poly:
@@ -62,45 +45,46 @@ def _sum(polys) -> Poly:
     return Poly._of_ints(total)
 
 
-def pp_cr_direct(model: Model) -> Poly:
+def pp_cr_direct(table: LocalGroupTable) -> Poly:
     """Chen-Ruan polynomial from the sector decomposition: each interior
     box element g of each face contributes s^age(g) times the face's
     ordinary polynomial."""
-    table = _quasi_sl_table(model)
-    return _sum(term for _, _, term in _sector_terms(table))
+    table.ensure_quasi_sl()
+    terms = []
+    for facet_set, group in table.sector_groups.items():
+        pp_face = Poly._of_ints(list(table.sector_h_vectors[facet_set]))
+        terms.extend(pp_face.shifted(group.age(i)) for i in group.interior)
+    return _sum(terms)
 
 
-def pp_cr_via_closures(model: Model, groups: LocalGroupTable | None = None) -> Poly:
+def pp_cr_via_closures(table: LocalGroupTable) -> Poly:
     """Chen-Ruan polynomial regrouped by face closures: ordinary
     polynomial of each face times its interior age polynomial, which is
     zero for a face without interior elements, so only the faces that
     carry sectors are summed."""
-    table = _quasi_sl_table(model, groups)
+    table.ensure_quasi_sl()
     return _sum(
         Poly._of_ints(list(table.sector_h_vectors[facet_set])) * group.interior_age_polynomial
         for facet_set, group in table.sector_groups.items()
     )
 
 
-def pp_cr_via_strata(model: Model, groups: LocalGroupTable | None = None) -> Poly:
+def pp_cr_via_strata(table: LocalGroupTable) -> Poly:
     """Chen-Ruan polynomial summed over open torus strata: torus
     E-polynomial of each stratum times the full age polynomial.  Strata
     of one dimension and one age polynomial share their term, which is
     built once and taken as often as they occur."""
-    table = _quasi_sl_table(model, groups)
+    table.ensure_quasi_sl()
     terms = Counter((group.face.dim, group.age_polynomial) for group in table.groups)
     return _sum(count * (e_torus(dim) * ages) for (dim, ages), count in terms.items())
 
 
-def check_age_partition(
-    model: Model, groups: LocalGroupTable | None = None
-) -> list[tuple[Face, bool]]:
+def check_age_partition(table: LocalGroupTable) -> list[tuple[Face, bool]]:
     """Per-face check that the full age polynomial equals the sum of the
     interior age polynomials over all faces containing it (the box of a
     face is partitioned by the interiors of its superfaces).  A face
     without interior elements adds zero, so the sum runs over the faces
     that carry sectors and whose facet set is part of the face's."""
-    table = LocalGroupTable(model) if groups is None else groups
     pieces = [
         (frozenset(facet_set), group.interior_age_polynomial)
         for facet_set, group in table.sector_groups.items()
@@ -142,7 +126,6 @@ class CrReport:
     pp_cr_direct: Poly
     pp_cr_closures: Poly
     pp_cr_strata: Poly
-    per_sector: tuple[tuple[Face, int, Poly], ...]
     identities: tuple[IdentityCheck, ...]
     morestrat: tuple[tuple[Face, bool], ...]
     groups: LocalGroupTable = field(compare=False, repr=False)
@@ -171,15 +154,13 @@ class CrReport:
         raise KeyError(name)
 
 
-def cr_report(model: Model, groups: LocalGroupTable | None = None) -> CrReport:
-    """Full report: the three routes, per-sector contributions, and every
+def cr_report(table: LocalGroupTable) -> CrReport:
+    """Full report on the table's model: the three routes and every
     combinatorial identity the construction is supposed to satisfy, all
-    read from one local-group table (built here unless given)."""
-    table = _quasi_sl_table(model, groups)
-    per_sector = tuple(_sector_terms(table))
-    direct = _sum(term for _, _, term in per_sector)
-    closures = pp_cr_via_closures(model, table)
-    strata = pp_cr_via_strata(model, table)
+    read from the one table."""
+    direct = pp_cr_direct(table)
+    closures = pp_cr_via_closures(table)
+    strata = pp_cr_via_strata(table)
     strat_ok, strat_lhs, strat_rhs = check_torus_stratification(table)
     identities = (
         IdentityCheck("h_identity", strat_ok, strat_lhs, strat_rhs),
@@ -191,8 +172,7 @@ def cr_report(model: Model, groups: LocalGroupTable | None = None) -> CrReport:
         pp_cr_direct=direct,
         pp_cr_closures=closures,
         pp_cr_strata=strata,
-        per_sector=per_sector,
         identities=identities,
-        morestrat=tuple(check_age_partition(model, table)),
+        morestrat=tuple(check_age_partition(table)),
         groups=table,
     )

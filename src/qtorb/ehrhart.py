@@ -19,7 +19,6 @@ from .intlat import (
     IntVec,
     RankDeficientError,
     adjugate,
-    coords_in_basis,
     det,
     mat_from_cols,
     transpose,
@@ -60,20 +59,6 @@ def face_simplex(face: Face, model: Model) -> LatticeSimplex:
         tuple(Fraction(1 if j == i else 0) for j in range(k)) for i in range(k)
     )
     return LatticeSimplex(ambient_face=face, verts=tuple(cols), coords=unit)
-
-
-def simplex_in_face(face: Face, model: Model, points: Sequence[IntVec]) -> LatticeSimplex:
-    """Simplex on given lattice points, with coordinates recomputed over
-    the face's characteristic vectors; validates containment in the face
-    simplex (nonnegative coordinates summing to 1)."""
-    cols = mat_from_cols([model.char_vectors[i] for i in face.facet_set])
-    coords = []
-    for point in points:
-        c = coords_in_basis(cols, point)
-        if any(x < 0 for x in c) or sum(c) != 1:
-            raise ValueError(f"{list(point)} is not in the face simplex")
-        coords.append(c)
-    return LatticeSimplex(ambient_face=face, verts=tuple(points), coords=tuple(coords))
 
 
 def dilate_count(sx: LatticeSimplex, k: int) -> int:

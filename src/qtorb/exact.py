@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rat = Fraction
-
 
 def binom(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); zero whenever k is outside 0..n."""
@@ -30,11 +28,6 @@ def rat_to_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def rat_from_str(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"``. Inverse of :func:`rat_to_str`."""
-    return Fraction(text)
 
 
 class Poly:

@@ -49,11 +49,6 @@ def mat_vec(m: IntMat, v: Sequence[int]) -> IntVec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
-def mat_mul(a: IntMat, b: IntMat) -> IntMat:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def is_primitive(v: Sequence[int]) -> bool:
     """True iff the gcd of the entries is 1. Rejects the zero vector."""
     g = 0
@@ -106,15 +101,6 @@ def adjugate(m: IntMat) -> IntMat:
             )
             adj[j][i] = (-1) ** (i + j) * det(minor)
     return as_mat(adj)
-
-
-def unimodular_inverse(u: IntMat) -> IntMat:
-    """Exact inverse of a matrix with determinant +-1."""
-    d = det(u)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det {d})")
-    adj = adjugate(u)
-    return tuple(tuple(d * e for e in row) for row in adj)
 
 
 def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
@@ -212,33 +198,6 @@ def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     else:  # pragma: no cover - guarded by the property tests
         raise RuntimeError("smith normal form did not converge")
     return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
-
-
-def invariant_factors(m: IntMat) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith normal form, in divisibility order."""
-    _, d, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return tuple(out)
-
-
-def saturation(basis: IntMat) -> IntMat:
-    """Basis of the saturation of the column span of `basis`.
-
-    The result spans the same rational subspace and every lattice point
-    of that subspace is an integer combination of the returned columns.
-    Columns must be linearly independent.
-    """
-    nrows = len(basis)
-    k = len(basis[0]) if nrows else 0
-    u, d, _ = smith_normal_form(basis)
-    for i in range(k):
-        if i >= nrows or d[i][i] == 0:
-            raise RankDeficientError("columns are not linearly independent")
-    uinv = unimodular_inverse(u)
-    return mat_from_cols([tuple(uinv[r][i] for r in range(nrows)) for i in range(k)])
 
 
 def coords_in_basis(basis: IntMat, w: Sequence[int]) -> tuple[Fraction, ...]:

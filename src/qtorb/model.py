@@ -419,7 +419,7 @@ def generate_test_models(
     if n not in (2, 3, 4):
         raise ValueError(f"generator supports n in {{2, 3, 4}}, got {n}")
     from . import blowup as blowup_mod
-    from .sectors import is_quasi_sl
+    from .sectors import LocalGroupTable, is_quasi_sl
 
     rng = random.Random(seed)
     out: list[Model] = []
@@ -432,7 +432,7 @@ def generate_test_models(
         for _ in range(rng.randrange(3)):
             roll = rng.random()
             if roll < 0.45 and model.m < n + 4:
-                candidates = blowup_mod.crepant_candidates(model)
+                candidates = blowup_mod.crepant_candidates(LocalGroupTable(model))
                 if candidates:
                     spec = rng.choice(candidates)
                     try:

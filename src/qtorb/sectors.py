@@ -393,9 +393,8 @@ class LocalGroupTable:
                 raise NonIntegralAgeError(group.first_fractional_age())
 
 
-def sectors(model: Model, groups: LocalGroupTable | None = None) -> list[BoxElement]:
-    """All sectors in canonical order: the untwisted sector (identity over
-    the whole polytope) first, then every interior box element of every
-    proper face."""
-    table = LocalGroupTable(model) if groups is None else groups
+def sectors(table: LocalGroupTable) -> list[BoxElement]:
+    """All sectors of the table's model in canonical order: the untwisted
+    sector (identity over the whole polytope) first, then every interior
+    box element of every proper face."""
     return [element for group in table.groups for element in group.interior_elements()]

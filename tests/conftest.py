@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qtorb import blow_up, crepant_candidates, faces, generate_test_models, make_model
+from qtorb import LocalGroupTable, blow_up, crepant_candidates, faces, generate_test_models, make_model
 from qtorb.intlat import det, mat_from_cols
 
 # Session-wide fuzz corpus sizes; acceptance wants at least 20 per dimension.
@@ -89,7 +89,7 @@ def crepant_blowups(corpus):
     return [
         (model, spec, blow_up(model, spec))
         for model in corpus
-        for spec in crepant_candidates(model)
+        for spec in crepant_candidates(LocalGroupTable(model))
     ]
 
 

@@ -52,11 +52,12 @@ def report(criterion: str, started: float, limit: float | None = None) -> None:
 def test_criterion_1_wp112_mckay(wp112):
     started = time.perf_counter()
     expected = Poly([1, 2, 1])
-    assert pp_cr_direct(wp112) == expected
-    assert pp_cr_via_closures(wp112) == expected
-    assert pp_cr_via_strata(wp112) == expected
+    table = LocalGroupTable(wp112)
+    assert pp_cr_direct(table) == expected
+    assert pp_cr_via_closures(table) == expected
+    assert pp_cr_via_strata(table) == expected
     spec = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
-    result = mckay_check(wp112, spec)
+    result = mckay_check(cr_report(table), spec)
     assert result.verdict
     assert result.after.pp_cr == expected
     golden = pathlib.Path(__file__).parent.parent / "models" / "wp112.json"
@@ -72,16 +73,16 @@ def test_criterion_1_wp112_mckay(wp112):
 def test_criterion_2_z3_resolution(z3):
     started = time.perf_counter()
     expected = Poly([1, 2, 2, 1])
-    assert pp_cr_direct(z3) == expected
+    groups = LocalGroupTable(z3)
+    assert pp_cr_direct(groups) == expected
     spec = make_blowup_spec(z3, (0, 1, 2), ["1/3", "1/3", "1/3"])
-    result = mckay_check(z3, spec)
+    result = mckay_check(cr_report(groups), spec)
     assert result.verdict
     blown = result.blown
     assert all(abs(det(vertex_matrix(blown, v))) == 1 for v in blown.vertices)
     assert result.after.pp_cr == expected
     vertex = face_by_indices(z3, (0, 1, 2))
     tau = star_subdivide(vertex, spec.lambda0, z3)
-    groups = LocalGroupTable(z3)
     cones = LocalGroupTable(blown, groups)
     assert check_triangulation_identity(vertex, tau, groups, cones).passed
     report("2 (order-3 corner resolution)", started, limit=1.0)
@@ -112,9 +113,9 @@ def test_criterion_4_identity_suite(corpus):
     started = time.perf_counter()
     for model in corpus:
         table = LocalGroupTable(model)
-        assert all(ok for _, ok in check_age_partition(model))
+        assert all(ok for _, ok in check_age_partition(table))
         assert check_torus_stratification(table)[0]
-        rep = cr_report(model)
+        rep = cr_report(table)
         assert rep.routes_agree and rep.all_pass
         interior = {f.facet_set: table.group(f).interior_elements() for f in faces(model)}
         for face in faces(model):
@@ -135,12 +136,13 @@ def test_criterion_5_blowup_lemmas(corpus):
     started = time.perf_counter()
     blowups = 0
     for model in corpus:
-        expected = pp_cr_direct(model)
-        for spec in crepant_candidates(model):
+        before = cr_report(LocalGroupTable(model))
+        expected = before.pp_cr_direct
+        for spec in crepant_candidates(before.groups):
             blown = blow_up(model, spec)
             assert is_quasi_sl(blown)
-            assert pp_cr_direct(blown) == expected
-            assert mckay_check(model, spec).verdict
+            assert pp_cr_direct(LocalGroupTable(blown)) == expected
+            assert mckay_check(before, spec).verdict
             blowups += 1
     assert blowups > 0
     report(f"5 (quasi-SL and Betti invariance over {blowups} blowups)", started)
@@ -149,10 +151,10 @@ def test_criterion_5_blowup_lemmas(corpus):
 def test_criterion_6_metamorphic_invariance(corpus, rng):
     started = time.perf_counter()
     for model in corpus:
-        expected = pp_cr_direct(model)
+        expected = pp_cr_direct(LocalGroupTable(model))
         moved = apply_unimodular(model, random_unimodular(rng, model.n))
-        assert pp_cr_direct(moved) == expected
+        assert pp_cr_direct(LocalGroupTable(moved)) == expected
         perm = list(range(model.m))
         rng.shuffle(perm)
-        assert pp_cr_direct(relabel_facets(model, perm)) == expected
+        assert pp_cr_direct(LocalGroupTable(relabel_facets(model, perm))) == expected
     report("6 (metamorphic invariance)", started)

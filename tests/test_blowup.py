@@ -29,7 +29,6 @@ from qtorb import (
     model_to_json,
     parse_model,
     star_subdivide,
-    trivial_subdivision,
     vertex_matrix,
 )
 from qtorb.blowup import _maximal_volumes, _validated_subdivision
@@ -118,7 +117,7 @@ def test_blow_up_z3_resolves(z3):
 
 def test_blow_up_vertex_count_formula(corpus):
     for model in corpus:
-        for spec in crepant_candidates(model):
+        for spec in crepant_candidates(LocalGroupTable(model)):
             touched = sum(
                 1 for v in model.vertices if set(spec.face) <= set(v)
             )
@@ -160,16 +159,6 @@ def test_star_subdivide_rejects_boundary_point(z3):
         star_subdivide(vertex, (1, 0, 0), z3)
     with pytest.raises(ValueError, match="simplex"):
         star_subdivide(vertex, (0, 0, 2), z3)
-
-
-def test_trivial_subdivision_identity(wp112):
-    vertex = face_by_indices(wp112, (0, 2))
-    tau = trivial_subdivision(vertex, wp112)
-    assert len(tau.interior) == 1
-    groups = LocalGroupTable(wp112)
-    check = check_triangulation_identity(vertex, tau, groups, groups)
-    assert check.passed
-    assert check.lhs == check.rhs == Poly([1, 1])
 
 
 def test_induced_triangulation_identity_case(z3):
@@ -244,7 +233,7 @@ def test_weights_pair_with_the_face_as_given(wp112):
 
 def test_mckay_wp112(wp112):
     spec = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
-    report = mckay_check(wp112, spec)
+    report = mckay_check(cr_report(LocalGroupTable(wp112)), spec)
     assert report.verdict
     assert report.quasi_sl_after
     assert report.before.pp_cr == Poly([1, 2, 1])
@@ -254,7 +243,7 @@ def test_mckay_wp112(wp112):
 
 def test_mckay_z3(z3):
     spec = make_blowup_spec(z3, (0, 1, 2), ["1/3", "1/3", "1/3"])
-    report = mckay_check(z3, spec)
+    report = mckay_check(cr_report(LocalGroupTable(z3)), spec)
     assert report.verdict
     assert report.before.pp_cr == Poly([1, 2, 2, 1])
     assert report.after.pp_cr == Poly([1, 2, 2, 1])
@@ -264,7 +253,7 @@ def test_mckay_z3(z3):
 
 def test_mckay_prism_edge(prism):
     spec = make_blowup_spec(prism, (0, 1), ["1/2", "1/2"])
-    report = mckay_check(prism, spec)
+    report = mckay_check(cr_report(LocalGroupTable(prism)), spec)
     assert report.verdict
     assert report.before.pp_cr == Poly([1, 3, 3, 1])
     # the edge and the two vertices on it each get a triangulation check
@@ -277,31 +266,32 @@ def test_mckay_prism_edge(prism):
 
 def test_mckay_rejects_bad_inputs(wp112):
     with pytest.raises(BlowupError, match="crepant"):
-        mckay_check(wp112, make_blowup_spec(wp112, (0, 1), [1, 1]))
+        mckay_check(cr_report(LocalGroupTable(wp112)), make_blowup_spec(wp112, (0, 1), [1, 1]))
     bad = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -3)])
     with pytest.raises(NonIntegralAgeError):
-        mckay_check(bad, make_blowup_spec(bad, (0, 1), [1, 1]))
+        mckay_check(cr_report(LocalGroupTable(bad)), make_blowup_spec(bad, (0, 1), [1, 1]))
 
 
 def test_smooth_model_crepant_blowup(cp2):
     # A smooth corner: the only crepant centers have unit-sum integer
     # coordinates; (1,1) weights are not crepant, so build one by hand on
     # a model with an A_1 vertex whose blowup is again handled generically.
-    candidates = crepant_candidates(cp2)
+    candidates = crepant_candidates(LocalGroupTable(cp2))
     assert candidates == []
 
 
 def test_lemma_quasi_sl_preserved_on_corpus(corpus):
     for model in corpus:
-        for spec in crepant_candidates(model):
+        for spec in crepant_candidates(LocalGroupTable(model)):
             assert is_quasi_sl(blow_up(model, spec))
 
 
 def test_mckay_on_corpus(corpus):
     checked = 0
     for model in corpus:
-        for spec in crepant_candidates(model):
-            report = mckay_check(model, spec)
+        before = cr_report(LocalGroupTable(model))
+        for spec in crepant_candidates(before.groups):
+            report = mckay_check(before, spec)
             assert report.verdict, (model.name, spec)
             checked += 1
     assert checked > 0
@@ -310,13 +300,14 @@ def test_mckay_on_corpus(corpus):
 def test_iterated_blowups(z3):
     model = z3
     for _ in range(3):
-        candidates = crepant_candidates(model)
+        report = cr_report(LocalGroupTable(model))
+        candidates = crepant_candidates(report.groups)
         if not candidates:
             break
-        before = cr_report(model).pp_cr
+        before = report.pp_cr
         model = blow_up(model, candidates[0])
         assert is_quasi_sl(model)
-        assert cr_report(model).pp_cr == before
+        assert cr_report(LocalGroupTable(model)).pp_cr == before
 
 
 def test_induced_triangulation_solves_no_vertex(monkeypatch, prism):
@@ -382,7 +373,7 @@ def test_partition_checks_catch_a_wrongly_trivial_face(monkeypatch, prism):
         assert f"prism: box partition fails at vertex {vertex}" in failures
         assert f"prism: age partition fails at face {vertex}" in failures
     assert "prism: box enumeration disagrees with exhaustion at [0, 1]" in failures
-    failing = [face.facet_set for face, ok in check_age_partition(prism) if not ok]
+    failing = [face.facet_set for face, ok in check_age_partition(LocalGroupTable(prism)) if not ok]
     assert failing == [(0, 1, 3), (0, 1, 4)]
 
 
@@ -398,7 +389,7 @@ def test_age_partition_catches_every_wrongly_trivial_face(monkeypatch, corpus):
                 continue
             with monkeypatch.context() as patch:
                 _mislabel_as_trivial(patch, group.face.facet_set)
-                failing = [face for face, ok in check_age_partition(model) if not ok]
+                failing = [face for face, ok in check_age_partition(LocalGroupTable(model)) if not ok]
             assert failing, (model.name, group.face)
             mutated += 1
     assert mutated > 0
@@ -411,8 +402,8 @@ def test_vertex_order_is_checked_against_the_determinant(monkeypatch, z3):
     without the oracle."""
     assert identity_failures(z3) == []
     _mislabel_as_trivial(monkeypatch, (0, 1, 2))
-    assert cr_report(z3).pp_cr == Poly([1, 1, 1, 1])
-    assert all(ok for _, ok in check_age_partition(z3))
+    assert cr_report(LocalGroupTable(z3)).pp_cr == Poly([1, 1, 1, 1])
+    assert all(ok for _, ok in check_age_partition(LocalGroupTable(z3)))
     assert identity_failures(z3) == [
         "z3-tetrahedron: group order 1 is not |det| 3 at vertex [0, 1, 2]"
     ]
@@ -443,10 +434,10 @@ def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(
     monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: calls.append(bool(inside)) or real_smith(m))
     monkeypatch.setattr(blowup_mod, "check_triangulation_identity", check)
     for model, spec, blown in crepant_blowups:
-        before = cr_report(model)
+        before = cr_report(LocalGroupTable(model))
         calls.clear()
         cones.clear()
-        assert mckay_check(model, spec, before).verdict
+        assert mckay_check(before, spec).verdict
         on_new_facet = [f for f in faces(blown) if model.m in f.facet_set]
         assert len(calls) == len(smith_form_faces(blown, model))
         assert all(model.m in f.facet_set for f in smith_form_faces(blown, model))
@@ -473,7 +464,7 @@ def _z4_tetra_blowups():
         [(1, 0, 0), (1, 2, 0), (1, 1, 2), (-1, -1, -1)],
         name="z4-tetrahedron",
     )
-    return [(model, spec, blow_up(model, spec)) for spec in crepant_candidates(model)]
+    return [(model, spec, blow_up(model, spec)) for spec in crepant_candidates(LocalGroupTable(model))]
 
 
 def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
@@ -483,8 +474,8 @@ def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
     equal those of the validated induced triangulations."""
     proper = 0
     for model, spec, _ in crepant_blowups + _z4_tetra_blowups():
-        report = mckay_check(model, spec)
-        tau = star_subdivide(face_by_indices(model, spec.face), spec.lambda0, model)
+        report = mckay_check(cr_report(LocalGroupTable(model)), spec)
+        tau = report.subdivision
         subfaces = _subfaces(model, spec)
         assert [check.face for check in report.triangulation_checks] == subfaces
         for check, sub in zip(report.triangulation_checks, subfaces):
@@ -521,12 +512,12 @@ def test_mckay_fails_without_an_interior_simplex(monkeypatch, crepant_blowups):
     every subface's sum, so every identity fails."""
     mutated = 0
     for model, spec, _ in crepant_blowups:
-        before = cr_report(model)
+        before = cr_report(LocalGroupTable(model))
         size = len(star_subdivide(face_by_indices(model, spec.face), spec.lambda0, model).interior)
         for index in range(size):
             with monkeypatch.context() as patch:
                 _drop_interior_simplex(patch, index)
-                report = mckay_check(model, spec, before)
+                report = mckay_check(before, spec)
             assert not report.verdict, (model.name, spec, index)
             assert not any(check.passed for check in report.triangulation_checks)
             mutated += 1
@@ -546,7 +537,7 @@ def test_mckay_fails_without_the_extra_vectors(monkeypatch, crepant_blowups):
     flipped = []
     for model, spec, _ in crepant_blowups + _z4_tetra_blowups():
         groups = LocalGroupTable(model)
-        report = mckay_check(model, spec, cr_report(model, groups))
+        report = mckay_check(cr_report(groups), spec)
         own = groups.group(face_by_indices(model, spec.face)).age_polynomial
         differ = [
             sub for sub in _subfaces(model, spec) if groups.group(sub).age_polynomial != own
@@ -559,16 +550,22 @@ def test_mckay_fails_without_the_extra_vectors(monkeypatch, crepant_blowups):
 
 
 def test_oracle_reports_a_lazy_sum_that_disagrees(monkeypatch, prism):
-    """With a simplex missing from the star subdivision that ``mckay_check``
-    reads, every subface's lazy sum differs from the one the oracle gets
-    from the validated induced triangulation."""
+    """With a simplex missing from the star subdivision that the identities
+    of ``mckay_check`` read, every subface's lazy sum differs from the one
+    the oracle gets from the validated induced triangulation of the star
+    subdivision the report keeps."""
     assert identity_failures(prism, include_oracle=True) == []
     real_mckay = blowup_mod.mckay_check
+    real_check = blowup_mod.check_triangulation_identity
 
-    def mckay(model, spec, before=None):
+    def lossy_check(face, subdivision, groups, cones, extra=()):
+        lossy = replace(subdivision, interior=subdivision.interior[1:])
+        return real_check(face, lossy, groups, cones, extra)
+
+    def mckay(before, spec):
         with monkeypatch.context() as patch:
-            _drop_interior_simplex(patch, 0)
-            return real_mckay(model, spec, before)
+            patch.setattr(blowup_mod, "check_triangulation_identity", lossy_check)
+            return real_mckay(before, spec)
 
     monkeypatch.setattr(blowup_mod, "mckay_check", mckay)
     betti = "prism: crepant blowup at [0, 1] changes the Betti numbers"
@@ -581,6 +578,24 @@ def test_oracle_reports_a_lazy_sum_that_disagrees(monkeypatch, prism):
         assert message.startswith(
             f"prism: crepant blowup at [0, 1]: the induced triangulation of {sub} sums to "
         )
+
+
+def test_oracle_reads_the_star_subdivision_from_the_report(monkeypatch, corpus):
+    """Under the oracle, each crepant candidate runs one star subdivision:
+    the one ``mckay_check`` validated, which its report keeps."""
+    calls = []
+    real = blowup_mod.star_subdivide
+    monkeypatch.setattr(
+        blowup_mod, "star_subdivide", lambda *args: calls.append(args) or real(*args)
+    )
+    checked = 0
+    for model in corpus[::4]:
+        candidates = crepant_candidates(LocalGroupTable(model))
+        calls.clear()
+        assert identity_failures(model, include_oracle=True) == []
+        assert len(calls) == len(candidates)
+        checked += len(candidates)
+    assert checked > 0
 
 
 def test_induced_coordinates_equal_the_solve(crepant_blowups):
@@ -608,7 +623,7 @@ def _fuzz_codim4_induced():
     maximal simplices of volumes 1/6 and 5/6."""
     (model,) = generate_test_models(11, 1, n=4)
     spec = next(
-        s for s in crepant_candidates(model)
+        s for s in crepant_candidates(LocalGroupTable(model))
         if s.face == (0, 4) and s.weights == (Fraction(1, 6), Fraction(5, 6))
     )
     tau = star_subdivide(face_by_indices(model, spec.face), spec.lambda0, model)

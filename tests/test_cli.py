@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtorb.sectors as sectors_mod
-from qtorb import model_to_json, parse_model
+from qtorb import LocalGroupTable, model_to_json, parse_model
 from qtorb.cli import main
 
 
@@ -302,8 +302,8 @@ def test_cr_reads_identities_by_name(capsys, monkeypatch, wp112_path):
     import qtorb.cli as cli_mod
     from qtorb.cohomology import cr_report
 
-    def reordered(model):
-        report = cr_report(model)
+    def reordered(table):
+        report = cr_report(table)
         failing = dataclasses.replace(report.identity("newpon"), passed=False)
         others = [c for c in report.identities if c.name != "newpon"]
         return dataclasses.replace(report, identities=(failing, *reversed(others)))
@@ -321,15 +321,65 @@ def test_identity_failures_reports_each_model_once(monkeypatch, z3, prism):
     reported = []
 
     def counting(real):
-        return lambda model, groups=None: reported.append(model) or real(model, groups)
+        return lambda table: reported.append(table.model) or real(table)
 
     monkeypatch.setattr(blowup_mod, "cr_report", counting(blowup_mod.cr_report))
     for model in (z3, prism):
         reported.clear()
         assert blowup_mod.identity_failures(model) == []
-        blown = [blowup_mod.blow_up(model, spec) for spec in crepant_candidates(model)]
+        blown = [blowup_mod.blow_up(model, spec) for spec in crepant_candidates(LocalGroupTable(model))]
         assert blown
         assert reported == [model] + [b for b in blown if is_quasi_sl(b)]
+
+
+def record_tables(monkeypatch):
+    """Patch the table constructor to record the model of every table built."""
+    built = []
+    real = LocalGroupTable.__init__
+
+    def init(self, model, base=None):
+        built.append(model)
+        real(self, model, base)
+
+    monkeypatch.setattr(LocalGroupTable, "__init__", init)
+    return built
+
+
+@pytest.mark.parametrize(
+    "command, options, tables",
+    [
+        ("validate", [], 0),
+        ("sectors", [], 1),
+        ("betti", [], 1),
+        ("cr", [], 1),
+        ("ehrhart", [], 1),
+        ("ehrhart", ["--oracle"], 1),
+        ("mckay", ["--face", "0,2", "--weights", "1/2,1/2"], 2),
+    ],
+    ids=["validate", "sectors", "betti", "cr", "ehrhart", "ehrhart-oracle", "mckay"],
+)
+def test_each_command_builds_one_table_per_model(
+    capsys, monkeypatch, wp112, wp112_path, command, options, tables
+):
+    built = record_tables(monkeypatch)
+    rc, _ = run(capsys, command, wp112_path, *options)
+    assert rc == 0
+    assert len(built) == tables
+    # mckay builds the base model's table, then the blown-up model's.
+    assert [model.m for model in built] == [wp112.m, wp112.m + 1][:tables]
+
+
+def test_identity_failures_builds_one_table_per_model(monkeypatch, corpus):
+    from qtorb import crepant_candidates, identity_failures
+
+    for model in corpus[::4]:
+        candidates = crepant_candidates(LocalGroupTable(model))
+        with monkeypatch.context() as patch:
+            built = record_tables(patch)
+            assert identity_failures(model) == []
+        # The base model's table, then one blown-up table per candidate.
+        assert len(built) == 1 + len(candidates)
+        assert built[0] == model
 
 
 def test_ehrhart_runs_one_smith_form_per_proper_face(capsys, monkeypatch, smith_form_faces):

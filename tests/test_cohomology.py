@@ -22,6 +22,7 @@ from qtorb import (
 )
 from qtorb.cohomology import _sum
 from qtorb.exact import Poly
+from qtorb.sectors import sectors
 
 
 def square_model():
@@ -45,34 +46,36 @@ def test_e_torus():
 
 
 def test_pp_cr_golden_values(wp112, cp2, z3):
-    assert pp_cr_direct(cp2) == Poly([1, 1, 1])
-    assert pp_cr_direct(wp112) == Poly([1, 2, 1])
-    assert pp_cr_direct(z3) == Poly([1, 2, 2, 1])
+    assert pp_cr_direct(LocalGroupTable(cp2)) == Poly([1, 1, 1])
+    assert pp_cr_direct(LocalGroupTable(wp112)) == Poly([1, 2, 1])
+    assert pp_cr_direct(LocalGroupTable(z3)) == Poly([1, 2, 2, 1])
 
 
 def test_three_routes_agree_on_goldens(wp112, cp2, z3, prism):
     for model in (wp112, cp2, z3, prism):
-        direct = pp_cr_direct(model)
-        assert direct == pp_cr_via_closures(model)
-        assert direct == pp_cr_via_strata(model)
+        table = LocalGroupTable(model)
+        direct = pp_cr_direct(table)
+        assert direct == pp_cr_via_closures(table)
+        assert direct == pp_cr_via_strata(table)
 
 
 def test_three_routes_agree_on_corpus(corpus):
     for model in corpus:
-        direct = pp_cr_direct(model)
-        assert direct == pp_cr_via_closures(model)
-        assert direct == pp_cr_via_strata(model)
+        table = LocalGroupTable(model)
+        direct = pp_cr_direct(table)
+        assert direct == pp_cr_via_closures(table)
+        assert direct == pp_cr_via_strata(table)
 
 
 def test_age_partition_per_face(wp112, z3, corpus):
     # Spot values first: the order-2 vertex decomposes as
     # 1 + s = [interior of the vertex] + [whole-polytope term].
     results = dict(
-        ((f.facet_set, ok) for f, ok in check_age_partition(wp112))
+        ((f.facet_set, ok) for f, ok in check_age_partition(LocalGroupTable(wp112)))
     )
     assert all(results.values())
     for model in corpus:
-        assert all(ok for _, ok in check_age_partition(model))
+        assert all(ok for _, ok in check_age_partition(LocalGroupTable(model)))
 
 
 def test_torus_stratification(wp112, corpus):
@@ -129,17 +132,17 @@ def test_sector_sums_equal_all_face_definitions(corpus, crepant_blowups):
             rhs = _chained_sum(g.interior_age_polynomial for g in above)
             assert group.age_polynomial == rhs, (model.name, face)
             partition.append((face, True))
-        assert check_age_partition(model, table) == partition
+        assert check_age_partition(table) == partition
         closures = _chained_sum(
             Poly(h_vector(g.face, model)) * g.interior_age_polynomial for g in groups
         )
         strata = _chained_sum(e_torus(g.face.dim) * g.age_polynomial for g in groups)
-        assert pp_cr_via_closures(model, table) == closures
-        assert pp_cr_via_strata(model, table) == strata
+        assert pp_cr_via_closures(table) == closures
+        assert pp_cr_via_strata(table) == strata
         torus = _chained_sum(e_torus(face.dim) for face in all_faces)
         pp = Poly(h_vector(all_faces[0], model))
         assert check_torus_stratification(table) == (pp == torus, pp, torus)
-        assert cr_report(model, table).pp == pp
+        assert cr_report(table).pp == pp
 
 
 def test_pp_cr_at_one_counts_sectors_with_vertices(corpus):
@@ -147,12 +150,12 @@ def test_pp_cr_at_one_counts_sectors_with_vertices(corpus):
         total = 0
         for group in LocalGroupTable(model).groups:
             total += len(group.interior) * len(group.face.vertex_ids)
-        assert pp_cr_direct(model)(1) == total
+        assert pp_cr_direct(LocalGroupTable(model))(1) == total
 
 
 def test_pp_cr_constant_term_is_one(corpus):
     for model in corpus:
-        assert pp_cr_direct(model).coeffs[0] == 1
+        assert pp_cr_direct(LocalGroupTable(model)).coeffs[0] == 1
 
 
 def test_invariance_under_relabeling(corpus, rng):
@@ -160,26 +163,27 @@ def test_invariance_under_relabeling(corpus, rng):
         perm = list(range(model.m))
         rng.shuffle(perm)
         relabeled = relabel_facets(model, perm)
-        assert pp_cr_direct(relabeled) == pp_cr_direct(model)
+        assert pp_cr_direct(LocalGroupTable(relabeled)) == pp_cr_direct(LocalGroupTable(model))
         assert h_vector(faces(relabeled)[0], relabeled) == h_vector(faces(model)[0], model)
 
 
 def test_invariance_under_basis_change(corpus, rng):
     for model in corpus[:8]:
-        moved = apply_unimodular(model, random_unimodular(rng, model.n))
-        assert pp_cr_direct(moved) == pp_cr_direct(model)
-        assert pp_cr_via_strata(moved) == pp_cr_via_strata(model)
+        table = LocalGroupTable(model)
+        moved = LocalGroupTable(apply_unimodular(model, random_unimodular(rng, model.n)))
+        assert pp_cr_direct(moved) == pp_cr_direct(table)
+        assert pp_cr_via_strata(moved) == pp_cr_via_strata(table)
 
 
 def test_pp_cr_rejects_non_quasi_sl():
     bad = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -3)])
     for route in (pp_cr_direct, pp_cr_via_closures, pp_cr_via_strata):
         with pytest.raises(NonIntegralAgeError):
-            route(bad)
+            route(LocalGroupTable(bad))
 
 
 def test_cr_report(wp112):
-    report = cr_report(wp112)
+    report = cr_report(LocalGroupTable(wp112))
     assert report.routes_agree and report.all_pass
     assert report.pp == Poly([1, 1, 1])
     assert report.pp_cr == Poly([1, 2, 1])
@@ -189,9 +193,9 @@ def test_cr_report(wp112):
         "closures",
     ]
     assert all(c.passed for c in report.identities)
-    # untwisted sector first, then the age-1 vertex sector
-    assert report.per_sector[0][1] == 0
-    assert report.per_sector[1][1:] == (1, Poly([0, 1]))
+    # untwisted sector first, then the age-1 vertex sector, which adds s
+    assert [(e.face.facet_set, e.age) for e in sectors(report.groups)] == [((), 0), ((0, 2), 1)]
+    assert report.pp_cr - report.pp == Poly([0, 1])
 
 
 def test_cr_report_runs_one_smith_form_per_proper_face(monkeypatch, corpus, smith_form_faces):
@@ -204,14 +208,14 @@ def test_cr_report_runs_one_smith_form_per_proper_face(monkeypatch, corpus, smit
     skipped = 0
     for model in corpus[::5]:
         calls.clear()
-        cr_report(model)
+        cr_report(LocalGroupTable(model))
         assert len(calls) == len(smith_form_faces(model))
         skipped += sum(1 for f in faces(model) if f.codim > 0) - len(calls)
     assert skipped > 0
 
 
 def test_identity_lookup_by_name(wp112):
-    report = cr_report(wp112)
+    report = cr_report(LocalGroupTable(wp112))
     for check in report.identities:
         assert report.identity(check.name) is check
     with pytest.raises(KeyError):

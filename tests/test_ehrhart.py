@@ -12,7 +12,6 @@ from qtorb import (
     face_simplex,
     faces,
     numerator_from_counts,
-    simplex_in_face,
 )
 from qtorb.ehrhart import LatticeSimplex
 from qtorb.exact import binom
@@ -49,14 +48,6 @@ def test_face_simplex(wp112):
 def test_face_simplex_rejects_whole_polytope(wp112):
     with pytest.raises(ValueError):
         face_simplex(faces(wp112)[0], wp112)
-
-
-def test_simplex_in_face_validates(wp112):
-    vertex = face_by_indices(wp112, (0, 2))
-    sx = simplex_in_face(vertex, wp112, [(0, -1)])
-    assert sx.coords == ((Fraction(1, 2), Fraction(1, 2)),)
-    with pytest.raises(ValueError):
-        simplex_in_face(vertex, wp112, [(5, 5)])
 
 
 def test_dilate_count_unimodular_segment():

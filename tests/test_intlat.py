@@ -11,19 +11,25 @@ from qtorb.intlat import (
     as_mat,
     coords_in_basis,
     det,
-    invariant_factors,
     is_primitive,
     lattice_index,
     mat_from_cols,
-    mat_mul,
-    saturation,
     smith_normal_form,
-    unimodular_inverse,
 )
 
 
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def smith_invariants(m):
+    """Nonzero diagonal of the Smith normal form, in divisibility order."""
+    _, d, _ = smith_normal_form(m)
+    return tuple(d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i])
 
 
 def naive_det(m):
@@ -121,13 +127,6 @@ def test_adjugate_identity():
     )
 
 
-def test_unimodular_inverse():
-    u = as_mat([[2, 1], [1, 1]])
-    assert mat_mul(unimodular_inverse(u), u) == identity(2)
-    with pytest.raises(ValueError):
-        unimodular_inverse(as_mat([[2, 0], [0, 1]]))
-
-
 def test_snf_identity():
     u, d, v = smith_normal_form(identity(3))
     assert d == identity(3)
@@ -187,53 +186,23 @@ def test_snf_deterministic(rng):
         assert smith_normal_form(m) == smith_normal_form(m)
 
 
-def test_invariant_factors():
-    assert invariant_factors(as_mat([[1, 1], [0, 2]])) == (1, 2)
-    assert invariant_factors(mat_from_cols([(2, 4)])) == (2,)
-
-
-def test_saturation_single_column():
-    b = saturation(mat_from_cols([(2, 4)]))
-    col = tuple(row[0] for row in b)
-    assert col in ((1, 2), (-1, -2))
-    assert coords_in_basis(b, (2, 4)) in ((Fraction(2),), (Fraction(-2),))
-
-
-def test_saturation_standard_basis():
-    basis = mat_from_cols([(1, 0, 0), (0, 1, 0)])
-    sat = saturation(basis)
-    for col in [(1, 0, 0), (0, 1, 0)]:
-        c = coords_in_basis(sat, col)
-        assert all(x.denominator == 1 for x in c)
-    assert lattice_index([tuple(row[j] for row in sat) for j in range(2)]) == 1
-
-
 def test_saturation_index_one_pair():
     # gcd of the 2x2 minors of these columns is 1, so they already
-    # generate a saturated lattice; the minor-gcd oracle pins index 1.
+    # generate a saturated lattice: every Smith invariant is 1.
     cols = [(1, 0, 0), (-1, -1, 3)]
     assert lattice_index(cols) == 1
-    sat = saturation(mat_from_cols(cols))
-    for col in cols:
-        c = coords_in_basis(sat, col)
-        assert all(x.denominator == 1 for x in c)
-    mat = [[c for c in coords_in_basis(sat, col)] for col in cols]
-    assert abs(fraction_det([list(r) for r in zip(*mat)])) == 1
+    assert smith_invariants(mat_from_cols(cols)) == (1, 1)
 
 
 def test_saturation_full_rank_index_three():
+    # The saturation of a full-rank sublattice is the whole lattice, so
+    # the index is |det|.
     cols = [(1, 0, 0), (0, 1, 0), (-1, -1, 3)]
-    assert lattice_index(cols) == 3
-    sat = saturation(mat_from_cols(cols))
-    # The saturation of a full-rank sublattice is the whole lattice.
-    for unit in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-        c = coords_in_basis(sat, unit)
-        assert all(x.denominator == 1 for x in c)
+    assert lattice_index(cols) == 3 == abs(det(mat_from_cols(cols)))
+    assert smith_invariants(mat_from_cols(cols)) == (1, 1, 3)
 
 
 def test_saturation_rejects_dependent_columns():
-    with pytest.raises(RankDeficientError):
-        saturation(mat_from_cols([(1, 2), (2, 4)]))
     with pytest.raises(RankDeficientError):
         lattice_index([(1, 2), (2, 4)])
 
@@ -241,6 +210,8 @@ def test_saturation_rejects_dependent_columns():
 @given(st.data())
 @settings(max_examples=60)
 def test_saturation_contract(data):
+    """The index of the column lattice inside its saturation, from the
+    gcd of the maximal minors, is the product of the Smith invariants."""
     n = data.draw(st.integers(2, 4))
     k = data.draw(st.integers(1, n))
     cols = [
@@ -250,16 +221,14 @@ def test_saturation_contract(data):
         index = lattice_index(cols)
     except RankDeficientError:
         return
-    sat = saturation(mat_from_cols(cols))
-    coord_rows = [coords_in_basis(sat, col) for col in cols]
-    for row in coord_rows:
-        assert all(x.denominator == 1 for x in row)
-    # index of the column lattice inside its saturation
-    assert abs(fraction_det([list(r) for r in zip(*coord_rows)])) == index
+    invariants = smith_invariants(mat_from_cols(cols))
+    assert len(invariants) == k
     product = 1
-    for f in invariant_factors(mat_from_cols(cols)):
+    for f in invariants:
         product *= f
     assert product == index
+    if k == n:
+        assert abs(fraction_det(mat_from_cols(cols))) == index
 
 
 def test_coords_in_basis():

@@ -158,10 +158,10 @@ def test_quasi_sl(wp112, cp2):
 
 
 def test_sectors_listing(wp112, cp2, z3):
-    assert len(sectors(cp2)) == 1
-    wp_sectors = sectors(wp112)
+    assert len(sectors(LocalGroupTable(cp2))) == 1
+    wp_sectors = sectors(LocalGroupTable(wp112))
     assert [(s.face.facet_set, s.age) for s in wp_sectors] == [((), 0), ((0, 2), 1)]
-    z3_sectors = sectors(z3)
+    z3_sectors = sectors(LocalGroupTable(z3))
     assert [(s.face.facet_set, s.age) for s in z3_sectors] == [
         ((), 0),
         ((0, 1, 2), 1),
@@ -318,7 +318,7 @@ def test_local_group_matches_box_of_columns(corpus):
             bare = box_of_columns(group.columns, model.n)
             assert group.box_elements() == [replace(e, face=face) for e in bare]
         assert table.quasi_sl == is_quasi_sl(model)
-        assert sectors(model, table) == sectors(model)
+        assert sectors(table) == sectors(LocalGroupTable(model))
 
 
 def test_table_reports_first_fractional_age():
