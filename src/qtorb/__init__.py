@@ -78,7 +78,6 @@ from .sectors import (
     NonIntegralAgeError,
     box_by_exhaustion,
     box_of_columns,
-    is_quasi_sl,
 )
 
 __version__ = "0.1.0"

@@ -27,8 +27,8 @@ from .model import (
     Model,
     ModelValidationError,
     face_by_indices,
-    faces,
     make_model,
+    subfaces,
 )
 from .sectors import LocalGroupTable, box_by_exhaustion
 
@@ -343,7 +343,6 @@ class McKayReport:
     before: CrReport
     spec: BlowupSpec
     blown_groups: LocalGroupTable
-    quasi_sl_after: bool
     after: CrReport | None
     subdivision: Subdivision
     triangulation_checks: tuple[TriangulationCheck, ...]
@@ -351,6 +350,10 @@ class McKayReport:
     @property
     def blown(self) -> Model:
         return self.blown_groups.model
+
+    @property
+    def quasi_sl_after(self) -> bool:
+        return self.blown_groups.quasi_sl
 
     @property
     def pp_cr_match(self) -> bool:
@@ -387,21 +390,17 @@ def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
     # Faces away from the new facet keep the base model's groups; the
     # faces on it are the interior cones of the triangulations below.
     blown_groups = LocalGroupTable(blown, groups)
-    quasi_after = blown_groups.quasi_sl
-    after = cr_report(blown_groups) if quasi_after else None
+    after = cr_report(blown_groups) if blown_groups.quasi_sl else None
     face = face_by_indices(model, spec.face)
     tau = star_subdivide(face, spec.lambda0, model)
-    cut = set(spec.face)
     checks = []
-    for sub in faces(model):
-        if cut <= set(sub.facet_set):
-            extra = tuple(model.char_vectors[i] for i in sub.facet_set if i not in cut)
-            checks.append(check_triangulation_identity(sub, tau, groups, blown_groups, extra))
+    for sub in subfaces(face, model):
+        extra = tuple(model.char_vectors[i] for i in sub.facet_set if i not in face.facet_set)
+        checks.append(check_triangulation_identity(sub, tau, groups, blown_groups, extra))
     return McKayReport(
         before=before,
         spec=spec,
         blown_groups=blown_groups,
-        quasi_sl_after=quasi_after,
         after=after,
         subdivision=tau,
         triangulation_checks=tuple(checks),
@@ -482,11 +481,8 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
                 f"{label}: crepant blowup at {list(spec.face)} changes the Betti numbers"
             )
         if include_oracle:
-            cut = set(spec.face)
             lazy = {check.face: check.rhs for check in mckay.triangulation_checks}
-            for sub in faces(model):
-                if not cut <= set(sub.facet_set):
-                    continue
+            for sub in subfaces(mckay.subdivision.ambient_face, model):
                 induced = induced_triangulation(sub, mckay.subdivision, model)
                 rhs = check_triangulation_identity(sub, induced, groups, mckay.blown_groups).rhs
                 if lazy.get(sub) != rhs:

@@ -33,10 +33,11 @@ from .model import (
     generate_test_models,
     load_model,
     model_to_dict,
+    model_to_json,
     positively_omnioriented,
     vertex_sign,
 )
-from .sectors import LocalGroupTable, is_quasi_sl, sectors
+from .sectors import LocalGroupTable, sectors
 
 
 def _emit(payload) -> None:
@@ -73,7 +74,7 @@ def _cmd_validate(args) -> int:
         "m": model.m,
         "num_vertices": len(model.vertices),
         "num_faces": len(faces(model)),
-        "quasi_sl": is_quasi_sl(model),
+        "quasi_sl": LocalGroupTable(model).quasi_sl,
         "vertex_signs": [vertex_sign(model, v) for v in model.vertices],
         # Sign data depends on the fixed increasing-index column order.
         "positively_omnioriented": positively_omnioriented(model),
@@ -186,7 +187,7 @@ def _cmd_blowup(args) -> int:
     }
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(model_to_dict(blown), sort_keys=True, indent=2) + "\n")
+            handle.write(model_to_json(blown))
     _emit(payload)
     return 0
 

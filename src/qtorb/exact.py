@@ -86,9 +86,6 @@ class Poly:
         """Degree in s; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -379,10 +379,11 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 3) -> IntMat:
     return tuple(tuple(row) for row in mat)
 
 
-def _random_simplex_model(rng: random.Random, n: int, index: int) -> Model | None:
-    """Simplex over n+1 facets: unit vectors plus one random last vector,
-    kept only when the result validates and every age is integral."""
-    from .sectors import is_quasi_sl
+def _random_simplex_model(rng: random.Random, n: int, index: int):
+    """The LocalGroupTable of a simplex over n+1 facets: unit vectors plus
+    one random last vector, kept only when it validates and every age is
+    integral."""
+    from .sectors import LocalGroupTable
 
     vertices = list(itertools.combinations(range(n + 1), n))
     lams = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -401,9 +402,8 @@ def _random_simplex_model(rng: random.Random, n: int, index: int) -> Model | Non
         model = make_model(n, n + 1, vertices, lams + [last], name=f"fuzz-n{n}-{index}")
     except (ValueError, ModelValidationError):
         return None
-    if not is_quasi_sl(model):
-        return None
-    return model
+    table = LocalGroupTable(model)
+    return table if table.quasi_sl else None
 
 
 def generate_test_models(
@@ -414,36 +414,40 @@ def generate_test_models(
     Starts from simplex models with a random compatible last vector and
     mutates with valid blowups and unimodular basis changes.  Stops
     quietly when `budget` construction attempts are spent, so the result
-    can be shorter than `count`.
+    can be shorter than `count`.  The current model's LocalGroupTable
+    lends its groups to each blowup's table, and is dropped only after a
+    unimodular change.
     """
     if n not in (2, 3, 4):
         raise ValueError(f"generator supports n in {{2, 3, 4}}, got {n}")
     from . import blowup as blowup_mod
-    from .sectors import LocalGroupTable, is_quasi_sl
+    from .sectors import LocalGroupTable
 
     rng = random.Random(seed)
     out: list[Model] = []
     attempts = 0
     while len(out) < count and attempts < budget:
         attempts += 1
-        model = _random_simplex_model(rng, n, len(out))
-        if model is None:
+        table = _random_simplex_model(rng, n, len(out))
+        if table is None:
             continue
         for _ in range(rng.randrange(3)):
+            model = table.model
             roll = rng.random()
             if roll < 0.45 and model.m < n + 4:
-                candidates = blowup_mod.crepant_candidates(LocalGroupTable(model))
+                candidates = blowup_mod.crepant_candidates(table)
                 if candidates:
                     spec = rng.choice(candidates)
                     try:
                         blown = blowup_mod.blow_up(model, spec)
                     except (ValueError, ModelValidationError):
                         continue
-                    if is_quasi_sl(blown):
-                        model = blown
+                    blown_table = LocalGroupTable(blown, table)
+                    if blown_table.quasi_sl:
+                        table = blown_table
             elif roll < 0.85:
                 try:
-                    model = apply_unimodular(model, random_unimodular(rng, n))
+                    table = LocalGroupTable(apply_unimodular(model, random_unimodular(rng, n)))
                 except ModelValidationError:
                     pass
             else:
@@ -459,8 +463,10 @@ def generate_test_models(
                     blown = blowup_mod.blow_up(model, spec)
                 except (ValueError, ModelValidationError):
                     continue
-                if is_quasi_sl(blown):
-                    model = blown
+                blown_table = LocalGroupTable(blown, table)
+                if blown_table.quasi_sl:
+                    table = blown_table
+        model = table.model
         out.append(
             Model(
                 n=model.n,

@@ -6,11 +6,12 @@ the unique coefficient vector with entries in [0, 1).  Each element
 carries its lattice point, its age (the coefficient sum), and its height
 (the number of nonzero coefficients, which equals the rank of g - id on
 the tangent representation).  :class:`LocalGroupTable` holds the group
-of every face of a model, built once, for everything computed on it.
-A face's box elements are those of any vertex through it whose
-coefficients vanish off the face, so every face through a smooth vertex
-has the trivial group, and the table runs a Smith form only for the
-vertices and for the faces through no smooth vertex.
+of every face of a model, built once, on first use, for everything
+computed on it.  A vertex with |det| = 1 is smooth: its group is
+trivial.  A face's box elements are those of any vertex through it
+whose coefficients vanish off the face, so every face through a smooth
+vertex has the trivial group, and the table runs a Smith form only for
+the other vertices and for the faces through no smooth vertex.
 
 A second, independent enumeration by exhaustive search over denominators
 dividing the group order is provided for cross-checking.
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 from .exact import Poly
-from .intlat import IntMat, IntVec, lattice_index, smith_normal_form
+from .intlat import IntMat, IntVec, det, lattice_index, smith_normal_form
 from .model import Face, Model, faces, h_vector
 
 
@@ -275,42 +276,30 @@ def box_by_exhaustion(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxEleme
     return elements
 
 
-def _face_columns(face: Face, model: Model) -> list[IntVec]:
-    return [model.char_vectors[i] for i in face.facet_set]
-
-
-def is_quasi_sl(model: Model) -> bool:
-    """True iff every age of every twisted sector is an integer.  Vertex
-    groups suffice, since every box element of any face reappears in
-    some vertex box, and each is decided from its Smith form alone."""
-    return all(
-        LocalGroup(_face_columns(face, model), model.n, face).integral_ages
-        for face in faces(model)
-        if face.codim == model.n
-    )
-
-
 class LocalGroupTable:
-    """The local group of every face of one model, in ``faces(model)``
-    order, each built once, and the h-vector of every face that carries
-    sectors.
+    """The local group of every face of one model, and the h-vector of
+    every face that carries sectors.
 
     Every computation on a model reads its faces' groups from one table:
     quasi-SL, sectors, the three Chen-Ruan routes and the identities.  A
     table lives as long as the command that built it; nothing keeps it
-    beyond that.
+    beyond that.  :meth:`group` builds a face's group the first time it
+    is asked for and keeps it; :attr:`groups` builds the rest.
 
-    Each vertex runs one Smith form.  A lower face through a smooth
-    vertex (group order 1) has the trivial group and runs none: its
-    columns are part of that vertex's lattice basis, so its box elements,
-    which are the vertex's box elements with coefficients vanishing off
-    the face, reduce to the identity.  Every other face runs one Smith
-    form.
+    A vertex whose columns have |det| = 1 is smooth: its columns are a
+    lattice basis, and its group is built trivial, without a Smith form.
+    A lower face through a smooth vertex has the trivial group and runs
+    none: its columns are part of that basis, so its box elements, which
+    are the vertex's box elements with coefficients vanishing off the
+    face, reduce to the identity.  Every other face runs one Smith form.
+    So :attr:`quasi_sl` runs one per singular vertex and builds no lower
+    face.
 
     With ``base``, the table of another model in the same dimension
     (the model a blowup came from), a face whose facet set and columns
     are those of a face of ``base`` takes that face's group, enumerated
-    data included, before any of the above.
+    data included, before any of the above.  ``base`` lends only the
+    groups it has already built.
 
     Only the faces with interior elements carry sectors, and only they
     add nonzero terms to the sector routes and the age partition.  They
@@ -321,31 +310,45 @@ class LocalGroupTable:
 
     def __init__(self, model: Model, base: LocalGroupTable | None = None):
         self.model = model
-        reuse = {} if base is None else base._by_facets
+        self._lent = {} if base is None else base._by_facets
+        self._by_facets: dict[tuple[int, ...], LocalGroup] = {}
+        self._faces = {face.facet_set: face for face in faces(model)}
 
-        def build(face: Face, trivial: bool = False) -> LocalGroup:
-            columns = tuple(_face_columns(face, model))
-            known = reuse.get(face.facet_set)
-            if known is not None and known.columns == columns and known.ambient_dim == model.n:
-                return known.retagged(face)
-            if trivial:
-                return LocalGroup._trivial(columns, model.n, face)
-            return LocalGroup(columns, model.n, face)
+    def _build(self, face: Face) -> LocalGroup:
+        model = self.model
+        columns = tuple(model.char_vectors[i] for i in face.facet_set)
+        known = self._lent.get(face.facet_set)
+        if known is not None and known.columns == columns and known.ambient_dim == model.n:
+            return known.retagged(face)
+        if face.codim == model.n:
+            smooth = abs(det(columns)) == 1
+        else:
+            smooth = any(self._group(model.vertices[i]).order == 1 for i in face.vertex_ids)
+        if smooth:
+            return LocalGroup._trivial(columns, model.n, face)
+        return LocalGroup(columns, model.n, face)
 
-        all_faces = faces(model)
-        vertices = {face.facet_set: build(face) for face in all_faces if face.codim == model.n}
-        smooth = {
-            i for group in vertices.values() if group.order == 1 for i in group.face.vertex_ids
-        }
-        self.groups = tuple(
-            vertices[face.facet_set]
-            if face.codim == model.n
-            else build(face, not smooth.isdisjoint(face.vertex_ids))
-            for face in all_faces
-        )
-        self._by_facets = {group.face.facet_set: group for group in self.groups}
-        self._vertices = tuple(vertices.values())
-        self.quasi_sl = all(g.integral_ages for g in self._vertices)
+    def _group(self, facet_set: tuple[int, ...]) -> LocalGroup:
+        group = self._by_facets.get(facet_set)
+        if group is None:
+            group = self._by_facets[facet_set] = self._build(self._faces[facet_set])
+        return group
+
+    def group(self, face: Face) -> LocalGroup:
+        return self._group(face.facet_set)
+
+    @cached_property
+    def groups(self) -> tuple[LocalGroup, ...]:
+        """The group of every face, in ``faces(model)`` order."""
+        return tuple(self._group(facet_set) for facet_set in self._faces)
+
+    @cached_property
+    def quasi_sl(self) -> bool:
+        """True iff every age of every twisted sector is an integer.
+        Vertex groups suffice, since every box element of any face
+        reappears in some vertex box, and each vertex group decides it
+        without enumerating any element."""
+        return all(self._group(vertex).integral_ages for vertex in self.model.vertices)
 
     @cached_property
     def sector_groups(self) -> dict[tuple[int, ...], LocalGroup]:
@@ -362,16 +365,13 @@ class LocalGroupTable:
             for facet_set, group in self.sector_groups.items()
         }
 
-    def group(self, face: Face) -> LocalGroup:
-        return self._by_facets[face.facet_set]
-
     def containing(self, face: Face) -> Iterator[LocalGroup]:
         """The group of every face containing ``face``, itself included:
         in a simple polytope these are the subsets of its facet set."""
         facet_set = face.facet_set
         for r in range(len(facet_set) + 1):
             for sub in itertools.combinations(facet_set, r):
-                yield self._by_facets[sub]
+                yield self._group(sub)
 
     @cached_property
     def _by_cone(self) -> dict[frozenset[IntVec], LocalGroup]:
@@ -388,7 +388,7 @@ class LocalGroupTable:
     def ensure_quasi_sl(self) -> None:
         """Raise :class:`NonIntegralAgeError` for the first fractional age
         at the first vertex that has one."""
-        for group in self._vertices:
+        for group in map(self._group, self.model.vertices):
             if not group.integral_ages:
                 raise NonIntegralAgeError(group.first_fractional_age())
 

@@ -96,8 +96,8 @@ def crepant_blowups(corpus):
 def smith_form_faces(model, base=None):
     """The faces for which ``LocalGroupTable(model, base)`` runs a Smith
     form: every proper face not taken from ``base`` (same facet set and
-    columns) that is a vertex or has no vertex of order 1.  Vertex orders
-    are read from determinants, not from a Smith form."""
+    columns) that passes through no vertex with |det| = 1, a vertex
+    passing through itself."""
     smooth = {
         i
         for i, vertex in enumerate(model.vertices)
@@ -113,7 +113,7 @@ def smith_form_faces(model, base=None):
         for f in faces(model)
         if f.codim > 0
         and base_columns.get(f.facet_set) != [model.char_vectors[i] for i in f.facet_set]
-        and (f.codim == model.n or smooth.isdisjoint(f.vertex_ids))
+        and smooth.isdisjoint(f.vertex_ids)
     ]
 
 

@@ -26,7 +26,6 @@ from qtorb import (
     face_by_indices,
     face_simplex,
     faces,
-    is_quasi_sl,
     make_blowup_spec,
     mckay_check,
     pp_cr_direct,
@@ -140,7 +139,7 @@ def test_criterion_5_blowup_lemmas(corpus):
         expected = before.pp_cr_direct
         for spec in crepant_candidates(before.groups):
             blown = blow_up(model, spec)
-            assert is_quasi_sl(blown)
+            assert LocalGroupTable(blown).quasi_sl
             assert pp_cr_direct(LocalGroupTable(blown)) == expected
             assert mckay_check(before, spec).verdict
             blowups += 1

@@ -22,7 +22,6 @@ from qtorb import (
     identity_failures,
     induced_triangulation,
     is_crepant,
-    is_quasi_sl,
     make_blowup_spec,
     make_model,
     mckay_check,
@@ -112,7 +111,7 @@ def test_blow_up_z3_resolves(z3):
     assert blown.m == 5
     assert len(blown.vertices) == 6
     assert all(abs(det(vertex_matrix(blown, v))) == 1 for v in blown.vertices)
-    assert is_quasi_sl(blown)
+    assert LocalGroupTable(blown).quasi_sl
 
 
 def test_blow_up_vertex_count_formula(corpus):
@@ -283,7 +282,7 @@ def test_smooth_model_crepant_blowup(cp2):
 def test_lemma_quasi_sl_preserved_on_corpus(corpus):
     for model in corpus:
         for spec in crepant_candidates(LocalGroupTable(model)):
-            assert is_quasi_sl(blow_up(model, spec))
+            assert LocalGroupTable(blow_up(model, spec)).quasi_sl
 
 
 def test_mckay_on_corpus(corpus):
@@ -306,7 +305,7 @@ def test_iterated_blowups(z3):
             break
         before = report.pp_cr
         model = blow_up(model, candidates[0])
-        assert is_quasi_sl(model)
+        assert LocalGroupTable(model).quasi_sl
         assert cr_report(LocalGroupTable(model)).pp_cr == before
 
 
@@ -345,20 +344,17 @@ def test_blown_table_from_base_equals_fresh_table(crepant_blowups):
 
 def _mislabel_as_trivial(monkeypatch, facet_set):
     """Make every table build the group of the face ``facet_set`` as the
-    trivial group, as a faulty smoothness test would."""
-    real_init = LocalGroupTable.__init__
+    trivial group, as a faulty smoothness test would.  Every other group
+    is built as usual, the faces through a mislabelled vertex included."""
+    real_build = LocalGroupTable._build
 
-    def init(self, model, base=None):
-        real_init(self, model, base)
-        self.groups = tuple(
-            sectors_mod.LocalGroup._trivial(g.columns, g.ambient_dim, g.face)
-            if g.face.facet_set == facet_set
-            else g
-            for g in self.groups
-        )
-        self._by_facets = {g.face.facet_set: g for g in self.groups}
+    def build(self, face):
+        if face.facet_set != facet_set:
+            return real_build(self, face)
+        columns = [self.model.char_vectors[i] for i in face.facet_set]
+        return sectors_mod.LocalGroup._trivial(columns, self.model.n, face)
 
-    monkeypatch.setattr(LocalGroupTable, "__init__", init)
+    monkeypatch.setattr(LocalGroupTable, "_build", build)
 
 
 def test_partition_checks_catch_a_wrongly_trivial_face(monkeypatch, prism):
@@ -415,8 +411,8 @@ def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(
     """The blown table takes every face off the new facet m from the base
     table; the faces on m are exactly the interior cones of the star
     subdivision joined with each subface's extra vectors, which the
-    identity reads from that table.  Of those,
-    the vertices and the faces through no smooth vertex run a Smith form."""
+    identity reads from that table.  Of those, the faces through no
+    smooth vertex run a Smith form."""
     inside: list[bool] = []
     calls: list[bool] = []
     cones: list[frozenset] = []

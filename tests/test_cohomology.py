@@ -199,8 +199,8 @@ def test_cr_report(wp112):
 
 
 def test_cr_report_runs_one_smith_form_per_proper_face(monkeypatch, corpus, smith_form_faces):
-    """One Smith form per vertex and per proper face through no smooth
-    vertex; the faces through a smooth vertex run none."""
+    """One Smith form per proper face through no smooth vertex; a vertex
+    with |det| = 1 and every face through it run none."""
 
     calls = []
     real = sectors_mod.smith_normal_form

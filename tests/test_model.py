@@ -13,7 +13,6 @@ from qtorb import (
     faces,
     generate_test_models,
     h_vector,
-    is_quasi_sl,
     make_model,
     model_to_dict,
     model_to_json,
@@ -264,7 +263,7 @@ def test_generator_output_is_valid_and_quasi_sl():
     for n in (2, 3):
         for model in generate_test_models(5, 6, n=n):
             assert parse_model(model_to_json(model)) == model
-            assert is_quasi_sl(model)
+            assert LocalGroupTable(model).quasi_sl
 
 
 def test_generator_single_model():
@@ -287,7 +286,7 @@ def test_quasi_sl_filter_matches_brute_force(k, expected):
     model = make_model(
         2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -k)]
     )
-    assert is_quasi_sl(model) is expected
+    assert LocalGroupTable(model).quasi_sl is expected
     # Cross-check with the exhaustive box search at the singular vertex.
     elements = box_by_exhaustion([(1, 0), (-1, -k)], 2)
     assert any(e.age.denominator > 1 for e in elements) is (not expected)

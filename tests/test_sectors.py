@@ -17,12 +17,12 @@ from qtorb import (
     box_by_exhaustion,
     box_of_columns,
     count_from_ages,
+    det,
     dilate_count,
     ehrhart_numerator,
     face_by_indices,
     face_simplex,
     faces,
-    is_quasi_sl,
     lattice_index,
     make_model,
     random_unimodular,
@@ -148,10 +148,10 @@ def test_non_integral_age_error_names_face():
 
 
 def test_quasi_sl(wp112, cp2):
-    assert is_quasi_sl(wp112)
-    assert is_quasi_sl(cp2)
+    assert LocalGroupTable(wp112).quasi_sl
+    assert LocalGroupTable(cp2).quasi_sl
     bad = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -3)])
-    assert not is_quasi_sl(bad)
+    assert not LocalGroupTable(bad).quasi_sl
     with pytest.raises(NonIntegralAgeError) as err:
         LocalGroupTable(bad).ensure_quasi_sl()
     assert err.value.element.age in (Fraction(2, 3), Fraction(4, 3))
@@ -317,7 +317,12 @@ def test_local_group_matches_box_of_columns(corpus):
             assert group.face == face and table.group(face) is group
             bare = box_of_columns(group.columns, model.n)
             assert group.box_elements() == [replace(e, face=face) for e in bare]
-        assert table.quasi_sl == is_quasi_sl(model)
+        # Reference: every age of the exhaustive box at every vertex.
+        assert table.quasi_sl == all(
+            e.age.denominator == 1
+            for vertex in model.vertices
+            for e in box_by_exhaustion([model.char_vectors[i] for i in vertex], model.n)
+        )
         assert sectors(table) == sectors(LocalGroupTable(model))
 
 
@@ -342,8 +347,35 @@ def test_quasi_sl_enumerates_no_group(monkeypatch):
     # The order-10^6 vertex would take seconds to enumerate.
     big = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -10**6)])
     monkeypatch.setattr(LocalGroup, "numerators", property(lambda self: pytest.fail("enumerated")))
-    assert not is_quasi_sl(big)
     assert not LocalGroupTable(big).quasi_sl
+
+
+def test_quasi_sl_builds_the_vertices_alone(monkeypatch, corpus, cp2):
+    """quasi-SL reads the vertex groups and builds no lower face; a Smith
+    form runs only at a vertex with |det| != 1, so none runs on the smooth
+    cp2."""
+    built, calls = [], []
+    real_build = LocalGroupTable._build
+    real_smith = sectors_mod.smith_normal_form
+    monkeypatch.setattr(
+        LocalGroupTable, "_build", lambda self, face: built.append(face) or real_build(self, face)
+    )
+    monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: calls.append(m) or real_smith(m))
+    for model in corpus:
+        built.clear()
+        calls.clear()
+        assert LocalGroupTable(model).quasi_sl
+        assert built == [f for f in faces(model) if f.codim == model.n]
+        assert len(calls) == sum(
+            abs(det([model.char_vectors[i] for i in vertex.facet_set])) != 1 for vertex in built
+        )
+        assert all(abs(det(m)) != 1 for m in calls)
+
+    def refuse(m):
+        raise AssertionError("Smith form on a smooth model")
+
+    monkeypatch.setattr(sectors_mod, "smith_normal_form", refuse)
+    assert LocalGroupTable(cp2).quasi_sl
 
 
 def test_table_groups_equal_smith_form_groups(corpus, crepant_blowups, smith_form_faces):
