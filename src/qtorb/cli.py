@@ -37,28 +37,68 @@ from .model import (
     positively_omnioriented,
     vertex_sign,
 )
-from .sectors import LocalGroupTable, sectors
+from .sectors import LocalGroupTable
 
 
-def _emit(payload) -> None:
-    # json.dump writes the indented text chunk by chunk; json.dumps would
-    # first hold every chunk of a large sector listing in one list.
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+def _emit(payload, sectors=None) -> None:
+    """Write ``payload`` as JSON with sorted keys, indented by 2, and a
+    newline.  With ``sectors``, a listing from :func:`_sector_listing`,
+    the payload is a dict whose keys all sort before "sectors", and the
+    listing is written after them as the value of "sectors"."""
+    # Sector listings, the only output that grows with a group's order,
+    # are written by _write_sectors; what json writes here is small.
+    if sectors is None:
+        json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+    else:
+        head = json.dumps(payload, sort_keys=True, indent=2)
+        sys.stdout.write(head[: -len("\n}")] + ',\n  "sectors": ')
+        _write_sectors(sectors, 1)
+        sys.stdout.write("\n}")
     sys.stdout.write("\n")
 
 
-def _age_json(age: Fraction):
-    return age.numerator if age.denominator == 1 else rat_to_str(age)
+def _sector_listing(table: LocalGroupTable) -> list:
+    """Every group that carries sectors, in ``faces(model)`` order, with
+    the points of its elements.  Everything that can raise while the
+    sectors are enumerated, the repeat check of the numerators and the
+    integrality of the points, runs here, before any output."""
+    return [(group, group.points) for group in table.sector_groups.values()]
 
 
-def _sector_json(element) -> dict:
-    return {
-        "face": list(element.face.facet_set) if element.face else [],
-        "coeffs": [rat_to_str(c) for c in element.coeffs],
-        "point": list(element.point),
-        "age": _age_json(element.age),
-        "height": element.height,
-    }
+def _json_list(texts, indent: str) -> str:
+    """A JSON list of already-encoded items, as ``json.dump(..., indent=2)``
+    writes it when ``indent`` is the newline and indent of its key."""
+    body = f",{indent}  ".join(texts)
+    return f"[{indent}  {body}{indent}]" if body else "[]"
+
+
+def _write_sectors(listing: list, depth: int) -> None:
+    """Write the sectors of ``listing`` as ``json.dump(..., sort_keys=True,
+    indent=2)`` writes a list nested ``depth`` levels deep, one sector at
+    a time, from each group's integer numerators: every sector is an
+    interior element of its face, so its height is the face's codimension.
+    The listing is never empty: the polytope's group comes first, and its
+    identity is the untwisted sector."""
+    write = sys.stdout.write
+    item = "\n" + "  " * (depth + 1)
+    key = item + "  "
+    opening = "["
+    for group, points in listing:
+        e = group.exponent
+        face = _json_list(map(str, group.face.facet_set), key)
+        height = group.face.codim
+        for i in group.interior:
+            nums = group.numerators[i]
+            total = sum(nums)
+            age = f'"{rat_to_str(total, e)}"' if total % e else str(total // e)
+            coeffs = _json_list([f'"{rat_to_str(c, e)}"' for c in nums], key)
+            point = _json_list(map(str, points[i]), key)
+            write(
+                f'{opening}{item}{{{key}"age": {age},{key}"coeffs": {coeffs},'
+                f'{key}"face": {face},{key}"height": {height},{key}"point": {point}{item}}}'
+            )
+            opening = ","
+    write("\n" + "  " * depth + "]")
 
 
 def _cmd_validate(args) -> int:
@@ -102,7 +142,8 @@ def _cmd_faces(args) -> int:
 
 def _cmd_sectors(args) -> int:
     model = load_model(args.model)
-    _emit([_sector_json(e) for e in sectors(LocalGroupTable(model))])
+    _write_sectors(_sector_listing(LocalGroupTable(model)), 0)
+    sys.stdout.write("\n")
     return 0
 
 
@@ -132,14 +173,13 @@ def _cmd_cr(args) -> int:
         "pp": list(report.pp.coeffs),
         "pp_cr": list(report.pp_cr.coeffs),
         "routes_agree": report.routes_agree,
-        "sectors": [_sector_json(e) for e in sectors(table)],
         "identities": {
             "morestrat": all(ok for _, ok in report.morestrat),
             "h_identity": report.identity("h_identity").passed,
             "newpon": report.identity("newpon").passed,
         },
     }
-    _emit(payload)
+    _emit(payload, _sector_listing(table))
     return 0 if report.all_pass else 1
 
 

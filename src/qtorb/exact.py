@@ -23,11 +23,15 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def rat_to_str(q: Fraction) -> str:
-    """Serialize a rational as ``"p/q"``, or just ``"p"`` when q = 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def rat_to_str(p: int, q: int) -> str:
+    """Serialize the rational p/q, q nonzero, in lowest terms with a
+    positive denominator: ``"p/q"``, or just ``"p"`` when that is 1."""
+    g = math.gcd(p, q)
+    if q < 0:
+        g = -g
+    p //= g
+    q //= g
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 class Poly:

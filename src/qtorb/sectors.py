@@ -22,6 +22,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -166,19 +167,26 @@ class LocalGroup:
         return tuple(elements)
 
     @cached_property
-    def points(self) -> tuple[IntVec, ...]:
-        """Lattice point ``sum(coeffs[j] * column_j)`` of every element."""
+    def _rows(self) -> IntMat:
+        """The column matrix by rows, one per ambient coordinate."""
+        return tuple(tuple(col[r] for col in self.columns) for r in range(self.ambient_dim))
+
+    def _point(self, nums: tuple[int, ...]) -> IntVec:
+        """Lattice point ``sum(coeffs[j] * column_j)`` of the element with
+        numerators ``nums``."""
         e = self.exponent
-        out = []
-        for nums in self.numerators:
-            point = []
-            for r in range(self.ambient_dim):
-                q, rem = divmod(sum(c * col[r] for c, col in zip(nums, self.columns)), e)
-                if rem:
-                    raise ArithmeticError(f"box point of {list(nums)}/{e} is not integral")
-                point.append(q)
-            out.append(tuple(point))
-        return tuple(out)
+        point = []
+        for row in self._rows:
+            q, rem = divmod(sum(map(operator.mul, nums, row)), e)
+            if rem:
+                raise ArithmeticError(f"box point of {list(nums)}/{e} is not integral")
+            point.append(q)
+        return tuple(point)
+
+    @cached_property
+    def points(self) -> tuple[IntVec, ...]:
+        """Lattice point of every element."""
+        return tuple(map(self._point, self.numerators))
 
     @cached_property
     def interior(self) -> tuple[int, ...]:
@@ -193,11 +201,14 @@ class LocalGroup:
         return group
 
     def box_element(self, i: int) -> BoxElement:
+        return self._element(i, self.points[i])
+
+    def _element(self, i: int, point: IntVec) -> BoxElement:
         nums = self.numerators[i]
         e = self.exponent
         return BoxElement(
             coeffs=tuple(Fraction(c, e) for c in nums),
-            point=self.points[i],
+            point=point,
             age=Fraction(sum(nums), e),
             height=sum(1 for c in nums if c),
             face=self.face,
@@ -213,7 +224,7 @@ class LocalGroup:
         """Integral age of element i; raises for a fractional one."""
         q, rem = divmod(sum(self.numerators[i]), self.exponent)
         if rem:
-            raise NonIntegralAgeError(self.box_element(i))
+            raise NonIntegralAgeError(self._lone_element(i))
         return q
 
     def _age_counts(self, indices: Iterable[int]) -> Poly:
@@ -235,10 +246,15 @@ class LocalGroup:
         """Sum of s^age over the interior elements."""
         return self._age_counts(self.interior)
 
+    def _lone_element(self, i: int) -> BoxElement:
+        """Element i, with its own point computed alone, not the points of
+        the whole group: for reporting one element."""
+        return self._element(i, self._point(self.numerators[i]))
+
     def first_fractional_age(self) -> BoxElement:
         """The first element, in sorted order, whose age is not an integer."""
         return next(
-            self.box_element(i)
+            self._lone_element(i)
             for i, nums in enumerate(self.numerators)
             if sum(nums) % self.exponent
         )

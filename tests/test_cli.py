@@ -8,9 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtorb.cli as cli_mod
 import qtorb.sectors as sectors_mod
-from qtorb import LocalGroupTable, blow_up, make_blowup_spec, model_to_json, parse_model
+from qtorb import (
+    LocalGroup,
+    LocalGroupTable,
+    blow_up,
+    cr_report,
+    load_model,
+    make_blowup_spec,
+    make_model,
+    model_to_json,
+    parse_model,
+)
 from qtorb.cli import main
+from qtorb.sectors import sectors
+
+GOLDEN_MODELS = os.path.join(os.path.dirname(__file__), "golden", "models")
 
 
 @pytest.fixture
@@ -434,3 +448,118 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path):
     assert proc.wait(timeout=120) == 2
     assert b"Traceback" not in stderr
     assert b"BrokenPipeError" not in stderr
+
+
+def _sector_dict(element) -> dict:
+    """One sector in the shape of the listing, built from its BoxElement."""
+    return {
+        "face": list(element.face.facet_set),
+        "coeffs": [str(c) for c in element.coeffs],
+        "point": list(element.point),
+        "age": element.age.numerator if element.age.denominator == 1 else str(element.age),
+        "height": element.height,
+    }
+
+
+def _cr_dict(table) -> dict:
+    report = cr_report(table)
+    return {
+        "pp": list(report.pp.coeffs),
+        "pp_cr": list(report.pp_cr.coeffs),
+        "routes_agree": report.routes_agree,
+        "sectors": [_sector_dict(e) for e in sectors(table)],
+        "identities": {
+            "morestrat": all(ok for _, ok in report.morestrat),
+            "h_identity": report.identity("h_identity").passed,
+            "newpon": report.identity("newpon").passed,
+        },
+    }
+
+
+def _json_text(ref) -> str:
+    return json.dumps(ref, sort_keys=True, indent=2) + "\n"
+
+
+def test_sector_listings_equal_the_json_of_their_box_elements(
+    capsys, monkeypatch, tmp_path, corpus, crepant_blowups
+):
+    """The listings of sectors and cr, written from integer numerators, are
+    byte for byte the indented JSON of the sectors' BoxElements, and they
+    build no BoxElement."""
+    models = list(corpus) + [blown for _, _, blown in crepant_blowups]
+    models.append(load_model(os.path.join(GOLDEN_MODELS, "tri-m1-m100.json")))
+    models.append(make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -10**4)]))
+    cases = []
+    for i, model in enumerate(models):
+        path = tmp_path / f"model-{i}.json"
+        path.write_text(model_to_json(model))
+        table = LocalGroupTable(load_model(path))
+        cases.append((str(path), "sectors", _json_text([_sector_dict(e) for e in sectors(table)])))
+        if table.quasi_sl:
+            cases.append((str(path), "cr", _json_text(_cr_dict(table))))
+    assert sum(command == "cr" for _, command, _ in cases) > len(corpus)
+
+    def checked():
+        for path, command, expected in cases:
+            rc, out = run(capsys, command, path)
+            assert rc in (0, 1)
+            assert out == expected, (command, path)
+
+    checked()
+
+    def no_box_element(self, i):
+        raise AssertionError("the listing built a BoxElement")
+
+    monkeypatch.setattr(LocalGroup, "box_element", no_box_element)
+    checked()
+
+
+def _raise_off_the_polytope(real):
+    """``LocalGroup._point`` that raises for every group but the polytope's,
+    so the failure comes after the untwisted sector is known."""
+
+    def point(self, nums):
+        if self.face.codim:
+            raise ArithmeticError(f"box point of {list(nums)} is not integral")
+        return real(self, nums)
+
+    return point
+
+
+@pytest.mark.parametrize("command", ["sectors", "cr"])
+@pytest.mark.parametrize("fault", ["points", "numerators"])
+def test_sector_listing_fails_before_any_output(capsys, monkeypatch, z3_path, command, fault):
+    """A failure while the sectors are enumerated prints the error report
+    alone: no part of the listing is written before it."""
+    if fault == "points":
+        monkeypatch.setattr(LocalGroup, "_point", _raise_off_the_polytope(LocalGroup._point))
+    else:
+        real = sectors_mod.smith_normal_form
+
+        def repeating(m):
+            u, d, v = real(m)
+            return u, d, tuple((0,) * len(row) for row in v)
+
+        monkeypatch.setattr(sectors_mod, "smith_normal_form", repeating)
+    rc, out = run(capsys, command, z3_path)
+    assert rc == 2
+    report = json.loads(out)
+    assert list(report) == ["error"]
+    assert ("not integral" if fault == "points" else "repeat") in report["error"]
+    assert out == _json_text(report)
+
+
+def test_sectors_sorts_after_every_other_cr_key(capsys, monkeypatch, wp112_path):
+    """The cr listing is written after the rest of the payload, which is
+    right only while "sectors" is the largest key."""
+    payloads = []
+    real = cli_mod._emit
+    monkeypatch.setattr(cli_mod, "_emit", lambda payload, *rest: payloads.append(payload) or real(payload, *rest))
+    rc, out = run(capsys, "cr", wp112_path)
+    assert rc == 0
+    [payload] = payloads
+    assert "sectors" not in payload
+    assert max(payload) < "sectors"
+    report = json.loads(out)
+    assert list(report) == sorted(report)
+    assert max(report) == "sectors"

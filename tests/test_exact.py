@@ -109,11 +109,21 @@ def test_binom_pascal(n, k):
 
 
 def test_rat_serialization():
-    assert rat_to_str(Fraction(1, 2)) == "1/2"
-    assert rat_to_str(Fraction(-3, 4)) == "-3/4"
-    assert rat_to_str(Fraction(3)) == "3"
-    for q in (Fraction(1, 2), Fraction(-7)):
-        assert Fraction(rat_to_str(q)) == q
+    assert rat_to_str(1, 2) == "1/2"
+    assert rat_to_str(-3, 4) == "-3/4"
+    assert rat_to_str(3, 1) == "3"
+    assert rat_to_str(6, 4) == "3/2"
+    assert rat_to_str(3, -6) == "-1/2"
+    assert rat_to_str(0, 7) == "0"
+    assert rat_to_str(10, 5) == "2"
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
+def test_rat_serialization_round_trips(p, q):
+    text = rat_to_str(p, q)
+    assert Fraction(text) == Fraction(p, q)
+    # Lowest terms, positive denominator: the text Fraction itself writes.
+    assert text == str(Fraction(p, q))
 
 
 @given(st.fractions(), st.fractions())

@@ -343,6 +343,22 @@ def test_table_reports_first_fractional_age():
     assert "[0, 2]" in str(err.value)
 
 
+def test_fractional_age_report_computes_one_point(monkeypatch):
+    """Reporting a fractional age computes the point of that element alone,
+    not the points of its whole group."""
+    bad = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -12)])
+    vertex = LocalGroupTable(bad).group(face_by_indices(bad, [0, 2]))
+    first = next(e for e in vertex.box_elements() if e.age.denominator != 1)
+    monkeypatch.setattr(LocalGroup, "points", property(lambda self: pytest.fail("built every point")))
+    table = LocalGroupTable(bad)
+    with pytest.raises(NonIntegralAgeError) as err:
+        table.ensure_quasi_sl()
+    assert err.value.element == first
+    with pytest.raises(NonIntegralAgeError) as err:
+        table.group(first.face).age_polynomial
+    assert err.value.element == first
+
+
 def test_quasi_sl_enumerates_no_group(monkeypatch):
     # The order-10^6 vertex would take seconds to enumerate.
     big = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -10**6)])
