@@ -436,8 +436,11 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
     for vertex in groups.groups:
         if vertex.face.codim != model.n:
             continue
-        # Bareiss elimination, independent of the Smith form the group came from.
-        index = abs(det(vertex.columns))
+        # |det| as validation computed it, by Bareiss elimination,
+        # independent of the Smith form the group came from.  The table
+        # reads the same determinants: a face is smooth when some vertex
+        # through it has |det| = 1.
+        index = abs(model.vertex_dets[vertex.face.vertex_ids[0]])
         if vertex.order != index:
             failures.append(
                 f"{label}: group order {vertex.order} is not |det| {index} "

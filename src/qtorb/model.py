@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -49,13 +49,16 @@ class Face:
 
 @dataclass(frozen=True)
 class Model:
-    """Simple polytope plus characteristic vectors, one per facet."""
+    """Simple polytope plus characteristic vectors, one per facet, and the
+    determinant validation computed at each vertex (columns in increasing
+    facet order), which equality, hashing and the JSON form ignore."""
 
     n: int
     m: int
     vertices: tuple[tuple[int, ...], ...]
     char_vectors: tuple[IntVec, ...]
     name: str | None = None
+    vertex_dets: tuple[int, ...] = field(kw_only=True, compare=False, repr=False)
 
 
 def _coerce_int(value, what: str, violations: list[str]) -> int | None:
@@ -84,15 +87,17 @@ def validate_model(
     m: int,
     vertices: Sequence[Sequence[int]],
     char_vectors: Sequence[Sequence[int]],
-) -> list[str]:
-    """All violated constraints, in a fixed order; empty means valid."""
+) -> tuple[list[str], list[int]]:
+    """All violated constraints, in a fixed order (empty means valid), and
+    the determinants computed at the vertices, in the order given."""
     violations: list[str] = []
+    dets: list[int] = []
     if n < 1:
         violations.append(f"dimension n must be at least 1, got {n}")
     if m < 1:
         violations.append(f"facet count m must be at least 1, got {m}")
     if violations:
-        return violations
+        return violations, dets
 
     structural = True
     for vid, vert in enumerate(vertices):
@@ -121,7 +126,7 @@ def validate_model(
             )
             structural = False
     if not structural:
-        return violations
+        return violations, dets
 
     normalized = [tuple(sorted(v)) for v in vertices]
     seen: dict[tuple[int, ...], int] = {}
@@ -146,12 +151,12 @@ def validate_model(
     # since every face's facet set sits inside some vertex's.
     if not any("is zero" in v or "not primitive" in v for v in violations):
         for vid, vert in enumerate(normalized):
-            cols = mat_from_cols([char_vectors[i] for i in vert])
-            if det(cols) == 0:
+            dets.append(det(mat_from_cols([char_vectors[i] for i in vert])))
+            if dets[-1] == 0:
                 violations.append(
                     f"characteristic vectors are dependent at vertex {vid} = {list(vert)}"
                 )
-    return violations
+    return violations, dets
 
 
 def make_model(
@@ -164,15 +169,12 @@ def make_model(
     """Validated model; raises ModelValidationError listing every defect."""
     verts = tuple(tuple(int(i) for i in v) for v in vertices)
     lams = tuple(as_vec(v) for v in char_vectors)
-    violations = validate_model(n, m, verts, lams)
+    violations, dets = validate_model(n, m, verts, lams)
     if violations:
         raise ModelValidationError(violations)
+    vertices, vertex_dets = zip(*sorted(zip((tuple(sorted(v)) for v in verts), dets)))
     return Model(
-        n=n,
-        m=m,
-        vertices=tuple(sorted(tuple(sorted(v)) for v in verts)),
-        char_vectors=lams,
-        name=name,
+        n=n, m=m, vertices=vertices, char_vectors=lams, name=name, vertex_dets=vertex_dets
     )
 
 
@@ -314,27 +316,31 @@ def h_vector(face: Face, model: Model) -> tuple[int, ...]:
     return h_from_f(f_vector(face, model))
 
 
-def vertex_matrix(model: Model, vertex: Sequence[int]) -> IntMat:
-    """Characteristic vectors at a vertex as columns, in increasing facet order."""
+def _vertex_id(model: Model, vertex: Sequence[int]) -> int:
     idx = tuple(sorted(vertex))
     if idx not in model.vertices:
         raise ValueError(f"{list(idx)} is not a vertex of the model")
-    return mat_from_cols([model.char_vectors[i] for i in idx])
+    return model.vertices.index(idx)
+
+
+def vertex_matrix(model: Model, vertex: Sequence[int]) -> IntMat:
+    """Characteristic vectors at a vertex as columns, in increasing facet order."""
+    vert = model.vertices[_vertex_id(model, vertex)]
+    return mat_from_cols([model.char_vectors[i] for i in vert])
 
 
 def vertex_sign(model: Model, vertex: Sequence[int]) -> int:
-    """Sign of the vertex determinant under the fixed column ordering.
+    """Sign of the stored vertex determinant under the fixed column ordering.
 
     The increasing-facet-index convention is a choice; only |det| is
     convention-free, so signs are reported but never asserted against.
     """
-    d = det(vertex_matrix(model, vertex))
-    return 1 if d > 0 else -1
+    return 1 if model.vertex_dets[_vertex_id(model, vertex)] > 0 else -1
 
 
 def positively_omnioriented(model: Model) -> bool:
     """True when every vertex sign is +1 under the fixed convention."""
-    return all(vertex_sign(model, v) == 1 for v in model.vertices)
+    return all(d > 0 for d in model.vertex_dets)
 
 
 def apply_unimodular(model: Model, u: IntMat) -> Model:
@@ -466,14 +472,5 @@ def generate_test_models(
                 blown_table = LocalGroupTable(blown, table)
                 if blown_table.quasi_sl:
                     table = blown_table
-        model = table.model
-        out.append(
-            Model(
-                n=model.n,
-                m=model.m,
-                vertices=model.vertices,
-                char_vectors=model.char_vectors,
-                name=f"fuzz-n{n}-{len(out)}",
-            )
-        )
+        out.append(replace(table.model, name=f"fuzz-n{n}-{len(out)}"))
     return out

@@ -7,11 +7,11 @@ carries its lattice point, its age (the coefficient sum), and its height
 (the number of nonzero coefficients, which equals the rank of g - id on
 the tangent representation).  :class:`LocalGroupTable` holds the group
 of every face of a model, built once, on first use, for everything
-computed on it.  A vertex with |det| = 1 is smooth: its group is
-trivial.  A face's box elements are those of any vertex through it
-whose coefficients vanish off the face, so every face through a smooth
-vertex has the trivial group, and the table runs a Smith form only for
-the other vertices and for the faces through no smooth vertex.
+computed on it.  A face's box elements are those of any vertex through
+it whose coefficients vanish off the face, so a face is smooth, with
+the trivial group, when some vertex through it has |det| = 1, read from
+the determinants that validation computed.  The table runs a Smith form
+only for the other faces.
 
 A second, independent enumeration by exhaustive search over denominators
 dividing the group order is provided for cross-checking.
@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 from .exact import Poly
-from .intlat import IntMat, IntVec, det, lattice_index, smith_normal_form
+from .intlat import IntMat, IntVec, lattice_index, smith_normal_form
 from .model import Face, Model, faces, h_vector
 
 
@@ -302,14 +302,15 @@ class LocalGroupTable:
     beyond that.  :meth:`group` builds a face's group the first time it
     is asked for and keeps it; :attr:`groups` builds the rest.
 
-    A vertex whose columns have |det| = 1 is smooth: its columns are a
-    lattice basis, and its group is built trivial, without a Smith form.
-    A lower face through a smooth vertex has the trivial group and runs
-    none: its columns are part of that basis, so its box elements, which
-    are the vertex's box elements with coefficients vanishing off the
-    face, reduce to the identity.  Every other face runs one Smith form.
-    So :attr:`quasi_sl` runs one per singular vertex and builds no lower
-    face.
+    A face is smooth when some vertex through it has |det| = 1, read
+    from the determinants that validation computed (``vertex_dets``):
+    that vertex's columns are a lattice basis and the face's columns part
+    of it, so its box elements, which are the vertex's box elements with
+    coefficients vanishing off the face, reduce to the identity.  A
+    smooth face's group is built trivial, without a Smith form; every
+    other face runs one.  So :attr:`quasi_sl` runs one per singular
+    vertex and builds no lower face, and no face's smoothness depends on
+    another face's group.
 
     With ``base``, the table of another model in the same dimension
     (the model a blowup came from), a face whose facet set and columns
@@ -336,11 +337,7 @@ class LocalGroupTable:
         known = self._lent.get(face.facet_set)
         if known is not None and known.columns == columns and known.ambient_dim == model.n:
             return known.retagged(face)
-        if face.codim == model.n:
-            smooth = abs(det(columns)) == 1
-        else:
-            smooth = any(self._group(model.vertices[i]).order == 1 for i in face.vertex_ids)
-        if smooth:
+        if any(abs(model.vertex_dets[i]) == 1 for i in face.vertex_ids):
             return LocalGroup._trivial(columns, model.n, face)
         return LocalGroup(columns, model.n, face)
 

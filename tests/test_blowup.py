@@ -1,5 +1,6 @@
 import pathlib
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -389,6 +390,38 @@ def test_age_partition_catches_every_wrongly_trivial_face(monkeypatch, corpus):
             assert failing, (model.name, group.face)
             mutated += 1
     assert mutated > 0
+
+
+@pytest.mark.parametrize("first", ["edge", "vertex"])
+def test_a_wrongly_trivial_vertex_does_not_spread(monkeypatch, prism, first):
+    """The prism's vertex (0, 1, 3) has order 2.  Built as the trivial
+    group, it leaves the order-2 edge (0, 1) as it is, whichever of the two
+    is built first: a face's smoothness is read from the determinants that
+    validation stored, never from another face's group."""
+    edge = face_by_indices(prism, (0, 1))
+    vertex = face_by_indices(prism, (0, 1, 3))
+    _mislabel_as_trivial(monkeypatch, vertex.facet_set)
+    table = LocalGroupTable(prism)
+    order = [edge, vertex] if first == "edge" else [vertex, edge]
+    assert {face.facet_set: table.group(face).order for face in order} == {
+        (0, 1): 2,
+        (0, 1, 3): 1,
+    }
+
+
+def test_identity_failures_takes_vertex_dets_from_the_model(monkeypatch, corpus):
+    """The order check reads |det| from the model; the only determinants
+    left in the module are the subdivision volumes."""
+    callers = set()
+
+    def recording_det(mat):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return det(mat)
+
+    monkeypatch.setattr(blowup_mod, "det", recording_det)
+    for model in corpus:
+        assert identity_failures(model) == [], model.name
+    assert callers == {"_maximal_volumes"}
 
 
 def test_vertex_order_is_checked_against_the_determinant(monkeypatch, z3):

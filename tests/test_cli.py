@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -22,6 +23,7 @@ from qtorb import (
     parse_model,
 )
 from qtorb.cli import main
+from qtorb.intlat import det
 from qtorb.sectors import sectors
 
 GOLDEN_MODELS = os.path.join(os.path.dirname(__file__), "golden", "models")
@@ -52,6 +54,41 @@ def test_validate_ok(capsys, wp112_path):
     report = json.loads(out)
     assert report["valid"] and report["quasi_sl"]
     assert report["vertex_signs"] == [1, -1, 1]
+
+
+def _record_det_calls(monkeypatch):
+    """Wrap ``det`` in every qtorb module that binds it; each call records
+    the names of the functions on the stack."""
+    stacks = []
+
+    def recording_det(mat):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        stacks.append(names)
+        return det(mat)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qtorb") and getattr(module, "det", None) is det:
+            monkeypatch.setattr(module, "det", recording_det)
+    return stacks
+
+
+def test_validate_and_mckay_compute_determinants_only_in_validation(
+    monkeypatch, capsys, z3_path
+):
+    """Vertex signs and smoothness read the determinants that model
+    validation stored: one per vertex of each model made.  mckay's other
+    determinants are the volumes of its validated subdivision."""
+    stacks = _record_det_calls(monkeypatch)
+    assert run(capsys, "validate", z3_path)[0] == 0
+    assert len(stacks) == 4 and all("validate_model" in names for names in stacks)
+    stacks.clear()
+    assert run(capsys, "mckay", z3_path, "--face", "0,1,2", "--weights", "1/3,1/3,1/3")[0] == 0
+    # 4 vertices of the tetrahedron and 6 of its blowup.
+    assert sum("validate_model" in names for names in stacks) == 4 + 6
+    assert all(names & {"validate_model", "_validated_subdivision"} for names in stacks)
 
 
 def test_validate_broken_model(capsys, tmp_path):

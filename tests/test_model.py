@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtorb.model as model_mod
 from qtorb import (
     Model,
     ModelValidationError,
@@ -293,11 +295,62 @@ def test_quasi_sl_filter_matches_brute_force(k, expected):
 
 
 def test_model_is_hashable_and_frozen(wp112):
-    assert hash(wp112) == hash(
-        Model(wp112.n, wp112.m, wp112.vertices, wp112.char_vectors, wp112.name)
-    )
+    fields = (wp112.n, wp112.m, wp112.vertices, wp112.char_vectors, wp112.name)
+    assert hash(wp112) == hash(Model(*fields, vertex_dets=wp112.vertex_dets))
+    # The determinants are derived from the other fields: a Model carrying
+    # other ones still compares and hashes equal.
+    other = Model(*fields, vertex_dets=(5,) * len(wp112.vertices))
+    assert other == wp112 and hash(other) == hash(wp112)
     with pytest.raises(AttributeError):
         wp112.n = 3
+
+
+def _dets_by_definition(model):
+    return tuple(det(vertex_matrix(model, v)) for v in model.vertices)
+
+
+def test_stored_vertex_dets_match_the_definition(corpus, crepant_blowups):
+    models = list(corpus) + [blown for _, _, blown in crepant_blowups]
+    for model in models:
+        assert model.vertex_dets == _dets_by_definition(model), model.name
+
+
+_SMALL_MODELS = [square_model(), simplex_model(2), simplex_model(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stored_vertex_dets_follow_relabelling_and_basis_changes(data):
+    model = data.draw(st.sampled_from(_SMALL_MODELS))
+    relabeled = relabel_facets(model, data.draw(st.permutations(range(model.m))))
+    assert relabeled.vertex_dets == _dets_by_definition(relabeled)
+    u = random_unimodular(data.draw(st.randoms(use_true_random=False)), model.n, ops=6)
+    moved = apply_unimodular(model, u)
+    assert moved.vertex_dets == _dets_by_definition(moved)
+    assert moved.vertex_dets == tuple(det(u) * d for d in model.vertex_dets)
+
+
+def test_vertex_dets_stay_out_of_json_and_survive_replace(corpus):
+    for model in corpus:
+        assert "vertex_dets" not in model_to_dict(model)
+        assert set(json.loads(model_to_json(model))) == {"n", "m", "vertices", "lambda", "name"}
+        renamed = replace(model, name="renamed")
+        assert renamed.vertex_dets == model.vertex_dets
+        assert parse_model(model_to_json(model)).vertex_dets == model.vertex_dets
+
+
+def test_make_model_computes_one_determinant_per_vertex(monkeypatch, corpus):
+    calls = []
+
+    def counting_det(mat):
+        calls.append(mat)
+        return det(mat)
+
+    monkeypatch.setattr(model_mod, "det", counting_det)
+    for model in corpus:
+        calls.clear()
+        parse_model(model_to_json(model))
+        assert len(calls) == len(model.vertices), model.name
 
 
 def _h_vector_by_definition(face, model):

@@ -394,6 +394,17 @@ def test_quasi_sl_builds_the_vertices_alone(monkeypatch, corpus, cp2):
     assert LocalGroupTable(cp2).quasi_sl
 
 
+def test_table_reads_smoothness_from_the_stored_determinants(wp112):
+    """The table computes no determinant of its own: ``qtorb.sectors``
+    binds none, and a face is smooth exactly when some vertex through it
+    has |det| = 1 in ``model.vertex_dets``."""
+    assert not hasattr(sectors_mod, "det")
+    singular = face_by_indices(wp112, (0, 2))
+    assert LocalGroupTable(wp112).group(singular).order == 2
+    forged = replace(wp112, vertex_dets=(1,) * len(wp112.vertices))
+    assert LocalGroupTable(forged).group(singular).order == 1
+
+
 def test_table_groups_equal_smith_form_groups(corpus, crepant_blowups, smith_form_faces):
     """Every group a table holds, the trivial ones built without a Smith
     form included, equals the group of a Smith form on the same columns."""
