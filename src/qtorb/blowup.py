@@ -447,9 +447,8 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
                 f"at vertex {list(vertex.face.facet_set)}"
             )
         whole = sorted(vertex.points)
-        pieces = sorted(
-            other.points[i] for other in groups.containing(vertex.face) for i in other.interior
-        )
+        containing = groups.sector_groups_containing(vertex.face)
+        pieces = sorted(other.points[i] for other in containing for i in other.interior)
         if whole != pieces:
             failures.append(
                 f"{label}: box partition fails at vertex {list(vertex.face.facet_set)}"

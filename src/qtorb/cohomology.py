@@ -82,17 +82,13 @@ def pp_cr_via_strata(table: LocalGroupTable) -> Poly:
 def check_age_partition(table: LocalGroupTable) -> list[tuple[Face, bool]]:
     """Per-face check that the full age polynomial equals the sum of the
     interior age polynomials over all faces containing it (the box of a
-    face is partitioned by the interiors of its superfaces).  A face
-    without interior elements adds zero, so the sum runs over the faces
-    that carry sectors and whose facet set is part of the face's."""
-    pieces = [
-        (frozenset(facet_set), group.interior_age_polynomial)
-        for facet_set, group in table.sector_groups.items()
-    ]
+    face is partitioned by the interiors of its superfaces).  The sum
+    reads ``table.sector_groups_containing``: a face without interior
+    elements adds zero."""
     out = []
     for group in table.groups:
-        facets = frozenset(group.face.facet_set)
-        rhs = _sum(ages for sector_facets, ages in pieces if sector_facets <= facets)
+        pieces = table.sector_groups_containing(group.face)
+        rhs = _sum(other.interior_age_polynomial for other in pieces)
         out.append((group.face, group.age_polynomial == rhs))
     return out
 

@@ -100,7 +100,7 @@ def adjugate(m: IntMat) -> IntMat:
                 if r != i
             )
             adj[j][i] = (-1) ** (i + j) * det(minor)
-    return as_mat(adj)
+    return tuple(map(tuple, adj))
 
 
 def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
@@ -109,13 +109,15 @@ def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     U and V are unimodular, D is diagonal with nonnegative entries and
     d_i | d_{i+1}.  Pivoting always takes the smallest nonzero entry in
     absolute value, scanning the trailing block row-major, so repeated
-    runs produce identical transforms.  The input is checked once by
-    :func:`as_mat` (ValueError for a ragged matrix), and the outputs are
-    built from it as tuples of ints.
+    runs produce identical transforms.  The rows are copied as given,
+    unconverted (ValueError for a ragged matrix), and the outputs are
+    tuples of tuples.
     """
-    a = [list(row) for row in as_mat(m)]
+    a = [list(row) for row in m]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
+    if any(len(row) != ncols for row in a):
+        raise ValueError("ragged matrix")
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     limit = min(nrows, ncols)

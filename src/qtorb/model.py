@@ -89,7 +89,8 @@ def validate_model(
     char_vectors: Sequence[Sequence[int]],
 ) -> tuple[list[str], list[int]]:
     """All violated constraints, in a fixed order (empty means valid), and
-    the determinants computed at the vertices, in the order given."""
+    the determinants computed at the vertices, in the order given: of the
+    vectors as rows, which is det of the columns, since det A^T = det A."""
     violations: list[str] = []
     dets: list[int] = []
     if n < 1:
@@ -141,17 +142,20 @@ def validate_model(
     if missing:
         violations.append(f"facets {missing} appear in no vertex")
 
+    vectors_ok = True
     for i, vec in enumerate(char_vectors):
         if all(e == 0 for e in vec):
             violations.append(f"characteristic vector {i} is zero")
+            vectors_ok = False
         elif not is_primitive(vec):
             violations.append(f"characteristic vector {i} = {list(vec)} is not primitive")
+            vectors_ok = False
 
     # Independence at every face follows from independence at the vertices,
     # since every face's facet set sits inside some vertex's.
-    if not any("is zero" in v or "not primitive" in v for v in violations):
+    if vectors_ok:
         for vid, vert in enumerate(normalized):
-            dets.append(det(mat_from_cols([char_vectors[i] for i in vert])))
+            dets.append(det([char_vectors[i] for i in vert]))
             if dets[-1] == 0:
                 violations.append(
                     f"characteristic vectors are dependent at vertex {vid} = {list(vert)}"
@@ -256,21 +260,18 @@ def faces(model: Model) -> tuple[Face, ...]:
     """Every face, ordered by (codimension, facet set).
 
     In a simple polytope the faces through a vertex are exactly the
-    subsets of its facet set, so the face list is the union of those
-    subsets over all vertices, each reported once.
+    subsets of its facet set, so one pass over the vertices finds every
+    face together with its ``vertex_ids``, the vertices it occurs at.
     """
-    vertex_sets = [frozenset(v) for v in model.vertices]
-    found: set[tuple[int, ...]] = set()
-    for vert in model.vertices:
+    vertex_ids: dict[tuple[int, ...], list[int]] = {}
+    for vid, vert in enumerate(model.vertices):
         for r in range(model.n + 1):
-            found.update(itertools.combinations(vert, r))
-    ordered = sorted(found, key=lambda s: (len(s), s))
-    out = []
-    for facet_set in ordered:
-        fs = frozenset(facet_set)
-        vertex_ids = tuple(i for i, vs in enumerate(vertex_sets) if fs <= vs)
-        out.append(Face(facet_set=facet_set, dim=model.n - len(facet_set), vertex_ids=vertex_ids))
-    return tuple(out)
+            for facet_set in itertools.combinations(vert, r):
+                vertex_ids.setdefault(facet_set, []).append(vid)
+    return tuple(
+        Face(facet_set=fs, dim=model.n - len(fs), vertex_ids=tuple(vertex_ids[fs]))
+        for fs in sorted(vertex_ids, key=lambda s: (len(s), s))
+    )
 
 
 def face_by_indices(model: Model, facet_set: Sequence[int]) -> Face:
@@ -284,7 +285,7 @@ def face_by_indices(model: Model, facet_set: Sequence[int]) -> Face:
 def subfaces(face: Face, model: Model) -> list[Face]:
     """Faces of the sub-polytope: faces whose facet set contains this one's."""
     fs = set(face.facet_set)
-    return [h for h in faces(model) if fs <= set(h.facet_set)]
+    return [h for h in faces(model) if fs.issubset(h.facet_set)]
 
 
 def f_vector(face: Face, model: Model) -> tuple[int, ...]:

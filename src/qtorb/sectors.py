@@ -20,13 +20,12 @@ dividing the group order is provided for cross-checking.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import kernels
 from .exact import Poly
@@ -114,12 +113,11 @@ class LocalGroup:
         self._set(columns, ambient_dim, face, invariants, v)
 
     @classmethod
-    def _trivial(cls, columns: Sequence[IntVec], ambient_dim: int, face: Face) -> "LocalGroup":
+    def _trivial(cls, columns: tuple[IntVec, ...], ambient_dim: int, face: Face) -> "LocalGroup":
         """The trivial group of columns that are part of a lattice basis,
         built without a Smith form.  Every invariant is 1, so no
         generator is ever read from V, which is left empty."""
         group = cls.__new__(cls)
-        columns = tuple(tuple(c) for c in columns)
         group._set(columns, ambient_dim, face, (1,) * len(columns), ())
         return group
 
@@ -378,13 +376,12 @@ class LocalGroupTable:
             for facet_set, group in self.sector_groups.items()
         }
 
-    def containing(self, face: Face) -> Iterator[LocalGroup]:
-        """The group of every face containing ``face``, itself included:
-        in a simple polytope these are the subsets of its facet set."""
-        facet_set = face.facet_set
-        for r in range(len(facet_set) + 1):
-            for sub in itertools.combinations(facet_set, r):
-                yield self._group(sub)
+    def sector_groups_containing(self, face: Face) -> list[LocalGroup]:
+        """The :attr:`sector_groups` of the faces containing ``face``,
+        itself included, in ``faces(model)`` order: in a simple polytope,
+        the faces whose facet set is part of ``face``'s."""
+        facets = set(face.facet_set)
+        return [g for fs, g in self.sector_groups.items() if facets.issuperset(fs)]
 
     @cached_property
     def _by_cone(self) -> dict[frozenset[IntVec], LocalGroup]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtorb.intlat as intlat_mod
 import qtorb.model as model_mod
 from qtorb import (
+    Face,
     Model,
     ModelValidationError,
     apply_unimodular,
@@ -41,8 +44,6 @@ def square_model():
 
 
 def simplex_model(n):
-    import itertools
-
     vertices = list(itertools.combinations(range(n + 1), n))
     lams = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     return make_model(n, n + 1, vertices, lams + [tuple([-1] * n)])
@@ -179,6 +180,62 @@ def test_face_order_and_structure(wp112):
     assert face_by_indices(wp112, (2, 0)).facet_set == (0, 2)
     with pytest.raises(ValueError):
         face_by_indices(wp112, (0, 1, 2))
+
+
+def _faces_by_two_passes(model):
+    """The face list found in two passes: the facet subsets of every
+    vertex first, then each subset's vertices by a test against every
+    vertex."""
+    vertex_sets = [frozenset(v) for v in model.vertices]
+    found = set()
+    for vert in model.vertices:
+        for r in range(model.n + 1):
+            found.update(itertools.combinations(vert, r))
+    return tuple(
+        Face(
+            facet_set=fs,
+            dim=model.n - len(fs),
+            vertex_ids=tuple(i for i, vs in enumerate(vertex_sets) if vs.issuperset(fs)),
+        )
+        for fs in sorted(found, key=lambda s: (len(s), s))
+    )
+
+
+def _assert_one_pass_lattice(model):
+    for face in faces(model):
+        assert face.vertex_ids == tuple(
+            i for i, vertex in enumerate(model.vertices) if set(face.facet_set) <= set(vertex)
+        ), (model.name, face)
+    assert faces(model) == _faces_by_two_passes(model), model.name
+
+
+def _assert_one_containment_relation(model):
+    """``sector_groups_containing`` gives the groups with interior
+    elements over the faces whose facet set is part of the face's, in
+    ``faces`` order."""
+    table = LocalGroupTable(model)
+    for face in faces(model):
+        expected = [
+            table.group(h)
+            for h in faces(model)
+            if set(h.facet_set) <= set(face.facet_set) and table.group(h).interior
+        ]
+        assert table.sector_groups_containing(face) == expected, (model.name, face)
+
+
+def test_face_lattice_and_containment_on_corpus_and_blowups(corpus, crepant_blowups):
+    for model in list(corpus) + [blown for _, _, blown in crepant_blowups]:
+        _assert_one_pass_lattice(model)
+        _assert_one_containment_relation(model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_face_lattice_and_containment_follow_relabelling(corpus, data):
+    model = data.draw(st.sampled_from(corpus))
+    relabeled = relabel_facets(model, data.draw(st.permutations(range(model.m))))
+    _assert_one_pass_lattice(relabeled)
+    _assert_one_containment_relation(relabeled)
 
 
 def test_f_vectors(wp112):
@@ -351,6 +408,22 @@ def test_make_model_computes_one_determinant_per_vertex(monkeypatch, corpus):
         calls.clear()
         parse_model(model_to_json(model))
         assert len(calls) == len(model.vertices), model.name
+
+
+def test_make_model_converts_no_matrix(monkeypatch, corpus):
+    """Validation takes each vertex determinant of the vectors as rows, as
+    ``make_model`` converted them: no matrix is built or converted again."""
+    calls = []
+    real_as_mat = intlat_mod.as_mat
+    monkeypatch.setattr(intlat_mod, "as_mat", lambda rows: calls.append("as_mat") or real_as_mat(rows))
+    real_from_cols = model_mod.mat_from_cols
+    monkeypatch.setattr(
+        model_mod, "mat_from_cols", lambda cols: calls.append("mat_from_cols") or real_from_cols(cols)
+    )
+    for model in corpus:
+        made = make_model(model.n, model.m, model.vertices, model.char_vectors, name=model.name)
+        assert made.vertex_dets == model.vertex_dets
+    assert calls == []
 
 
 def _h_vector_by_definition(face, model):

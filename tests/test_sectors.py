@@ -427,6 +427,19 @@ def test_table_groups_equal_smith_form_groups(corpus, crepant_blowups, smith_for
     assert skipped > 0
 
 
+def test_table_builds_its_groups_without_converting_matrices(monkeypatch, corpus):
+    """The Smith form copies the rows of the validated vectors as given:
+    building every group of every table runs ``as_mat`` zero times."""
+    conversions, smith_forms = [], []
+    real_as_mat = intlat_mod.as_mat
+    monkeypatch.setattr(intlat_mod, "as_mat", lambda rows: conversions.append(rows) or real_as_mat(rows))
+    real_smith = sectors_mod.smith_normal_form
+    monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: smith_forms.append(m) or real_smith(m))
+    for model in corpus:
+        LocalGroupTable(model).groups
+    assert smith_forms and conversions == []
+
+
 def test_package_attribute_is_the_sectors_module():
     # Patching this module's names must reach the code that reads them.
     import qtorb
