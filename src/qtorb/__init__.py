@@ -33,6 +33,7 @@ from .ehrhart import (
     LatticeSimplex,
     count_from_ages,
     dilate_count,
+    dilate_counts,
     ehrhart_numerator,
     face_simplex,
     numerator_from_counts,

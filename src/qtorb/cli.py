@@ -24,7 +24,7 @@ from .blowup import (
     mckay_check,
 )
 from .cohomology import cr_report
-from .ehrhart import count_from_ages, dilate_count, face_simplex, numerator_from_counts
+from .ehrhart import count_from_ages, dilate_counts, face_simplex, numerator_from_counts
 from .exact import rat_to_str
 from .model import (
     Model,
@@ -193,8 +193,7 @@ def _cmd_ehrhart(args) -> int:
         if face.codim == 0:
             continue
         if args.oracle:
-            sx = face_simplex(face, model)
-            counts = [dilate_count(sx, k) for k in range(face.codim)]
+            counts = dilate_counts(face_simplex(face, model))
         else:
             ages = group.age_polynomial
             counts = [count_from_ages(ages, face.codim, k) for k in range(face.codim)]

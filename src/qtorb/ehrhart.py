@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 from typing import Sequence
 
 from . import kernels
@@ -21,7 +23,6 @@ from .intlat import (
     adjugate,
     det,
     mat_from_cols,
-    transpose,
 )
 from .model import Face, Model
 
@@ -61,34 +62,98 @@ def face_simplex(face: Face, model: Model) -> LatticeSimplex:
     return LatticeSimplex(ambient_face=face, verts=tuple(cols), coords=unit)
 
 
-def dilate_count(sx: LatticeSimplex, k: int) -> int:
-    """Number of lattice points of the k-th dilate, by brute force.
+def _dependent(verts: Sequence[IntVec]) -> RankDeficientError:
+    return RankDeficientError(f"simplex vertices {list(verts)} are linearly dependent")
 
-    Scans the integer bounding box of the dilated vertices and keeps the
-    points that are nonnegative rational combinations of the vertices
-    with coefficient sum k.  Exact, and independent of the box-element
-    machinery; this is the slow oracle path.
+
+class _DilatePlan:
+    """How every dilate of one simplex is scanned, fixed once per simplex.
+
+    A point x of the span of the d vertices is determined by its
+    coordinates on d rows R where the vertex matrix V has a nonzero minor
+    M: its barycentric coordinates are c = adj(M) x_R / det M.  The level
+    condition sum(c) = k reads w . x_R = k det M with w = 1^T adj(M), so
+    the plan solves it for one row r* of R with w_{r*} != 0 and scans the
+    other d - 1 rows.  w_{r*} is, up to sign, the determinant of those
+    d - 1 rows of V stacked on a row of ones, and M is nonsingular for
+    some r* exactly when the vertices are independent.  Of all such
+    choices the plan takes the one whose d - 1 scanned coordinate ranges
+    have the smallest product; coordinates that are constant on the
+    vertices never qualify.  Everything here but the ranges is
+    independent of the dilation factor.
+    """
+
+    def __init__(self, verts: Sequence[IntVec]):
+        vmat = mat_from_cols(verts)
+        n, d = len(vmat), len(verts)
+        self.lo = [min(row) for row in vmat]
+        self.hi = [max(row) for row in vmat]
+        ones = (1,) * d
+        by_size = sorted(
+            combinations(range(n), d - 1),
+            key=lambda rows: prod(self.hi[i] - self.lo[i] + 1 for i in rows),
+        )
+        for free in by_size:
+            if det((*(vmat[i] for i in free), ones)) != 0:
+                break
+        else:
+            raise _dependent(verts)
+        for r in range(n):
+            minor = (*(vmat[i] for i in free), vmat[r])
+            if r not in free and (det_m := det(minor)) != 0:
+                break
+        else:
+            raise _dependent(verts)
+        self.free, self.solved = free, r
+        adj = adjugate(minor)
+        w = [sum(col) for col in zip(*adj)]
+        w_s = w[-1]
+        # x_{r*} = y0 / q and c = y / m, with the signs folded into y so
+        # that q and m are positive.
+        sw = 1 if w_s > 0 else -1
+        sm = 1 if w_s * det_m > 0 else -1
+        self.q, self.m = abs(w_s), abs(w_s * det_m)
+        self.unit = [sw * det_m] + [sm * det_m * a[-1] for a in adj]
+        self.steps = [
+            [-sw * w[j]] + [sm * (w_s * a[j] - w[j] * a[-1]) for a in adj]
+            for j in range(d - 1)
+        ]
+        self.others = [vmat[i] for i in range(n) if i not in free and i != r]
+
+    def count(self, k: int) -> int:
+        """Lattice points of the k-th dilate, one kernel call."""
+        lo = [k * self.lo[i] for i in self.free]
+        hi = [k * self.hi[i] for i in self.free]
+        start = [
+            k * u + sum(step[j] * a for step, a in zip(self.steps, lo))
+            for j, u in enumerate(self.unit)
+        ]
+        bounds = (self.q * k * self.lo[self.solved], self.q * k * self.hi[self.solved])
+        return kernels.count_in_dilate(lo, hi, start, self.steps, bounds, self.q, self.others, self.m)
+
+
+def dilate_count(sx: LatticeSimplex, k: int) -> int:
+    """Number of lattice points of the k-th dilate, by exhaustion.
+
+    Plans the scan (see ``_DilatePlan``), then walks the d - 1 scanned
+    coordinates over the integer ranges of the dilated vertices, solves
+    the level condition for one more coordinate and keeps the points
+    that are nonnegative rational combinations of the vertices with
+    coefficient sum k and integer in every coordinate.  The scan costs
+    the product of those d - 1 coordinate ranges.  Exact, and
+    independent of the box-element machinery; this is the slow oracle
+    path.  Raises ``RankDeficientError`` on dependent vertices.
     """
     if k < 0:
         raise ValueError("dilation factor must be nonnegative")
-    verts = sx.verts
-    n = len(verts[0])
-    lo = [min(k * v[i] for v in verts) for i in range(n)]
-    hi = [max(k * v[i] for v in verts) for i in range(n)]
-    vmat = mat_from_cols(verts)
-    vt = transpose(vmat)
-    gram = tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in verts) for row in verts
-    )
-    det_g = det(gram)
-    # The Gram determinant is positive exactly when the vertices are independent.
-    if det_g <= 0:
-        raise RankDeficientError(f"simplex vertices {list(verts)} are linearly dependent")
-    adj = adjugate(gram)
-    return kernels.count_in_dilate(
-        lo, hi, [list(r) for r in vt], [list(r) for r in adj], det_g, k * det_g,
-        [list(r) for r in vmat],
-    )
+    return _DilatePlan(sx.verts).count(k)
+
+
+def dilate_counts(sx: LatticeSimplex) -> list[int]:
+    """The dim + 1 leading dilate counts l(0 Delta), ..., l(dim Delta),
+    as :func:`dilate_count` gives them, from one plan."""
+    plan = _DilatePlan(sx.verts)
+    return [plan.count(k) for k in range(sx.dim + 1)]
 
 
 def count_from_ages(ages: Poly, d: int, k: int) -> int:
@@ -122,6 +187,6 @@ def numerator_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
 
 def ehrhart_numerator(sx: LatticeSimplex) -> tuple[int, ...]:
     """Numerator coefficients of the dilate series of ``sx``, from its
-    first dim + 1 brute-force dilate counts; see
+    first dim + 1 brute-force dilate counts (:func:`dilate_counts`); see
     :func:`numerator_from_counts`."""
-    return numerator_from_counts([dilate_count(sx, k) for k in range(sx.dim + 1)])
+    return numerator_from_counts(dilate_counts(sx))

@@ -14,50 +14,52 @@ def backend_name() -> str:
     return "pure"
 
 
-def count_in_dilate(lo, hi, vt, adj, det_g, level, vmat) -> int:
-    """Count integer points x with lo <= x <= hi, componentwise, whose
-    coordinates c = adj @ (vt @ x) satisfy c >= 0, sum(c) == level and
-    vmat @ c == det_g * x (membership in the dilated simplex).
+def count_in_dilate(lo, hi, start, steps, bounds, q, others, m) -> int:
+    """Count integer points t with lo <= t <= hi, componentwise, at which
+    the values y = start + sum_j (t_j - lo_j) * steps[j] pass three tests
+    (membership in a dilated simplex, scanned on a fiber):
 
-    c is linear in x, so the odometer over the box keeps c and sum(c) as
-    running values: moving x_j by one adds column j of adj @ vt.  Each
-    point costs O(d) for d = len(vt); the cheap test sum(c) == level runs
-    first, and the other two only on the points that pass it.
+    - y[0] is a multiple of q inside bounds (the solved coordinate is an
+      integer in its range);
+    - y[1:] >= 0 (the barycentric coordinates, scaled by m, are
+      nonnegative);
+    - row . y[1:] is a multiple of m for every row of ``others`` (the
+      remaining coordinates are integers).
+
+    The values are affine in t.  An odometer over t_1, t_2, ... keeps y
+    as running values, moving t_j by one adds steps[j]; along each line
+    of t_0 only y[0] is tracked, and y[1:] is built at the points that
+    pass the first test.  The cost is one step per point of the box, the
+    product of the len(lo) coordinate ranges.
     """
     n = len(lo)
-    d = len(vt)
-    steps = [[sum(adj[a][b] * vt[b][j] for b in range(d)) for a in range(d)] for j in range(n)]
-    step_sums = [sum(step) for step in steps]
-    c = [sum(steps[j][a] * lo[j] for j in range(n)) for a in range(d)]
-    total = sum(c)
+    low, high = bounds
+    head = steps[0] if n else [0] * len(start)
+    width = hi[0] - lo[0] + 1 if n else 1
+    s0, tail = head[0], head[1:]
+    y = list(start)
+    t = list(lo)
     count = 0
-    x = list(lo)
     while True:
-        if (
-            total == level
-            and all(ci >= 0 for ci in c)
-            and all(
-                sum(vmat[i][j] * c[j] for j in range(d)) == det_g * x[i]
-                for i in range(n)
-            )
-        ):
-            count += 1
-        i = 0
-        while i < n and x[i] == hi[i]:
+        y0 = y[0]
+        for j in range(width):
+            v = y0 + j * s0
+            if low <= v <= high and v % q == 0:
+                c = [a + j * b for a, b in zip(y[1:], tail)]
+                if all(ci >= 0 for ci in c) and all(
+                    sum(a * b for a, b in zip(row, c)) % m == 0 for row in others
+                ):
+                    count += 1
+        i = 1
+        while i < n and t[i] == hi[i]:
             span = hi[i] - lo[i]
-            x[i] = lo[i]
-            step = steps[i]
-            for a in range(d):
-                c[a] -= span * step[a]
-            total -= span * step_sums[i]
+            t[i] = lo[i]
+            y = [a - span * b for a, b in zip(y, steps[i])]
             i += 1
-        if i == n:
+        if i >= n:
             break
-        x[i] += 1
-        step = steps[i]
-        for a in range(d):
-            c[a] += step[a]
-        total += step_sums[i]
+        t[i] += 1
+        y = [a + b for a, b in zip(y, steps[i])]
     return count
 
 

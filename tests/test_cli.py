@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtorb.cli as cli_mod
+import qtorb.kernels as kernels_mod
 import qtorb.sectors as sectors_mod
 from qtorb import (
     LocalGroup,
@@ -25,6 +26,7 @@ from qtorb import (
 from qtorb.cli import main
 from qtorb.intlat import det
 from qtorb.sectors import sectors
+from tests.test_ehrhart import _count_plans
 
 GOLDEN_MODELS = os.path.join(os.path.dirname(__file__), "golden", "models")
 
@@ -450,6 +452,19 @@ def test_ehrhart_runs_one_smith_form_per_proper_face(capsys, monkeypatch, smith_
     rc, oracle_out = run(capsys, "ehrhart", path, "--oracle")
     assert rc == 0 and oracle_out == out
     assert len(calls) == expected
+
+
+def test_ehrhart_oracle_plans_once_per_proper_face(capsys, monkeypatch):
+    plans = _count_plans(monkeypatch)
+    calls = []
+    kernel = kernels_mod.count_in_dilate
+    monkeypatch.setattr(kernels_mod, "count_in_dilate", lambda *a: calls.append(a) or kernel(*a))
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "models", "z3tetra.json")
+    rc, out = run(capsys, "ehrhart", path, "--oracle")
+    assert rc == 0
+    entries = json.loads(out)
+    assert len(plans) == len(entries) == 14
+    assert len(calls) == sum(len(e["dilates"]) for e in entries)
 
 
 def test_closed_stdout_exits_2_without_traceback(tmp_path):

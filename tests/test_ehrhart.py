@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+import qtorb.ehrhart as ehrhart_mod
 from qtorb import (
     LocalGroup,
     LocalGroupTable,
     count_from_ages,
     dilate_count,
+    dilate_counts,
     ehrhart_numerator,
     face_by_indices,
     face_simplex,
@@ -120,6 +122,43 @@ def test_fast_equals_brute_force_on_corpus(corpus):
             d = face.codim
             for k in range(d + 3):
                 assert fast_count(sx, k) == dilate_count(sx, k)
+
+
+def _count_plans(monkeypatch):
+    """Record each dilate plan built from now on, by its vertices."""
+    plans = []
+
+    class Counted(ehrhart_mod._DilatePlan):
+        def __init__(self, verts):
+            plans.append(tuple(verts))
+            super().__init__(verts)
+
+    monkeypatch.setattr(ehrhart_mod, "_DilatePlan", Counted)
+    return plans
+
+
+def test_dilate_counts_plan_once_per_simplex(monkeypatch, corpus):
+    simplices = [
+        face_simplex(face, model) for model in corpus for face in faces(model) if face.codim
+    ]
+    expected = [[dilate_count(sx, k) for k in range(sx.dim + 1)] for sx in simplices]
+    plans = _count_plans(monkeypatch)
+    assert [dilate_counts(sx) for sx in simplices] == expected
+    assert [numerator_from_counts(c) for c in expected] == [ehrhart_numerator(sx) for sx in simplices]
+    assert plans == [sx.verts for sx in simplices] * 2
+
+
+def test_oracle_fuzz_plans_once_per_checked_face(monkeypatch, corpus):
+    from qtorb import identity_failures
+
+    plans = _count_plans(monkeypatch)
+    for model in corpus:
+        checked = [
+            g.face for g in LocalGroupTable(model).groups if g.face.codim and g.order <= 200
+        ]
+        plans.clear()
+        assert identity_failures(model, include_oracle=True) == []
+        assert plans == [face_simplex(face, model).verts for face in checked]
 
 
 def test_ehrhart_numerator_examples():

@@ -4,18 +4,23 @@ against direct test-local references on small random inputs."""
 
 import itertools
 
-from hypothesis import assume, example, given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtorb import face_by_indices, kernels, make_model
-from qtorb.ehrhart import dilate_count
+from qtorb import RankDeficientError, face_by_indices, kernels, make_model
+from qtorb.ehrhart import _DilatePlan, dilate_count
+from qtorb.intlat import adjugate, det, mat_from_cols, transpose
 from qtorb.sectors import box_by_exhaustion, box_of_columns
 from tests.test_ehrhart import simplex_from_cols
 
+BIG = 2**40
+
 
 def _dilate_args(cols, k):
-    from qtorb.intlat import adjugate, det, mat_from_cols, transpose
-
+    """The reference's inputs: the dilate's bounding box, and the Gram
+    matrix's adjugate and determinant, which give the barycentric
+    coordinates of any point of the span."""
     verts = [tuple(c) for c in cols]
     n = len(verts[0])
     lo = [min(k * v[i] for v in verts) for i in range(n)]
@@ -77,8 +82,17 @@ def test_big_integers_count_exactly():
 
 
 def test_kernels_known_values():
-    # The k-th dilate of the segment from (1,0) to (1,2) holds 2k+1 points.
-    assert kernels.count_in_dilate(*_dilate_args([(1, 0), (1, 2)], 4)) == 9
+    # The fiber of the k-th dilate of the segment from (1,0) to (1,2):
+    # t = x_1 runs over [0, 2k], x_0 = y[0] / 2 is solved from the level
+    # condition, 4c = (4k - 2t, 2t), and there are no other coordinates.
+    k = 4
+    fiber = ([0], [2 * k], [2 * k, 4 * k, 0], [[0, -2, 2]])
+    assert kernels.count_in_dilate(*fiber, (2 * k, 2 * k), 2, [], 4) == 2 * k + 1
+    # Bounds that leave out the solved coordinate reject every point.  An
+    # other coordinate with the row (1, 0) is (16 - 2t) / 4, an integer
+    # for even t only.
+    assert kernels.count_in_dilate(*fiber, (0, 2 * k - 2), 2, [], 4) == 0
+    assert kernels.count_in_dilate(*fiber, (2 * k, 2 * k), 2, [(1, 0)], 4) == k + 1
     cols_mod = [[1, 0], [1, 0]]  # the columns (1,0) and (1,2) reduced mod 2
     assert kernels.box_solutions(cols_mod, 2) == [(0, 0), (1, 1)]
 
@@ -97,12 +111,18 @@ def _box_inputs(draw):
 
 
 @st.composite
-def _dilate_inputs(draw):
-    n = draw(st.integers(1, 3))
+def _simplex_inputs(draw):
+    """Vertices and a dilation factor whose dilate's bounding box the
+    reference can scan: small spans, each coordinate possibly shifted
+    by 2^40."""
+    n = draw(st.integers(1, 4))
     d = draw(st.integers(1, n))
-    verts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=d, max_size=d))
-    widen = draw(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n))
-    return verts, draw(st.integers(0, 3)), widen
+    small = 3 if n < 4 else 2
+    entry = st.integers(-small, small)
+    verts = draw(st.lists(st.tuples(*[entry] * n), min_size=d, max_size=d))
+    shift = draw(st.lists(st.sampled_from([0, 0, 0, BIG, -BIG]), min_size=n, max_size=n))
+    verts = [tuple(a + b for a, b in zip(v, shift)) for v in verts]
+    return verts, draw(st.integers(0, 3 if n < 4 else 2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -115,22 +135,59 @@ def test_box_solutions_match_reference(inputs):
     assert kernels.box_solutions(cols_mod, r) == _box_solutions_reference(cols, r)
 
 
+# Pinned dilates, each a case the plan must get right.  The first one
+# counts wrongly without the integrality test on the other coordinates.
+# Those marked det M < 0 count wrongly when the sign of det M is dropped
+# from the test c >= 0, and a flipped sign empties every dilate with
+# k > 0.  Skipping the range test on the solved coordinate changes no
+# count: c >= 0 with sum(c) = k puts every coordinate in the dilate's
+# range already.  That test is a cheap filter, checked on the kernel in
+# test_kernels_known_values.
+OTHER_COORDINATE = ([(-2, 0, 2), (0, 2, -1)], 1)  # d < n, det M < 0
+NEGATIVE_POINT = ([(-1,)], 1)  # d = 1, det M < 0
+SEGMENT = ([(1, 0), (1, 2)], 4)  # det M < 0
+SINGULAR_LEADING_MINOR = ([(1, 1, 0), (1, 1, 3)], 2)
+ZERO_DILATE = ([(1, 0, 0), (0, 1, 0), (-1, -1, 3)], 0)
+NEAR_2_40 = ([(BIG + 1, -BIG), (BIG, 2 - BIG)], 3)
+
+
+def _minor_det(verts):
+    """det M of the rows the plan chose, the scanned ones then the solved one."""
+    plan = _DilatePlan(verts)
+    vmat = mat_from_cols(verts)
+    return det([*(vmat[i] for i in plan.free), vmat[plan.solved]])
+
+
+def test_pinned_dilates_reach_their_cases():
+    verts, _ = OTHER_COORDINATE
+    assert len(verts) < len(verts[0]) and _minor_det(verts) < 0
+    assert _minor_det(NEGATIVE_POINT[0]) < 0 and len(NEGATIVE_POINT[0]) == 1
+    assert _minor_det(SEGMENT[0]) < 0
+    verts, _ = SINGULAR_LEADING_MINOR
+    assert det(mat_from_cols(verts)[: len(verts)]) == 0
+    assert ZERO_DILATE[1] == 0
+    assert min(abs(e) for v in NEAR_2_40[0] for e in v) >= BIG - 2
+
+
 @settings(max_examples=200, deadline=None)
-@given(_dilate_inputs())
-@example(([(1, 0), (1, 2)], 0, [0, 0, 0, 0]))  # dilate 0
-@example(([(2, -1, 0)], 3, [1, 0, 0, 1, 1, 0]))  # d < n
-@example(([(-1, -1, 3), (1, 0, 0)], 2, [1, 1, 1, 1, 1, 1]))
-def test_count_in_dilate_matches_reference(inputs):
-    verts, k, widen = inputs
-    lo, hi, *rest = _dilate_args(verts, k)
-    assume(rest[2] > 0)  # independent vertices: positive Gram determinant
-    # Widen the box by up to one step on each side: the scan must reject
-    # the extra points itself.
-    n = len(lo)
-    lo = [a - w for a, w in zip(lo, widen[:n])]
-    hi = [b + w for b, w in zip(hi, widen[n:])]
-    args = (lo, hi, *rest)
-    assert kernels.count_in_dilate(*args) == _count_in_dilate_reference(*args)
+@given(_simplex_inputs())
+@example(OTHER_COORDINATE)
+@example(NEGATIVE_POINT)
+@example(SEGMENT)
+@example(SINGULAR_LEADING_MINOR)
+@example(ZERO_DILATE)
+@example(NEAR_2_40)
+def test_dilate_count_matches_reference(inputs):
+    """The fiber scan against the membership tests evaluated from scratch
+    at every point of the dilate's n-dimensional bounding box."""
+    verts, k = inputs
+    args = _dilate_args(verts, k)
+    sx = simplex_from_cols(verts)
+    if args[4] == 0:  # dependent vertices: zero Gram determinant
+        with pytest.raises(RankDeficientError):
+            dilate_count(sx, k)
+    else:
+        assert dilate_count(sx, k) == _count_in_dilate_reference(*args)
 
 
 def test_box_by_exhaustion_on_order_100_vertex():
