@@ -48,7 +48,7 @@ from .intlat import (
     det,
     is_primitive,
     lattice_index,
-    smith_normal_form,
+    triangular_form,
 )
 from .model import (
     Face,

@@ -364,8 +364,8 @@ class McKayReport:
         return (
             self.quasi_sl_after
             and self.after is not None
-            and self.before.routes_agree
-            and self.after.routes_agree
+            and self.before.all_pass
+            and self.after.all_pass
             and self.pp_cr_match
             and all(check.passed for check in self.triangulation_checks)
         )
@@ -414,7 +414,7 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
     columns, the box partition over vertices, the per-face age
     partition, the torus stratification, three-route agreement, and the
     crepant blowup invariance for every candidate.  With `include_oracle`, the
-    Smith-form box enumeration and the dilate-series numerators are also
+    table's box enumeration and the dilate-series numerators are also
     cross-checked against the exhaustive search paths, and each subface's
     triangulation identity in a McKay check against the validated
     induced triangulation built whole from the star subdivision that the
@@ -437,7 +437,7 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
         if vertex.face.codim != model.n:
             continue
         # |det| as validation computed it, by Bareiss elimination,
-        # independent of the Smith form the group came from.  The table
+        # independent of the triangular basis the group came from.  The table
         # reads the same determinants: a face is smooth when some vertex
         # through it has |det| = 1.
         index = abs(model.vertex_dets[vertex.face.vertex_ids[0]])

@@ -2,8 +2,9 @@
 
 Vectors are tuples of ints, matrices are tuples of row tuples.  All
 operations are exact: determinants use fraction-free elimination, the
-Smith normal form tracks unimodular transforms, and rational solves run
-over :class:`fractions.Fraction`.  Nothing here ever touches a float.
+triangular basis of a column lattice comes from integer row operations,
+and rational solves run over :class:`fractions.Fraction`.  Nothing here
+ever touches a float.
 """
 
 from __future__ import annotations
@@ -103,103 +104,42 @@ def adjugate(m: IntMat) -> IntMat:
     return tuple(map(tuple, adj))
 
 
-def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
-    """Smith normal form: U @ m @ V = D.
+def triangular_form(m: IntMat) -> IntMat:
+    """Upper-triangular H with a positive diagonal such that U @ m is H
+    over zero rows for a unimodular U, by integer row operations only.
 
-    U and V are unimodular, D is diagonal with nonnegative entries and
-    d_i | d_{i+1}.  Pivoting always takes the smallest nonzero entry in
-    absolute value, scanning the trailing block row-major, so repeated
-    runs produce identical transforms.  The rows are copied as given,
-    unconverted (ValueError for a ragged matrix), and the outputs are
-    tuples of tuples.
+    m has n rows and k independent columns, and H is k x k.  Column c is
+    cleared below row c by Euclid: the row with the smallest nonzero
+    entry in the column (the first such row) is swapped into row c, and
+    every row below takes its multiples off that pivot, until the pivot
+    is alone.  The rows are copied as given, unconverted.  Raises
+    :class:`RankDeficientError` for dependent columns and ValueError for
+    a ragged matrix.
     """
     a = [list(row) for row in m]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     if any(len(row) != ncols for row in a):
         raise ValueError("ragged matrix")
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    limit = min(nrows, ncols)
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def row_addmul(dst, src, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def col_addmul(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def diagonalize():
-        t = 0
-        while t < limit:
-            best = None
-            pi = pj = -1
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    x = a[i][j]
-                    if x != 0 and (best is None or abs(x) < best):
-                        best = abs(x)
-                        pi, pj = i, j
-            if best is None:
-                break
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            if a[t][t] < 0:
-                row_negate(t)
-            clean = True
-            for i in range(t + 1, nrows):
-                q = a[i][t] // a[t][t]
+    for c in range(ncols):
+        alone = False
+        while not alone:
+            pivot = min(
+                (r for r in range(c, nrows) if a[r][c]), key=lambda r: abs(a[r][c]), default=None
+            )
+            if pivot is None:
+                raise RankDeficientError("columns are not linearly independent")
+            a[c], a[pivot] = a[pivot], a[c]
+            top = a[c]
+            alone = True
+            for r in range(c + 1, nrows):
+                q = a[r][c] // top[c]
                 if q:
-                    row_addmul(i, t, -q)
-                if a[i][t]:
-                    clean = False
-            for j in range(t + 1, ncols):
-                q = a[t][j] // a[t][t]
-                if q:
-                    col_addmul(j, t, -q)
-                if a[t][j]:
-                    clean = False
-            if clean:
-                t += 1
-
-    diagonalize()
-    # Repair the divisibility chain: fold the offending entry into the
-    # earlier column and rediagonalize until d_i | d_{i+1} throughout.
-    for _ in range(64 * (limit + 1) ** 2):
-        violation = next(
-            (
-                i
-                for i in range(limit - 1)
-                if a[i][i] and a[i + 1][i + 1] % a[i][i] != 0
-            ),
-            None,
-        )
-        if violation is None:
-            break
-        col_addmul(violation, violation + 1, 1)
-        diagonalize()
-    else:  # pragma: no cover - guarded by the property tests
-        raise RuntimeError("smith normal form did not converge")
-    return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
+                    a[r] = [x - q * y for x, y in zip(a[r], top)]
+                alone = alone and not a[r][c]
+        if a[c][c] < 0:
+            a[c] = [-x for x in a[c]]
+    return tuple(map(tuple, a[:ncols]))
 
 
 def coords_in_basis(basis: IntMat, w: Sequence[int]) -> tuple[Fraction, ...]:
@@ -235,7 +175,7 @@ def coords_in_basis(basis: IntMat, w: Sequence[int]) -> tuple[Fraction, ...]:
 def lattice_index(cols: Sequence[Sequence[int]]) -> int:
     """Index of the lattice generated by the columns inside its saturation.
 
-    Computed independently of the Smith normal form as the gcd of all
+    Computed independently of :func:`triangular_form` as the gcd of all
     maximal minors, which is what makes it usable as a cross-check.
     """
     mat = mat_from_cols(cols)

@@ -1,7 +1,7 @@
 """The two enumeration kernels behind the oracles.
 
 Both run on Python big integers, so they are exact for inputs of any
-magnitude.  They stay independent of the Smith-form machinery in
+magnitude.  They stay independent of the local-group construction in
 :mod:`qtorb.sectors`: ``count_in_dilate`` backs the brute-force dilate
 count and ``box_solutions`` the exhaustive box search.
 """

@@ -1,17 +1,19 @@
 """Local groups of faces, encoded as box elements.
 
-The finite group attached to a face is enumerated through the Smith
-normal form of its characteristic vectors: coset representatives map to
-the unique coefficient vector with entries in [0, 1).  Each element
-carries its lattice point, its age (the coefficient sum), and its height
-(the number of nonzero coefficients, which equals the rank of g - id on
-the tangent representation).  :class:`LocalGroupTable` holds the group
-of every face of a model, built once, on first use, for everything
-computed on it.  A face's box elements are those of any vertex through
-it whose coefficients vanish off the face, so a face is smooth, with
-the trivial group, when some vertex through it has |det| = 1, read from
-the determinants that validation computed.  The table runs a Smith form
-only for the other faces.
+The finite group attached to a face is the set of coefficient vectors c
+with ``sum(c_j * lambda_j)`` in the lattice, modulo Z^k.  It is
+enumerated from a triangular basis of the lattice spanned by the face's
+characteristic vectors: coset representatives map to the unique
+coefficient vector with entries in [0, 1).  Each element carries its
+lattice point, its age (the coefficient sum), and its height (the number
+of nonzero coefficients, which equals the rank of g - id on the tangent
+representation).  :class:`LocalGroupTable` holds the group of every face
+of a model, built once, on first use, for everything computed on it.  A
+face's box elements are those of any vertex through it whose
+coefficients vanish off the face, so a face is smooth, with the trivial
+group, when some vertex through it has |det| = 1, read from the
+determinants that validation computed.  The table computes a triangular
+basis only for the other faces.
 
 A second, independent enumeration by exhaustive search over denominators
 dividing the group order is provided for cross-checking.
@@ -29,7 +31,7 @@ from typing import Iterable, Sequence
 
 from . import kernels
 from .exact import Poly
-from .intlat import IntMat, IntVec, lattice_index, smith_normal_form
+from .intlat import IntMat, IntVec, lattice_index, triangular_form
 from .model import Face, Model, faces, h_vector
 
 
@@ -67,58 +69,66 @@ class BoxElement:
         return self.height == 0
 
 
-def _element_from_coeffs(coeffs: Sequence[Fraction], cols: Sequence[IntVec], n: int) -> BoxElement:
-    point = [Fraction(0)] * n
-    for c, col in zip(coeffs, cols):
-        for i in range(n):
-            point[i] += c * col[i]
-    if any(p.denominator != 1 for p in point):
-        raise ArithmeticError(f"box point {[str(p) for p in point]} is not integral")
-    return BoxElement(
-        coeffs=tuple(coeffs),
-        point=tuple(p.numerator for p in point),
-        age=sum(coeffs, Fraction(0)),
-        height=sum(1 for c in coeffs if c),
-    )
+def _inverse_columns(h: IntMat, order: int) -> list[list[int]]:
+    """The columns of ``order`` times the inverse of the upper-triangular
+    h, whose determinant is ``order``: the adjugate of h, found by back
+    substitution.  Every division is exact, since the adjugate is
+    integral."""
+    k = len(h)
+    columns = []
+    for j in range(k):
+        x = [0] * k
+        x[j] = order // h[j][j]
+        for i in range(j - 1, -1, -1):
+            x[i] = -sum(h[i][l] * x[l] for l in range(i + 1, j + 1)) // h[i][i]
+        columns.append(x)
+    return columns
 
 
 class LocalGroup:
     """The local group of a cone over k independent lattice vectors.
 
-    One Smith normal form ``U @ A @ V = D`` of the column matrix A fixes
-    the group: it is Z^k modulo the column lattice, a product of cyclic
-    groups of orders d_1 | ... | d_k, and column j of V, read modulo
-    d_j, generates the j-th factor.  Only the invariants d_j and V are
-    kept.  Every element is stored as the integer numerators of its box
-    coefficients over the group exponent d_k, so enumeration, points and
-    ages stay in integer arithmetic; ``Fraction`` appears only when a
+    The group is the set of coefficient vectors c with ``A @ c`` integral,
+    modulo Z^k, where A has the vectors as columns.  Integer row
+    operations make ``U @ A`` an upper-triangular H over zero rows, with
+    U unimodular, so ``A @ c`` is integral exactly when ``H @ c`` is, and
+    the group is H^-1 Z^k / Z^k.  Its order is the product of the
+    diagonal of H.  Generator i is column i of H^-1, and the elements are
+    the sums of a_i times generator i with 0 <= a_i < h_ii, once each.
+    The exponent is the least common multiple of the generators' orders.
+    Every element is stored as the integer numerators of its box
+    coefficients over the exponent, so enumeration, points and ages stay
+    in integer arithmetic; ``Fraction`` appears only when a
     :class:`BoxElement` is built.
 
-    Whether every age is an integer is read off the Smith form alone:
-    age mod 1 is a homomorphism to Q/Z, and generator j has age
-    ``(column sum j of V) / d_j``.  The elements, interior elements and
-    age polynomials are enumerated on first use and then kept.
+    Whether every age is an integer is read off the generators alone:
+    age mod 1 is a homomorphism to Q/Z, so every age is an integer when
+    every generator's is.  The elements, interior elements and age
+    polynomials are enumerated on first use and then kept.
     """
 
     def __init__(self, columns: Sequence[IntVec], ambient_dim: int, face: Face | None = None):
         columns = tuple(tuple(c) for c in columns)
-        k = len(columns)
-        invariants: tuple[int, ...] = ()
-        v: IntMat = ()
-        if k:
-            _, d, v = smith_normal_form(tuple(zip(*columns, strict=True)))
-            if len(d) < k or any(d[i][i] == 0 for i in range(k)):
-                raise ValueError("box enumeration requires independent columns")
-            invariants = tuple(d[i][i] for i in range(k))
-        self._set(columns, ambient_dim, face, invariants, v)
+        exponent, cycles = 1, ()
+        if columns:
+            h = triangular_form(tuple(zip(*columns, strict=True)))
+            steps = [h[i][i] for i in range(len(h))]
+            order = math.prod(steps)
+            generators = [
+                (step, g) for step, g in zip(steps, _inverse_columns(h, order)) if step > 1
+            ]
+            exponent = math.lcm(*(order // math.gcd(order, *g) for _, g in generators))
+            cycles = tuple(
+                (step, tuple(x * exponent // order % exponent for x in g)) for step, g in generators
+            )
+        self._set(columns, ambient_dim, face, exponent, cycles)
 
     @classmethod
     def _trivial(cls, columns: tuple[IntVec, ...], ambient_dim: int, face: Face) -> "LocalGroup":
         """The trivial group of columns that are part of a lattice basis,
-        built without a Smith form.  Every invariant is 1, so no
-        generator is ever read from V, which is left empty."""
+        built without a triangular basis."""
         group = cls.__new__(cls)
-        group._set(columns, ambient_dim, face, (1,) * len(columns), ())
+        group._set(columns, ambient_dim, face, 1, ())
         return group
 
     def _set(
@@ -126,36 +136,29 @@ class LocalGroup:
         columns: tuple[IntVec, ...],
         ambient_dim: int,
         face: Face | None,
-        invariants: tuple[int, ...],
-        v: IntMat,
+        exponent: int,
+        cycles: tuple[tuple[int, tuple[int, ...]], ...],
     ) -> None:
+        """``cycles`` holds (h_ii, numerators of generator i over
+        ``exponent``) for every diagonal entry h_ii > 1."""
         self.columns = columns
         self.ambient_dim = ambient_dim
         self.face = face
-        self.invariants = invariants
-        self._v = v
-        self.exponent = invariants[-1] if invariants else 1
-        self.order = math.prod(invariants)
-        self.integral_ages = all(
-            sum(row[j] for row in v) % dj == 0 for j, dj in enumerate(invariants)
-        )
+        self.exponent = exponent
+        self._cycles = cycles
+        self.order = math.prod(step for step, _ in cycles)
+        self.integral_ages = all(sum(gen) % exponent == 0 for _, gen in cycles)
 
     @cached_property
     def numerators(self) -> tuple[tuple[int, ...], ...]:
         """Box coefficients of every element times the exponent, sorted;
         the identity comes first."""
-        k = len(self.columns)
         e = self.exponent
-        v = self._v
-        elements = [(0,) * k]
-        for j, dj in enumerate(self.invariants):
-            if dj == 1:
-                continue
-            step = e // dj
-            gen = tuple(v[i][j] * step % e for i in range(k))
+        elements = [(0,) * len(self.columns)]
+        for step, gen in self._cycles:
             grown = []
             for element in elements:
-                for _ in range(dj):
+                for _ in range(step):
                     grown.append(element)
                     element = tuple((a + b) % e for a, b in zip(element, gen))
             elements = grown
@@ -192,8 +195,8 @@ class LocalGroup:
         return tuple(i for i, nums in enumerate(self.numerators) if all(nums))
 
     def retagged(self, face: Face) -> "LocalGroup":
-        """The same group, invariants, V and enumerated data shared,
-        tagged with another face over the same columns."""
+        """The same group, generators and enumerated data shared, tagged
+        with another face over the same columns."""
         group = copy.copy(self)
         group.face = face
         return group
@@ -214,9 +217,6 @@ class LocalGroup:
 
     def box_elements(self) -> list[BoxElement]:
         return [self.box_element(i) for i in range(len(self.numerators))]
-
-    def interior_elements(self) -> list[BoxElement]:
-        return [self.box_element(i) for i in self.interior]
 
     def age(self, i: int) -> int:
         """Integral age of element i; raises for a fractional one."""
@@ -261,9 +261,10 @@ class LocalGroup:
 def box_of_columns(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxElement]:
     """All box elements of the cone spanned by independent lattice vectors.
 
-    Enumerates Z^k modulo the column lattice via Smith normal form and
-    maps every coset to its unique representative in [0, 1)^k.  The
-    result is sorted by coefficient vector; the identity comes first.
+    Enumerates the group from a triangular basis of the column lattice
+    (:class:`LocalGroup`) and maps every coset to its unique
+    representative in [0, 1)^k.  The result is sorted by coefficient
+    vector; the identity comes first.
     """
     return LocalGroup(cols, ambient_dim).box_elements()
 
@@ -272,21 +273,32 @@ def box_by_exhaustion(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxEleme
     """Independent slow enumeration of the same box.
 
     The group order r is read off as the gcd of the maximal minors, then
-    every coefficient vector with denominator dividing r is kept when the
+    every coefficient vector t/r with t in [0, r)^k is kept when the
     combination is a lattice point; :func:`qtorb.kernels.box_solutions`
-    finds them in r^(k-1) + r steps.
+    finds the t, sorted, in r^(k-1) + r steps.  Each point is the
+    quotient of ``sum(t_j * col_j)`` by r, in integers.
     """
-    k = len(cols)
-    if k == 0:
+    if not cols:
         return [BoxElement((), (0,) * ambient_dim, Fraction(0), 0)]
     order = lattice_index(cols)
     cols_mod = [[e % order for e in col] for col in cols]
-    solutions = kernels.box_solutions(cols_mod, order)
-    elements = [
-        _element_from_coeffs([Fraction(t, order) for t in sol], cols, ambient_dim)
-        for sol in solutions
-    ]
-    elements.sort(key=lambda e: e.coeffs)
+    rows = tuple(zip(*cols))
+    elements = []
+    for t in kernels.box_solutions(cols_mod, order):
+        point = []
+        for row in rows:
+            q, rem = divmod(sum(map(operator.mul, t, row)), order)
+            if rem:
+                raise ArithmeticError(f"box point of {list(t)}/{order} is not integral")
+            point.append(q)
+        elements.append(
+            BoxElement(
+                coeffs=tuple(Fraction(x, order) for x in t),
+                point=tuple(point),
+                age=Fraction(sum(t), order),
+                height=sum(1 for x in t if x),
+            )
+        )
     return elements
 
 
@@ -305,10 +317,10 @@ class LocalGroupTable:
     that vertex's columns are a lattice basis and the face's columns part
     of it, so its box elements, which are the vertex's box elements with
     coefficients vanishing off the face, reduce to the identity.  A
-    smooth face's group is built trivial, without a Smith form; every
-    other face runs one.  So :attr:`quasi_sl` runs one per singular
-    vertex and builds no lower face, and no face's smoothness depends on
-    another face's group.
+    smooth face's group is built trivial, without a triangular basis;
+    every other face computes one.  So :attr:`quasi_sl` computes one per
+    singular vertex and builds no lower face, and no face's smoothness
+    depends on another face's group.
 
     With ``base``, the table of another model in the same dimension
     (the model a blowup came from), a face whose facet set and columns
@@ -402,9 +414,3 @@ class LocalGroupTable:
             if not group.integral_ages:
                 raise NonIntegralAgeError(group.first_fractional_age())
 
-
-def sectors(table: LocalGroupTable) -> list[BoxElement]:
-    """All sectors of the table's model in canonical order: the untwisted
-    sector (identity over the whole polytope) first, then every interior
-    box element of every proper face."""
-    return [element for group in table.groups for element in group.interior_elements()]

@@ -93,11 +93,11 @@ def crepant_blowups(corpus):
     ]
 
 
-def smith_form_faces(model, base=None):
-    """The faces for which ``LocalGroupTable(model, base)`` runs a Smith
-    form: every proper face not taken from ``base`` (same facet set and
-    columns) that passes through no vertex with |det| = 1, a vertex
-    passing through itself."""
+def basis_faces(model, base=None):
+    """The faces for which ``LocalGroupTable(model, base)`` computes a
+    triangular basis: every proper face not taken from ``base`` (same
+    facet set and columns) that passes through no vertex with |det| = 1,
+    a vertex passing through itself."""
     smooth = {
         i
         for i, vertex in enumerate(model.vertices)
@@ -117,9 +117,9 @@ def smith_form_faces(model, base=None):
     ]
 
 
-@pytest.fixture(name="smith_form_faces")
-def smith_form_faces_fixture():
-    return smith_form_faces
+@pytest.fixture(name="basis_faces")
+def basis_faces_fixture():
+    return basis_faces
 
 
 @pytest.fixture

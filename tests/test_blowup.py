@@ -335,7 +335,7 @@ def test_blown_table_from_base_equals_fresh_table(crepant_blowups):
         assert len(reused.groups) == len(fresh.groups)
         for a, b in zip(reused.groups, fresh.groups):
             assert a.face == b.face
-            assert a.invariants == b.invariants
+            assert a.exponent == b.exponent
             assert a.numerators == b.numerators
             assert a.points == b.points
             assert a.age_polynomial == b.age_polynomial
@@ -361,7 +361,7 @@ def _mislabel_as_trivial(monkeypatch, facet_set):
 def test_partition_checks_catch_a_wrongly_trivial_face(monkeypatch, prism):
     """The prism's edge (0, 1) has order 2, and so do both vertices on it;
     built as the trivial group, the edge loses the sector that both vertex
-    boxes, computed by their own Smith forms, still hold."""
+    boxes, computed from their own triangular bases, still hold."""
     assert LocalGroupTable(prism).group(face_by_indices(prism, (0, 1))).order == 2
     assert identity_failures(prism, include_oracle=True) == []
     _mislabel_as_trivial(monkeypatch, (0, 1))
@@ -439,17 +439,17 @@ def test_vertex_order_is_checked_against_the_determinant(monkeypatch, z3):
 
 
 def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(
-    monkeypatch, crepant_blowups, smith_form_faces
+    monkeypatch, crepant_blowups, basis_faces
 ):
     """The blown table takes every face off the new facet m from the base
     table; the faces on m are exactly the interior cones of the star
     subdivision joined with each subface's extra vectors, which the
     identity reads from that table.  Of those, the faces through no
-    smooth vertex run a Smith form."""
+    smooth vertex compute a triangular basis."""
     inside: list[bool] = []
     calls: list[bool] = []
     cones: list[frozenset] = []
-    real_smith = sectors_mod.smith_normal_form
+    real_basis = sectors_mod.triangular_form
     real_check = blowup_mod.check_triangulation_identity
 
     def check(face, subdivision, groups, cones_table, extra=()):
@@ -460,7 +460,7 @@ def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(
         finally:
             inside.pop()
 
-    monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: calls.append(bool(inside)) or real_smith(m))
+    monkeypatch.setattr(sectors_mod, "triangular_form", lambda m: calls.append(bool(inside)) or real_basis(m))
     monkeypatch.setattr(blowup_mod, "check_triangulation_identity", check)
     for model, spec, blown in crepant_blowups:
         before = cr_report(LocalGroupTable(model))
@@ -468,8 +468,8 @@ def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(
         cones.clear()
         assert mckay_check(before, spec).verdict
         on_new_facet = [f for f in faces(blown) if model.m in f.facet_set]
-        assert len(calls) == len(smith_form_faces(blown, model))
-        assert all(model.m in f.facet_set for f in smith_form_faces(blown, model))
+        assert len(calls) == len(basis_faces(blown, model))
+        assert all(model.m in f.facet_set for f in basis_faces(blown, model))
         assert not any(calls)
         assert len(cones) == len(set(cones)) == len(on_new_facet)
         assert set(cones) == {

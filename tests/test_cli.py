@@ -25,8 +25,8 @@ from qtorb import (
 )
 from qtorb.cli import main
 from qtorb.intlat import det
-from qtorb.sectors import sectors
 from tests.test_ehrhart import _count_plans
+from tests.test_sectors import sectors
 
 GOLDEN_MODELS = os.path.join(os.path.dirname(__file__), "golden", "models")
 
@@ -343,12 +343,12 @@ def test_arithmetic_error_is_structured(capsys, monkeypatch, wp112_path):
 
 def test_runtime_error_is_structured(capsys, monkeypatch, wp112_path):
     def diverges(m):
-        raise RuntimeError("smith normal form did not converge")
+        raise RuntimeError("triangular form failed")
 
-    monkeypatch.setattr(sectors_mod, "smith_normal_form", diverges)
+    monkeypatch.setattr(sectors_mod, "triangular_form", diverges)
     rc, out = run(capsys, "betti", wp112_path)
     assert rc == 2
-    assert json.loads(out) == {"error": "smith normal form did not converge"}
+    assert json.loads(out) == {"error": "triangular form failed"}
 
 
 def test_cr_reads_identities_by_name(capsys, monkeypatch, wp112_path):
@@ -437,13 +437,13 @@ def test_identity_failures_builds_one_table_per_model(monkeypatch, corpus):
         assert built[0] == model
 
 
-def test_ehrhart_runs_one_smith_form_per_proper_face(capsys, monkeypatch, smith_form_faces):
+def test_ehrhart_runs_one_smith_form_per_proper_face(capsys, monkeypatch, basis_faces):
     calls = []
-    real = sectors_mod.smith_normal_form
-    monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: calls.append(m) or real(m))
+    real = sectors_mod.triangular_form
+    monkeypatch.setattr(sectors_mod, "triangular_form", lambda m: calls.append(m) or real(m))
     path = os.path.join(os.path.dirname(__file__), os.pardir, "models", "z3tetra.json")
     with open(path, encoding="utf-8") as handle:
-        expected = len(smith_form_faces(parse_model(handle.read())))
+        expected = len(basis_faces(parse_model(handle.read())))
     rc, out = run(capsys, "ehrhart", path)
     assert rc == 0
     assert len(json.loads(out)) == 14
@@ -452,6 +452,33 @@ def test_ehrhart_runs_one_smith_form_per_proper_face(capsys, monkeypatch, smith_
     rc, oracle_out = run(capsys, "ehrhart", path, "--oracle")
     assert rc == 0 and oracle_out == out
     assert len(calls) == expected
+
+
+def test_mckay_verdict_reads_the_blown_models_identities(capsys, monkeypatch, z3):
+    """An identity that fails on the blown-up model alone fails the McKay
+    verdict, in ``qtorb mckay`` and in ``identity_failures``, although
+    the three routes agree and PP_CR is kept."""
+    import qtorb.cohomology as cohomology_mod
+    from qtorb import identity_failures
+
+    real = cohomology_mod.check_age_partition
+
+    def failing_after_the_blowup(table):
+        checks = real(table)
+        if table.model.m == z3.m:
+            return checks
+        return [(face, False) for face, _ in checks]
+
+    monkeypatch.setattr(cohomology_mod, "check_age_partition", failing_after_the_blowup)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "models", "z3tetra.json")
+    rc, out = run(capsys, "mckay", path, "--face", "0,1,2", "--weights", "1/3,1/3,1/3")
+    assert rc == 1
+    report = json.loads(out)
+    assert report["verdict"] is False
+    assert report["routes_agree"] == {"before": True, "after": True}
+    assert report["pp_cr"]["before"] == report["pp_cr"]["after"]
+    failures = identity_failures(z3)
+    assert failures and all("changes the Betti numbers" in f for f in failures)
 
 
 def test_ehrhart_oracle_plans_once_per_proper_face(capsys, monkeypatch):
@@ -586,13 +613,8 @@ def test_sector_listing_fails_before_any_output(capsys, monkeypatch, z3_path, co
     if fault == "points":
         monkeypatch.setattr(LocalGroup, "_point", _raise_off_the_polytope(LocalGroup._point))
     else:
-        real = sectors_mod.smith_normal_form
-
-        def repeating(m):
-            u, d, v = real(m)
-            return u, d, tuple((0,) * len(row) for row in v)
-
-        monkeypatch.setattr(sectors_mod, "smith_normal_form", repeating)
+        # Zero generators step the identity h_ii times.
+        monkeypatch.setattr(sectors_mod, "_inverse_columns", lambda h, order: [[0] * len(h)] * len(h))
     rc, out = run(capsys, command, z3_path)
     assert rc == 2
     report = json.loads(out)

@@ -22,7 +22,7 @@ from qtorb import (
 )
 from qtorb.cohomology import _sum
 from qtorb.exact import Poly
-from qtorb.sectors import sectors
+from tests.test_sectors import sectors
 
 
 def square_model():
@@ -198,18 +198,18 @@ def test_cr_report(wp112):
     assert report.pp_cr - report.pp == Poly([0, 1])
 
 
-def test_cr_report_runs_one_smith_form_per_proper_face(monkeypatch, corpus, smith_form_faces):
-    """One Smith form per proper face through no smooth vertex; a vertex
-    with |det| = 1 and every face through it run none."""
+def test_cr_report_runs_one_smith_form_per_proper_face(monkeypatch, corpus, basis_faces):
+    """One triangular basis per proper face through no smooth vertex; a
+    vertex with |det| = 1 and every face through it compute none."""
 
     calls = []
-    real = sectors_mod.smith_normal_form
-    monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: calls.append(m) or real(m))
+    real = sectors_mod.triangular_form
+    monkeypatch.setattr(sectors_mod, "triangular_form", lambda m: calls.append(m) or real(m))
     skipped = 0
     for model in corpus[::5]:
         calls.clear()
         cr_report(LocalGroupTable(model))
-        assert len(calls) == len(smith_form_faces(model))
+        assert len(calls) == len(basis_faces(model))
         skipped += sum(1 for f in faces(model) if f.codim > 0) - len(calls)
     assert skipped > 0
 

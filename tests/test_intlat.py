@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from qtorb.intlat import (
     is_primitive,
     lattice_index,
     mat_from_cols,
-    smith_normal_form,
+    triangular_form,
 )
 
 
@@ -27,9 +29,19 @@ def mat_mul(a, b):
 
 
 def smith_invariants(m):
-    """Nonzero diagonal of the Smith normal form, in divisibility order."""
-    _, d, _ = smith_normal_form(m)
-    return tuple(d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i])
+    """Nonzero diagonal of the Smith normal form, in divisibility order,
+    from the determinantal divisors: the product of the first i invariant
+    factors is the gcd of the i x i minors."""
+    divisors = [1]
+    for i in range(1, min(len(m), len(m[0]) if m else 0) + 1):
+        g = 0
+        for rows in itertools.combinations(m, i):
+            for cols in itertools.combinations(range(len(m[0])), i):
+                g = math.gcd(g, det(tuple(tuple(row[c] for c in cols) for row in rows)))
+        if g == 0:
+            break
+        divisors.append(g)
+    return tuple(b // a for a, b in zip(divisors, divisors[1:]))
 
 
 def naive_det(m):
@@ -128,54 +140,58 @@ def test_adjugate_identity():
 
 
 def test_snf_identity():
-    u, d, v = smith_normal_form(identity(3))
-    assert d == identity(3)
-    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    """A lattice basis has Smith invariants 1 and is its own triangular
+    form."""
+    assert smith_invariants(identity(3)) == (1, 1, 1)
+    assert triangular_form(identity(3)) == identity(3)
 
 
 def test_snf_hand_example():
-    u, d, v = smith_normal_form(as_mat([[1, 1], [0, 2]]))
-    assert (d[0][0], d[1][1]) == (1, 2)
-    assert mat_mul(mat_mul(u, as_mat([[1, 1], [0, 2]])), v) == d
+    m = as_mat([[1, 1], [0, 2]])
+    assert smith_invariants(m) == (1, 2)
+    assert triangular_form(m) == m
+    assert triangular_form(as_mat([[0, 2], [1, 1]])) == m
+    assert triangular_form(as_mat([[-2, -4], [0, 3]])) == as_mat([[2, 4], [0, 3]])
 
 
 @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[2, 0, 0], [0, 3]]])
 def test_snf_rejects_ragged_matrix(rows):
     with pytest.raises(ValueError, match="ragged matrix"):
-        smith_normal_form(rows)
+        triangular_form(rows)
 
 
 def test_snf_of_lists_equals_snf_of_tuples():
     rows = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    result = smith_normal_form(rows)
-    assert result == smith_normal_form(as_mat(rows))
-    assert all(type(m) is tuple and all(type(r) is tuple for r in m) for m in result)
+    result = triangular_form(rows)
+    assert result == triangular_form(as_mat(rows))
+    assert type(result) is tuple and all(type(r) is tuple for r in result)
 
 
 def test_snf_zero_matrix():
-    _, d, _ = smith_normal_form(as_mat([[0, 0], [0, 0]]))
-    assert d == as_mat([[0, 0], [0, 0]])
+    zero = as_mat([[0, 0], [0, 0]])
+    assert smith_invariants(zero) == ()
+    with pytest.raises(RankDeficientError):
+        triangular_form(zero)
 
 
 @given(small_rect)
 @settings(max_examples=150)
 def test_snf_properties(m):
-    u, d, v = smith_normal_form(m)
-    assert mat_mul(mat_mul(u, m), v) == d
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
-    limit = min(len(m), len(m[0]))
-    diag = [d[i][i] for i in range(limit)]
-    for i in range(len(d)):
-        for j in range(len(d[0])):
-            if i != j:
-                assert d[i][j] == 0
-    assert all(x >= 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a:
-            assert b % a == 0
-        else:
-            assert b == 0
+    """For independent columns, the triangular form has a positive
+    diagonal whose product is the product of the Smith invariants, and
+    the unimodular row operations keep every Smith invariant.  Dependent
+    columns raise."""
+    invariants = smith_invariants(m)
+    if len(invariants) < len(m[0]):
+        with pytest.raises(RankDeficientError):
+            triangular_form(m)
+        return
+    h = triangular_form(m)
+    assert len(h) == len(m[0]) and all(len(row) == len(h) for row in h)
+    assert all(h[i][j] == 0 for i in range(len(h)) for j in range(i))
+    assert all(h[i][i] > 0 for i in range(len(h)))
+    assert math.prod(h[i][i] for i in range(len(h))) == math.prod(invariants)
+    assert smith_invariants(h) == invariants
 
 
 def test_snf_deterministic(rng):
@@ -183,15 +199,19 @@ def test_snf_deterministic(rng):
         m = as_mat(
             [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(3)]
         )
-        assert smith_normal_form(m) == smith_normal_form(m)
+        if det(m):
+            assert triangular_form(m) == triangular_form(m)
 
 
 def test_saturation_index_one_pair():
     # gcd of the 2x2 minors of these columns is 1, so they already
-    # generate a saturated lattice: every Smith invariant is 1.
+    # generate a saturated lattice: every Smith invariant is 1, and so is
+    # every diagonal entry of the triangular form.
     cols = [(1, 0, 0), (-1, -1, 3)]
     assert lattice_index(cols) == 1
     assert smith_invariants(mat_from_cols(cols)) == (1, 1)
+    h = triangular_form(mat_from_cols(cols))
+    assert (h[0][0], h[1][1]) == (1, 1)
 
 
 def test_saturation_full_rank_index_three():
@@ -200,6 +220,7 @@ def test_saturation_full_rank_index_three():
     cols = [(1, 0, 0), (0, 1, 0), (-1, -1, 3)]
     assert lattice_index(cols) == 3 == abs(det(mat_from_cols(cols)))
     assert smith_invariants(mat_from_cols(cols)) == (1, 1, 3)
+    assert triangular_form(mat_from_cols(cols)) == mat_from_cols(cols)
 
 
 def test_saturation_rejects_dependent_columns():
@@ -211,7 +232,8 @@ def test_saturation_rejects_dependent_columns():
 @settings(max_examples=60)
 def test_saturation_contract(data):
     """The index of the column lattice inside its saturation, from the
-    gcd of the maximal minors, is the product of the Smith invariants."""
+    gcd of the maximal minors, is the product of the Smith invariants and
+    the product of the triangular form's diagonal."""
     n = data.draw(st.integers(2, 4))
     k = data.draw(st.integers(1, n))
     cols = [
@@ -227,6 +249,8 @@ def test_saturation_contract(data):
     for f in invariants:
         product *= f
     assert product == index
+    h = triangular_form(mat_from_cols(cols))
+    assert math.prod(h[i][i] for i in range(k)) == index
     if k == n:
         assert abs(fraction_det(mat_from_cols(cols))) == index
 

@@ -1,9 +1,10 @@
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qtorb.intlat as intlat_mod
@@ -26,12 +27,25 @@ from qtorb import (
     lattice_index,
     make_model,
     random_unimodular,
-    smith_normal_form,
+    triangular_form,
 )
 from qtorb.exact import Poly
-from qtorb.sectors import sectors
+from qtorb.intlat import mat_from_cols
 
 Z3_COLS = [(1, 0, 0), (0, 1, 0), (-1, -1, 3)]
+
+
+def interior_elements(group):
+    """The box elements of ``group`` with every coefficient positive."""
+    return [group.box_element(i) for i in group.interior]
+
+
+def sectors(table):
+    """All sectors of the table's model as BoxElements, in the order of the
+    listings: the untwisted sector (identity over the whole polytope)
+    first, then every interior box element of every proper face.  The
+    reference the streamed sector listings are compared with."""
+    return [element for group in table.groups for element in interior_elements(group)]
 
 
 def brute_box(cols, r, n):
@@ -101,12 +115,12 @@ def test_enumerate_box_attaches_face(wp112):
 def test_box_interior(wp112):
     table = LocalGroupTable(wp112)
     face = face_by_indices(wp112, (0, 2))
-    interior = table.group(face).interior_elements()
+    interior = interior_elements(table.group(face))
     assert len(interior) == 1 and interior[0].age == 1
     facet = face_by_indices(wp112, (0,))
-    assert table.group(facet).interior_elements() == []
+    assert interior_elements(table.group(facet)) == []
     whole = faces(wp112)[0]
-    only = table.group(whole).interior_elements()
+    only = interior_elements(table.group(whole))
     assert len(only) == 1 and only[0].is_identity
 
 
@@ -175,7 +189,7 @@ def test_box_partition_over_vertices(corpus):
     for model in corpus:
         table = LocalGroupTable(model)
         interior = {
-            f.facet_set: table.group(f).interior_elements() for f in faces(model)
+            f.facet_set: interior_elements(table.group(f)) for f in faces(model)
         }
         for face in faces(model):
             if face.codim != model.n:
@@ -216,9 +230,9 @@ def test_exhaustion_matches_snf_on_corpus(corpus):
 
 
 def test_oracles_run_without_the_smith_form(monkeypatch, corpus):
-    """With every Smith form patched to raise, the exhaustive box, the
+    """With the triangular basis patched to raise, the exhaustive box, the
     brute-force dilate counts and the dilate-series numerator of each
-    face of order at most 200 still equal the table's Smith-form values."""
+    face of order at most 200 still equal the table's values."""
     expected = []
     for model in corpus:
         for group in LocalGroupTable(model).groups:
@@ -230,11 +244,11 @@ def test_oracles_run_without_the_smith_form(monkeypatch, corpus):
             psi = ages.coeffs + (0,) * (d - len(ages.coeffs))
             expected.append((model, group, group.box_elements(), counts, psi))
 
-    def no_smith_form(m):
-        raise AssertionError("an oracle ran a Smith normal form")
+    def no_basis(m):
+        raise AssertionError("an oracle computed a triangular basis")
 
-    monkeypatch.setattr(intlat_mod, "smith_normal_form", no_smith_form)
-    monkeypatch.setattr(sectors_mod, "smith_normal_form", no_smith_form)
+    monkeypatch.setattr(intlat_mod, "triangular_form", no_basis)
+    monkeypatch.setattr(sectors_mod, "triangular_form", no_basis)
     for model, group, elements, counts, psi in expected:
         exhaustive = box_by_exhaustion(group.columns, model.n)
         assert [replace(e, face=group.face) for e in exhaustive] == elements
@@ -310,6 +324,47 @@ def test_generator_ages_decide_quasi_sl(data):
     assert LocalGroup(cols, n).integral_ages == enumerated
 
 
+columns_up_to_30 = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(1, n).flatmap(
+            lambda k: st.lists(st.tuples(*[st.integers(-30, 30)] * n), min_size=k, max_size=k)
+        ),
+        st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns_up_to_30)
+@example((2, [(2, 0), (0, 2)], [1, 1, 0, 0]))
+@example((3, [(2, 4, 0), (0, 6, 0), (1, 1, 12)], [1, -1, 2, 0]))
+def test_triangular_form_builds_the_box(data):
+    """The triangular form of random columns is upper-triangular with a
+    positive diagonal whose product is the gcd of the maximal minors, the
+    group built from it has the box that exhaustive search finds, and
+    columns with a dependent one added raise.  The examples are the
+    non-cyclic groups Z/2 x Z/2 and Z/2 x Z/72."""
+    n, cols, coefficients = data
+    combination = tuple(sum(c * col[i] for c, col in zip(coefficients, cols)) for i in range(n))
+    with pytest.raises(RankDeficientError):
+        triangular_form(mat_from_cols(cols + [combination]))
+    try:
+        index = lattice_index(cols)
+    except RankDeficientError:
+        with pytest.raises(RankDeficientError):
+            triangular_form(mat_from_cols(cols))
+        return
+    h = triangular_form(mat_from_cols(cols))
+    k = len(cols)
+    assert len(h) == k and all(len(row) == k for row in h)
+    assert all(h[i][j] == 0 for i in range(k) for j in range(i))
+    assert all(h[i][i] > 0 for i in range(k))
+    assert math.prod(h[i][i] for i in range(k)) == index
+    if index ** (k - 1) <= 20_000:
+        assert LocalGroup(cols, n).box_elements() == box_by_exhaustion(cols, n)
+
+
 def test_local_group_matches_box_of_columns(corpus):
     for model in corpus:
         table = LocalGroupTable(model)
@@ -367,16 +422,16 @@ def test_quasi_sl_enumerates_no_group(monkeypatch):
 
 
 def test_quasi_sl_builds_the_vertices_alone(monkeypatch, corpus, cp2):
-    """quasi-SL reads the vertex groups and builds no lower face; a Smith
-    form runs only at a vertex with |det| != 1, so none runs on the smooth
-    cp2."""
+    """quasi-SL reads the vertex groups and builds no lower face; a
+    triangular basis is computed only at a vertex with |det| != 1, so none
+    is on the smooth cp2."""
     built, calls = [], []
     real_build = LocalGroupTable._build
-    real_smith = sectors_mod.smith_normal_form
+    real_basis = sectors_mod.triangular_form
     monkeypatch.setattr(
         LocalGroupTable, "_build", lambda self, face: built.append(face) or real_build(self, face)
     )
-    monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: calls.append(m) or real_smith(m))
+    monkeypatch.setattr(sectors_mod, "triangular_form", lambda m: calls.append(m) or real_basis(m))
     for model in corpus:
         built.clear()
         calls.clear()
@@ -388,9 +443,9 @@ def test_quasi_sl_builds_the_vertices_alone(monkeypatch, corpus, cp2):
         assert all(abs(det(m)) != 1 for m in calls)
 
     def refuse(m):
-        raise AssertionError("Smith form on a smooth model")
+        raise AssertionError("triangular basis on a smooth model")
 
-    monkeypatch.setattr(sectors_mod, "smith_normal_form", refuse)
+    monkeypatch.setattr(sectors_mod, "triangular_form", refuse)
     assert LocalGroupTable(cp2).quasi_sl
 
 
@@ -405,19 +460,20 @@ def test_table_reads_smoothness_from_the_stored_determinants(wp112):
     assert LocalGroupTable(forged).group(singular).order == 1
 
 
-def test_table_groups_equal_smith_form_groups(corpus, crepant_blowups, smith_form_faces):
-    """Every group a table holds, the trivial ones built without a Smith
-    form included, equals the group of a Smith form on the same columns."""
+def test_table_groups_equal_smith_form_groups(corpus, crepant_blowups, basis_faces):
+    """Every group a table holds, the trivial ones built without a
+    triangular basis and the ones lent by a base table included, equals
+    the group built afresh from a triangular basis of the same columns."""
     tables = [(model, LocalGroupTable(model)) for model in corpus]
     tables += [
         (blown, LocalGroupTable(blown, LocalGroupTable(model))) for model, _, blown in crepant_blowups
     ]
     skipped = 0
     for model, table in tables:
-        skipped += sum(1 for f in faces(model) if f.codim > 0) - len(smith_form_faces(model))
+        skipped += sum(1 for f in faces(model) if f.codim > 0) - len(basis_faces(model))
         for group in table.groups:
             fresh = LocalGroup(group.columns, model.n, group.face)
-            assert group.invariants == fresh.invariants
+            assert group.exponent == fresh.exponent
             assert group.order == fresh.order
             assert group.integral_ages == fresh.integral_ages
             assert group.numerators == fresh.numerators
@@ -428,16 +484,16 @@ def test_table_groups_equal_smith_form_groups(corpus, crepant_blowups, smith_for
 
 
 def test_table_builds_its_groups_without_converting_matrices(monkeypatch, corpus):
-    """The Smith form copies the rows of the validated vectors as given:
-    building every group of every table runs ``as_mat`` zero times."""
-    conversions, smith_forms = [], []
+    """The triangular form copies the rows of the validated vectors as
+    given: building every group of every table runs ``as_mat`` zero times."""
+    conversions, bases = [], []
     real_as_mat = intlat_mod.as_mat
     monkeypatch.setattr(intlat_mod, "as_mat", lambda rows: conversions.append(rows) or real_as_mat(rows))
-    real_smith = sectors_mod.smith_normal_form
-    monkeypatch.setattr(sectors_mod, "smith_normal_form", lambda m: smith_forms.append(m) or real_smith(m))
+    real_basis = sectors_mod.triangular_form
+    monkeypatch.setattr(sectors_mod, "triangular_form", lambda m: bases.append(m) or real_basis(m))
     for model in corpus:
         LocalGroupTable(model).groups
-    assert smith_forms and conversions == []
+    assert bases and conversions == []
 
 
 def test_package_attribute_is_the_sectors_module():
@@ -446,23 +502,20 @@ def test_package_attribute_is_the_sectors_module():
 
     assert qtorb.sectors is sectors_mod
     assert sectors_mod.__name__ == "qtorb.sectors"
-    assert sectors_mod.sectors is sectors
 
 
 def test_repeated_cosets_raise(monkeypatch):
-    def broken_smith(m):
-        u, d, v = smith_normal_form(m)
-        return u, d, tuple((0,) * len(row) for row in v)
-
-    monkeypatch.setattr(sectors_mod, "smith_normal_form", broken_smith)
+    # No triangular basis gives a repeat, since stepping generator i
+    # h_ii times is one step per coset; zero generators do.
+    monkeypatch.setattr(sectors_mod, "_inverse_columns", lambda h, order: [[0] * len(h)] * len(h))
     with pytest.raises(ArithmeticError, match="repeat"):
         box_of_columns([(1, 0), (1, 2)], 2)
 
 
 def test_fractional_box_point_raises(monkeypatch):
-    monkeypatch.setattr(
-        sectors_mod, "smith_normal_form", lambda m: (((1, 0), (0, 1)), ((1, 0), (0, 2)), ((1, 0), (0, 1)))
-    )
+    # The basis of [(1, 0), (1, 2)] is ((1, 1), (0, 2)); without its
+    # corner entry the generator (0, 1/2) has the point (1/2, 1).
+    monkeypatch.setattr(sectors_mod, "triangular_form", lambda m: ((1, 0), (0, 2)))
     with pytest.raises(ArithmeticError, match="not integral"):
         box_of_columns([(1, 0), (1, 2)], 2)
 
