@@ -5,6 +5,10 @@ canonical JSON report to stdout (sorted keys, fixed face order) and
 signals through the exit code: 0 for success or a passing verdict, 1 for
 a failing verdict or identity violation, 2 for usage or validation
 errors.  Identical invocations produce byte-identical reports.
+
+The commands are declared once, in ``_COMMANDS``: help text, handler,
+whether a model path is read, and options.  ``main`` builds the parser
+of the command named first alone; help and unknown words get all nine.
 """
 
 from __future__ import annotations
@@ -125,18 +129,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_faces(args) -> int:
     model = load_model(args.model)
-    report = {
-        "faces": [
-            {
-                "facet_set": list(f.facet_set),
-                "dim": f.dim,
-                "codim": f.codim,
-                "vertices": list(f.vertex_ids),
-            }
-            for f in faces(model)
-        ]
-    }
-    _emit(report)
+    _emit({"faces": [
+        {"facet_set": list(f.facet_set), "dim": f.dim, "codim": f.codim,
+         "vertices": list(f.vertex_ids)}
+        for f in faces(model)
+    ]})
     return 0
 
 
@@ -150,18 +147,10 @@ def _cmd_sectors(args) -> int:
 def _cmd_betti(args) -> int:
     model = load_model(args.model)
     report = cr_report(LocalGroupTable(model))
-    _emit(
-        {
-            "pp": {
-                "s_coeffs": list(report.pp.coeffs),
-                "by_degree": report.pp.even_expansion(),
-            },
-            "pp_cr": {
-                "s_coeffs": list(report.pp_cr.coeffs),
-                "by_degree": report.pp_cr.even_expansion(),
-            },
-        }
-    )
+    _emit({
+        key: {"s_coeffs": list(poly.coeffs), "by_degree": poly.even_expansion()}
+        for key, poly in (("pp", report.pp), ("pp_cr", report.pp_cr))
+    })
     return 0
 
 
@@ -277,7 +266,49 @@ def _cmd_fuzz(args) -> int:
     return 0 if not failures else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
+_SPEC = (
+    ("--face", dict(required=True, help="facet indices, e.g. 0,2")),
+    ("--weights", dict(required=True, help="weights, e.g. 1/2,1/2")),
+)
+_ORACLE_HELP = "count dilate points by brute force instead of the box formula"
+
+# Per command: help text, handler, whether it reads a model path, options.
+_COMMANDS = {
+    "validate": ("validate a model file", _cmd_validate, True, ()),
+    "faces": ("list the face lattice", _cmd_faces, True, ()),
+    "sectors": ("list all sectors with ages and heights", _cmd_sectors, True, ()),
+    "betti": ("ordinary and Chen-Ruan Betti numbers", _cmd_betti, True, ()),
+    "cr": ("Chen-Ruan report: three routes plus identity checks", _cmd_cr, True, ()),
+    "ehrhart": ("dilate-series numerators per face", _cmd_ehrhart, True, (
+        ("--oracle", dict(action="store_true", help=_ORACLE_HELP)),
+    )),
+    "blowup": ("truncate a face and emit the blown-up model", _cmd_blowup, True, _SPEC + (
+        ("-o --output", dict(help="write the blown-up model here")),
+    )),
+    "mckay": ("verify Betti invariance under a crepant blowup", _cmd_mckay, True, _SPEC),
+    "fuzz": ("generate models and run the identity suite", _cmd_fuzz, False, (
+        ("--seed", dict(type=int, default=0)),
+        ("--count", dict(type=_positive_int, default=10)),
+        ("--n", dict(type=int, default=2, choices=(2, 3, 4))),
+        ("--budget", dict(type=_positive_int, default=400)),
+        ("--oracle", dict(action="store_true", help="include the exhaustive cross-checks")),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The qtorb parser: the subparser of ``command`` alone, or of every command."""
     parser = argparse.ArgumentParser(
         prog="qtorb",
         description=(
@@ -285,51 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
             "models, with exact verification of crepant blowup invariance."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_model(name, help_text):
+    # One subparser keeps the usage line of all of them through the metavar;
+    # all of them keep the default, which names "command" when it is missing.
+    metavar = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if command else {}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name in [command] if command else _COMMANDS:
+        help_text, _, takes_model, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("model", help="path to a model JSON file")
-        return p
-
-    with_model("validate", "validate a model file").set_defaults(func=_cmd_validate)
-    with_model("faces", "list the face lattice").set_defaults(func=_cmd_faces)
-    with_model("sectors", "list all sectors with ages and heights").set_defaults(
-        func=_cmd_sectors
-    )
-    with_model("betti", "ordinary and Chen-Ruan Betti numbers").set_defaults(
-        func=_cmd_betti
-    )
-    with_model(
-        "cr", "Chen-Ruan report: three routes plus identity checks"
-    ).set_defaults(func=_cmd_cr)
-
-    p = with_model("ehrhart", "dilate-series numerators per face")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="count dilate points by brute force instead of the box formula",
-    )
-    p.set_defaults(func=_cmd_ehrhart)
-
-    for name, help_text, func in (
-        ("blowup", "truncate a face and emit the blown-up model", _cmd_blowup),
-        ("mckay", "verify Betti invariance under a crepant blowup", _cmd_mckay),
-    ):
-        p = with_model(name, help_text)
-        p.add_argument("--face", required=True, help="facet indices, e.g. 0,2")
-        p.add_argument("--weights", required=True, help="weights, e.g. 1/2,1/2")
-        if name == "blowup":
-            p.add_argument("-o", "--output", help="write the blown-up model here")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("fuzz", help="generate models and run the identity suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--n", type=int, default=2, choices=(2, 3, 4))
-    p.add_argument("--budget", type=int, default=400)
-    p.add_argument("--oracle", action="store_true", help="include the exhaustive cross-checks")
-    p.set_defaults(func=_cmd_fuzz)
+        if takes_model:
+            p.add_argument("model", help="path to a model JSON file")
+        for flags, keywords in options:
+            p.add_argument(*flags.split(), **keywords)
     return parser
 
 
@@ -342,8 +339,9 @@ def _discard_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Help or an unknown first word gets the parsers of all commands.
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code = _run(args)
         sys.stdout.flush()
@@ -357,7 +355,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
     except BrokenPipeError:
         raise
     except ModelValidationError as exc:

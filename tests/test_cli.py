@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -327,6 +328,111 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["not-a-command"])
     assert err.value.code == 2
+
+
+COMMANDS = list(cli_mod._COMMANDS)
+
+
+def _parse_stop(capsys, parse) -> tuple[str, str, object]:
+    """stdout, stderr and exit code of a parse that must exit."""
+    with pytest.raises(SystemExit) as err:
+        parse()
+    out, errs = capsys.readouterr()
+    return out, errs, err.value.code
+
+
+USAGE_VECTORS = (
+    [[], ["nosuch"], ["--help"], ["-h", "validate"]]
+    + [[name, "--help"] for name in COMMANDS]
+    + [[name] for name in COMMANDS if name != "fuzz"]
+    + [[name, "MODEL", "--face", "0,2"] for name in ("blowup", "mckay")]
+    + [["validate", "MODEL", "--bogus"], ["validate", "MODEL", "extra"]]
+    + [["fuzz", "--n", "5"], ["fuzz", "--count", "x"], ["fuzz", "--count", "-1"]]
+)
+
+
+@pytest.mark.parametrize("argv", USAGE_VECTORS, ids=" ".join)
+def test_usage_surface_equals_the_full_parser(capsys, monkeypatch, wp112_path, argv):
+    """Building one command's parser changes no help text, usage error or
+    exit code: main prints what the parser of all commands prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [wp112_path if a == "MODEL" else a for a in argv]
+    full = _parse_stop(capsys, lambda: cli_mod.build_parser().parse_args(argv))
+    assert _parse_stop(capsys, lambda: main(list(argv))) == full
+    assert full[2] in (0, 2)
+    if not argv:
+        assert full[1].endswith("error: the following arguments are required: command\n")
+
+
+def _count_subparsers(monkeypatch) -> list:
+    built = []
+    real = argparse._SubParsersAction.add_parser
+
+    def add_parser(self, name, **kwargs):
+        built.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+    return built
+
+
+def test_a_named_command_builds_its_parser_alone(capsys, monkeypatch, wp112_path):
+    built = _count_subparsers(monkeypatch)
+    rc, _ = run(capsys, "validate", wp112_path)
+    assert rc == 0
+    assert built == ["validate"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == COMMANDS and len(built) == 9
+
+
+def test_every_command_dispatches_to_its_handler(monkeypatch, wp112_path):
+    called = []
+    for name, (help_text, handler, takes_model, options) in list(cli_mod._COMMANDS.items()):
+        assert handler is getattr(cli_mod, f"_cmd_{name}")
+        argv = [name] + [wp112_path] * takes_model
+        for flags, keywords in options:
+            if keywords.get("required"):
+                argv += [flags.split()[-1], "1"]
+
+        def stub(args, handler=handler):
+            called.append((args.command, handler))
+            return 0
+
+        monkeypatch.setitem(cli_mod._COMMANDS, name, (help_text, stub, takes_model, options))
+        assert main(argv) == 0
+    assert called == [(name, getattr(cli_mod, f"_cmd_{name}")) for name in COMMANDS]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, wp112_path):
+    rc, expected = run(capsys, "validate", wp112_path)
+    monkeypatch.setattr(sys, "argv", ["qtorb", "validate", wp112_path])
+    assert main() == rc == 0
+    assert capsys.readouterr().out == expected
+    with pytest.raises(SystemExit) as err:
+        cli_mod.entry()
+    assert err.value.code == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--count", "-1"], ["--count", "0"], ["--count", "3", "--budget", "0"], ["--budget", "-400"]],
+    ids=" ".join,
+)
+def test_fuzz_rejects_counts_and_budgets_below_one(capsys, argv):
+    """A fuzz run that would check no model is a usage error, not a pass."""
+    out, errs, code = _parse_stop(capsys, lambda: main(["fuzz"] + argv))
+    assert (out, code) == ("", 2)
+    flag = argv[-2]
+    assert f"error: argument {flag}: must be at least 1: '{argv[-1]}'" in errs
+
+
+def test_fuzz_count_must_be_an_integer(capsys):
+    out, errs, code = _parse_stop(capsys, lambda: main(["fuzz", "--count", "x"]))
+    assert (out, code) == ("", 2)
+    assert errs.endswith("error: argument --count: invalid int value: 'x'\n")
 
 
 def test_arithmetic_error_is_structured(capsys, monkeypatch, wp112_path):
