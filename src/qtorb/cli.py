@@ -62,11 +62,14 @@ def _emit(payload, sectors=None) -> None:
 
 
 def _sector_listing(table: LocalGroupTable) -> list:
-    """Every group that carries sectors, in ``faces(model)`` order, with
-    the points of its elements.  Everything that can raise while the
-    sectors are enumerated, the repeat check of the numerators and the
-    integrality of the points, runs here, before any output."""
-    return [(group, group.points) for group in table.sector_groups.values()]
+    """Every group that carries sectors, in ``faces(model)`` order.
+    Everything that can raise while the sectors are enumerated, the
+    repeat check of the numerators and the integrality of the points,
+    runs here, before any output."""
+    groups = list(table.sector_groups.values())
+    for group in groups:
+        group.ensure_integral_points()
+    return groups
 
 
 def _json_list(texts, indent: str) -> str:
@@ -79,27 +82,37 @@ def _json_list(texts, indent: str) -> str:
 def _write_sectors(listing: list, depth: int) -> None:
     """Write the sectors of ``listing`` as ``json.dump(..., sort_keys=True,
     indent=2)`` writes a list nested ``depth`` levels deep, one sector at
-    a time, from each group's integer numerators: every sector is an
-    interior element of its face, so its height is the face's codimension.
-    The listing is never empty: the polytope's group comes first, and its
-    identity is the untwisted sector."""
+    a time, from each group's integer numerators and the points of its
+    interior elements, which are computed as they are written and not
+    kept: every sector is an interior element of its face, so its height
+    is the face's codimension.  Each distinct coefficient numerator of a
+    group is formatted once.  The listing is never empty: the polytope's
+    group comes first, and its identity is the untwisted sector."""
     write = sys.stdout.write
     item = "\n" + "  " * (depth + 1)
     key = item + "  "
+    sep = f",{key}  "
     opening = "["
-    for group, points in listing:
+    for group in listing:
         e = group.exponent
         face = _json_list(map(str, group.face.facet_set), key)
-        height = group.face.codim
-        for i in group.interior:
-            nums = group.numerators[i]
+        # Every sector of a group has as many coefficients as the group
+        # has columns, and a point with n >= 1 coordinates: the text
+        # between its coefficients and its point is the same for all.
+        coeffs_open, coeffs_close = (f"[{key}  ", f"{key}]") if group.columns else ("[", "]")
+        between = f'{coeffs_close},{key}"face": {face},{key}"height": {group.face.codim},{key}"point": [{key}  '
+        numerators = group.numerators
+        texts: list[str | None] = [None] * e
+        for i, point in zip(group.interior, group.interior_points()):
+            nums = numerators[i]
             total = sum(nums)
             age = f'"{rat_to_str(total, e)}"' if total % e else str(total // e)
-            coeffs = _json_list([f'"{rat_to_str(c, e)}"' for c in nums], key)
-            point = _json_list(map(str, points[i]), key)
+            for c in nums:
+                if texts[c] is None:
+                    texts[c] = f'"{rat_to_str(c, e)}"'
             write(
-                f'{opening}{item}{{{key}"age": {age},{key}"coeffs": {coeffs},'
-                f'{key}"face": {face},{key}"height": {height},{key}"point": {point}{item}}}'
+                f'{opening}{item}{{{key}"age": {age},{key}"coeffs": {coeffs_open}'
+                f"{sep.join(map(texts.__getitem__, nums))}{between}{sep.join(map(str, point))}{key}]{item}}}"
             )
             opening = ","
     write("\n" + "  " * depth + "]")

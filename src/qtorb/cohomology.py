@@ -48,13 +48,18 @@ def _sum(polys) -> Poly:
 def pp_cr_direct(table: LocalGroupTable) -> Poly:
     """Chen-Ruan polynomial from the sector decomposition: each interior
     box element g of each face contributes s^age(g) times the face's
-    ordinary polynomial."""
+    ordinary polynomial, added into one coefficient list."""
     table.ensure_quasi_sl()
-    terms = []
+    total: list[int] = []
     for facet_set, group in table.sector_groups.items():
-        pp_face = Poly._of_ints(list(table.sector_h_vectors[facet_set]))
-        terms.extend(pp_face.shifted(group.age(i)) for i in group.interior)
-    return _sum(terms)
+        h = table.sector_h_vectors[facet_set]
+        for i in group.interior:
+            age = group.age(i)
+            if age + len(h) > len(total):
+                total.extend([0] * (age + len(h) - len(total)))
+            for j, c in enumerate(h, age):
+                total[j] += c
+    return Poly._of_ints(total)
 
 
 def pp_cr_via_closures(table: LocalGroupTable) -> Poly:

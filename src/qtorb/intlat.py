@@ -86,22 +86,38 @@ def det(m: IntMat) -> int:
 
 
 def adjugate(m: IntMat) -> IntMat:
-    """Integer adjugate: adjugate(m) @ m = det(m) * I."""
+    """Integer adjugate: adjugate(m) @ m = det(m) * I.
+
+    One fraction-free (Bareiss) Gauss-Jordan elimination of [m | I]:
+    every row, above the pivot too, is updated by the 2 x 2 rule and
+    divided exactly by the previous pivot, so the left block ends as
+    d * I and the right block as d * m^-1, where d is the last pivot,
+    det(m) up to the sign of the row swaps.  Raises
+    :class:`RankDeficientError` for a singular m, which has no pivot in
+    some column.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("adjugate requires a square matrix")
-    if n == 0:
-        return ()
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(m[r][c] for c in range(n) if c != j)
-                for r in range(n)
-                if r != i
-            )
-            adj[j][i] = (-1) ** (i + j) * det(minor)
-    return tuple(map(tuple, adj))
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for c in range(n):
+        pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot_row is None:
+            raise RankDeficientError("adjugate of a singular matrix")
+        if pivot_row != c:
+            a[c], a[pivot_row] = a[pivot_row], a[c]
+            sign = -sign
+        top = a[c]
+        pivot = top[c]
+        for i in range(n):
+            if i != c:
+                row = a[i]
+                f = row[c]
+                a[i] = [(x * pivot - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    return tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def triangular_form(m: IntMat) -> IntMat:

@@ -22,17 +22,23 @@ dividing the group order is provided for cross-checking.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 from .exact import Poly
 from .intlat import IntMat, IntVec, lattice_index, triangular_form
 from .model import Face, Model, faces, h_vector
+
+
+_ONE = Poly._of_ints([1])
+_ZERO = Poly._of_ints([])
 
 
 class NonIntegralAgeError(ValueError):
@@ -103,8 +109,11 @@ class LocalGroup:
 
     Whether every age is an integer is read off the generators alone:
     age mod 1 is a homomorphism to Q/Z, so every age is an integer when
-    every generator's is.  The elements, interior elements and age
-    polynomials are enumerated on first use and then kept.
+    every generator's is.  The elements, their coefficient sums, points,
+    interior elements and age polynomials are computed on first use, all
+    elements at once, and then kept; each element's coefficients are
+    summed once, for its age wherever that is read.  A trivial group is
+    given its one element's data when it is built.
     """
 
     def __init__(self, columns: Sequence[IntVec], ambient_dim: int, face: Face | None = None):
@@ -140,7 +149,9 @@ class LocalGroup:
         cycles: tuple[tuple[int, tuple[int, ...]], ...],
     ) -> None:
         """``cycles`` holds (h_ii, numerators of generator i over
-        ``exponent``) for every diagonal entry h_ii > 1."""
+        ``exponent``) for every diagonal entry h_ii > 1.  A group without
+        cycles is trivial and is given the data of its one element, the
+        identity, here: it enumerates nothing."""
         self.columns = columns
         self.ambient_dim = ambient_dim
         self.face = face
@@ -148,24 +159,46 @@ class LocalGroup:
         self._cycles = cycles
         self.order = math.prod(step for step, _ in cycles)
         self.integral_ages = all(sum(gen) % exponent == 0 for _, gen in cycles)
+        if not cycles:
+            # The identity has age 0 and the origin as its point; it is
+            # interior only when there is no coefficient, at the polytope.
+            self.numerators = ((0,) * len(columns),)
+            self._sums = [0]
+            self.points = ((0,) * ambient_dim,)
+            self.interior = () if columns else (0,)
+            self.age_polynomial = _ONE
+            self.interior_age_polynomial = _ZERO if columns else _ONE
 
     @cached_property
     def numerators(self) -> tuple[tuple[int, ...], ...]:
         """Box coefficients of every element times the exponent, sorted;
         the identity comes first."""
+        return self._enumerate()
+
+    def _enumerate(self) -> tuple[tuple[int, ...], ...]:
+        """The numerators of a group with cycles.  Each coordinate is
+        stepped through every cycle in one list, and the coordinates are
+        zipped into elements at the end."""
         e = self.exponent
-        elements = [(0,) * len(self.columns)]
+        coords = [[0] for _ in self.columns]
         for step, gen in self._cycles:
-            grown = []
-            for element in elements:
-                for _ in range(step):
-                    grown.append(element)
-                    element = tuple((a + b) % e for a, b in zip(element, gen))
-            elements = grown
+            coords = [
+                [(x + shift) % e for shift in range(0, step * g, g) for x in coord] if g else coord * step
+                for coord, g in zip(coords, gen)
+            ]
+        elements = list(zip(*coords))
+        del coords
         elements.sort()
-        if any(a == b for a, b in zip(elements, elements[1:])):
+        if any(map(operator.eq, elements, itertools.islice(elements, 1, None))):
             raise ArithmeticError(f"coset representatives of {list(self.columns)} repeat")
         return tuple(elements)
+
+    @cached_property
+    def _sums(self) -> list[int]:
+        """The coefficient sum of every element times the exponent: its
+        age is this over the exponent.  Read by :meth:`age` and the age
+        polynomials."""
+        return list(map(sum, self.numerators))
 
     @cached_property
     def _rows(self) -> IntMat:
@@ -186,13 +219,47 @@ class LocalGroup:
 
     @cached_property
     def points(self) -> tuple[IntVec, ...]:
-        """Lattice point of every element."""
-        return tuple(map(self._point, self.numerators))
+        """Lattice point of every element, all in one pass; the first
+        element, in sorted order, whose point is not integral raises."""
+        e = self.exponent
+        rows = self._rows
+        points = []
+        for nums in self.numerators:
+            point, rems = [], 0
+            for row in rows:
+                total = sum(map(operator.mul, nums, row))
+                rems |= total % e
+                point.append(total // e)
+            if rems:
+                self._point(nums)
+            points.append(tuple(point))
+        return tuple(points)
+
+    def ensure_integral_points(self) -> None:
+        """Raise ArithmeticError for the first element, in sorted order,
+        whose point is not integral.  The point modulo Z^n is additive in
+        the element, so every point is integral when every generator's
+        is, and only a failing group computes the points of its
+        elements."""
+        e = self.exponent
+        if any(sum(map(operator.mul, gen, row)) % e for _, gen in self._cycles for row in self._rows):
+            self.points  # raises at the first element whose point is not integral
+
+    def interior_points(self) -> Iterator[IntVec]:
+        """Lattice point of every interior element, in order, each
+        computed when it is asked for and kept by no one: for listings,
+        after :meth:`ensure_integral_points`."""
+        e = self.exponent
+        rows = self._rows
+        numerators = self.numerators
+        for i in self.interior:
+            nums = numerators[i]
+            yield tuple([sum(map(operator.mul, nums, row)) // e for row in rows])
 
     @cached_property
     def interior(self) -> tuple[int, ...]:
         """Indices of the elements with every coefficient positive."""
-        return tuple(i for i, nums in enumerate(self.numerators) if all(nums))
+        return tuple(itertools.compress(itertools.count(), map(all, self.numerators)))
 
     def retagged(self, face: Face) -> "LocalGroup":
         """The same group, generators and enumerated data shared, tagged
@@ -220,29 +287,37 @@ class LocalGroup:
 
     def age(self, i: int) -> int:
         """Integral age of element i; raises for a fractional one."""
-        q, rem = divmod(sum(self.numerators[i]), self.exponent)
+        q, rem = divmod(self._sums[i], self.exponent)
         if rem:
             raise NonIntegralAgeError(self._lone_element(i))
         return q
 
-    def _age_counts(self, indices: Iterable[int]) -> Poly:
+    def _age_counts(self, indices: Iterable[int], sums: Iterable[int]) -> Poly:
+        """Sum of s^age over the elements ``indices``, whose coefficient
+        sums are ``sums``; the first of them with a fractional age
+        raises."""
+        e = self.exponent
         counts: list[int] = []
-        for i in indices:
-            age = self.age(i)
+        for total, count in Counter(sums).items():
+            age, rem = divmod(total, e)
+            if rem:
+                self.age(next(i for i in indices if self._sums[i] % e))
             if age >= len(counts):
                 counts.extend([0] * (age + 1 - len(counts)))
-            counts[age] += 1
-        return Poly(counts)
+            counts[age] += count
+        return Poly._of_ints(counts)
 
     @cached_property
     def age_polynomial(self) -> Poly:
         """Sum of s^age over the whole box."""
-        return self._age_counts(range(len(self.numerators)))
+        sums = self._sums
+        return self._age_counts(range(len(sums)), sums)
 
     @cached_property
     def interior_age_polynomial(self) -> Poly:
         """Sum of s^age over the interior elements."""
-        return self._age_counts(self.interior)
+        sums = self._sums
+        return self._age_counts(self.interior, [sums[i] for i in self.interior])
 
     def _lone_element(self, i: int) -> BoxElement:
         """Element i, with its own point computed alone, not the points of
@@ -250,12 +325,10 @@ class LocalGroup:
         return self._element(i, self._point(self.numerators[i]))
 
     def first_fractional_age(self) -> BoxElement:
-        """The first element, in sorted order, whose age is not an integer."""
-        return next(
-            self._lone_element(i)
-            for i, nums in enumerate(self.numerators)
-            if sum(nums) % self.exponent
-        )
+        """The first element, in sorted order, whose age is not an integer;
+        the elements after it are not summed."""
+        e = self.exponent
+        return self._lone_element(next(i for i, nums in enumerate(self.numerators) if sum(nums) % e))
 
 
 def box_of_columns(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxElement]:

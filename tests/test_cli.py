@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -699,16 +700,18 @@ def test_sector_listings_equal_the_json_of_their_box_elements(
     checked()
 
 
-def _raise_off_the_polytope(real):
-    """``LocalGroup._point`` that raises for every group but the polytope's,
-    so the failure comes after the untwisted sector is known."""
+def _off_diagonal_negated(real):
+    """``triangular_form`` with the entries off the diagonal negated.  On
+    z3tetra only the vertex (0, 1, 2) computes a basis, ((1, 0, -1),
+    (0, 1, -1), (0, 0, 3)); the negated one gives it the interior
+    generator (2/3, 2/3, 1/3), whose point (1/3, 1/3, 1) is not integral.
+    The polytope computes none, so the failure comes after the untwisted
+    sector is known."""
 
-    def point(self, nums):
-        if self.face.codim:
-            raise ArithmeticError(f"box point of {list(nums)} is not integral")
-        return real(self, nums)
+    def basis(m):
+        return tuple(tuple(x if i == j else -x for j, x in enumerate(row)) for i, row in enumerate(real(m)))
 
-    return point
+    return basis
 
 
 @pytest.mark.parametrize("command", ["sectors", "cr"])
@@ -717,7 +720,7 @@ def test_sector_listing_fails_before_any_output(capsys, monkeypatch, z3_path, co
     """A failure while the sectors are enumerated prints the error report
     alone: no part of the listing is written before it."""
     if fault == "points":
-        monkeypatch.setattr(LocalGroup, "_point", _raise_off_the_polytope(LocalGroup._point))
+        monkeypatch.setattr(sectors_mod, "triangular_form", _off_diagonal_negated(sectors_mod.triangular_form))
     else:
         # Zero generators step the identity h_ii times.
         monkeypatch.setattr(sectors_mod, "_inverse_columns", lambda h, order: [[0] * len(h)] * len(h))
@@ -727,6 +730,31 @@ def test_sector_listing_fails_before_any_output(capsys, monkeypatch, z3_path, co
     assert list(report) == ["error"]
     assert ("not integral" if fault == "points" else "repeat") in report["error"]
     assert out == _json_text(report)
+
+
+# The listing below peaked at 2.63 MiB when every point of the group was
+# computed and kept, and at 2.35 MiB once points are computed as they are
+# written (Python 3.11.7).  Points computed row by row, with the
+# per-coordinate lists alive together, peaked at 3.26 MiB.
+SECTORS_PEAK_BOUND = 2.75 * 2**20
+
+
+def test_sector_listing_memory_is_bounded(tmp_path):
+    """The tracemalloc peak of ``qtorb sectors`` on the triangle with
+    lambda_2 = (-1, -10^4), whose vertex group has 10^4 elements, with the
+    output sent to the null device."""
+    model = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -10**4)])
+    path = tmp_path / "tri.json"
+    path.write_text(model_to_json(model))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            rc = main(["sectors", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rc == 0
+    assert peak < SECTORS_PEAK_BOUND, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_sectors_sorts_after_every_other_cr_key(capsys, monkeypatch, wp112_path):

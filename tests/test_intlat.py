@@ -139,6 +139,61 @@ def test_adjugate_identity():
     )
 
 
+def cofactor_adjugate(m):
+    """The transposed matrix of cofactors, each a ``naive_det``: the
+    independent oracle for adjugate."""
+    n = len(m)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * naive_det(tuple(row[:j] + row[j + 1 :] for r, row in enumerate(m) if r != i))
+            for i in range(n)
+        )
+        for j in range(n)
+    )
+
+
+@given(small_square, st.booleans())
+@settings(max_examples=300)
+def test_adjugate_matches_cofactor_oracle(m, big):
+    """Nonsingular matrices, also with entries beyond 64 bits, get the
+    cofactor adjugate; singular ones raise."""
+    if big:
+        m = tuple(tuple(x * 2**40 + (i == j) for j, x in enumerate(row)) for i, row in enumerate(m))
+    if naive_det(m) == 0:
+        with pytest.raises(RankDeficientError):
+            adjugate(m)
+    else:
+        assert adjugate(m) == cofactor_adjugate(m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        ((0, 1), (1, 0)),  # one row swap
+        ((0, 0, 1), (1, 0, 0), (0, 1, 0)),  # two row swaps
+        ((0, 2, 1), (3, 0, 0), (1, 1, 5)),  # zero leading entry
+        ((2, 4), (1, 3)),
+        ((7,),),
+        ((-3,),),
+    ],
+)
+def test_adjugate_with_row_swaps(m):
+    assert adjugate(m) == cofactor_adjugate(m)
+    assert mat_mul(adjugate(m), m) == tuple(tuple(det(m) * x for x in row) for row in identity(len(m)))
+
+
+@pytest.mark.parametrize("m", [((0,),), ((1, 2), (2, 4)), ((1, 0, 0), (0, 1, 0), (1, 1, 0))])
+def test_adjugate_of_a_singular_matrix_raises(m):
+    with pytest.raises(RankDeficientError):
+        adjugate(m)
+
+
+def test_adjugate_edge_shapes():
+    assert adjugate(()) == ()
+    with pytest.raises(ValueError, match="square"):
+        adjugate(((1, 2),))
+
+
 def test_snf_identity():
     """A lattice basis has Smith invariants 1 and is its own triangular
     form."""

@@ -10,11 +10,36 @@ from hypothesis import strategies as st
 
 from qtorb import RankDeficientError, face_by_indices, kernels, make_model
 from qtorb.ehrhart import _DilatePlan, dilate_count
-from qtorb.intlat import adjugate, det, mat_from_cols, transpose
+from qtorb.intlat import mat_from_cols, transpose
 from qtorb.sectors import box_by_exhaustion, box_of_columns
 from tests.test_ehrhart import simplex_from_cols
 
 BIG = 2**40
+
+
+def _leibniz_det(m):
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = (-1) ** inversions
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def _cofactor_adjugate(m):
+    """The transposed matrix of cofactors, each a ``_leibniz_det``; the
+    reference shares no code with the elimination in qtorb.intlat."""
+    n = len(m)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * _leibniz_det([row[:j] + row[j + 1 :] for r, row in enumerate(m) if r != i])
+            for i in range(n)
+        )
+        for j in range(n)
+    )
 
 
 def _dilate_args(cols, k):
@@ -30,8 +55,8 @@ def _dilate_args(cols, k):
     gram = tuple(
         tuple(sum(a * b for a, b in zip(row, col)) for col in verts) for row in verts
     )
-    det_g = det(gram)
-    adj = adjugate(gram)
+    det_g = _leibniz_det(gram)
+    adj = _cofactor_adjugate(gram)
     return (
         lo,
         hi,
@@ -155,7 +180,7 @@ def _minor_det(verts):
     """det M of the rows the plan chose, the scanned ones then the solved one."""
     plan = _DilatePlan(verts)
     vmat = mat_from_cols(verts)
-    return det([*(vmat[i] for i in plan.free), vmat[plan.solved]])
+    return _leibniz_det([*(vmat[i] for i in plan.free), vmat[plan.solved]])
 
 
 def test_pinned_dilates_reach_their_cases():
@@ -164,7 +189,7 @@ def test_pinned_dilates_reach_their_cases():
     assert _minor_det(NEGATIVE_POINT[0]) < 0 and len(NEGATIVE_POINT[0]) == 1
     assert _minor_det(SEGMENT[0]) < 0
     verts, _ = SINGULAR_LEADING_MINOR
-    assert det(mat_from_cols(verts)[: len(verts)]) == 0
+    assert _leibniz_det(mat_from_cols(verts)[: len(verts)]) == 0
     assert ZERO_DILATE[1] == 0
     assert min(abs(e) for v in NEAR_2_40[0] for e in v) >= BIG - 2
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import qtorb.intlat as intlat_mod
 import qtorb.sectors as sectors_mod
 from qtorb import (
+    BoxElement,
     LocalGroup,
     LocalGroupTable,
     NonIntegralAgeError,
@@ -18,14 +19,17 @@ from qtorb import (
     box_by_exhaustion,
     box_of_columns,
     count_from_ages,
+    cr_report,
     det,
     dilate_count,
     ehrhart_numerator,
     face_by_indices,
     face_simplex,
     faces,
+    generate_test_models,
     lattice_index,
     make_model,
+    pp_cr_direct,
     random_unimodular,
     triangular_form,
 )
@@ -398,13 +402,28 @@ def test_table_reports_first_fractional_age():
     assert "[0, 2]" in str(err.value)
 
 
+class _Unread:
+    """A class attribute that fails the test when it is read from a group
+    without a value of its own.  Unlike a property it has no setter, so
+    the trivial groups, which are given their data when they are built,
+    still keep it."""
+
+    def __init__(self, message):
+        self.message = message
+
+    def __get__(self, group, owner=None):
+        if group is None:
+            return self
+        pytest.fail(self.message)
+
+
 def test_fractional_age_report_computes_one_point(monkeypatch):
     """Reporting a fractional age computes the point of that element alone,
     not the points of its whole group."""
     bad = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -12)])
     vertex = LocalGroupTable(bad).group(face_by_indices(bad, [0, 2]))
     first = next(e for e in vertex.box_elements() if e.age.denominator != 1)
-    monkeypatch.setattr(LocalGroup, "points", property(lambda self: pytest.fail("built every point")))
+    monkeypatch.setattr(LocalGroup, "points", _Unread("built every point"))
     table = LocalGroupTable(bad)
     with pytest.raises(NonIntegralAgeError) as err:
         table.ensure_quasi_sl()
@@ -417,7 +436,7 @@ def test_fractional_age_report_computes_one_point(monkeypatch):
 def test_quasi_sl_enumerates_no_group(monkeypatch):
     # The order-10^6 vertex would take seconds to enumerate.
     big = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -10**6)])
-    monkeypatch.setattr(LocalGroup, "numerators", property(lambda self: pytest.fail("enumerated")))
+    monkeypatch.setattr(LocalGroup, "_enumerate", lambda self: pytest.fail("enumerated"))
     assert not LocalGroupTable(big).quasi_sl
 
 
@@ -481,6 +500,181 @@ def test_table_groups_equal_smith_form_groups(corpus, crepant_blowups, basis_fac
             assert group.age_polynomial == fresh.age_polynomial
             assert group.interior_age_polynomial == fresh.interior_age_polynomial
     assert skipped > 0
+
+
+class _PerElement:
+    """The data of ``group`` computed one element at a time, from its
+    generators: one generator-built tuple per step, one point per
+    element, and each element's age summed wherever it is read.  A
+    test-local copy of the enumeration that bulk enumeration replaced,
+    the reference for the data the group computes in bulk or, when it is
+    trivial, is given at construction."""
+
+    def __init__(self, group):
+        self.group = group
+        e = self.exponent = group.exponent
+        elements = [(0,) * len(group.columns)]
+        for step, gen in group._cycles:
+            grown = []
+            for element in elements:
+                for _ in range(step):
+                    grown.append(element)
+                    element = tuple((a + b) % e for a, b in zip(element, gen))
+            elements = grown
+        elements.sort()
+        assert all(a != b for a, b in zip(elements, elements[1:]))
+        self.numerators = tuple(elements)
+        rows = [[col[r] for col in group.columns] for r in range(group.ambient_dim)]
+        self.points = tuple(self._point(nums, rows) for nums in elements)
+        self.interior = tuple(i for i, nums in enumerate(elements) if all(nums))
+
+    def _point(self, nums, rows):
+        point = []
+        for row in rows:
+            q, rem = divmod(sum(a * b for a, b in zip(nums, row)), self.exponent)
+            assert rem == 0
+            point.append(q)
+        return tuple(point)
+
+    def age(self, i):
+        """The age of element i, or ("fractional", i)."""
+        q, rem = divmod(sum(self.numerators[i]), self.exponent)
+        return ("fractional", i) if rem else q
+
+    def age_counts(self, indices):
+        """The polynomial of the ages of ``indices``, or ("fractional", i)
+        for the first of them with a fractional age."""
+        counts = []
+        for i in indices:
+            age = self.age(i)
+            if isinstance(age, tuple):
+                return age
+            counts.extend([0] * (age + 1 - len(counts)))
+            counts[age] += 1
+        return Poly(counts)
+
+
+def _outcome(group, read):
+    """``read(group)``, or ("fractional", i) for the element i that its
+    NonIntegralAgeError names."""
+    try:
+        return read(group)
+    except NonIntegralAgeError as err:
+        i = group.numerators.index(tuple(c * group.exponent for c in err.element.coeffs))
+        assert err.element == group.box_element(i)
+        return ("fractional", i)
+
+
+def _assert_matches_per_element(group):
+    ref = _PerElement(group)
+    assert group.numerators == ref.numerators
+    assert group.points == ref.points
+    assert group.interior == ref.interior
+    assert group.order == len(ref.numerators)
+    for i in range(len(ref.numerators)):
+        assert _outcome(group, lambda g: g.age(i)) == ref.age(i)
+    assert _outcome(group, lambda g: g.age_polynomial) == ref.age_counts(range(len(ref.numerators)))
+    assert _outcome(group, lambda g: g.interior_age_polynomial) == ref.age_counts(ref.interior)
+    if not group.integral_ages:
+        first = next(i for i in range(group.order) if isinstance(ref.age(i), tuple))
+        assert group.first_fractional_age() == group.box_element(first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(independent_columns)
+@example((2, [(2, 0), (0, 2)]))
+@example((3, [(2, 4, 0), (0, 6, 0), (1, 1, 12)]))
+@example((3, [(1, 0, 0), (1, 1, 0)]))
+@example((3, []))
+@example((2, [(1, 0), (-1, -3)]))
+def test_group_data_match_the_per_element_reference(data):
+    """Numerators, points, interior, both age polynomials and every age,
+    or the element whose fractional age each of them reports, equal the
+    per-element reference: for the group from a triangular basis and for
+    the trivial group of the same columns.  The examples are Z/2 x Z/2,
+    Z/2 x Z/72, a trivial group from a basis of order 1, the polytope
+    (k = 0) and Z/3 with fractional ages."""
+    n, cols = data
+    if cols:
+        try:
+            order = lattice_index(cols)
+        except RankDeficientError:
+            assume(False)
+        assume(order <= 2000)
+    columns = tuple(map(tuple, cols))
+    groups = [LocalGroup(columns, n), LocalGroup._trivial(columns, n, None)]
+    for group in groups:
+        _assert_matches_per_element(group)
+    assert groups[1].order == 1
+    assert groups[1].interior == (() if cols else (0,))
+
+
+def _per_element_direct(table):
+    """pp_cr_direct summed one shifted Poly per sector, from the
+    per-element reference."""
+    total = Poly()
+    for facet_set, group in table.sector_groups.items():
+        ref = _PerElement(group)
+        pp_face = Poly(table.sector_h_vectors[facet_set])
+        for i in ref.interior:
+            total = total + pp_face.shifted(ref.age(i))
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]))
+def test_direct_route_matches_the_per_element_reference(seed, n):
+    """pp_cr_direct, which adds each sector's shifted h-vector into one
+    coefficient list, equals the sum of one shifted polynomial per sector
+    on generated models, whose groups are also checked element by
+    element."""
+    for model in generate_test_models(seed, 1, n=n):
+        table = LocalGroupTable(model)
+        for group in table.groups:
+            _assert_matches_per_element(group)
+        if table.quasi_sl:
+            assert pp_cr_direct(table) == _per_element_direct(table)
+
+
+def test_direct_route_on_the_corpus_matches_the_per_element_reference(corpus, crepant_blowups):
+    models = list(corpus) + [blown for _, _, blown in crepant_blowups]
+    for model in models:
+        table = LocalGroupTable(model)
+        assert table.quasi_sl
+        assert pp_cr_direct(table) == _per_element_direct(table)
+
+
+def test_trivial_groups_enumerate_nothing(monkeypatch, cp2, corpus):
+    """A group without cycles, from ``_trivial`` or from a triangular basis
+    of order 1, is given its one element's data when it is built: reading
+    all of it, and running every route on the smooth cp2, enumerates no
+    group.  The polytope's identity is its interior element."""
+    monkeypatch.setattr(LocalGroup, "_enumerate", lambda self: pytest.fail("enumerated"))
+    face = face_by_indices(cp2, [0])
+    for group in (
+        LocalGroup((), 3),
+        LocalGroup([(1, 0, 0), (1, 1, 0)], 3),
+        LocalGroup([(2, 1), (1, 1)], 2),
+        LocalGroup._trivial(((1, 0), (1, 2)), 2, face),
+    ):
+        k = len(group.columns)
+        assert group.order == 1
+        assert group.numerators == ((0,) * k,)
+        assert group.points == ((0,) * group.ambient_dim,)
+        assert group.interior == (() if k else (0,))
+        assert group.age(0) == 0
+        assert group.age_polynomial == Poly([1])
+        assert group.interior_age_polynomial == Poly([] if k else [1])
+        assert group.box_elements() == [
+            BoxElement((Fraction(0),) * k, (0,) * group.ambient_dim, Fraction(0), 0, group.face)
+        ]
+        group.ensure_integral_points()
+        assert list(group.interior_points()) == ([] if k else [(0,) * group.ambient_dim])
+    assert cr_report(LocalGroupTable(cp2)).all_pass
+    trivial = [g for model in corpus for g in LocalGroupTable(model).groups if g.order == 1]
+    assert len(trivial) > 100
+    for group in trivial:
+        group.numerators, group.points, group.age_polynomial, group.interior_age_polynomial
 
 
 def test_table_builds_its_groups_without_converting_matrices(monkeypatch, corpus):
