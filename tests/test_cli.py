@@ -746,13 +746,17 @@ def test_sector_listing_memory_is_bounded(tmp_path):
     model = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -10**4)])
     path = tmp_path / "tri.json"
     path.write_text(model_to_json(model))
+    tracing = tracemalloc.is_tracing()
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         try:
             rc = main(["sectors", str(path)])
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
-            tracemalloc.stop()
+            if not tracing:
+                tracemalloc.stop()
     assert rc == 0
     assert peak < SECTORS_PEAK_BOUND, f"peak {peak / 2**20:.2f} MiB"
 
