@@ -219,21 +219,9 @@ class LocalGroup:
 
     @cached_property
     def points(self) -> tuple[IntVec, ...]:
-        """Lattice point of every element, all in one pass; the first
-        element, in sorted order, whose point is not integral raises."""
-        e = self.exponent
-        rows = self._rows
-        points = []
-        for nums in self.numerators:
-            point, rems = [], 0
-            for row in rows:
-                total = sum(map(operator.mul, nums, row))
-                rems |= total % e
-                point.append(total // e)
-            if rems:
-                self._point(nums)
-            points.append(tuple(point))
-        return tuple(points)
+        """Lattice point of every element; the first element, in sorted
+        order, whose point is not integral raises."""
+        return tuple(map(self._point, self.numerators))
 
     def ensure_integral_points(self) -> None:
         """Raise ArithmeticError for the first element, in sorted order,
@@ -247,8 +235,10 @@ class LocalGroup:
 
     def interior_points(self) -> Iterator[IntVec]:
         """Lattice point of every interior element, in order, each
-        computed when it is asked for and kept by no one: for listings,
-        after :meth:`ensure_integral_points`."""
+        computed when it is asked for and kept by no one.  The points are
+        checked once, through the generators, when the first is asked
+        for."""
+        self.ensure_integral_points()
         e = self.exponent
         rows = self._rows
         numerators = self.numerators

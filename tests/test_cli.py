@@ -700,16 +700,23 @@ def test_sector_listings_equal_the_json_of_their_box_elements(
     checked()
 
 
-def _off_diagonal_negated(real):
-    """``triangular_form`` with the entries off the diagonal negated.  On
-    z3tetra only the vertex (0, 1, 2) computes a basis, ((1, 0, -1),
-    (0, 1, -1), (0, 0, 3)); the negated one gives it the interior
-    generator (2/3, 2/3, 1/3), whose point (1/3, 1/3, 1) is not integral.
-    The polytope computes none, so the failure comes after the untwisted
-    sector is known."""
+# z3tetra computes a triangular basis at the vertex (0, 1, 2) alone.
+Z3_VERTEX_BASIS = ((1, 0, -1), (0, 1, -1), (0, 0, 3))
+# A basis of order 6 in its place gives that vertex the generator
+# (2/6, 3/6, 1/6): every age of the group is an integer, so the model
+# stays quasi-SL and cr_report runs through, but the generator's point
+# (1/6, 1/3, 1/2) is not integral.
+INTEGRAL_AGE_FAULT = ((1, 0, -2), (0, 1, -3), (0, 0, 6))
+
+
+def _integral_age_fault(real):
+    """``triangular_form`` with z3tetra's vertex basis replaced by
+    INTEGRAL_AGE_FAULT.  The polytope computes no basis, so the failure
+    comes after the untwisted sector is known."""
 
     def basis(m):
-        return tuple(tuple(x if i == j else -x for j, x in enumerate(row)) for i, row in enumerate(real(m)))
+        assert real(m) == Z3_VERTEX_BASIS
+        return INTEGRAL_AGE_FAULT
 
     return basis
 
@@ -718,9 +725,23 @@ def _off_diagonal_negated(real):
 @pytest.mark.parametrize("fault", ["points", "numerators"])
 def test_sector_listing_fails_before_any_output(capsys, monkeypatch, z3_path, command, fault):
     """A failure while the sectors are enumerated prints the error report
-    alone: no part of the listing is written before it."""
+    alone: no part of the listing is written before it.  The fault in the
+    points passes every check on ages, so it is found by the listing's
+    own integrality check, which must run before the cr payload is
+    written."""
+    raised = []
     if fault == "points":
-        monkeypatch.setattr(sectors_mod, "triangular_form", _off_diagonal_negated(sectors_mod.triangular_form))
+        monkeypatch.setattr(sectors_mod, "triangular_form", _integral_age_fault(sectors_mod.triangular_form))
+        real_check = LocalGroup.ensure_integral_points
+
+        def check(group):
+            try:
+                real_check(group)
+            except ArithmeticError:
+                raised.append(group.face.facet_set)
+                raise
+
+        monkeypatch.setattr(LocalGroup, "ensure_integral_points", check)
     else:
         # Zero generators step the identity h_ii times.
         monkeypatch.setattr(sectors_mod, "_inverse_columns", lambda h, order: [[0] * len(h)] * len(h))
@@ -730,6 +751,21 @@ def test_sector_listing_fails_before_any_output(capsys, monkeypatch, z3_path, co
     assert list(report) == ["error"]
     assert ("not integral" if fault == "points" else "repeat") in report["error"]
     assert out == _json_text(report)
+    assert raised == ([(0, 1, 2)] if fault == "points" else [])
+
+
+def test_integral_age_fault_reaches_the_listing(monkeypatch, z3_path):
+    """The points fault above leaves the model quasi-SL and cr_report
+    passing, so only the listing can report it."""
+    monkeypatch.setattr(sectors_mod, "triangular_form", _integral_age_fault(sectors_mod.triangular_form))
+    table = LocalGroupTable(load_model(z3_path))
+    assert table.quasi_sl
+    cr_report(table)
+    [vertex] = [g for g in table.sector_groups.values() if g.face.facet_set == (0, 1, 2)]
+    assert vertex.exponent == 6
+    assert [vertex.numerators[i] for i in vertex.interior] == [(2, 3, 1), (4, 3, 5)]
+    with pytest.raises(ArithmeticError, match="not integral"):
+        vertex.ensure_integral_points()
 
 
 # The listing below peaked at 2.63 MiB when every point of the group was

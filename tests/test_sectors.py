@@ -433,6 +433,22 @@ def test_fractional_age_report_computes_one_point(monkeypatch):
     assert err.value.element == first
 
 
+def test_interior_points_check_integrality(monkeypatch):
+    """Interior points are computed without a remainder, so they check
+    the generators' points first: a basis of order 6 in place of the
+    z3tetra vertex's gives the generator (2/6, 3/6, 1/6), with integral
+    ages and the point (1/6, 1/3, 1/2), and interior_points raises where
+    points does, before it yields anything."""
+    monkeypatch.setattr(sectors_mod, "triangular_form", lambda m: ((1, 0, -2), (0, 1, -3), (0, 0, 6)))
+    group = LocalGroup([(1, 0, 0), (0, 1, 0), (-1, -1, 3)], 3)
+    assert group.integral_ages and group.interior
+    with pytest.raises(ArithmeticError, match="not integral") as err:
+        group.points
+    with pytest.raises(ArithmeticError, match="not integral") as again:
+        next(group.interior_points())
+    assert str(again.value) == str(err.value)
+
+
 def test_quasi_sl_enumerates_no_group(monkeypatch):
     # The order-10^6 vertex would take seconds to enumerate.
     big = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -10**6)])
@@ -570,6 +586,7 @@ def _assert_matches_per_element(group):
     assert group.numerators == ref.numerators
     assert group.points == ref.points
     assert group.interior == ref.interior
+    assert list(group.interior_points()) == [ref.points[i] for i in ref.interior]
     assert group.order == len(ref.numerators)
     for i in range(len(ref.numerators)):
         assert _outcome(group, lambda g: g.age(i)) == ref.age(i)
