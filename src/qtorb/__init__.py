@@ -32,7 +32,6 @@ from .cohomology import (
 from .ehrhart import (
     LatticeSimplex,
     count_from_ages,
-    dilate_count,
     dilate_counts,
     ehrhart_numerator,
     face_simplex,
@@ -69,7 +68,6 @@ from .model import (
     random_unimodular,
     relabel_facets,
     subfaces,
-    vertex_matrix,
     vertex_sign,
 )
 from .sectors import (

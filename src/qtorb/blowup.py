@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cohomology import CrReport, _sum, cr_report, e_torus
 from .ehrhart import LatticeSimplex, ehrhart_numerator, face_simplex
@@ -30,7 +30,7 @@ from .model import (
     make_model,
     subfaces,
 )
-from .sectors import LocalGroupTable, box_by_exhaustion
+from .sectors import LocalGroup, LocalGroupTable, box_by_exhaustion
 
 
 class BlowupError(ValueError):
@@ -407,90 +407,130 @@ def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
     )
 
 
+def vertex_orders(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
+    """Each vertex group's order is the |det| of its columns, as
+    validation computed it by Bareiss elimination, independent of the
+    triangular basis the group came from.  The table reads the same
+    determinants: a face is smooth when some vertex through it has
+    |det| = 1."""
+    model = table.model
+    for vertex in groups:
+        if vertex.face.codim != model.n:
+            continue
+        index = abs(model.vertex_dets[vertex.face.vertex_ids[0]])
+        if vertex.order != index:
+            yield (
+                f"group order {vertex.order} is not |det| {index} "
+                f"at vertex {list(vertex.face.facet_set)}"
+            )
+
+
+def box_partition(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
+    """Each vertex box is partitioned by the interiors of the faces
+    through the vertex: the points agree as multisets."""
+    for vertex in groups:
+        if vertex.face.codim != table.model.n:
+            continue
+        pieces = table.sector_groups_containing(vertex.face)
+        if sorted(vertex.points) != sorted(other.points[i] for other in pieces for i in other.interior):
+            yield f"box partition fails at vertex {list(vertex.face.facet_set)}"
+
+
+def box_enumeration(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
+    """Oracle: each proper face's box, of order at most 200, is the one
+    the exhaustive search finds."""
+    for group in groups:
+        face = group.face
+        if face.codim == 0 or group.order > 200:
+            continue
+        exhaustive = box_by_exhaustion(group.columns, table.model.n)
+        if [replace(e, face=face) for e in exhaustive] != group.box_elements():
+            yield f"box enumeration disagrees with exhaustion at {list(face.facet_set)}"
+
+
+def dilate_numerators(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
+    """Oracle: each proper face's dilate-series numerator, from
+    brute-force dilate counts, is its age polynomial; faces of order
+    above 200 are skipped."""
+    for group in groups:
+        face = group.face
+        if face.codim == 0 or group.order > 200:
+            continue
+        psi = ehrhart_numerator(face_simplex(face, table.model))
+        w_coeffs = group.age_polynomial.coeffs
+        if tuple(psi[: len(w_coeffs)]) != w_coeffs or any(p for p in psi[len(w_coeffs):]):
+            yield f"dilate-series numerator {list(psi)} does not match ages at {list(face.facet_set)}"
+
+
+# The checks every table must pass, with whether each is an oracle, run
+# only on request; in the order their failures are reported.  Each takes
+# a table and the groups of the faces to check, and yields failure texts.
+TABLE_CHECKS = (
+    (vertex_orders, False),
+    (box_partition, False),
+    (box_enumeration, True),
+    (dilate_numerators, True),
+)
+
+
+def table_failures(
+    table: LocalGroupTable, groups: Sequence[LocalGroup], include_oracle: bool = False
+) -> list[str]:
+    """The failure texts of every table check, the oracles only with
+    ``include_oracle``, on the faces of ``groups``."""
+    return [
+        text
+        for check, oracle in TABLE_CHECKS
+        if include_oracle or not oracle
+        for text in check(table, groups)
+    ]
+
+
+def induced_triangulation_sums(mckay: McKayReport) -> Iterator[str]:
+    """Oracle: each subface's triangulation sum in ``mckay`` equals the
+    one read from the validated induced triangulation, built whole from
+    the star subdivision the check kept."""
+    model = mckay.before.groups.model
+    lazy = {check.face: check.rhs for check in mckay.triangulation_checks}
+    for sub in subfaces(mckay.subdivision.ambient_face, model):
+        induced = induced_triangulation(sub, mckay.subdivision, model)
+        rhs = check_triangulation_identity(sub, induced, mckay.before.groups, mckay.blown_groups).rhs
+        if lazy.get(sub) != rhs:
+            yield (
+                f"the induced triangulation of {list(sub.facet_set)} sums to {rhs}, "
+                f"the star subdivision's join to {lazy.get(sub)}"
+            )
+
+
 def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
     """Run the full identity suite on one model; returns failure messages.
 
-    Covers each vertex group's order against the determinant of its
-    columns, the box partition over vertices, the per-face age
-    partition, the torus stratification, three-route agreement, and the
-    crepant blowup invariance for every candidate.  With `include_oracle`, the
-    table's box enumeration and the dilate-series numerators are also
-    cross-checked against the exhaustive search paths, and each subface's
-    triangulation identity in a McKay check against the validated
-    induced triangulation built whole from the star subdivision that the
-    check kept.
+    The base model's report passes every :data:`REPORT_CHECKS` entry
+    (routes, identities, age partition) and its table every
+    :data:`TABLE_CHECKS` entry on every face.  Every crepant candidate's
+    McKay check must pass, which runs the report checks on the blown-up
+    model's report; a blown-up table that stays quasi-SL then runs the
+    table checks on the faces of the new facet, the others being the
+    base table's.  With ``include_oracle``, the table checks include the
+    oracles, and each subface's triangulation sum in a McKay check is
+    compared with the induced triangulation's.
     """
-    failures: list[str] = []
     label = model.name or "<model>"
     groups = LocalGroupTable(model)
     report = cr_report(groups)
-    if not report.routes_agree:
-        failures.append(f"{label}: the three Chen-Ruan routes disagree")
-    for check in report.identities:
-        if not check.passed:
-            failures.append(f"{label}: identity {check.name} fails ({check.lhs} != {check.rhs})")
-    for face, ok in report.morestrat:
-        if not ok:
-            failures.append(f"{label}: age partition fails at face {list(face.facet_set)}")
-
-    for vertex in groups.groups:
-        if vertex.face.codim != model.n:
-            continue
-        # |det| as validation computed it, by Bareiss elimination,
-        # independent of the triangular basis the group came from.  The table
-        # reads the same determinants: a face is smooth when some vertex
-        # through it has |det| = 1.
-        index = abs(model.vertex_dets[vertex.face.vertex_ids[0]])
-        if vertex.order != index:
-            failures.append(
-                f"{label}: group order {vertex.order} is not |det| {index} "
-                f"at vertex {list(vertex.face.facet_set)}"
-            )
-        whole = sorted(vertex.points)
-        containing = groups.sector_groups_containing(vertex.face)
-        pieces = sorted(other.points[i] for other in containing for i in other.interior)
-        if whole != pieces:
-            failures.append(
-                f"{label}: box partition fails at vertex {list(vertex.face.facet_set)}"
-            )
-
-    if include_oracle:
-        for group in groups.groups:
-            face = group.face
-            if face.codim == 0 or group.order > 200:
-                continue
-            exhaustive = box_by_exhaustion(group.columns, model.n)
-            if [replace(e, face=face) for e in exhaustive] != group.box_elements():
-                failures.append(
-                    f"{label}: box enumeration disagrees with exhaustion at {list(face.facet_set)}"
-                )
-            sx = face_simplex(face, model)
-            psi = ehrhart_numerator(sx)
-            w_coeffs = group.age_polynomial.coeffs
-            if tuple(psi[: len(w_coeffs)]) != w_coeffs or any(p for p in psi[len(w_coeffs):]):
-                failures.append(
-                    f"{label}: dilate-series numerator {list(psi)} does not match ages at {list(face.facet_set)}"
-                )
-
+    failures = [f"{label}: {text}" for text in report.failures()]
+    failures += [f"{label}: {text}" for text in table_failures(groups, groups.groups, include_oracle)]
     for spec in crepant_candidates(groups):
         mckay = mckay_check(report, spec)
+        prefix = f"{label}: crepant blowup at {list(spec.face)}"
         if not mckay.quasi_sl_after:
-            failures.append(
-                f"{label}: crepant blowup at {list(spec.face)} loses integral ages"
-            )
+            failures.append(f"{prefix} loses integral ages")
         if not mckay.verdict:
-            failures.append(
-                f"{label}: crepant blowup at {list(spec.face)} changes the Betti numbers"
-            )
+            failures.append(f"{prefix} changes the Betti numbers")
+        if mckay.quasi_sl_after:
+            blown = mckay.blown_groups
+            on_new_facet = [g for g in blown.groups if model.m in g.face.facet_set]
+            failures += [f"{prefix}: {text}" for text in table_failures(blown, on_new_facet, include_oracle)]
         if include_oracle:
-            lazy = {check.face: check.rhs for check in mckay.triangulation_checks}
-            for sub in subfaces(mckay.subdivision.ambient_face, model):
-                induced = induced_triangulation(sub, mckay.subdivision, model)
-                rhs = check_triangulation_identity(sub, induced, groups, mckay.blown_groups).rhs
-                if lazy.get(sub) != rhs:
-                    failures.append(
-                        f"{label}: crepant blowup at {list(spec.face)}: the induced "
-                        f"triangulation of {list(sub.facet_set)} sums to {rhs}, "
-                        f"the star subdivision's join to {lazy.get(sub)}"
-                    )
+            failures += [f"{prefix}: {text}" for text in induced_triangulation_sums(mckay)]
     return failures

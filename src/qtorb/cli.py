@@ -265,6 +265,10 @@ def _cmd_mckay(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     models = generate_test_models(args.seed, args.count, n=args.n, budget=args.budget)
+    if not models:
+        # A run that checks no model proves nothing.
+        _emit({"error": "no model generated", "seed": args.seed, "n": args.n, "budget": args.budget})
+        return 2
     failures: list[str] = []
     for model in models:
         failures.extend(identity_failures(model, include_oracle=args.oracle))

@@ -11,7 +11,8 @@ The Chen-Ruan polynomial is computed along three independent routes:
   polynomials.
 
 Agreement of the three, together with the per-face age-partition and
-torus-stratification identities, is what the verdict commands certify.
+torus-stratification identities, is what the verdict commands certify:
+:data:`REPORT_CHECKS` lists the checks a :class:`CrReport` must pass.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .exact import Poly
 from .model import Face
@@ -139,13 +141,16 @@ class CrReport:
     def pp_cr(self) -> Poly:
         return self.pp_cr_direct
 
+    def failures(self) -> Iterator[str]:
+        """The failure texts of every report check, in the order of
+        :data:`REPORT_CHECKS`."""
+        for check in REPORT_CHECKS:
+            yield from check(self)
+
     @property
     def all_pass(self) -> bool:
-        return (
-            self.routes_agree
-            and all(check.passed for check in self.identities)
-            and all(ok for _, ok in self.morestrat)
-        )
+        """True iff no report check fails."""
+        return next(self.failures(), None) is None
 
     def identity(self, name: str) -> IdentityCheck:
         """The identity check called ``name``; KeyError if there is none."""
@@ -153,6 +158,32 @@ class CrReport:
             if check.name == name:
                 return check
         raise KeyError(name)
+
+
+def route_agreement(report: CrReport) -> Iterator[str]:
+    """The three Chen-Ruan routes give one polynomial."""
+    if not report.routes_agree:
+        yield "the three Chen-Ruan routes disagree"
+
+
+def named_identities(report: CrReport) -> Iterator[str]:
+    """Each identity of the report holds."""
+    for check in report.identities:
+        if not check.passed:
+            yield f"identity {check.name} fails ({check.lhs} != {check.rhs})"
+
+
+def age_partition(report: CrReport) -> Iterator[str]:
+    """Each face's age polynomial is the sum of the interior age
+    polynomials of the faces containing it (:func:`check_age_partition`)."""
+    for face, ok in report.morestrat:
+        if not ok:
+            yield f"age partition fails at face {list(face.facet_set)}"
+
+
+# The checks every Chen-Ruan report must pass, in the order their
+# failures are reported.  Each takes a report and yields failure texts.
+REPORT_CHECKS = (route_agreement, named_identities, age_partition)
 
 
 def cr_report(table: LocalGroupTable) -> CrReport:

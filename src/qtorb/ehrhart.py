@@ -132,26 +132,19 @@ class _DilatePlan:
         return kernels.count_in_dilate(lo, hi, start, self.steps, bounds, self.q, self.others, self.m)
 
 
-def dilate_count(sx: LatticeSimplex, k: int) -> int:
-    """Number of lattice points of the k-th dilate, by exhaustion.
-
-    Plans the scan (see ``_DilatePlan``), then walks the d - 1 scanned
-    coordinates over the integer ranges of the dilated vertices, solves
-    the level condition for one more coordinate and keeps the points
-    that are nonnegative rational combinations of the vertices with
-    coefficient sum k and integer in every coordinate.  The scan costs
-    the product of those d - 1 coordinate ranges.  Exact, and
-    independent of the box-element machinery; this is the slow oracle
-    path.  Raises ``RankDeficientError`` on dependent vertices.
-    """
-    if k < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    return _DilatePlan(sx.verts).count(k)
-
-
 def dilate_counts(sx: LatticeSimplex) -> list[int]:
     """The dim + 1 leading dilate counts l(0 Delta), ..., l(dim Delta),
-    as :func:`dilate_count` gives them, from one plan."""
+    by exhaustion, from one plan.
+
+    The plan (see ``_DilatePlan``) walks the d - 1 scanned coordinates
+    over the integer ranges of the dilated vertices, solves the level
+    condition for one more coordinate and keeps the points that are
+    nonnegative rational combinations of the vertices with coefficient
+    sum k and integer in every coordinate.  The k-th dilate costs the
+    product of those d - 1 coordinate ranges.  Exact, and independent of
+    the box-element machinery; this is the slow oracle path.  Raises
+    ``RankDeficientError`` on dependent vertices.
+    """
     plan = _DilatePlan(sx.verts)
     return [plan.count(k) for k in range(sx.dim + 1)]
 

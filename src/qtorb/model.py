@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .intlat import IntMat, IntVec, as_vec, det, is_primitive, mat_from_cols, mat_vec
+from .intlat import IntMat, IntVec, as_vec, det, is_primitive, mat_vec
 
 JSON_INT_LIMIT = 2**53
 
@@ -322,12 +322,6 @@ def _vertex_id(model: Model, vertex: Sequence[int]) -> int:
     if idx not in model.vertices:
         raise ValueError(f"{list(idx)} is not a vertex of the model")
     return model.vertices.index(idx)
-
-
-def vertex_matrix(model: Model, vertex: Sequence[int]) -> IntMat:
-    """Characteristic vectors at a vertex as columns, in increasing facet order."""
-    vert = model.vertices[_vertex_id(model, vertex)]
-    return mat_from_cols([model.char_vectors[i] for i in vert])
 
 
 def vertex_sign(model: Model, vertex: Sequence[int]) -> int:

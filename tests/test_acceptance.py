@@ -33,12 +33,12 @@ from qtorb import (
     pp_cr_via_strata,
     relabel_facets,
     star_subdivide,
-    vertex_matrix,
 )
 from qtorb.cli import main
 from qtorb.exact import Poly
 from qtorb.intlat import det
 from qtorb.model import apply_unimodular, random_unimodular
+from tests.test_model import vertex_matrix
 from tests.test_sectors import interior_elements
 
 

@@ -29,11 +29,11 @@ from qtorb import (
     model_to_json,
     parse_model,
     star_subdivide,
-    vertex_matrix,
 )
 from qtorb.blowup import _maximal_volumes, _validated_subdivision
 from qtorb.exact import Poly
 from qtorb.intlat import coords_in_basis, det, mat_from_cols
+from tests.test_model import vertex_matrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -436,6 +436,76 @@ def test_vertex_order_is_checked_against_the_determinant(monkeypatch, z3):
     assert identity_failures(z3) == [
         "z3-tetrahedron: group order 1 is not |det| 3 at vertex [0, 1, 2]"
     ]
+
+
+def _fuzz_n4_1():
+    """The second model of ``generate_test_models(1, ..., n=4)``.  Its first
+    crepant candidate blows up the face (0, 4), and the new facet 5 of the
+    blown-up model carries the order-4 vertex (0, 1, 2, 5) and the order-4
+    edge (0, 5).  The hand-built models blow up to smooth faces on their
+    new facets only."""
+    model = generate_test_models(1, 2, n=4)[1]
+    assert model.name == "fuzz-n4-1" and model.m == 5
+    return model
+
+
+def test_blown_table_vertex_order_is_checked_without_the_oracle(monkeypatch):
+    """The order-4 vertex (0, 1, 2, 5) of the blown-up model built as the
+    trivial group fails its order against |det| on the default path,
+    reported with the blowup, after the candidate's verdict."""
+    model = _fuzz_n4_1()
+    assert identity_failures(model, include_oracle=True) == []
+    _mislabel_as_trivial(monkeypatch, (0, 1, 2, 5))
+    failures = identity_failures(model)
+    prefix = "fuzz-n4-1: crepant blowup at [0, 4]"
+    order = f"{prefix}: group order 1 is not |det| 4 at vertex [0, 1, 2, 5]"
+    assert failures[:2] == [f"{prefix} changes the Betti numbers", order]
+    assert all(f.startswith(prefix) for f in failures)
+
+
+def test_blown_table_box_enumeration_is_an_oracle(monkeypatch):
+    """The order-4 edge (0, 5) of the blown-up model built as the trivial
+    group disagrees with the exhaustive search, which runs on the faces of
+    the new facet under the oracle and only there."""
+    model = _fuzz_n4_1()
+    _mislabel_as_trivial(monkeypatch, (0, 5))
+    message = "fuzz-n4-1: crepant blowup at [0, 4]: box enumeration disagrees with exhaustion at [0, 5]"
+    assert message not in identity_failures(model)
+    assert message in identity_failures(model, include_oracle=True)
+
+
+@pytest.mark.parametrize("include_oracle", [False, True], ids=["default", "oracle"])
+def test_table_checks_run_once_per_table(monkeypatch, corpus, include_oracle):
+    """The base table runs the table checks on every face; each quasi-SL
+    blown-up table runs them on the faces of its new facet, whose other
+    faces are the base table's.  The oracles run only when asked for."""
+    runs = []
+
+    def recording(check):
+        def run(table, groups):
+            runs.append((check.__name__, table.model, [g.face for g in groups]))
+            return check(table, groups)
+
+        return run
+
+    names = [check.__name__ for check, oracle in blowup_mod.TABLE_CHECKS if include_oracle or not oracle]
+    monkeypatch.setattr(
+        blowup_mod, "TABLE_CHECKS", tuple((recording(check), oracle) for check, oracle in blowup_mod.TABLE_CHECKS)
+    )
+    blown_runs = 0
+    for model in corpus[::3]:
+        table = LocalGroupTable(model)
+        expected = [(name, model, list(faces(model))) for name in names]
+        for spec in crepant_candidates(table):
+            blown = LocalGroupTable(blow_up(model, spec), table)
+            if blown.quasi_sl:
+                on_new_facet = [f for f in faces(blown.model) if model.m in f.facet_set]
+                expected += [(name, blown.model, on_new_facet) for name in names]
+                blown_runs += 1
+        runs.clear()
+        assert identity_failures(model, include_oracle) == []
+        assert runs == expected, model.name
+    assert blown_runs > 0
 
 
 def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(

@@ -430,6 +430,18 @@ def test_fuzz_rejects_counts_and_budgets_below_one(capsys, argv):
     assert f"error: argument {flag}: must be at least 1: '{argv[-1]}'" in errs
 
 
+def test_fuzz_that_generates_no_model_is_an_error(capsys):
+    """A run whose budget yields no model checks nothing: exit 2 with an
+    error naming the seed, n and budget, instead of a pass."""
+    rc, out = run(capsys, "fuzz", "--seed", "2", "--count", "3", "--n", "4", "--budget", "1")
+    assert rc == 2
+    assert json.loads(out) == {"error": "no model generated", "seed": 2, "n": 4, "budget": 1}
+    rc, out = run(capsys, "fuzz", "--seed", "1", "--count", "3", "--n", "4", "--budget", "2")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["all_pass"] and report["models_generated"] == 2 < report["models_requested"]
+
+
 def test_fuzz_count_must_be_an_integer(capsys):
     out, errs, code = _parse_stop(capsys, lambda: main(["fuzz", "--count", "x"]))
     assert (out, code) == ("", 2)

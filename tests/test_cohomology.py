@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from qtorb import (
 )
 from qtorb.cohomology import _sum
 from qtorb.exact import Poly
+from tests.test_blowup import _mislabel_as_trivial
 from tests.test_sectors import sectors
 
 
@@ -220,3 +223,47 @@ def test_identity_lookup_by_name(wp112):
         assert report.identity(check.name) is check
     with pytest.raises(KeyError):
         report.identity("no-such-identity")
+
+
+def test_all_pass_is_no_report_check_failing(monkeypatch, corpus, z3):
+    """``all_pass`` is "no report check fails", which is the conjunction
+    of route agreement, every identity and every age partition, over the
+    corpus and under mutations that fail the routes, an identity, the age
+    partition, or none of them."""
+
+    def conjunction(report):
+        return (
+            report.routes_agree
+            and all(check.passed for check in report.identities)
+            and all(ok for _, ok in report.morestrat)
+        )
+
+    reports = [cr_report(LocalGroupTable(model)) for model in corpus]
+    base = reports[0]
+    newpon = dataclasses.replace(base.identity("newpon"), passed=False)
+    reports += [
+        dataclasses.replace(base, pp_cr_closures=base.pp_cr_closures + Poly.one()),
+        dataclasses.replace(base, identities=(newpon,)),
+    ]
+    # A wrongly trivial face fails the age partition; the order-3 vertex
+    # of the tetrahedron built trivial passes every report check.
+    for model in corpus[::3]:
+        face = next((g.face for g in LocalGroupTable(model).groups if g.order > 1 and g.face.codim < model.n), None)
+        if face is not None:
+            with monkeypatch.context() as patch:
+                _mislabel_as_trivial(patch, face.facet_set)
+                reports.append(cr_report(LocalGroupTable(model)))
+    with monkeypatch.context() as patch:
+        _mislabel_as_trivial(patch, (0, 1, 2))
+        reports.append(cr_report(LocalGroupTable(z3)))
+    verdicts = set()
+    for report in reports:
+        failures = list(report.failures())
+        assert report.all_pass == (not failures) == conjunction(report)
+        verdicts.add(report.all_pass)
+    assert verdicts == {True, False}
+    assert list(reports[len(corpus)].failures()) == ["the three Chen-Ruan routes disagree"]
+    assert list(reports[len(corpus) + 1].failures()) == [
+        f"identity newpon fails ({base.pp_cr_direct} != {base.pp_cr_strata})"
+    ]
+    assert any(f.startswith("age partition fails at face ") for r in reports for f in r.failures())

@@ -7,7 +7,6 @@ from qtorb import (
     LocalGroup,
     LocalGroupTable,
     count_from_ages,
-    dilate_count,
     dilate_counts,
     ehrhart_numerator,
     face_by_indices,
@@ -34,6 +33,12 @@ def simplex_from_cols(cols):
 
     face = _Stub()
     return LatticeSimplex(ambient_face=face, verts=tuple(cols), coords=unit)
+
+
+def dilate_count(sx, k):
+    """Lattice points of the k-th dilate of ``sx``, by exhaustion: one
+    count of the plan that ``dilate_counts`` makes once per simplex."""
+    return ehrhart_mod._DilatePlan(sx.verts).count(k)
 
 
 def test_face_simplex(wp112):
@@ -67,11 +72,6 @@ def test_dilate_count_singular_segment():
 def test_dilate_count_at_zero():
     for cols in ([(1, 0), (1, 2)], list(Z3_COLS)):
         assert dilate_count(simplex_from_cols(cols), 0) == 1
-
-
-def test_dilate_count_rejects_negative():
-    with pytest.raises(ValueError):
-        dilate_count(simplex_from_cols([(1, 0)]), -1)
 
 
 def fast_count(sx, k):
@@ -149,16 +149,32 @@ def test_dilate_counts_plan_once_per_simplex(monkeypatch, corpus):
 
 
 def test_oracle_fuzz_plans_once_per_checked_face(monkeypatch, corpus):
-    from qtorb import identity_failures
+    """One plan per proper face of order at most 200 of the base table,
+    then, for each crepant candidate in turn, one per such face on the
+    new facet of its blown-up table."""
+    from qtorb import blow_up, crepant_candidates, identity_failures
+
+    def checked(table, keep=lambda face: True):
+        return [
+            face_simplex(g.face, table.model).verts
+            for g in table.groups
+            if g.face.codim and g.order <= 200 and keep(g.face)
+        ]
 
     plans = _count_plans(monkeypatch)
+    blown_checked = 0
     for model in corpus:
-        checked = [
-            g.face for g in LocalGroupTable(model).groups if g.face.codim and g.order <= 200
-        ]
+        table = LocalGroupTable(model)
+        expected = checked(table)
+        for spec in crepant_candidates(table):
+            blown = LocalGroupTable(blow_up(model, spec), table)
+            if blown.quasi_sl:
+                expected += checked(blown, lambda face: model.m in face.facet_set)
+        blown_checked += len(expected) - len(checked(table))
         plans.clear()
         assert identity_failures(model, include_oracle=True) == []
-        assert plans == [face_simplex(face, model).verts for face in checked]
+        assert plans == expected
+    assert blown_checked > 0
 
 
 def test_ehrhart_numerator_examples():

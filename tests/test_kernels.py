@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtorb import RankDeficientError, face_by_indices, kernels, make_model
-from qtorb.ehrhart import _DilatePlan, dilate_count
+from qtorb.ehrhart import _DilatePlan
 from qtorb.intlat import mat_from_cols, transpose
 from qtorb.sectors import box_by_exhaustion, box_of_columns
-from tests.test_ehrhart import simplex_from_cols
+from tests.test_ehrhart import dilate_count, simplex_from_cols
 
 BIG = 2**40
 

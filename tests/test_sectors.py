@@ -21,7 +21,6 @@ from qtorb import (
     count_from_ages,
     cr_report,
     det,
-    dilate_count,
     ehrhart_numerator,
     face_by_indices,
     face_simplex,
@@ -35,6 +34,7 @@ from qtorb import (
 )
 from qtorb.exact import Poly
 from qtorb.intlat import mat_from_cols
+from tests.test_ehrhart import dilate_count
 
 Z3_COLS = [(1, 0, 0), (0, 1, 0), (-1, -1, 3)]
 
