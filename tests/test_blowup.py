@@ -488,10 +488,9 @@ def test_table_checks_run_once_per_table(monkeypatch, corpus, include_oracle):
 
         return run
 
-    names = [check.__name__ for check, oracle in blowup_mod.TABLE_CHECKS if include_oracle or not oracle]
-    monkeypatch.setattr(
-        blowup_mod, "TABLE_CHECKS", tuple((recording(check), oracle) for check, oracle in blowup_mod.TABLE_CHECKS)
-    )
+    checks = blowup_mod.TABLE_CHECKS
+    names = [check.__name__ for check, oracle in checks if include_oracle or not oracle]
+    monkeypatch.setattr(blowup_mod, "TABLE_CHECKS", tuple((recording(check), oracle) for check, oracle in checks))
     blown_runs = 0
     for model in corpus[::3]:
         table = LocalGroupTable(model)

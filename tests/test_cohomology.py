@@ -248,10 +248,10 @@ def test_all_pass_is_no_report_check_failing(monkeypatch, corpus, z3):
     # A wrongly trivial face fails the age partition; the order-3 vertex
     # of the tetrahedron built trivial passes every report check.
     for model in corpus[::3]:
-        face = next((g.face for g in LocalGroupTable(model).groups if g.order > 1 and g.face.codim < model.n), None)
-        if face is not None:
+        lower = [g.face for g in LocalGroupTable(model).groups if g.order > 1 and g.face.codim < model.n]
+        if lower:
             with monkeypatch.context() as patch:
-                _mislabel_as_trivial(patch, face.facet_set)
+                _mislabel_as_trivial(patch, lower[0].facet_set)
                 reports.append(cr_report(LocalGroupTable(model)))
     with monkeypatch.context() as patch:
         _mislabel_as_trivial(patch, (0, 1, 2))
