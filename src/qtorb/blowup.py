@@ -473,9 +473,7 @@ TABLE_CHECKS = (
 )
 
 
-def table_failures(
-    table: LocalGroupTable, groups: Sequence[LocalGroup], include_oracle: bool = False
-) -> list[str]:
+def table_failures(table: LocalGroupTable, groups: Sequence[LocalGroup], include_oracle: bool) -> list[str]:
     """The failure texts of every table check, the oracles only with
     ``include_oracle``, on the faces of ``groups``."""
     return [
