@@ -9,6 +9,7 @@ from .blowup import (
     Subdivision,
     TriangulationCheck,
     blow_up,
+    blow_up_table,
     check_triangulation_identity,
     crepant_candidates,
     identity_failures,
@@ -41,9 +42,7 @@ from .exact import Poly, binom, rat_to_str
 from .intlat import (
     IntMat,
     IntVec,
-    OutsideSpanError,
     RankDeficientError,
-    coords_in_basis,
     det,
     is_primitive,
     lattice_index,

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 from .cohomology import CrReport, _sum, cr_report, e_torus
 from .ehrhart import LatticeSimplex, ehrhart_numerator, face_simplex
 from .exact import Poly
-from .intlat import IntVec, coords_in_basis, det, is_primitive, mat_from_cols
+from .intlat import IntVec, det, is_primitive
 from .model import (
     Face,
     Model,
@@ -119,6 +119,12 @@ def blow_up(model: Model, spec: BlowupSpec) -> Model:
         raise BlowupError(f"blown-up model fails validation: {exc}") from exc
 
 
+def blow_up_table(table: LocalGroupTable, spec: BlowupSpec) -> LocalGroupTable:
+    """The table of the blown-up model.  Faces away from the new facet
+    keep the groups ``table`` has built; only the faces on it are new."""
+    return LocalGroupTable(blow_up(table.model, spec), table)
+
+
 def crepant_candidates(table: LocalGroupTable) -> list[BlowupSpec]:
     """Every crepant blowup the table's model admits: interior box
     elements of age exactly 1 with a primitive lattice point, over all
@@ -211,20 +217,25 @@ def _validated_subdivision(
     return Subdivision(ambient_face=ambient_face, simplices=ordered, interior=interior)
 
 
-def star_subdivide(face: Face, lambda0: IntVec, model: Model) -> Subdivision:
-    """Star subdivision of the face simplex at an interior lattice point.
+def star_subdivide(spec: BlowupSpec, model: Model) -> Subdivision:
+    """Star subdivision of the spec's face simplex at its new vector.
 
-    The point must be a strictly positive combination of the face's
-    characteristic vectors with coefficient sum 1.  Maximal simplices
-    swap the point in for each vertex in turn; all their faces join them.
+    The spec's weights must give the new vector from the face's
+    characteristic vectors exactly, and be strictly positive with sum 1:
+    they are the point's coordinates on the face simplex.  Maximal
+    simplices swap the point in for each vertex in turn; all their faces
+    join them.
     """
+    face = face_by_indices(model, spec.face)
     cols = [model.char_vectors[i] for i in face.facet_set]
     k = len(cols)
-    weights = coords_in_basis(mat_from_cols(cols), lambda0)
+    weights, lambda0 = spec.weights, spec.lambda0
+    shown = [str(w) for w in weights]
+    point = tuple(sum(w * col[r] for w, col in zip(weights, cols)) for r in range(model.n))
+    if len(weights) != k or point != tuple(lambda0):
+        raise ValueError(f"weights {shown} on {list(face.facet_set)} do not give {list(lambda0)}")
     if any(w <= 0 for w in weights):
-        raise ValueError(
-            f"{list(lambda0)} is not interior to the face simplex (weights {[str(w) for w in weights]})"
-        )
+        raise ValueError(f"{list(lambda0)} is not interior to the face simplex (weights {shown})")
     if sum(weights) != 1:
         raise ValueError(f"{list(lambda0)} does not lie on the face simplex")
     pool_points = [tuple(c) for c in cols] + [tuple(lambda0)]
@@ -386,13 +397,12 @@ def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
         raise BlowupError(
             f"weights sum to {sum(spec.weights)}, expected 1 for a crepant blowup"
         )
-    blown = blow_up(model, spec)
-    # Faces away from the new facet keep the base model's groups; the
-    # faces on it are the interior cones of the triangulations below.
-    blown_groups = LocalGroupTable(blown, groups)
+    # The faces on the new facet are the interior cones of the
+    # triangulations below.
+    blown_groups = blow_up_table(groups, spec)
     after = cr_report(blown_groups) if blown_groups.quasi_sl else None
-    face = face_by_indices(model, spec.face)
-    tau = star_subdivide(face, spec.lambda0, model)
+    tau = star_subdivide(spec, model)
+    face = tau.ambient_face
     checks = []
     for sub in subfaces(face, model):
         extra = tuple(model.char_vectors[i] for i in sub.facet_set if i not in face.facet_set)
@@ -436,12 +446,17 @@ def box_partition(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Itera
             yield f"box partition fails at vertex {list(vertex.face.facet_set)}"
 
 
+# The oracles enumerate each box and each dilate point by point; they skip
+# the faces whose group order is above this bound.
+ORACLE_MAX_ORDER = 200
+
+
 def box_enumeration(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
-    """Oracle: each proper face's box, of order at most 200, is the one
-    the exhaustive search finds."""
+    """Oracle: each proper face's box, of order at most
+    :data:`ORACLE_MAX_ORDER`, is the one the exhaustive search finds."""
     for group in groups:
         face = group.face
-        if face.codim == 0 or group.order > 200:
+        if face.codim == 0 or group.order > ORACLE_MAX_ORDER:
             continue
         exhaustive = box_by_exhaustion(group.columns, table.model.n)
         if [replace(e, face=face) for e in exhaustive] != group.box_elements():
@@ -451,10 +466,10 @@ def box_enumeration(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Ite
 def dilate_numerators(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
     """Oracle: each proper face's dilate-series numerator, from
     brute-force dilate counts, is its age polynomial; faces of order
-    above 200 are skipped."""
+    above :data:`ORACLE_MAX_ORDER` are skipped."""
     for group in groups:
         face = group.face
-        if face.codim == 0 or group.order > 200:
+        if face.codim == 0 or group.order > ORACLE_MAX_ORDER:
             continue
         psi = ehrhart_numerator(face_simplex(face, table.model))
         w_coeffs = group.age_polynomial.coeffs

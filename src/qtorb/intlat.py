@@ -1,25 +1,19 @@
 """Exact linear algebra over the integer lattice Z^n.
 
 Vectors are tuples of ints, matrices are tuples of row tuples.  All
-operations are exact: determinants use fraction-free elimination, the
-triangular basis of a column lattice comes from integer row operations,
-and rational solves run over :class:`fractions.Fraction`.  Nothing here
-ever touches a float.
+operations are exact and stay in the integers: determinants use
+fraction-free elimination, and the triangular basis of a column lattice
+comes from integer row operations.  Nothing here ever touches a float.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
-
-
-class OutsideSpanError(ValueError):
-    """The target vector is not in the rational span of the basis."""
 
 
 class RankDeficientError(ValueError):
@@ -156,36 +150,6 @@ def triangular_form(m: IntMat) -> IntMat:
         if a[c][c] < 0:
             a[c] = [-x for x in a[c]]
     return tuple(map(tuple, a[:ncols]))
-
-
-def coords_in_basis(basis: IntMat, w: Sequence[int]) -> tuple[Fraction, ...]:
-    """Unique rationals c with basis @ c = w.
-
-    Raises :class:`RankDeficientError` for dependent columns and
-    :class:`OutsideSpanError` when w is not in the rational column span.
-    """
-    nrows = len(basis)
-    k = len(basis[0]) if nrows else 0
-    if len(w) != nrows:
-        raise ValueError("dimension mismatch")
-    aug = [[Fraction(basis[i][j]) for j in range(k)] + [Fraction(w[i])] for i in range(nrows)]
-    row = 0
-    for col in range(k):
-        pivot_row = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise RankDeficientError("columns are not linearly independent")
-        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        row += 1
-    for r in range(row, nrows):
-        if aug[r][k] != 0:
-            raise OutsideSpanError(f"{tuple(w)} is outside the column span")
-    return tuple(aug[i][k] for i in range(k))
 
 
 def lattice_index(cols: Sequence[Sequence[int]]) -> int:

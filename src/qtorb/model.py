@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -401,7 +401,7 @@ def _random_simplex_model(rng: random.Random, n: int, index: int):
         if not is_primitive(last):
             return None
         model = make_model(n, n + 1, vertices, lams + [last], name=f"fuzz-n{n}-{index}")
-    except (ValueError, ModelValidationError):
+    except ValueError:
         return None
     table = LocalGroupTable(model)
     return table if table.quasi_sl else None
@@ -437,20 +437,15 @@ def generate_test_models(
             roll = rng.random()
             if roll < 0.45 and model.m < n + 4:
                 candidates = blowup_mod.crepant_candidates(table)
-                if candidates:
-                    spec = rng.choice(candidates)
-                    try:
-                        blown = blowup_mod.blow_up(model, spec)
-                    except (ValueError, ModelValidationError):
-                        continue
-                    blown_table = LocalGroupTable(blown, table)
-                    if blown_table.quasi_sl:
-                        table = blown_table
+                if not candidates:
+                    continue
+                spec = rng.choice(candidates)
             elif roll < 0.85:
                 try:
                     table = LocalGroupTable(apply_unimodular(model, random_unimodular(rng, n)))
                 except ModelValidationError:
                     pass
+                continue
             else:
                 # Non-crepant truncation: unit weights on a random face.
                 chosen = [f for f in faces(model) if f.codim >= 2]
@@ -458,14 +453,14 @@ def generate_test_models(
                     continue
                 face = rng.choice(chosen)
                 try:
-                    spec = blowup_mod.make_blowup_spec(
-                        model, face.facet_set, [1] * face.codim
-                    )
-                    blown = blowup_mod.blow_up(model, spec)
-                except (ValueError, ModelValidationError):
+                    spec = blowup_mod.make_blowup_spec(model, face.facet_set, [1] * face.codim)
+                except ValueError:
                     continue
-                blown_table = LocalGroupTable(blown, table)
-                if blown_table.quasi_sl:
-                    table = blown_table
-        out.append(replace(table.model, name=f"fuzz-n{n}-{len(out)}"))
+            try:
+                blown_table = blowup_mod.blow_up_table(table, spec)
+            except ValueError:
+                continue
+            if blown_table.quasi_sl:
+                table = blown_table
+        out.append(table.model)
     return out

@@ -23,7 +23,6 @@ from qtorb import (
     cr_report,
     crepant_candidates,
     ehrhart_numerator,
-    face_by_indices,
     face_simplex,
     faces,
     make_blowup_spec,
@@ -34,6 +33,7 @@ from qtorb import (
     relabel_facets,
     star_subdivide,
 )
+from qtorb.blowup import ORACLE_MAX_ORDER
 from qtorb.cli import main
 from qtorb.exact import Poly
 from qtorb.intlat import det
@@ -81,8 +81,8 @@ def test_criterion_2_z3_resolution(z3):
     blown = result.blown
     assert all(abs(det(vertex_matrix(blown, v))) == 1 for v in blown.vertices)
     assert result.after.pp_cr == expected
-    vertex = face_by_indices(z3, (0, 1, 2))
-    tau = star_subdivide(vertex, spec.lambda0, z3)
+    tau = star_subdivide(spec, z3)
+    vertex = tau.ambient_face
     cones = LocalGroupTable(blown, groups)
     assert check_triangulation_identity(vertex, tau, groups, cones).passed
     report("2 (order-3 corner resolution)", started, limit=1.0)
@@ -94,7 +94,7 @@ def test_criterion_3_oracle_equivalence(corpus):
     for model in corpus:
         for group in LocalGroupTable(model).groups:
             face = group.face
-            if face.codim == 0 or group.order > 200:
+            if face.codim == 0 or group.order > ORACLE_MAX_ORDER:
                 continue
             cols = [model.char_vectors[i] for i in face.facet_set]
             assert box_of_columns(cols, model.n) == box_by_exhaustion(cols, model.n)

@@ -10,9 +10,11 @@ import qtorb.blowup as blowup_mod
 import qtorb.sectors as sectors_mod
 from qtorb import (
     BlowupError,
+    BlowupSpec,
     LocalGroupTable,
     NonIntegralAgeError,
     blow_up,
+    blow_up_table,
     check_age_partition,
     check_triangulation_identity,
     cr_report,
@@ -32,7 +34,7 @@ from qtorb import (
 )
 from qtorb.blowup import _maximal_volumes, _validated_subdivision
 from qtorb.exact import Poly
-from qtorb.intlat import coords_in_basis, det, mat_from_cols
+from qtorb.intlat import det
 from tests.test_model import vertex_matrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -42,7 +44,12 @@ def blown_tables(model, spec):
     """The model's table and the blown-up model's, which has every
     interior cone of the star subdivision at ``spec.lambda0`` as a face."""
     groups = LocalGroupTable(model)
-    return groups, LocalGroupTable(blow_up(model, spec), groups)
+    return groups, blow_up_table(groups, spec)
+
+
+def combination(cols, coeffs):
+    """The point sum(c * col) of rational coefficients over integer columns."""
+    return tuple(sum(c * col[r] for c, col in zip(coeffs, cols)) for r in range(len(cols[0])))
 
 
 def _fraction_det(rows):
@@ -130,8 +137,8 @@ def test_blow_up_vertex_count_formula(corpus):
 
 
 def test_star_subdivide_segment(wp112):
-    vertex = face_by_indices(wp112, (0, 2))
-    tau = star_subdivide(vertex, (0, -1), wp112)
+    tau = star_subdivide(make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"]), wp112)
+    assert tau.ambient_face == face_by_indices(wp112, (0, 2))
     assert len(tau.simplices) == 5
     assert len(tau.interior) == 3
     interior_verts = {sx.verts for sx in tau.interior}
@@ -140,8 +147,7 @@ def test_star_subdivide_segment(wp112):
 
 
 def test_star_subdivide_triangle(z3):
-    vertex = face_by_indices(z3, (0, 1, 2))
-    tau = star_subdivide(vertex, (0, 0, 1), z3)
+    tau = star_subdivide(make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3), z3)
     maximal = [sx for sx in tau.simplices if sx.dim == 2]
     assert len(maximal) == 3
     assert len(tau.interior) == 7
@@ -154,22 +160,53 @@ def test_star_subdivide_triangle(z3):
 
 
 def test_star_subdivide_rejects_boundary_point(z3):
-    vertex = face_by_indices(z3, (0, 1, 2))
+    one, zero, two_thirds = Fraction(1), Fraction(0), Fraction(2, 3)
     with pytest.raises(ValueError, match="interior"):
-        star_subdivide(vertex, (1, 0, 0), z3)
+        star_subdivide(BlowupSpec((0, 1, 2), (one, zero, zero), (1, 0, 0)), z3)
     with pytest.raises(ValueError, match="simplex"):
-        star_subdivide(vertex, (0, 0, 2), z3)
+        star_subdivide(BlowupSpec((0, 1, 2), (two_thirds,) * 3, (0, 0, 2)), z3)
+
+
+def test_star_subdivide_rejects_weights_that_miss_the_point(z3):
+    third = Fraction(1, 3)
+    with pytest.raises(ValueError, match=re.escape("do not give [0, 0, 2]")):
+        star_subdivide(BlowupSpec((0, 1, 2), (third,) * 3, (0, 0, 2)), z3)
+    with pytest.raises(ValueError, match=re.escape("do not give [0, 0, 1]")):
+        star_subdivide(BlowupSpec((0, 1, 2), (Fraction(1, 2),) * 2, (0, 0, 1)), z3)
+    with pytest.raises(ValueError, match="not a face"):
+        star_subdivide(BlowupSpec((0, 1, 2, 3), (Fraction(1, 4),) * 4, (0, 0, 1)), z3)
+
+
+def test_every_built_spec_gives_its_star_point(corpus):
+    """The weights of every spec that ``crepant_candidates`` and
+    ``make_blowup_spec`` build give its new vector: crepant specs
+    subdivide, and unit weights fail only for their sum."""
+    crepant = unit = 0
+    for model in corpus:
+        for spec in crepant_candidates(LocalGroupTable(model)):
+            assert make_blowup_spec(model, spec.face, spec.weights) == spec
+            assert star_subdivide(spec, model).ambient_face.facet_set == spec.face
+            crepant += 1
+        for face in faces(model):
+            if face.codim < 2:
+                continue
+            try:
+                spec = make_blowup_spec(model, face.facet_set, [1] * face.codim)
+            except BlowupError:
+                continue
+            with pytest.raises(ValueError, match="does not lie on the face simplex"):
+                star_subdivide(spec, model)
+            unit += 1
+    assert crepant and unit
 
 
 def test_induced_triangulation_identity_case(z3):
-    vertex = face_by_indices(z3, (0, 1, 2))
-    tau = star_subdivide(vertex, (0, 0, 1), z3)
-    assert induced_triangulation(vertex, tau, z3) is tau
+    tau = star_subdivide(make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3), z3)
+    assert induced_triangulation(face_by_indices(z3, (0, 1, 2)), tau, z3) is tau
 
 
 def test_induced_triangulation_on_prism_vertices(prism):
-    edge = face_by_indices(prism, (0, 1))
-    tau = star_subdivide(edge, (1, 1, 0), prism)
+    tau = star_subdivide(make_blowup_spec(prism, (0, 1), ["1/2", "1/2"]), prism)
     assert len(tau.interior) == 3
     for vertex_key in ((0, 1, 3), (0, 1, 4)):
         vertex = face_by_indices(prism, vertex_key)
@@ -187,17 +224,17 @@ def test_induced_triangulation_on_prism_vertices(prism):
 
 
 def test_induced_triangulation_rejects_non_subface(prism):
-    edge = face_by_indices(prism, (0, 1))
-    tau = star_subdivide(edge, (1, 1, 0), prism)
+    tau = star_subdivide(make_blowup_spec(prism, (0, 1), ["1/2", "1/2"]), prism)
     other = face_by_indices(prism, (2, 3))
     with pytest.raises(ValueError, match="subface"):
         induced_triangulation(other, tau, prism)
 
 
 def test_triangulation_identity_wp112(wp112):
-    vertex = face_by_indices(wp112, (0, 2))
-    tau = star_subdivide(vertex, (0, -1), wp112)
-    groups, cones = blown_tables(wp112, make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"]))
+    spec = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
+    tau = star_subdivide(spec, wp112)
+    vertex = tau.ambient_face
+    groups, cones = blown_tables(wp112, spec)
     check = check_triangulation_identity(vertex, tau, groups, cones)
     assert check.passed
     assert check.lhs == Poly([1, 1])
@@ -207,17 +244,18 @@ def test_triangulation_identity_wp112(wp112):
 def test_triangulation_identity_names_a_missing_cone(z3):
     """The base model's table lacks the cones through the new vertex of a
     star subdivision; the first interior one is that vertex alone."""
-    vertex = face_by_indices(z3, (0, 1, 2))
-    tau = star_subdivide(vertex, (0, 0, 1), z3)
+    tau = star_subdivide(make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3), z3)
+    vertex = tau.ambient_face
     groups = LocalGroupTable(z3)
     with pytest.raises(ValueError, match=re.escape("cone over [(0, 0, 1)] is not a face")):
         check_triangulation_identity(vertex, tau, groups, groups)
 
 
 def test_triangulation_identity_z3(z3):
-    vertex = face_by_indices(z3, (0, 1, 2))
-    tau = star_subdivide(vertex, (0, 0, 1), z3)
-    groups, cones = blown_tables(z3, make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3))
+    spec = make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3)
+    tau = star_subdivide(spec, z3)
+    vertex = tau.ambient_face
+    groups, cones = blown_tables(z3, spec)
     check = check_triangulation_identity(vertex, tau, groups, cones)
     assert check.passed
     assert check.lhs == Poly([1, 1, 1])
@@ -310,27 +348,30 @@ def test_iterated_blowups(z3):
         assert cr_report(LocalGroupTable(model)).pp_cr == before
 
 
-def test_induced_triangulation_solves_no_vertex(monkeypatch, prism):
-    import qtorb.blowup as blowup_mod
-
-    solved = []
-    real = blowup_mod.coords_in_basis
-    monkeypatch.setattr(
-        blowup_mod, "coords_in_basis", lambda basis, w: solved.append(tuple(w)) or real(basis, w)
-    )
-    edge = face_by_indices(prism, (0, 1))
-    tau = star_subdivide(edge, (1, 1, 0), prism)
-    solved.clear()
-    induced = induced_triangulation(face_by_indices(prism, (0, 1, 3)), tau, prism)
-    assert solved == []
-    assert len({v for sx in induced.simplices for v in sx.verts}) == 4
+def test_induced_triangulation_solves_no_vertex(prism):
+    """The induced coordinates are the star subdivision's, placed at the
+    parent facets' positions, and unit vectors for the extra facets; each
+    gives its vertex back over the subface's vectors."""
+    tau = star_subdivide(make_blowup_spec(prism, (0, 1), ["1/2", "1/2"]), prism)
+    vertex = face_by_indices(prism, (0, 1, 3))
+    induced = induced_triangulation(vertex, tau, prism)
+    cols = [prism.char_vectors[i] for i in vertex.facet_set]
+    coords = {v: c for sx in induced.simplices for v, c in zip(sx.verts, sx.coords)}
+    assert coords == {
+        (1, 0, 0): (1, 0, 0),
+        (1, 2, 0): (0, 1, 0),
+        (1, 1, 0): (Fraction(1, 2), Fraction(1, 2), 0),
+        (0, 0, 1): (0, 0, 1),
+    }
+    assert all(combination(cols, c) == v for v, c in coords.items())
 
 
 def test_blown_table_from_base_equals_fresh_table(crepant_blowups):
     assert crepant_blowups
-    for model, _, blown in crepant_blowups:
-        reused = LocalGroupTable(blown, LocalGroupTable(model))
+    for model, spec, blown in crepant_blowups:
+        reused = blow_up_table(LocalGroupTable(model), spec)
         fresh = LocalGroupTable(blown)
+        assert reused.model == blown
         assert reused.sector_h_vectors == fresh.sector_h_vectors
         assert len(reused.groups) == len(fresh.groups)
         for a, b in zip(reused.groups, fresh.groups):
@@ -507,7 +548,7 @@ def test_table_checks_run_once_per_table(monkeypatch, corpus, include_oracle):
     assert blown_runs > 0
 
 
-def test_mckay_runs_one_smith_form_per_face_on_the_new_facet(
+def test_mckay_runs_one_triangular_basis_per_face_on_the_new_facet(
     monkeypatch, crepant_blowups, basis_faces
 ):
     """The blown table takes every face off the new facet m from the base
@@ -598,8 +639,8 @@ def _drop_interior_simplex(monkeypatch, index):
     ``index``-th interior simplex."""
     real = blowup_mod.star_subdivide
 
-    def star(face, lambda0, model):
-        tau = real(face, lambda0, model)
+    def star(spec, model):
+        tau = real(spec, model)
         return replace(tau, interior=tau.interior[:index] + tau.interior[index + 1:])
 
     monkeypatch.setattr(blowup_mod, "star_subdivide", star)
@@ -611,7 +652,7 @@ def test_mckay_fails_without_an_interior_simplex(monkeypatch, crepant_blowups):
     mutated = 0
     for model, spec, _ in crepant_blowups:
         before = cr_report(LocalGroupTable(model))
-        size = len(star_subdivide(face_by_indices(model, spec.face), spec.lambda0, model).interior)
+        size = len(star_subdivide(spec, model).interior)
         for index in range(size):
             with monkeypatch.context() as patch:
                 _drop_interior_simplex(patch, index)
@@ -697,22 +738,24 @@ def test_oracle_reads_the_star_subdivision_from_the_report(monkeypatch, corpus):
 
 
 def test_induced_coordinates_equal_the_solve(crepant_blowups):
+    """Each induced coordinate tuple c gives its vertex v as the sum of
+    c * lambda over the subface's columns; they are independent, so c is
+    the one solution."""
     for model, spec, _ in crepant_blowups:
-        face = face_by_indices(model, spec.face)
-        tau = star_subdivide(face, spec.lambda0, model)
+        tau = star_subdivide(spec, model)
         for sub in faces(model):
             if not set(spec.face) <= set(sub.facet_set):
                 continue
-            cols = mat_from_cols([model.char_vectors[i] for i in sub.facet_set])
+            cols = [model.char_vectors[i] for i in sub.facet_set]
             for sx in induced_triangulation(sub, tau, model).simplices:
                 for v, c in zip(sx.verts, sx.coords):
-                    assert c == coords_in_basis(cols, v)
+                    assert combination(cols, c) == v
 
 
 def _z3tetra_star():
     model = parse_model((ROOT / "models" / "z3tetra.json").read_text(encoding="utf-8"))
-    face = face_by_indices(model, (0, 1, 2))
-    return face, star_subdivide(face, (0, 0, 1), model)
+    tau = star_subdivide(make_blowup_spec(model, (0, 1, 2), ["1/3"] * 3), model)
+    return tau.ambient_face, tau
 
 
 def _fuzz_codim4_induced():
@@ -724,7 +767,7 @@ def _fuzz_codim4_induced():
         s for s in crepant_candidates(LocalGroupTable(model))
         if s.face == (0, 4) and s.weights == (Fraction(1, 6), Fraction(5, 6))
     )
-    tau = star_subdivide(face_by_indices(model, spec.face), spec.lambda0, model)
+    tau = star_subdivide(spec, model)
     vertex = face_by_indices(model, (0, 1, 2, 4))
     return vertex, induced_triangulation(vertex, tau, model)
 
@@ -784,8 +827,7 @@ def test_subdivision_vertex_outside_face_simplex_is_rejected(bad):
 def test_integer_volumes_equal_fraction_determinants(crepant_blowups):
     checked = 0
     for model, spec, _ in crepant_blowups:
-        face = face_by_indices(model, spec.face)
-        tau = star_subdivide(face, spec.lambda0, model)
+        tau = star_subdivide(spec, model)
         for sub in faces(model):
             if not set(spec.face) <= set(sub.facet_set):
                 continue

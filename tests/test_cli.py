@@ -556,7 +556,7 @@ def test_identity_failures_builds_one_table_per_model(monkeypatch, corpus):
         assert built[0] == model
 
 
-def test_ehrhart_runs_one_smith_form_per_proper_face(capsys, monkeypatch, basis_faces):
+def test_ehrhart_runs_one_triangular_basis_per_proper_face(capsys, monkeypatch, basis_faces):
     calls = []
     real = sectors_mod.triangular_form
     monkeypatch.setattr(sectors_mod, "triangular_form", lambda m: calls.append(m) or real(m))

@@ -201,7 +201,7 @@ def test_cr_report(wp112):
     assert report.pp_cr - report.pp == Poly([0, 1])
 
 
-def test_cr_report_runs_one_smith_form_per_proper_face(monkeypatch, corpus, basis_faces):
+def test_cr_report_runs_one_triangular_basis_per_proper_face(monkeypatch, corpus, basis_faces):
     """One triangular basis per proper face through no smooth vertex; a
     vertex with |det| = 1 and every face through it compute none."""
 

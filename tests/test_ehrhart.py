@@ -14,6 +14,7 @@ from qtorb import (
     faces,
     numerator_from_counts,
 )
+from qtorb.blowup import ORACLE_MAX_ORDER
 from qtorb.ehrhart import LatticeSimplex
 from qtorb.exact import binom
 
@@ -116,7 +117,7 @@ def test_fast_equals_brute_force_on_corpus(corpus):
     for model in corpus:
         for group in LocalGroupTable(model).groups:
             face = group.face
-            if face.codim == 0 or group.order > 200:
+            if face.codim == 0 or group.order > ORACLE_MAX_ORDER:
                 continue
             sx = face_simplex(face, model)
             d = face.codim
@@ -149,7 +150,8 @@ def test_dilate_counts_plan_once_per_simplex(monkeypatch, corpus):
 
 
 def test_oracle_fuzz_plans_once_per_checked_face(monkeypatch, corpus):
-    """One plan per proper face of order at most 200 of the base table,
+    """One plan per proper face of order at most
+    ``ORACLE_MAX_ORDER`` of the base table,
     then, for each crepant candidate in turn, one per such face on the
     new facet of its blown-up table."""
     from qtorb import blow_up, crepant_candidates, identity_failures
@@ -158,7 +160,7 @@ def test_oracle_fuzz_plans_once_per_checked_face(monkeypatch, corpus):
         return [
             face_simplex(g.face, table.model).verts
             for g in table.groups
-            if g.face.codim and g.order <= 200 and keep(g.face)
+            if g.face.codim and g.order <= ORACLE_MAX_ORDER and keep(g.face)
         ]
 
     plans = _count_plans(monkeypatch)
@@ -198,7 +200,7 @@ def test_numerator_matches_ages_on_corpus(corpus):
     for model in corpus:
         for group in LocalGroupTable(model).groups:
             face = group.face
-            if face.codim == 0 or group.order > 200:
+            if face.codim == 0 or group.order > ORACLE_MAX_ORDER:
                 continue
             sx = face_simplex(face, model)
             psi = ehrhart_numerator(sx)
@@ -210,10 +212,10 @@ def test_numerator_matches_ages_on_corpus(corpus):
 
 
 def test_subdivision_simplex_codim(z3):
-    from qtorb import star_subdivide
+    from qtorb import make_blowup_spec, star_subdivide
 
-    vertex = face_by_indices(z3, (0, 1, 2))
-    tau = star_subdivide(vertex, (0, 0, 1), z3)
+    tau = star_subdivide(make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3), z3)
+    vertex = tau.ambient_face
     for sx in tau.simplices:
         assert sx.codim == (vertex.codim - 1) - sx.dim
         assert sx.codim >= 0

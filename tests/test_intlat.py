@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtorb.intlat import (
-    OutsideSpanError,
     RankDeficientError,
     adjugate,
     as_mat,
-    coords_in_basis,
     det,
     is_primitive,
     lattice_index,
@@ -309,14 +307,3 @@ def test_saturation_contract(data):
     if k == n:
         assert abs(fraction_det(mat_from_cols(cols))) == index
 
-
-def test_coords_in_basis():
-    assert coords_in_basis(identity(2), (3, 5)) == (Fraction(3), Fraction(5))
-    assert coords_in_basis(mat_from_cols([(1, 0), (1, 2)]), (1, 1)) == (
-        Fraction(1, 2),
-        Fraction(1, 2),
-    )
-    with pytest.raises(OutsideSpanError):
-        coords_in_basis(mat_from_cols([(1, 0)]), (0, 1))
-    with pytest.raises(RankDeficientError):
-        coords_in_basis(mat_from_cols([(1, 2), (2, 4)]), (1, 2))

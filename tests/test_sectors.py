@@ -32,6 +32,7 @@ from qtorb import (
     random_unimodular,
     triangular_form,
 )
+from qtorb.blowup import ORACLE_MAX_ORDER
 from qtorb.exact import Poly
 from qtorb.intlat import mat_from_cols
 from tests.test_ehrhart import dilate_count
@@ -227,21 +228,22 @@ def test_box_count_matches_order(corpus):
 def test_exhaustion_matches_snf_on_corpus(corpus):
     for model in corpus:
         for group in LocalGroupTable(model).groups:
-            if group.face.codim == 0 or group.order > 200:
+            if group.face.codim == 0 or group.order > ORACLE_MAX_ORDER:
                 continue
             cols = group.columns
             assert box_of_columns(cols, model.n) == box_by_exhaustion(cols, model.n)
 
 
-def test_oracles_run_without_the_smith_form(monkeypatch, corpus):
+def test_oracles_run_without_the_triangular_basis(monkeypatch, corpus):
     """With the triangular basis patched to raise, the exhaustive box, the
     brute-force dilate counts and the dilate-series numerator of each
-    face of order at most 200 still equal the table's values."""
+    face of order at most ``ORACLE_MAX_ORDER`` still equal the table's
+    values."""
     expected = []
     for model in corpus:
         for group in LocalGroupTable(model).groups:
             face, d = group.face, group.face.codim
-            if d == 0 or group.order > 200:
+            if d == 0 or group.order > ORACLE_MAX_ORDER:
                 continue
             ages = group.age_polynomial
             counts = [count_from_ages(ages, d, k) for k in range(d)]
@@ -495,7 +497,7 @@ def test_table_reads_smoothness_from_the_stored_determinants(wp112):
     assert LocalGroupTable(forged).group(singular).order == 1
 
 
-def test_table_groups_equal_smith_form_groups(corpus, crepant_blowups, basis_faces):
+def test_table_groups_equal_triangular_basis_groups(corpus, crepant_blowups, basis_faces):
     """Every group a table holds, the trivial ones built without a
     triangular basis and the ones lent by a base table included, equals
     the group built afresh from a triangular basis of the same columns."""
