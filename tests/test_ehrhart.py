@@ -150,11 +150,10 @@ def test_dilate_counts_plan_once_per_simplex(monkeypatch, corpus):
 
 
 def test_oracle_fuzz_plans_once_per_checked_face(monkeypatch, corpus):
-    """One plan per proper face of order at most
-    ``ORACLE_MAX_ORDER`` of the base table,
-    then, for each crepant candidate in turn, one per such face on the
-    new facet of its blown-up table."""
-    from qtorb import blow_up, crepant_candidates, identity_failures
+    """One plan per proper face of order at most ``ORACLE_MAX_ORDER`` of
+    the base table, then, for each crepant candidate in turn, one per
+    such face on the new facet of its blown-up table."""
+    from qtorb import blow_up_table, crepant_candidates, identity_failures
 
     def checked(table, keep=lambda face: True):
         return [
@@ -169,7 +168,7 @@ def test_oracle_fuzz_plans_once_per_checked_face(monkeypatch, corpus):
         table = LocalGroupTable(model)
         expected = checked(table)
         for spec in crepant_candidates(table):
-            blown = LocalGroupTable(blow_up(model, spec), table)
+            blown = blow_up_table(table, spec)
             if blown.quasi_sl:
                 expected += checked(blown, lambda face: model.m in face.facet_set)
         blown_checked += len(expected) - len(checked(table))
