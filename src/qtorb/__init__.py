@@ -67,7 +67,6 @@ from .model import (
     random_unimodular,
     relabel_facets,
     subfaces,
-    vertex_sign,
 )
 from .sectors import (
     BoxElement,

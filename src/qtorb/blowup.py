@@ -46,18 +46,32 @@ class BlowupSpec:
     lambda0: IntVec
 
 
+def _converted(convert, tokens: Sequence, what: str) -> list:
+    """``convert`` of each token, in order; BlowupError naming the first
+    token it rejects."""
+    out = []
+    for token in tokens:
+        try:
+            out.append(convert(token))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BlowupError(f"invalid {what} {str(token)!r}") from exc
+    return out
+
+
 def make_blowup_spec(
-    model: Model, face_indices: Sequence[int], weights: Sequence
+    model: Model, face_indices: Sequence, weights: Sequence
 ) -> BlowupSpec:
     """Validated blowup data.
 
     The face must be a genuine face of codimension at least 2, the
     weights strictly positive, and the weighted combination of the
     face's characteristic vectors an integral primitive vector.  The
-    weights pair with ``face_indices`` in the order given; the spec
-    holds both sorted by facet index.
+    facet indices are integers or their strings, and the weights
+    rationals or their strings, such as "1/2"; a token that is neither
+    is named in the error.  The weights pair with ``face_indices`` in the
+    order given; the spec holds both sorted by facet index.
     """
-    indices = [int(i) for i in face_indices]
+    indices = _converted(int, face_indices, "facet index")
     key = tuple(sorted(indices))
     try:
         face = face_by_indices(model, key)
@@ -67,7 +81,7 @@ def make_blowup_spec(
         raise BlowupError(
             f"blowup requires a face of codimension >= 2, got codimension {face.codim}"
         )
-    ws = tuple(Fraction(w) for w in weights)
+    ws = _converted(Fraction, weights, "weight")
     if len(ws) != face.codim:
         raise BlowupError(f"expected {face.codim} weights, got {len(ws)}")
     if any(w <= 0 for w in ws):
@@ -134,13 +148,10 @@ def crepant_candidates(table: LocalGroupTable) -> list[BlowupSpec]:
         if group.face.codim < 2:
             continue
         for i in group.interior:
-            if sum(group.numerators[i]) == group.exponent and is_primitive(group.points[i]):
+            if sum(group.numerators[i]) == group.exponent:
                 element = group.box_element(i)
-                out.append(
-                    BlowupSpec(
-                        face=group.face.facet_set, weights=element.coeffs, lambda0=element.point
-                    )
-                )
+                if is_primitive(element.point):
+                    out.append(BlowupSpec(group.face.facet_set, element.coeffs, element.point))
     return out
 
 
@@ -437,13 +448,24 @@ def vertex_orders(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Itera
 
 def box_partition(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
     """Each vertex box is partitioned by the interiors of the faces
-    through the vertex: the points agree as multisets."""
+    through the vertex: the points agree as multisets.  A group's points
+    are computed once per call, though a sector group of positive
+    dimension is a piece at each of its vertices."""
+    interior_points: dict[tuple[int, ...], list[IntVec]] = {}
     for vertex in groups:
-        if vertex.face.codim != table.model.n:
+        face = vertex.face
+        if face.codim != table.model.n:
             continue
-        pieces = table.sector_groups_containing(vertex.face)
-        if sorted(vertex.points) != sorted(other.points[i] for other in pieces for i in other.interior):
-            yield f"box partition fails at vertex {list(vertex.face.facet_set)}"
+        points = [vertex.point(i) for i in range(vertex.order)]
+        interior_points[face.facet_set] = [points[i] for i in vertex.interior]
+        parts = []
+        for other in table.sector_groups_containing(face):
+            key = other.face.facet_set
+            if key not in interior_points:
+                interior_points[key] = [other.point(i) for i in other.interior]
+            parts += interior_points[key]
+        if sorted(points) != sorted(parts):
+            yield f"box partition fails at vertex {list(face.facet_set)}"
 
 
 # The oracles enumerate each box and each dilate point by point; they skip

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import kernels
 from .blowup import (
@@ -39,7 +38,6 @@ from .model import (
     model_to_dict,
     model_to_json,
     positively_omnioriented,
-    vertex_sign,
 )
 from .sectors import LocalGroupTable
 
@@ -103,7 +101,7 @@ def _write_sectors(listing: list, depth: int) -> None:
         between = f'{coeffs_close},{key}"face": {face},{key}"height": {group.face.codim},{key}"point": [{key}  '
         numerators = group.numerators
         texts: list[str | None] = [None] * e
-        for i, point in zip(group.interior, group.interior_points()):
+        for i in group.interior:
             nums = numerators[i]
             total = sum(nums)
             age = f'"{rat_to_str(total, e)}"' if total % e else str(total // e)
@@ -112,7 +110,7 @@ def _write_sectors(listing: list, depth: int) -> None:
                     texts[c] = f'"{rat_to_str(c, e)}"'
             write(
                 f'{opening}{item}{{{key}"age": {age},{key}"coeffs": {coeffs_open}'
-                f"{sep.join(map(texts.__getitem__, nums))}{between}{sep.join(map(str, point))}{key}]{item}}}"
+                f"{sep.join(map(texts.__getitem__, nums))}{between}{sep.join(map(str, group.point(i)))}{key}]{item}}}"
             )
             opening = ","
     write("\n" + "  " * depth + "]")
@@ -132,8 +130,11 @@ def _cmd_validate(args) -> int:
         "num_vertices": len(model.vertices),
         "num_faces": len(faces(model)),
         "quasi_sl": LocalGroupTable(model).quasi_sl,
-        "vertex_signs": [vertex_sign(model, v) for v in model.vertices],
-        # Sign data depends on the fixed increasing-index column order.
+        # Signs of the vertex determinants under the fixed increasing
+        # facet index column order.  That order is a choice; only |det|
+        # is convention-free, so signs are reported but never asserted
+        # against.
+        "vertex_signs": [1 if d > 0 else -1 for d in model.vertex_dets],
         "positively_omnioriented": positively_omnioriented(model),
     }
     _emit(report)
@@ -212,8 +213,8 @@ def _cmd_ehrhart(args) -> int:
 
 
 def _parse_spec(args, model: Model):
-    face = [int(tok) for tok in args.face.split(",") if tok]
-    weights = [Fraction(tok) for tok in args.weights.split(",") if tok]
+    face = [tok for tok in args.face.split(",") if tok]
+    weights = [tok for tok in args.weights.split(",") if tok]
     return make_blowup_spec(model, face, weights)
 
 

@@ -317,22 +317,6 @@ def h_vector(face: Face, model: Model) -> tuple[int, ...]:
     return h_from_f(f_vector(face, model))
 
 
-def _vertex_id(model: Model, vertex: Sequence[int]) -> int:
-    idx = tuple(sorted(vertex))
-    if idx not in model.vertices:
-        raise ValueError(f"{list(idx)} is not a vertex of the model")
-    return model.vertices.index(idx)
-
-
-def vertex_sign(model: Model, vertex: Sequence[int]) -> int:
-    """Sign of the stored vertex determinant under the fixed column ordering.
-
-    The increasing-facet-index convention is a choice; only |det| is
-    convention-free, so signs are reported but never asserted against.
-    """
-    return 1 if model.vertex_dets[_vertex_id(model, vertex)] > 0 else -1
-
-
 def positively_omnioriented(model: Model) -> bool:
     """True when every vertex sign is +1 under the fixed convention."""
     return all(d > 0 for d in model.vertex_dets)

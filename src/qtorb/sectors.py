@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import kernels
 from .exact import Poly
@@ -70,10 +70,6 @@ class BoxElement:
     height: int
     face: Face | None = None
 
-    @property
-    def is_identity(self) -> bool:
-        return self.height == 0
-
 
 def _inverse_columns(h: IntMat, order: int) -> list[list[int]]:
     """The columns of ``order`` times the inverse of the upper-triangular
@@ -109,11 +105,14 @@ class LocalGroup:
 
     Whether every age is an integer is read off the generators alone:
     age mod 1 is a homomorphism to Q/Z, so every age is an integer when
-    every generator's is.  The elements, their coefficient sums, points,
+    every generator's is.  The elements, their coefficient sums,
     interior elements and age polynomials are computed on first use, all
     elements at once, and then kept; each element's coefficients are
     summed once, for its age wherever that is read.  A trivial group is
-    given its one element's data when it is built.
+    given its one element's data when it is built.  Points are not kept:
+    :meth:`point` computes element i's when it is asked for, and
+    :meth:`box_element`, the one builder of a :class:`BoxElement`, reads
+    it there.
     """
 
     def __init__(self, columns: Sequence[IntVec], ambient_dim: int, face: Face | None = None):
@@ -160,11 +159,10 @@ class LocalGroup:
         self.order = math.prod(step for step, _ in cycles)
         self.integral_ages = all(sum(gen) % exponent == 0 for _, gen in cycles)
         if not cycles:
-            # The identity has age 0 and the origin as its point; it is
-            # interior only when there is no coefficient, at the polytope.
+            # The identity has age 0; it is interior only when there is
+            # no coefficient, at the polytope.
             self.numerators = ((0,) * len(columns),)
             self._sums = [0]
-            self.points = ((0,) * ambient_dim,)
             self.interior = () if columns else (0,)
             self.age_polynomial = _ONE
             self.interior_age_polynomial = _ZERO if columns else _ONE
@@ -205,9 +203,10 @@ class LocalGroup:
         """The column matrix by rows, one per ambient coordinate."""
         return tuple(tuple(col[r] for col in self.columns) for r in range(self.ambient_dim))
 
-    def _point(self, nums: tuple[int, ...]) -> IntVec:
-        """Lattice point ``sum(coeffs[j] * column_j)`` of the element with
-        numerators ``nums``."""
+    def point(self, i: int) -> IntVec:
+        """Lattice point ``sum(coeffs[j] * column_j)`` of element i;
+        ArithmeticError when it is not integral."""
+        nums = self.numerators[i]
         e = self.exponent
         point = []
         for row in self._rows:
@@ -217,12 +216,6 @@ class LocalGroup:
             point.append(q)
         return tuple(point)
 
-    @cached_property
-    def points(self) -> tuple[IntVec, ...]:
-        """Lattice point of every element; the first element, in sorted
-        order, whose point is not integral raises."""
-        return tuple(map(self._point, self.numerators))
-
     def ensure_integral_points(self) -> None:
         """Raise ArithmeticError for the first element, in sorted order,
         whose point is not integral.  The point modulo Z^n is additive in
@@ -231,20 +224,8 @@ class LocalGroup:
         elements."""
         e = self.exponent
         if any(sum(map(operator.mul, gen, row)) % e for _, gen in self._cycles for row in self._rows):
-            self.points  # raises at the first element whose point is not integral
-
-    def interior_points(self) -> Iterator[IntVec]:
-        """Lattice point of every interior element, in order, each
-        computed when it is asked for and kept by no one.  The points are
-        checked once, through the generators, when the first is asked
-        for."""
-        self.ensure_integral_points()
-        e = self.exponent
-        rows = self._rows
-        numerators = self.numerators
-        for i in self.interior:
-            nums = numerators[i]
-            yield tuple([sum(map(operator.mul, nums, row)) // e for row in rows])
+            for i in range(self.order):
+                self.point(i)  # raises at the first element whose point is not integral
 
     @cached_property
     def interior(self) -> tuple[int, ...]:
@@ -259,14 +240,11 @@ class LocalGroup:
         return group
 
     def box_element(self, i: int) -> BoxElement:
-        return self._element(i, self.points[i])
-
-    def _element(self, i: int, point: IntVec) -> BoxElement:
         nums = self.numerators[i]
         e = self.exponent
         return BoxElement(
             coeffs=tuple(Fraction(c, e) for c in nums),
-            point=point,
+            point=self.point(i),
             age=Fraction(sum(nums), e),
             height=sum(1 for c in nums if c),
             face=self.face,
@@ -279,7 +257,7 @@ class LocalGroup:
         """Integral age of element i; raises for a fractional one."""
         q, rem = divmod(self._sums[i], self.exponent)
         if rem:
-            raise NonIntegralAgeError(self._lone_element(i))
+            raise NonIntegralAgeError(self.box_element(i))
         return q
 
     def _age_counts(self, indices: Iterable[int], sums: Iterable[int]) -> Poly:
@@ -309,16 +287,11 @@ class LocalGroup:
         sums = self._sums
         return self._age_counts(self.interior, [sums[i] for i in self.interior])
 
-    def _lone_element(self, i: int) -> BoxElement:
-        """Element i, with its own point computed alone, not the points of
-        the whole group: for reporting one element."""
-        return self._element(i, self._point(self.numerators[i]))
-
     def first_fractional_age(self) -> BoxElement:
         """The first element, in sorted order, whose age is not an integer;
         the elements after it are not summed."""
         e = self.exponent
-        return self._lone_element(next(i for i, nums in enumerate(self.numerators) if sum(nums) % e))
+        return self.box_element(next(i for i, nums in enumerate(self.numerators) if sum(nums) % e))
 
 
 def box_of_columns(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxElement]:

@@ -36,6 +36,7 @@ from qtorb.blowup import _maximal_volumes, _validated_subdivision
 from qtorb.exact import Poly
 from qtorb.intlat import det
 from tests.test_model import vertex_matrix
+from tests.test_sectors import group_points, record_points
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -318,6 +319,44 @@ def test_smooth_model_crepant_blowup(cp2):
     assert candidates == []
 
 
+def test_crepant_candidates_compute_the_points_of_age_one_elements(monkeypatch, corpus):
+    """Only an interior element of age 1 can give a crepant blowup, and
+    only its point is computed, once, to test it for primitivity."""
+    computed = record_points(monkeypatch)
+    candidates = skipped = 0
+    for model in corpus:
+        table = LocalGroupTable(model)
+        table.groups
+        computed.clear()
+        candidates += len(crepant_candidates(table))
+        expected = []
+        for group in table.groups:
+            if group.face.codim < 2:
+                continue
+            for i in group.interior:
+                if sum(group.numerators[i]) == group.exponent:
+                    expected.append((group, i))
+                else:
+                    skipped += 1
+        assert computed == expected, model.name
+    assert candidates > 0 and skipped > 0
+
+
+def test_box_partition_computes_each_point_once(monkeypatch, corpus):
+    """One box_partition call computes each point of each group at most
+    once, though a sector group of positive dimension, the polytope at
+    least, is a piece at each of its vertices."""
+    computed = record_points(monkeypatch)
+    for model in corpus:
+        table = LocalGroupTable(model)
+        vertices = [table.group(face) for face in faces(model) if face.codim == model.n]
+        computed.clear()
+        assert list(blowup_mod.box_partition(table, table.groups)) == []
+        pieces = {(g, i) for v in vertices for g in table.sector_groups_containing(v.face) for i in g.interior}
+        whole = {(v, i) for v in vertices for i in range(v.order)}
+        assert len(computed) == len(set(computed)) and set(computed) == whole | pieces, model.name
+
+
 def test_lemma_quasi_sl_preserved_on_corpus(corpus):
     for model in corpus:
         for spec in crepant_candidates(LocalGroupTable(model)):
@@ -380,7 +419,7 @@ def test_blown_table_from_base_equals_fresh_table(crepant_blowups):
             assert a.face == b.face
             assert a.exponent == b.exponent
             assert a.numerators == b.numerators
-            assert a.points == b.points
+            assert group_points(a) == group_points(b)
             assert a.age_polynomial == b.age_polynomial
             assert a.interior_age_polynomial == b.interior_age_polynomial
             assert a.box_elements() == b.box_elements()

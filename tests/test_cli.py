@@ -279,6 +279,21 @@ def test_blowup_invalid_weights(capsys, wp112_path):
     assert "not integral" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("command", ["blowup", "mckay"])
+@pytest.mark.parametrize(
+    "face, weights, error",
+    [
+        ("0,2", "1/0,1", "invalid weight '1/0'"),
+        ("0,2", "x,1", "invalid weight 'x'"),
+        ("0,x", "1,1", "invalid facet index 'x'"),
+    ],
+)
+def test_spec_errors_name_the_bad_token(capsys, wp112_path, command, face, weights, error):
+    rc, out = run(capsys, command, wp112_path, "--face", face, "--weights", weights)
+    assert rc == 2
+    assert json.loads(out) == {"error": error}
+
+
 def test_mckay_pass(capsys, wp112_path):
     rc, out = run(capsys, "mckay", wp112_path, "--face", "0,2", "--weights", "1/2,1/2")
     assert rc == 0

@@ -25,7 +25,6 @@ from qtorb import (
     random_unimodular,
     relabel_facets,
     subfaces,
-    vertex_sign,
 )
 from qtorb.exact import Poly
 from qtorb.intlat import det, mat_from_cols
@@ -280,13 +279,15 @@ def test_torus_stratification_sum(corpus):
 
 
 def test_vertex_matrix_and_sign(wp112, cp2):
-    assert vertex_sign(cp2, (0, 1)) == 1
+    """The stored determinant of a vertex is that of its columns in
+    increasing facet order, sign included; ``qtorb validate`` reports its
+    sign."""
+    assert cp2.vertex_dets[cp2.vertices.index((0, 1))] == 1
     mat = vertex_matrix(wp112, (0, 2))
     assert det(mat) == -2
-    assert vertex_sign(wp112, (0, 2)) == -1
+    assert wp112.vertex_dets[wp112.vertices.index((0, 2))] == -2
     assert det(vertex_matrix(wp112, (1, 2))) == 1
-    with pytest.raises(ValueError):
-        vertex_sign(wp112, (0, 1, 2))
+    assert wp112.vertex_dets[wp112.vertices.index((1, 2))] == 1
 
 
 def test_unimodular_invariance(wp112, rng):

@@ -46,6 +46,19 @@ def interior_elements(group):
     return [group.box_element(i) for i in group.interior]
 
 
+def group_points(group):
+    """The lattice point of every element of ``group``, in order."""
+    return tuple(group.point(i) for i in range(group.order))
+
+
+def record_points(monkeypatch):
+    """A list that gets (group, i) for every point computed from now on."""
+    computed = []
+    real_point = LocalGroup.point
+    monkeypatch.setattr(LocalGroup, "point", lambda self, i: computed.append((self, i)) or real_point(self, i))
+    return computed
+
+
 def sectors(table):
     """All sectors of the table's model as BoxElements, in the order of the
     listings: the untwisted sector (identity over the whole polytope)
@@ -74,7 +87,7 @@ def test_local_group_orders(wp112):
 
 
 def test_local_group_order_examples():
-    assert box_of_columns([(1, 0), (1, 2)], 2)[0].is_identity
+    assert box_of_columns([(1, 0), (1, 2)], 2)[0].height == 0
     assert len(box_of_columns([(1, 0), (1, 2)], 2)) == 2
     assert len(box_of_columns(Z3_COLS, 3)) == 3
 
@@ -108,7 +121,7 @@ def test_box_of_columns_order_three():
 
 def test_box_unimodular_face_is_trivial():
     elements = box_of_columns([(1, 0), (0, 1)], 2)
-    assert len(elements) == 1 and elements[0].is_identity
+    assert len(elements) == 1 and elements[0].height == 0
 
 
 def test_enumerate_box_attaches_face(wp112):
@@ -127,7 +140,7 @@ def test_box_interior(wp112):
     assert interior_elements(table.group(facet)) == []
     whole = faces(wp112)[0]
     only = interior_elements(table.group(whole))
-    assert len(only) == 1 and only[0].is_identity
+    assert len(only) == 1 and only[0].height == 0
 
 
 def test_age_polynomials():
@@ -405,50 +418,43 @@ def test_table_reports_first_fractional_age():
     assert "[0, 2]" in str(err.value)
 
 
-class _Unread:
-    """A class attribute that fails the test when it is read from a group
-    without a value of its own.  Unlike a property it has no setter, so
-    the trivial groups, which are given their data when they are built,
-    still keep it."""
-
-    def __init__(self, message):
-        self.message = message
-
-    def __get__(self, group, owner=None):
-        if group is None:
-            return self
-        pytest.fail(self.message)
-
-
 def test_fractional_age_report_computes_one_point(monkeypatch):
     """Reporting a fractional age computes the point of that element alone,
     not the points of its whole group."""
     bad = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -12)])
     vertex = LocalGroupTable(bad).group(face_by_indices(bad, [0, 2]))
     first = next(e for e in vertex.box_elements() if e.age.denominator != 1)
-    monkeypatch.setattr(LocalGroup, "points", _Unread("built every point"))
+    index = vertex.box_elements().index(first)
+    computed = record_points(monkeypatch)
     table = LocalGroupTable(bad)
     with pytest.raises(NonIntegralAgeError) as err:
         table.ensure_quasi_sl()
     assert err.value.element == first
+    group = table.group(first.face)
+    assert computed == [(group, index)]
+    computed.clear()
     with pytest.raises(NonIntegralAgeError) as err:
-        table.group(first.face).age_polynomial
+        group.age_polynomial
     assert err.value.element == first
+    assert computed == [(group, index)]
 
 
 def test_interior_points_check_integrality(monkeypatch):
-    """Interior points are computed without a remainder, so they check
-    the generators' points first: a basis of order 6 in place of the
-    z3tetra vertex's gives the generator (2/6, 3/6, 1/6), with integral
-    ages and the point (1/6, 1/3, 1/2), and interior_points raises where
-    points does, before it yields anything."""
+    """A basis of order 6 in place of the z3tetra vertex's gives the
+    generator (2/6, 3/6, 1/6), with integral ages and the point
+    (1/6, 1/3, 1/2).  The point of every interior element raises, and
+    the listings' check raises at the first element, in sorted order,
+    whose point is not integral."""
     monkeypatch.setattr(sectors_mod, "triangular_form", lambda m: ((1, 0, -2), (0, 1, -3), (0, 0, 6)))
     group = LocalGroup([(1, 0, 0), (0, 1, 0), (-1, -1, 3)], 3)
     assert group.integral_ages and group.interior
+    for i in group.interior:
+        with pytest.raises(ArithmeticError, match="not integral"):
+            group.point(i)
     with pytest.raises(ArithmeticError, match="not integral") as err:
-        group.points
+        group.point(1)  # the first element after the identity
     with pytest.raises(ArithmeticError, match="not integral") as again:
-        next(group.interior_points())
+        group.ensure_integral_points()
     assert str(again.value) == str(err.value)
 
 
@@ -519,7 +525,7 @@ def test_table_groups_equal_triangular_basis_groups(corpus, crepant_blowups, bas
             assert group.order == fresh.order
             assert group.integral_ages == fresh.integral_ages
             assert group.numerators == fresh.numerators
-            assert group.points == fresh.points
+            assert group_points(group) == group_points(fresh)
             assert group.age_polynomial == fresh.age_polynomial
             assert group.interior_age_polynomial == fresh.interior_age_polynomial
     assert skipped > 0
@@ -591,9 +597,8 @@ def _outcome(group, read):
 def _assert_matches_per_element(group):
     ref = _PerElement(group)
     assert group.numerators == ref.numerators
-    assert group.points == ref.points
+    assert group_points(group) == ref.points
     assert group.interior == ref.interior
-    assert list(group.interior_points()) == [ref.points[i] for i in ref.interior]
     assert group.order == len(ref.numerators)
     for i in range(len(ref.numerators)):
         assert _outcome(group, lambda g: g.age(i)) == ref.age(i)
@@ -684,7 +689,7 @@ def test_trivial_groups_enumerate_nothing(monkeypatch, cp2, corpus):
         k = len(group.columns)
         assert group.order == 1
         assert group.numerators == ((0,) * k,)
-        assert group.points == ((0,) * group.ambient_dim,)
+        assert group.point(0) == (0,) * group.ambient_dim
         assert group.interior == (() if k else (0,))
         assert group.age(0) == 0
         assert group.age_polynomial == Poly([1])
@@ -693,12 +698,11 @@ def test_trivial_groups_enumerate_nothing(monkeypatch, cp2, corpus):
             BoxElement((Fraction(0),) * k, (0,) * group.ambient_dim, Fraction(0), 0, group.face)
         ]
         group.ensure_integral_points()
-        assert list(group.interior_points()) == ([] if k else [(0,) * group.ambient_dim])
     assert cr_report(LocalGroupTable(cp2)).all_pass
     trivial = [g for model in corpus for g in LocalGroupTable(model).groups if g.order == 1]
     assert len(trivial) > 100
     for group in trivial:
-        group.numerators, group.points, group.age_polynomial, group.interior_age_polynomial
+        group.numerators, group.point(0), group.age_polynomial, group.interior_age_polynomial
 
 
 def test_table_builds_its_groups_without_converting_matrices(monkeypatch, corpus):
