@@ -38,7 +38,7 @@ from .ehrhart import (
     face_simplex,
     numerator_from_counts,
 )
-from .exact import Poly, binom, rat_to_str
+from .exact import Poly, binom
 from .intlat import (
     IntMat,
     IntVec,

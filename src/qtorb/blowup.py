@@ -456,13 +456,13 @@ def box_partition(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Itera
         face = vertex.face
         if face.codim != table.model.n:
             continue
-        points = [vertex.point(i) for i in range(vertex.order)]
+        points = vertex.point_rows(range(vertex.order))
         interior_points[face.facet_set] = [points[i] for i in vertex.interior]
         parts = []
         for other in table.sector_groups_containing(face):
             key = other.face.facet_set
             if key not in interior_points:
-                interior_points[key] = [other.point(i) for i in other.interior]
+                interior_points[key] = other.point_rows(other.interior)
             parts += interior_points[key]
         if sorted(points) != sorted(parts):
             yield f"box partition fails at vertex {list(face.facet_set)}"

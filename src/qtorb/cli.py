@@ -14,7 +14,9 @@ of the command named first alone; help and unknown words get all nine.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 
@@ -28,7 +30,6 @@ from .blowup import (
 )
 from .cohomology import cr_report
 from .ehrhart import count_from_ages, dilate_counts, face_simplex, numerator_from_counts
-from .exact import rat_to_str
 from .model import (
     Model,
     ModelValidationError,
@@ -77,42 +78,68 @@ def _json_list(texts, indent: str) -> str:
     return f"[{indent}  {body}{indent}]" if body else "[]"
 
 
+# Sectors are formatted and written this many at a time.  A chunk's texts
+# are alive together until it is written, about 0.7 KiB a sector with two
+# coefficients.
+_CHUNK = 256
+
+
+def _fraction_text(x: int, e: int) -> str:
+    """The JSON text of x/e: an integer, or the reduced fraction in quotes."""
+    g = math.gcd(x, e)
+    return str(x // e) if g == e else f'"{x // g}/{e // g}"'
+
+
 def _write_sectors(listing: list, depth: int) -> None:
     """Write the sectors of ``listing`` as ``json.dump(..., sort_keys=True,
-    indent=2)`` writes a list nested ``depth`` levels deep, one sector at
-    a time, from each group's integer numerators and the points of its
-    interior elements, which are computed as they are written and not
-    kept: every sector is an interior element of its face, so its height
-    is the face's codimension.  Each distinct coefficient numerator of a
-    group is formatted once.  The listing is never empty: the polytope's
-    group comes first, and its identity is the untwisted sector."""
+    indent=2)`` writes a list nested ``depth`` levels deep, from each
+    group's integer numerators.  The interior elements of a group are
+    formatted :data:`_CHUNK` at a time, one column at a time: the ages
+    from the coefficient sums, the coefficients from texts formatted once
+    per distinct numerator of the group, and the points, computed for the
+    chunk by ``point_rows`` and not kept.  Each chunk is one write.  Every
+    sector is an interior element of its face, so its height is the
+    face's codimension.  The listing is never empty: the polytope's group
+    comes first, and its identity is the untwisted sector."""
     write = sys.stdout.write
     item = "\n" + "  " * (depth + 1)
     key = item + "  "
     sep = f",{key}  "
-    opening = "["
+    # Every sector of the listing but the first starts with a comma.
+    head = f',{item}{{{key}"age": '
+    tail = f"{key}]{item}}}"
+    first = True
     for group in listing:
-        e = group.exponent
         face = _json_list(map(str, group.face.facet_set), key)
         # Every sector of a group has as many coefficients as the group
-        # has columns, and a point with n >= 1 coordinates: the text
-        # between its coefficients and its point is the same for all.
+        # has columns, and a point with n >= 1 coordinates: the texts
+        # around its coefficients and its point are the same for all.
         coeffs_open, coeffs_close = (f"[{key}  ", f"{key}]") if group.columns else ("[", "]")
+        before = f',{key}"coeffs": {coeffs_open}'
         between = f'{coeffs_close},{key}"face": {face},{key}"height": {group.face.codim},{key}"point": [{key}  '
+        e = group.exponent
         numerators = group.numerators
         texts: list[str | None] = [None] * e
-        for i in group.interior:
-            nums = numerators[i]
-            total = sum(nums)
-            age = f'"{rat_to_str(total, e)}"' if total % e else str(total // e)
-            for c in nums:
+        interior = group.interior
+        for start in range(0, len(interior), _CHUNK):
+            chunk = interior[start : start + _CHUNK]
+            nums = list(map(numerators.__getitem__, chunk))
+            for c in set(itertools.chain.from_iterable(nums)):
                 if texts[c] is None:
-                    texts[c] = f'"{rat_to_str(c, e)}"'
-            write(
-                f'{opening}{item}{{{key}"age": {age},{key}"coeffs": {coeffs_open}'
-                f"{sep.join(map(texts.__getitem__, nums))}{between}{sep.join(map(str, group.point(i)))}{key}]{item}}}"
-            )
-            opening = ","
+                    texts[c] = _fraction_text(c, e)
+            ages = map(_fraction_text, map(sum, nums), itertools.repeat(e))
+            # Each sector's texts are joined from one text per column.
+            if group.columns:
+                coeffs = map(sep.join, zip(*[map(texts.__getitem__, column) for column in zip(*nums)]))
+            else:
+                coeffs = itertools.repeat("")  # the polytope's sector has no coefficient
+            points = map(sep.join, zip(*[map(str, column) for column in zip(*group.point_rows(chunk))]))
+            text = "".join(itertools.chain.from_iterable(zip(
+                itertools.repeat(head), ages, itertools.repeat(before), coeffs,
+                itertools.repeat(between), points, itertools.repeat(tail),
+            )))
+            write("[" + text[1:] if first else text)
+            first = False
     write("\n" + "  " * depth + "]")
 
 
@@ -299,6 +326,7 @@ _SPEC = (
     ("--face", dict(required=True, help="facet indices, e.g. 0,2")),
     ("--weights", dict(required=True, help="weights, e.g. 1/2,1/2")),
 )
+_SPEC_FLAGS = tuple(flags for flags, _ in _SPEC)
 _ORACLE_HELP = "count dilate points by brute force instead of the box formula"
 
 # Per command: help text, handler, whether it reads a model path, options.
@@ -356,8 +384,22 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
+def _spec_values(argv: list[str]) -> list[str]:
+    """``argv`` with ``--face`` or ``--weights`` and a next word that
+    starts with "-" and a digit made one word, ``--face=-1,2``.  argparse
+    reads such a word as an option; it is a value, a negative facet index
+    or weight, which make_blowup_spec rejects by name."""
+    words: list[str] = []
+    for word in argv:
+        if words and words[-1] in _SPEC_FLAGS and word[:1] == "-" and word[1:2].isdigit():
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    return words
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = _spec_values(sys.argv[1:] if argv is None else argv)
     # Help or an unknown first word gets the parsers of all commands.
     args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:

@@ -23,17 +23,6 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def rat_to_str(p: int, q: int) -> str:
-    """Serialize the rational p/q, q nonzero, in lowest terms with a
-    positive denominator: ``"p/q"``, or just ``"p"`` when that is 1."""
-    g = math.gcd(p, q)
-    if q < 0:
-        g = -g
-    p //= g
-    q //= g
-    return str(p) if q == 1 else f"{p}/{q}"
-
-
 class Poly:
     """Dense univariate polynomial with integer coefficients.
 

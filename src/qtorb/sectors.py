@@ -112,7 +112,7 @@ class LocalGroup:
     given its one element's data when it is built.  Points are not kept:
     :meth:`point` computes element i's when it is asked for, and
     :meth:`box_element`, the one builder of a :class:`BoxElement`, reads
-    it there.
+    it there; :meth:`point_rows` computes those of a list of elements.
     """
 
     def __init__(self, columns: Sequence[IntVec], ambient_dim: int, face: Face | None = None):
@@ -216,6 +216,31 @@ class LocalGroup:
             point.append(q)
         return tuple(point)
 
+    def point_rows(self, indices: Sequence[int]) -> list[IntVec]:
+        """The points of the elements ``indices``, in order; the first of
+        them, in list order, whose point is not integral raises point(i)'s
+        ArithmeticError.  A list no longer than the group has columns is
+        read through :meth:`point`.  A longer one is summed one numerator
+        column at a time for each ambient coordinate, with every remainder
+        checked."""
+        if len(indices) <= len(self.columns):
+            return [self.point(i) for i in indices]
+        exponent = itertools.repeat(self.exponent)
+        columns = list(zip(*map(self.numerators.__getitem__, indices)))
+        zeros = (0,) * len(indices)
+        coords = []
+        for row in self._rows:
+            totals = zeros
+            for a, column in zip(row, columns):
+                if a:
+                    terms = column if a == 1 else map(a.__mul__, column)
+                    totals = list(terms) if totals is zeros else list(map(operator.add, totals, terms))
+            if any(map(operator.mod, totals, exponent)):
+                for i in indices:
+                    self.point(i)  # raises at the first element whose point is not integral
+            coords.append(map(operator.floordiv, totals, exponent))
+        return list(zip(*coords))
+
     def ensure_integral_points(self) -> None:
         """Raise ArithmeticError for the first element, in sorted order,
         whose point is not integral.  The point modulo Z^n is additive in
@@ -224,8 +249,7 @@ class LocalGroup:
         elements."""
         e = self.exponent
         if any(sum(map(operator.mul, gen, row)) % e for _, gen in self._cycles for row in self._rows):
-            for i in range(self.order):
-                self.point(i)  # raises at the first element whose point is not integral
+            self.point_rows(range(self.order))  # raises at the first element whose point is not integral
 
     @cached_property
     def interior(self) -> tuple[int, ...]:

@@ -294,6 +294,26 @@ def test_spec_errors_name_the_bad_token(capsys, wp112_path, command, face, weigh
     assert json.loads(out) == {"error": error}
 
 
+@pytest.mark.parametrize("command", ["blowup", "mckay"])
+@pytest.mark.parametrize(
+    "face, weights, error",
+    [
+        ("-1,2", "1,1", "[-1, 2] is not a face of the model"),
+        ("0,2", "-1,1", "blowup weights must be strictly positive"),
+        ("0,2", "-1/2,3/2", "blowup weights must be strictly positive"),
+        ("-1", "1", "[-1] is not a face of the model"),
+    ],
+)
+def test_negative_spec_tokens_reach_the_spec(capsys, wp112_path, command, face, weights, error):
+    """A value after --face or --weights that starts with "-" is a value,
+    not an option: make_blowup_spec rejects it with a JSON error, as it
+    does when the value is attached with "="."""
+    for argv in (["--face", face, "--weights", weights], [f"--face={face}", f"--weights={weights}"]):
+        rc, out = run(capsys, command, wp112_path, *argv)
+        assert rc == 2
+        assert json.loads(out) == {"error": error}
+
+
 def test_mckay_pass(capsys, wp112_path):
     rc, out = run(capsys, "mckay", wp112_path, "--face", "0,2", "--weights", "1/2,1/2")
     assert rc == 0
@@ -727,6 +747,66 @@ def test_sector_listings_equal_the_json_of_their_box_elements(
     checked()
 
 
+def _box_element_listing(table) -> list:
+    """The sectors of ``table`` as dicts built from ``box_element(i)``,
+    in listing order."""
+    return [
+        _sector_dict(group.box_element(i))
+        for group in table.sector_groups.values()
+        for i in group.interior
+    ]
+
+
+# Groups with more interior elements than one chunk of the listing: the
+# vertex (0, 2) of the triangle with lambda_2 = (-1, -1200) has 1199, with
+# fractional ages, and the tetrahedron over the plane z = 1 has vertices of
+# order 900 and 840, with 812 and 810, every age an integer.
+MULTI_CHUNK_MODELS = {
+    "fractional": make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -1200)]),
+    "tetrahedron": make_model(
+        3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], [(0, 0, 1), (30, 0, 1), (0, 30, 1), (1, 1, 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_CHUNK_MODELS))
+def test_multi_chunk_listings_equal_the_json_of_their_box_elements(capsys, tmp_path, name):
+    """Listings that span several chunks, at depth 0 (sectors) and at
+    depth 1 (the "sectors" key of cr, on the quasi-SL tetrahedron), are
+    byte for byte the indented JSON of box_element(i) of every sector."""
+    model = MULTI_CHUNK_MODELS[name]
+    path = tmp_path / "model.json"
+    path.write_text(model_to_json(model))
+    table = LocalGroupTable(load_model(path))
+    assert max(len(g.interior) for g in table.sector_groups.values()) > cli_mod._CHUNK
+    expected = _box_element_listing(table)
+    rc, out = run(capsys, "sectors", str(path))
+    assert rc == 0
+    assert out == _json_text(expected)
+    assert table.quasi_sl == (name == "tetrahedron")
+    if table.quasi_sl:
+        rc, out = run(capsys, "cr", str(path))
+        assert rc in (0, 1)
+        report = json.loads(out)
+        assert report["sectors"] == expected
+        assert out == _json_text(report)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_sector_listings_do_not_depend_on_the_chunk_size(capsys, monkeypatch, tmp_path, corpus, chunk):
+    """Chunks that end inside every group, and between every two sectors,
+    write the same bytes as the default."""
+    for i, model in enumerate(corpus):
+        path = tmp_path / f"model-{i}.json"
+        path.write_text(model_to_json(model))
+        table = LocalGroupTable(model)
+        commands = ["sectors", "cr"] if table.quasi_sl else ["sectors"]
+        expected = [run(capsys, command, str(path)) for command in commands]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, "_CHUNK", chunk)
+            assert [run(capsys, command, str(path)) for command in commands] == expected, model.name
+
+
 # z3tetra computes a triangular basis at the vertex (0, 1, 2) alone.
 Z3_VERTEX_BASIS = ((1, 0, -1), (0, 1, -1), (0, 0, 3))
 # A basis of order 6 in its place gives that vertex the generator
@@ -797,8 +877,11 @@ def test_integral_age_fault_reaches_the_listing(monkeypatch, z3_path):
 
 # The listing below peaked at 2.63 MiB when every point of the group was
 # computed and kept, and at 2.35 MiB once points are computed as they are
-# written (Python 3.11.7).  Points computed row by row, with the
-# per-coordinate lists alive together, peaked at 3.26 MiB.
+# written, one sector at a time (Python 3.11.7, first listing of the
+# process).  Points computed row by row, with the per-coordinate lists
+# alive together, peaked at 3.26 MiB.  Written in chunks of _CHUNK sectors,
+# it peaks at 2.53 MiB with chunks of 256, 2.70 MiB with 512 and 3.05 MiB
+# with 1024; a later listing in the same process peaks 0.25 MiB lower.
 SECTORS_PEAK_BOUND = 2.75 * 2**20
 
 

@@ -1,10 +1,13 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtorb.exact import Poly, binom, rat_to_str
+from qtorb.cli import _fraction_text
+from qtorb.exact import Poly, binom
 
 polys = st.lists(st.integers(-30, 30), max_size=6).map(Poly)
 
@@ -108,6 +111,17 @@ def test_binom_pascal(n, k):
         assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
 
 
+def rat_to_str(p: int, q: int) -> str:
+    """Serialize the rational p/q, q nonzero, in lowest terms with a
+    positive denominator: ``"p/q"``, or just ``"p"`` when that is 1."""
+    g = math.gcd(p, q)
+    if q < 0:
+        g = -g
+    p //= g
+    q //= g
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def test_rat_serialization():
     assert rat_to_str(1, 2) == "1/2"
     assert rat_to_str(-3, 4) == "-3/4"
@@ -116,6 +130,14 @@ def test_rat_serialization():
     assert rat_to_str(3, -6) == "-1/2"
     assert rat_to_str(0, 7) == "0"
     assert rat_to_str(10, 5) == "2"
+    # The listings' JSON text of x/e, e > 0: an integer, or the reduced
+    # fraction in quotes.
+    assert _fraction_text(1, 2) == '"1/2"'
+    assert _fraction_text(-3, 4) == '"-3/4"'
+    assert _fraction_text(3, 1) == "3"
+    assert _fraction_text(6, 4) == '"3/2"'
+    assert _fraction_text(0, 7) == "0"
+    assert _fraction_text(10, 5) == "2"
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
@@ -124,6 +146,11 @@ def test_rat_serialization_round_trips(p, q):
     assert Fraction(text) == Fraction(p, q)
     # Lowest terms, positive denominator: the text Fraction itself writes.
     assert text == str(Fraction(p, q))
+    if q > 0:
+        # The listings' text of the same rational is its JSON: the
+        # integer, or the same text in quotes.
+        value = Fraction(p, q)
+        assert json.loads(_fraction_text(p, q)) == (value.numerator if value.denominator == 1 else text)
 
 
 @given(st.fractions(), st.fractions())

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -52,10 +53,29 @@ def group_points(group):
 
 
 def record_points(monkeypatch):
-    """A list that gets (group, i) for every point computed from now on."""
+    """A list that gets (group, i) for every point computed from now on,
+    by ``point(i)`` or as one of the indices of a ``point_rows`` call;
+    ``point_rows`` reads a short list through ``point(i)``, and those
+    points are recorded once."""
     computed = []
-    real_point = LocalGroup.point
-    monkeypatch.setattr(LocalGroup, "point", lambda self, i: computed.append((self, i)) or real_point(self, i))
+    in_rows = []
+    real_point, real_rows = LocalGroup.point, LocalGroup.point_rows
+
+    def point(self, i):
+        if not in_rows:
+            computed.append((self, i))
+        return real_point(self, i)
+
+    def point_rows(self, indices):
+        computed.extend((self, i) for i in indices)
+        in_rows.append(self)
+        try:
+            return real_rows(self, indices)
+        finally:
+            in_rows.pop()
+
+    monkeypatch.setattr(LocalGroup, "point", point)
+    monkeypatch.setattr(LocalGroup, "point_rows", point_rows)
     return computed
 
 
@@ -456,6 +476,44 @@ def test_interior_points_check_integrality(monkeypatch):
     with pytest.raises(ArithmeticError, match="not integral") as again:
         group.ensure_integral_points()
     assert str(again.value) == str(err.value)
+
+
+def test_point_rows_equal_the_points_of_their_elements(corpus):
+    """point_rows(indices) is [point(i) for i in indices] on lists no
+    longer than the group has columns, which are read through point(i),
+    and on longer ones, summed one numerator column at a time; in any
+    order, with repeats, on the polytope's group without columns and on
+    groups of order 1200 and 900."""
+    groups = [group for model in corpus for group in LocalGroupTable(model).groups]
+    groups.append(LocalGroup([(1, 0), (-1, -1200)], 2))
+    groups.append(LocalGroup([(0, 0, 1), (30, 0, 1), (0, 30, 1)], 3))
+    assert any(not group.columns for group in groups)
+    sizes = Counter()
+    for group in groups:
+        k = len(group.columns)
+        everything = list(range(group.order))
+        for indices in (everything, everything[::-1], list(group.interior), everything[:k], [group.order - 1] * (k + 1)):
+            assert group.point_rows(indices) == [group.point(i) for i in indices]
+            sizes[len(indices) <= k] += 1
+    assert sizes[True] > 0 and sizes[False] > 0
+
+
+def test_point_rows_raise_at_the_first_bad_element(monkeypatch):
+    """On the faulty basis of test_interior_points_check_integrality,
+    where only the identity's point is integral, point_rows raises
+    point(i)'s error for the first other element in list order, on both
+    sides of the size selection."""
+    monkeypatch.setattr(sectors_mod, "triangular_form", lambda m: ((1, 0, -2), (0, 1, -3), (0, 0, 6)))
+    group = LocalGroup([(1, 0, 0), (0, 1, 0), (-1, -1, 3)], 3)
+    assert group.order == 6
+    for indices in ([0, 4], [5, 0, 1], [0, 0, 5, 2], [0, 3, 1, 2, 4, 5], [0, 0, 0, 0, 2]):
+        first = next(i for i in indices if i)
+        with pytest.raises(ArithmeticError, match="not integral") as expected:
+            group.point(first)
+        with pytest.raises(ArithmeticError) as err:
+            group.point_rows(indices)
+        assert str(err.value) == str(expected.value)
+    assert group.point_rows([0] * 4) == [(0, 0, 0)] * 4
 
 
 def test_quasi_sl_enumerates_no_group(monkeypatch):
