@@ -385,13 +385,16 @@ def _discard_stdout() -> None:
 
 
 def _spec_values(argv: list[str]) -> list[str]:
-    """``argv`` with ``--face`` or ``--weights`` and a next word that
-    starts with "-" and a digit made one word, ``--face=-1,2``.  argparse
-    reads such a word as an option; it is a value, a negative facet index
-    or weight, which make_blowup_spec rejects by name."""
+    """``argv`` with ``--face`` or ``--weights``, or a prefix of either
+    that argparse accepts, and a next word that starts with "-" and a
+    digit made one word, ``--face=-1,2``.  argparse reads such a word as
+    an option; it is a value, a negative facet index or weight, which
+    make_blowup_spec rejects by name."""
     words: list[str] = []
     for word in argv:
-        if words and words[-1] in _SPEC_FLAGS and word[:1] == "-" and word[1:2].isdigit():
+        last = words[-1] if words else ""
+        spec_flag = len(last) > 2 and any(flag.startswith(last) for flag in _SPEC_FLAGS)
+        if spec_flag and word[:1] == "-" and word[1:2].isdigit():
             words[-1] += "=" + word
         else:
             words.append(word)

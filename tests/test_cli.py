@@ -305,10 +305,15 @@ def test_spec_errors_name_the_bad_token(capsys, wp112_path, command, face, weigh
     ],
 )
 def test_negative_spec_tokens_reach_the_spec(capsys, wp112_path, command, face, weights, error):
-    """A value after --face or --weights that starts with "-" is a value,
-    not an option: make_blowup_spec rejects it with a JSON error, as it
-    does when the value is attached with "="."""
-    for argv in (["--face", face, "--weights", weights], [f"--face={face}", f"--weights={weights}"]):
+    """A value after --face or --weights, or a prefix of either, that
+    starts with "-" and a digit is a value, not an option:
+    make_blowup_spec rejects it with a JSON error, as it does when the
+    value is attached with "="."""
+    for argv in (
+        ["--face", face, "--weights", weights],
+        ["--fa", face, "--weight", weights],
+        [f"--face={face}", f"--weights={weights}"],
+    ):
         rc, out = run(capsys, command, wp112_path, *argv)
         assert rc == 2
         assert json.loads(out) == {"error": error}
