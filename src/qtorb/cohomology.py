@@ -91,11 +91,16 @@ def check_age_partition(table: LocalGroupTable) -> list[tuple[Face, bool]]:
     interior age polynomials over all faces containing it (the box of a
     face is partitioned by the interiors of its superfaces).  The sum
     reads ``table.sector_groups_containing``: a face without interior
-    elements adds zero."""
+    elements adds zero.  Most faces share their list of containing
+    sector groups, so each distinct list is summed once."""
     out = []
+    sums: dict[tuple[tuple[int, ...], ...], Poly] = {}
     for group in table.groups:
         pieces = table.sector_groups_containing(group.face)
-        rhs = _sum(other.interior_age_polynomial for other in pieces)
+        key = tuple(other.face.facet_set for other in pieces)
+        rhs = sums.get(key)
+        if rhs is None:
+            rhs = sums[key] = _sum(other.interior_age_polynomial for other in pieces)
         out.append((group.face, group.age_polynomial == rhs))
     return out
 

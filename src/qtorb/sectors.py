@@ -12,8 +12,12 @@ of a model, built once, on first use, for everything computed on it.  A
 face's box elements are those of any vertex through it whose
 coefficients vanish off the face, so a face is smooth, with the trivial
 group, when some vertex through it has |det| = 1, read from the
-determinants that validation computed.  The table computes a triangular
-basis only for the other faces.
+determinants that validation computed.  The polytope and the facets are
+trivial as well: a validated characteristic vector is primitive, so it
+is part of a lattice basis.  The table computes a triangular basis only
+for the faces of codimension at least 2 through no smooth vertex, and
+back-substitutes only the columns of its adjugate whose diagonal entry
+exceeds 1.
 
 A second, independent enumeration by exhaustive search over denominators
 dividing the group order is provided for cross-checking.
@@ -21,7 +25,6 @@ dividing the group order is provided for cross-checking.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import operator
@@ -71,19 +74,25 @@ class BoxElement:
     face: Face | None = None
 
 
-def _inverse_columns(h: IntMat, order: int) -> list[list[int]]:
-    """The columns of ``order`` times the inverse of the upper-triangular
-    h, whose determinant is ``order``: the adjugate of h, found by back
-    substitution.  Every division is exact, since the adjugate is
-    integral."""
+def _inverse_columns(h: IntMat, order: int) -> list[tuple[int, list[int]]]:
+    """(h_jj, column j) for every diagonal entry h_jj > 1, where the
+    columns are those of ``order`` times the inverse of the
+    upper-triangular h, whose determinant is ``order``: the adjugate of
+    h, found by back substitution.  A column with h_jj = 1 is not
+    computed: modulo Z^k it is a combination of the columns before it,
+    so it adds no element.  Every division is exact, since the adjugate
+    is integral."""
     k = len(h)
     columns = []
     for j in range(k):
+        step = h[j][j]
+        if step == 1:
+            continue
         x = [0] * k
-        x[j] = order // h[j][j]
+        x[j] = order // step
         for i in range(j - 1, -1, -1):
             x[i] = -sum(h[i][l] * x[l] for l in range(i + 1, j + 1)) // h[i][i]
-        columns.append(x)
+        columns.append((step, x))
     return columns
 
 
@@ -97,6 +106,9 @@ class LocalGroup:
     the group is H^-1 Z^k / Z^k.  Its order is the product of the
     diagonal of H.  Generator i is column i of H^-1, and the elements are
     the sums of a_i times generator i with 0 <= a_i < h_ii, once each.
+    Only the generators with h_ii > 1 are computed, since one with
+    h_ii = 1 is stepped once, and a basis with a unit diagonal builds
+    the trivial group.
     The exponent is the least common multiple of the generators' orders.
     Every element is stored as the integer numerators of its box
     coefficients over the exponent, so enumeration, points and ages stay
@@ -120,11 +132,8 @@ class LocalGroup:
         exponent, cycles = 1, ()
         if columns:
             h = triangular_form(tuple(zip(*columns, strict=True)))
-            steps = [h[i][i] for i in range(len(h))]
-            order = math.prod(steps)
-            generators = [
-                (step, g) for step, g in zip(steps, _inverse_columns(h, order)) if step > 1
-            ]
+            order = math.prod(h[i][i] for i in range(len(h)))
+            generators = _inverse_columns(h, order)
             exponent = math.lcm(*(order // math.gcd(order, *g) for _, g in generators))
             cycles = tuple(
                 (step, tuple(x * exponent // order % exponent for x in g)) for step, g in generators
@@ -258,9 +267,10 @@ class LocalGroup:
 
     def retagged(self, face: Face) -> "LocalGroup":
         """The same group, generators and enumerated data shared, tagged
-        with another face over the same columns."""
-        group = copy.copy(self)
-        group.face = face
+        with another face over the same columns: a new object whose
+        attribute dict is this group's with ``face`` replaced."""
+        group = object.__new__(type(self))
+        group.__dict__ = {**self.__dict__, "face": face}
         return group
 
     def box_element(self, i: int) -> BoxElement:
@@ -373,20 +383,25 @@ class LocalGroupTable:
     is asked for and keeps it; :attr:`groups` builds the rest.
 
     A face is smooth when some vertex through it has |det| = 1, read
-    from the determinants that validation computed (``vertex_dets``):
-    that vertex's columns are a lattice basis and the face's columns part
-    of it, so its box elements, which are the vertex's box elements with
-    coefficients vanishing off the face, reduce to the identity.  A
-    smooth face's group is built trivial, without a triangular basis;
-    every other face computes one.  So :attr:`quasi_sl` computes one per
-    singular vertex and builds no lower face, and no face's smoothness
-    depends on another face's group.
+    from the determinants that validation computed (``vertex_dets``),
+    whose smooth vertices the table collects in a set once: that
+    vertex's columns are a lattice basis and the face's columns part of
+    it, so its box elements, which are the vertex's box elements with
+    coefficients vanishing off the face, reduce to the identity.  The
+    polytope and the facets are smooth too, since a validated
+    characteristic vector is primitive and so part of a lattice basis.
+    A smooth face's group is built trivial, without a triangular basis;
+    every other face, of codimension at least 2 through no smooth
+    vertex, computes one.  So :attr:`quasi_sl` computes one per singular
+    vertex and builds no lower face, and no face's smoothness depends on
+    another face's group.
 
     With ``base``, the table of another model in the same dimension
     (the model a blowup came from), a face whose facet set and columns
     are those of a face of ``base`` takes that face's group, enumerated
-    data included, before any of the above.  ``base`` lends only the
-    groups it has already built.
+    data included, before any of the above, as a new object over the
+    same attribute values that names this table's face.
+    ``base`` lends only the groups it has already built.
 
     Only the faces with interior elements carry sectors, and only they
     add nonzero terms to the sector routes and the age partition.  They
@@ -400,6 +415,7 @@ class LocalGroupTable:
         self._lent = {} if base is None else base._by_facets
         self._by_facets: dict[tuple[int, ...], LocalGroup] = {}
         self._faces = {face.facet_set: face for face in faces(model)}
+        self._smooth = {i for i, d in enumerate(model.vertex_dets) if abs(d) == 1}
 
     def _build(self, face: Face) -> LocalGroup:
         model = self.model
@@ -407,7 +423,7 @@ class LocalGroupTable:
         known = self._lent.get(face.facet_set)
         if known is not None and known.columns == columns and known.ambient_dim == model.n:
             return known.retagged(face)
-        if any(abs(model.vertex_dets[i]) == 1 for i in face.vertex_ids):
+        if face.codim <= 1 or not self._smooth.isdisjoint(face.vertex_ids):
             return LocalGroup._trivial(columns, model.n, face)
         return LocalGroup(columns, model.n, face)
 

@@ -95,9 +95,11 @@ def crepant_blowups(corpus):
 
 def basis_faces(model, base=None):
     """The faces for which ``LocalGroupTable(model, base)`` computes a
-    triangular basis: every proper face not taken from ``base`` (same
-    facet set and columns) that passes through no vertex with |det| = 1,
-    a vertex passing through itself."""
+    triangular basis: every face of codimension at least 2 not taken
+    from ``base`` (same facet set and columns) that passes through no
+    vertex with |det| = 1, a vertex passing through itself.  A facet's
+    primitive vector is part of a lattice basis, so the polytope and the
+    facets are built trivial."""
     smooth = {
         i
         for i, vertex in enumerate(model.vertices)
@@ -111,7 +113,7 @@ def basis_faces(model, base=None):
     return [
         f
         for f in faces(model)
-        if f.codim > 0
+        if f.codim >= 2
         and base_columns.get(f.facet_set) != [model.char_vectors[i] for i in f.facet_set]
         and smooth.isdisjoint(f.vertex_ids)
     ]

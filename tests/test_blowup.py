@@ -595,8 +595,9 @@ def test_mckay_runs_one_triangular_basis_per_face_on_the_new_facet(
     """The blown table takes every face off the new facet m from the base
     table; the faces on m are exactly the interior cones of the star
     subdivision joined with each subface's extra vectors, which the
-    identity reads from that table.  Of those, the faces through no
-    smooth vertex compute a triangular basis."""
+    identity reads from that table.  Of those, the faces of codimension
+    at least 2 through no smooth vertex compute a triangular basis; the
+    facet m itself computes none."""
     inside: list[bool] = []
     calls: list[bool] = []
     cones: list[frozenset] = []

@@ -28,7 +28,7 @@ from qtorb import (
 from qtorb.cli import main
 from qtorb.intlat import det
 from tests.test_ehrhart import _count_plans
-from tests.test_sectors import sectors
+from tests.test_sectors import _zero_generators, sectors
 
 GOLDEN_MODELS = os.path.join(os.path.dirname(__file__), "golden", "models")
 
@@ -856,7 +856,7 @@ def test_sector_listing_fails_before_any_output(capsys, monkeypatch, z3_path, co
         monkeypatch.setattr(LocalGroup, "ensure_integral_points", check)
     else:
         # Zero generators step the identity h_ii times.
-        monkeypatch.setattr(sectors_mod, "_inverse_columns", lambda h, order: [[0] * len(h)] * len(h))
+        monkeypatch.setattr(sectors_mod, "_inverse_columns", _zero_generators(sectors_mod._inverse_columns))
     rc, out = run(capsys, command, z3_path)
     assert rc == 2
     report = json.loads(out)
@@ -887,18 +887,24 @@ def test_integral_age_fault_reaches_the_listing(monkeypatch, z3_path):
 # alive together, peaked at 3.26 MiB.  Written in chunks of _CHUNK sectors,
 # it peaks at 2.53 MiB with chunks of 256, 2.70 MiB with 512 and 3.05 MiB
 # with 1024; a later listing in the same process peaks 0.25 MiB lower.
+# The test makes one untraced listing of wp112 first, so it measures a
+# later listing whatever ran before it: 2.37 MiB in a process of its own,
+# 2.28 MiB after the other tests, against 2.52 MiB for a first listing.
 SECTORS_PEAK_BOUND = 2.75 * 2**20
 
 
-def test_sector_listing_memory_is_bounded(tmp_path):
+def test_sector_listing_memory_is_bounded(tmp_path, wp112_path):
     """The tracemalloc peak of ``qtorb sectors`` on the triangle with
     lambda_2 = (-1, -10^4), whose vertex group has 10^4 elements, with the
-    output sent to the null device."""
+    output sent to the null device.  A listing of wp112 runs first,
+    untraced, so the one-time cost of a process's first ``main`` call
+    (argument parser, regular expressions) is not counted."""
     model = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -10**4)])
     path = tmp_path / "tri.json"
     path.write_text(model_to_json(model))
     tracing = tracemalloc.is_tracing()
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(["sectors", wp112_path]) == 0
         tracemalloc.start()
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]

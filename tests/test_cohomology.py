@@ -4,16 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qtorb.cohomology as cohomology_mod
 import qtorb.sectors as sectors_mod
 from qtorb import (
     LocalGroupTable,
     NonIntegralAgeError,
     apply_unimodular,
+    blow_up_table,
     check_age_partition,
     check_torus_stratification,
     cr_report,
+    crepant_candidates,
     e_torus,
     faces,
+    generate_test_models,
     h_vector,
     make_model,
     pp_cr_direct,
@@ -202,8 +206,9 @@ def test_cr_report(wp112):
 
 
 def test_cr_report_runs_one_triangular_basis_per_proper_face(monkeypatch, corpus, basis_faces):
-    """One triangular basis per proper face through no smooth vertex; a
-    vertex with |det| = 1 and every face through it compute none."""
+    """One triangular basis per face of codimension at least 2 through no
+    smooth vertex; the polytope, the facets, a vertex with |det| = 1 and
+    every face through it compute none."""
 
     calls = []
     real = sectors_mod.triangular_form
@@ -215,6 +220,64 @@ def test_cr_report_runs_one_triangular_basis_per_proper_face(monkeypatch, corpus
         assert len(calls) == len(basis_faces(model))
         skipped += sum(1 for f in faces(model) if f.codim > 0) - len(calls)
     assert skipped > 0
+
+
+def _per_face_partition(table):
+    """check_age_partition with one ``_sum`` per face."""
+    return [
+        (
+            group.face,
+            group.age_polynomial
+            == _sum(other.interior_age_polynomial for other in table.sector_groups_containing(group.face)),
+        )
+        for group in table.groups
+    ]
+
+
+def test_age_partition_sums_each_list_of_pieces_once(monkeypatch, corpus):
+    """check_age_partition equals the per-face sum, face for face, on the
+    corpus, on generate_test_models(s, 20, n=4) for s = 1..3 and on every
+    quasi-SL crepant blowup of those, with the blown table built from its
+    base's.  It runs one ``_sum`` per distinct list of containing sector
+    groups, fewer than there are faces.  With 1 added to the interior age
+    polynomial of any one sector group, both flag the same faces: those
+    contained in that group's face."""
+    tables = [LocalGroupTable(model) for model in corpus]
+    for seed in (1, 2, 3):
+        for model in generate_test_models(seed, 20, n=4):
+            table = LocalGroupTable(model)
+            tables.append(table)
+            for spec in crepant_candidates(table):
+                blown = blow_up_table(table, spec)
+                if blown.quasi_sl:
+                    tables.append(blown)
+    sums = []
+    real_sum = cohomology_mod._sum
+    monkeypatch.setattr(cohomology_mod, "_sum", lambda polys: sums.append(None) or real_sum(polys))
+    calls = total_faces = 0
+    for table in tables:
+        sums.clear()
+        checked = check_age_partition(table)
+        calls += len(sums)
+        total_faces += len(checked)
+        assert checked == _per_face_partition(table)
+        assert all(ok for _, ok in checked)
+        lists = {tuple(g.face.facet_set for g in table.sector_groups_containing(face)) for face, _ in checked}
+        assert len(sums) == len(lists)
+    assert calls < total_faces
+    mutations = 0
+    for table in tables:
+        for mutated in table.sector_groups.values():
+            original = mutated.interior_age_polynomial
+            mutated.interior_age_polynomial = original + Poly.one()
+            try:
+                flagged = [face for face, ok in check_age_partition(table) if not ok]
+                assert flagged == [face for face, ok in _per_face_partition(table) if not ok]
+                assert flagged == [g.face for g in table.groups if set(mutated.face.facet_set) <= set(g.face.facet_set)]
+            finally:
+                mutated.interior_age_polynomial = original
+            mutations += 1
+    assert mutations > len(tables)
 
 
 def test_identity_lookup_by_name(wp112):

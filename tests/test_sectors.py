@@ -589,6 +589,63 @@ def test_table_groups_equal_triangular_basis_groups(corpus, crepant_blowups, bas
     assert skipped > 0
 
 
+def test_no_face_of_codimension_at_most_one_computes_a_basis(monkeypatch, corpus, crepant_blowups, basis_faces):
+    """The polytope and the facets are built trivial: on the corpus and on
+    every quasi-SL blown table, built afresh and from its base table, the
+    faces that compute a triangular basis are exactly the basis faces, all
+    of codimension at least 2.  Some facets pass through no smooth vertex,
+    so smoothness alone would not spare them."""
+    building, bases = [], []
+    real_build = LocalGroupTable._build
+    real_basis = sectors_mod.triangular_form
+
+    def build(self, face):
+        building.append(face)
+        try:
+            return real_build(self, face)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(LocalGroupTable, "_build", build)
+    monkeypatch.setattr(sectors_mod, "triangular_form", lambda m: bases.append(building[-1]) or real_basis(m))
+
+    def check(table, base=None):
+        bases.clear()
+        assert table.quasi_sl
+        table.groups
+        assert sorted(bases, key=lambda f: (f.codim, f.facet_set)) == basis_faces(table.model, base)
+        assert all(face.codim >= 2 for face in bases)
+
+    for model in corpus:
+        check(LocalGroupTable(model))
+    singular_facets = 0
+    for model, spec, blown in crepant_blowups:
+        check(LocalGroupTable(blown))
+        base = LocalGroupTable(model)
+        base.groups  # a table lends only the groups it has built
+        check(blow_up_table(base, spec), model)
+        singular_facets += sum(
+            f.codim == 1 and all(abs(blown.vertex_dets[i]) != 1 for i in f.vertex_ids) for f in faces(blown)
+        )
+    assert singular_facets > 0
+
+
+def test_a_unit_diagonal_computes_no_adjugate_column(monkeypatch):
+    """Only the columns j of the adjugate with h_jj > 1 are back-substituted,
+    so the entries above a unit diagonal entry are never read (``None``
+    would fail any arithmetic), and a triangular basis with a unit
+    diagonal builds the trivial group without enumerating it."""
+    assert sectors_mod._inverse_columns(((1, None, None), (0, 1, None), (0, 0, 1)), 1) == []
+    assert sectors_mod._inverse_columns(((2, None), (0, 1)), 2) == [(2, [1, 0])]
+    assert sectors_mod._inverse_columns(((1, 1), (0, 2)), 2) == [(2, [-1, 1])]
+    monkeypatch.setattr(sectors_mod, "triangular_form", lambda m: ((1, None), (0, 1)))
+    monkeypatch.setattr(LocalGroup, "_enumerate", lambda self: pytest.fail("enumerated"))
+    group = LocalGroup([(1, 0), (1, 1)], 2)
+    assert (group.order, group.exponent, group._cycles) == (1, 1, ())
+    assert group.numerators == ((0, 0),)
+    assert group.age_polynomial == Poly([1])
+
+
 class _PerElement:
     """The data of ``group`` computed one element at a time, from its
     generators: one generator-built tuple per step, one point per
@@ -784,10 +841,16 @@ def test_package_attribute_is_the_sectors_module():
     assert sectors_mod.__name__ == "qtorb.sectors"
 
 
+def _zero_generators(real):
+    """``_inverse_columns`` with every generator's column replaced by
+    zeros, each still stepped h_jj times."""
+    return lambda h, order: [(step, [0] * len(column)) for step, column in real(h, order)]
+
+
 def test_repeated_cosets_raise(monkeypatch):
     # No triangular basis gives a repeat, since stepping generator i
     # h_ii times is one step per coset; zero generators do.
-    monkeypatch.setattr(sectors_mod, "_inverse_columns", lambda h, order: [[0] * len(h)] * len(h))
+    monkeypatch.setattr(sectors_mod, "_inverse_columns", _zero_generators(sectors_mod._inverse_columns))
     with pytest.raises(ArithmeticError, match="repeat"):
         box_of_columns([(1, 0), (1, 2)], 2)
 
