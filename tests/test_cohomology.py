@@ -273,7 +273,8 @@ def test_age_partition_sums_each_list_of_pieces_once(monkeypatch, corpus):
             try:
                 flagged = [face for face, ok in check_age_partition(table) if not ok]
                 assert flagged == [face for face, ok in _per_face_partition(table) if not ok]
-                assert flagged == [g.face for g in table.groups if set(mutated.face.facet_set) <= set(g.face.facet_set)]
+                inside = set(mutated.face.facet_set)
+                assert flagged == [g.face for g in table.groups if inside.issubset(g.face.facet_set)]
             finally:
                 mutated.interior_age_polynomial = original
             mutations += 1

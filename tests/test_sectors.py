@@ -589,7 +589,9 @@ def test_table_groups_equal_triangular_basis_groups(corpus, crepant_blowups, bas
     assert skipped > 0
 
 
-def test_no_face_of_codimension_at_most_one_computes_a_basis(monkeypatch, corpus, crepant_blowups, basis_faces):
+def test_no_face_of_codimension_at_most_one_computes_a_basis(
+    monkeypatch, corpus, crepant_blowups, basis_faces
+):
     """The polytope and the facets are built trivial: on the corpus and on
     every quasi-SL blown table, built afresh and from its base table, the
     faces that compute a triangular basis are exactly the basis faces, all
