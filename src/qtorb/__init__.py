@@ -38,7 +38,7 @@ from .ehrhart import (
     face_simplex,
     numerator_from_counts,
 )
-from .exact import Poly, binom
+from .exact import Poly
 from .intlat import (
     IntMat,
     IntVec,

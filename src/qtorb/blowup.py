@@ -58,6 +58,15 @@ def _converted(convert, tokens: Sequence, what: str) -> list:
     return out
 
 
+def _weight(token) -> Fraction:
+    """A weight token as a Fraction.  A string with an exponent is refused
+    before ``Fraction`` expands it: "1e-10000000" would mean computing
+    10**(10**7)."""
+    if isinstance(token, str) and "e" in token.lower():
+        raise ValueError(f"weight with an exponent: {token!r}")
+    return Fraction(token)
+
+
 def make_blowup_spec(
     model: Model, face_indices: Sequence, weights: Sequence
 ) -> BlowupSpec:
@@ -67,8 +76,9 @@ def make_blowup_spec(
     weights strictly positive, and the weighted combination of the
     face's characteristic vectors an integral primitive vector.  The
     facet indices are integers or their strings, and the weights
-    rationals or their strings, such as "1/2"; a token that is neither
-    is named in the error.  The weights pair with ``face_indices`` in the
+    rationals or their strings: an integer, "p/q" or a plain decimal
+    such as "0.5", without an exponent.  A token that is neither is
+    named in the error.  The weights pair with ``face_indices`` in the
     order given; the spec holds both sorted by facet index.
     """
     indices = _converted(int, face_indices, "facet index")
@@ -81,7 +91,7 @@ def make_blowup_spec(
         raise BlowupError(
             f"blowup requires a face of codimension >= 2, got codimension {face.codim}"
         )
-    ws = _converted(Fraction, weights, "weight")
+    ws = _converted(_weight, weights, "weight")
     if len(ws) != face.codim:
         raise BlowupError(f"expected {face.codim} weights, got {len(ws)}")
     if any(w <= 0 for w in ws):

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from typing import Sequence
 
 from . import kernels
-from .exact import Poly, binom
+from .exact import Poly
 from .intlat import (
     IntVec,
     RankDeficientError,
@@ -154,7 +154,7 @@ def count_from_ages(ages: Poly, d: int, k: int) -> int:
     box has age polynomial ``ages``: every point splits uniquely as a box
     element plus a nonnegative integer combination of the vectors, so
     the count is sum_a w_a C(k - a + d - 1, d - 1) over the ages a."""
-    return sum(w * binom(k - a + d - 1, d - 1) for a, w in enumerate(ages.coeffs))
+    return sum(w * comb(k - a + d - 1, d - 1) for a, w in enumerate(ages.coeffs))
 
 
 def numerator_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
@@ -169,7 +169,7 @@ def numerator_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
     d = len(counts)
     psi = []
     for j in range(d):
-        value = sum((-1) ** i * binom(d, i) * counts[j - i] for i in range(j + 1))
+        value = sum((-1) ** i * comb(d, i) * counts[j - i] for i in range(j + 1))
         if value < 0:
             raise ArithmeticError(
                 f"negative numerator coefficient psi_{j} = {value}; dilate counts {counts}"

@@ -9,18 +9,8 @@ degrees; everything internal stays even-graded.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Union
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero whenever k is outside 0..n."""
-    if n < 0:
-        raise ValueError(f"binom requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 class Poly:
@@ -59,20 +49,6 @@ class Poly:
         poly = object.__new__(cls)
         poly.coeffs = tuple(coeffs)
         return poly
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "Poly":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -139,17 +115,10 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"polynomial power must be a nonnegative int, got {k!r}")
-        result = Poly.one()
+        result = Poly._of_ints([1])
         for _ in range(k):
             result = result * self
         return result
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule; exact for int or Fraction arguments."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def shifted(self, k: int) -> "Poly":
         """Multiply by s**k."""

@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import pytest
@@ -19,6 +20,7 @@ from qtorb import (
     LocalGroupTable,
     blow_up,
     cr_report,
+    generate_test_models,
     load_model,
     make_blowup_spec,
     make_model,
@@ -50,6 +52,15 @@ def z3_path(tmp_path, z3):
 def run(capsys, *argv):
     rc = main(list(argv))
     return rc, capsys.readouterr().out
+
+
+def timed_run(capsys, limit, *argv):
+    """``run`` of ``argv``, which must return within ``limit`` seconds."""
+    started = time.perf_counter()
+    rc, out = run(capsys, *argv)
+    elapsed = time.perf_counter() - started
+    assert elapsed < limit, f"{' '.join(argv)} took {elapsed:.2f}s, limit {limit}s"
+    return rc, out
 
 
 def test_validate_ok(capsys, wp112_path):
@@ -286,10 +297,12 @@ def test_blowup_invalid_weights(capsys, wp112_path):
         ("0,2", "1/0,1", "invalid weight '1/0'"),
         ("0,2", "x,1", "invalid weight 'x'"),
         ("0,x", "1,1", "invalid facet index 'x'"),
+        # Fraction would expand the exponent to 10**(10**7) first.
+        ("0,2", "1e-10000000,1", "invalid weight '1e-10000000'"),
     ],
 )
 def test_spec_errors_name_the_bad_token(capsys, wp112_path, command, face, weights, error):
-    rc, out = run(capsys, command, wp112_path, "--face", face, "--weights", weights)
+    rc, out = timed_run(capsys, 1, command, wp112_path, "--face", face, "--weights", weights)
     assert rc == 2
     assert json.loads(out) == {"error": error}
 
@@ -932,3 +945,53 @@ def test_sectors_sorts_after_every_other_cr_key(capsys, monkeypatch, wp112_path)
     report = json.loads(out)
     assert list(report) == sorted(report)
     assert max(report) == "sectors"
+
+
+@pytest.fixture
+def huge_triangle_path(tmp_path):
+    """The triangle with lambda_2 = (-1, -10^5): one vertex group of order
+    10^5, every nontrivial element of fractional age."""
+    model = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -10**5)])
+    path = tmp_path / "tri-huge.json"
+    path.write_text(model_to_json(model))
+    return str(path)
+
+
+def test_sectors_lists_a_group_of_order_10_5_within_the_bound(capsys, huge_triangle_path):
+    rc, out = timed_run(capsys, 20, "sectors", huge_triangle_path)
+    assert rc == 0
+    assert len(json.loads(out)) == 100000
+
+
+def test_betti_names_a_non_integral_age_of_a_group_of_order_10_5_within_the_bound(
+    capsys, huge_triangle_path
+):
+    rc, out = timed_run(capsys, 20, "betti", huge_triangle_path)
+    assert rc == 2
+    assert "non-integral age" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Every identity and McKay check of the default path.
+        ["--seed", "3", "--count", "200", "--n", "4"],
+        # The oracles on more n = 4 models than the golden run's five.
+        ["--seed", "1", "--count", "20", "--n", "4", "--oracle"],
+    ],
+    ids=" ".join,
+)
+def test_fuzz_of_n4_models_passes_within_the_bound(capsys, argv):
+    rc, out = timed_run(capsys, 60, "fuzz", *argv)
+    assert rc == 0
+    assert json.loads(out)["all_pass"] is True
+
+
+def test_oracle_dilate_counts_equal_the_box_formula_within_the_bound(capsys, tmp_path):
+    """Six facets with lambda entries up to 22: the oracle's dilate counts
+    finish within the bound and print what the box formula prints."""
+    path = tmp_path / "seed-207.json"
+    path.write_text(model_to_json(generate_test_models(207, 1, n=4)[0]))
+    rc, oracle = timed_run(capsys, 10, "ehrhart", "--oracle", str(path))
+    assert rc == 0
+    assert run(capsys, "ehrhart", str(path)) == (rc, oracle)

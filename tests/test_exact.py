@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtorb.cli import _fraction_text
-from qtorb.exact import Poly, binom
+from qtorb.exact import Poly
 
 polys = st.lists(st.integers(-30, 30), max_size=6).map(Poly)
 
@@ -17,12 +17,12 @@ def test_mul_binomial_square():
 
 
 def test_pow_zero_is_one():
-    assert Poly([-1, 1]) ** 0 == Poly.one()
+    assert Poly([-1, 1]) ** 0 == Poly([1])
 
 
 def test_add_cancels_to_empty():
     result = Poly([1, 1]) + Poly([-1, -1])
-    assert result == Poly.zero()
+    assert result == Poly([])
     assert result.coeffs == ()
 
 
@@ -31,10 +31,9 @@ def test_trailing_zeros_stripped():
     assert Poly([0, 0]).coeffs == ()
 
 
-def test_degree_and_monomial():
-    assert Poly.zero().degree == -1
-    assert Poly.monomial(3).coeffs == (0, 0, 0, 1)
-    assert Poly.monomial(2, 5).degree == 2
+def test_degree():
+    assert Poly([]).degree == -1
+    assert Poly([0, 0, 5]).degree == 2
 
 
 def test_int_mixing():
@@ -43,20 +42,14 @@ def test_int_mixing():
     assert sum([Poly([1]), Poly([0, 1])]) == Poly([1, 1])
 
 
-def test_eval_exact():
-    p = Poly([1, 2, 1])
-    assert p(1) == 4
-    assert p(Fraction(1, 2)) == Fraction(9, 4)
-
-
 def test_shifted():
     assert Poly([1, 1]).shifted(2) == Poly([0, 0, 1, 1])
-    assert Poly.zero().shifted(3) == Poly.zero()
+    assert Poly([]).shifted(3) == Poly([])
 
 
 def test_even_expansion():
     assert Poly([1, 2, 1]).even_expansion() == [1, 0, 2, 0, 1]
-    assert Poly.zero().even_expansion() == []
+    assert Poly([]).even_expansion() == []
 
 
 def test_rejects_fractional_coefficients():
@@ -67,7 +60,7 @@ def test_rejects_fractional_coefficients():
 
 def test_str_rendering():
     assert str(Poly([1, 2, 1])) == "1 + 2*s + s^2"
-    assert str(Poly.zero()) == "0"
+    assert str(Poly([])) == "0"
 
 
 @given(polys, polys, polys)
@@ -89,26 +82,17 @@ def test_arithmetic_results_are_trimmed(p, q, c, k):
 
 @given(polys, st.integers(0, 4))
 def test_pow_matches_repeated_mul(p, k):
-    expected = Poly.one()
+    expected = Poly([1])
     for _ in range(k):
         expected = expected * p
     assert p**k == expected
 
 
-def test_binom_values():
-    assert binom(4, 2) == 6
-    assert binom(3, -1) == 0
-    assert binom(0, 0) == 1
-    assert binom(5, 7) == 0
-    with pytest.raises(ValueError):
-        binom(-1, 0)
-
-
-@given(st.integers(0, 20), st.integers(-3, 23))
+@given(st.integers(1, 20), st.integers(1, 23))
 def test_binom_pascal(n, k):
-    # Pascal's rule pins the whole table to the boundary cases.
-    if n > 0:
-        assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
+    # Pascal's rule pins the whole table to the boundary cases, among them
+    # C(n, k) = 0 for k > n, which the dilate counts from ages rely on.
+    assert math.comb(n, k) == math.comb(n - 1, k - 1) + math.comb(n - 1, k)
 
 
 def rat_to_str(p: int, q: int) -> str:

@@ -273,7 +273,7 @@ def test_torus_stratification_sum(corpus):
     for model in corpus:
         whole = faces(model)[0]
         lhs = sum(
-            (Poly((-1, 1)) ** f.dim for f in faces(model)), Poly.zero()
+            (Poly((-1, 1)) ** f.dim for f in faces(model)), Poly([])
         )
         assert lhs == Poly(h_vector(whole, model))
 
@@ -435,7 +435,7 @@ def _h_vector_by_definition(face, model):
     fv = [0] * (face.dim + 1)
     for h in subfaces(face, model):
         fv[h.dim] += 1
-    acc = Poly.zero()
+    acc = Poly([])
     for j, count in enumerate(fv):
         acc = acc + count * Poly((-1, 1)) ** j
     coeffs = list(acc.coeffs) + [0] * (face.dim + 1 - len(acc.coeffs))

@@ -1,0 +1,44 @@
+"""The package as a whole: its source holds no check that ``python -O``
+removes, and the README's Python example runs as printed."""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_package_source_has_no_assert_statement():
+    """``python -O`` strips assert statements, so every check in the
+    package raises instead; test_golden_output_under_optimize_flag runs
+    commands under -O."""
+    paths = sorted((ROOT / "src" / "qtorb").rglob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_readme_python_example(monkeypatch):
+    """The README's Python block, run from the repository root: each line
+    with a trailing ``# value`` comment evaluates to that value."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"^```python\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+    pending, checked = [], []
+    for line in block.splitlines():
+        code, _, value = line.partition("#")
+        if not value.strip():
+            pending.append(line)
+            continue
+        exec("\n".join(pending), namespace)
+        pending.clear()
+        assert eval(code, namespace) == eval(value), line
+        checked.append(line)
+    exec("\n".join(pending), namespace)
+    assert checked
