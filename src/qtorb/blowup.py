@@ -6,8 +6,13 @@ the identity suite that runs that check for every crepant candidate.
 A blowup replaces the chosen face by a new facet whose characteristic
 vector is a positive combination of the vectors meeting at the face.
 Combinatorially, every vertex on the face splits into one vertex per
-dropped facet; no geometric hyperplane is ever materialized, and the
-result is accepted exactly when it passes full model validation.
+dropped facet; no geometric hyperplane is ever materialized.  The
+blown-up model is derived from its base: once the spec is checked
+against the base (a face of codimension at least 2, one positive weight
+per facet, the weighted sum of their vectors exactly the new primitive
+vector), full model validation could not fail on it, and every new
+vertex determinant is a weight times a base one.  Full validation of
+the derived model runs as an oracle.
 """
 
 from __future__ import annotations
@@ -67,6 +72,28 @@ def _weight(token) -> Fraction:
     return Fraction(token)
 
 
+def _weight_fault(
+    model: Model, facet_set: Sequence[int], weights: Sequence, lambda0: Sequence[int] | None = None
+) -> tuple[str | None, tuple[int, ...], int]:
+    """The one check of a blowup's weights against a model.  Returns the
+    first fault and the weighted sum of the facets' characteristic
+    vectors, each weight paired with the facet at its position, as
+    integer numerators over one common denominator, which it also
+    returns.  The faults are "count" when the weights are not one per
+    facet (the sum is then empty), "sum" when the sum is not ``lambda0``
+    (when one is given), "sign" when a weight is not strictly positive,
+    and None.  Each caller names a fault in its own words."""
+    if len(weights) != len(facet_set):
+        return "count", (), 1
+    denom = math.lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (denom // w.denominator) for w in weights]
+    cols = [model.char_vectors[i] for i in facet_set]
+    sums = tuple(sum(s * col[r] for s, col in zip(scaled, cols)) for r in range(model.n))
+    if lambda0 is not None and sums != tuple(denom * c for c in lambda0):
+        return "sum", sums, denom
+    return ("sign" if any(w <= 0 for w in weights) else None), sums, denom
+
+
 def make_blowup_spec(
     model: Model, face_indices: Sequence, weights: Sequence
 ) -> BlowupSpec:
@@ -78,8 +105,11 @@ def make_blowup_spec(
     facet indices are integers or their strings, and the weights
     rationals or their strings: an integer, "p/q" or a plain decimal
     such as "0.5", without an exponent.  A token that is neither is
-    named in the error.  The weights pair with ``face_indices`` in the
-    order given; the spec holds both sorted by facet index.
+    named in the error, and a combination that is not integral by the
+    face and the positions of its fractional coordinates, which may
+    have too many digits to print.  The weights pair with
+    ``face_indices`` in the order given; the spec holds both sorted by
+    facet index.
     """
     indices = _converted(int, face_indices, "facet index")
     key = tuple(sorted(indices))
@@ -92,23 +122,21 @@ def make_blowup_spec(
             f"blowup requires a face of codimension >= 2, got codimension {face.codim}"
         )
     ws = _converted(_weight, weights, "weight")
-    if len(ws) != face.codim:
+    fault, sums, denom = _weight_fault(model, indices, ws)
+    if fault == "count":
         raise BlowupError(f"expected {face.codim} weights, got {len(ws)}")
-    if any(w <= 0 for w in ws):
+    if fault == "sign":
         raise BlowupError("blowup weights must be strictly positive")
-    ws = tuple(w for _, w in sorted(zip(indices, ws)))
-    combo = [Fraction(0)] * model.n
-    for w, i in zip(ws, key):
-        vec = model.char_vectors[i]
-        for r in range(model.n):
-            combo[r] += w * vec[r]
-    if any(c.denominator != 1 for c in combo):
+    fractional = [r for r, t in enumerate(sums) if t % denom]
+    if fractional:
         raise BlowupError(
-            f"new characteristic vector {[str(c) for c in combo]} is not integral"
+            f"new characteristic vector on face {list(key)} is not integral "
+            f"at coordinates {fractional}"
         )
-    lambda0 = tuple(c.numerator for c in combo)
+    lambda0 = tuple(t // denom for t in sums)
     if not is_primitive(lambda0):
         raise BlowupError(f"new characteristic vector {list(lambda0)} is not primitive")
+    ws = tuple(w for _, w in sorted(zip(indices, ws)))
     return BlowupSpec(face=key, weights=ws, lambda0=lambda0)
 
 
@@ -118,29 +146,65 @@ def is_crepant(spec: BlowupSpec) -> bool:
 
 
 def blow_up(model: Model, spec: BlowupSpec) -> Model:
-    """Truncate the face: one extra facet, and every vertex containing the
-    face splits into one vertex per facet dropped from it.  The result
-    must pass full model validation."""
-    cut = set(spec.face)
-    new_index = model.m
-    new_vertices: list[tuple[int, ...]] = []
-    for vertex in model.vertices:
-        vs = set(vertex)
-        if cut <= vs:
-            for j in spec.face:
-                new_vertices.append(tuple(sorted((vs - {j}) | {new_index})))
-        else:
-            new_vertices.append(vertex)
-    try:
-        return make_model(
-            model.n,
-            model.m + 1,
-            new_vertices,
-            list(model.char_vectors) + [spec.lambda0],
-            name=model.name,
+    """Truncate the face: one extra facet m, and every vertex v containing
+    the face splits into one vertex (v - {j}) + {m} per facet j of the
+    face.  The model is derived from ``model`` without validating it
+    afresh: the new vector is the spec's weighted sum, so by
+    multilinearity the split vertex's determinant is w_j det(v), signed
+    by moving the new column from j's position to the end; every other
+    vertex keeps its determinant.  BlowupError unless the face is one of
+    codimension at least 2, the weights are one strictly positive number
+    per facet of it, paired in facet order, whose sum of the facets'
+    vectors is exactly the new vector, and that vector is a primitive
+    integer vector.  Given these, no vertex repeats, every facet stays in
+    use and no determinant vanishes, so full validation, the oracle
+    :func:`validated_blowup`, cannot fail."""
+    # A facet set is a face when some vertex contains it; the vertices
+    # are scanned directly rather than through the face list.
+    key = tuple(sorted(spec.face))
+    cut = set(key)
+    on_face = {vid for vid, vertex in enumerate(model.vertices) if cut.issubset(vertex)}
+    if len(cut) != len(key) or not on_face:
+        raise BlowupError(f"{list(key)} is not a face of the model")
+    if len(key) < 2:
+        raise BlowupError(
+            f"blowup requires a face of codimension >= 2, got codimension {len(key)}"
         )
-    except ModelValidationError as exc:
-        raise BlowupError(f"blown-up model fails validation: {exc}") from exc
+    lambda0 = tuple(spec.lambda0)
+    fault, _, _ = _weight_fault(model, key, spec.weights, lambda0)
+    if fault == "count":
+        raise BlowupError(f"expected {len(key)} weights, got {len(spec.weights)}")
+    if fault == "sum":
+        raise BlowupError(f"weights on {list(key)} do not give the new vector {list(lambda0)}")
+    if fault == "sign":
+        raise BlowupError("blowup weights must be strictly positive")
+    if not all(isinstance(c, int) for c in lambda0) or not is_primitive(lambda0):
+        raise BlowupError(f"new characteristic vector {list(lambda0)} is not primitive")
+    n, new = model.n, model.m
+    weight = dict(zip(key, spec.weights))
+    rows = []
+    for vid, (vertex, d) in enumerate(zip(model.vertices, model.vertex_dets)):
+        if vid not in on_face:
+            rows.append((vertex, d))
+            continue
+        for pos, j in enumerate(vertex):
+            if j in weight:
+                # w_j det(v) is an integer; the new column moves to the end
+                # past the n - 1 - pos columns after position pos.
+                w = weight[j]
+                sign = -1 if (n - 1 - pos) % 2 else 1
+                split = vertex[:pos] + vertex[pos + 1:] + (new,)
+                rows.append((split, sign * d * w.numerator // w.denominator))
+    rows.sort()
+    vertices, vertex_dets = zip(*rows)
+    return Model(
+        n=n,
+        m=new + 1,
+        vertices=vertices,
+        char_vectors=model.char_vectors + (lambda0,),
+        name=model.name,
+        vertex_dets=vertex_dets,
+    )
 
 
 def blow_up_table(table: LocalGroupTable, spec: BlowupSpec) -> LocalGroupTable:
@@ -252,10 +316,10 @@ def star_subdivide(spec: BlowupSpec, model: Model) -> Subdivision:
     k = len(cols)
     weights, lambda0 = spec.weights, spec.lambda0
     shown = [str(w) for w in weights]
-    point = tuple(sum(w * col[r] for w, col in zip(weights, cols)) for r in range(model.n))
-    if len(weights) != k or point != tuple(lambda0):
+    fault, _, _ = _weight_fault(model, face.facet_set, weights, lambda0)
+    if fault in ("count", "sum"):
         raise ValueError(f"weights {shown} on {list(face.facet_set)} do not give {list(lambda0)}")
-    if any(w <= 0 for w in weights):
+    if fault == "sign":
         raise ValueError(f"{list(lambda0)} is not interior to the face simplex (weights {shown})")
     if sum(weights) != 1:
         raise ValueError(f"{list(lambda0)} does not lie on the face simplex")
@@ -547,6 +611,26 @@ def induced_triangulation_sums(mckay: McKayReport) -> Iterator[str]:
             )
 
 
+def validated_blowup(mckay: McKayReport) -> Iterator[str]:
+    """Oracle: the blown-up model in ``mckay``, derived from its base by
+    :func:`blow_up`, is the model full validation makes of its vertices
+    and vectors, with the same vertex determinants, which model equality
+    ignores."""
+    blown = mckay.blown
+    try:
+        validated = make_model(blown.n, blown.m, blown.vertices, blown.char_vectors, name=blown.name)
+    except ModelValidationError as exc:
+        yield f"the derived blown-up model fails validation: {exc}"
+        return
+    if validated != blown:
+        yield "the derived blown-up model's vertices are not in validation's order"
+    elif validated.vertex_dets != blown.vertex_dets:
+        yield (
+            f"the derived vertex determinants {list(blown.vertex_dets)} are not "
+            f"validation's {list(validated.vertex_dets)}"
+        )
+
+
 def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
     """Run the full identity suite on one model; returns failure messages.
 
@@ -557,8 +641,9 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
     model's report; a blown-up table that stays quasi-SL then runs the
     table checks on the faces of the new facet, the others being the
     base table's.  With ``include_oracle``, the table checks include the
-    oracles, and each subface's triangulation sum in a McKay check is
-    compared with the induced triangulation's.
+    oracles, each blown-up model is compared with its full validation,
+    and each subface's triangulation sum in a McKay check is compared
+    with the induced triangulation's.
     """
     label = model.name or "<model>"
     groups = LocalGroupTable(model)
@@ -577,5 +662,6 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
             on_new_facet = [g for g in blown.groups if model.m in g.face.facet_set]
             failures += [f"{prefix}: {text}" for text in table_failures(blown, on_new_facet, include_oracle)]
         if include_oracle:
+            failures += [f"{prefix}: {text}" for text in validated_blowup(mckay)]
             failures += [f"{prefix}: {text}" for text in induced_triangulation_sums(mckay)]
     return failures

@@ -323,15 +323,23 @@ def positively_omnioriented(model: Model) -> bool:
 
 
 def apply_unimodular(model: Model, u: IntMat) -> Model:
-    """Change basis of the ambient lattice: every vector becomes u @ vector."""
-    if abs(det(u)) != 1:
+    """Change basis of the ambient lattice: every vector becomes u @ vector.
+    A unimodular u keeps every vector primitive and every vertex's
+    vectors independent, so the model is derived without validating it
+    afresh: each vertex determinant is det(u) times its own, and u's is
+    the one determinant computed."""
+    if len(u) != model.n:
+        raise ValueError(f"basis change must be {model.n} x {model.n}")
+    unit = det(u)
+    if abs(unit) != 1:
         raise ValueError("basis change must be unimodular")
-    return make_model(
-        model.n,
-        model.m,
-        model.vertices,
-        [mat_vec(u, vec) for vec in model.char_vectors],
+    return Model(
+        n=model.n,
+        m=model.m,
+        vertices=model.vertices,
+        char_vectors=tuple(mat_vec(u, vec) for vec in model.char_vectors),
         name=model.name,
+        vertex_dets=tuple(unit * d for d in model.vertex_dets),
     )
 
 
@@ -425,10 +433,7 @@ def generate_test_models(
                     continue
                 spec = rng.choice(candidates)
             elif roll < 0.85:
-                try:
-                    table = LocalGroupTable(apply_unimodular(model, random_unimodular(rng, n)))
-                except ModelValidationError:
-                    pass
+                table = LocalGroupTable(apply_unimodular(model, random_unimodular(rng, n)))
                 continue
             else:
                 # Non-crepant truncation: unit weights on a random face.

@@ -83,14 +83,19 @@ def corpus(fuzz_corpus):
     return fuzz_corpus + [wp112_model(), cp2_model(), z3_model(), prism_model()]
 
 
+def crepant_blowups_of(models):
+    """(model, spec, blown-up model) for every crepant candidate of the models."""
+    return [
+        (model, spec, blow_up(model, spec))
+        for model in models
+        for spec in crepant_candidates(LocalGroupTable(model))
+    ]
+
+
 @pytest.fixture(scope="session")
 def crepant_blowups(corpus):
     """(model, spec, blown-up model) for every crepant candidate of the corpus."""
-    return [
-        (model, spec, blow_up(model, spec))
-        for model in corpus
-        for spec in crepant_candidates(LocalGroupTable(model))
-    ]
+    return crepant_blowups_of(corpus)
 
 
 def basis_faces(model, base=None):

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import re
 import sys
@@ -33,8 +34,11 @@ from qtorb import (
     star_subdivide,
 )
 from qtorb.blowup import _maximal_volumes, _validated_subdivision
+from qtorb.cli import main
 from qtorb.exact import Poly
 from qtorb.intlat import det
+from tests.conftest import crepant_blowups_of
+from tests import test_model
 from tests.test_model import vertex_matrix
 from tests.test_sectors import group_points, record_points
 
@@ -135,6 +139,98 @@ def test_blow_up_vertex_count_formula(corpus):
                 len(spec.face) - 1
             )
             assert parse_model(model_to_json(blown)) == blown
+
+
+@pytest.mark.parametrize(
+    "face, weights, lambda0, error",
+    [
+        ((0,), (Fraction(1),), (1, 0), "codimension >= 2, got codimension 1"),
+        ((0, 1, 2), (Fraction(1, 3),) * 3, (0, 0), re.escape("[0, 1, 2] is not a face")),
+        ((0, 2), (Fraction(1, 2),), (0, -1), "expected 2 weights, got 1"),
+        ((0, 2), (Fraction(0), Fraction(1)), (-1, -2), "strictly positive"),
+        ((0, 2), (Fraction(1, 2), Fraction(1, 2)), (0, 1), "do not give the new vector"),
+        ((0, 2), (Fraction(1), Fraction(1)), (0, -2), "not primitive"),
+    ],
+    ids=["facet", "not a face", "weight count", "zero weight", "wrong sum", "not primitive"],
+)
+def test_blow_up_checks_the_spec_against_the_model(wp112, face, weights, lambda0, error):
+    """The derivation trusts the spec, so a hand-built spec that does not
+    fit the model is refused before anything is derived from it."""
+    with pytest.raises(BlowupError, match=error):
+        blow_up(wp112, BlowupSpec(face=face, weights=weights, lambda0=lambda0))
+    fitting = BlowupSpec(face=(0, 2), weights=(Fraction(1, 2),) * 2, lambda0=(0, -1))
+    assert blow_up(wp112, fitting) == blow_up(wp112, make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"]))
+
+
+def _unit_truncations(model):
+    """The spec of every unit-weight truncation of a face of codimension
+    at least 2 whose new vector is primitive: the generator's
+    non-crepant blowups."""
+    for face in faces(model):
+        if face.codim >= 2:
+            try:
+                yield make_blowup_spec(model, face.facet_set, [1] * face.codim)
+            except BlowupError:
+                pass
+
+
+def _validated_blowup(model, spec):
+    """The blown-up model as full validation makes it from the split
+    vertices: the reference for the derived one."""
+    cut, new = set(spec.face), model.m
+    vertices = []
+    for vertex in model.vertices:
+        if cut <= set(vertex):
+            vertices += [tuple(sorted(set(vertex) - {j} | {new})) for j in spec.face]
+        else:
+            vertices.append(vertex)
+    return make_model(model.n, model.m + 1, vertices, model.char_vectors + (spec.lambda0,), name=model.name)
+
+
+def test_derived_blowups_are_the_validated_models(corpus):
+    """Every crepant candidate and unit-weight truncation of the corpus and
+    of ``generate_test_models(s, 20, n)``, s = 1..10, n = 2, 3, 4, derives
+    the model that full validation makes, vertex determinants included,
+    which equality ignores."""
+    models = list(corpus) + [
+        model for n in (2, 3, 4) for seed in range(1, 11) for model in generate_test_models(seed, 20, n)
+    ]
+    checked = 0
+    for model in models:
+        for spec in crepant_candidates(LocalGroupTable(model)) + list(_unit_truncations(model)):
+            blown, validated = blow_up(model, spec), _validated_blowup(model, spec)
+            assert blown == validated, (model, spec)
+            assert blown.vertex_dets == validated.vertex_dets, (model, spec)
+            checked += 1
+    assert checked > 9000
+
+
+def _flip_a_derived_sign(monkeypatch):
+    """Mutation: ``blow_up`` derives the first vertex on the new facet with
+    its determinant's sign flipped."""
+    real = blowup_mod.Model
+
+    def flipped(**fields):
+        dets = list(fields["vertex_dets"])
+        i = next(i for i, v in enumerate(fields["vertices"]) if fields["m"] - 1 in v)
+        dets[i] = -dets[i]
+        return real(**{**fields, "vertex_dets": tuple(dets)})
+
+    monkeypatch.setattr(blowup_mod, "Model", flipped)
+
+
+def test_a_flipped_derived_sign_is_reported(monkeypatch, capsys, corpus):
+    """The default path reads only |det|, so a wrong sign passes it; the
+    oracle and the determinants' definition both report it."""
+    _flip_a_derived_sign(monkeypatch)
+    argv = ["fuzz", "--seed", "1", "--count", "5", "--n", "4"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--oracle"]) == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert failures and all("are not validation's" in text for text in failures)
+    with pytest.raises(AssertionError):
+        test_model.test_stored_vertex_dets_match_the_definition(corpus, crepant_blowups_of(corpus))
 
 
 def test_star_subdivide_segment(wp112):

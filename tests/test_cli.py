@@ -18,14 +18,18 @@ import qtorb.sectors as sectors_mod
 from qtorb import (
     LocalGroup,
     LocalGroupTable,
+    apply_unimodular,
     blow_up,
+    blow_up_table,
     cr_report,
+    crepant_candidates,
     generate_test_models,
     load_model,
     make_blowup_spec,
     make_model,
     model_to_json,
     parse_model,
+    random_unimodular,
 )
 from qtorb.cli import main
 from qtorb.intlat import det
@@ -94,16 +98,32 @@ def test_validate_and_mckay_compute_determinants_only_in_validation(
     monkeypatch, capsys, z3_path
 ):
     """Vertex signs and smoothness read the determinants that model
-    validation stored: one per vertex of each model made.  mckay's other
-    determinants are the volumes of its validated subdivision."""
+    validation stored: one per vertex of the model loaded.  The blown-up
+    model's are derived from them, so mckay's other determinants are the
+    volumes of its validated subdivision."""
     stacks = _record_det_calls(monkeypatch)
     assert run(capsys, "validate", z3_path)[0] == 0
     assert len(stacks) == 4 and all("validate_model" in names for names in stacks)
     stacks.clear()
     assert run(capsys, "mckay", z3_path, "--face", "0,1,2", "--weights", "1/3,1/3,1/3")[0] == 0
-    # 4 vertices of the tetrahedron and 6 of its blowup.
-    assert sum("validate_model" in names for names in stacks) == 4 + 6
+    # 4 vertices of the tetrahedron; the 6 of its blowup are derived.
+    assert sum("validate_model" in names for names in stacks) == 4
     assert all(names & {"validate_model", "_validated_subdivision"} for names in stacks)
+
+
+def test_derived_models_compute_no_vertex_determinant(monkeypatch, corpus, rng):
+    """blow_up_table derives every vertex determinant of the blown-up model
+    from the base model's, and apply_unimodular from det(u), the one
+    determinant it computes, which refuses a u that is not unimodular."""
+    blowups = [(table, spec) for table in map(LocalGroupTable, corpus) for spec in crepant_candidates(table)]
+    assert blowups
+    stacks = _record_det_calls(monkeypatch)
+    for table, spec in blowups:
+        blow_up_table(table, spec)
+    assert stacks == []
+    for model in corpus:
+        apply_unimodular(model, random_unimodular(rng, model.n))
+        assert len(stacks) == 1 and "validate_model" not in stacks.pop()
 
 
 def test_validate_broken_model(capsys, tmp_path):
@@ -288,6 +308,20 @@ def test_blowup_invalid_weights(capsys, wp112_path):
     rc, out = run(capsys, "blowup", wp112_path, "--face", "0,1", "--weights", "1/3,1/3")
     assert rc == 2
     assert "not integral" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command", ["blowup", "mckay"])
+def test_a_combination_too_long_to_print_is_named_by_its_coordinates(capsys, wp112_path, command):
+    """Two weights with about 4,000-digit denominators, each under Python's
+    4,300-digit limit for parsing, combine to a vector whose first
+    coordinate's denominator has about 8,000 digits: the error names the
+    face and the fractional coordinates instead of printing it."""
+    weights = f"1/{'7' * 4000},1/{'9' * 3999}1"
+    rc, out = timed_run(capsys, 1, command, wp112_path, "--face", "0,2", "--weights", weights)
+    assert rc == 2
+    assert json.loads(out) == {
+        "error": "new characteristic vector on face [0, 2] is not integral at coordinates [0, 1]"
+    }
 
 
 @pytest.mark.parametrize("command", ["blowup", "mckay"])

@@ -29,6 +29,7 @@ from qtorb import (
 from qtorb.exact import Poly
 from qtorb.intlat import det, mat_from_cols
 from qtorb.sectors import LocalGroupTable, box_by_exhaustion
+from tests.conftest import prism_model, wp112_model, z3_model
 
 
 def vertex_matrix(model, vertex):
@@ -377,19 +378,25 @@ def test_stored_vertex_dets_match_the_definition(corpus, crepant_blowups):
         assert model.vertex_dets == _dets_by_definition(model), model.name
 
 
-_SMALL_MODELS = [square_model(), simplex_model(2), simplex_model(3)]
+# Smooth and singular vertices, both signs of determinant, n = 2 to 4.
+_SMALL_MODELS = [square_model(), simplex_model(2), simplex_model(3), wp112_model(), z3_model(), prism_model()]
+_SMALL_MODELS += generate_test_models(1, 3, n=4)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_stored_vertex_dets_follow_relabelling_and_basis_changes(data):
     model = data.draw(st.sampled_from(_SMALL_MODELS))
     relabeled = relabel_facets(model, data.draw(st.permutations(range(model.m))))
     assert relabeled.vertex_dets == _dets_by_definition(relabeled)
-    u = random_unimodular(data.draw(st.randoms(use_true_random=False)), model.n, ops=6)
+    u = random_unimodular(data.draw(st.randoms(use_true_random=False)), model.n, ops=data.draw(st.integers(0, 8)))
     moved = apply_unimodular(model, u)
     assert moved.vertex_dets == _dets_by_definition(moved)
     assert moved.vertex_dets == tuple(det(u) * d for d in model.vertex_dets)
+    # The basis change is derived, not validated: it is the model that
+    # full validation makes of the same vertices and vectors.
+    validated = make_model(moved.n, moved.m, moved.vertices, moved.char_vectors, name=moved.name)
+    assert moved == validated and moved.vertex_dets == validated.vertex_dets
 
 
 def test_vertex_dets_stay_out_of_json_and_survive_replace(corpus):
