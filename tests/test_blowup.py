@@ -37,8 +37,8 @@ from qtorb.blowup import _maximal_volumes, _validated_subdivision
 from qtorb.cli import main
 from qtorb.exact import Poly
 from qtorb.intlat import det
-from tests.conftest import crepant_blowups_of
 from tests import test_model
+from tests.conftest import crepant_blowups_of
 from tests.test_model import vertex_matrix
 from tests.test_sectors import group_points, record_points
 
