@@ -7,18 +7,20 @@ A blowup replaces the chosen face by a new facet whose characteristic
 vector is a positive combination of the vectors meeting at the face.
 Combinatorially, every vertex on the face splits into one vertex per
 dropped facet; no geometric hyperplane is ever materialized.  The
-blown-up model is derived from its base: once the spec is checked
-against the base (a face of codimension at least 2, one positive weight
-per facet, the weighted sum of their vectors exactly the new primitive
-vector), full model validation could not fail on it, and every new
-vertex determinant is a weight times a base one.  Full validation of
-the derived model runs as an oracle.
+blown-up model is derived from its base: once the spec passes the one
+spec check, :func:`_checked`, that ``make_blowup_spec``, ``blow_up``
+and ``star_subdivide`` all run (a face of codimension at least 2, one
+positive weight per facet, the weighted sum of their vectors exactly
+the new primitive vector), full model validation could not fail on it,
+and every new vertex determinant is a weight times a base one.  Full
+validation of the derived model runs as an oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -72,72 +74,76 @@ def _weight(token) -> Fraction:
     return Fraction(token)
 
 
-def _weight_fault(
-    model: Model, facet_set: Sequence[int], weights: Sequence, lambda0: Sequence[int] | None = None
-) -> tuple[str | None, tuple[int, ...], int]:
-    """The one check of a blowup's weights against a model.  Returns the
-    first fault and the weighted sum of the facets' characteristic
-    vectors, each weight paired with the facet at its position, as
-    integer numerators over one common denominator, which it also
-    returns.  The faults are "count" when the weights are not one per
-    facet (the sum is then empty), "sum" when the sum is not ``lambda0``
-    (when one is given), "sign" when a weight is not strictly positive,
-    and None.  Each caller names a fault in its own words."""
-    if len(weights) != len(facet_set):
-        return "count", (), 1
-    denom = math.lcm(*(w.denominator for w in weights))
-    scaled = [w.numerator * (denom // w.denominator) for w in weights]
-    cols = [model.char_vectors[i] for i in facet_set]
-    sums = tuple(sum(s * col[r] for s, col in zip(scaled, cols)) for r in range(model.n))
-    if lambda0 is not None and sums != tuple(denom * c for c in lambda0):
-        return "sum", sums, denom
-    return ("sign" if any(w <= 0 for w in weights) else None), sums, denom
-
-
-def make_blowup_spec(
-    model: Model, face_indices: Sequence, weights: Sequence
+def _checked(
+    model: Model, facets: Sequence[int], weights: Sequence, lambda0: Sequence[int] | None = None
 ) -> BlowupSpec:
-    """Validated blowup data.
-
-    The face must be a genuine face of codimension at least 2, the
-    weights strictly positive, and the weighted combination of the
-    face's characteristic vectors an integral primitive vector.  The
-    facet indices are integers or their strings, and the weights
-    rationals or their strings: an integer, "p/q" or a plain decimal
-    such as "0.5", without an exponent.  A token that is neither is
-    named in the error, and a combination that is not integral by the
-    face and the positions of its fractional coordinates, which may
-    have too many digits to print.  The weights pair with
-    ``face_indices`` in the order given; the spec holds both sorted by
-    facet index.
-    """
-    indices = _converted(int, face_indices, "facet index")
-    key = tuple(sorted(indices))
-    try:
-        face = face_by_indices(model, key)
-    except ValueError as exc:
-        raise BlowupError(str(exc)) from exc
-    if face.codim < 2:
+    """The one check of a blowup spec against a model, and the canonical
+    spec: facets sorted, each weight moved with its facet.  The weights
+    pair with ``facets`` in the order given and are rationals or their
+    strings (see :func:`_weight`).  BlowupError names the first fault, in
+    this order: the facets are not a face (no vertex holds them all); its
+    codimension is below 2; a weight token is not a rational; the weights
+    are not one per facet; a weight is not strictly positive; the new
+    vector, ``lambda0`` or the weighted sum of the facets' vectors, has
+    an entry of more digits than Python prints
+    (``sys.get_int_max_str_digits()``, 0 or absent for no limit); the sum
+    is not ``lambda0``, when one is given; the sum is not integral; it is
+    not primitive."""
+    key = tuple(sorted(facets))
+    cut = set(key)
+    if len(cut) != len(key) or not any(cut.issubset(vertex) for vertex in model.vertices):
+        raise BlowupError(f"{list(key)} is not a face of the model")
+    if len(key) < 2:
         raise BlowupError(
-            f"blowup requires a face of codimension >= 2, got codimension {face.codim}"
+            f"blowup requires a face of codimension >= 2, got codimension {len(key)}"
         )
     ws = _converted(_weight, weights, "weight")
-    fault, sums, denom = _weight_fault(model, indices, ws)
-    if fault == "count":
-        raise BlowupError(f"expected {face.codim} weights, got {len(ws)}")
-    if fault == "sign":
+    if len(ws) != len(key):
+        raise BlowupError(f"expected {len(key)} weights, got {len(ws)}")
+    if any(w <= 0 for w in ws):
         raise BlowupError("blowup weights must be strictly positive")
+    ws = [w for _, w in sorted(zip(facets, ws))]
+    # The sum as integer numerators over one common denominator.
+    denom = math.lcm(*(w.denominator for w in ws))
+    scaled = [w.numerator * (denom // w.denominator) for w in ws]
+    cols = [model.char_vectors[i] for i in key]
+    sums = [sum(s * col[r] for s, col in zip(scaled, cols)) for r in range(model.n)]
+    point = tuple(t // denom for t in sums)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # An entry of at most 3 bits per digit is short, as 8**limit < 10**limit.
+    entries = point + tuple(lambda0 or ())
+    if limit and any(abs(c).bit_length() > 3 * limit and abs(c) >= 10**limit for c in entries):
+        raise BlowupError(
+            f"new characteristic vector on face {list(key)} has an entry of more than "
+            f"{limit} digits, the limit for printing an integer"
+        )
+    if lambda0 is not None and sums != [denom * c for c in lambda0]:
+        raise BlowupError(f"weights on {list(key)} do not give the new vector {list(lambda0)}")
     fractional = [r for r, t in enumerate(sums) if t % denom]
     if fractional:
         raise BlowupError(
             f"new characteristic vector on face {list(key)} is not integral "
             f"at coordinates {fractional}"
         )
-    lambda0 = tuple(t // denom for t in sums)
-    if not is_primitive(lambda0):
-        raise BlowupError(f"new characteristic vector {list(lambda0)} is not primitive")
-    ws = tuple(w for _, w in sorted(zip(indices, ws)))
-    return BlowupSpec(face=key, weights=ws, lambda0=lambda0)
+    if not is_primitive(point):
+        raise BlowupError(f"new characteristic vector {list(point)} is not primitive")
+    return BlowupSpec(face=key, weights=tuple(ws), lambda0=point)
+
+
+def make_blowup_spec(
+    model: Model, face_indices: Sequence, weights: Sequence
+) -> BlowupSpec:
+    """Validated blowup data: the facet indices, integers or their
+    strings, converted, then the one spec check, :func:`_checked`, which
+    builds the new vector from the weights.  The weights are rationals or
+    their strings: an integer, "p/q" or a plain decimal such as "0.5",
+    without an exponent.  A token that is neither is named in the error,
+    and a combination that is not integral by the face and the positions
+    of its fractional coordinates, which may have too many digits to
+    print.  The weights pair with ``face_indices`` in the order given;
+    the spec holds both sorted by facet index.
+    """
+    return _checked(model, _converted(int, face_indices, "facet index"), weights)
 
 
 def is_crepant(spec: BlowupSpec) -> bool:
@@ -152,39 +158,20 @@ def blow_up(model: Model, spec: BlowupSpec) -> Model:
     afresh: the new vector is the spec's weighted sum, so by
     multilinearity the split vertex's determinant is w_j det(v), signed
     by moving the new column from j's position to the end; every other
-    vertex keeps its determinant.  BlowupError unless the face is one of
-    codimension at least 2, the weights are one strictly positive number
-    per facet of it, paired in facet order, whose sum of the facets'
-    vectors is exactly the new vector, and that vector is a primitive
-    integer vector.  Given these, no vertex repeats, every facet stays in
-    use and no determinant vanishes, so full validation, the oracle
-    :func:`validated_blowup`, cannot fail."""
-    # A facet set is a face when some vertex contains it; the vertices
-    # are scanned directly rather than through the face list.
-    key = tuple(sorted(spec.face))
-    cut = set(key)
-    on_face = {vid for vid, vertex in enumerate(model.vertices) if cut.issubset(vertex)}
-    if len(cut) != len(key) or not on_face:
-        raise BlowupError(f"{list(key)} is not a face of the model")
-    if len(key) < 2:
-        raise BlowupError(
-            f"blowup requires a face of codimension >= 2, got codimension {len(key)}"
-        )
-    lambda0 = tuple(spec.lambda0)
-    fault, _, _ = _weight_fault(model, key, spec.weights, lambda0)
-    if fault == "count":
-        raise BlowupError(f"expected {len(key)} weights, got {len(spec.weights)}")
-    if fault == "sum":
-        raise BlowupError(f"weights on {list(key)} do not give the new vector {list(lambda0)}")
-    if fault == "sign":
-        raise BlowupError("blowup weights must be strictly positive")
-    if not all(isinstance(c, int) for c in lambda0) or not is_primitive(lambda0):
-        raise BlowupError(f"new characteristic vector {list(lambda0)} is not primitive")
+    vertex keeps its determinant.  The spec first passes the one spec
+    check, :func:`_checked`, with its new vector: a face of codimension
+    at least 2, one strictly positive weight per facet, paired in the
+    order given, whose sum of the facets' vectors is exactly the new
+    vector, a primitive integer vector.  Given these, no vertex repeats,
+    every facet stays in use and no determinant vanishes, so full
+    validation, the oracle :func:`validated_blowup`, cannot fail."""
+    spec = _checked(model, spec.face, spec.weights, spec.lambda0)
+    cut = set(spec.face)
     n, new = model.n, model.m
-    weight = dict(zip(key, spec.weights))
+    weight = dict(zip(spec.face, spec.weights))
     rows = []
-    for vid, (vertex, d) in enumerate(zip(model.vertices, model.vertex_dets)):
-        if vid not in on_face:
+    for vertex, d in zip(model.vertices, model.vertex_dets):
+        if not cut.issubset(vertex):
             rows.append((vertex, d))
             continue
         for pos, j in enumerate(vertex):
@@ -201,7 +188,7 @@ def blow_up(model: Model, spec: BlowupSpec) -> Model:
         n=n,
         m=new + 1,
         vertices=vertices,
-        char_vectors=model.char_vectors + (lambda0,),
+        char_vectors=model.char_vectors + (spec.lambda0,),
         name=model.name,
         vertex_dets=vertex_dets,
     )
@@ -305,27 +292,22 @@ def _validated_subdivision(
 def star_subdivide(spec: BlowupSpec, model: Model) -> Subdivision:
     """Star subdivision of the spec's face simplex at its new vector.
 
-    The spec's weights must give the new vector from the face's
-    characteristic vectors exactly, and be strictly positive with sum 1:
-    they are the point's coordinates on the face simplex.  Maximal
+    The spec passes the one spec check, :func:`_checked`, with its new
+    vector, and must be crepant: its weights, strictly positive with sum
+    1, are the point's coordinates on the face simplex.  Maximal
     simplices swap the point in for each vertex in turn; all their faces
     join them.
     """
+    spec = _checked(model, spec.face, spec.weights, spec.lambda0)
+    if not is_crepant(spec):
+        raise BlowupError(
+            f"weights sum to {sum(spec.weights)}, expected 1 for a crepant blowup"
+        )
     face = face_by_indices(model, spec.face)
-    cols = [model.char_vectors[i] for i in face.facet_set]
-    k = len(cols)
-    weights, lambda0 = spec.weights, spec.lambda0
-    shown = [str(w) for w in weights]
-    fault, _, _ = _weight_fault(model, face.facet_set, weights, lambda0)
-    if fault in ("count", "sum"):
-        raise ValueError(f"weights {shown} on {list(face.facet_set)} do not give {list(lambda0)}")
-    if fault == "sign":
-        raise ValueError(f"{list(lambda0)} is not interior to the face simplex (weights {shown})")
-    if sum(weights) != 1:
-        raise ValueError(f"{list(lambda0)} does not lie on the face simplex")
-    pool_points = [tuple(c) for c in cols] + [tuple(lambda0)]
-    unit = [tuple(Fraction(1 if j == i else 0) for j in range(k)) for i in range(k)]
-    pool_coords = unit + [tuple(weights)]
+    whole = face_simplex(face, model)
+    pool_points = whole.verts + (spec.lambda0,)
+    pool_coords = whole.coords + (spec.weights,)
+    k = face.codim
     apex = k
     vertex_sets: set[tuple[int, ...]] = set()
     for drop in range(k):
@@ -472,21 +454,18 @@ def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
     stays quasi-SL, compute the Chen-Ruan polynomial of the blown-up
     model by all three routes, and run the triangulation identity on the
     subdivided face simplex and on every subface's simplex.  The star
-    subdivision is validated in full; each subface's triangulation is its
+    subdivision comes first: it refuses a spec that is not crepant.  It
+    is validated in full; each subface's triangulation is its
     join with the subface's extra vectors, so its identity reads the
     interior simplices of the star subdivision and builds nothing else
     (``induced_triangulation`` builds it whole, as the oracle)."""
     groups = before.groups
     model = groups.model
-    if not is_crepant(spec):
-        raise BlowupError(
-            f"weights sum to {sum(spec.weights)}, expected 1 for a crepant blowup"
-        )
+    tau = star_subdivide(spec, model)
     # The faces on the new facet are the interior cones of the
     # triangulations below.
     blown_groups = blow_up_table(groups, spec)
     after = cr_report(blown_groups) if blown_groups.quasi_sl else None
-    tau = star_subdivide(spec, model)
     face = tau.ambient_face
     checks = []
     for sub in subfaces(face, model):

@@ -445,10 +445,7 @@ def generate_test_models(
                     spec = blowup_mod.make_blowup_spec(model, face.facet_set, [1] * face.codim)
                 except ValueError:
                     continue
-            try:
-                blown_table = blowup_mod.blow_up_table(table, spec)
-            except ValueError:
-                continue
+            blown_table = blowup_mod.blow_up_table(table, spec)
             if blown_table.quasi_sl:
                 table = blown_table
         out.append(table.model)

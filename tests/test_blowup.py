@@ -141,23 +141,46 @@ def test_blow_up_vertex_count_formula(corpus):
             assert parse_model(model_to_json(blown)) == blown
 
 
+# Hand-built specs that do not fit wp112, each with the one text every
+# entry point gives for it, and whether make_blowup_spec, which builds the
+# new vector itself, can express the fault.
+SPEC_FAULTS = [
+    ((0,), (Fraction(1),), (1, 0), "blowup requires a face of codimension >= 2, got codimension 1", True),
+    ((0, 1, 2), (Fraction(1, 3),) * 3, (0, 0), "[0, 1, 2] is not a face of the model", True),
+    ((0, 2), (Fraction(1, 2),), (0, -1), "expected 2 weights, got 1", True),
+    ((0, 2), (Fraction(0), Fraction(1)), (-1, -2), "blowup weights must be strictly positive", True),
+    ((0, 2), (Fraction(1, 2),) * 2, (0, 1), "weights on [0, 2] do not give the new vector [0, 1]", False),
+    ((0, 2), (Fraction(1), Fraction(1)), (0, -2), "new characteristic vector [0, -2] is not primitive", True),
+    (
+        (0, 2),
+        (Fraction(1, 2),) * 2,
+        (0, -(10 ** sys.get_int_max_str_digits())),
+        f"new characteristic vector on face [0, 2] has an entry of more than "
+        f"{sys.get_int_max_str_digits()} digits, the limit for printing an integer",
+        False,
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "face, weights, lambda0, error",
-    [
-        ((0,), (Fraction(1),), (1, 0), "codimension >= 2, got codimension 1"),
-        ((0, 1, 2), (Fraction(1, 3),) * 3, (0, 0), re.escape("[0, 1, 2] is not a face")),
-        ((0, 2), (Fraction(1, 2),), (0, -1), "expected 2 weights, got 1"),
-        ((0, 2), (Fraction(0), Fraction(1)), (-1, -2), "strictly positive"),
-        ((0, 2), (Fraction(1, 2), Fraction(1, 2)), (0, 1), "do not give the new vector"),
-        ((0, 2), (Fraction(1), Fraction(1)), (0, -2), "not primitive"),
-    ],
-    ids=["facet", "not a face", "weight count", "zero weight", "wrong sum", "not primitive"],
+    "face, weights, lambda0, error, expressible",
+    SPEC_FAULTS,
+    ids=["facet", "not a face", "weight count", "zero weight", "wrong sum", "not primitive", "too long"],
 )
-def test_blow_up_checks_the_spec_against_the_model(wp112, face, weights, lambda0, error):
+def test_blow_up_checks_the_spec_against_the_model(
+    wp112, face, weights, lambda0, error, expressible
+):
     """The derivation trusts the spec, so a hand-built spec that does not
-    fit the model is refused before anything is derived from it."""
-    with pytest.raises(BlowupError, match=error):
-        blow_up(wp112, BlowupSpec(face=face, weights=weights, lambda0=lambda0))
+    fit the model is refused before anything is derived from it, by
+    ``blow_up``, by ``star_subdivide`` and, where it can be asked for, by
+    ``make_blowup_spec``, each with the same text."""
+    spec = BlowupSpec(face=face, weights=weights, lambda0=lambda0)
+    calls = [lambda: blow_up(wp112, spec), lambda: star_subdivide(spec, wp112)]
+    if expressible:
+        calls.append(lambda: make_blowup_spec(wp112, face, weights))
+    for call in calls:
+        with pytest.raises(BlowupError, match=f"^{re.escape(error)}$"):
+            call()
     fitting = BlowupSpec(face=(0, 2), weights=(Fraction(1, 2),) * 2, lambda0=(0, -1))
     assert blow_up(wp112, fitting) == blow_up(wp112, make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"]))
 
@@ -258,19 +281,19 @@ def test_star_subdivide_triangle(z3):
 
 def test_star_subdivide_rejects_boundary_point(z3):
     one, zero, two_thirds = Fraction(1), Fraction(0), Fraction(2, 3)
-    with pytest.raises(ValueError, match="interior"):
+    with pytest.raises(BlowupError, match="^blowup weights must be strictly positive$"):
         star_subdivide(BlowupSpec((0, 1, 2), (one, zero, zero), (1, 0, 0)), z3)
-    with pytest.raises(ValueError, match="simplex"):
+    with pytest.raises(BlowupError, match=re.escape("new characteristic vector [0, 0, 2] is not primitive")):
         star_subdivide(BlowupSpec((0, 1, 2), (two_thirds,) * 3, (0, 0, 2)), z3)
 
 
 def test_star_subdivide_rejects_weights_that_miss_the_point(z3):
     third = Fraction(1, 3)
-    with pytest.raises(ValueError, match=re.escape("do not give [0, 0, 2]")):
+    with pytest.raises(BlowupError, match=re.escape("do not give the new vector [0, 0, 2]")):
         star_subdivide(BlowupSpec((0, 1, 2), (third,) * 3, (0, 0, 2)), z3)
-    with pytest.raises(ValueError, match=re.escape("do not give [0, 0, 1]")):
+    with pytest.raises(BlowupError, match="^expected 3 weights, got 2$"):
         star_subdivide(BlowupSpec((0, 1, 2), (Fraction(1, 2),) * 2, (0, 0, 1)), z3)
-    with pytest.raises(ValueError, match="not a face"):
+    with pytest.raises(BlowupError, match="not a face"):
         star_subdivide(BlowupSpec((0, 1, 2, 3), (Fraction(1, 4),) * 4, (0, 0, 1)), z3)
 
 
@@ -291,7 +314,8 @@ def test_every_built_spec_gives_its_star_point(corpus):
                 spec = make_blowup_spec(model, face.facet_set, [1] * face.codim)
             except BlowupError:
                 continue
-            with pytest.raises(ValueError, match="does not lie on the face simplex"):
+            text = f"weights sum to {face.codim}, expected 1 for a crepant blowup"
+            with pytest.raises(BlowupError, match=f"^{text}$"):
                 star_subdivide(spec, model)
             unit += 1
     assert crepant and unit

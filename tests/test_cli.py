@@ -324,6 +324,29 @@ def test_a_combination_too_long_to_print_is_named_by_its_coordinates(capsys, wp1
     }
 
 
+def test_a_new_vector_too_long_to_print_is_refused_by_the_limit(capsys, tmp_path):
+    """A model file holds entries of 4,000 digits, under Python's 4,300-digit
+    limit, but a 4,000-digit weight times a 4,000-digit entry gives a new
+    vector with an entry of about 8,000: the spec is refused with the
+    limit named, before a model is derived or written."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "n": 2, "m": 3, "vertices": [[0, 1], [1, 2], [0, 2]],
+        "lambda": [[1, 0], [0, 1], [-1, "-1" + "0" * 3999]],
+    }))
+    out_path = tmp_path / "blown.json"
+    rc, out = timed_run(
+        capsys, 1, "blowup", str(path), "--face", "1,2", "--weights", "1," + "2" * 4000, "-o", str(out_path)
+    )
+    assert rc == 2
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(out) == {
+        "error": f"new characteristic vector on face [1, 2] has an entry of more than "
+        f"{limit} digits, the limit for printing an integer"
+    }
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["blowup", "mckay"])
 @pytest.mark.parametrize(
     "face, weights, error",
@@ -331,6 +354,8 @@ def test_a_combination_too_long_to_print_is_named_by_its_coordinates(capsys, wp1
         ("0,2", "1/0,1", "invalid weight '1/0'"),
         ("0,2", "x,1", "invalid weight 'x'"),
         ("0,x", "1,1", "invalid facet index 'x'"),
+        # A bad face is reported before a bad weight token.
+        ("0,1,2", "x,1,1", "[0, 1, 2] is not a face of the model"),
         # Fraction would expand the exponent to 10**(10**7) first.
         ("0,2", "1e-10000000,1", "invalid weight '1e-10000000'"),
     ],
