@@ -151,6 +151,16 @@ def is_crepant(spec: BlowupSpec) -> bool:
     return sum(spec.weights) == 1
 
 
+def _crepant(spec: BlowupSpec) -> BlowupSpec:
+    """``spec``, after BlowupError unless it is crepant: the one check of
+    the condition, for ``star_subdivide`` and ``mckay_check``."""
+    if not is_crepant(spec):
+        raise BlowupError(
+            f"weights sum to {sum(spec.weights)}, expected 1 for a crepant blowup"
+        )
+    return spec
+
+
 def blow_up(model: Model, spec: BlowupSpec) -> Model:
     """Truncate the face: one extra facet m, and every vertex v containing
     the face splits into one vertex (v - {j}) + {m} per facet j of the
@@ -298,11 +308,7 @@ def star_subdivide(spec: BlowupSpec, model: Model) -> Subdivision:
     simplices swap the point in for each vertex in turn; all their faces
     join them.
     """
-    spec = _checked(model, spec.face, spec.weights, spec.lambda0)
-    if not is_crepant(spec):
-        raise BlowupError(
-            f"weights sum to {sum(spec.weights)}, expected 1 for a crepant blowup"
-        )
+    spec = _crepant(_checked(model, spec.face, spec.weights, spec.lambda0))
     face = face_by_indices(model, spec.face)
     whole = face_simplex(face, model)
     pool_points = whole.verts + (spec.lambda0,)
@@ -453,19 +459,20 @@ def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
     """Blow up the model that ``before`` reports on, certify the result
     stays quasi-SL, compute the Chen-Ruan polynomial of the blown-up
     model by all three routes, and run the triangulation identity on the
-    subdivided face simplex and on every subface's simplex.  The star
-    subdivision comes first: it refuses a spec that is not crepant.  It
-    is validated in full; each subface's triangulation is its
+    subdivided face simplex and on every subface's simplex.  A spec that
+    is not crepant is refused before anything is built.  The star
+    subdivision is validated in full; each subface's triangulation is its
     join with the subface's extra vectors, so its identity reads the
     interior simplices of the star subdivision and builds nothing else
     (``induced_triangulation`` builds it whole, as the oracle)."""
     groups = before.groups
     model = groups.model
-    tau = star_subdivide(spec, model)
+    _crepant(spec)
     # The faces on the new facet are the interior cones of the
     # triangulations below.
     blown_groups = blow_up_table(groups, spec)
     after = cr_report(blown_groups) if blown_groups.quasi_sl else None
+    tau = star_subdivide(spec, model)
     face = tau.ambient_face
     checks = []
     for sub in subfaces(face, model):
