@@ -54,7 +54,6 @@ from .model import (
     ModelValidationError,
     apply_unimodular,
     f_vector,
-    face_by_indices,
     faces,
     generate_test_models,
     h_vector,

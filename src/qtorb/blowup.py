@@ -33,7 +33,6 @@ from .model import (
     Face,
     Model,
     ModelValidationError,
-    face_by_indices,
     make_model,
     subfaces,
 )
@@ -76,22 +75,24 @@ def _weight(token) -> Fraction:
 
 def _checked(
     model: Model, facets: Sequence[int], weights: Sequence, lambda0: Sequence[int] | None = None
-) -> BlowupSpec:
-    """The one check of a blowup spec against a model, and the canonical
-    spec: facets sorted, each weight moved with its facet.  The weights
-    pair with ``facets`` in the order given and are rationals or their
-    strings (see :func:`_weight`).  BlowupError names the first fault, in
-    this order: the facets are not a face (no vertex holds them all); its
-    codimension is below 2; a weight token is not a rational; the weights
-    are not one per facet; a weight is not strictly positive; the new
-    vector, ``lambda0`` or the weighted sum of the facets' vectors, has
-    an entry of more digits than Python prints
-    (``sys.get_int_max_str_digits()``, 0 or absent for no limit); the sum
-    is not ``lambda0``, when one is given; the sum is not integral; it is
-    not primitive."""
+) -> tuple[Face, BlowupSpec]:
+    """The one check of a blowup spec against a model: the face, found
+    by one scan of the vertices, and the canonical spec, facets sorted,
+    each weight moved with its facet.  The weights pair with ``facets``
+    in the order given and are rationals or their strings (see
+    :func:`_weight`).  BlowupError names the first fault, in this order:
+    the facets are not a face (no vertex holds them all); its
+    codimension is below 2; a weight token is not a rational; the
+    weights are not one per facet; a weight is not strictly positive;
+    the new vector, ``lambda0`` or the weighted sum of the facets'
+    vectors, has an entry of more digits than Python prints
+    (``sys.get_int_max_str_digits()``, 0 or absent for no limit); the
+    sum is not ``lambda0``, when one is given; the sum is not integral;
+    it is not primitive."""
     key = tuple(sorted(facets))
     cut = set(key)
-    if len(cut) != len(key) or not any(cut.issubset(vertex) for vertex in model.vertices):
+    on_face = tuple(vid for vid, vertex in enumerate(model.vertices) if cut.issubset(vertex))
+    if len(cut) != len(key) or not on_face:
         raise BlowupError(f"{list(key)} is not a face of the model")
     if len(key) < 2:
         raise BlowupError(
@@ -127,7 +128,8 @@ def _checked(
         )
     if not is_primitive(point):
         raise BlowupError(f"new characteristic vector {list(point)} is not primitive")
-    return BlowupSpec(face=key, weights=tuple(ws), lambda0=point)
+    face = Face(facet_set=key, dim=model.n - len(key), vertex_ids=on_face)
+    return face, BlowupSpec(face=key, weights=tuple(ws), lambda0=point)
 
 
 def make_blowup_spec(
@@ -143,7 +145,7 @@ def make_blowup_spec(
     print.  The weights pair with ``face_indices`` in the order given;
     the spec holds both sorted by facet index.
     """
-    return _checked(model, _converted(int, face_indices, "facet index"), weights)
+    return _checked(model, _converted(int, face_indices, "facet index"), weights)[1]
 
 
 def is_crepant(spec: BlowupSpec) -> bool:
@@ -162,28 +164,27 @@ def _crepant(spec: BlowupSpec) -> BlowupSpec:
 
 
 def blow_up(model: Model, spec: BlowupSpec) -> Model:
-    """Truncate the face: one extra facet m, and every vertex v containing
-    the face splits into one vertex (v - {j}) + {m} per facet j of the
-    face.  The model is derived from ``model`` without validating it
-    afresh: the new vector is the spec's weighted sum, so by
-    multilinearity the split vertex's determinant is w_j det(v), signed
-    by moving the new column from j's position to the end; every other
-    vertex keeps its determinant.  The spec first passes the one spec
-    check, :func:`_checked`, with its new vector: a face of codimension
-    at least 2, one strictly positive weight per facet, paired in the
-    order given, whose sum of the facets' vectors is exactly the new
-    vector, a primitive integer vector.  Given these, no vertex repeats,
-    every facet stays in use and no determinant vanishes, so full
-    validation, the oracle :func:`validated_blowup`, cannot fail."""
-    spec = _checked(model, spec.face, spec.weights, spec.lambda0)
-    cut = set(spec.face)
+    """Truncate the face: one extra facet m, and every vertex v on the
+    face, as the spec check found it, splits into one vertex (v - {j}) +
+    {m} per facet j of the face.  The model is derived from ``model``
+    without validating it afresh: the new vector is the spec's weighted
+    sum, so by multilinearity the split vertex's determinant is w_j
+    det(v), signed by moving the new column from j's position to the
+    end; every other vertex keeps its determinant.  The spec first
+    passes the one spec check, :func:`_checked`, with its new vector: a
+    face of codimension at least 2, one strictly positive weight per
+    facet, paired in the order given, whose sum of the facets' vectors
+    is exactly the new vector, a primitive integer vector.  Given these,
+    no vertex repeats, every facet stays in use and no determinant
+    vanishes, so full validation, the oracle :func:`validated_blowup`,
+    cannot fail."""
+    face, spec = _checked(model, spec.face, spec.weights, spec.lambda0)
     n, new = model.n, model.m
     weight = dict(zip(spec.face, spec.weights))
-    rows = []
-    for vertex, d in zip(model.vertices, model.vertex_dets):
-        if not cut.issubset(vertex):
-            rows.append((vertex, d))
-            continue
+    split_ids = set(face.vertex_ids)
+    rows = [row for vid, row in enumerate(zip(model.vertices, model.vertex_dets)) if vid not in split_ids]
+    for vid in face.vertex_ids:
+        vertex, d = model.vertices[vid], model.vertex_dets[vid]
         for pos, j in enumerate(vertex):
             if j in weight:
                 # w_j det(v) is an integer; the new column moves to the end
@@ -303,13 +304,13 @@ def star_subdivide(spec: BlowupSpec, model: Model) -> Subdivision:
     """Star subdivision of the spec's face simplex at its new vector.
 
     The spec passes the one spec check, :func:`_checked`, with its new
-    vector, and must be crepant: its weights, strictly positive with sum
-    1, are the point's coordinates on the face simplex.  Maximal
-    simplices swap the point in for each vertex in turn; all their faces
-    join them.
+    vector, which also gives the face, and must be crepant: its weights,
+    strictly positive with sum 1, are the point's coordinates on the
+    face simplex.  Maximal simplices swap the point in for each vertex
+    in turn; all their faces join them.
     """
-    spec = _crepant(_checked(model, spec.face, spec.weights, spec.lambda0))
-    face = face_by_indices(model, spec.face)
+    face, spec = _checked(model, spec.face, spec.weights, spec.lambda0)
+    _crepant(spec)
     whole = face_simplex(face, model)
     pool_points = whole.verts + (spec.lambda0,)
     pool_coords = whole.coords + (spec.weights,)
@@ -475,7 +476,7 @@ def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
     tau = star_subdivide(spec, model)
     face = tau.ambient_face
     checks = []
-    for sub in subfaces(face, model):
+    for sub in subfaces(face, groups.faces):
         extra = tuple(model.char_vectors[i] for i in sub.facet_set if i not in face.facet_set)
         checks.append(check_triangulation_identity(sub, tau, groups, blown_groups, extra))
     return McKayReport(
@@ -587,7 +588,7 @@ def induced_triangulation_sums(mckay: McKayReport) -> Iterator[str]:
     the star subdivision the check kept."""
     model = mckay.before.groups.model
     lazy = {check.face: check.rhs for check in mckay.triangulation_checks}
-    for sub in subfaces(mckay.subdivision.ambient_face, model):
+    for sub in subfaces(mckay.subdivision.ambient_face, mckay.before.groups.faces):
         induced = induced_triangulation(sub, mckay.subdivision, model)
         rhs = check_triangulation_identity(sub, induced, mckay.before.groups, mckay.blown_groups).rhs
         if lazy.get(sub) != rhs:

@@ -149,14 +149,15 @@ def _cmd_validate(args) -> int:
     except ModelValidationError as exc:
         _emit({"valid": False, "violations": exc.violations})
         return 2
+    table = LocalGroupTable(model)
     report = {
         "valid": True,
         "name": model.name,
         "n": model.n,
         "m": model.m,
         "num_vertices": len(model.vertices),
-        "num_faces": len(faces(model)),
-        "quasi_sl": LocalGroupTable(model).quasi_sl,
+        "num_faces": len(table.faces),
+        "quasi_sl": table.quasi_sl,
         # Signs of the vertex determinants under the fixed increasing
         # facet index column order.  That order is a choice; only |det|
         # is convention-free, so signs are reported but never asserted

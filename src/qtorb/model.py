@@ -14,12 +14,13 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .intlat import IntMat, IntVec, as_vec, det, is_primitive, mat_vec
 
 JSON_INT_LIMIT = 2**53
+# faces() refuses a model whose vertices have more facet subsets than this.
+FACE_SUBSET_LIMIT = 2**20
 
 
 class ModelValidationError(ValueError):
@@ -253,16 +254,19 @@ def model_to_json(model: Model) -> str:
     return json.dumps(model_to_dict(model), sort_keys=True, indent=2) + "\n"
 
 
-# A command works on a few models at a time (a model and its blowups), and
-# each cached model holds its whole face list for the life of the process.
-@lru_cache(maxsize=16)
 def faces(model: Model) -> tuple[Face, ...]:
     """Every face, ordered by (codimension, facet set).
 
     In a simple polytope the faces through a vertex are exactly the
     subsets of its facet set, so one pass over the vertices finds every
     face together with its ``vertex_ids``, the vertices it occurs at.
+    ValueError when the |V| 2^n subsets exceed :data:`FACE_SUBSET_LIMIT`.
     """
+    if len(model.vertices) * 2**model.n > FACE_SUBSET_LIMIT:
+        raise ValueError(
+            f"the face lattice of {len(model.vertices)} vertices in dimension {model.n} "
+            f"exceeds the limit of {FACE_SUBSET_LIMIT} vertex facet subsets"
+        )
     vertex_ids: dict[tuple[int, ...], list[int]] = {}
     for vid, vert in enumerate(model.vertices):
         for r in range(model.n + 1):
@@ -274,24 +278,16 @@ def faces(model: Model) -> tuple[Face, ...]:
     )
 
 
-def face_by_indices(model: Model, facet_set: Sequence[int]) -> Face:
-    key = tuple(sorted(facet_set))
-    for face in faces(model):
-        if face.facet_set == key:
-            return face
-    raise ValueError(f"{list(key)} is not a face of the model")
-
-
-def subfaces(face: Face, model: Model) -> list[Face]:
-    """Faces of the sub-polytope: faces whose facet set contains this one's."""
+def subfaces(face: Face, lattice: Sequence[Face]) -> list[Face]:
+    """Faces of the sub-polytope: faces of ``lattice`` whose facet set contains this one's."""
     fs = set(face.facet_set)
-    return [h for h in faces(model) if fs.issubset(h.facet_set)]
+    return [h for h in lattice if fs.issubset(h.facet_set)]
 
 
-def f_vector(face: Face, model: Model) -> tuple[int, ...]:
+def f_vector(face: Face, lattice: Sequence[Face]) -> tuple[int, ...]:
     """(f_0, ..., f_d): counts of i-dimensional faces of the sub-polytope."""
     counts = [0] * (face.dim + 1)
-    for h in subfaces(face, model):
+    for h in subfaces(face, lattice):
         counts[h.dim] += 1
     return tuple(counts)
 
@@ -311,10 +307,10 @@ def h_from_f(fv: Sequence[int]) -> tuple[int, ...]:
     )
 
 
-def h_vector(face: Face, model: Model) -> tuple[int, ...]:
-    """h-vector of the (simple) face.  These are the even Betti numbers
-    of the orbifold piece living over the face."""
-    return h_from_f(f_vector(face, model))
+def h_vector(face: Face, lattice: Sequence[Face]) -> tuple[int, ...]:
+    """h-vector of the (simple) face, counted in ``lattice``.  These are
+    the even Betti numbers of the orbifold piece living over the face."""
+    return h_from_f(f_vector(face, lattice))
 
 
 def positively_omnioriented(model: Model) -> bool:
@@ -437,7 +433,7 @@ def generate_test_models(
                 continue
             else:
                 # Non-crepant truncation: unit weights on a random face.
-                chosen = [f for f in faces(model) if f.codim >= 2]
+                chosen = [f for f in table.faces if f.codim >= 2]
                 if not chosen:
                     continue
                 face = rng.choice(chosen)

@@ -376,11 +376,12 @@ class LocalGroupTable:
     """The local group of every face of one model, and the h-vector of
     every face that carries sectors.
 
-    Every computation on a model reads its faces' groups from one table:
-    quasi-SL, sectors, the three Chen-Ruan routes and the identities.  A
-    table lives as long as the command that built it; nothing keeps it
-    beyond that.  :meth:`group` builds a face's group the first time it
-    is asked for and keeps it; :attr:`groups` builds the rest.
+    Every computation on a model reads its faces' groups from one table,
+    and its faces from the table's :attr:`faces`, built once: quasi-SL,
+    sectors, the three Chen-Ruan routes and the identities.  A table
+    lives as long as the command that built it; nothing keeps it beyond
+    that.  :meth:`group` builds a face's group the first time it is
+    asked for and keeps it; :attr:`groups` builds the rest.
 
     A face is smooth when some vertex through it has |det| = 1, read
     from the determinants that validation computed (``vertex_dets``),
@@ -414,7 +415,8 @@ class LocalGroupTable:
         self.model = model
         self._lent = {} if base is None else base._by_facets
         self._by_facets: dict[tuple[int, ...], LocalGroup] = {}
-        self._faces = {face.facet_set: face for face in faces(model)}
+        self.faces = faces(model)
+        self._faces = {face.facet_set: face for face in self.faces}
         self._smooth = {i for i, d in enumerate(model.vertex_dets) if abs(d) == 1}
 
     def _build(self, face: Face) -> LocalGroup:
@@ -460,7 +462,7 @@ class LocalGroupTable:
         """The h-vector of every face in :attr:`sector_groups`, keyed by
         facet set."""
         return {
-            facet_set: h_vector(group.face, self.model)
+            facet_set: h_vector(group.face, self.faces)
             for facet_set, group in self.sector_groups.items()
         }
 

@@ -83,6 +83,15 @@ def corpus(fuzz_corpus):
     return fuzz_corpus + [wp112_model(), cp2_model(), z3_model(), prism_model()]
 
 
+def face_by_indices(model, facet_set):
+    """The face of ``model`` whose facets are ``facet_set``, in any order."""
+    key = tuple(sorted(facet_set))
+    for face in faces(model):
+        if face.facet_set == key:
+            return face
+    raise ValueError(f"{list(key)} is not a face of the model")
+
+
 def crepant_blowups_of(models):
     """(model, spec, blown-up model) for every crepant candidate of the models."""
     return [

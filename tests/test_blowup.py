@@ -20,7 +20,6 @@ from qtorb import (
     check_triangulation_identity,
     cr_report,
     crepant_candidates,
-    face_by_indices,
     faces,
     generate_test_models,
     identity_failures,
@@ -38,7 +37,7 @@ from qtorb.cli import main
 from qtorb.exact import Poly
 from qtorb.intlat import det
 from tests import test_model
-from tests.conftest import crepant_blowups_of
+from tests.conftest import crepant_blowups_of, face_by_indices
 from tests.test_model import vertex_matrix
 from tests.test_sectors import group_points, record_points
 
@@ -185,11 +184,12 @@ def test_blow_up_checks_the_spec_against_the_model(
     assert blow_up(wp112, fitting) == blow_up(wp112, make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"]))
 
 
-def _unit_truncations(model):
+def _unit_truncations(table):
     """The spec of every unit-weight truncation of a face of codimension
     at least 2 whose new vector is primitive: the generator's
     non-crepant blowups."""
-    for face in faces(model):
+    model = table.model
+    for face in table.faces:
         if face.codim >= 2:
             try:
                 yield make_blowup_spec(model, face.facet_set, [1] * face.codim)
@@ -220,7 +220,8 @@ def test_derived_blowups_are_the_validated_models(corpus):
     ]
     checked = 0
     for model in models:
-        for spec in crepant_candidates(LocalGroupTable(model)) + list(_unit_truncations(model)):
+        table = LocalGroupTable(model)
+        for spec in crepant_candidates(table) + list(_unit_truncations(table)):
             blown, validated = blow_up(model, spec), _validated_blowup(model, spec)
             assert blown == validated, (model, spec)
             assert blown.vertex_dets == validated.vertex_dets, (model, spec)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import qtorb.cli as cli_mod
 import qtorb.kernels as kernels_mod
+import qtorb.model as model_mod
 import qtorb.sectors as sectors_mod
 from qtorb import (
     LocalGroup,
@@ -37,6 +39,7 @@ from tests.test_ehrhart import _count_plans
 from tests.test_sectors import _zero_generators, sectors
 
 GOLDEN_MODELS = os.path.join(os.path.dirname(__file__), "golden", "models")
+Z3TETRA = os.path.join(os.path.dirname(__file__), os.pardir, "models", "z3tetra.json")
 
 
 @pytest.fixture
@@ -666,6 +669,87 @@ def test_identity_failures_builds_one_table_per_model(monkeypatch, corpus):
         # The base model's table, then one blown-up table per candidate.
         assert len(built) == 1 + len(candidates)
         assert built[0] == model
+
+
+def record_face_lattices(monkeypatch):
+    """Patch a wrapper of ``faces`` into every qtorb module that binds it,
+    recording the model of every face lattice built."""
+    built = []
+    real = model_mod.faces
+
+    def counted(model):
+        built.append(model)
+        return real(model)
+
+    bound = [
+        module for name, module in sys.modules.items()
+        if name.split(".")[0] == "qtorb" and getattr(module, "faces", None) is real
+    ]
+    assert {"qtorb.model", "qtorb.sectors", "qtorb.cli"} <= {m.__name__ for m in bound}
+    for module in bound:
+        monkeypatch.setattr(module, "faces", counted)
+    return built
+
+
+_Z3_SPEC = ["--face", "0,1,2", "--weights", "1/3,1/3,1/3"]
+
+
+@pytest.mark.parametrize(
+    "command, options, lattices",
+    [
+        ("validate", [], 1),
+        ("faces", [], 1),
+        ("sectors", [], 1),
+        ("betti", [], 1),
+        ("cr", [], 1),
+        ("mckay", _Z3_SPEC, 2),
+        ("blowup", _Z3_SPEC, 0),
+    ],
+    ids=["validate", "faces", "sectors", "betti", "cr", "mckay", "blowup"],
+)
+def test_each_command_builds_each_face_lattice_once(capsys, monkeypatch, command, options, lattices):
+    """A table builds its model's face lattice once, and every h-vector
+    and subface list reads it; mckay builds the base model's and the
+    blown-up model's, and blowup finds its face by the spec check's
+    vertex scan.  A second run in the same process builds as many."""
+    built = record_face_lattices(monkeypatch)
+    for _ in range(2):
+        built.clear()
+        rc, _ = run(capsys, command, Z3TETRA, *options)
+        assert rc == 0
+        assert len(built) == lattices
+
+
+def _simplex_path(tmp_path, n):
+    """The n-simplex model, λ_i = e_i for i < n and λ_n = (-1, ..., -1), as a file."""
+    path = tmp_path / f"simplex-{n}.json"
+    path.write_text(json.dumps({
+        "n": n,
+        "m": n + 1,
+        "vertices": [list(v) for v in itertools.combinations(range(n + 1), n)],
+        "lambda": [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "cr"])
+def test_a_face_lattice_over_the_limit_is_refused_before_listing(capsys, tmp_path, command):
+    """The 18-simplex's 19 vertices have 19 * 2**18 facet subsets, above
+    the limit: the command exits 2 at once instead of listing them."""
+    rc, out = timed_run(capsys, 1, command, _simplex_path(tmp_path, 18))
+    assert rc == 2
+    assert json.loads(out) == {
+        "error": f"the face lattice of 19 vertices in dimension 18 exceeds the limit of "
+        f"{model_mod.FACE_SUBSET_LIMIT} vertex facet subsets"
+    }
+
+
+def test_a_face_lattice_under_the_limit_is_listed(capsys, tmp_path):
+    rc, out = run(capsys, "validate", _simplex_path(tmp_path, 12))
+    assert rc == 0
+    report = json.loads(out)
+    assert report["valid"] and report["quasi_sl"]
+    assert report["num_faces"] == 2**13 - 1
 
 
 def test_ehrhart_runs_one_triangular_basis_per_proper_face(capsys, monkeypatch, basis_faces):

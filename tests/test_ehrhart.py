@@ -10,13 +10,13 @@ from qtorb import (
     count_from_ages,
     dilate_counts,
     ehrhart_numerator,
-    face_by_indices,
     face_simplex,
     faces,
     numerator_from_counts,
 )
 from qtorb.blowup import ORACLE_MAX_ORDER
 from qtorb.ehrhart import LatticeSimplex
+from tests.conftest import face_by_indices
 
 Z3_COLS = ((1, 0, 0), (0, 1, 0), (-1, -1, 3))
 

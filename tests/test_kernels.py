@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtorb import RankDeficientError, face_by_indices, kernels, make_model
+from qtorb import RankDeficientError, kernels, make_model
 from qtorb.ehrhart import _DilatePlan
 from qtorb.intlat import mat_from_cols, transpose
 from qtorb.sectors import box_by_exhaustion, box_of_columns
+from tests.conftest import face_by_indices
 from tests.test_ehrhart import dilate_count, simplex_from_cols
 
 BIG = 2**40

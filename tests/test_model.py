@@ -14,7 +14,6 @@ from qtorb import (
     ModelValidationError,
     apply_unimodular,
     f_vector,
-    face_by_indices,
     faces,
     generate_test_models,
     h_vector,
@@ -29,7 +28,7 @@ from qtorb import (
 from qtorb.exact import Poly
 from qtorb.intlat import det, mat_from_cols
 from qtorb.sectors import LocalGroupTable, box_by_exhaustion
-from tests.conftest import prism_model, wp112_model, z3_model
+from tests.conftest import face_by_indices, prism_model, wp112_model, z3_model
 
 
 def vertex_matrix(model, vertex):
@@ -181,9 +180,6 @@ def test_face_order_and_structure(wp112):
     for face in all_faces:
         assert face.codim + face.dim == wp112.n
         assert face.vertex_ids
-    assert face_by_indices(wp112, (2, 0)).facet_set == (0, 2)
-    with pytest.raises(ValueError):
-        face_by_indices(wp112, (0, 1, 2))
 
 
 def _faces_by_two_passes(model):
@@ -206,11 +202,12 @@ def _faces_by_two_passes(model):
 
 
 def _assert_one_pass_lattice(model):
-    for face in faces(model):
+    lattice = faces(model)
+    for face in lattice:
         assert face.vertex_ids == tuple(
             i for i, vertex in enumerate(model.vertices) if set(face.facet_set) <= set(vertex)
         ), (model.name, face)
-    assert faces(model) == _faces_by_two_passes(model), model.name
+    assert lattice == _faces_by_two_passes(model), model.name
 
 
 def _assert_one_containment_relation(model):
@@ -218,10 +215,10 @@ def _assert_one_containment_relation(model):
     elements over the faces whose facet set is part of the face's, in
     ``faces`` order."""
     table = LocalGroupTable(model)
-    for face in faces(model):
+    for face in table.faces:
         expected = [
             table.group(h)
-            for h in faces(model)
+            for h in table.faces
             if set(h.facet_set) <= set(face.facet_set) and table.group(h).interior
         ]
         assert table.sector_groups_containing(face) == expected, (model.name, face)
@@ -243,27 +240,31 @@ def test_face_lattice_and_containment_follow_relabelling(corpus, data):
 
 
 def test_f_vectors(wp112):
-    whole = faces(wp112)[0]
-    assert f_vector(whole, wp112) == (3, 3, 1)
-    assert f_vector(faces(square_model())[0], square_model()) == (4, 4, 1)
+    lattice = faces(wp112)
+    assert f_vector(lattice[0], lattice) == (3, 3, 1)
+    square = faces(square_model())
+    assert f_vector(square[0], square) == (4, 4, 1)
     vertex = face_by_indices(wp112, (0, 1))
-    assert f_vector(vertex, wp112) == (1,)
+    assert f_vector(vertex, lattice) == (1,)
     edge = face_by_indices(wp112, (0,))
-    assert f_vector(edge, wp112) == (2, 1)
+    assert f_vector(edge, lattice) == (2, 1)
 
 
 def test_h_vectors(wp112, prism):
-    assert h_vector(faces(wp112)[0], wp112) == (1, 1, 1)
-    sq = square_model()
-    assert h_vector(faces(sq)[0], sq) == (1, 2, 1)
-    assert h_vector(face_by_indices(wp112, (0, 1)), wp112) == (1,)
-    assert h_vector(faces(prism)[0], prism) == (1, 2, 2, 1)
+    lattice = faces(wp112)
+    assert h_vector(lattice[0], lattice) == (1, 1, 1)
+    square = faces(square_model())
+    assert h_vector(square[0], square) == (1, 2, 1)
+    assert h_vector(face_by_indices(wp112, (0, 1)), lattice) == (1,)
+    prism_faces = faces(prism)
+    assert h_vector(prism_faces[0], prism_faces) == (1, 2, 2, 1)
 
 
 def test_h_vector_symmetry_and_nonnegativity(corpus):
     for model in corpus:
-        for face in faces(model):
-            h = h_vector(face, model)
+        lattice = faces(model)
+        for face in lattice:
+            h = h_vector(face, lattice)
             assert all(x >= 0 for x in h)
             assert h == tuple(reversed(h))
             assert sum(h) == len(face.vertex_ids)
@@ -272,11 +273,11 @@ def test_h_vector_symmetry_and_nonnegativity(corpus):
 def test_torus_stratification_sum(corpus):
     # Sum of (s-1)^dim over all faces recovers the h-polynomial.
     for model in corpus:
-        whole = faces(model)[0]
+        lattice = faces(model)
         lhs = sum(
-            (Poly((-1, 1)) ** f.dim for f in faces(model)), Poly([])
+            (Poly((-1, 1)) ** f.dim for f in lattice), Poly([])
         )
-        assert lhs == Poly(h_vector(whole, model))
+        assert lhs == Poly(h_vector(lattice[0], lattice))
 
 
 def test_vertex_matrix_and_sign(wp112, cp2):
@@ -312,8 +313,8 @@ def test_relabel_facets(wp112):
     assert relabeled.m == wp112.m
     assert len(faces(relabeled)) == len(faces(wp112))
     assert relabeled.char_vectors[2] == wp112.char_vectors[0]
-    whole = faces(relabeled)[0]
-    assert h_vector(whole, relabeled) == (1, 1, 1)
+    lattice = faces(relabeled)
+    assert h_vector(lattice[0], lattice) == (1, 1, 1)
     with pytest.raises(ValueError):
         relabel_facets(wp112, [0, 0, 1])
 
@@ -436,11 +437,11 @@ def test_make_model_converts_no_matrix(monkeypatch, corpus):
     assert calls == []
 
 
-def _h_vector_by_definition(face, model):
+def _h_vector_by_definition(face, lattice):
     """h_i = coefficient of t^(d-i) in sum_j f_j (t-1)^j, with the f-vector
     counted from the subfaces."""
     fv = [0] * (face.dim + 1)
-    for h in subfaces(face, model):
+    for h in subfaces(face, lattice):
         fv[h.dim] += 1
     acc = Poly([])
     for j, count in enumerate(fv):
@@ -452,8 +453,9 @@ def _h_vector_by_definition(face, model):
 def test_sector_h_vectors_match_definition(corpus, crepant_blowups):
     models = list(corpus) + [blown for _, _, blown in crepant_blowups]
     for model in models:
-        expected = tuple(_h_vector_by_definition(face, model) for face in faces(model))
-        assert tuple(h_vector(face, model) for face in faces(model)) == expected
+        lattice = faces(model)
+        expected = tuple(_h_vector_by_definition(face, lattice) for face in lattice)
+        assert tuple(h_vector(face, lattice) for face in lattice) == expected
         table = LocalGroupTable(model)
         assert table.sector_h_vectors == {
             face.facet_set: h

@@ -1,5 +1,8 @@
+import gc
 import itertools
 import math
+import os
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -24,11 +27,11 @@ from qtorb import (
     cr_report,
     det,
     ehrhart_numerator,
-    face_by_indices,
     face_simplex,
     faces,
     generate_test_models,
     lattice_index,
+    load_model,
     make_model,
     pp_cr_direct,
     random_unimodular,
@@ -37,6 +40,7 @@ from qtorb import (
 from qtorb.blowup import ORACLE_MAX_ORDER
 from qtorb.exact import Poly
 from qtorb.intlat import mat_from_cols
+from tests.conftest import face_by_indices
 from tests.test_ehrhart import dilate_count
 
 Z3_COLS = [(1, 0, 0), (0, 1, 0), (-1, -1, 3)]
@@ -576,7 +580,7 @@ def test_table_groups_equal_triangular_basis_groups(corpus, crepant_blowups, bas
     tables += [(blown, blow_up_table(built(model), spec)) for model, spec, blown in crepant_blowups]
     skipped = 0
     for model, table in tables:
-        skipped += sum(1 for f in faces(model) if f.codim > 0) - len(basis_faces(model))
+        skipped += sum(1 for f in table.faces if f.codim > 0) - len(basis_faces(model))
         for group in table.groups:
             fresh = LocalGroup(group.columns, model.n, group.face)
             assert group.exponent == fresh.exponent
@@ -587,6 +591,17 @@ def test_table_groups_equal_triangular_basis_groups(corpus, crepant_blowups, bas
             assert group.age_polynomial == fresh.age_polynomial
             assert group.interior_age_polynomial == fresh.interior_age_polynomial
     assert skipped > 0
+
+
+def test_a_dropped_table_keeps_no_model_alive():
+    """A table and its face lattice live as long as their caller keeps
+    them: once the report is dropped, nothing holds the model."""
+    model = load_model(os.path.join(os.path.dirname(__file__), os.pardir, "models", "z3tetra.json"))
+    ref = weakref.ref(model)
+    cr_report(LocalGroupTable(model))
+    del model
+    gc.collect()
+    assert ref() is None
 
 
 def test_no_face_of_codimension_at_most_one_computes_a_basis(
