@@ -164,20 +164,19 @@ def _crepant(spec: BlowupSpec) -> BlowupSpec:
 
 
 def blow_up(model: Model, spec: BlowupSpec) -> Model:
-    """Truncate the face: one extra facet m, and every vertex v on the
-    face, as the spec check found it, splits into one vertex (v - {j}) +
-    {m} per facet j of the face.  The model is derived from ``model``
-    without validating it afresh: the new vector is the spec's weighted
-    sum, so by multilinearity the split vertex's determinant is w_j
-    det(v), signed by moving the new column from j's position to the
-    end; every other vertex keeps its determinant.  The spec first
-    passes the one spec check, :func:`_checked`, with its new vector: a
-    face of codimension at least 2, one strictly positive weight per
-    facet, paired in the order given, whose sum of the facets' vectors
-    is exactly the new vector, a primitive integer vector.  Given these,
-    no vertex repeats, every facet stays in use and no determinant
-    vanishes, so full validation, the oracle :func:`validated_blowup`,
-    cannot fail."""
+    """Truncate the face: one extra facet m, and every vertex v containing
+    the face splits into one vertex (v - {j}) + {m} per facet j of the
+    face.  The model is derived from ``model`` without validating it
+    afresh: the new vector is the spec's weighted sum, so by
+    multilinearity the split vertex's determinant is w_j det(v), signed
+    by moving the new column from j's position to the end; every other
+    vertex keeps its determinant.  The spec first passes the one spec
+    check, :func:`_checked`, with its new vector: a face of codimension
+    at least 2, one strictly positive weight per facet, paired in the
+    order given, whose sum of the facets' vectors is exactly the new
+    vector, a primitive integer vector.  Given these, no vertex repeats,
+    every facet stays in use and no determinant vanishes, so full
+    validation, the oracle :func:`validated_blowup`, cannot fail."""
     face, spec = _checked(model, spec.face, spec.weights, spec.lambda0)
     n, new = model.n, model.m
     weight = dict(zip(spec.face, spec.weights))
