@@ -26,6 +26,14 @@ from .intlat import (
 )
 from .model import Face, Model
 
+# dilate_counts refuses a simplex whose dilates 1..dim scan more points
+# than this in all.
+DILATE_SCAN_LIMIT = 2**20
+
+# The entries of the face simplex's vertex coordinates, shared by every
+# coordinate tuple.
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 @dataclass(frozen=True)
 class LatticeSimplex:
@@ -56,9 +64,7 @@ def face_simplex(face: Face, model: Model) -> LatticeSimplex:
         raise ValueError("the whole polytope carries no face simplex")
     cols = [model.char_vectors[i] for i in face.facet_set]
     k = len(cols)
-    unit = tuple(
-        tuple(Fraction(1 if j == i else 0) for j in range(k)) for i in range(k)
-    )
+    unit = tuple(tuple(_ONE if j == i else _ZERO for j in range(k)) for i in range(k))
     return LatticeSimplex(ambient_face=face, verts=tuple(cols), coords=unit)
 
 
@@ -120,6 +126,13 @@ class _DilatePlan:
         ]
         self.others = [vmat[i] for i in range(n) if i not in free and i != r]
 
+    def scan_size(self, top: int) -> int:
+        """Points the kernel visits over the dilates 1, ..., top: the
+        product of the scanned coordinate ranges, summed."""
+        return sum(
+            prod(k * (self.hi[i] - self.lo[i]) + 1 for i in self.free) for k in range(1, top + 1)
+        )
+
     def count(self, k: int) -> int:
         """Lattice points of the k-th dilate, one kernel call."""
         lo = [k * self.lo[i] for i in self.free]
@@ -136,17 +149,32 @@ def dilate_counts(sx: LatticeSimplex) -> list[int]:
     """The dim + 1 leading dilate counts l(0 Delta), ..., l(dim Delta),
     by exhaustion, from one plan.
 
-    The plan (see ``_DilatePlan``) walks the d - 1 scanned coordinates
-    over the integer ranges of the dilated vertices, solves the level
-    condition for one more coordinate and keeps the points that are
-    nonnegative rational combinations of the vertices with coefficient
-    sum k and integer in every coordinate.  The k-th dilate costs the
-    product of those d - 1 coordinate ranges.  Exact, and independent of
-    the box-element machinery; this is the slow oracle path.  Raises
-    ``RankDeficientError`` on dependent vertices.
+    l(0 Delta) = 1 needs no scan: the zeroth dilate is the origin alone.
+    So a one-vertex simplex gives [1] and builds no plan, once its vertex
+    is checked to be nonzero.  For the dilates k = 1, ..., dim the plan
+    (see ``_DilatePlan``) walks the d - 1 scanned coordinates over the
+    integer ranges of the dilated vertices, solves the level condition
+    for one more coordinate and keeps the points that are nonnegative
+    rational combinations of the vertices with coefficient sum k and
+    integer in every coordinate.  The k-th dilate costs the product of
+    those d - 1 coordinate ranges; ValueError, before any point is
+    scanned, when their sum over k exceeds :data:`DILATE_SCAN_LIMIT`.
+    Exact, and independent of the box-element machinery; this is the
+    slow oracle path.  Raises ``RankDeficientError`` on dependent
+    vertices.
     """
+    if sx.dim == 0:
+        if not any(sx.verts[0]):
+            raise _dependent(sx.verts)
+        return [1]
     plan = _DilatePlan(sx.verts)
-    return [plan.count(k) for k in range(sx.dim + 1)]
+    size = plan.scan_size(sx.dim)
+    if size > DILATE_SCAN_LIMIT:
+        raise ValueError(
+            f"the dilates of simplex {list(sx.verts)} scan {size} points, "
+            f"above the limit of {DILATE_SCAN_LIMIT}"
+        )
+    return [1] + [plan.count(k) for k in range(1, sx.dim + 1)]
 
 
 def count_from_ages(ages: Poly, d: int, k: int) -> int:
@@ -180,6 +208,7 @@ def numerator_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
 
 def ehrhart_numerator(sx: LatticeSimplex) -> tuple[int, ...]:
     """Numerator coefficients of the dilate series of ``sx``, from its
-    first dim + 1 brute-force dilate counts (:func:`dilate_counts`); see
+    first dim + 1 dilate counts (:func:`dilate_counts`: l(0 Delta) = 1,
+    the others by brute force within :data:`DILATE_SCAN_LIMIT`); see
     :func:`numerator_from_counts`."""
     return numerator_from_counts(dilate_counts(sx))

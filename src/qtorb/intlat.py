@@ -156,7 +156,9 @@ def lattice_index(cols: Sequence[Sequence[int]]) -> int:
     """Index of the lattice generated by the columns inside its saturation.
 
     Computed independently of :func:`triangular_form` as the gcd of all
-    maximal minors, which is what makes it usable as a cross-check.
+    maximal minors, which is what makes it usable as a cross-check.  The
+    minors are read in row order until their gcd reaches 1, the least
+    index; later minors cannot change it.
     """
     mat = mat_from_cols(cols)
     nrows = len(mat)
@@ -165,6 +167,8 @@ def lattice_index(cols: Sequence[Sequence[int]]) -> int:
     for rows in itertools.combinations(range(nrows), k):
         sub = tuple(mat[r] for r in rows)
         g = gcd(g, det(sub))
+        if g == 1:
+            break
     if g == 0:
         raise RankDeficientError("columns are not linearly independent")
     return g

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtorb.cli as cli_mod
+import qtorb.ehrhart as ehrhart_mod
 import qtorb.kernels as kernels_mod
 import qtorb.model as model_mod
 import qtorb.sectors as sectors_mod
@@ -805,8 +806,10 @@ def test_ehrhart_oracle_plans_once_per_proper_face(capsys, monkeypatch):
     rc, out = run(capsys, "ehrhart", path, "--oracle")
     assert rc == 0
     entries = json.loads(out)
-    assert len(plans) == len(entries) == 14
-    assert len(calls) == sum(len(e["dilates"]) for e in entries)
+    assert len(entries) == 14
+    # The four facets need no plan, and no dilate scans l(0 Delta) = 1.
+    assert len(plans) == sum(len(e["face"]) >= 2 for e in entries) == 10
+    assert len(calls) == sum(len(e["dilates"]) - 1 for e in entries) == 14
 
 
 def test_closed_stdout_exits_2_without_traceback(tmp_path):
@@ -1138,3 +1141,30 @@ def test_oracle_dilate_counts_equal_the_box_formula_within_the_bound(capsys, tmp
     rc, oracle = timed_run(capsys, 10, "ehrhart", "--oracle", str(path))
     assert rc == 0
     assert run(capsys, "ehrhart", str(path)) == (rc, oracle)
+
+
+def _triangle_path(tmp_path, entry):
+    """The triangle lambda = (1, 0), (0, 1), (1, entry): the first dilate
+    of its vertex {0, 2}, of order entry, scans entry + 1 points."""
+    path = tmp_path / f"triangle-{entry}.json"
+    lam = [[1, 0], [0, 1], [1, entry]]
+    path.write_text(json.dumps({"n": 2, "m": 3, "vertices": [[0, 1], [1, 2], [0, 2]], "lambda": lam}))
+    return str(path)
+
+
+def test_a_dilate_scan_over_the_limit_is_refused_before_scanning(capsys, tmp_path):
+    rc, out = timed_run(capsys, 1, "ehrhart", "--oracle", _triangle_path(tmp_path, 10**7))
+    assert rc == 2
+    assert json.loads(out) == {
+        "error": "the dilates of simplex [(1, 0), (1, 10000000)] scan 10000001 points, "
+        f"above the limit of {ehrhart_mod.DILATE_SCAN_LIMIT}"
+    }
+
+
+def test_a_dilate_scan_under_the_limit_is_counted(capsys, tmp_path):
+    path = _triangle_path(tmp_path, 10**5)
+    rc, oracle = run(capsys, "ehrhart", "--oracle", path)
+    assert rc == 0
+    assert run(capsys, "ehrhart", path) == (rc, oracle)
+    by_face = {tuple(entry["face"]): entry for entry in json.loads(oracle)}
+    assert by_face[(0, 2)]["dilates"] == [1, 10**5 + 1]

@@ -138,28 +138,62 @@ def _count_plans(monkeypatch):
     return plans
 
 
+def _corpus_simplices(corpus):
+    return [face_simplex(face, model) for model in corpus for face in faces(model) if face.codim]
+
+
 def test_dilate_counts_plan_once_per_simplex(monkeypatch, corpus):
-    simplices = [
-        face_simplex(face, model) for model in corpus for face in faces(model) if face.codim
-    ]
+    """One plan per simplex of dim >= 1; a one-vertex simplex needs none,
+    its only count being l(0 Delta) = 1, which every plan still gives."""
+    simplices = _corpus_simplices(corpus)
     expected = [[dilate_count(sx, k) for k in range(sx.dim + 1)] for sx in simplices]
+    assert all(counts[0] == 1 for counts in expected)
     plans = _count_plans(monkeypatch)
     assert [dilate_counts(sx) for sx in simplices] == expected
     assert [numerator_from_counts(c) for c in expected] == [ehrhart_numerator(sx) for sx in simplices]
-    assert plans == [sx.verts for sx in simplices] * 2
+    assert plans == [sx.verts for sx in simplices if sx.dim] * 2
+
+
+def test_dilate_counts_never_scan_the_zeroth_dilate(monkeypatch, corpus):
+    scanned = []
+
+    class Counted(ehrhart_mod._DilatePlan):
+        def count(self, k):
+            scanned.append(k)
+            return super().count(k)
+
+    monkeypatch.setattr(ehrhart_mod, "_DilatePlan", Counted)
+    simplices = _corpus_simplices(corpus)
+    for sx in simplices:
+        dilate_counts(sx)
+    assert scanned == [k for sx in simplices for k in range(1, sx.dim + 1)]
+    assert scanned and 0 not in scanned
+
+
+def test_one_vertex_simplex_builds_no_plan(monkeypatch):
+    from qtorb import RankDeficientError
+
+    plans = _count_plans(monkeypatch)
+    assert dilate_counts(simplex_from_cols([(0, 1)])) == [1]
+    assert dilate_counts(simplex_from_cols([(-1, 2, 5)])) == [1]
+    assert plans == []
+    with pytest.raises(RankDeficientError, match="dependent"):
+        dilate_counts(simplex_from_cols([(0, 0)]))
+    assert plans == []
 
 
 def test_oracle_fuzz_plans_once_per_checked_face(monkeypatch, corpus):
-    """One plan per proper face of order at most ``ORACLE_MAX_ORDER`` of
-    the base table, then, for each crepant candidate in turn, one per
-    such face on the new facet of its blown-up table."""
+    """One plan per face of codim >= 2 and order at most
+    ``ORACLE_MAX_ORDER`` of the base table, then, for each crepant
+    candidate in turn, one per such face on the new facet of its
+    blown-up table.  A facet's one-vertex simplex needs no plan."""
     from qtorb import blow_up_table, crepant_candidates, identity_failures
 
     def checked(table, keep=lambda face: True):
         return [
             face_simplex(g.face, table.model).verts
             for g in table.groups
-            if g.face.codim and g.order <= ORACLE_MAX_ORDER and keep(g.face)
+            if g.face.codim >= 2 and g.order <= ORACLE_MAX_ORDER and keep(g.face)
         ]
 
     plans = _count_plans(monkeypatch)
@@ -176,6 +210,47 @@ def test_oracle_fuzz_plans_once_per_checked_face(monkeypatch, corpus):
         assert identity_failures(model, include_oracle=True) == []
         assert plans == expected
     assert blown_checked > 0
+
+
+def test_dilate_counts_refuse_a_scan_over_the_limit_before_scanning(monkeypatch):
+    import qtorb.kernels as kernels_mod
+
+    def refused(*args):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(kernels_mod, "count_in_dilate", refused)
+    # The first dilate of the segment scans 10**7 + 1 points.
+    with pytest.raises(ValueError, match=f"scan 10000001 points, above the limit of {2**20}"):
+        dilate_counts(simplex_from_cols([(1, 0), (1, 10**7)]))
+    assert ehrhart_mod.DILATE_SCAN_LIMIT == 2**20
+    # A plan's scan size sums the dilates 1, ..., dim; here two coordinates
+    # of range [-1, 1] are scanned, (2k + 1)**2 points for the k-th dilate.
+    assert ehrhart_mod._DilatePlan(Z3_COLS).scan_size(2) == 3**2 + 5**2
+
+
+def test_the_oracles_build_no_local_group_and_no_triangular_basis(monkeypatch, corpus):
+    """The oracles stay independent of the local-group construction: with
+    every way into it refused, they still run on every proper face, and
+    their group orders agree."""
+    import qtorb.intlat as intlat_mod
+    import qtorb.sectors as sectors_mod
+    from qtorb import box_by_exhaustion
+
+    def refused(*args):
+        raise AssertionError("an oracle reached the local-group construction")
+
+    checked = [(model, face_simplex(face, model)) for model in corpus for face in faces(model) if face.codim]
+    monkeypatch.setattr(intlat_mod, "triangular_form", refused)
+    monkeypatch.setattr(sectors_mod, "triangular_form", refused)
+    monkeypatch.setattr(LocalGroup, "__init__", refused)
+    monkeypatch.setattr(LocalGroup, "_trivial", refused)
+    with pytest.raises(AssertionError, match="local-group construction"):
+        LocalGroupTable(corpus[0]).groups
+    for model, sx in checked:
+        counts = dilate_counts(sx)
+        psi = ehrhart_numerator(sx)
+        assert psi == numerator_from_counts(counts)
+        assert sum(psi) == len(box_by_exhaustion(list(sx.verts), model.n))
 
 
 def test_ehrhart_numerator_examples():

@@ -276,6 +276,20 @@ def test_saturation_full_rank_index_three():
     assert triangular_form(mat_from_cols(cols)) == mat_from_cols(cols)
 
 
+def test_saturation_stops_at_gcd_one(monkeypatch):
+    """Once the minors' gcd is 1 the index is known, and no further minor
+    is computed; an index above 1 still reads every minor."""
+    import qtorb.intlat as intlat_mod
+
+    minors = []
+    monkeypatch.setattr(intlat_mod, "det", lambda m: minors.append(m) or det(m))
+    assert lattice_index([(1, 0, 0), (0, 1, 0)]) == 1
+    assert len(minors) == 1
+    minors.clear()
+    assert lattice_index([(1, 0, 0), (1, 3, 0)]) == 3
+    assert len(minors) == 3
+
+
 def test_saturation_rejects_dependent_columns():
     with pytest.raises(RankDeficientError):
         lattice_index([(1, 2), (2, 4)])
