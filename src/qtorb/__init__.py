@@ -56,6 +56,7 @@ from .model import (
     f_vector,
     faces,
     generate_test_models,
+    generate_test_tables,
     h_vector,
     load_model,
     make_model,

@@ -6,14 +6,19 @@ the identity suite that runs that check for every crepant candidate.
 A blowup replaces the chosen face by a new facet whose characteristic
 vector is a positive combination of the vectors meeting at the face.
 Combinatorially, every vertex on the face splits into one vertex per
-dropped facet; no geometric hyperplane is ever materialized.  The
-blown-up model is derived from its base: once the spec passes the one
-spec check, :func:`_checked`, that ``make_blowup_spec``, ``blow_up``
-and ``star_subdivide`` all run (a face of codimension at least 2, one
-positive weight per facet, the weighted sum of their vectors exactly
-the new primitive vector), full model validation could not fail on it,
-and every new vertex determinant is a weight times a base one.  Full
-validation of the derived model runs as an oracle.
+dropped facet; no geometric hyperplane is ever materialized.  Every
+entry point checks a spec once, with :func:`_checked` (a face of
+codimension at least 2, one positive weight per facet, the weighted sum
+of their vectors exactly the new primitive vector), and works from the
+face and canonical spec it returns: ``make_blowup_spec``, ``blow_up``,
+``star_subdivide`` and ``mckay_check`` each run it once.  The blown-up
+model is derived from its base: given a checked spec, full model
+validation could not fail on it, and every new vertex determinant is a
+weight times a base one.  The star subdivision's simplices that meet
+the face simplex's interior are derived too: a stellar subdivision of a
+simplex at a point with positive barycentric weights is a triangulation
+by construction.  Full validation of the derived model and of the whole
+star subdivision run as oracles.
 """
 
 from __future__ import annotations
@@ -155,7 +160,8 @@ def is_crepant(spec: BlowupSpec) -> bool:
 
 def _crepant(spec: BlowupSpec) -> BlowupSpec:
     """``spec``, after BlowupError unless it is crepant: the one check of
-    the condition, for ``star_subdivide`` and ``mckay_check``."""
+    the condition, which ``star_subdivide`` and ``mckay_check`` each run
+    once."""
     if not is_crepant(spec):
         raise BlowupError(
             f"weights sum to {sum(spec.weights)}, expected 1 for a crepant blowup"
@@ -177,7 +183,12 @@ def blow_up(model: Model, spec: BlowupSpec) -> Model:
     vector, a primitive integer vector.  Given these, no vertex repeats,
     every facet stays in use and no determinant vanishes, so full
     validation, the oracle :func:`validated_blowup`, cannot fail."""
-    face, spec = _checked(model, spec.face, spec.weights, spec.lambda0)
+    return _derived_blowup(model, *_checked(model, spec.face, spec.weights, spec.lambda0))
+
+
+def _derived_blowup(model: Model, face: Face, spec: BlowupSpec) -> Model:
+    """The blown-up model of :func:`blow_up`, from the face and canonical
+    spec that :func:`_checked` returned for ``model``."""
     n, new = model.n, model.m
     weight = dict(zip(spec.face, spec.weights))
     split_ids = set(face.vertex_ids)
@@ -300,7 +311,9 @@ def _validated_subdivision(
 
 
 def star_subdivide(spec: BlowupSpec, model: Model) -> Subdivision:
-    """Star subdivision of the spec's face simplex at its new vector.
+    """Star subdivision of the spec's face simplex at its new vector,
+    validated whole: the oracle for the interior that ``mckay_check``
+    derives (:func:`validated_star_interior`).
 
     The spec passes the one spec check, :func:`_checked`, with its new
     vector, which also gives the face, and must be crepant: its weights,
@@ -329,6 +342,29 @@ def star_subdivide(spec: BlowupSpec, model: Model) -> Subdivision:
         for idx in sorted(vertex_sets)
     ]
     return _validated_subdivision(face, simplices)
+
+
+def _star_interior(face: Face, spec: BlowupSpec, model: Model) -> tuple[LatticeSimplex, ...]:
+    """The simplices of the star subdivision of ``face``'s simplex at the
+    new vector that meet the simplex's relative interior, from the face
+    and crepant canonical spec that :func:`_checked` returned: the new
+    point joined with each proper subset of the face's k vectors, 2^k - 1
+    of them, in the order of :func:`_validated_subdivision`.  The point's
+    coordinates are the weights, all positive, so every such join meets
+    the interior, and a simplex without the point lies on a facet of the
+    face simplex; nothing is validated."""
+    whole = face_simplex(face, model)
+    k = face.codim
+    simplices = [
+        LatticeSimplex(
+            ambient_face=face,
+            verts=tuple(whole.verts[i] for i in idx) + (spec.lambda0,),
+            coords=tuple(whole.coords[i] for i in idx) + (spec.weights,),
+        )
+        for r in range(k)
+        for idx in itertools.combinations(range(k), r)
+    ]
+    return tuple(sorted(simplices, key=lambda sx: (len(sx.verts), sx.verts)))
 
 
 def induced_triangulation(subface: Face, tau: Subdivision, model: Model) -> Subdivision:
@@ -392,7 +428,7 @@ class TriangulationCheck:
 
 def check_triangulation_identity(
     face: Face,
-    subdivision: Subdivision,
+    interior: Sequence[LatticeSimplex],
     groups: LocalGroupTable,
     cones: LocalGroupTable,
     extra: tuple[IntVec, ...] = (),
@@ -401,34 +437,37 @@ def check_triangulation_identity(
     simplices of its triangulation that meet its interior, of
     (s-1)^codim times the age polynomial of the cone over the simplex.
 
-    ``subdivision`` triangulates the simplex of a face F whose facets are
-    among those of ``face``, and ``extra`` holds the characteristic
-    vectors of ``face``'s other facets (``extra=()`` when F is ``face``).
-    The triangulation of ``face``'s simplex is the join of the two, and
-    its simplices meeting the interior are exactly theta + extra for
-    theta in ``subdivision.interior``, each of theta's codimension in F.
-    The face side
+    ``interior`` holds the simplices meeting the interior of a
+    triangulation of the simplex of a face F whose facets are among
+    those of ``face`` (a :class:`Subdivision`'s ``interior``), and
+    ``extra`` holds the characteristic vectors of ``face``'s other
+    facets (``extra=()`` when F is ``face``).  The triangulation of
+    ``face``'s simplex is the join of the two, and its simplices meeting
+    the interior are exactly theta + extra for theta in ``interior``,
+    each of theta's codimension in F.  The face side
     is read from ``groups``, the table of the model, and each cone from
     ``cones``, the table of a model that has every interior cone as a
     face (the blown-up model's, for a star subdivision)."""
     lhs = groups.group(face).age_polynomial
     rhs = _sum(
         e_torus(sx.codim) * cones.cone(sx.verts + extra).age_polynomial
-        for sx in subdivision.interior
+        for sx in interior
     )
     return TriangulationCheck(face=face, passed=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)
 class McKayReport:
-    """Everything the crepant-blowup invariance check produces, with the
-    star subdivision it validated."""
+    """Everything the crepant-blowup invariance check produces: the
+    checked face and canonical spec, and the interior simplices of the
+    star subdivision that its triangulation identities read."""
 
     before: CrReport
+    face: Face
     spec: BlowupSpec
     blown_groups: LocalGroupTable
     after: CrReport | None
-    subdivision: Subdivision
+    interior: tuple[LatticeSimplex, ...]
     triangulation_checks: tuple[TriangulationCheck, ...]
 
     @property
@@ -460,30 +499,35 @@ def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
     stays quasi-SL, compute the Chen-Ruan polynomial of the blown-up
     model by all three routes, and run the triangulation identity on the
     subdivided face simplex and on every subface's simplex.  A spec that
-    is not crepant is refused before anything is built.  The star
-    subdivision is validated in full; each subface's triangulation is its
-    join with the subface's extra vectors, so its identity reads the
-    interior simplices of the star subdivision and builds nothing else
-    (``induced_triangulation`` builds it whole, as the oracle)."""
+    is not crepant is refused before anything is built; then the spec
+    passes the one spec check, :func:`_checked`, once, and the blown-up
+    model and the star subdivision's interior simplices are both derived
+    from the face and canonical spec it returns.  Each subface's
+    triangulation is the star subdivision's join with the subface's
+    extra vectors, so its identity reads those interior simplices and
+    builds nothing else.  The whole validated star subdivision and each
+    validated induced triangulation are built only by the oracles
+    :func:`validated_star_interior` and :func:`induced_triangulation_sums`."""
     groups = before.groups
     model = groups.model
     _crepant(spec)
+    face, spec = _checked(model, spec.face, spec.weights, spec.lambda0)
     # The faces on the new facet are the interior cones of the
     # triangulations below.
-    blown_groups = blow_up_table(groups, spec)
+    blown_groups = LocalGroupTable(_derived_blowup(model, face, spec), groups)
     after = cr_report(blown_groups) if blown_groups.quasi_sl else None
-    tau = star_subdivide(spec, model)
-    face = tau.ambient_face
+    interior = _star_interior(face, spec, model)
     checks = []
     for sub in subfaces(face, groups.faces):
         extra = tuple(model.char_vectors[i] for i in sub.facet_set if i not in face.facet_set)
-        checks.append(check_triangulation_identity(sub, tau, groups, blown_groups, extra))
+        checks.append(check_triangulation_identity(sub, interior, groups, blown_groups, extra))
     return McKayReport(
         before=before,
+        face=face,
         spec=spec,
         blown_groups=blown_groups,
         after=after,
-        subdivision=tau,
+        interior=interior,
         triangulation_checks=tuple(checks),
     )
 
@@ -581,15 +625,29 @@ def table_failures(table: LocalGroupTable, groups: Sequence[LocalGroup], include
     ]
 
 
-def induced_triangulation_sums(mckay: McKayReport) -> Iterator[str]:
+def validated_star_interior(mckay: McKayReport, tau: Subdivision) -> Iterator[str]:
+    """Oracle: the interior simplices ``mckay`` derived are those of
+    ``tau``, the validated star subdivision of the same spec, in the same
+    order."""
+    if mckay.interior != tau.interior:
+        yield (
+            f"the derived interior of the star subdivision of {list(mckay.face.facet_set)} "
+            f"({len(mckay.interior)} simplices) is not the validated one "
+            f"({len(tau.interior)} simplices)"
+        )
+
+
+def induced_triangulation_sums(mckay: McKayReport, tau: Subdivision) -> Iterator[str]:
     """Oracle: each subface's triangulation sum in ``mckay`` equals the
     one read from the validated induced triangulation, built whole from
-    the star subdivision the check kept."""
+    ``tau``, the validated star subdivision of the same spec."""
     model = mckay.before.groups.model
     lazy = {check.face: check.rhs for check in mckay.triangulation_checks}
-    for sub in subfaces(mckay.subdivision.ambient_face, mckay.before.groups.faces):
-        induced = induced_triangulation(sub, mckay.subdivision, model)
-        rhs = check_triangulation_identity(sub, induced, mckay.before.groups, mckay.blown_groups).rhs
+    for sub in subfaces(mckay.face, mckay.before.groups.faces):
+        induced = induced_triangulation(sub, tau, model)
+        rhs = check_triangulation_identity(
+            sub, induced.interior, mckay.before.groups, mckay.blown_groups
+        ).rhs
         if lazy.get(sub) != rhs:
             yield (
                 f"the induced triangulation of {list(sub.facet_set)} sums to {rhs}, "
@@ -617,8 +675,10 @@ def validated_blowup(mckay: McKayReport) -> Iterator[str]:
         )
 
 
-def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
-    """Run the full identity suite on one model; returns failure messages.
+def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> list[str]:
+    """Run the full identity suite on the model of one table, the table
+    its caller built (``generate_test_tables`` for ``qtorb fuzz``);
+    returns failure messages.
 
     The base model's report passes every :data:`REPORT_CHECKS` entry
     (routes, identities, age partition) and its table every
@@ -627,16 +687,18 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
     model's report; a blown-up table that stays quasi-SL then runs the
     table checks on the faces of the new facet, the others being the
     base table's.  With ``include_oracle``, the table checks include the
-    oracles, each blown-up model is compared with its full validation,
-    and each subface's triangulation sum in a McKay check is compared
-    with the induced triangulation's.
+    oracles, and each McKay check builds the validated star subdivision
+    once: its interior is compared with the derived one and each
+    subface's triangulation sum with the validated induced
+    triangulation's, and the blown-up model is compared with its full
+    validation.
     """
+    model = table.model
     label = model.name or "<model>"
-    groups = LocalGroupTable(model)
-    report = cr_report(groups)
+    report = cr_report(table)
     failures = [f"{label}: {text}" for text in report.failures()]
-    failures += [f"{label}: {text}" for text in table_failures(groups, groups.groups, include_oracle)]
-    for spec in crepant_candidates(groups):
+    failures += [f"{label}: {text}" for text in table_failures(table, table.groups, include_oracle)]
+    for spec in crepant_candidates(table):
         mckay = mckay_check(report, spec)
         prefix = f"{label}: crepant blowup at {list(spec.face)}"
         if not mckay.quasi_sl_after:
@@ -649,5 +711,7 @@ def identity_failures(model: Model, include_oracle: bool = False) -> list[str]:
             failures += [f"{prefix}: {text}" for text in table_failures(blown, on_new_facet, include_oracle)]
         if include_oracle:
             failures += [f"{prefix}: {text}" for text in validated_blowup(mckay)]
-            failures += [f"{prefix}: {text}" for text in induced_triangulation_sums(mckay)]
+            tau = star_subdivide(mckay.spec, model)
+            failures += [f"{prefix}: {text}" for text in validated_star_interior(mckay, tau)]
+            failures += [f"{prefix}: {text}" for text in induced_triangulation_sums(mckay, tau)]
     return failures

@@ -34,7 +34,7 @@ from .model import (
     Model,
     ModelValidationError,
     faces,
-    generate_test_models,
+    generate_test_tables,
     load_model,
     model_to_dict,
     model_to_json,
@@ -293,18 +293,21 @@ def _cmd_mckay(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    models = generate_test_models(args.seed, args.count, n=args.n, budget=args.budget)
-    if not models:
+    # Each table is checked before the next is generated, so one model's
+    # tables are alive at a time.
+    generated = 0
+    failures: list[str] = []
+    for table in generate_test_tables(args.seed, args.count, n=args.n, budget=args.budget):
+        generated += 1
+        failures.extend(identity_failures(table, include_oracle=args.oracle))
+    if not generated:
         # A run that checks no model proves nothing.
         _emit({"error": "no model generated", "seed": args.seed, "n": args.n, "budget": args.budget})
         return 2
-    failures: list[str] = []
-    for model in models:
-        failures.extend(identity_failures(model, include_oracle=args.oracle))
     payload = {
         "backend": kernels.backend_name(),
         "models_requested": args.count,
-        "models_generated": len(models),
+        "models_generated": generated,
         "failures": failures,
         "all_pass": not failures,
     }

@@ -14,9 +14,12 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .intlat import IntMat, IntVec, as_vec, det, is_primitive, mat_vec
+
+if TYPE_CHECKING:
+    from .sectors import LocalGroupTable
 
 JSON_INT_LIMIT = 2**53
 # faces() refuses a model whose vertices have more facet subsets than this.
@@ -395,54 +398,69 @@ def _random_simplex_model(rng: random.Random, n: int, index: int):
     return table if table.quasi_sl else None
 
 
-def generate_test_models(
-    seed: int, count: int, n: int = 2, budget: int = 400
-) -> list[Model]:
-    """Deterministic pseudo-random family of valid quasi-SL models.
-
-    Starts from simplex models with a random compatible last vector and
-    mutates with valid blowups and unimodular basis changes.  Stops
-    quietly when `budget` construction attempts are spent, so the result
-    can be shorter than `count`.  The current model's LocalGroupTable
-    lends its groups to each blowup's table, and is dropped only after a
-    unimodular change.
-    """
-    if n not in (2, 3, 4):
-        raise ValueError(f"generator supports n in {{2, 3, 4}}, got {n}")
+def _mutated_table(rng: random.Random, table: LocalGroupTable, n: int) -> LocalGroupTable:
+    """The table of the model that up to two random blowups and unimodular
+    changes make of ``table``'s.  Each blowup's table borrows the groups
+    the current table has built; a unimodular change starts a new one."""
     from . import blowup as blowup_mod
     from .sectors import LocalGroupTable
 
-    rng = random.Random(seed)
-    out: list[Model] = []
-    attempts = 0
-    while len(out) < count and attempts < budget:
-        attempts += 1
-        table = _random_simplex_model(rng, n, len(out))
-        if table is None:
-            continue
-        for _ in range(rng.randrange(3)):
-            model = table.model
-            roll = rng.random()
-            if roll < 0.45 and model.m < n + 4:
-                candidates = blowup_mod.crepant_candidates(table)
-                if not candidates:
-                    continue
-                spec = rng.choice(candidates)
-            elif roll < 0.85:
-                table = LocalGroupTable(apply_unimodular(model, random_unimodular(rng, n)))
+    for _ in range(rng.randrange(3)):
+        model = table.model
+        roll = rng.random()
+        if roll < 0.45 and model.m < n + 4:
+            candidates = blowup_mod.crepant_candidates(table)
+            if not candidates:
                 continue
-            else:
-                # Non-crepant truncation: unit weights on a random face.
-                chosen = [f for f in table.faces if f.codim >= 2]
-                if not chosen:
-                    continue
-                face = rng.choice(chosen)
-                try:
-                    spec = blowup_mod.make_blowup_spec(model, face.facet_set, [1] * face.codim)
-                except ValueError:
-                    continue
-            blown_table = blowup_mod.blow_up_table(table, spec)
-            if blown_table.quasi_sl:
-                table = blown_table
-        out.append(table.model)
-    return out
+            spec = rng.choice(candidates)
+        elif roll < 0.85:
+            table = LocalGroupTable(apply_unimodular(model, random_unimodular(rng, n)))
+            continue
+        else:
+            # Non-crepant truncation: unit weights on a random face.
+            chosen = [f for f in table.faces if f.codim >= 2]
+            if not chosen:
+                continue
+            face = rng.choice(chosen)
+            try:
+                spec = blowup_mod.make_blowup_spec(model, face.facet_set, [1] * face.codim)
+            except ValueError:
+                continue
+        blown_table = blowup_mod.blow_up_table(table, spec)
+        if blown_table.quasi_sl:
+            table = blown_table
+    return table
+
+
+def generate_test_tables(
+    seed: int, count: int, n: int = 2, budget: int = 400
+) -> Iterator[LocalGroupTable]:
+    """Deterministic pseudo-random family of valid quasi-SL models, as the
+    LocalGroupTable each was built and screened with, yielded one at a
+    time: a caller that checks each table before asking for the next,
+    and drops it, holds one model's tables at a time.
+
+    Starts from simplex models with a random compatible last vector and
+    mutates with valid blowups and unimodular basis changes.  Stops
+    quietly when `budget` construction attempts are spent, so there can
+    be fewer than `count`.  The table yielded is the last one built,
+    with every group it and the tables it borrowed from have built.
+    """
+    if n not in (2, 3, 4):
+        raise ValueError(f"generator supports n in {{2, 3, 4}}, got {n}")
+    rng = random.Random(seed)
+    generated = attempts = 0
+    while generated < count and attempts < budget:
+        attempts += 1
+        table = _random_simplex_model(rng, n, generated)
+        if table is not None:
+            table = _mutated_table(rng, table, n)
+            generated += 1
+            yield table
+
+
+def generate_test_models(
+    seed: int, count: int, n: int = 2, budget: int = 400
+) -> list[Model]:
+    """The models of :func:`generate_test_tables`, as a list."""
+    return [table.model for table in generate_test_tables(seed, count, n, budget)]

@@ -83,7 +83,7 @@ def test_criterion_2_z3_resolution(z3):
     assert result.after.pp_cr == expected
     tau = star_subdivide(spec, z3)
     vertex = tau.ambient_face
-    assert check_triangulation_identity(vertex, tau, groups, result.blown_groups).passed
+    assert check_triangulation_identity(vertex, tau.interior, groups, result.blown_groups).passed
     report("2 (order-3 corner resolution)", started, limit=1.0)
 
 

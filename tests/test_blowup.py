@@ -214,19 +214,25 @@ def test_derived_blowups_are_the_validated_models(corpus):
     """Every crepant candidate and unit-weight truncation of the corpus and
     of ``generate_test_models(s, 20, n)``, s = 1..10, n = 2, 3, 4, derives
     the model that full validation makes, vertex determinants included,
-    which equality ignores."""
+    which equality ignores; every crepant candidate also derives the
+    interior simplices of the validated star subdivision."""
     models = list(corpus) + [
         model for n in (2, 3, 4) for seed in range(1, 11) for model in generate_test_models(seed, 20, n)
     ]
-    checked = 0
+    checked = stars = 0
     for model in models:
         table = LocalGroupTable(model)
-        for spec in crepant_candidates(table) + list(_unit_truncations(table)):
+        candidates = crepant_candidates(table)
+        for spec in candidates:
+            face, _ = blowup_mod._checked(model, spec.face, spec.weights, spec.lambda0)
+            assert blowup_mod._star_interior(face, spec, model) == star_subdivide(spec, model).interior
+            stars += 1
+        for spec in candidates + list(_unit_truncations(table)):
             blown, validated = blow_up(model, spec), _validated_blowup(model, spec)
             assert blown == validated, (model, spec)
             assert blown.vertex_dets == validated.vertex_dets, (model, spec)
             checked += 1
-    assert checked > 9000
+    assert checked > 9000 and stars > 700
 
 
 def _flip_a_derived_sign(monkeypatch):
@@ -357,7 +363,7 @@ def test_triangulation_identity_wp112(wp112):
     tau = star_subdivide(spec, wp112)
     vertex = tau.ambient_face
     groups, cones = blown_tables(wp112, spec)
-    check = check_triangulation_identity(vertex, tau, groups, cones)
+    check = check_triangulation_identity(vertex, tau.interior, groups, cones)
     assert check.passed
     assert check.lhs == Poly([1, 1])
     assert check.rhs == Poly([1, 1])
@@ -370,7 +376,7 @@ def test_triangulation_identity_names_a_missing_cone(z3):
     vertex = tau.ambient_face
     groups = LocalGroupTable(z3)
     with pytest.raises(ValueError, match=re.escape("cone over [(0, 0, 1)] is not a face")):
-        check_triangulation_identity(vertex, tau, groups, groups)
+        check_triangulation_identity(vertex, tau.interior, groups, groups)
 
 
 def test_triangulation_identity_z3(z3):
@@ -378,7 +384,7 @@ def test_triangulation_identity_z3(z3):
     tau = star_subdivide(spec, z3)
     vertex = tau.ambient_face
     groups, cones = blown_tables(z3, spec)
-    check = check_triangulation_identity(vertex, tau, groups, cones)
+    check = check_triangulation_identity(vertex, tau.interior, groups, cones)
     assert check.passed
     assert check.lhs == Poly([1, 1, 1])
 
@@ -566,9 +572,9 @@ def test_partition_checks_catch_a_wrongly_trivial_face(monkeypatch, prism):
     built as the trivial group, the edge loses the sector that both vertex
     boxes, computed from their own triangular bases, still hold."""
     assert LocalGroupTable(prism).group(face_by_indices(prism, (0, 1))).order == 2
-    assert identity_failures(prism, include_oracle=True) == []
+    assert identity_failures(LocalGroupTable(prism), include_oracle=True) == []
     _mislabel_as_trivial(monkeypatch, (0, 1))
-    failures = identity_failures(prism, include_oracle=True)
+    failures = identity_failures(LocalGroupTable(prism), include_oracle=True)
     for vertex in ([0, 1, 3], [0, 1, 4]):
         assert f"prism: box partition fails at vertex {vertex}" in failures
         assert f"prism: age partition fails at face {vertex}" in failures
@@ -613,8 +619,9 @@ def test_a_wrongly_trivial_vertex_does_not_spread(monkeypatch, prism, first):
 
 
 def test_identity_failures_takes_vertex_dets_from_the_model(monkeypatch, corpus):
-    """The order check reads |det| from the model; the only determinants
-    left in the module are the subdivision volumes."""
+    """The order check reads |det| from the model, so the default path
+    computes no determinant in this module; the only ones left are the
+    volumes of the validated subdivisions, which the oracles build."""
     callers = set()
 
     def recording_det(mat):
@@ -623,8 +630,54 @@ def test_identity_failures_takes_vertex_dets_from_the_model(monkeypatch, corpus)
 
     monkeypatch.setattr(blowup_mod, "det", recording_det)
     for model in corpus:
-        assert identity_failures(model) == [], model.name
+        assert identity_failures(LocalGroupTable(model)) == [], model.name
+    assert callers == set()
+    for model in corpus:
+        assert identity_failures(LocalGroupTable(model), include_oracle=True) == [], model.name
     assert callers == {"_maximal_volumes"}
+
+
+def _record_calls(monkeypatch, *names):
+    """Patch each named function of the blowup module to record its calls;
+    the name of every call made, in order."""
+    calls = []
+
+    def recording(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in names:
+        monkeypatch.setattr(blowup_mod, name, recording(name, getattr(blowup_mod, name)))
+    return calls
+
+
+def test_mckay_check_checks_its_spec_once(monkeypatch, crepant_blowups):
+    """One spec check and one crepant check per McKay check: the blown-up
+    model and the star interior are derived from the one checked pair."""
+    calls = _record_calls(monkeypatch, "_checked", "_crepant")
+    for model, spec, _ in crepant_blowups:
+        before = cr_report(LocalGroupTable(model))
+        calls.clear()
+        assert mckay_check(before, spec).verdict
+        assert sorted(calls) == ["_checked", "_crepant"], (model.name, spec)
+
+
+def test_default_identity_failures_validate_no_subdivision(monkeypatch, corpus):
+    """The default path derives every star interior and validates no
+    subdivision; the oracle validates one star subdivision per McKay
+    check, and the induced triangulation of each proper subface."""
+    calls = _record_calls(monkeypatch, "_validated_subdivision", "_maximal_volumes")
+    validated = 0
+    for model in corpus:
+        table = LocalGroupTable(model)
+        candidates = crepant_candidates(table)
+        calls.clear()
+        assert identity_failures(table) == []
+        assert calls == []
+        assert identity_failures(LocalGroupTable(model), include_oracle=True) == []
+        expected = sum(len(_subfaces(model, spec)) for spec in candidates)
+        assert calls.count("_validated_subdivision") == calls.count("_maximal_volumes") == expected
+        validated += expected
+    assert validated > 0
 
 
 def test_vertex_order_is_checked_against_the_determinant(monkeypatch, z3):
@@ -632,11 +685,11 @@ def test_vertex_order_is_checked_against_the_determinant(monkeypatch, z3):
     group gives a wrong PP_CR that both partition checks accept: its lower
     faces are all trivial.  The vertex order against |det| flags it
     without the oracle."""
-    assert identity_failures(z3) == []
+    assert identity_failures(LocalGroupTable(z3)) == []
     _mislabel_as_trivial(monkeypatch, (0, 1, 2))
     assert cr_report(LocalGroupTable(z3)).pp_cr == Poly([1, 1, 1, 1])
     assert all(ok for _, ok in check_age_partition(LocalGroupTable(z3)))
-    assert identity_failures(z3) == [
+    assert identity_failures(LocalGroupTable(z3)) == [
         "z3-tetrahedron: group order 1 is not |det| 3 at vertex [0, 1, 2]"
     ]
 
@@ -657,9 +710,9 @@ def test_blown_table_vertex_order_is_checked_without_the_oracle(monkeypatch):
     trivial group fails its order against |det| on the default path,
     reported with the blowup, after the candidate's verdict."""
     model = _fuzz_n4_1()
-    assert identity_failures(model, include_oracle=True) == []
+    assert identity_failures(LocalGroupTable(model), include_oracle=True) == []
     _mislabel_as_trivial(monkeypatch, (0, 1, 2, 5))
-    failures = identity_failures(model)
+    failures = identity_failures(LocalGroupTable(model))
     prefix = "fuzz-n4-1: crepant blowup at [0, 4]"
     order = f"{prefix}: group order 1 is not |det| 4 at vertex [0, 1, 2, 5]"
     assert failures[:2] == [f"{prefix} changes the Betti numbers", order]
@@ -673,8 +726,8 @@ def test_blown_table_box_enumeration_is_an_oracle(monkeypatch):
     model = _fuzz_n4_1()
     _mislabel_as_trivial(monkeypatch, (0, 5))
     message = "fuzz-n4-1: crepant blowup at [0, 4]: box enumeration disagrees with exhaustion at [0, 5]"
-    assert message not in identity_failures(model)
-    assert message in identity_failures(model, include_oracle=True)
+    assert message not in identity_failures(LocalGroupTable(model))
+    assert message in identity_failures(LocalGroupTable(model), include_oracle=True)
 
 
 @pytest.mark.parametrize("include_oracle", [False, True], ids=["default", "oracle"])
@@ -705,7 +758,7 @@ def test_table_checks_run_once_per_table(monkeypatch, corpus, include_oracle):
                 expected += [(name, blown.model, on_new_facet) for name in names]
                 blown_runs += 1
         runs.clear()
-        assert identity_failures(model, include_oracle) == []
+        assert identity_failures(LocalGroupTable(model), include_oracle) == []
         assert runs == expected, model.name
     assert blown_runs > 0
 
@@ -725,11 +778,11 @@ def test_mckay_runs_one_triangular_basis_per_face_on_the_new_facet(
     real_basis = sectors_mod.triangular_form
     real_check = blowup_mod.check_triangulation_identity
 
-    def check(face, subdivision, groups, cones_table, extra=()):
-        cones.extend(frozenset(sx.verts + extra) for sx in subdivision.interior)
+    def check(face, interior, groups, cones_table, extra=()):
+        cones.extend(frozenset(sx.verts + extra) for sx in interior)
         inside.append(True)
         try:
-            return real_check(face, subdivision, groups, cones_table, extra)
+            return real_check(face, interior, groups, cones_table, extra)
         finally:
             inside.pop()
 
@@ -770,14 +823,18 @@ def _z4_tetra_blowups():
 
 
 def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
-    """The interior simplices of each subface's induced triangulation are
-    the star subdivision's joined with the subface's extra vectors, of the
-    same codimension, so the lazy right-hand sides of ``mckay_check``
-    equal those of the validated induced triangulations."""
+    """The interior simplices that ``mckay_check`` derives are those of the
+    validated star subdivision, and the interior simplices of each
+    subface's induced triangulation are those joined with the subface's
+    extra vectors, of the same codimension, so the lazy right-hand sides
+    of ``mckay_check`` equal those of the validated induced
+    triangulations."""
     proper = 0
     for model, spec, _ in crepant_blowups + _z4_tetra_blowups():
         report = mckay_check(cr_report(LocalGroupTable(model)), spec)
-        tau = report.subdivision
+        tau = star_subdivide(spec, model)
+        assert report.interior == tau.interior
+        assert report.face == tau.ambient_face
         subfaces = _subfaces(model, spec)
         assert [check.face for check in report.triangulation_checks] == subfaces
         for check, sub in zip(report.triangulation_checks, subfaces):
@@ -787,43 +844,79 @@ def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
                 (sx.codim, sorted(sx.verts + extra)) for sx in tau.interior
             )
             oracle = check_triangulation_identity(
-                sub, induced, report.before.groups, report.blown_groups
+                sub, induced.interior, report.before.groups, report.blown_groups
             )
             assert check.rhs == oracle.rhs
             assert check.passed and oracle.passed
             proper += bool(extra)
     assert proper > 0
     z4_tetra = _z4_tetra_blowups()[0][0]
-    assert identity_failures(z4_tetra, include_oracle=True) == []
+    assert identity_failures(LocalGroupTable(z4_tetra), include_oracle=True) == []
 
 
-def _drop_interior_simplex(monkeypatch, index):
-    """Make ``mckay_check`` read a star subdivision that lacks its
-    ``index``-th interior simplex."""
-    real = blowup_mod.star_subdivide
+def _mutate_star_interior(monkeypatch, index, repeat=False):
+    """Make ``mckay_check`` derive a star interior that lacks its
+    ``index``-th simplex or, with ``repeat``, holds it twice."""
+    real = blowup_mod._star_interior
 
-    def star(spec, model):
-        tau = real(spec, model)
-        return replace(tau, interior=tau.interior[:index] + tau.interior[index + 1:])
+    def derived(face, spec, model):
+        interior = real(face, spec, model)
+        return interior[:index] + interior[index:index + 1] * (2 if repeat else 0) + interior[index + 1:]
 
-    monkeypatch.setattr(blowup_mod, "star_subdivide", star)
+    monkeypatch.setattr(blowup_mod, "_star_interior", derived)
 
 
 def test_mckay_fails_without_an_interior_simplex(monkeypatch, crepant_blowups):
     """Every dropped simplex drops a nonzero term (s-1)^codim w(cone) from
-    every subface's sum, so every identity fails."""
+    every subface's sum, so every identity fails, on the default path."""
     mutated = 0
     for model, spec, _ in crepant_blowups:
         before = cr_report(LocalGroupTable(model))
         size = len(star_subdivide(spec, model).interior)
+        assert size == 2 ** len(spec.face) - 1
         for index in range(size):
             with monkeypatch.context() as patch:
-                _drop_interior_simplex(patch, index)
+                _mutate_star_interior(patch, index)
                 report = mckay_check(before, spec)
             assert not report.verdict, (model.name, spec, index)
             assert not any(check.passed for check in report.triangulation_checks)
             mutated += 1
     assert mutated > len(crepant_blowups)
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["drop", "repeat"])
+def test_a_wrong_star_interior_is_named_by_the_oracle(monkeypatch, crepant_blowups, prism, repeat):
+    """A derived star interior that lacks a simplex or holds one twice
+    fails the verdict on the default path, and the oracle that compares
+    it with the validated star subdivision names the face."""
+    mutated = 0
+    for model, spec, _ in crepant_blowups[::3] + _z4_tetra_blowups():
+        table = LocalGroupTable(model)
+        before = cr_report(table)
+        size = 2 ** len(spec.face) - 1
+        text = (
+            f"the derived interior of the star subdivision of {list(spec.face)} "
+            f"({size + (1 if repeat else -1)} simplices) is not the validated one ({size} simplices)"
+        )
+        for index in range(size):
+            with monkeypatch.context() as patch:
+                _mutate_star_interior(patch, index, repeat)
+                report = mckay_check(before, spec)
+                assert not report.verdict, (model.name, spec, index)
+                assert list(blowup_mod.validated_star_interior(report, star_subdivide(spec, model))) == [text]
+            mutated += 1
+    assert mutated > 0
+    prefix = "prism: crepant blowup at [0, 1]"
+    row = (
+        f"{prefix}: the derived interior of the star subdivision of [0, 1] "
+        f"({3 + (1 if repeat else -1)} simplices) is not the validated one (3 simplices)"
+    )
+    with monkeypatch.context() as patch:
+        _mutate_star_interior(patch, 0, repeat)
+        default = identity_failures(LocalGroupTable(prism))
+        oracle = identity_failures(LocalGroupTable(prism), include_oracle=True)
+    assert default == [f"{prefix} changes the Betti numbers"]
+    assert oracle[:2] == [f"{prefix} changes the Betti numbers", row]
 
 
 def test_mckay_fails_without_the_extra_vectors(monkeypatch, crepant_blowups):
@@ -834,7 +927,7 @@ def test_mckay_fails_without_the_extra_vectors(monkeypatch, crepant_blowups):
     monkeypatch.setattr(
         blowup_mod,
         "check_triangulation_identity",
-        lambda face, subdivision, groups, cones, extra=(): real(face, subdivision, groups, cones),
+        lambda face, interior, groups, cones, extra=(): real(face, interior, groups, cones),
     )
     flipped = []
     for model, spec, _ in crepant_blowups + _z4_tetra_blowups():
@@ -852,17 +945,16 @@ def test_mckay_fails_without_the_extra_vectors(monkeypatch, crepant_blowups):
 
 
 def test_oracle_reports_a_lazy_sum_that_disagrees(monkeypatch, prism):
-    """With a simplex missing from the star subdivision that the identities
+    """With a simplex missing from the star interior that the identities
     of ``mckay_check`` read, every subface's lazy sum differs from the one
-    the oracle gets from the validated induced triangulation of the star
-    subdivision the report keeps."""
-    assert identity_failures(prism, include_oracle=True) == []
+    the oracle gets from the validated induced triangulation of the
+    validated star subdivision."""
+    assert identity_failures(LocalGroupTable(prism), include_oracle=True) == []
     real_mckay = blowup_mod.mckay_check
     real_check = blowup_mod.check_triangulation_identity
 
-    def lossy_check(face, subdivision, groups, cones, extra=()):
-        lossy = replace(subdivision, interior=subdivision.interior[1:])
-        return real_check(face, lossy, groups, cones, extra)
+    def lossy_check(face, interior, groups, cones, extra=()):
+        return real_check(face, interior[1:], groups, cones, extra)
 
     def mckay(before, spec):
         with monkeypatch.context() as patch:
@@ -871,8 +963,8 @@ def test_oracle_reports_a_lazy_sum_that_disagrees(monkeypatch, prism):
 
     monkeypatch.setattr(blowup_mod, "mckay_check", mckay)
     betti = "prism: crepant blowup at [0, 1] changes the Betti numbers"
-    assert identity_failures(prism) == [betti]
-    failures = identity_failures(prism, include_oracle=True)
+    assert identity_failures(LocalGroupTable(prism)) == [betti]
+    failures = identity_failures(LocalGroupTable(prism), include_oracle=True)
     assert failures[0] == betti
     subfaces = [[0, 1], [0, 1, 3], [0, 1, 4]]
     assert len(failures) == 1 + len(subfaces)
@@ -882,19 +974,18 @@ def test_oracle_reports_a_lazy_sum_that_disagrees(monkeypatch, prism):
         )
 
 
-def test_oracle_reads_the_star_subdivision_from_the_report(monkeypatch, corpus):
-    """Under the oracle, each crepant candidate runs one star subdivision:
-    the one ``mckay_check`` validated, which its report keeps."""
-    calls = []
-    real = blowup_mod.star_subdivide
-    monkeypatch.setattr(
-        blowup_mod, "star_subdivide", lambda *args: calls.append(args) or real(*args)
-    )
+def test_oracle_builds_one_star_subdivision_per_mckay_check(monkeypatch, corpus):
+    """Under the oracle, each crepant candidate runs one star subdivision,
+    which both the star interior and the induced triangulation oracles
+    read; the default path runs none."""
+    calls = _record_calls(monkeypatch, "star_subdivide")
     checked = 0
     for model in corpus[::4]:
         candidates = crepant_candidates(LocalGroupTable(model))
         calls.clear()
-        assert identity_failures(model, include_oracle=True) == []
+        assert identity_failures(LocalGroupTable(model)) == []
+        assert calls == []
+        assert identity_failures(LocalGroupTable(model), include_oracle=True) == []
         assert len(calls) == len(candidates)
         checked += len(candidates)
     assert checked > 0

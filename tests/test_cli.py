@@ -27,6 +27,7 @@ from qtorb import (
     cr_report,
     crepant_candidates,
     generate_test_models,
+    generate_test_tables,
     load_model,
     make_blowup_spec,
     make_model,
@@ -616,7 +617,7 @@ def test_identity_failures_reports_each_model_once(monkeypatch, z3, prism):
     monkeypatch.setattr(blowup_mod, "cr_report", counting(blowup_mod.cr_report))
     for model in (z3, prism):
         reported.clear()
-        assert blowup_mod.identity_failures(model) == []
+        assert blowup_mod.identity_failures(LocalGroupTable(model)) == []
         blown = [blowup_mod.blow_up(model, spec) for spec in crepant_candidates(LocalGroupTable(model))]
         assert blown
         assert reported == [model] + [b for b in blown if LocalGroupTable(b).quasi_sl]
@@ -663,13 +664,14 @@ def test_identity_failures_builds_one_table_per_model(monkeypatch, corpus):
     from qtorb import crepant_candidates, identity_failures
 
     for model in corpus[::4]:
-        candidates = crepant_candidates(LocalGroupTable(model))
+        table = LocalGroupTable(model)
+        candidates = crepant_candidates(table)
         with monkeypatch.context() as patch:
             built = record_tables(patch)
-            assert identity_failures(model) == []
-        # The base model's table, then one blown-up table per candidate.
-        assert len(built) == 1 + len(candidates)
-        assert built[0] == model
+            assert identity_failures(table) == []
+        # One blown-up table per candidate; the base table is the caller's.
+        assert len(built) == len(candidates)
+        assert all(blown.m == model.m + 1 for blown in built)
 
 
 def record_face_lattices(monkeypatch):
@@ -719,6 +721,48 @@ def test_each_command_builds_each_face_lattice_once(capsys, monkeypatch, command
         rc, _ = run(capsys, command, Z3TETRA, *options)
         assert rc == 0
         assert len(built) == lattices
+
+
+def test_fuzz_checks_the_tables_the_generator_built(capsys, monkeypatch):
+    """``qtorb fuzz`` checks each model on the table the generator built
+    and screened it with: the run builds the generator's tables, then
+    one blown-up table per crepant candidate, each with its face lattice
+    once, and no second table of any generated model."""
+    argv = ["fuzz", "--seed", "1", "--count", "10", "--n", "4"]
+    with monkeypatch.context() as patch:
+        generator_tables = record_tables(patch)
+        generated = list(generate_test_tables(1, 10, n=4))
+    candidates = sum(len(crepant_candidates(table)) for table in generated)
+    assert len(generated) == 10 and candidates > 0
+    lattices = record_face_lattices(monkeypatch)
+    tables = record_tables(monkeypatch)
+    rc, out = run(capsys, *argv)
+    assert rc == 0 and json.loads(out)["all_pass"]
+    assert len(tables) == len(lattices) == len(generator_tables) + candidates
+    assert tables == lattices
+
+
+def test_fuzz_keeps_one_generated_table_alive(capsys, monkeypatch):
+    """The generator hands its tables over one at a time, and each is
+    dropped once checked: when a model is checked, no earlier model's
+    table is alive."""
+    import gc
+    import weakref
+
+    import qtorb.cli as cli_mod
+
+    real = cli_mod.identity_failures
+    checked = []
+
+    def check(table, include_oracle=False):
+        gc.collect()
+        assert all(ref() is None for ref in checked), len(checked)
+        checked.append(weakref.ref(table))
+        return real(table, include_oracle)
+
+    monkeypatch.setattr(cli_mod, "identity_failures", check)
+    rc, _ = run(capsys, "fuzz", "--seed", "3", "--count", "20", "--n", "4")
+    assert rc == 0 and len(checked) == 20
 
 
 def _simplex_path(tmp_path, n):
@@ -793,7 +837,7 @@ def test_mckay_verdict_reads_the_blown_models_identities(capsys, monkeypatch, z3
     assert report["verdict"] is False
     assert report["routes_agree"] == {"before": True, "after": True}
     assert report["pp_cr"]["before"] == report["pp_cr"]["after"]
-    failures = identity_failures(z3)
+    failures = identity_failures(LocalGroupTable(z3))
     assert failures and all("changes the Betti numbers" in f for f in failures)
 
 
