@@ -401,7 +401,9 @@ def _random_simplex_model(rng: random.Random, n: int, index: int):
 def _mutated_table(rng: random.Random, table: LocalGroupTable, n: int) -> LocalGroupTable:
     """The table of the model that up to two random blowups and unimodular
     changes make of ``table``'s.  Each blowup's table borrows the groups
-    the current table has built; a unimodular change starts a new one."""
+    the current table has built; a unimodular change starts a new one.
+    A function of its own, so that the generator's frame keeps no table
+    of a model it has already yielded."""
     from . import blowup as blowup_mod
     from .sectors import LocalGroupTable
 
