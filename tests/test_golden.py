@@ -4,7 +4,9 @@ on a fixed set of models, frozen as the behaviour contract for refactors.
 ``mckay-digests.json`` holds, for every crepant candidate of a fixed set
 of generated models, the SHA-256 of ``qtorb mckay`` stdout and the exit
 code: the mckay reports of many more models than the ``.stdout`` files
-hold, at the cost of one hash each.
+hold, at the cost of one hash each.  ``ehrhart-digests.json`` holds the
+same for ``qtorb ehrhart`` and ``qtorb ehrhart --oracle`` on every model
+of that set.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when a
 change of output is intended; a refactor must leave these files untouched.
@@ -34,7 +36,10 @@ MODELS = {
 }
 NON_QUASI_SL = "tests/golden/models/tri-m1-m100.json"
 MCKAY_DIGESTS = GOLDEN / "mckay-digests.json"
-# Every crepant candidate of generate_test_models(seed, MCKAY_COUNT, n).
+EHRHART_DIGESTS = GOLDEN / "ehrhart-digests.json"
+EHRHART_COMMANDS = (["ehrhart"], ["ehrhart", "--oracle"])
+# Every model of generate_test_models(seed, MCKAY_COUNT, n), and every
+# crepant candidate of those models.
 MCKAY_SEEDS = (1, 2, 3, 4)
 MCKAY_DIMS = (2, 3, 4)
 MCKAY_COUNT = 10
@@ -83,51 +88,85 @@ def _expected(name: str) -> tuple[int, str]:
     return codes[name], text
 
 
-def _mckay_digests(workdir) -> list[dict]:
-    """One entry per crepant candidate of the generated models, in
-    generation order: where the model came from, the spec as ``qtorb
-    mckay`` takes it, and the exit code and stdout digest of that run on
-    the model written to ``workdir``."""
-    from qtorb import LocalGroupTable, crepant_candidates, generate_test_models, model_to_json
+def _generated_models(workdir):
+    """Every model of the digest set, in generation order, written to
+    ``workdir``: (n, seed, index, model, path)."""
+    from qtorb import generate_test_models, model_to_json
 
-    entries = []
     for n in MCKAY_DIMS:
         for seed in MCKAY_SEEDS:
             for index, model in enumerate(generate_test_models(seed, MCKAY_COUNT, n=n)):
                 path = pathlib.Path(workdir) / f"n{n}-s{seed}-{index}.json"
                 path.write_text(model_to_json(model), encoding="utf-8")
-                for spec in crepant_candidates(LocalGroupTable(model)):
-                    face = ",".join(map(str, spec.face))
-                    weights = ",".join(map(str, spec.weights))
-                    rc, out = _run_in_process(["mckay", str(path), "--face", face, "--weights", weights])
-                    entries.append({
-                        "n": n, "seed": seed, "model": index, "face": face, "weights": weights,
-                        "exit": rc, "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest(),
-                    })
+                yield n, seed, index, model, path
+
+
+def _digest(argv: list[str]) -> dict:
+    rc, out = _run_in_process(argv)
+    return {"exit": rc, "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+
+
+def _mckay_digests(workdir) -> list[dict]:
+    """One entry per crepant candidate of the generated models, in
+    generation order: where the model came from, the spec as ``qtorb
+    mckay`` takes it, and the exit code and stdout digest of that run on
+    the model written to ``workdir``."""
+    from qtorb import LocalGroupTable, crepant_candidates
+
+    entries = []
+    for n, seed, index, model, path in _generated_models(workdir):
+        for spec in crepant_candidates(LocalGroupTable(model)):
+            face = ",".join(map(str, spec.face))
+            weights = ",".join(map(str, spec.weights))
+            entries.append({
+                "n": n, "seed": seed, "model": index, "face": face, "weights": weights,
+                **_digest(["mckay", str(path), "--face", face, "--weights", weights]),
+            })
     return entries
 
 
+def _ehrhart_digests(workdir) -> list[dict]:
+    """One entry per generated model and ehrhart command, in generation
+    order: where the model came from, the command, and the exit code and
+    stdout digest of that run on the model written to ``workdir``."""
+    return [
+        {"n": n, "seed": seed, "model": index, "command": " ".join(argv), **_digest([*argv, str(path)])}
+        for n, seed, index, _, path in _generated_models(workdir)
+        for argv in EHRHART_COMMANDS
+    ]
+
+
 def _entry_name(entry: dict) -> str:
-    return (
-        f"model {entry['model']} of generate_test_models({entry['seed']}, {MCKAY_COUNT}, "
-        f"n={entry['n']}), face {entry['face']}, weights {entry['weights']}"
+    model = f"model {entry['model']} of generate_test_models({entry['seed']}, {MCKAY_COUNT}, n={entry['n']})"
+    if "command" in entry:
+        return f"qtorb {entry['command']} on {model}"
+    return f"{model}, face {entry['face']}, weights {entry['weights']}"
+
+
+def _check_digests(stored: list[dict], computed: list[dict], what: str) -> None:
+    """A failure names the first entry whose exit code or digest differs,
+    or the first one missing from either side."""
+    for old, new in zip(stored, computed):
+        if _entry_name(new) != _entry_name(old):
+            raise AssertionError(f"{_entry_name(new)} is computed where {_entry_name(old)} is stored")
+        assert new == old, f"the output of {_entry_name(new)} changed"
+    assert len(computed) == len(stored), (
+        f"{len(computed)} {what} computed, {len(stored)} stored; the first unmatched is "
+        f"{_entry_name(max(computed, stored, key=len)[min(len(computed), len(stored))])}"
     )
 
 
 def test_mckay_digests(tmp_path):
-    """Every crepant candidate's mckay report is the committed one; a
-    failure names the first candidate whose exit code or digest differs,
-    or the first one missing from either side."""
+    """Every crepant candidate's mckay report is the committed one."""
     stored = json.loads(MCKAY_DIGESTS.read_text(encoding="utf-8"))
-    computed = _mckay_digests(tmp_path)
-    for old, new in zip(stored, computed):
-        if _entry_name(new) != _entry_name(old):
-            raise AssertionError(f"{_entry_name(new)} is a candidate where {_entry_name(old)} is stored")
-        assert new == old, f"the mckay report of {_entry_name(new)} changed"
-    assert len(computed) == len(stored), (
-        f"{len(computed)} crepant candidates, {len(stored)} stored; the first unmatched is "
-        f"{_entry_name(max(computed, stored, key=len)[min(len(computed), len(stored))])}"
-    )
+    _check_digests(stored, _mckay_digests(tmp_path), "crepant candidates")
+
+
+def test_ehrhart_digests(tmp_path):
+    """Every generated model's ehrhart report, with and without
+    ``--oracle``, is the committed one."""
+    stored = json.loads(EHRHART_DIGESTS.read_text(encoding="utf-8"))
+    _check_digests(stored, _ehrhart_digests(tmp_path), "ehrhart runs")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -165,9 +204,10 @@ if __name__ == "__main__":
         codes[case] = rc
         (GOLDEN / f"{case}.stdout").write_bytes(out.encode("utf-8"))
     EXIT_CODES.write_text(json.dumps(codes, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    with tempfile.TemporaryDirectory() as workdir:
-        digests = _mckay_digests(workdir)
-    MCKAY_DIGESTS.write_text(
-        "[\n" + ",\n".join(json.dumps(entry, sort_keys=True) for entry in digests) + "\n]\n",
-        encoding="utf-8",
-    )
+    for path, compute in ((MCKAY_DIGESTS, _mckay_digests), (EHRHART_DIGESTS, _ehrhart_digests)):
+        with tempfile.TemporaryDirectory() as workdir:
+            digests = compute(workdir)
+        path.write_text(
+            "[\n" + ",\n".join(json.dumps(entry, sort_keys=True) for entry in digests) + "\n]\n",
+            encoding="utf-8",
+        )
