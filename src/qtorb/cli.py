@@ -228,15 +228,18 @@ def _cmd_ehrhart(args) -> int:
         else:
             ages = group.age_polynomial
             counts = [count_from_ages(ages, face.codim, k) for k in range(face.codim)]
-        entries.append(
-            {
-                "face": list(face.facet_set),
-                "psi": list(numerator_from_counts(counts)),
-                "order": group.order,
-                "dilates": counts,
-            }
-        )
-    _emit(entries)
+        entries.append((counts, face.facet_set, group.order, numerator_from_counts(counts)))
+    # Every entry is computed before the first byte is written, so an
+    # error still prints only the error object.  The list is written as
+    # json.dump(..., sort_keys=True, indent=2) writes it, one dict with
+    # the keys dilates, face, order and psi per entry.
+    key = "\n    "
+    texts = (
+        f'{{{key}"dilates": {_json_list(map(str, counts), key)},{key}"face": {_json_list(map(str, face), key)},'
+        f'{key}"order": {order},{key}"psi": {_json_list(map(str, psi), key)}\n  }}'
+        for counts, face, order, psi in entries
+    )
+    sys.stdout.write(_json_list(texts, "\n") + "\n")
     return 0
 
 

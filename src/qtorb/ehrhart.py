@@ -27,7 +27,11 @@ from .intlat import (
 from .model import Face, Model
 
 # dilate_counts refuses a simplex whose dilates 1..dim scan more points
-# than this in all.
+# than this in all.  It counts the points of the scanned boxes, an upper
+# bound on the kernel's work: a line costs one step, plus one per point
+# that passes the range and residue tests when other coordinates are
+# tested.  The limit is deliberately kept on the box, a size known from
+# the plan before any line is counted.
 DILATE_SCAN_LIMIT = 2**20
 
 # The entries of the face simplex's vertex coordinates, shared by every
@@ -127,8 +131,11 @@ class _DilatePlan:
         self.others = [vmat[i] for i in range(n) if i not in free and i != r]
 
     def scan_size(self, top: int) -> int:
-        """Points the kernel visits over the dilates 1, ..., top: the
-        product of the scanned coordinate ranges, summed."""
+        """Points of the scanned boxes over the dilates 1, ..., top: the
+        product of the scanned coordinate ranges, summed.  An upper bound
+        on the kernel's steps, which count each line of the first range
+        once and test only the points that pass the range and residue
+        tests against other coordinates."""
         return sum(
             prod(k * (self.hi[i] - self.lo[i]) + 1 for i in self.free) for k in range(1, top + 1)
         )
@@ -156,9 +163,10 @@ def dilate_counts(sx: LatticeSimplex) -> list[int]:
     integer ranges of the dilated vertices, solves the level condition
     for one more coordinate and keeps the points that are nonnegative
     rational combinations of the vertices with coefficient sum k and
-    integer in every coordinate.  The k-th dilate costs the product of
-    those d - 1 coordinate ranges; ValueError, before any point is
-    scanned, when their sum over k exceeds :data:`DILATE_SCAN_LIMIT`.
+    integer in every coordinate.  The k-th dilate's scanned box is the
+    product of those d - 1 coordinate ranges, an upper bound on its cost;
+    ValueError, before any point is scanned, when their sum over k
+    exceeds :data:`DILATE_SCAN_LIMIT`.
     Exact, and independent of the box-element machinery; this is the
     slow oracle path.  Raises ``RankDeficientError`` on dependent
     vertices.

@@ -3,10 +3,15 @@
 Both run on Python big integers, so they are exact for inputs of any
 magnitude.  They stay independent of the local-group construction in
 :mod:`qtorb.sectors`: ``count_in_dilate`` backs the brute-force dilate
-count and ``box_solutions`` the exhaustive box search.
+count and ``box_solutions`` the exhaustive box search.  Both stay
+exhaustive: ``count_in_dilate`` counts each line of its fiber from the
+interval and residue class where the tests hold, instead of testing
+the line's points one at a time.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def backend_name() -> str:
@@ -27,29 +32,47 @@ def count_in_dilate(lo, hi, start, steps, bounds, q, others, m) -> int:
       remaining coordinates are integers).
 
     The values are affine in t.  An odometer over t_1, t_2, ... keeps y
-    as running values, moving t_j by one adds steps[j]; along each line
-    of t_0 only y[0] is tracked, and y[1:] is built at the points that
-    pass the first test.  The cost is one step per point of the box, the
-    product of the len(lo) coordinate ranges.
+    as running values, moving t_j by one adds steps[j].  On each line of
+    t_0 the range tests, affine in j = t_0 - lo_0, hold on one interval
+    of j, and y[0] is a multiple of q on one residue class of j modulo
+    q / gcd(steps[0][0], q), or on none.  Without ``others`` a line is
+    counted in one step; with them, only the j of that class inside the
+    interval are tested against them.
     """
     n = len(lo)
     low, high = bounds
     head = steps[0] if n else [0] * len(start)
     width = hi[0] - lo[0] + 1 if n else 1
     s0, tail = head[0], head[1:]
+    # y0 + j * s0 = 0 (mod q) when g divides y0 and j = -(y0 / g) * inverse
+    # modulo the period.
+    g = math.gcd(s0, q)
+    period = q // g
+    inverse = pow(s0 // g, -1, period)
+    slopes = [s0, -s0, *tail]
     y = list(start)
     t = list(lo)
     count = 0
     while True:
         y0 = y[0]
-        for j in range(width):
-            v = y0 + j * s0
-            if low <= v <= high and v % q == 0:
-                c = [a + j * b for a, b in zip(y[1:], tail)]
-                if all(ci >= 0 for ci in c) and all(
-                    sum(a * b for a, b in zip(row, c)) % m == 0 for row in others
-                ):
-                    count += 1
+        if y0 % g == 0:
+            first, last = 0, width - 1
+            # Each range test reads a + j * b >= 0.
+            for a, b in zip([y0 - low, high - y0, *y[1:]], slopes):
+                if b > 0:
+                    first = max(first, -(a // b))
+                elif b < 0:
+                    last = min(last, a // -b)
+                elif a < 0:
+                    last = -1
+                    break
+            first += (-(y0 // g) * inverse - first) % period
+            if others:
+                for j in range(first, last + 1, period):
+                    c = [a + j * b for a, b in zip(y[1:], tail)]
+                    count += all(sum(a * b for a, b in zip(row, c)) % m == 0 for row in others)
+            else:
+                count += max(0, (last - first) // period + 1)
         i = 1
         while i < n and t[i] == hi[i]:
             span = hi[i] - lo[i]

@@ -1205,6 +1205,68 @@ def test_a_dilate_scan_over_the_limit_is_refused_before_scanning(capsys, tmp_pat
     }
 
 
+def _ehrhart_dicts(model, oracle):
+    """The ehrhart report as a list of dicts, from the library: the dilate
+    counts of every proper face, by the oracle or from the box ages."""
+    entries = []
+    for group in LocalGroupTable(model).groups:
+        face = group.face
+        if face.codim == 0:
+            continue
+        if oracle:
+            counts = ehrhart_mod.dilate_counts(ehrhart_mod.face_simplex(face, model))
+        else:
+            counts = [ehrhart_mod.count_from_ages(group.age_polynomial, face.codim, k) for k in range(face.codim)]
+        entries.append({
+            "face": list(face.facet_set),
+            "psi": list(ehrhart_mod.numerator_from_counts(counts)),
+            "order": group.order,
+            "dilates": counts,
+        })
+    return entries
+
+
+def test_ehrhart_writes_what_json_writes(capsys, tmp_path, corpus, crepant_blowups):
+    """On every corpus model and crepant blowup, both ehrhart reports are
+    the bytes json.dumps writes for the list of dicts."""
+    models = corpus + [blown for _, _, blown in crepant_blowups]
+    for index, model in enumerate(models):
+        path = tmp_path / f"model-{index}.json"
+        path.write_text(model_to_json(model))
+        for oracle in (False, True):
+            expected = json.dumps(_ehrhart_dicts(model, oracle), sort_keys=True, indent=2) + "\n"
+            argv = ["ehrhart", str(path)] + ["--oracle"] * oracle
+            assert run(capsys, *argv) == (0, expected), f"{' '.join(argv)} on {model.name}"
+
+
+def test_ehrhart_errors_print_only_the_error_object(capsys, monkeypatch, tmp_path, z3_path):
+    """An error on any face, the last one included, prints the error
+    object alone: no entry is written before every entry is computed."""
+    rc, out = run(capsys, "ehrhart", "--oracle", _triangle_path(tmp_path, 10**7))
+    limit = {
+        "error": "the dilates of simplex [(1, 0), (1, 10000000)] scan 10000001 points, "
+        f"above the limit of {ehrhart_mod.DILATE_SCAN_LIMIT}"
+    }
+    assert (rc, out) == (2, json.dumps(limit, indent=2) + "\n")
+    proper = sum(1 for group in LocalGroupTable(load_model(z3_path)).groups if group.face.codim)
+    numerator = cli_mod.numerator_from_counts
+    calls = []
+
+    def raises_on_the_last_face(counts):
+        calls.append(counts)
+        if len(calls) == proper:
+            raise ArithmeticError("negative numerator coefficient on the last face")
+        return numerator(counts)
+
+    monkeypatch.setattr(cli_mod, "numerator_from_counts", raises_on_the_last_face)
+    for argv in (["ehrhart", z3_path], ["ehrhart", "--oracle", z3_path]):
+        calls.clear()
+        rc, out = run(capsys, *argv)
+        error = {"error": "negative numerator coefficient on the last face"}
+        assert (rc, out) == (2, json.dumps(error, indent=2) + "\n")
+        assert len(calls) == proper
+
+
 def test_a_dilate_scan_under_the_limit_is_counted(capsys, tmp_path):
     path = _triangle_path(tmp_path, 10**5)
     rc, oracle = run(capsys, "ehrhart", "--oracle", path)

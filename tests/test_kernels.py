@@ -1,8 +1,11 @@
 """The enumeration kernels on known values, including inputs far beyond
 64-bit range, which the big-integer arithmetic must count exactly, and
-against direct test-local references on small random inputs."""
+against direct test-local references on small random inputs: the dilate
+count against membership tests at every point of the bounding box, and
+the fiber scan against testing the points of each line one at a time."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -214,6 +217,110 @@ def test_dilate_count_matches_reference(inputs):
             dilate_count(sx, k)
     else:
         assert dilate_count(sx, k) == _count_in_dilate_reference(*args)
+
+
+def _count_in_dilate_by_points(lo, hi, start, steps, bounds, q, others, m):
+    """The kernel's fiber scan one point at a time: the same odometer over
+    t_1, t_2, ..., with every point of each line of t_0 tested."""
+    n = len(lo)
+    low, high = bounds
+    head = steps[0] if n else [0] * len(start)
+    width = hi[0] - lo[0] + 1 if n else 1
+    s0, tail = head[0], head[1:]
+    y = list(start)
+    t = list(lo)
+    count = 0
+    while True:
+        y0 = y[0]
+        for j in range(width):
+            v = y0 + j * s0
+            if low <= v <= high and v % q == 0:
+                c = [a + j * b for a, b in zip(y[1:], tail)]
+                if all(ci >= 0 for ci in c) and all(
+                    sum(a * b for a, b in zip(row, c)) % m == 0 for row in others
+                ):
+                    count += 1
+        i = 1
+        while i < n and t[i] == hi[i]:
+            span = hi[i] - lo[i]
+            t[i] = lo[i]
+            y = [a - span * b for a, b in zip(y, steps[i])]
+            i += 1
+        if i >= n:
+            break
+        t[i] += 1
+        y = [a + b for a, b in zip(y, steps[i])]
+    return count
+
+
+def _line_starts(lo, hi, start, steps):
+    """The values y at j = 0 of every line of t_0, from scratch."""
+    return [
+        [a + sum((tj - l) * step[i] for tj, l, step in zip(t, lo[1:], steps[1:])) for i, a in enumerate(start)]
+        for t in itertools.product(*(range(a, b + 1) for a, b in zip(lo[1:], hi[1:])))
+    ]
+
+
+@st.composite
+def _fiber_inputs(draw):
+    """Raw kernel arguments on small boxes: any slopes, including zero and
+    negative ones, q and m up to 6, bounds that may be empty, and zero to
+    two rows of other coordinates."""
+    n, d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    lo = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    hi = [a + draw(st.integers(0, 4)) for a in lo]
+    start = draw(st.lists(st.integers(-20, 20), min_size=d + 1, max_size=d + 1))
+    step = st.lists(st.integers(-6, 6), min_size=d + 1, max_size=d + 1)
+    steps = draw(st.lists(step, min_size=n, max_size=n))
+    low = draw(st.integers(-30, 30))
+    bounds = (low, low + draw(st.integers(-5, 40)))
+    q, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    others = draw(st.lists(row, max_size=2))
+    return lo, hi, start, steps, bounds, q, others, m
+
+
+# Pinned fibers, each reaching a case of the interval count.
+# A negative slope of y[0] sharing the factor 2 with q = 4, so that lines
+# with odd y[0] have no solution, and one other coordinate that keeps
+# some of the points that pass the other tests.
+SHARED_FACTOR = ([0, 0], [6, 2], [3, 10, 2], [[-2, -1, 1], [1, 0, 2]], (-20, 20), 4, [[1, 2]], 3)
+# y[0] constant on each line; on the first line a coordinate is -1 with
+# slope 0, so the line is empty.
+FLAT_NEGATIVE = ([0, 0], [3, 2], [0, -1, 5], [[0, 0, -1], [2, 1, 0]], (0, 10), 2, [], 1)
+# Bounds with low > high exclude every point.
+EMPTY_BOUNDS = ([0], [5], [0, 3], [[1, 1]], (5, 4), 1, [], 1)
+# No scanned coordinate: one line of one point.
+NO_SCAN = ([], [], [2, 1], [], (0, 4), 2, [], 1)
+
+
+def test_pinned_fibers_reach_their_cases():
+    lo, hi, start, steps, bounds, q, others, m = SHARED_FACTOR
+    g = math.gcd(steps[0][0], q)
+    assert steps[0][0] < 0 and q > 1 and g > 1 and others
+    assert any(y[0] % g for y in _line_starts(lo, hi, start, steps))
+    assert 0 < _count_in_dilate_by_points(*SHARED_FACTOR) < _count_in_dilate_by_points(*SHARED_FACTOR[:6], [], m)
+    lo, hi, start, steps, bounds, q, others, m = FLAT_NEGATIVE
+    assert steps[0][0] == 0 and not others
+    assert any(
+        a < 0 and b == 0 for y in _line_starts(lo, hi, start, steps) for a, b in zip(y[1:], steps[0][1:])
+    )
+    assert _count_in_dilate_by_points(*FLAT_NEGATIVE) > 0
+    low, high = EMPTY_BOUNDS[4]
+    assert low > high
+    assert _count_in_dilate_by_points(*NO_SCAN) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fiber_inputs())
+@example(SHARED_FACTOR)
+@example(FLAT_NEGATIVE)
+@example(EMPTY_BOUNDS)
+@example(NO_SCAN)
+def test_count_in_dilate_matches_point_scan(fiber):
+    """The interval count of each line against testing its points one at
+    a time, on raw fiber arguments."""
+    assert kernels.count_in_dilate(*fiber) == _count_in_dilate_by_points(*fiber)
 
 
 def test_box_by_exhaustion_on_order_100_vertex():
