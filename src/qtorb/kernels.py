@@ -3,10 +3,9 @@
 Both run on Python big integers, so they are exact for inputs of any
 magnitude.  They stay independent of the local-group construction in
 :mod:`qtorb.sectors`: ``count_in_dilate`` backs the brute-force dilate
-count and ``box_solutions`` the exhaustive box search.  Both stay
+count and ``box_solutions`` the exhaustive box search.  Both are
 exhaustive: ``count_in_dilate`` counts each line of its fiber from the
-interval and residue class where the tests hold, instead of testing
-the line's points one at a time.
+interval and residue class on which its tests hold.
 """
 
 from __future__ import annotations

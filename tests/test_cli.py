@@ -1239,15 +1239,11 @@ def test_ehrhart_writes_what_json_writes(capsys, tmp_path, corpus, crepant_blowu
             assert run(capsys, *argv) == (0, expected), f"{' '.join(argv)} on {model.name}"
 
 
-def test_ehrhart_errors_print_only_the_error_object(capsys, monkeypatch, tmp_path, z3_path):
-    """An error on any face, the last one included, prints the error
-    object alone: no entry is written before every entry is computed."""
-    rc, out = run(capsys, "ehrhart", "--oracle", _triangle_path(tmp_path, 10**7))
-    limit = {
-        "error": "the dilates of simplex [(1, 0), (1, 10000000)] scan 10000001 points, "
-        f"above the limit of {ehrhart_mod.DILATE_SCAN_LIMIT}"
-    }
-    assert (rc, out) == (2, json.dumps(limit, indent=2) + "\n")
+def test_ehrhart_errors_print_only_the_error_object(capsys, monkeypatch, z3_path):
+    """An error on the last face still prints the error object alone: no
+    entry is written before every entry is computed.  The dilate limit's
+    error is pinned by
+    test_a_dilate_scan_over_the_limit_is_refused_before_scanning."""
     proper = sum(1 for group in LocalGroupTable(load_model(z3_path)).groups if group.face.codim)
     numerator = cli_mod.numerator_from_counts
     calls = []
