@@ -33,6 +33,10 @@ MODELS = {
     # freezes the usage error.
     "wp112-blown": ("tests/golden/models/wp112-blown.json", "0,1", "1,1"),
     "z3tetra-blown": ("tests/golden/models/z3tetra-blown.json", "0,1,3", "1,1,1"),
+    # The order-2 edge (0, 1) lies on the order-4 vertex (0, 1, 2): the
+    # one model here whose McKay check reads a subface whose age
+    # polynomial differs from the blown-up face's.
+    "z4tetra": ("tests/golden/models/z4tetra.json", "0,1", "1/2,1/2"),
 }
 NON_QUASI_SL = "tests/golden/models/tri-m1-m100.json"
 MCKAY_DIGESTS = GOLDEN / "mckay-digests.json"
