@@ -14,11 +14,10 @@ face and canonical spec it returns: ``make_blowup_spec``, ``blow_up``,
 ``star_subdivide`` and ``mckay_check`` each run it once.  The blown-up
 model is derived from its base: given a checked spec, full model
 validation could not fail on it, and every new vertex determinant is a
-weight times a base one.  The star subdivision's simplices that meet
-the face simplex's interior are derived too: a stellar subdivision of a
-simplex at a point with positive barycentric weights is a triangulation
-by construction.  Full validation of the derived model and of the whole
-star subdivision run as oracles.
+weight times a base one.  The triangulation identities read their
+cones from the blown-up model's table by facet set, and build no
+simplex.  Full validation of the derived model and the geometry of the
+star subdivision and of the triangulations it induces run as oracles.
 """
 
 from __future__ import annotations
@@ -28,12 +27,12 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cohomology import CrReport, _sum, cr_report, e_torus
 from .ehrhart import LatticeSimplex, ehrhart_numerator, face_simplex
 from .exact import Poly
-from .intlat import IntVec, det, is_primitive
+from .intlat import IntVec, det, is_primitive, lattice_index
 from .model import (
     Face,
     Model,
@@ -312,8 +311,8 @@ def _validated_subdivision(
 
 def star_subdivide(spec: BlowupSpec, model: Model) -> Subdivision:
     """Star subdivision of the spec's face simplex at its new vector,
-    validated whole: the oracle for the interior that ``mckay_check``
-    derives (:func:`validated_star_interior`).
+    validated whole: the oracle for the cones that ``mckay_check`` reads
+    (:func:`validated_star_interior`).
 
     The spec passes the one spec check, :func:`_checked`, with its new
     vector, which also gives the face, and must be crepant: its weights,
@@ -344,27 +343,34 @@ def star_subdivide(spec: BlowupSpec, model: Model) -> Subdivision:
     return _validated_subdivision(face, simplices)
 
 
-def _star_interior(face: Face, spec: BlowupSpec, model: Model) -> tuple[LatticeSimplex, ...]:
-    """The simplices of the star subdivision of ``face``'s simplex at the
-    new vector that meet the simplex's relative interior, from the face
-    and crepant canonical spec that :func:`_checked` returned: the new
-    point joined with each proper subset of the face's k vectors, 2^k - 1
-    of them, in the order of :func:`_validated_subdivision`.  The point's
-    coordinates are the weights, all positive, so every such join meets
-    the interior, and a simplex without the point lies on a facet of the
-    face simplex; nothing is validated."""
-    whole = face_simplex(face, model)
+def _star_cones(face: Face, sub: Face, m: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(codimension, blown facet set) of each cone that the identity of
+    ``sub``, a subface of ``face``, reads after the blowup of ``face`` at
+    the new facet m: I + ``sub``'s other facets + m, of codimension
+    k - 1 - |I|, for each proper subset I of ``face``'s k facets.  A
+    stellar subdivision at a point with positive weights is a
+    triangulation whose interior simplices join the point with each
+    proper subset of the k vectors; nothing is validated."""
     k = face.codim
-    simplices = [
-        LatticeSimplex(
-            ambient_face=face,
-            verts=tuple(whole.verts[i] for i in idx) + (spec.lambda0,),
-            coords=tuple(whole.coords[i] for i in idx) + (spec.weights,),
-        )
+    others = tuple(i for i in sub.facet_set if i not in face.facet_set)
+    return [
+        (k - 1 - r, tuple(sorted(subset + others)) + (m,))
         for r in range(k)
-        for idx in itertools.combinations(range(k), r)
+        for subset in itertools.combinations(face.facet_set, r)
     ]
-    return tuple(sorted(simplices, key=lambda sx: (len(sx.verts), sx.verts)))
+
+
+def _subdivision_cones(
+    interior: Sequence[LatticeSimplex], sub: Face, spec: BlowupSpec, model: Model
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The sorted (codimension, blown facet set) of each simplex in
+    ``interior``, those of a triangulation of ``sub``'s simplex through
+    the new vector that meet its interior: ``sub``'s vectors, which are
+    independent, map to their facets and the new one, a positive
+    combination of at least two of them, to m."""
+    facet = {model.char_vectors[i]: i for i in sub.facet_set}
+    facet[spec.lambda0] = model.m
+    return sorted((sx.codim, tuple(sorted(facet[v] for v in sx.verts))) for sx in interior)
 
 
 def induced_triangulation(subface: Face, tau: Subdivision, model: Model) -> Subdivision:
@@ -428,46 +434,35 @@ class TriangulationCheck:
 
 def check_triangulation_identity(
     face: Face,
-    interior: Sequence[LatticeSimplex],
+    cones: Iterable[tuple[int, tuple[int, ...]]],
     groups: LocalGroupTable,
-    cones: LocalGroupTable,
-    extra: tuple[IntVec, ...] = (),
+    blown: LocalGroupTable,
 ) -> TriangulationCheck:
     """The age polynomial of a face simplex must equal the sum, over the
     simplices of its triangulation that meet its interior, of
     (s-1)^codim times the age polynomial of the cone over the simplex.
 
-    ``interior`` holds the simplices meeting the interior of a
-    triangulation of the simplex of a face F whose facets are among
-    those of ``face`` (a :class:`Subdivision`'s ``interior``), and
-    ``extra`` holds the characteristic vectors of ``face``'s other
-    facets (``extra=()`` when F is ``face``).  The triangulation of
-    ``face``'s simplex is the join of the two, and its simplices meeting
-    the interior are exactly theta + extra for theta in ``interior``,
-    each of theta's codimension in F.  The face side
-    is read from ``groups``, the table of the model, and each cone from
-    ``cones``, the table of a model that has every interior cone as a
-    face (the blown-up model's, for a star subdivision)."""
+    ``cones`` holds each such simplex as its codimension and the facet
+    set of its cone in ``blown``'s model (the blown-up one, for a star
+    subdivision and the triangulations it induces).  The face side is
+    read from ``groups``, the model's table, and each cone from ``blown``
+    by facet set; ValueError names one that is not a face there."""
     lhs = groups.group(face).age_polynomial
-    rhs = _sum(
-        e_torus(sx.codim) * cones.cone(sx.verts + extra).age_polynomial
-        for sx in interior
-    )
+    rhs = _sum(e_torus(codim) * blown._group(facets).age_polynomial for codim, facets in cones)
     return TriangulationCheck(face=face, passed=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)
 class McKayReport:
     """Everything the crepant-blowup invariance check produces: the
-    checked face and canonical spec, and the interior simplices of the
-    star subdivision that its triangulation identities read."""
+    checked face and canonical spec, the blown-up table and report, and
+    the triangulation identity of every subface of the face."""
 
     before: CrReport
     face: Face
     spec: BlowupSpec
     blown_groups: LocalGroupTable
     after: CrReport | None
-    interior: tuple[LatticeSimplex, ...]
     triangulation_checks: tuple[TriangulationCheck, ...]
 
     @property
@@ -501,13 +496,12 @@ def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
     subdivided face simplex and on every subface's simplex.  A spec that
     is not crepant is refused before anything is built; then the spec
     passes the one spec check, :func:`_checked`, once, and the blown-up
-    model and the star subdivision's interior simplices are both derived
-    from the face and canonical spec it returns.  Each subface's
-    triangulation is the star subdivision's join with the subface's
-    extra vectors, so its identity reads those interior simplices and
-    builds nothing else.  The whole validated star subdivision and each
-    validated induced triangulation are built only by the oracles
-    :func:`validated_star_interior` and :func:`induced_triangulation_sums`."""
+    model is derived from the face and canonical spec it returns.  Each
+    identity reads its cones from the blown-up table by facet set
+    (:func:`_star_cones`) and builds no simplex.  The validated star
+    subdivision and each validated induced triangulation are built only
+    by the oracles :func:`validated_star_interior` and
+    :func:`induced_triangulation_sums`."""
     groups = before.groups
     model = groups.model
     _crepant(spec)
@@ -516,19 +510,17 @@ def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
     # triangulations below.
     blown_groups = LocalGroupTable(_derived_blowup(model, face, spec), groups)
     after = cr_report(blown_groups) if blown_groups.quasi_sl else None
-    interior = _star_interior(face, spec, model)
-    checks = []
-    for sub in subfaces(face, groups.faces):
-        extra = tuple(model.char_vectors[i] for i in sub.facet_set if i not in face.facet_set)
-        checks.append(check_triangulation_identity(sub, interior, groups, blown_groups, extra))
+    checks = tuple(
+        check_triangulation_identity(sub, _star_cones(face, sub, model.m), groups, blown_groups)
+        for sub in subfaces(face, groups.faces)
+    )
     return McKayReport(
         before=before,
         face=face,
         spec=spec,
         blown_groups=blown_groups,
         after=after,
-        interior=interior,
-        triangulation_checks=tuple(checks),
+        triangulation_checks=checks,
     )
 
 
@@ -573,17 +565,21 @@ def box_partition(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Itera
 
 
 # The oracles enumerate each box and each dilate point by point; they skip
-# the faces whose group order is above this bound.
+# the faces whose lattice index (not the group order they check) is above
+# this bound.
 ORACLE_MAX_ORDER = 200
 
 
 def box_enumeration(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
-    """Oracle: each proper face's box, of order at most
-    :data:`ORACLE_MAX_ORDER`, is the one the exhaustive search finds."""
+    """Oracle: each proper face's group order is the lattice index of
+    its columns, and its box, of index at most :data:`ORACLE_MAX_ORDER`,
+    is the one the exhaustive search finds."""
     for group in groups:
         face = group.face
-        if face.codim == 0 or group.order > ORACLE_MAX_ORDER:
+        if face.codim == 0 or (index := lattice_index(group.columns)) > ORACLE_MAX_ORDER:
             continue
+        if group.order != index:
+            yield f"group order {group.order} is not the lattice index {index} at {list(face.facet_set)}"
         exhaustive = box_by_exhaustion(group.columns, table.model.n)
         if [replace(e, face=face) for e in exhaustive] != group.box_elements():
             yield f"box enumeration disagrees with exhaustion at {list(face.facet_set)}"
@@ -591,11 +587,11 @@ def box_enumeration(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Ite
 
 def dilate_numerators(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
     """Oracle: each proper face's dilate-series numerator, from
-    brute-force dilate counts, is its age polynomial; faces of order
-    above :data:`ORACLE_MAX_ORDER` are skipped."""
+    brute-force dilate counts, is its age polynomial; faces whose
+    lattice index is above :data:`ORACLE_MAX_ORDER` are skipped."""
     for group in groups:
         face = group.face
-        if face.codim == 0 or group.order > ORACLE_MAX_ORDER:
+        if face.codim == 0 or lattice_index(group.columns) > ORACLE_MAX_ORDER:
             continue
         psi = ehrhart_numerator(face_simplex(face, table.model))
         w_coeffs = group.age_polynomial.coeffs
@@ -626,13 +622,14 @@ def table_failures(table: LocalGroupTable, groups: Sequence[LocalGroup], include
 
 
 def validated_star_interior(mckay: McKayReport, tau: Subdivision) -> Iterator[str]:
-    """Oracle: the interior simplices ``mckay`` derived are those of
-    ``tau``, the validated star subdivision of the same spec, in the same
-    order."""
-    if mckay.interior != tau.interior:
+    """Oracle: the cones ``mckay`` read for its face are those of the
+    interior of ``tau``, the validated star subdivision of the spec."""
+    model = mckay.before.groups.model
+    derived = _star_cones(mckay.face, mckay.face, model.m)
+    if sorted(derived) != _subdivision_cones(tau.interior, mckay.face, mckay.spec, model):
         yield (
             f"the derived interior of the star subdivision of {list(mckay.face.facet_set)} "
-            f"({len(mckay.interior)} simplices) is not the validated one "
+            f"({len(derived)} simplices) is not the validated one "
             f"({len(tau.interior)} simplices)"
         )
 
@@ -645,9 +642,8 @@ def induced_triangulation_sums(mckay: McKayReport, tau: Subdivision) -> Iterator
     lazy = {check.face: check.rhs for check in mckay.triangulation_checks}
     for sub in subfaces(mckay.face, mckay.before.groups.faces):
         induced = induced_triangulation(sub, tau, model)
-        rhs = check_triangulation_identity(
-            sub, induced.interior, mckay.before.groups, mckay.blown_groups
-        ).rhs
+        cones = _subdivision_cones(induced.interior, sub, mckay.spec, model)
+        rhs = check_triangulation_identity(sub, cones, mckay.before.groups, mckay.blown_groups).rhs
         if lazy.get(sub) != rhs:
             yield (
                 f"the induced triangulation of {list(sub.facet_set)} sums to {rhs}, "
@@ -688,8 +684,8 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
     table checks on the faces of the new facet, the others being the
     base table's.  With ``include_oracle``, the table checks include the
     oracles, and each McKay check builds the validated star subdivision
-    once: its interior is compared with the derived one and each
-    subface's triangulation sum with the validated induced
+    once: the cones of its interior are compared with those the check
+    read and each subface's triangulation sum with the validated induced
     triangulation's, and the blown-up model is compared with its full
     validation.
     """

@@ -381,7 +381,9 @@ class LocalGroupTable:
     sectors, the three Chen-Ruan routes and the identities.  A table
     lives as long as the command that built it; nothing keeps it beyond
     that.  :meth:`group` builds a face's group the first time it is
-    asked for and keeps it; :attr:`groups` builds the rest.
+    asked for and keeps it; :attr:`groups` builds the rest.  Groups are
+    kept by facet set, the table's one index; the triangulation
+    identities read their cones from a blown-up table the same way.
 
     A face is smooth when some vertex through it has |det| = 1, read
     from the determinants that validation computed (``vertex_dets``),
@@ -430,9 +432,14 @@ class LocalGroupTable:
         return LocalGroup(columns, model.n, face)
 
     def _group(self, facet_set: tuple[int, ...]) -> LocalGroup:
+        """The group of the face with these sorted facets; ValueError,
+        checked only when it is not yet built, when no face has them."""
         group = self._by_facets.get(facet_set)
         if group is None:
-            group = self._by_facets[facet_set] = self._build(self._faces[facet_set])
+            face = self._faces.get(facet_set)
+            if face is None:
+                raise ValueError(f"{list(facet_set)} is not a face of the model")
+            group = self._by_facets[facet_set] = self._build(face)
         return group
 
     def group(self, face: Face) -> LocalGroup:
@@ -472,18 +479,6 @@ class LocalGroupTable:
         the faces whose facet set is part of ``face``'s."""
         facets = set(face.facet_set)
         return [g for fs, g in self.sector_groups.items() if facets.issuperset(fs)]
-
-    @cached_property
-    def _by_cone(self) -> dict[frozenset[IntVec], LocalGroup]:
-        return {frozenset(group.columns): group for group in self.groups}
-
-    def cone(self, columns: Iterable[IntVec]) -> LocalGroup:
-        """The group of a face whose columns are ``columns`` in any order;
-        ValueError when no face of the model has them."""
-        key = frozenset(columns)
-        if key not in self._by_cone:
-            raise ValueError(f"the cone over {sorted(key)} is not a face of the model")
-        return self._by_cone[key]
 
     def ensure_quasi_sl(self) -> None:
         """Raise :class:`NonIntegralAgeError` for the first fractional age

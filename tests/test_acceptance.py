@@ -33,7 +33,7 @@ from qtorb import (
     relabel_facets,
     star_subdivide,
 )
-from qtorb.blowup import ORACLE_MAX_ORDER
+from qtorb.blowup import ORACLE_MAX_ORDER, _subdivision_cones
 from qtorb.cli import main
 from qtorb.exact import Poly
 from qtorb.intlat import det
@@ -83,7 +83,8 @@ def test_criterion_2_z3_resolution(z3):
     assert result.after.pp_cr == expected
     tau = star_subdivide(spec, z3)
     vertex = tau.ambient_face
-    assert check_triangulation_identity(vertex, tau.interior, groups, result.blown_groups).passed
+    cones = _subdivision_cones(tau.interior, vertex, spec, z3)
+    assert check_triangulation_identity(vertex, cones, groups, result.blown_groups).passed
     report("2 (order-3 corner resolution)", started, limit=1.0)
 
 

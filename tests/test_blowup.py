@@ -32,7 +32,7 @@ from qtorb import (
     parse_model,
     star_subdivide,
 )
-from qtorb.blowup import _maximal_volumes, _validated_subdivision
+from qtorb.blowup import _maximal_volumes, _star_cones, _subdivision_cones, _validated_subdivision
 from qtorb.cli import main
 from qtorb.exact import Poly
 from qtorb.intlat import det
@@ -215,7 +215,8 @@ def test_derived_blowups_are_the_validated_models(corpus):
     of ``generate_test_models(s, 20, n)``, s = 1..10, n = 2, 3, 4, derives
     the model that full validation makes, vertex determinants included,
     which equality ignores; every crepant candidate also derives the
-    interior simplices of the validated star subdivision."""
+    cones of the interior simplices of the validated star subdivision,
+    as facet sets of the blown-up model."""
     models = list(corpus) + [
         model for n in (2, 3, 4) for seed in range(1, 11) for model in generate_test_models(seed, 20, n)
     ]
@@ -225,7 +226,8 @@ def test_derived_blowups_are_the_validated_models(corpus):
         candidates = crepant_candidates(table)
         for spec in candidates:
             face, _ = blowup_mod._checked(model, spec.face, spec.weights, spec.lambda0)
-            assert blowup_mod._star_interior(face, spec, model) == star_subdivide(spec, model).interior
+            tau = star_subdivide(spec, model)
+            assert sorted(_star_cones(face, face, model.m)) == _subdivision_cones(tau.interior, face, spec, model)
             stars += 1
         for spec in candidates + list(_unit_truncations(table)):
             blown, validated = blow_up(model, spec), _validated_blowup(model, spec)
@@ -362,29 +364,36 @@ def test_triangulation_identity_wp112(wp112):
     spec = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
     tau = star_subdivide(spec, wp112)
     vertex = tau.ambient_face
-    groups, cones = blown_tables(wp112, spec)
-    check = check_triangulation_identity(vertex, tau.interior, groups, cones)
+    groups, blown = blown_tables(wp112, spec)
+    cones = _subdivision_cones(tau.interior, vertex, spec, wp112)
+    assert cones == [(0, (0, 3)), (0, (2, 3)), (1, (3,))]
+    check = check_triangulation_identity(vertex, cones, groups, blown)
     assert check.passed
     assert check.lhs == Poly([1, 1])
     assert check.rhs == Poly([1, 1])
 
 
 def test_triangulation_identity_names_a_missing_cone(z3):
-    """The base model's table lacks the cones through the new vertex of a
-    star subdivision; the first interior one is that vertex alone."""
-    tau = star_subdivide(make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3), z3)
+    """The base model's table lacks the cones on the new facet of a star
+    subdivision; the first one the identity reads is named, the first
+    time its facet set is asked for."""
+    spec = make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3)
+    tau = star_subdivide(spec, z3)
     vertex = tau.ambient_face
     groups = LocalGroupTable(z3)
-    with pytest.raises(ValueError, match=re.escape("cone over [(0, 0, 1)] is not a face")):
-        check_triangulation_identity(vertex, tau.interior, groups, groups)
+    cones = _subdivision_cones(tau.interior, vertex, spec, z3)
+    assert cones[0] == (0, (0, 1, 4))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape("[0, 1, 4] is not a face of the model")):
+            check_triangulation_identity(vertex, cones, groups, groups)
 
 
 def test_triangulation_identity_z3(z3):
     spec = make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3)
     tau = star_subdivide(spec, z3)
     vertex = tau.ambient_face
-    groups, cones = blown_tables(z3, spec)
-    check = check_triangulation_identity(vertex, tau.interior, groups, cones)
+    groups, blown = blown_tables(z3, spec)
+    check = check_triangulation_identity(vertex, _subdivision_cones(tau.interior, vertex, spec, z3), groups, blown)
     assert check.passed
     assert check.lhs == Poly([1, 1, 1])
 
@@ -730,6 +739,29 @@ def test_blown_table_box_enumeration_is_an_oracle(monkeypatch):
     assert message in identity_failures(LocalGroupTable(model), include_oracle=True)
 
 
+@pytest.mark.parametrize("order", [1000, 1])
+def test_a_wrong_group_order_is_reported_by_the_oracle(monkeypatch, order):
+    """The oracles skip a face by the lattice index of its columns, not by
+    the group order they check: a wrong order on the order-2 edge (0, 1)
+    of the z4 tetrahedron, above the bound or below the index, is
+    reported by the box oracle, and the edge's dilate series is still
+    checked.  No default check reads an edge's order."""
+    model = _z4_tetra_blowups()[0][0]
+    table = LocalGroupTable(model)
+    edge = table.group(face_by_indices(model, (0, 1)))
+    assert edge.order == 2
+    edge.order = order
+    series: list[tuple] = []
+    real = blowup_mod.ehrhart_numerator
+    monkeypatch.setattr(blowup_mod, "ehrhart_numerator", lambda sx: series.append(sx.verts) or real(sx))
+    text = f"group order {order} is not the lattice index 2 at [0, 1]"
+    assert list(blowup_mod.box_enumeration(table, table.groups)) == [text]
+    assert list(blowup_mod.dilate_numerators(table, table.groups)) == []
+    assert edge.columns in series
+    assert identity_failures(table) == []
+    assert identity_failures(table, include_oracle=True) == [f"z4-tetrahedron: {text}"]
+
+
 @pytest.mark.parametrize("include_oracle", [False, True], ids=["default", "oracle"])
 def test_table_checks_run_once_per_table(monkeypatch, corpus, include_oracle):
     """The base table runs the table checks on every face; each quasi-SL
@@ -767,22 +799,21 @@ def test_mckay_runs_one_triangular_basis_per_face_on_the_new_facet(
     monkeypatch, crepant_blowups, basis_faces
 ):
     """The blown table takes every face off the new facet m from the base
-    table; the faces on m are exactly the interior cones of the star
-    subdivision joined with each subface's extra vectors, which the
-    identity reads from that table.  Of those, the faces of codimension
-    at least 2 through no smooth vertex compute a triangular basis; the
-    facet m itself computes none."""
+    table; the faces on m are exactly the cones that the identities of
+    the subfaces read from that table by facet set, each once.  Of
+    those, the faces of codimension at least 2 through no smooth vertex
+    compute a triangular basis; the facet m itself computes none."""
     inside: list[bool] = []
     calls: list[bool] = []
-    cones: list[frozenset] = []
+    cones: list[tuple[int, ...]] = []
     real_basis = sectors_mod.triangular_form
     real_check = blowup_mod.check_triangulation_identity
 
-    def check(face, interior, groups, cones_table, extra=()):
-        cones.extend(frozenset(sx.verts + extra) for sx in interior)
+    def check(face, read, groups, blown_table):
+        cones.extend(facets for _, facets in read)
         inside.append(True)
         try:
-            return real_check(face, interior, groups, cones_table, extra)
+            return real_check(face, read, groups, blown_table)
         finally:
             inside.pop()
 
@@ -798,9 +829,7 @@ def test_mckay_runs_one_triangular_basis_per_face_on_the_new_facet(
         assert all(model.m in f.facet_set for f in basis_faces(blown, model))
         assert not any(calls)
         assert len(cones) == len(set(cones)) == len(on_new_facet)
-        assert set(cones) == {
-            frozenset(blown.char_vectors[i] for i in f.facet_set) for f in on_new_facet
-        }
+        assert set(cones) == {f.facet_set for f in on_new_facet}
 
 
 def _subfaces(model, spec):
@@ -823,17 +852,16 @@ def _z4_tetra_blowups():
 
 
 def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
-    """The interior simplices that ``mckay_check`` derives are those of the
-    validated star subdivision, and the interior simplices of each
-    subface's induced triangulation are those joined with the subface's
-    extra vectors, of the same codimension, so the lazy right-hand sides
-    of ``mckay_check`` equal those of the validated induced
-    triangulations."""
+    """The interior simplices of each subface's induced triangulation are
+    those of the validated star subdivision joined with the subface's
+    extra vectors, of the same codimension; their cones, as facet sets
+    of the blown-up model, are the ones ``mckay_check`` reads for the
+    subface, so its lazy right-hand sides equal those of the validated
+    induced triangulations."""
     proper = 0
     for model, spec, _ in crepant_blowups + _z4_tetra_blowups():
         report = mckay_check(cr_report(LocalGroupTable(model)), spec)
         tau = star_subdivide(spec, model)
-        assert report.interior == tau.interior
         assert report.face == tau.ambient_face
         subfaces = _subfaces(model, spec)
         assert [check.face for check in report.triangulation_checks] == subfaces
@@ -843,9 +871,9 @@ def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
             assert sorted((sx.codim, sorted(sx.verts)) for sx in induced.interior) == sorted(
                 (sx.codim, sorted(sx.verts + extra)) for sx in tau.interior
             )
-            oracle = check_triangulation_identity(
-                sub, induced.interior, report.before.groups, report.blown_groups
-            )
+            cones = _subdivision_cones(induced.interior, sub, spec, model)
+            assert sorted(_star_cones(report.face, sub, model.m)) == cones
+            oracle = check_triangulation_identity(sub, cones, report.before.groups, report.blown_groups)
             assert check.rhs == oracle.rhs
             assert check.passed and oracle.passed
             proper += bool(extra)
@@ -854,21 +882,22 @@ def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
     assert identity_failures(LocalGroupTable(z4_tetra), include_oracle=True) == []
 
 
-def _mutate_star_interior(monkeypatch, index, repeat=False):
-    """Make ``mckay_check`` derive a star interior that lacks its
-    ``index``-th simplex or, with ``repeat``, holds it twice."""
-    real = blowup_mod._star_interior
+def _mutate_star_cones(monkeypatch, index, repeat=False):
+    """Make ``mckay_check`` derive, for every subface, star cones that
+    lack their ``index``-th cone or, with ``repeat``, hold it twice."""
+    real = blowup_mod._star_cones
 
-    def derived(face, spec, model):
-        interior = real(face, spec, model)
-        return interior[:index] + interior[index:index + 1] * (2 if repeat else 0) + interior[index + 1:]
+    def derived(face, sub, m):
+        cones = real(face, sub, m)
+        return cones[:index] + cones[index:index + 1] * (2 if repeat else 0) + cones[index + 1:]
 
-    monkeypatch.setattr(blowup_mod, "_star_interior", derived)
+    monkeypatch.setattr(blowup_mod, "_star_cones", derived)
 
 
 def test_mckay_fails_without_an_interior_simplex(monkeypatch, crepant_blowups):
-    """Every dropped simplex drops a nonzero term (s-1)^codim w(cone) from
-    every subface's sum, so every identity fails, on the default path."""
+    """Every dropped cone of an interior simplex drops a nonzero term
+    (s-1)^codim w(cone) from every subface's sum, so every identity
+    fails, on the default path."""
     mutated = 0
     for model, spec, _ in crepant_blowups:
         before = cr_report(LocalGroupTable(model))
@@ -876,7 +905,7 @@ def test_mckay_fails_without_an_interior_simplex(monkeypatch, crepant_blowups):
         assert size == 2 ** len(spec.face) - 1
         for index in range(size):
             with monkeypatch.context() as patch:
-                _mutate_star_interior(patch, index)
+                _mutate_star_cones(patch, index)
                 report = mckay_check(before, spec)
             assert not report.verdict, (model.name, spec, index)
             assert not any(check.passed for check in report.triangulation_checks)
@@ -886,9 +915,9 @@ def test_mckay_fails_without_an_interior_simplex(monkeypatch, crepant_blowups):
 
 @pytest.mark.parametrize("repeat", [False, True], ids=["drop", "repeat"])
 def test_a_wrong_star_interior_is_named_by_the_oracle(monkeypatch, crepant_blowups, prism, repeat):
-    """A derived star interior that lacks a simplex or holds one twice
-    fails the verdict on the default path, and the oracle that compares
-    it with the validated star subdivision names the face."""
+    """Derived star cones that lack a cone or hold one twice fail the
+    verdict on the default path, and the oracle that compares them with
+    the validated star subdivision's names the face."""
     mutated = 0
     for model, spec, _ in crepant_blowups[::3] + _z4_tetra_blowups():
         table = LocalGroupTable(model)
@@ -900,7 +929,7 @@ def test_a_wrong_star_interior_is_named_by_the_oracle(monkeypatch, crepant_blowu
         )
         for index in range(size):
             with monkeypatch.context() as patch:
-                _mutate_star_interior(patch, index, repeat)
+                _mutate_star_cones(patch, index, repeat)
                 report = mckay_check(before, spec)
                 assert not report.verdict, (model.name, spec, index)
                 assert list(blowup_mod.validated_star_interior(report, star_subdivide(spec, model))) == [text]
@@ -912,7 +941,7 @@ def test_a_wrong_star_interior_is_named_by_the_oracle(monkeypatch, crepant_blowu
         f"({3 + (1 if repeat else -1)} simplices) is not the validated one (3 simplices)"
     )
     with monkeypatch.context() as patch:
-        _mutate_star_interior(patch, 0, repeat)
+        _mutate_star_cones(patch, 0, repeat)
         default = identity_failures(LocalGroupTable(prism))
         oracle = identity_failures(LocalGroupTable(prism), include_oracle=True)
     assert default == [f"{prefix} changes the Betti numbers"]
@@ -920,15 +949,12 @@ def test_a_wrong_star_interior_is_named_by_the_oracle(monkeypatch, crepant_blowu
 
 
 def test_mckay_fails_without_the_extra_vectors(monkeypatch, crepant_blowups):
-    """Passing ``extra=()`` for a proper subface S sums the face F's own
-    right-hand side, w(F), so S's identity fails exactly when w(S) differs
-    from w(F)."""
-    real = blowup_mod.check_triangulation_identity
-    monkeypatch.setattr(
-        blowup_mod,
-        "check_triangulation_identity",
-        lambda face, interior, groups, cones, extra=(): real(face, interior, groups, cones),
-    )
+    """Star cones that ignore a proper subface S's facets outside the
+    face F are F's own, so S's identity sums F's right-hand side, w(F),
+    and fails exactly when w(S) differs from w(F); the oracle that reads
+    the validated induced triangulation names those subfaces."""
+    real = blowup_mod._star_cones
+    monkeypatch.setattr(blowup_mod, "_star_cones", lambda face, sub, m: real(face, face, m))
     flipped = []
     for model, spec, _ in crepant_blowups + _z4_tetra_blowups():
         groups = LocalGroupTable(model)
@@ -939,22 +965,27 @@ def test_mckay_fails_without_the_extra_vectors(monkeypatch, crepant_blowups):
         ]
         assert [c.face for c in report.triangulation_checks if not c.passed] == differ
         assert report.verdict == (not differ)
+        named = [
+            text.split(" sums to ")[0]
+            for text in blowup_mod.induced_triangulation_sums(report, star_subdivide(spec, model))
+        ]
+        assert named == [f"the induced triangulation of {list(sub.facet_set)}" for sub in differ]
         if differ:
             flipped.append((model.name, spec.face, [sub.facet_set for sub in differ]))
     assert flipped == [("z4-tetrahedron", (0, 1), [(0, 1, 2)])]
 
 
 def test_oracle_reports_a_lazy_sum_that_disagrees(monkeypatch, prism):
-    """With a simplex missing from the star interior that the identities
-    of ``mckay_check`` read, every subface's lazy sum differs from the one
-    the oracle gets from the validated induced triangulation of the
-    validated star subdivision."""
+    """With a cone missing from those the identities of ``mckay_check``
+    read, every subface's lazy sum differs from the one the oracle gets
+    from the validated induced triangulation of the validated star
+    subdivision."""
     assert identity_failures(LocalGroupTable(prism), include_oracle=True) == []
     real_mckay = blowup_mod.mckay_check
     real_check = blowup_mod.check_triangulation_identity
 
-    def lossy_check(face, interior, groups, cones, extra=()):
-        return real_check(face, interior[1:], groups, cones, extra)
+    def lossy_check(face, cones, groups, blown):
+        return real_check(face, list(cones)[1:], groups, blown)
 
     def mckay(before, spec):
         with monkeypatch.context() as patch:

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import os
+import re
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -564,6 +565,19 @@ def test_table_reads_smoothness_from_the_stored_determinants(wp112):
     assert LocalGroupTable(wp112).group(singular).order == 2
     forged = replace(wp112, vertex_dets=(1,) * len(wp112.vertices))
     assert LocalGroupTable(forged).group(singular).order == 1
+
+
+def test_table_names_a_facet_set_that_is_not_a_face(z3):
+    """A facet set that is no face of the model is refused by name, with a
+    ValueError, where the table would otherwise fail on a missing key;
+    nothing is built for it.  A built face is returned as it is."""
+    table = LocalGroupTable(z3)
+    for facets in [(0, 1, 4), (0, 1, 2, 3), (2, 1)]:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(list(facets)))} is not a face of the model$"):
+            table._group(facets)
+    assert table._by_facets == {}
+    vertex = table._group((0, 1, 2))
+    assert table._group((0, 1, 2)) is vertex and vertex.order == 3
 
 
 def test_table_groups_equal_triangular_basis_groups(corpus, crepant_blowups, basis_faces):
