@@ -39,6 +39,9 @@ MODELS = {
     "z4tetra": ("tests/golden/models/z4tetra.json", "0,1", "1/2,1/2"),
 }
 NON_QUASI_SL = "tests/golden/models/tri-m1-m100.json"
+# Its vertex group [0, 2] has order 10^5; the refusals name its first
+# element of fractional age.
+NON_QUASI_SL_1E5 = "tests/golden/models/tri-m1-m1e5.json"
 MCKAY_DIGESTS = GOLDEN / "mckay-digests.json"
 EHRHART_DIGESTS = GOLDEN / "ehrhart-digests.json"
 EHRHART_COMMANDS = (["ehrhart"], ["ehrhart", "--oracle"])
@@ -59,6 +62,8 @@ def _cases() -> dict[str, list[str]]:
             cases[f"{name}-{command}"] = [command, path, "--face", face, "--weights", weights]
     for command in ("betti", "cr", "sectors"):
         cases[f"tri-m1-m100-{command}"] = [command, NON_QUASI_SL]
+    for command in ("betti", "cr", "ehrhart"):
+        cases[f"tri-m1-m1e5-{command}"] = [command, NON_QUASI_SL_1E5]
     for n in (2, 3, 4):
         cases[f"fuzz-n{n}"] = ["fuzz", "--seed", "1", "--count", "5", "--n", str(n)]
     cases["fuzz-n3-oracle"] = ["fuzz", "--seed", "7", "--count", "5", "--n", "3", "--oracle"]
