@@ -11,7 +11,9 @@ entry point checks a spec once, with :func:`_checked` (a face of
 codimension at least 2, one positive weight per facet, the weighted sum
 of their vectors exactly the new primitive vector), and works from the
 face and canonical spec it returns: ``make_blowup_spec``, ``blow_up``,
-``star_subdivide`` and ``mckay_check`` each run it once.  The blown-up
+``star_subdivide`` and ``mckay_check`` each run it once, and the
+``blowup`` and ``mckay`` commands once in all, handing the pair to
+:func:`_derived_blowup` and :func:`_mckay_check`.  The blown-up
 model is derived from its base: given a checked spec, full model
 validation could not fail on it, and every new vertex determinant is a
 weight times a base one.  The triangulation identities read their
@@ -40,7 +42,7 @@ from .model import (
     make_model,
     subfaces,
 )
-from .sectors import LocalGroup, LocalGroupTable, box_by_exhaustion
+from .sectors import LocalGroup, LocalGroupTable, _box_by_exhaustion
 
 
 class BlowupError(ValueError):
@@ -149,7 +151,14 @@ def make_blowup_spec(
     print.  The weights pair with ``face_indices`` in the order given;
     the spec holds both sorted by facet index.
     """
-    return _checked(model, _converted(int, face_indices, "facet index"), weights)[1]
+    return _checked_tokens(model, face_indices, weights)[1]
+
+
+def _checked_tokens(model: Model, face_indices: Sequence, weights: Sequence) -> tuple[Face, BlowupSpec]:
+    """The face and canonical spec that :func:`make_blowup_spec`'s one
+    spec check returns, for :func:`_derived_blowup` and
+    :func:`_mckay_check`, which take them without a second check."""
+    return _checked(model, _converted(int, face_indices, "facet index"), weights)
 
 
 def is_crepant(spec: BlowupSpec) -> bool:
@@ -502,10 +511,15 @@ def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
     subdivision and each validated induced triangulation are built only
     by the oracles :func:`validated_star_interior` and
     :func:`induced_triangulation_sums`."""
+    _crepant(spec)
+    return _mckay_check(before, *_checked(before.groups.model, spec.face, spec.weights, spec.lambda0))
+
+
+def _mckay_check(before: CrReport, face: Face, spec: BlowupSpec) -> McKayReport:
+    """:func:`mckay_check` of a crepant spec, from the face and canonical
+    spec that :func:`_checked` returned for the model of ``before``."""
     groups = before.groups
     model = groups.model
-    _crepant(spec)
-    face, spec = _checked(model, spec.face, spec.weights, spec.lambda0)
     # The faces on the new facet are the interior cones of the
     # triangulations below.
     blown_groups = LocalGroupTable(_derived_blowup(model, face, spec), groups)
@@ -573,14 +587,14 @@ ORACLE_MAX_ORDER = 200
 def box_enumeration(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
     """Oracle: each proper face's group order is the lattice index of
     its columns, and its box, of index at most :data:`ORACLE_MAX_ORDER`,
-    is the one the exhaustive search finds."""
+    is the one the exhaustive search by that index finds."""
     for group in groups:
         face = group.face
         if face.codim == 0 or (index := lattice_index(group.columns)) > ORACLE_MAX_ORDER:
             continue
         if group.order != index:
             yield f"group order {group.order} is not the lattice index {index} at {list(face.facet_set)}"
-        exhaustive = box_by_exhaustion(group.columns, table.model.n)
+        exhaustive = _box_by_exhaustion(group.columns, table.model.n, index)
         if [replace(e, face=face) for e in exhaustive] != group.box_elements():
             yield f"box enumeration disagrees with exhaustion at {list(face.facet_set)}"
 

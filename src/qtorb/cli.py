@@ -22,11 +22,12 @@ import sys
 
 from . import kernels
 from .blowup import (
-    blow_up,
+    _checked_tokens,
+    _crepant,
+    _derived_blowup,
+    _mckay_check,
     identity_failures,
     is_crepant,
-    make_blowup_spec,
-    mckay_check,
 )
 from .cohomology import cr_report
 from .ehrhart import count_from_ages, dilate_counts, face_simplex, numerator_from_counts
@@ -244,15 +245,18 @@ def _cmd_ehrhart(args) -> int:
 
 
 def _parse_spec(args, model: Model):
+    """The face and canonical spec of ``--face`` and ``--weights``, from
+    the one spec check that ``make_blowup_spec`` runs; the blowup and the
+    McKay check take both without checking the spec again."""
     face = [tok for tok in args.face.split(",") if tok]
     weights = [tok for tok in args.weights.split(",") if tok]
-    return make_blowup_spec(model, face, weights)
+    return _checked_tokens(model, face, weights)
 
 
 def _cmd_blowup(args) -> int:
     model = load_model(args.model)
-    spec = _parse_spec(args, model)
-    blown = blow_up(model, spec)
+    face, spec = _parse_spec(args, model)
+    blown = _derived_blowup(model, face, spec)
     payload = {
         "crepant": is_crepant(spec),
         "lambda0": list(spec.lambda0),
@@ -267,8 +271,9 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_mckay(args) -> int:
     model = load_model(args.model)
-    spec = _parse_spec(args, model)
-    report = mckay_check(cr_report(LocalGroupTable(model)), spec)
+    face, spec = _parse_spec(args, model)
+    before = cr_report(LocalGroupTable(model))
+    report = _mckay_check(before, face, _crepant(spec))
     payload = {
         "verdict": report.verdict,
         "lambda0": list(spec.lambda0),

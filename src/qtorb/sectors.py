@@ -19,6 +19,11 @@ for the faces of codimension at least 2 through no smooth vertex, and
 back-substitutes only the columns of its adjugate whose diagonal entry
 exceeds 1.
 
+A model that is not quasi-SL is refused by naming the first element, in
+sorted order, of fractional age at its first such vertex.  That element
+is found by a descent through a triangular basis of the columns in
+reverse order, which enumerates no element of the group.
+
 A second, independent enumeration by exhaustive search over denominators
 dividing the group order is provided for cross-checking.
 """
@@ -117,14 +122,17 @@ class LocalGroup:
 
     Whether every age is an integer is read off the generators alone:
     age mod 1 is a homomorphism to Q/Z, so every age is an integer when
-    every generator's is.  The elements, their coefficient sums,
-    interior elements and age polynomials are computed on first use, all
-    elements at once, and then kept; each element's coefficients are
-    summed once, for its age wherever that is read.  A trivial group is
-    given its one element's data when it is built.  Points are not kept:
-    :meth:`point` computes element i's when it is asked for, and
-    :meth:`box_element`, the one builder of a :class:`BoxElement`, reads
-    it there; :meth:`point_rows` computes those of a list of elements.
+    every generator's is.  When one is not, :meth:`first_fractional_age`
+    names the first element of fractional age by a descent through a
+    second triangular basis, without enumerating any element, so a
+    refusal costs the same at any order.  The elements, their
+    coefficient sums, interior elements and age polynomials are computed
+    on first use, all elements at once, and then kept; each element's
+    coefficients are summed once, for its age wherever that is read.  A
+    trivial group is given its one element's data when it is built.
+    Points are not kept: :meth:`point` computes element i's when it is
+    asked for, and :meth:`box_element` reads it there; :meth:`point_rows`
+    computes those of a list of elements.
     """
 
     def __init__(self, columns: Sequence[IntVec], ambient_dim: int, face: Face | None = None):
@@ -215,7 +223,10 @@ class LocalGroup:
     def point(self, i: int) -> IntVec:
         """Lattice point ``sum(coeffs[j] * column_j)`` of element i;
         ArithmeticError when it is not integral."""
-        nums = self.numerators[i]
+        return self._point(self.numerators[i])
+
+    def _point(self, nums: tuple[int, ...]) -> IntVec:
+        """:meth:`point` of the element with numerators ``nums``."""
         e = self.exponent
         point = []
         for row in self._rows:
@@ -274,11 +285,16 @@ class LocalGroup:
         return group
 
     def box_element(self, i: int) -> BoxElement:
-        nums = self.numerators[i]
+        return self._box_element(self.numerators[i], self.point(i))
+
+    def _box_element(self, nums: tuple[int, ...], point: IntVec) -> BoxElement:
+        """The :class:`BoxElement` of the numerators ``nums`` at ``point``:
+        the one builder, for :meth:`box_element` and
+        :meth:`first_fractional_age`."""
         e = self.exponent
         return BoxElement(
             coeffs=tuple(Fraction(c, e) for c in nums),
-            point=self.point(i),
+            point=point,
             age=Fraction(sum(nums), e),
             height=sum(1 for c in nums if c),
             face=self.face,
@@ -322,10 +338,45 @@ class LocalGroup:
         return self._age_counts(self.interior, [sums[i] for i in self.interior])
 
     def first_fractional_age(self) -> BoxElement:
-        """The first element, in sorted order, whose age is not an integer;
-        the elements after it are not summed."""
-        e = self.exponent
-        return self.box_element(next(i for i, nums in enumerate(self.numerators) if sum(nums) % e))
+        """The first element, in sorted order, whose age is not an integer,
+        found by a descent that enumerates no element.
+
+        H, the triangular form of the columns in reverse order, fixes the
+        coefficients one row at a time from its last: row r fixes
+        coefficient k - 1 - r, given the ones before it, to x0 + t / h_rr
+        for t = 0 .. h_rr - 1, with x0 = (ceil(s) - s) / h_rr and s the
+        row's sum over the coefficients already fixed.  Taking the
+        smallest value at every row follows the sorted order.  The age is
+        u . (H c) with u = 1^T H^-1, so the elements that agree on the
+        coefficients fixed from row r on share one age modulo 1 exactly
+        when u_0 .. u_(r-1) are integers.  With p the first row where u is
+        not, the descent takes 0 above row p, the identity's branch, in
+        which fractional ages remain.  At row p the branch t = 0 still
+        holds the identity, and every element of a branch has the
+        branch's age modulo 1, so it takes t = 1, of age u_p modulo 1;
+        below row p it takes the smallest value.  That is O(k^3) integer
+        steps at any group order, so the error needs no budget.  The
+        element is built as :meth:`box_element` builds it, its point
+        checked integral."""
+        k, e = len(self.columns), self.exponent
+        h = triangular_form(tuple(row[::-1] for row in self._rows))
+        # u by forward substitution, up to its first fractional entry.
+        u: list[int] = []
+        for p in range(k):
+            q, rem = divmod(1 - sum(map(operator.mul, u, (row[p] for row in h))), h[p][p])
+            if rem:
+                break
+            u.append(q)
+        else:
+            raise ValueError(f"every age of {list(self.columns)} is an integer")
+        # The numerators over the exponent, in reverse order; every
+        # division is exact, since the element is in the group.
+        y = [0] * k
+        y[p] = e // h[p][p]
+        for r in range(p - 1, -1, -1):
+            y[r] = -sum(map(operator.mul, h[r][r + 1 :], y[r + 1 :])) % e // h[r][r]
+        nums = tuple(reversed(y))
+        return self._box_element(nums, self._point(nums))
 
 
 def box_of_columns(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxElement]:
@@ -350,7 +401,12 @@ def box_by_exhaustion(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxEleme
     """
     if not cols:
         return [BoxElement((), (0,) * ambient_dim, Fraction(0), 0)]
-    order = lattice_index(cols)
+    return _box_by_exhaustion(cols, ambient_dim, lattice_index(cols))
+
+
+def _box_by_exhaustion(cols: Sequence[IntVec], ambient_dim: int, order: int) -> list[BoxElement]:
+    """:func:`box_by_exhaustion` of at least one column, whose lattice
+    index, ``order``, its caller has computed."""
     cols_mod = [[e % order for e in col] for col in cols]
     rows = tuple(zip(*cols))
     elements = []
@@ -481,8 +537,11 @@ class LocalGroupTable:
         return [g for fs, g in self.sector_groups.items() if facets.issuperset(fs)]
 
     def ensure_quasi_sl(self) -> None:
-        """Raise :class:`NonIntegralAgeError` for the first fractional age
-        at the first vertex that has one."""
+        """Raise :class:`NonIntegralAgeError` for the first fractional age,
+        in sorted order, at the first vertex that has one.  The vertex is
+        found from the generators and the element by a descent
+        (:meth:`LocalGroup.first_fractional_age`): no group is enumerated,
+        so the refusal takes the same time at any group order."""
         for group in map(self._group, self.model.vertices):
             if not group.integral_ages:
                 raise NonIntegralAgeError(group.first_fractional_age())

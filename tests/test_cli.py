@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtorb.blowup as blowup_mod
 import qtorb.cli as cli_mod
 import qtorb.ehrhart as ehrhart_mod
 import qtorb.kernels as kernels_mod
@@ -410,6 +411,19 @@ def test_mckay_non_crepant_is_usage_error(capsys, wp112_path):
     rc, out = run(capsys, "mckay", wp112_path, "--face", "0,1", "--weights", "1,1")
     assert rc == 2
     assert "crepant" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command", ["mckay", "blowup"])
+def test_a_spec_is_checked_once_per_command(capsys, monkeypatch, z3_path, command):
+    """``qtorb mckay`` and ``qtorb blowup`` run the one spec check once:
+    the face and canonical spec it returns are what the McKay check and
+    the blowup work from."""
+    calls = []
+    real = blowup_mod._checked
+    monkeypatch.setattr(blowup_mod, "_checked", lambda *args: calls.append(args) or real(*args))
+    rc, out = run(capsys, command, z3_path, "--face", "0,1,2", "--weights", "1/3,1/3,1/3")
+    assert rc == 0 and json.loads(out)["lambda0"] == [0, 0, 1]
+    assert len(calls) == 1
 
 
 def test_mckay_z3(capsys, z3_path):
@@ -1270,3 +1284,57 @@ def test_a_dilate_scan_under_the_limit_is_counted(capsys, tmp_path):
     assert run(capsys, "ehrhart", path) == (rc, oracle)
     by_face = {tuple(entry["face"]): entry for entry in json.loads(oracle)}
     assert by_face[(0, 2)]["dilates"] == [1, 10**5 + 1]
+
+
+TEN_MILLION_REFUSAL = {
+    "error": "non-integral age 1/5000000 at face [0, 2] for coefficients ['1/10000000', '1/10000000']"
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti"],
+        ["cr"],
+        ["ehrhart"],
+        ["ehrhart", "--oracle"],
+        # lambda0 = (0, -1): a valid spec, refused for the model's ages
+        # before its weights are found not crepant.
+        ["mckay", "--face", "0,2", "--weights", "1/10000000,1/10000000"],
+    ],
+    ids=lambda argv: "-".join(word.strip("-") for word in argv[:2]),
+)
+def test_a_refusal_of_order_ten_million_enumerates_nothing(capsys, monkeypatch, tmp_path, argv):
+    """The triangle lambda = (1, 0), (0, 1), (-1, -10^7) is not quasi-SL:
+    every command that needs integral ages names the first fractional
+    age of its vertex group [0, 2], of order 10^7, at once, and neither
+    the group nor any oracle enumerates anything."""
+    path = tmp_path / "triangle-m1e7.json"
+    lam = [[1, 0], [0, 1], [-1, -10**7]]
+    path.write_text(json.dumps({"n": 2, "m": 3, "vertices": [[0, 1], [1, 2], [0, 2]], "lambda": lam}))
+    monkeypatch.setattr(LocalGroup, "_enumerate", lambda self: pytest.fail("enumerated"))
+    monkeypatch.setattr(kernels_mod, "box_solutions", lambda *a: pytest.fail("searched the box"))
+    monkeypatch.setattr(kernels_mod, "count_in_dilate", lambda *a: pytest.fail("counted a dilate"))
+    rc, out = timed_run(capsys, 1, argv[0], str(path), *argv[1:])
+    assert (rc, json.loads(out)) == (2, TEN_MILLION_REFUSAL)
+
+
+def test_oracle_computes_each_lattice_index_twice_per_proper_face(capsys, monkeypatch):
+    """Under ``--oracle`` each proper face's lattice index is computed once
+    for the box search, which skips by it and then searches by it, and
+    once for the dilate counts; the polytope computes none."""
+    calls = []
+    real = blowup_mod.lattice_index
+    for module in (blowup_mod, sectors_mod):
+        monkeypatch.setattr(module, "lattice_index", lambda cols: calls.append(cols) or real(cols))
+    checked = []
+    table_failures = blowup_mod.table_failures
+
+    def recording(table, groups, include_oracle):
+        checked.extend(group.face for group in groups if group.face.codim)
+        return table_failures(table, groups, include_oracle)
+
+    monkeypatch.setattr(blowup_mod, "table_failures", recording)
+    rc, out = run(capsys, "fuzz", "--seed", "1", "--count", "5", "--n", "4", "--oracle")
+    assert rc == 0 and json.loads(out)["all_pass"]
+    assert checked and len(calls) == 2 * len(checked)

@@ -444,24 +444,44 @@ def test_table_reports_first_fractional_age():
 
 
 def test_fractional_age_report_computes_one_point(monkeypatch):
-    """Reporting a fractional age computes the point of that element alone,
-    not the points of its whole group."""
+    """The refusal of a model that is not quasi-SL names its element
+    without enumerating the group or computing any point of it by
+    ``point`` or ``point_rows``; reading the age polynomial, which
+    enumerates, computes the point of that element alone, not the
+    points of its whole group."""
     bad = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -12)])
     vertex = LocalGroupTable(bad).group(face_by_indices(bad, [0, 2]))
     first = next(e for e in vertex.box_elements() if e.age.denominator != 1)
     index = vertex.box_elements().index(first)
     computed = record_points(monkeypatch)
-    table = LocalGroupTable(bad)
-    with pytest.raises(NonIntegralAgeError) as err:
-        table.ensure_quasi_sl()
+    with monkeypatch.context() as patch:
+        patch.setattr(LocalGroup, "_enumerate", lambda self: pytest.fail("enumerated"))
+        table = LocalGroupTable(bad)
+        with pytest.raises(NonIntegralAgeError) as err:
+            table.ensure_quasi_sl()
     assert err.value.element == first
+    assert computed == []
     group = table.group(first.face)
-    assert computed == [(group, index)]
-    computed.clear()
     with pytest.raises(NonIntegralAgeError) as err:
         group.age_polynomial
     assert err.value.element == first
     assert computed == [(group, index)]
+
+
+@pytest.mark.parametrize("m", [50, 997])
+def test_first_fractional_age_comes_late_in_sorted_order(monkeypatch, m):
+    """Z/M x Z/2, columns (2, 0, 0), (0, M, 1 - M) and (0, 0, 1): every
+    element with first coefficient 0 has an integral age, so the first
+    fractional one, (1/2, 0, 0), is the element at sorted index M.  The
+    descent names it with the enumeration patched to raise."""
+    cols = [(2, 0, 0), (0, m, 1 - m), (0, 0, 1)]
+    enumerated = LocalGroup(cols, 3)
+    assert enumerated.order == 2 * m and not enumerated.integral_ages
+    expected = enumerated.box_element(m)
+    assert expected.coeffs == (Fraction(1, 2), 0, 0)
+    assert all(sum(nums) % enumerated.exponent == 0 for nums in enumerated.numerators[:m])
+    monkeypatch.setattr(LocalGroup, "_enumerate", lambda self: pytest.fail("enumerated"))
+    assert LocalGroup(cols, 3).first_fractional_age() == expected
 
 
 def test_interior_points_check_integrality(monkeypatch):
