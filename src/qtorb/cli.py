@@ -272,6 +272,8 @@ def _cmd_blowup(args) -> int:
 def _cmd_mckay(args) -> int:
     model = load_model(args.model)
     face, spec = _parse_spec(args, model)
+    # A model that is not quasi-SL is refused, by cr_report, before a
+    # spec that is not crepant.
     before = cr_report(LocalGroupTable(model))
     report = _mckay_check(before, face, _crepant(spec))
     payload = {
