@@ -455,9 +455,15 @@ def check_triangulation_identity(
     set of its cone in ``blown``'s model (the blown-up one, for a star
     subdivision and the triangulations it induces).  The face side is
     read from ``groups``, the model's table, and each cone from ``blown``
-    by facet set; ValueError names one that is not a face there."""
+    by facet set; ValueError names one that is not a face there.  The
+    cones' age polynomials are summed per codimension first, and each
+    sum is multiplied by (s-1)^codim once: k products for a face of
+    codimension k, not one per cone."""
     lhs = groups.group(face).age_polynomial
-    rhs = _sum(e_torus(codim) * blown._group(facets).age_polynomial for codim, facets in cones)
+    by_codim: dict[int, list[Poly]] = {}
+    for codim, facets in cones:
+        by_codim.setdefault(codim, []).append(blown._group(facets).age_polynomial)
+    rhs = _sum(e_torus(codim) * _sum(ages) for codim, ages in by_codim.items())
     return TriangulationCheck(face=face, passed=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
@@ -498,7 +504,9 @@ class McKayReport:
         )
 
 
-def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
+def mckay_check(
+    before: CrReport, spec: BlowupSpec, lender: LocalGroupTable | None = None
+) -> McKayReport:
     """Blow up the model that ``before`` reports on, certify the result
     stays quasi-SL, compute the Chen-Ruan polynomial of the blown-up
     model by all three routes, and run the triangulation identity on the
@@ -510,19 +518,28 @@ def mckay_check(before: CrReport, spec: BlowupSpec) -> McKayReport:
     (:func:`_star_cones`) and builds no simplex.  The validated star
     subdivision and each validated induced triangulation are built only
     by the oracles :func:`validated_star_interior` and
-    :func:`induced_triangulation_sums`."""
+    :func:`induced_triangulation_sums`.
+
+    The blown-up table is built on ``lender``, a table in the same
+    dimension (``before``'s when it is None), and takes the groups it
+    has built whose facet set and columns it shares
+    (:class:`LocalGroupTable`); :func:`identity_failures` lends the
+    blown-up table of the previous blowup of the same face, whose face
+    lattice is this one's."""
     _crepant(spec)
-    return _mckay_check(before, *_checked(before.groups.model, spec.face, spec.weights, spec.lambda0))
+    return _mckay_check(before, *_checked(before.groups.model, spec.face, spec.weights, spec.lambda0), lender)
 
 
-def _mckay_check(before: CrReport, face: Face, spec: BlowupSpec) -> McKayReport:
+def _mckay_check(
+    before: CrReport, face: Face, spec: BlowupSpec, lender: LocalGroupTable | None = None
+) -> McKayReport:
     """:func:`mckay_check` of a crepant spec, from the face and canonical
     spec that :func:`_checked` returned for the model of ``before``."""
     groups = before.groups
     model = groups.model
     # The faces on the new facet are the interior cones of the
     # triangulations below.
-    blown_groups = LocalGroupTable(_derived_blowup(model, face, spec), groups)
+    blown_groups = LocalGroupTable(_derived_blowup(model, face, spec), lender or groups)
     after = cr_report(blown_groups) if blown_groups.quasi_sl else None
     checks = tuple(
         check_triangulation_identity(sub, _star_cones(face, sub, model.m), groups, blown_groups)
@@ -702,14 +719,26 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
     read and each subface's triangulation sum with the validated induced
     triangulation's, and the blown-up model is compared with its full
     validation.
+
+    A blown-up model's vertex list depends on the face alone, and
+    :func:`crepant_candidates` yields the candidates of one face one
+    after another.  So each blown-up table after the first at a face is
+    built on the one before it when that one stayed quasi-SL, its report
+    having built every group: the two share one face lattice, and the
+    groups off the new facet.  Otherwise it is built on the base table.
+    At most two blown-up tables are alive at a time.
     """
     model = table.model
     label = model.name or "<model>"
     report = cr_report(table)
     failures = [f"{label}: {text}" for text in report.failures()]
     failures += [f"{label}: {text}" for text in table_failures(table, table.groups, include_oracle)]
+    mckay = None
     for spec in crepant_candidates(table):
-        mckay = mckay_check(report, spec)
+        lender = None
+        if mckay is not None and mckay.spec.face == spec.face and mckay.quasi_sl_after:
+            lender = mckay.blown_groups
+        mckay = mckay_check(report, spec, lender)
         prefix = f"{label}: crepant blowup at {list(spec.face)}"
         if not mckay.quasi_sl_after:
             failures.append(f"{prefix} loses integral ages")

@@ -11,7 +11,8 @@ The Chen-Ruan polynomial is computed along three independent routes:
   polynomials.
 
 Agreement of the three, together with the per-face age-partition and
-torus-stratification identities, is what the verdict commands certify:
+torus-stratification identities, the orbifold Euler number and
+Chen-Ruan Poincare duality, is what the verdict commands certify:
 :data:`REPORT_CHECKS` lists the checks a :class:`CrReport` must pass.
 """
 
@@ -186,9 +187,33 @@ def age_partition(report: CrReport) -> Iterator[str]:
             yield f"age partition fails at face {list(face.facet_set)}"
 
 
+def orbifold_euler_number(report: CrReport) -> Iterator[str]:
+    """The Chen-Ruan Betti numbers add up to the orbifold Euler number,
+    PP_CR(1) = the sum of |det| over the vertices, as validation
+    computed them: each vertex box has |det| elements and is partitioned
+    by the interiors of the faces through the vertex, and a sector of a
+    face adds one Betti number per vertex of the face."""
+    total = sum(report.pp_cr.coeffs)
+    euler = sum(map(abs, report.groups.model.vertex_dets))
+    if total != euler:
+        yield f"the Chen-Ruan Betti numbers sum to {total}, not the orbifold Euler number {euler}"
+
+
+def poincare_duality(report: CrReport) -> Iterator[str]:
+    """Chen-Ruan Poincare duality: PP_CR is palindromic of degree n.  The
+    inverse of an interior element of age a at a face of codimension k
+    is interior there too, of age k - a, and the face's h-vector is
+    palindromic of degree n - k."""
+    coeffs, n = report.pp_cr.coeffs, report.groups.model.n
+    if len(coeffs) != n + 1 or coeffs != coeffs[::-1]:
+        yield f"the Chen-Ruan polynomial {list(coeffs)} is not palindromic of degree {n}"
+
+
 # The checks every Chen-Ruan report must pass, in the order their
 # failures are reported.  Each takes a report and yields failure texts.
-REPORT_CHECKS = (route_agreement, named_identities, age_partition)
+# The last two read no route's terms, only its polynomial, the vertex
+# determinants and the dimension.
+REPORT_CHECKS = (route_agreement, named_identities, age_partition, orbifold_euler_number, poincare_duality)
 
 
 def cr_report(table: LocalGroupTable) -> CrReport:

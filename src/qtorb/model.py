@@ -400,10 +400,12 @@ def _random_simplex_model(rng: random.Random, n: int, index: int):
 
 def _mutated_table(rng: random.Random, table: LocalGroupTable, n: int) -> LocalGroupTable:
     """The table of the model that up to two random blowups and unimodular
-    changes make of ``table``'s.  Each blowup's table borrows the groups
-    the current table has built; a unimodular change starts a new one.
-    A function of its own, so that the generator's frame keeps no table
-    of a model it has already yielded."""
+    changes make of ``table``'s.  Each new table is built on the current
+    one: a blowup's borrows the groups the current table has built, and
+    a unimodular change's, over the same vertex list, shares its face
+    lattice and h-vectors.  A function of its own, so that the
+    generator's frame keeps no table of a model it has already
+    yielded."""
     from . import blowup as blowup_mod
     from .sectors import LocalGroupTable
 
@@ -416,7 +418,7 @@ def _mutated_table(rng: random.Random, table: LocalGroupTable, n: int) -> LocalG
                 continue
             spec = rng.choice(candidates)
         elif roll < 0.85:
-            table = LocalGroupTable(apply_unimodular(model, random_unimodular(rng, n)))
+            table = LocalGroupTable(apply_unimodular(model, random_unimodular(rng, n)), table)
             continue
         else:
             # Non-crepant truncation: unit weights on a random face.

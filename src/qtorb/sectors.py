@@ -433,13 +433,14 @@ class LocalGroupTable:
     every face that carries sectors.
 
     Every computation on a model reads its faces' groups from one table,
-    and its faces from the table's :attr:`faces`, built once: quasi-SL,
-    sectors, the three Chen-Ruan routes and the identities.  A table
-    lives as long as the command that built it; nothing keeps it beyond
-    that.  :meth:`group` builds a face's group the first time it is
-    asked for and keeps it; :attr:`groups` builds the rest.  Groups are
-    kept by facet set, the table's one index; the triangulation
-    identities read their cones from a blown-up table the same way.
+    and its faces from the table's :attr:`faces`, built once per vertex
+    list: quasi-SL, sectors, the three Chen-Ruan routes and the
+    identities.  A table lives as long as the command that built it;
+    nothing keeps it beyond that.  :meth:`group` builds a face's group
+    the first time it is asked for and keeps it; :attr:`groups` builds
+    the rest.  Groups are kept by facet set, the table's one index; the
+    triangulation identities read their cones from a blown-up table the
+    same way.
 
     A face is smooth when some vertex through it has |det| = 1, read
     from the determinants that validation computed (``vertex_dets``),
@@ -456,11 +457,17 @@ class LocalGroupTable:
     another face's group.
 
     With ``base``, the table of another model in the same dimension
-    (the model a blowup came from), a face whose facet set and columns
-    are those of a face of ``base`` takes that face's group, enumerated
-    data included, before any of the above, as a new object over the
-    same attribute values that names this table's face.
-    ``base`` lends only the groups it has already built.
+    (the model a blowup came from, a blowup of the same face with other
+    weights, or the model before a unimodular change), a face whose
+    facet set and columns are those of a face of ``base`` takes that
+    face's group, enumerated data included, before any of the above.
+    ``base`` lends only the groups it has already built.  Models with
+    one vertex list have one face lattice, so such a table takes
+    ``base``'s :attr:`faces`, their facet-set index and the h-vectors
+    computed on them, and does not run ``faces(model)``; a lent group,
+    whose face is then the very same object, is shared as it is.  Over
+    another vertex list, a lent group is a new object over the same
+    attribute values that names this table's face.
 
     Only the faces with interior elements carry sectors, and only they
     add nonzero terms to the sector routes and the age partition.  They
@@ -473,8 +480,14 @@ class LocalGroupTable:
         self.model = model
         self._lent = {} if base is None else base._by_facets
         self._by_facets: dict[tuple[int, ...], LocalGroup] = {}
-        self.faces = faces(model)
-        self._faces = {face.facet_set: face for face in self.faces}
+        if base is not None and base.model.vertices == model.vertices:
+            # One vertex list, one face lattice: its faces, their index
+            # and the h-vectors computed on it are shared.
+            self.faces, self._faces, self._h_vectors = base.faces, base._faces, base._h_vectors
+        else:
+            self.faces = faces(model)
+            self._faces = {face.facet_set: face for face in self.faces}
+            self._h_vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._smooth = {i for i, d in enumerate(model.vertex_dets) if abs(d) == 1}
 
     def _build(self, face: Face) -> LocalGroup:
@@ -482,7 +495,7 @@ class LocalGroupTable:
         columns = tuple(model.char_vectors[i] for i in face.facet_set)
         known = self._lent.get(face.facet_set)
         if known is not None and known.columns == columns and known.ambient_dim == model.n:
-            return known.retagged(face)
+            return known if known.face is face else known.retagged(face)
         if face.codim <= 1 or not self._smooth.isdisjoint(face.vertex_ids):
             return LocalGroup._trivial(columns, model.n, face)
         return LocalGroup(columns, model.n, face)
@@ -523,11 +536,13 @@ class LocalGroupTable:
     @cached_property
     def sector_h_vectors(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """The h-vector of every face in :attr:`sector_groups`, keyed by
-        facet set."""
-        return {
-            facet_set: h_vector(group.face, self.faces)
-            for facet_set, group in self.sector_groups.items()
-        }
+        facet set.  Each is computed once per face lattice, and tables
+        that share the lattice read it there."""
+        known = self._h_vectors
+        for facet_set, group in self.sector_groups.items():
+            if facet_set not in known:
+                known[facet_set] = h_vector(group.face, self.faces)
+        return {facet_set: known[facet_set] for facet_set in self.sector_groups}
 
     def sector_groups_containing(self, face: Face) -> list[LocalGroup]:
         """The :attr:`sector_groups` of the faces containing ``face``,

@@ -14,6 +14,7 @@ from qtorb import (
     BlowupSpec,
     LocalGroupTable,
     NonIntegralAgeError,
+    apply_unimodular,
     blow_up,
     blow_up_table,
     check_age_partition,
@@ -30,9 +31,16 @@ from qtorb import (
     mckay_check,
     model_to_json,
     parse_model,
+    random_unimodular,
     star_subdivide,
 )
-from qtorb.blowup import _maximal_volumes, _star_cones, _subdivision_cones, _validated_subdivision
+from qtorb.blowup import (
+    _maximal_volumes,
+    _star_cones,
+    _subdivision_cones,
+    _validated_subdivision,
+    table_failures,
+)
 from qtorb.cli import main
 from qtorb.exact import Poly
 from qtorb.intlat import det
@@ -541,24 +549,74 @@ def test_induced_triangulation_solves_no_vertex(prism):
     assert all(combination(cols, c) == v for v, c in coords.items())
 
 
+def _assert_equals_fresh(table):
+    """``table`` holds what a table of its model built afresh holds: the
+    faces, every group with its points and age polynomials, the
+    h-vectors, the report and the table checks' verdicts."""
+    fresh = LocalGroupTable(table.model)
+    assert table.faces == fresh.faces
+    assert len(table.groups) == len(fresh.groups)
+    for a, b in zip(table.groups, fresh.groups):
+        assert a.face == b.face
+        assert a.columns == b.columns
+        assert a.exponent == b.exponent
+        assert a.numerators == b.numerators
+        assert group_points(a) == group_points(b)
+        assert a.age_polynomial == b.age_polynomial
+        assert a.interior_age_polynomial == b.interior_age_polynomial
+        assert a.box_elements() == b.box_elements()
+    assert table.sector_h_vectors == fresh.sector_h_vectors
+    assert cr_report(table) == cr_report(fresh)
+    assert table_failures(table, table.groups, False) == table_failures(fresh, fresh.groups, False) == []
+
+
 def test_blown_table_from_base_equals_fresh_table(crepant_blowups):
     assert crepant_blowups
     for model, spec, blown in crepant_blowups:
         base = LocalGroupTable(model)
         base.groups  # a table lends only the groups it has built
         reused = blow_up_table(base, spec)
-        fresh = LocalGroupTable(blown)
         assert reused.model == blown
-        assert reused.sector_h_vectors == fresh.sector_h_vectors
-        assert len(reused.groups) == len(fresh.groups)
-        for a, b in zip(reused.groups, fresh.groups):
-            assert a.face == b.face
-            assert a.exponent == b.exponent
-            assert a.numerators == b.numerators
-            assert group_points(a) == group_points(b)
-            assert a.age_polynomial == b.age_polynomial
-            assert a.interior_age_polynomial == b.interior_age_polynomial
-            assert a.box_elements() == b.box_elements()
+        _assert_equals_fresh(reused)
+
+
+def test_a_blown_table_built_on_a_sibling_equals_a_fresh_table(crepant_blowups):
+    """Two crepant blowups of one face have one vertex list.  The second's
+    table, built on the first's once its report has built every group,
+    shares that table's face lattice and, as they are, the groups of
+    every face off the new facet, whose columns are the same; the faces
+    on it, whose columns differ, are built anew.  It equals the table
+    built afresh."""
+    siblings = 0
+    for (model, first_spec, _), (other, spec, blown) in zip(crepant_blowups, crepant_blowups[1:]):
+        if other is not model or first_spec.face != spec.face:
+            continue
+        first = blow_up_table(LocalGroupTable(model), first_spec)
+        cr_report(first)
+        table = LocalGroupTable(blown, first)
+        assert table.faces is first.faces
+        shared = {g.face.facet_set for g in table.groups if first.group(g.face) is g}
+        assert shared == {f.facet_set for f in table.faces if model.m not in f.facet_set}
+        _assert_equals_fresh(table)
+        siblings += 1
+    assert siblings > 0
+
+
+def test_a_table_built_on_a_unimodular_change_equals_a_fresh_table(corpus, rng):
+    """A unimodular change keeps the vertex list: the new table shares the
+    face lattice of the table it is built on, and takes a group only
+    where the columns are unchanged, every group under the identity and
+    few under a random change.  It equals the table built afresh."""
+    for model in corpus:
+        table = LocalGroupTable(model)
+        table.groups  # a table lends only the groups it has built
+        identity = tuple(tuple(int(i == j) for j in range(model.n)) for i in range(model.n))
+        for u in (identity, random_unimodular(rng, model.n)):
+            changed = LocalGroupTable(apply_unimodular(model, u), table)
+            assert changed.faces is table.faces
+            _assert_equals_fresh(changed)
+        unchanged = LocalGroupTable(apply_unimodular(model, identity), table)
+        assert all(table.group(g.face) is g for g in unchanged.groups)
 
 
 def _mislabel_as_trivial(monkeypatch, facet_set):
@@ -693,13 +751,15 @@ def test_vertex_order_is_checked_against_the_determinant(monkeypatch, z3):
     """The order-3 vertex (0, 1, 2) of the tetrahedron built as the trivial
     group gives a wrong PP_CR that both partition checks accept: its lower
     faces are all trivial.  The vertex order against |det| flags it
-    without the oracle."""
+    without the oracle, and so does the orbifold Euler number, the sum
+    of the |det|."""
     assert identity_failures(LocalGroupTable(z3)) == []
     _mislabel_as_trivial(monkeypatch, (0, 1, 2))
     assert cr_report(LocalGroupTable(z3)).pp_cr == Poly([1, 1, 1, 1])
     assert all(ok for _, ok in check_age_partition(LocalGroupTable(z3)))
     assert identity_failures(LocalGroupTable(z3)) == [
-        "z3-tetrahedron: group order 1 is not |det| 3 at vertex [0, 1, 2]"
+        "z3-tetrahedron: the Chen-Ruan Betti numbers sum to 4, not the orbifold Euler number 6",
+        "z3-tetrahedron: group order 1 is not |det| 3 at vertex [0, 1, 2]",
     ]
 
 
@@ -987,10 +1047,10 @@ def test_oracle_reports_a_lazy_sum_that_disagrees(monkeypatch, prism):
     def lossy_check(face, cones, groups, blown):
         return real_check(face, list(cones)[1:], groups, blown)
 
-    def mckay(before, spec):
+    def mckay(before, spec, lender=None):
         with monkeypatch.context() as patch:
             patch.setattr(blowup_mod, "check_triangulation_identity", lossy_check)
-            return real_mckay(before, spec)
+            return real_mckay(before, spec, lender)
 
     monkeypatch.setattr(blowup_mod, "mckay_check", mckay)
     betti = "prism: crepant blowup at [0, 1] changes the Betti numbers"

@@ -28,6 +28,7 @@ from qtorb import (
 )
 from qtorb.cohomology import _sum
 from qtorb.exact import Poly
+from tests.conftest import face_by_indices
 from tests.test_blowup import _mislabel_as_trivial
 from tests.test_sectors import sectors
 
@@ -292,15 +293,20 @@ def test_identity_lookup_by_name(wp112):
 
 def test_all_pass_is_no_report_check_failing(monkeypatch, corpus, z3):
     """``all_pass`` is "no report check fails", which is the conjunction
-    of route agreement, every identity and every age partition, over the
-    corpus and under mutations that fail the routes, an identity, the age
-    partition, or none of them."""
+    of route agreement, every identity, every age partition, the
+    orbifold Euler number and Poincare duality, over the corpus and under
+    mutations that fail the routes, an identity, the age partition or the
+    Euler number."""
 
     def conjunction(report):
+        coeffs, model = report.pp_cr.coeffs, report.groups.model
         return (
             report.routes_agree
             and all(check.passed for check in report.identities)
             and all(ok for _, ok in report.morestrat)
+            and sum(coeffs) == sum(abs(d) for d in model.vertex_dets)
+            and len(coeffs) == model.n + 1
+            and coeffs == coeffs[::-1]
         )
 
     reports = [cr_report(LocalGroupTable(model)) for model in corpus]
@@ -311,7 +317,7 @@ def test_all_pass_is_no_report_check_failing(monkeypatch, corpus, z3):
         dataclasses.replace(base, identities=(newpon,)),
     ]
     # A wrongly trivial face fails the age partition; the order-3 vertex
-    # of the tetrahedron built trivial passes every report check.
+    # of the tetrahedron built trivial fails only the Euler number.
     for model in corpus[::3]:
         lower = [g.face for g in LocalGroupTable(model).groups if g.order > 1 and g.face.codim < model.n]
         if lower:
@@ -332,3 +338,30 @@ def test_all_pass_is_no_report_check_failing(monkeypatch, corpus, z3):
         f"identity newpon fails ({base.pp_cr_direct} != {base.pp_cr_strata})"
     ]
     assert any(f.startswith("age partition fails at face ") for r in reports for f in r.failures())
+
+
+def test_the_euler_number_alone_catches_a_vertex_built_trivial(monkeypatch, z3):
+    """The order-3 vertex (0, 1, 2) of the tetrahedron built as the trivial
+    group loses its two sectors.  PP_CR = 1 + s + s^2 + s^3 is
+    palindromic, and the routes, the identities and the age partition
+    agree on it; but it sums to 4, not to the orbifold Euler number,
+    |det| summed over the vertices, 3 + 1 + 1 + 1."""
+    assert list(cr_report(LocalGroupTable(z3)).failures()) == []
+    _mislabel_as_trivial(monkeypatch, (0, 1, 2))
+    assert list(cr_report(LocalGroupTable(z3)).failures()) == [
+        "the Chen-Ruan Betti numbers sum to 4, not the orbifold Euler number 6"
+    ]
+
+
+def test_poincare_duality_alone_catches_an_age_without_its_inverse(z3):
+    """The order-3 vertex's elements of ages 1 and 2 are given age 1
+    both, which every route reads alike: PP_CR = 1 + 3s + s^2 + s^3
+    still sums to 6 and every partition holds, but it is not
+    palindromic."""
+    table = LocalGroupTable(z3)
+    vertex = table.group(face_by_indices(z3, (0, 1, 2)))
+    assert [vertex.age(i) for i in range(vertex.order)] == [0, 1, 2]
+    vertex._sums = [0, 3, 3]
+    assert list(cr_report(table).failures()) == [
+        "the Chen-Ruan polynomial [1, 3, 1, 1] is not palindromic of degree 3"
+    ]
