@@ -211,8 +211,8 @@ def poincare_duality(report: CrReport) -> Iterator[str]:
 
 # The checks every Chen-Ruan report must pass, in the order their
 # failures are reported.  Each takes a report and yields failure texts.
-# The last two read no route's terms, only its polynomial, the vertex
-# determinants and the dimension.
+# The last two read only PP_CR, the vertex determinants and n, none of
+# the routes' terms.
 REPORT_CHECKS = (route_agreement, named_identities, age_partition, orbifold_euler_number, poincare_duality)
 
 
