@@ -4,7 +4,10 @@ on a fixed set of models, frozen as the behaviour contract for refactors.
 ``mckay-digests.json`` holds, for every crepant candidate of a fixed set
 of generated models, the SHA-256 of ``qtorb mckay`` stdout and the exit
 code: the mckay reports of many more models than the ``.stdout`` files
-hold, at the cost of one hash each.  ``ehrhart-digests.json`` holds the
+hold, at the cost of one hash each.  ``blowup-digests.json`` holds the
+same for ``qtorb blowup`` on each of those candidates and on each model's
+unit-weight truncation of its first face of codimension at least 2,
+which is not crepant and may be refused.  ``ehrhart-digests.json`` holds the
 same for ``qtorb ehrhart`` and ``qtorb ehrhart --oracle`` on every model
 of that set.
 
@@ -43,6 +46,7 @@ NON_QUASI_SL = "tests/golden/models/tri-m1-m100.json"
 # element of fractional age.
 NON_QUASI_SL_1E5 = "tests/golden/models/tri-m1-m1e5.json"
 MCKAY_DIGESTS = GOLDEN / "mckay-digests.json"
+BLOWUP_DIGESTS = GOLDEN / "blowup-digests.json"
 EHRHART_DIGESTS = GOLDEN / "ehrhart-digests.json"
 EHRHART_COMMANDS = (["ehrhart"], ["ehrhart", "--oracle"])
 # Every model of generate_test_models(seed, MCKAY_COUNT, n), and every
@@ -134,6 +138,27 @@ def _mckay_digests(workdir) -> list[dict]:
     return entries
 
 
+def _blowup_digests(workdir) -> list[dict]:
+    """One entry per crepant candidate of the generated models, as in
+    :func:`_mckay_digests`, and after a model's candidates one for its
+    unit-weight truncation of its first face of codimension at least 2:
+    the exit code and stdout digest of ``qtorb blowup`` on each."""
+    from qtorb import LocalGroupTable, crepant_candidates, faces
+
+    entries = []
+    for n, seed, index, model, path in _generated_models(workdir):
+        specs = [(spec.face, spec.weights) for spec in crepant_candidates(LocalGroupTable(model))]
+        face = next(face for face in faces(model) if face.codim >= 2)
+        specs.append((face.facet_set, [1] * face.codim))
+        for facets, weights in specs:
+            face, weights = ",".join(map(str, facets)), ",".join(map(str, weights))
+            entries.append({
+                "n": n, "seed": seed, "model": index, "face": face, "weights": weights,
+                **_digest(["blowup", str(path), "--face", face, "--weights", weights]),
+            })
+    return entries
+
+
 def _ehrhart_digests(workdir) -> list[dict]:
     """One entry per generated model and ehrhart command, in generation
     order: where the model came from, the command, and the exit code and
@@ -169,6 +194,13 @@ def test_mckay_digests(tmp_path):
     """Every crepant candidate's mckay report is the committed one."""
     stored = json.loads(MCKAY_DIGESTS.read_text(encoding="utf-8"))
     _check_digests(stored, _mckay_digests(tmp_path), "crepant candidates")
+
+
+def test_blowup_digests(tmp_path):
+    """Every crepant candidate's blowup, and every generated model's
+    unit-weight truncation, is the committed one."""
+    stored = json.loads(BLOWUP_DIGESTS.read_text(encoding="utf-8"))
+    _check_digests(stored, _blowup_digests(tmp_path), "blowups")
 
 
 def test_ehrhart_digests(tmp_path):
@@ -213,7 +245,12 @@ if __name__ == "__main__":
         codes[case] = rc
         (GOLDEN / f"{case}.stdout").write_bytes(out.encode("utf-8"))
     EXIT_CODES.write_text(json.dumps(codes, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    for path, compute in ((MCKAY_DIGESTS, _mckay_digests), (EHRHART_DIGESTS, _ehrhart_digests)):
+    digest_files = (
+        (MCKAY_DIGESTS, _mckay_digests),
+        (BLOWUP_DIGESTS, _blowup_digests),
+        (EHRHART_DIGESTS, _ehrhart_digests),
+    )
+    for path, compute in digest_files:
         with tempfile.TemporaryDirectory() as workdir:
             digests = compute(workdir)
         path.write_text(
