@@ -3,6 +3,7 @@ models, combinatorial crepant blowups, and exact verification that the
 Betti numbers survive them."""
 
 from .blowup import (
+    Blowup,
     BlowupError,
     BlowupSpec,
     McKayReport,

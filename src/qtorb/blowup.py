@@ -6,20 +6,19 @@ the identity suite that runs that check for every crepant candidate.
 A blowup replaces the chosen face by a new facet whose characteristic
 vector is a positive combination of the vectors meeting at the face.
 Combinatorially, every vertex on the face splits into one vertex per
-dropped facet; no geometric hyperplane is ever materialized.  Every
-entry point checks a spec once, with :func:`_checked` (a face of
-codimension at least 2, one positive weight per facet, the weighted sum
-of their vectors exactly the new primitive vector), and works from the
-face and canonical spec it returns: ``make_blowup_spec``, ``blow_up``,
-``star_subdivide`` and ``mckay_check`` each run it once, and the
-``blowup`` and ``mckay`` commands once in all, handing the pair to
-:func:`_derived_blowup` and :func:`_mckay_check`.  The blown-up
-model is derived from its base: given a checked spec, full model
-validation could not fail on it, and every new vertex determinant is a
-weight times a base one.  The triangulation identities read their
-cones from the blown-up model's table by facet set, and build no
-simplex.  Full validation of the derived model and the geometry of the
-star subdivision and of the triangulations it induces run as oracles.
+dropped facet; no geometric hyperplane is ever materialized.  A spec is
+checked once, by :func:`make_blowup_spec` (a face of codimension at
+least 2, one positive weight per facet, the weighted sum of their
+vectors exactly the new primitive vector), which returns a
+:class:`Blowup`: the model, the face and the canonical spec.
+``blow_up``, ``blow_up_table``, ``star_subdivide`` and ``mckay_check``
+take that value and check nothing of it again.  The blown-up model is
+derived from its base: given a checked spec, full model validation
+could not fail on it, and every new vertex determinant is a weight
+times a base one.  The triangulation identities read their cones from
+the blown-up model's table by facet set, and build no simplex.  Full
+validation of the derived model and the geometry of the star
+subdivision and of the triangulations it induces run as oracles.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -42,7 +41,7 @@ from .model import (
     make_model,
     subfaces,
 )
-from .sectors import LocalGroup, LocalGroupTable, _box_by_exhaustion
+from .sectors import LocalGroup, LocalGroupTable, box_by_exhaustion
 
 
 class BlowupError(ValueError):
@@ -79,22 +78,39 @@ def _weight(token) -> Fraction:
     return Fraction(token)
 
 
-def _checked(
-    model: Model, facets: Sequence[int], weights: Sequence, lambda0: Sequence[int] | None = None
-) -> tuple[Face, BlowupSpec]:
-    """The one check of a blowup spec against a model: the face, found
-    by one scan of the vertices, and the canonical spec, facets sorted,
-    each weight moved with its facet.  The weights pair with ``facets``
-    in the order given and are rationals or their strings (see
-    :func:`_weight`).  BlowupError names the first fault, in this order:
+@dataclass(frozen=True)
+class Blowup:
+    """A blowup spec checked against a model: the model, the face its
+    facets meet at and the canonical spec.  :func:`make_blowup_spec`
+    builds it; :func:`blow_up`, :func:`blow_up_table`,
+    :func:`star_subdivide` and :func:`mckay_check` take it and check
+    nothing of the spec again."""
+
+    model: Model = field(repr=False)
+    face: Face
+    spec: BlowupSpec
+
+
+def make_blowup_spec(
+    model: Model, face_indices: Sequence, weights: Sequence, lambda0: Sequence[int] | None = None
+) -> Blowup:
+    """The one check of a blowup spec against a model.  The facet indices
+    are integers or their strings; the weights pair with them in the
+    order given and are rationals or their strings: an integer, "p/q" or
+    a plain decimal such as "0.5", without an exponent.  The face is
+    found by one scan of the vertices, and the canonical spec holds the
+    facets sorted, each weight moved with its facet, and the new vector,
+    the weighted sum of the facets' vectors.  BlowupError names the
+    first fault, in this order: a facet index token is not an integer;
     the facets are not a face (no vertex holds them all); its
     codimension is below 2; a weight token is not a rational; the
     weights are not one per facet; a weight is not strictly positive;
-    the new vector, ``lambda0`` or the weighted sum of the facets'
-    vectors, has an entry of more digits than Python prints
-    (``sys.get_int_max_str_digits()``, 0 or absent for no limit); the
-    sum is not ``lambda0``, when one is given; the sum is not integral;
-    it is not primitive."""
+    the new vector, ``lambda0`` or the weighted sum, has an entry of
+    more digits than Python prints (``sys.get_int_max_str_digits()``, 0
+    or absent for no limit); the sum is not ``lambda0``, when one is
+    given; the sum is not integral, named by the face and the positions
+    of its fractional coordinates; it is not primitive."""
+    facets = _converted(int, face_indices, "facet index")
     key = tuple(sorted(facets))
     cut = set(key)
     on_face = tuple(vid for vid, vertex in enumerate(model.vertices) if cut.issubset(vertex))
@@ -135,68 +151,37 @@ def _checked(
     if not is_primitive(point):
         raise BlowupError(f"new characteristic vector {list(point)} is not primitive")
     face = Face(facet_set=key, dim=model.n - len(key), vertex_ids=on_face)
-    return face, BlowupSpec(face=key, weights=tuple(ws), lambda0=point)
+    return Blowup(model, face, BlowupSpec(face=key, weights=tuple(ws), lambda0=point))
 
 
-def make_blowup_spec(
-    model: Model, face_indices: Sequence, weights: Sequence
-) -> BlowupSpec:
-    """Validated blowup data: the facet indices, integers or their
-    strings, converted, then the one spec check, :func:`_checked`, which
-    builds the new vector from the weights.  The weights are rationals or
-    their strings: an integer, "p/q" or a plain decimal such as "0.5",
-    without an exponent.  A token that is neither is named in the error,
-    and a combination that is not integral by the face and the positions
-    of its fractional coordinates, which may have too many digits to
-    print.  The weights pair with ``face_indices`` in the order given;
-    the spec holds both sorted by facet index.
-    """
-    return _checked_tokens(model, face_indices, weights)[1]
-
-
-def _checked_tokens(model: Model, face_indices: Sequence, weights: Sequence) -> tuple[Face, BlowupSpec]:
-    """The face and canonical spec that :func:`make_blowup_spec`'s one
-    spec check returns, for :func:`_derived_blowup` and
-    :func:`_mckay_check`, which take them without a second check."""
-    return _checked(model, _converted(int, face_indices, "facet index"), weights)
-
-
-def is_crepant(spec: BlowupSpec) -> bool:
+def is_crepant(blowup: Blowup) -> bool:
     """True iff the weights sum to exactly 1."""
-    return sum(spec.weights) == 1
+    return sum(blowup.spec.weights) == 1
 
 
-def _crepant(spec: BlowupSpec) -> BlowupSpec:
-    """``spec``, after BlowupError unless it is crepant: the one check of
-    the condition, which ``star_subdivide`` and ``mckay_check`` each run
-    once."""
-    if not is_crepant(spec):
+def _crepant(blowup: Blowup) -> None:
+    """BlowupError unless ``blowup`` is crepant: the refusal of
+    ``star_subdivide`` and ``mckay_check``."""
+    if not is_crepant(blowup):
         raise BlowupError(
-            f"weights sum to {sum(spec.weights)}, expected 1 for a crepant blowup"
+            f"weights sum to {sum(blowup.spec.weights)}, expected 1 for a crepant blowup"
         )
-    return spec
 
 
-def blow_up(model: Model, spec: BlowupSpec) -> Model:
+def blow_up(blowup: Blowup) -> Model:
     """Truncate the face: one extra facet m, and every vertex v containing
     the face splits into one vertex (v - {j}) + {m} per facet j of the
-    face.  The model is derived from ``model`` without validating it
-    afresh: the new vector is the spec's weighted sum, so by
+    face.  The model is derived from the checked one without validating
+    it afresh: the new vector is the spec's weighted sum, so by
     multilinearity the split vertex's determinant is w_j det(v), signed
     by moving the new column from j's position to the end; every other
-    vertex keeps its determinant.  The spec first passes the one spec
-    check, :func:`_checked`, with its new vector: a face of codimension
-    at least 2, one strictly positive weight per facet, paired in the
-    order given, whose sum of the facets' vectors is exactly the new
-    vector, a primitive integer vector.  Given these, no vertex repeats,
-    every facet stays in use and no determinant vanishes, so full
-    validation, the oracle :func:`validated_blowup`, cannot fail."""
-    return _derived_blowup(model, *_checked(model, spec.face, spec.weights, spec.lambda0))
-
-
-def _derived_blowup(model: Model, face: Face, spec: BlowupSpec) -> Model:
-    """The blown-up model of :func:`blow_up`, from the face and canonical
-    spec that :func:`_checked` returned for ``model``."""
+    vertex keeps its determinant.  The spec check
+    (:func:`make_blowup_spec`) found a face of codimension at least 2,
+    one strictly positive weight per facet, and the new vector, a
+    primitive integer vector.  Given these, no vertex repeats, every
+    facet stays in use and no determinant vanishes, so full validation,
+    the oracle :func:`validated_blowup`, cannot fail."""
+    model, face, spec = blowup.model, blowup.face, blowup.spec
     n, new = model.n, model.m
     weight = dict(zip(spec.face, spec.weights))
     split_ids = set(face.vertex_ids)
@@ -223,10 +208,10 @@ def _derived_blowup(model: Model, face: Face, spec: BlowupSpec) -> Model:
     )
 
 
-def blow_up_table(table: LocalGroupTable, spec: BlowupSpec) -> LocalGroupTable:
+def blow_up_table(table: LocalGroupTable, blowup: Blowup) -> LocalGroupTable:
     """The table of the blown-up model.  Faces away from the new facet
     keep the groups ``table`` has built; only the faces on it are new."""
-    return LocalGroupTable(blow_up(table.model, spec), table)
+    return LocalGroupTable(blow_up(blowup), table)
 
 
 def crepant_candidates(table: LocalGroupTable) -> list[BlowupSpec]:
@@ -318,20 +303,19 @@ def _validated_subdivision(
     return Subdivision(ambient_face=ambient_face, simplices=ordered, interior=interior)
 
 
-def star_subdivide(spec: BlowupSpec, model: Model) -> Subdivision:
-    """Star subdivision of the spec's face simplex at its new vector,
+def star_subdivide(blowup: Blowup) -> Subdivision:
+    """Star subdivision of the checked face's simplex at the new vector,
     validated whole: the oracle for the cones that ``mckay_check`` reads
     (:func:`validated_star_interior`).
 
-    The spec passes the one spec check, :func:`_checked`, with its new
-    vector, which also gives the face, and must be crepant: its weights,
-    strictly positive with sum 1, are the point's coordinates on the
-    face simplex.  Maximal simplices swap the point in for each vertex
-    in turn; all their faces join them.
+    The blowup must be crepant: its weights, strictly positive with sum
+    1, are the point's coordinates on the face simplex.  Maximal
+    simplices swap the point in for each vertex in turn; all their
+    faces join them.
     """
-    face, spec = _checked(model, spec.face, spec.weights, spec.lambda0)
-    _crepant(spec)
-    whole = face_simplex(face, model)
+    _crepant(blowup)
+    face, spec = blowup.face, blowup.spec
+    whole = face_simplex(face, blowup.model)
     pool_points = whole.verts + (spec.lambda0,)
     pool_coords = whole.coords + (spec.weights,)
     k = face.codim
@@ -505,15 +489,14 @@ class McKayReport:
 
 
 def mckay_check(
-    before: CrReport, spec: BlowupSpec, lender: LocalGroupTable | None = None
+    before: CrReport, blowup: Blowup, lender: LocalGroupTable | None = None
 ) -> McKayReport:
     """Blow up the model that ``before`` reports on, certify the result
     stays quasi-SL, compute the Chen-Ruan polynomial of the blown-up
     model by all three routes, and run the triangulation identity on the
-    subdivided face simplex and on every subface's simplex.  A spec that
-    is not crepant is refused before anything is built; then the spec
-    passes the one spec check, :func:`_checked`, once, and the blown-up
-    model is derived from the face and canonical spec it returns.  Each
+    subdivided face simplex and on every subface's simplex.  BlowupError
+    refuses, before anything is built, a blowup that is not crepant and
+    then one checked against another model than ``before``'s.  Each
     identity reads its cones from the blown-up table by facet set
     (:func:`_star_cones`) and builds no simplex.  The validated star
     subdivision and each validated induced triangulation are built only
@@ -526,20 +509,15 @@ def mckay_check(
     (:class:`LocalGroupTable`); :func:`identity_failures` lends the
     blown-up table of the previous blowup of the same face, whose face
     lattice is this one's."""
-    _crepant(spec)
-    return _mckay_check(before, *_checked(before.groups.model, spec.face, spec.weights, spec.lambda0), lender)
-
-
-def _mckay_check(
-    before: CrReport, face: Face, spec: BlowupSpec, lender: LocalGroupTable | None = None
-) -> McKayReport:
-    """:func:`mckay_check` of a crepant spec, from the face and canonical
-    spec that :func:`_checked` returned for the model of ``before``."""
+    _crepant(blowup)
+    face, spec = blowup.face, blowup.spec
     groups = before.groups
     model = groups.model
+    if blowup.model != model:
+        raise BlowupError(f"the blowup of {list(spec.face)} was checked against another model than the report's")
     # The faces on the new facet are the interior cones of the
     # triangulations below.
-    blown_groups = LocalGroupTable(_derived_blowup(model, face, spec), lender or groups)
+    blown_groups = LocalGroupTable(blow_up(blowup), lender or groups)
     after = cr_report(blown_groups) if blown_groups.quasi_sl else None
     checks = tuple(
         check_triangulation_identity(sub, _star_cones(face, sub, model.m), groups, blown_groups)
@@ -611,7 +589,7 @@ def box_enumeration(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Ite
             continue
         if group.order != index:
             yield f"group order {group.order} is not the lattice index {index} at {list(face.facet_set)}"
-        exhaustive = _box_by_exhaustion(group.columns, table.model.n, index)
+        exhaustive = box_by_exhaustion(group.columns, table.model.n, index)
         if [replace(e, face=face) for e in exhaustive] != group.box_elements():
             yield f"box enumeration disagrees with exhaustion at {list(face.facet_set)}"
 
@@ -709,11 +687,12 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
 
     The base model's report passes every :data:`REPORT_CHECKS` entry
     (routes, identities, age partition) and its table every
-    :data:`TABLE_CHECKS` entry on every face.  Every crepant candidate's
-    McKay check must pass, which runs the report checks on the blown-up
-    model's report; a blown-up table that stays quasi-SL then runs the
-    table checks on the faces of the new facet, the others being the
-    base table's.  With ``include_oracle``, the table checks include the
+    :data:`TABLE_CHECKS` entry on every face.  Every crepant candidate
+    is checked once, by :func:`make_blowup_spec`, and its McKay check
+    must pass, which runs the report checks on the blown-up model's
+    report; a blown-up table that stays quasi-SL then runs the table
+    checks on the faces of the new facet, the others being the base
+    table's.  With ``include_oracle``, the table checks include the
     oracles, and each McKay check builds the validated star subdivision
     once: the cones of its interior are compared with those the check
     read and each subface's triangulation sum with the validated induced
@@ -735,10 +714,11 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
     failures += [f"{label}: {text}" for text in table_failures(table, table.groups, include_oracle)]
     mckay = None
     for spec in crepant_candidates(table):
+        blowup = make_blowup_spec(model, spec.face, spec.weights, spec.lambda0)
         lender = None
         if mckay is not None and mckay.spec.face == spec.face and mckay.quasi_sl_after:
             lender = mckay.blown_groups
-        mckay = mckay_check(report, spec, lender)
+        mckay = mckay_check(report, blowup, lender)
         prefix = f"{label}: crepant blowup at {list(spec.face)}"
         if not mckay.quasi_sl_after:
             failures.append(f"{prefix} loses integral ages")
@@ -750,7 +730,7 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
             failures += [f"{prefix}: {text}" for text in table_failures(blown, on_new_facet, include_oracle)]
         if include_oracle:
             failures += [f"{prefix}: {text}" for text in validated_blowup(mckay)]
-            tau = star_subdivide(mckay.spec, model)
+            tau = star_subdivide(blowup)
             failures += [f"{prefix}: {text}" for text in validated_star_interior(mckay, tau)]
             failures += [f"{prefix}: {text}" for text in induced_triangulation_sums(mckay, tau)]
     return failures

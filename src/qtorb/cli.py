@@ -21,14 +21,7 @@ import os
 import sys
 
 from . import kernels
-from .blowup import (
-    _checked_tokens,
-    _crepant,
-    _derived_blowup,
-    _mckay_check,
-    identity_failures,
-    is_crepant,
-)
+from .blowup import blow_up, identity_failures, is_crepant, make_blowup_spec, mckay_check
 from .cohomology import cr_report
 from .ehrhart import count_from_ages, dilate_counts, face_simplex, numerator_from_counts
 from .model import (
@@ -245,21 +238,20 @@ def _cmd_ehrhart(args) -> int:
 
 
 def _parse_spec(args, model: Model):
-    """The face and canonical spec of ``--face`` and ``--weights``, from
-    the one spec check that ``make_blowup_spec`` runs; the blowup and the
-    McKay check take both without checking the spec again."""
+    """The checked blowup of ``--face`` and ``--weights``: the one spec
+    check, which the blowup and the McKay check do not repeat."""
     face = [tok for tok in args.face.split(",") if tok]
     weights = [tok for tok in args.weights.split(",") if tok]
-    return _checked_tokens(model, face, weights)
+    return make_blowup_spec(model, face, weights)
 
 
 def _cmd_blowup(args) -> int:
     model = load_model(args.model)
-    face, spec = _parse_spec(args, model)
-    blown = _derived_blowup(model, face, spec)
+    blowup = _parse_spec(args, model)
+    blown = blow_up(blowup)
     payload = {
-        "crepant": is_crepant(spec),
-        "lambda0": list(spec.lambda0),
+        "crepant": is_crepant(blowup),
+        "lambda0": list(blowup.spec.lambda0),
         "model": model_to_dict(blown),
     }
     if args.output:
@@ -271,14 +263,14 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_mckay(args) -> int:
     model = load_model(args.model)
-    face, spec = _parse_spec(args, model)
+    blowup = _parse_spec(args, model)
     # A model that is not quasi-SL is refused, by cr_report, before a
     # spec that is not crepant.
     before = cr_report(LocalGroupTable(model))
-    report = _mckay_check(before, face, _crepant(spec))
+    report = mckay_check(before, blowup)
     payload = {
         "verdict": report.verdict,
-        "lambda0": list(spec.lambda0),
+        "lambda0": list(blowup.spec.lambda0),
         "quasi_sl_after_blowup": report.quasi_sl_after,
         "pp_cr": {
             "before": list(report.before.pp_cr.coeffs),

@@ -417,6 +417,7 @@ def _mutated_table(rng: random.Random, table: LocalGroupTable, n: int) -> LocalG
             if not candidates:
                 continue
             spec = rng.choice(candidates)
+            blowup = blowup_mod.make_blowup_spec(model, spec.face, spec.weights, spec.lambda0)
         elif roll < 0.85:
             table = LocalGroupTable(apply_unimodular(model, random_unimodular(rng, n)), table)
             continue
@@ -427,10 +428,10 @@ def _mutated_table(rng: random.Random, table: LocalGroupTable, n: int) -> LocalG
                 continue
             face = rng.choice(chosen)
             try:
-                spec = blowup_mod.make_blowup_spec(model, face.facet_set, [1] * face.codim)
+                blowup = blowup_mod.make_blowup_spec(model, face.facet_set, [1] * face.codim)
             except ValueError:
                 continue
-        blown_table = blowup_mod.blow_up_table(table, spec)
+        blown_table = blowup_mod.blow_up_table(table, blowup)
         if blown_table.quasi_sl:
             table = blown_table
     return table

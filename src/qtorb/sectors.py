@@ -390,23 +390,22 @@ def box_of_columns(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxElement]
     return LocalGroup(cols, ambient_dim).box_elements()
 
 
-def box_by_exhaustion(cols: Sequence[IntVec], ambient_dim: int) -> list[BoxElement]:
+def box_by_exhaustion(
+    cols: Sequence[IntVec], ambient_dim: int, order: int | None = None
+) -> list[BoxElement]:
     """Independent slow enumeration of the same box.
 
-    The group order r is read off as the gcd of the maximal minors, then
-    every coefficient vector t/r with t in [0, r)^k is kept when the
+    The group order r is read off as the gcd of the maximal minors, or
+    is ``order``, the lattice index its caller has computed; then every
+    coefficient vector t/r with t in [0, r)^k is kept when the
     combination is a lattice point; :func:`qtorb.kernels.box_solutions`
     finds the t, sorted, in r^(k-1) + r steps.  Each point is the
     quotient of ``sum(t_j * col_j)`` by r, in integers.
     """
     if not cols:
         return [BoxElement((), (0,) * ambient_dim, Fraction(0), 0)]
-    return _box_by_exhaustion(cols, ambient_dim, lattice_index(cols))
-
-
-def _box_by_exhaustion(cols: Sequence[IntVec], ambient_dim: int, order: int) -> list[BoxElement]:
-    """:func:`box_by_exhaustion` of at least one column, whose lattice
-    index, ``order``, its caller has computed."""
+    if order is None:
+        order = lattice_index(cols)
     cols_mod = [[e % order for e in col] for col in cols]
     rows = tuple(zip(*cols))
     elements = []
@@ -461,10 +460,11 @@ class LocalGroupTable:
     weights, or the model before a unimodular change), a face whose
     facet set and columns are those of a face of ``base`` takes that
     face's group, enumerated data included, before any of the above.
-    ``base`` lends only the groups it has already built.  Models with
-    one vertex list have one face lattice, so such a table takes
-    ``base``'s :attr:`faces`, their facet-set index and the h-vectors
-    computed on them, and does not run ``faces(model)``; a lent group,
+    ``base`` lends only the groups it has built, until :attr:`groups`
+    has built every group of this table.  Models with one vertex list
+    have one face lattice, so such a table takes ``base``'s
+    :attr:`faces`, their facet-set index and the h-vectors computed on
+    them, and does not run ``faces(model)``; a lent group,
     whose face is then the very same object, is shared as it is.  Over
     another vertex list, a lent group is a new object over the same
     attribute values that names this table's face.
@@ -516,8 +516,11 @@ class LocalGroupTable:
 
     @cached_property
     def groups(self) -> tuple[LocalGroup, ...]:
-        """The group of every face, in ``faces(model)`` order."""
-        return tuple(self._group(facet_set) for facet_set in self._faces)
+        """The group of every face, in ``faces(model)`` order.  Once all
+        are built, the table lets go of ``base``'s groups."""
+        groups = tuple(self._group(facet_set) for facet_set in self._faces)
+        self._lent = {}
+        return groups
 
     @cached_property
     def quasi_sl(self) -> bool:

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from qtorb import LocalGroupTable, blow_up, crepant_candidates, faces, generate_test_models, make_model
+from qtorb import (
+    LocalGroupTable,
+    blow_up,
+    crepant_candidates,
+    faces,
+    generate_test_models,
+    make_blowup_spec,
+    make_model,
+)
 from qtorb.intlat import det, mat_from_cols
 
 # Session-wide fuzz corpus sizes; acceptance wants at least 20 per dimension.
@@ -92,18 +100,26 @@ def face_by_indices(model, facet_set):
     raise ValueError(f"{list(key)} is not a face of the model")
 
 
+def checked(model, spec):
+    """The blowup of ``spec``, a BlowupSpec, checked against ``model``."""
+    return make_blowup_spec(model, spec.face, spec.weights, spec.lambda0)
+
+
 def crepant_blowups_of(models):
-    """(model, spec, blown-up model) for every crepant candidate of the models."""
-    return [
-        (model, spec, blow_up(model, spec))
+    """(model, checked blowup, blown-up model) for every crepant candidate
+    of the models."""
+    blowups = [
+        (model, checked(model, spec))
         for model in models
         for spec in crepant_candidates(LocalGroupTable(model))
     ]
+    return [(model, blowup, blow_up(blowup)) for model, blowup in blowups]
 
 
 @pytest.fixture(scope="session")
 def crepant_blowups(corpus):
-    """(model, spec, blown-up model) for every crepant candidate of the corpus."""
+    """(model, checked blowup, blown-up model) for every crepant candidate
+    of the corpus."""
     return crepant_blowups_of(corpus)
 
 

@@ -38,6 +38,7 @@ from qtorb.cli import main
 from qtorb.exact import Poly
 from qtorb.intlat import det
 from qtorb.model import apply_unimodular, random_unimodular
+from tests.conftest import checked
 from tests.test_model import vertex_matrix
 from tests.test_sectors import interior_elements
 
@@ -75,15 +76,15 @@ def test_criterion_2_z3_resolution(z3):
     expected = Poly([1, 2, 2, 1])
     groups = LocalGroupTable(z3)
     assert pp_cr_direct(groups) == expected
-    spec = make_blowup_spec(z3, (0, 1, 2), ["1/3", "1/3", "1/3"])
-    result = mckay_check(cr_report(groups), spec)
+    blowup = make_blowup_spec(z3, (0, 1, 2), ["1/3", "1/3", "1/3"])
+    result = mckay_check(cr_report(groups), blowup)
     assert result.verdict
     blown = result.blown
     assert all(abs(det(vertex_matrix(blown, v))) == 1 for v in blown.vertices)
     assert result.after.pp_cr == expected
-    tau = star_subdivide(spec, z3)
+    tau = star_subdivide(blowup)
     vertex = tau.ambient_face
-    cones = _subdivision_cones(tau.interior, vertex, spec, z3)
+    cones = _subdivision_cones(tau.interior, vertex, blowup.spec, z3)
     assert check_triangulation_identity(vertex, cones, groups, result.blown_groups).passed
     report("2 (order-3 corner resolution)", started, limit=1.0)
 
@@ -139,10 +140,11 @@ def test_criterion_5_blowup_lemmas(corpus):
         before = cr_report(LocalGroupTable(model))
         expected = before.pp_cr_direct
         for spec in crepant_candidates(before.groups):
-            blown = blow_up(model, spec)
+            blowup = checked(model, spec)
+            blown = blow_up(blowup)
             assert LocalGroupTable(blown).quasi_sl
             assert pp_cr_direct(LocalGroupTable(blown)) == expected
-            assert mckay_check(before, spec).verdict
+            assert mckay_check(before, blowup).verdict
             blowups += 1
     assert blowups > 0
     report(f"5 (quasi-SL and Betti invariance over {blowups} blowups)", started)

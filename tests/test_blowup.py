@@ -1,7 +1,9 @@
+import gc
 import json
 import pathlib
 import re
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +13,6 @@ import qtorb.blowup as blowup_mod
 import qtorb.sectors as sectors_mod
 from qtorb import (
     BlowupError,
-    BlowupSpec,
     LocalGroupTable,
     NonIntegralAgeError,
     apply_unimodular,
@@ -23,6 +24,7 @@ from qtorb import (
     crepant_candidates,
     faces,
     generate_test_models,
+    generate_test_tables,
     identity_failures,
     induced_triangulation,
     is_crepant,
@@ -45,18 +47,18 @@ from qtorb.cli import main
 from qtorb.exact import Poly
 from qtorb.intlat import det
 from tests import test_model
-from tests.conftest import crepant_blowups_of, face_by_indices
+from tests.conftest import checked, crepant_blowups_of, face_by_indices
 from tests.test_model import vertex_matrix
 from tests.test_sectors import group_points, record_points
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def blown_tables(model, spec):
+def blown_tables(model, blowup):
     """The model's table and the blown-up model's, which has every
-    interior cone of the star subdivision at ``spec.lambda0`` as a face."""
+    interior cone of the star subdivision at the new vector as a face."""
     groups = LocalGroupTable(model)
-    return groups, blow_up_table(groups, spec)
+    return groups, blow_up_table(groups, blowup)
 
 
 def combination(cols, coeffs):
@@ -114,9 +116,9 @@ def test_is_crepant(wp112):
 
 
 def test_blow_up_wp112_gives_square(wp112):
-    spec = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
-    assert spec.lambda0 == (0, -1)
-    blown = blow_up(wp112, spec)
+    blowup = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
+    assert blowup.spec.lambda0 == (0, -1)
+    blown = blow_up(blowup)
     assert blown.m == 4
     assert blown.vertices == ((0, 1), (0, 3), (1, 2), (2, 3))
     assert blown.char_vectors == ((1, 0), (0, 1), (-1, -2), (0, -1))
@@ -125,9 +127,9 @@ def test_blow_up_wp112_gives_square(wp112):
 
 
 def test_blow_up_z3_resolves(z3):
-    spec = make_blowup_spec(z3, (0, 1, 2), ["1/3", "1/3", "1/3"])
-    assert spec.lambda0 == (0, 0, 1)
-    blown = blow_up(z3, spec)
+    blowup = make_blowup_spec(z3, (0, 1, 2), ["1/3", "1/3", "1/3"])
+    assert blowup.spec.lambda0 == (0, 0, 1)
+    blown = blow_up(blowup)
     assert blown.m == 5
     assert len(blown.vertices) == 6
     assert all(abs(det(vertex_matrix(blown, v))) == 1 for v in blown.vertices)
@@ -140,7 +142,7 @@ def test_blow_up_vertex_count_formula(corpus):
             touched = sum(
                 1 for v in model.vertices if set(spec.face) <= set(v)
             )
-            blown = blow_up(model, spec)
+            blown = blow_up(checked(model, spec))
             assert blown.m == model.m + 1
             assert len(blown.vertices) == len(model.vertices) + touched * (
                 len(spec.face) - 1
@@ -148,9 +150,9 @@ def test_blow_up_vertex_count_formula(corpus):
             assert parse_model(model_to_json(blown)) == blown
 
 
-# Hand-built specs that do not fit wp112, each with the one text every
-# entry point gives for it, and whether make_blowup_spec, which builds the
-# new vector itself, can express the fault.
+# Hand-built specs that do not fit wp112, each with the one text the spec
+# check gives for it, and whether the check without the new vector, which
+# builds that vector itself, can express the fault.
 SPEC_FAULTS = [
     ((0,), (Fraction(1),), (1, 0), "blowup requires a face of codimension >= 2, got codimension 1", True),
     ((0, 1, 2), (Fraction(1, 3),) * 3, (0, 0), "[0, 1, 2] is not a face of the model", True),
@@ -177,25 +179,24 @@ SPEC_FAULTS = [
 def test_blow_up_checks_the_spec_against_the_model(
     wp112, face, weights, lambda0, error, expressible
 ):
-    """The derivation trusts the spec, so a hand-built spec that does not
-    fit the model is refused before anything is derived from it, by
-    ``blow_up``, by ``star_subdivide`` and, where it can be asked for, by
-    ``make_blowup_spec``, each with the same text."""
-    spec = BlowupSpec(face=face, weights=weights, lambda0=lambda0)
-    calls = [lambda: blow_up(wp112, spec), lambda: star_subdivide(spec, wp112)]
+    """The derivation trusts the checked blowup, so a hand-built spec that
+    does not fit the model is refused before anything is derived from it,
+    by ``make_blowup_spec`` given the spec's new vector and, where it can
+    be asked for, without it, each with the same text."""
+    calls = [lambda: make_blowup_spec(wp112, face, weights, lambda0)]
     if expressible:
         calls.append(lambda: make_blowup_spec(wp112, face, weights))
     for call in calls:
         with pytest.raises(BlowupError, match=f"^{re.escape(error)}$"):
             call()
-    fitting = BlowupSpec(face=(0, 2), weights=(Fraction(1, 2),) * 2, lambda0=(0, -1))
-    assert blow_up(wp112, fitting) == blow_up(wp112, make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"]))
+    fitting = make_blowup_spec(wp112, (0, 2), (Fraction(1, 2),) * 2, (0, -1))
+    assert blow_up(fitting) == blow_up(make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"]))
 
 
 def _unit_truncations(table):
-    """The spec of every unit-weight truncation of a face of codimension
-    at least 2 whose new vector is primitive: the generator's
-    non-crepant blowups."""
+    """The checked blowup of every unit-weight truncation of a face of
+    codimension at least 2 whose new vector is primitive: the
+    generator's non-crepant blowups."""
     model = table.model
     for face in table.faces:
         if face.codim >= 2:
@@ -228,21 +229,20 @@ def test_derived_blowups_are_the_validated_models(corpus):
     models = list(corpus) + [
         model for n in (2, 3, 4) for seed in range(1, 11) for model in generate_test_models(seed, 20, n)
     ]
-    checked = stars = 0
+    derived = stars = 0
     for model in models:
         table = LocalGroupTable(model)
-        candidates = crepant_candidates(table)
-        for spec in candidates:
-            face, _ = blowup_mod._checked(model, spec.face, spec.weights, spec.lambda0)
-            tau = star_subdivide(spec, model)
-            assert sorted(_star_cones(face, face, model.m)) == _subdivision_cones(tau.interior, face, spec, model)
+        candidates = [checked(model, spec) for spec in crepant_candidates(table)]
+        for blowup in candidates:
+            face, tau = blowup.face, star_subdivide(blowup)
+            assert sorted(_star_cones(face, face, model.m)) == _subdivision_cones(tau.interior, face, blowup.spec, model)
             stars += 1
-        for spec in candidates + list(_unit_truncations(table)):
-            blown, validated = blow_up(model, spec), _validated_blowup(model, spec)
-            assert blown == validated, (model, spec)
-            assert blown.vertex_dets == validated.vertex_dets, (model, spec)
-            checked += 1
-    assert checked > 9000 and stars > 700
+        for blowup in candidates + list(_unit_truncations(table)):
+            blown, validated = blow_up(blowup), _validated_blowup(model, blowup.spec)
+            assert blown == validated, (model, blowup.spec)
+            assert blown.vertex_dets == validated.vertex_dets, (model, blowup.spec)
+            derived += 1
+    assert derived > 9000 and stars > 700
 
 
 def _flip_a_derived_sign(monkeypatch):
@@ -274,7 +274,7 @@ def test_a_flipped_derived_sign_is_reported(monkeypatch, capsys, corpus):
 
 
 def test_star_subdivide_segment(wp112):
-    tau = star_subdivide(make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"]), wp112)
+    tau = star_subdivide(make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"]))
     assert tau.ambient_face == face_by_indices(wp112, (0, 2))
     assert len(tau.simplices) == 5
     assert len(tau.interior) == 3
@@ -284,7 +284,7 @@ def test_star_subdivide_segment(wp112):
 
 
 def test_star_subdivide_triangle(z3):
-    tau = star_subdivide(make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3), z3)
+    tau = star_subdivide(make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3))
     maximal = [sx for sx in tau.simplices if sx.dim == 2]
     assert len(maximal) == 3
     assert len(tau.interior) == 7
@@ -299,19 +299,19 @@ def test_star_subdivide_triangle(z3):
 def test_star_subdivide_rejects_boundary_point(z3):
     one, zero, two_thirds = Fraction(1), Fraction(0), Fraction(2, 3)
     with pytest.raises(BlowupError, match="^blowup weights must be strictly positive$"):
-        star_subdivide(BlowupSpec((0, 1, 2), (one, zero, zero), (1, 0, 0)), z3)
+        star_subdivide(make_blowup_spec(z3, (0, 1, 2), (one, zero, zero), (1, 0, 0)))
     with pytest.raises(BlowupError, match=re.escape("new characteristic vector [0, 0, 2] is not primitive")):
-        star_subdivide(BlowupSpec((0, 1, 2), (two_thirds,) * 3, (0, 0, 2)), z3)
+        star_subdivide(make_blowup_spec(z3, (0, 1, 2), (two_thirds,) * 3, (0, 0, 2)))
 
 
 def test_star_subdivide_rejects_weights_that_miss_the_point(z3):
     third = Fraction(1, 3)
     with pytest.raises(BlowupError, match=re.escape("do not give the new vector [0, 0, 2]")):
-        star_subdivide(BlowupSpec((0, 1, 2), (third,) * 3, (0, 0, 2)), z3)
+        star_subdivide(make_blowup_spec(z3, (0, 1, 2), (third,) * 3, (0, 0, 2)))
     with pytest.raises(BlowupError, match="^expected 3 weights, got 2$"):
-        star_subdivide(BlowupSpec((0, 1, 2), (Fraction(1, 2),) * 2, (0, 0, 1)), z3)
+        star_subdivide(make_blowup_spec(z3, (0, 1, 2), (Fraction(1, 2),) * 2, (0, 0, 1)))
     with pytest.raises(BlowupError, match="not a face"):
-        star_subdivide(BlowupSpec((0, 1, 2, 3), (Fraction(1, 4),) * 4, (0, 0, 1)), z3)
+        star_subdivide(make_blowup_spec(z3, (0, 1, 2, 3), (Fraction(1, 4),) * 4, (0, 0, 1)))
 
 
 def test_every_built_spec_gives_its_star_point(corpus):
@@ -321,30 +321,30 @@ def test_every_built_spec_gives_its_star_point(corpus):
     crepant = unit = 0
     for model in corpus:
         for spec in crepant_candidates(LocalGroupTable(model)):
-            assert make_blowup_spec(model, spec.face, spec.weights) == spec
-            assert star_subdivide(spec, model).ambient_face.facet_set == spec.face
+            assert make_blowup_spec(model, spec.face, spec.weights).spec == spec
+            assert star_subdivide(checked(model, spec)).ambient_face.facet_set == spec.face
             crepant += 1
         for face in faces(model):
             if face.codim < 2:
                 continue
             try:
-                spec = make_blowup_spec(model, face.facet_set, [1] * face.codim)
+                blowup = make_blowup_spec(model, face.facet_set, [1] * face.codim)
             except BlowupError:
                 continue
             text = f"weights sum to {face.codim}, expected 1 for a crepant blowup"
             with pytest.raises(BlowupError, match=f"^{text}$"):
-                star_subdivide(spec, model)
+                star_subdivide(blowup)
             unit += 1
     assert crepant and unit
 
 
 def test_induced_triangulation_identity_case(z3):
-    tau = star_subdivide(make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3), z3)
+    tau = star_subdivide(make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3))
     assert induced_triangulation(face_by_indices(z3, (0, 1, 2)), tau, z3) is tau
 
 
 def test_induced_triangulation_on_prism_vertices(prism):
-    tau = star_subdivide(make_blowup_spec(prism, (0, 1), ["1/2", "1/2"]), prism)
+    tau = star_subdivide(make_blowup_spec(prism, (0, 1), ["1/2", "1/2"]))
     assert len(tau.interior) == 3
     for vertex_key in ((0, 1, 3), (0, 1, 4)):
         vertex = face_by_indices(prism, vertex_key)
@@ -362,18 +362,18 @@ def test_induced_triangulation_on_prism_vertices(prism):
 
 
 def test_induced_triangulation_rejects_non_subface(prism):
-    tau = star_subdivide(make_blowup_spec(prism, (0, 1), ["1/2", "1/2"]), prism)
+    tau = star_subdivide(make_blowup_spec(prism, (0, 1), ["1/2", "1/2"]))
     other = face_by_indices(prism, (2, 3))
     with pytest.raises(ValueError, match="subface"):
         induced_triangulation(other, tau, prism)
 
 
 def test_triangulation_identity_wp112(wp112):
-    spec = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
-    tau = star_subdivide(spec, wp112)
+    blowup = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
+    tau = star_subdivide(blowup)
     vertex = tau.ambient_face
-    groups, blown = blown_tables(wp112, spec)
-    cones = _subdivision_cones(tau.interior, vertex, spec, wp112)
+    groups, blown = blown_tables(wp112, blowup)
+    cones = _subdivision_cones(tau.interior, vertex, blowup.spec, wp112)
     assert cones == [(0, (0, 3)), (0, (2, 3)), (1, (3,))]
     check = check_triangulation_identity(vertex, cones, groups, blown)
     assert check.passed
@@ -385,11 +385,11 @@ def test_triangulation_identity_names_a_missing_cone(z3):
     """The base model's table lacks the cones on the new facet of a star
     subdivision; the first one the identity reads is named, the first
     time its facet set is asked for."""
-    spec = make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3)
-    tau = star_subdivide(spec, z3)
+    blowup = make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3)
+    tau = star_subdivide(blowup)
     vertex = tau.ambient_face
     groups = LocalGroupTable(z3)
-    cones = _subdivision_cones(tau.interior, vertex, spec, z3)
+    cones = _subdivision_cones(tau.interior, vertex, blowup.spec, z3)
     assert cones[0] == (0, (0, 1, 4))
     for _ in range(2):
         with pytest.raises(ValueError, match=re.escape("[0, 1, 4] is not a face of the model")):
@@ -397,21 +397,21 @@ def test_triangulation_identity_names_a_missing_cone(z3):
 
 
 def test_triangulation_identity_z3(z3):
-    spec = make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3)
-    tau = star_subdivide(spec, z3)
+    blowup = make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3)
+    tau = star_subdivide(blowup)
     vertex = tau.ambient_face
-    groups, blown = blown_tables(z3, spec)
-    check = check_triangulation_identity(vertex, _subdivision_cones(tau.interior, vertex, spec, z3), groups, blown)
+    groups, blown = blown_tables(z3, blowup)
+    check = check_triangulation_identity(vertex, _subdivision_cones(tau.interior, vertex, blowup.spec, z3), groups, blown)
     assert check.passed
     assert check.lhs == Poly([1, 1, 1])
 
 
 def test_weights_pair_with_the_face_as_given(wp112):
     # 1 * lambda_2 + 2 * lambda_0 = (-1, -2) + (2, 0)
-    spec = make_blowup_spec(wp112, (2, 0), [1, 2])
-    assert spec == make_blowup_spec(wp112, (0, 2), [2, 1])
-    assert spec.face == (0, 2) and spec.weights == (2, 1)
-    assert spec.lambda0 == (1, -2)
+    blowup = make_blowup_spec(wp112, (2, 0), [1, 2])
+    assert blowup == make_blowup_spec(wp112, (0, 2), [2, 1])
+    assert blowup.spec.face == (0, 2) and blowup.spec.weights == (2, 1)
+    assert blowup.spec.lambda0 == (1, -2)
 
 
 def test_mckay_wp112(wp112):
@@ -453,6 +453,18 @@ def test_mckay_rejects_bad_inputs(wp112):
     bad = make_model(2, 3, [(0, 1), (1, 2), (0, 2)], [(1, 0), (0, 1), (-1, -3)])
     with pytest.raises(NonIntegralAgeError):
         mckay_check(cr_report(LocalGroupTable(bad)), make_blowup_spec(bad, (0, 1), [1, 1]))
+
+
+def test_mckay_check_refuses_a_blowup_checked_against_another_model(wp112):
+    """A checked blowup belongs to the model it was checked against:
+    ``mckay_check`` refuses it with a report on another model, and takes
+    it with a report on an equal one."""
+    blowup = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
+    flipped = apply_unimodular(wp112, ((-1, 0), (0, -1)))
+    text = "the blowup of [0, 2] was checked against another model than the report's"
+    with pytest.raises(BlowupError, match=f"^{re.escape(text)}$"):
+        mckay_check(cr_report(LocalGroupTable(flipped)), blowup)
+    assert mckay_check(cr_report(LocalGroupTable(parse_model(model_to_json(wp112)))), blowup).verdict
 
 
 def test_smooth_model_crepant_blowup(cp2):
@@ -504,18 +516,18 @@ def test_box_partition_computes_each_point_once(monkeypatch, corpus):
 def test_lemma_quasi_sl_preserved_on_corpus(corpus):
     for model in corpus:
         for spec in crepant_candidates(LocalGroupTable(model)):
-            assert LocalGroupTable(blow_up(model, spec)).quasi_sl
+            assert LocalGroupTable(blow_up(checked(model, spec))).quasi_sl
 
 
 def test_mckay_on_corpus(corpus):
-    checked = 0
+    count = 0
     for model in corpus:
         before = cr_report(LocalGroupTable(model))
         for spec in crepant_candidates(before.groups):
-            report = mckay_check(before, spec)
+            report = mckay_check(before, checked(model, spec))
             assert report.verdict, (model.name, spec)
-            checked += 1
-    assert checked > 0
+            count += 1
+    assert count > 0
 
 
 def test_iterated_blowups(z3):
@@ -526,7 +538,7 @@ def test_iterated_blowups(z3):
         if not candidates:
             break
         before = report.pp_cr
-        model = blow_up(model, candidates[0])
+        model = blow_up(checked(model, candidates[0]))
         assert LocalGroupTable(model).quasi_sl
         assert cr_report(LocalGroupTable(model)).pp_cr == before
 
@@ -535,7 +547,7 @@ def test_induced_triangulation_solves_no_vertex(prism):
     """The induced coordinates are the star subdivision's, placed at the
     parent facets' positions, and unit vectors for the extra facets; each
     gives its vertex back over the subface's vectors."""
-    tau = star_subdivide(make_blowup_spec(prism, (0, 1), ["1/2", "1/2"]), prism)
+    tau = star_subdivide(make_blowup_spec(prism, (0, 1), ["1/2", "1/2"]))
     vertex = face_by_indices(prism, (0, 1, 3))
     induced = induced_triangulation(vertex, tau, prism)
     cols = [prism.char_vectors[i] for i in vertex.facet_set]
@@ -600,6 +612,23 @@ def test_a_blown_table_built_on_a_sibling_equals_a_fresh_table(crepant_blowups):
         _assert_equals_fresh(table)
         siblings += 1
     assert siblings > 0
+
+
+def test_a_blown_table_lets_go_of_the_groups_it_did_not_take(wp112):
+    """A blown-up table holds the groups of the table it was built on
+    until it has built all of its own: then the group of the blown-up
+    vertex, which it does not take, is freed with that table."""
+    base = LocalGroupTable(wp112)
+    base.groups
+    blowup = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
+    blown = blow_up_table(base, blowup)
+    lent = weakref.ref(base.group(blowup.face))
+    del base
+    gc.collect()
+    assert lent() is not None
+    assert all(group.face.facet_set != (0, 2) for group in blown.groups)
+    gc.collect()
+    assert lent() is None
 
 
 def test_a_table_built_on_a_unimodular_change_equals_a_fresh_table(corpus, rng):
@@ -719,13 +748,28 @@ def _record_calls(monkeypatch, *names):
 
 def test_mckay_check_checks_its_spec_once(monkeypatch, crepant_blowups):
     """One spec check and one crepant check per McKay check: the blown-up
-    model and the star interior are derived from the one checked pair."""
-    calls = _record_calls(monkeypatch, "_checked", "_crepant")
-    for model, spec, _ in crepant_blowups:
+    model and the star interior are derived from the one checked blowup
+    that ``make_blowup_spec`` returns."""
+    calls = _record_calls(monkeypatch, "make_blowup_spec", "_crepant")
+    for model, blowup, _ in crepant_blowups:
         before = cr_report(LocalGroupTable(model))
+        spec = blowup.spec
         calls.clear()
-        assert mckay_check(before, spec).verdict
-        assert sorted(calls) == ["_checked", "_crepant"], (model.name, spec)
+        assert mckay_check(before, blowup_mod.make_blowup_spec(model, spec.face, spec.weights, spec.lambda0)).verdict
+        assert sorted(calls) == ["_crepant", "make_blowup_spec"], (model.name, spec)
+
+
+@pytest.mark.parametrize("include_oracle", [False, True], ids=["default", "oracle"])
+def test_identity_failures_checks_each_candidate_once(monkeypatch, include_oracle):
+    """``identity_failures`` runs one spec check per crepant candidate,
+    with or without the oracle: the McKay check and the oracle's star
+    subdivision take the one checked blowup."""
+    tables = list(generate_test_tables(3, 40, n=4))
+    candidates = sum(len(crepant_candidates(table)) for table in tables)
+    calls = _record_calls(monkeypatch, "make_blowup_spec")
+    for table in tables:
+        assert identity_failures(table, include_oracle=include_oracle) == []
+    assert candidates > 0 and len(calls) == candidates
 
 
 def test_default_identity_failures_validate_no_subdivision(monkeypatch, corpus):
@@ -844,7 +888,7 @@ def test_table_checks_run_once_per_table(monkeypatch, corpus, include_oracle):
         table = LocalGroupTable(model)
         expected = [(name, model, list(faces(model))) for name in names]
         for spec in crepant_candidates(table):
-            blown = blow_up_table(table, spec)
+            blown = blow_up_table(table, checked(model, spec))
             if blown.quasi_sl:
                 on_new_facet = [f for f in faces(blown.model) if model.m in f.facet_set]
                 expected += [(name, blown.model, on_new_facet) for name in names]
@@ -908,7 +952,8 @@ def _z4_tetra_blowups():
         [(1, 0, 0), (1, 2, 0), (1, 1, 2), (-1, -1, -1)],
         name="z4-tetrahedron",
     )
-    return [(model, spec, blow_up(model, spec)) for spec in crepant_candidates(LocalGroupTable(model))]
+    blowups = [checked(model, spec) for spec in crepant_candidates(LocalGroupTable(model))]
+    return [(model, blowup, blow_up(blowup)) for blowup in blowups]
 
 
 def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
@@ -919,9 +964,10 @@ def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
     subface, so its lazy right-hand sides equal those of the validated
     induced triangulations."""
     proper = 0
-    for model, spec, _ in crepant_blowups + _z4_tetra_blowups():
-        report = mckay_check(cr_report(LocalGroupTable(model)), spec)
-        tau = star_subdivide(spec, model)
+    for model, blowup, _ in crepant_blowups + _z4_tetra_blowups():
+        spec = blowup.spec
+        report = mckay_check(cr_report(LocalGroupTable(model)), blowup)
+        tau = star_subdivide(blowup)
         assert report.face == tau.ambient_face
         subfaces = _subfaces(model, spec)
         assert [check.face for check in report.triangulation_checks] == subfaces
@@ -959,14 +1005,15 @@ def test_mckay_fails_without_an_interior_simplex(monkeypatch, crepant_blowups):
     (s-1)^codim w(cone) from every subface's sum, so every identity
     fails, on the default path."""
     mutated = 0
-    for model, spec, _ in crepant_blowups:
+    for model, blowup, _ in crepant_blowups:
+        spec = blowup.spec
         before = cr_report(LocalGroupTable(model))
-        size = len(star_subdivide(spec, model).interior)
+        size = len(star_subdivide(blowup).interior)
         assert size == 2 ** len(spec.face) - 1
         for index in range(size):
             with monkeypatch.context() as patch:
                 _mutate_star_cones(patch, index)
-                report = mckay_check(before, spec)
+                report = mckay_check(before, blowup)
             assert not report.verdict, (model.name, spec, index)
             assert not any(check.passed for check in report.triangulation_checks)
             mutated += 1
@@ -979,7 +1026,8 @@ def test_a_wrong_star_interior_is_named_by_the_oracle(monkeypatch, crepant_blowu
     verdict on the default path, and the oracle that compares them with
     the validated star subdivision's names the face."""
     mutated = 0
-    for model, spec, _ in crepant_blowups[::3] + _z4_tetra_blowups():
+    for model, blowup, _ in crepant_blowups[::3] + _z4_tetra_blowups():
+        spec = blowup.spec
         table = LocalGroupTable(model)
         before = cr_report(table)
         size = 2 ** len(spec.face) - 1
@@ -990,9 +1038,9 @@ def test_a_wrong_star_interior_is_named_by_the_oracle(monkeypatch, crepant_blowu
         for index in range(size):
             with monkeypatch.context() as patch:
                 _mutate_star_cones(patch, index, repeat)
-                report = mckay_check(before, spec)
+                report = mckay_check(before, blowup)
                 assert not report.verdict, (model.name, spec, index)
-                assert list(blowup_mod.validated_star_interior(report, star_subdivide(spec, model))) == [text]
+                assert list(blowup_mod.validated_star_interior(report, star_subdivide(blowup))) == [text]
             mutated += 1
     assert mutated > 0
     prefix = "prism: crepant blowup at [0, 1]"
@@ -1016,9 +1064,10 @@ def test_mckay_fails_without_the_extra_vectors(monkeypatch, crepant_blowups):
     real = blowup_mod._star_cones
     monkeypatch.setattr(blowup_mod, "_star_cones", lambda face, sub, m: real(face, face, m))
     flipped = []
-    for model, spec, _ in crepant_blowups + _z4_tetra_blowups():
+    for model, blowup, _ in crepant_blowups + _z4_tetra_blowups():
+        spec = blowup.spec
         groups = LocalGroupTable(model)
-        report = mckay_check(cr_report(groups), spec)
+        report = mckay_check(cr_report(groups), blowup)
         own = groups.group(face_by_indices(model, spec.face)).age_polynomial
         differ = [
             sub for sub in _subfaces(model, spec) if groups.group(sub).age_polynomial != own
@@ -1027,7 +1076,7 @@ def test_mckay_fails_without_the_extra_vectors(monkeypatch, crepant_blowups):
         assert report.verdict == (not differ)
         named = [
             text.split(" sums to ")[0]
-            for text in blowup_mod.induced_triangulation_sums(report, star_subdivide(spec, model))
+            for text in blowup_mod.induced_triangulation_sums(report, star_subdivide(blowup))
         ]
         assert named == [f"the induced triangulation of {list(sub.facet_set)}" for sub in differ]
         if differ:
@@ -1086,10 +1135,10 @@ def test_induced_coordinates_equal_the_solve(crepant_blowups):
     """Each induced coordinate tuple c gives its vertex v as the sum of
     c * lambda over the subface's columns; they are independent, so c is
     the one solution."""
-    for model, spec, _ in crepant_blowups:
-        tau = star_subdivide(spec, model)
+    for model, blowup, _ in crepant_blowups:
+        tau = star_subdivide(blowup)
         for sub in faces(model):
-            if not set(spec.face) <= set(sub.facet_set):
+            if not set(blowup.spec.face) <= set(sub.facet_set):
                 continue
             cols = [model.char_vectors[i] for i in sub.facet_set]
             for sx in induced_triangulation(sub, tau, model).simplices:
@@ -1099,7 +1148,7 @@ def test_induced_coordinates_equal_the_solve(crepant_blowups):
 
 def _z3tetra_star():
     model = parse_model((ROOT / "models" / "z3tetra.json").read_text(encoding="utf-8"))
-    tau = star_subdivide(make_blowup_spec(model, (0, 1, 2), ["1/3"] * 3), model)
+    tau = star_subdivide(make_blowup_spec(model, (0, 1, 2), ["1/3"] * 3))
     return tau.ambient_face, tau
 
 
@@ -1112,7 +1161,7 @@ def _fuzz_codim4_induced():
         s for s in crepant_candidates(LocalGroupTable(model))
         if s.face == (0, 4) and s.weights == (Fraction(1, 6), Fraction(5, 6))
     )
-    tau = star_subdivide(spec, model)
+    tau = star_subdivide(checked(model, spec))
     vertex = face_by_indices(model, (0, 1, 2, 4))
     return vertex, induced_triangulation(vertex, tau, model)
 
@@ -1171,10 +1220,10 @@ def test_subdivision_vertex_outside_face_simplex_is_rejected(bad):
 
 def test_integer_volumes_equal_fraction_determinants(crepant_blowups):
     checked = 0
-    for model, spec, _ in crepant_blowups:
-        tau = star_subdivide(spec, model)
+    for model, blowup, _ in crepant_blowups:
+        tau = star_subdivide(blowup)
         for sub in faces(model):
-            if not set(spec.face) <= set(sub.facet_set):
+            if not set(blowup.spec.face) <= set(sub.facet_set):
                 continue
             sub_tau = induced_triangulation(sub, tau, model)
             maximal = [sx for sx in sub_tau.simplices if sx.dim == sub.codim - 1]

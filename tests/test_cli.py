@@ -38,6 +38,7 @@ from qtorb import (
 )
 from qtorb.cli import main
 from qtorb.intlat import det
+from tests.conftest import checked
 from tests.test_ehrhart import _count_plans
 from tests.test_sectors import _zero_generators, sectors
 
@@ -121,11 +122,13 @@ def test_derived_models_compute_no_vertex_determinant(monkeypatch, corpus, rng):
     """blow_up_table derives every vertex determinant of the blown-up model
     from the base model's, and apply_unimodular from det(u), the one
     determinant it computes, which refuses a u that is not unimodular."""
-    blowups = [(table, spec) for table in map(LocalGroupTable, corpus) for spec in crepant_candidates(table)]
+    blowups = [
+        (table, checked(table.model, spec)) for table in map(LocalGroupTable, corpus) for spec in crepant_candidates(table)
+    ]
     assert blowups
     stacks = _record_det_calls(monkeypatch)
-    for table, spec in blowups:
-        blow_up_table(table, spec)
+    for table, blowup in blowups:
+        blow_up_table(table, blowup)
     assert stacks == []
     for model in corpus:
         apply_unimodular(model, random_unimodular(rng, model.n))
@@ -306,8 +309,8 @@ def test_blowup_writes_model(capsys, tmp_path, wp112, wp112_path):
     assert report["lambda0"] == [0, -1]
     blown = parse_model(out_path.read_text())
     assert blown.m == 4 and len(blown.vertices) == 4
-    spec = make_blowup_spec(wp112, [0, 2], ["1/2", "1/2"])
-    assert out_path.read_text(encoding="utf-8") == model_to_json(blow_up(wp112, spec))
+    blowup = make_blowup_spec(wp112, [0, 2], ["1/2", "1/2"])
+    assert out_path.read_text(encoding="utf-8") == model_to_json(blow_up(blowup))
 
 
 def test_blowup_invalid_weights(capsys, wp112_path):
@@ -415,12 +418,13 @@ def test_mckay_non_crepant_is_usage_error(capsys, wp112_path):
 
 @pytest.mark.parametrize("command", ["mckay", "blowup"])
 def test_a_spec_is_checked_once_per_command(capsys, monkeypatch, z3_path, command):
-    """``qtorb mckay`` and ``qtorb blowup`` run the one spec check once:
-    the face and canonical spec it returns are what the McKay check and
-    the blowup work from."""
+    """``qtorb mckay`` and ``qtorb blowup`` run the one spec check,
+    ``make_blowup_spec``, once: the checked blowup it returns is what the
+    McKay check and the blowup work from."""
     calls = []
-    real = blowup_mod._checked
-    monkeypatch.setattr(blowup_mod, "_checked", lambda *args: calls.append(args) or real(*args))
+    real = blowup_mod.make_blowup_spec
+    for module in (blowup_mod, cli_mod):
+        monkeypatch.setattr(module, "make_blowup_spec", lambda *args: calls.append(args) or real(*args))
     rc, out = run(capsys, command, z3_path, "--face", "0,1,2", "--weights", "1/3,1/3,1/3")
     assert rc == 0 and json.loads(out)["lambda0"] == [0, 0, 1]
     assert len(calls) == 1
@@ -632,7 +636,7 @@ def test_identity_failures_reports_each_model_once(monkeypatch, z3, prism):
     for model in (z3, prism):
         reported.clear()
         assert blowup_mod.identity_failures(LocalGroupTable(model)) == []
-        blown = [blowup_mod.blow_up(model, spec) for spec in crepant_candidates(LocalGroupTable(model))]
+        blown = [blowup_mod.blow_up(checked(model, spec)) for spec in crepant_candidates(LocalGroupTable(model))]
         assert blown
         assert reported == [model] + [b for b in blown if LocalGroupTable(b).quasi_sl]
 
@@ -698,7 +702,7 @@ def test_identity_failures_builds_one_face_lattice_per_blown_vertex_list(monkeyp
     shared = 0
     for model in corpus:
         table = LocalGroupTable(model)
-        blown = [blow_up(model, spec).vertices for spec in crepant_candidates(table)]
+        blown = [blow_up(checked(model, spec)).vertices for spec in crepant_candidates(table)]
         with monkeypatch.context() as patch:
             lattices = record_face_lattices(patch)
             assert identity_failures(table) == []

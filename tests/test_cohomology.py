@@ -19,6 +19,7 @@ from qtorb import (
     faces,
     generate_test_models,
     h_vector,
+    make_blowup_spec,
     make_model,
     pp_cr_direct,
     pp_cr_via_closures,
@@ -250,7 +251,7 @@ def test_age_partition_sums_each_list_of_pieces_once(monkeypatch, corpus):
             table = LocalGroupTable(model)
             tables.append(table)
             for spec in crepant_candidates(table):
-                blown = blow_up_table(table, spec)
+                blown = blow_up_table(table, make_blowup_spec(model, spec.face, spec.weights, spec.lambda0))
                 if blown.quasi_sl:
                     tables.append(blown)
     sums = []

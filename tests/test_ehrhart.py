@@ -187,7 +187,7 @@ def test_oracle_fuzz_plans_once_per_checked_face(monkeypatch, corpus):
     ``ORACLE_MAX_ORDER`` of the base table, then, for each crepant
     candidate in turn, one per such face on the new facet of its
     blown-up table.  A facet's one-vertex simplex needs no plan."""
-    from qtorb import blow_up_table, crepant_candidates, identity_failures
+    from qtorb import blow_up_table, crepant_candidates, identity_failures, make_blowup_spec
 
     def checked(table, keep=lambda face: True):
         return [
@@ -202,7 +202,7 @@ def test_oracle_fuzz_plans_once_per_checked_face(monkeypatch, corpus):
         table = LocalGroupTable(model)
         expected = checked(table)
         for spec in crepant_candidates(table):
-            blown = blow_up_table(table, spec)
+            blown = blow_up_table(table, make_blowup_spec(model, spec.face, spec.weights, spec.lambda0))
             if blown.quasi_sl:
                 expected += checked(blown, lambda face: model.m in face.facet_set)
         blown_checked += len(expected) - len(checked(table))
@@ -288,7 +288,7 @@ def test_numerator_matches_ages_on_corpus(corpus):
 def test_subdivision_simplex_codim(z3):
     from qtorb import make_blowup_spec, star_subdivide
 
-    tau = star_subdivide(make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3), z3)
+    tau = star_subdivide(make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3))
     vertex = tau.ambient_face
     for sx in tau.simplices:
         assert sx.codim == (vertex.codim - 1) - sx.dim

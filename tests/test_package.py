@@ -1,6 +1,7 @@
 """The package as a whole: its source holds no check that ``python -O``
-removes and no process-wide cache, and the README's Python example runs
-as printed."""
+removes and no process-wide cache, the command line reads only the
+library's public names, and the README's Python example runs as
+printed."""
 
 import ast
 import pathlib
@@ -38,6 +39,42 @@ def test_package_source_has_no_process_wide_cache():
                 word = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
                 if word in ("lru_cache", "cache"):
                     found.append(f"{name}:{node.lineno} {node.name}")
+    assert found == []
+
+
+def _dotted(node):
+    """``a.b.c`` of a chain of names and attributes, or None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def test_cli_reads_no_private_name_of_the_package():
+    """Library logic lives in the library: ``cli.py`` imports no name
+    that starts with an underscore from a qtorb module, and reads no
+    such attribute of a qtorb module it imported."""
+    path = ROOT / "src" / "qtorb" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    modules, imported, found = set(), [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "qtorb"):
+            for alias in node.names:
+                imported.append(alias.name)
+                if alias.name.startswith("_"):
+                    found.append(f"cli.py:{node.lineno} imports {alias.name}")
+                if node.module is None:  # ``from . import kernels`` binds a module
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names if alias.name.split(".")[0] == "qtorb")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = _dotted(node.value)
+            if owner and any(owner == m or owner.startswith(f"{m}.") for m in modules):
+                found.append(f"cli.py:{node.lineno} reads {owner}.{node.attr}")
+    assert imported and modules
     assert found == []
 
 
