@@ -9,7 +9,7 @@ same for ``qtorb blowup`` on each of those candidates and on each model's
 unit-weight truncation of its first face of codimension at least 2,
 which is not crepant and may be refused.  ``ehrhart-digests.json`` holds the
 same for ``qtorb ehrhart`` and ``qtorb ehrhart --oracle`` on every model
-of that set.
+of that set, and ``cr-digests.json`` for ``qtorb cr`` and ``qtorb betti``.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when a
 change of output is intended; a refactor must leave these files untouched.
@@ -41,6 +41,16 @@ MODELS = {
     # polynomial differs from the blown-up face's.
     "z4tetra": ("tests/golden/models/z4tetra.json", "0,1", "1/2,1/2"),
 }
+# One refusal of ``qtorb blowup`` on wp112 per fault of a spec, each with
+# its own error: (face, weights) after the model path.
+BLOWUP_REFUSALS = {
+    "not-integral": ("--face", "0,2", "--weights", "1/3,2/3"),
+    "not-primitive": ("--face", "0,2", "--weights", "2,2"),
+    "codim-1": ("--face", "0", "--weights", "1"),
+    "not-a-face": ("--face", "0,1,3", "--weights", "1/2,1/2"),
+    "weight-count": ("--face", "0,2", "--weights", "1"),
+    "not-positive": ("--face", "0,2", "--weights=-1,2"),
+}
 NON_QUASI_SL = "tests/golden/models/tri-m1-m100.json"
 # Its vertex group [0, 2] has order 10^5; the refusals name its first
 # element of fractional age.
@@ -48,7 +58,9 @@ NON_QUASI_SL_1E5 = "tests/golden/models/tri-m1-m1e5.json"
 MCKAY_DIGESTS = GOLDEN / "mckay-digests.json"
 BLOWUP_DIGESTS = GOLDEN / "blowup-digests.json"
 EHRHART_DIGESTS = GOLDEN / "ehrhart-digests.json"
+CR_DIGESTS = GOLDEN / "cr-digests.json"
 EHRHART_COMMANDS = (["ehrhart"], ["ehrhart", "--oracle"])
+CR_COMMANDS = (["cr"], ["betti"])
 # Every model of generate_test_models(seed, MCKAY_COUNT, n), and every
 # crepant candidate of those models.
 MCKAY_SEEDS = (1, 2, 3, 4)
@@ -64,6 +76,8 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{name}-ehrhart-oracle"] = ["ehrhart", "--oracle", path]
         for command in ("blowup", "mckay"):
             cases[f"{name}-{command}"] = [command, path, "--face", face, "--weights", weights]
+    for fault, argv in BLOWUP_REFUSALS.items():
+        cases[f"wp112-blowup-{fault}"] = ["blowup", MODELS["wp112"][0], *argv]
     for command in ("betti", "cr", "sectors"):
         cases[f"tri-m1-m100-{command}"] = [command, NON_QUASI_SL]
     for command in ("betti", "cr", "ehrhart"):
@@ -159,15 +173,24 @@ def _blowup_digests(workdir) -> list[dict]:
     return entries
 
 
-def _ehrhart_digests(workdir) -> list[dict]:
-    """One entry per generated model and ehrhart command, in generation
-    order: where the model came from, the command, and the exit code and
-    stdout digest of that run on the model written to ``workdir``."""
+def _command_digests(workdir, commands) -> list[dict]:
+    """One entry per generated model and command of ``commands``, in
+    generation order: where the model came from, the command, and the
+    exit code and stdout digest of that run on the model written to
+    ``workdir``."""
     return [
         {"n": n, "seed": seed, "model": index, "command": " ".join(argv), **_digest([*argv, str(path)])}
         for n, seed, index, _, path in _generated_models(workdir)
-        for argv in EHRHART_COMMANDS
+        for argv in commands
     ]
+
+
+def _ehrhart_digests(workdir) -> list[dict]:
+    return _command_digests(workdir, EHRHART_COMMANDS)
+
+
+def _cr_digests(workdir) -> list[dict]:
+    return _command_digests(workdir, CR_COMMANDS)
 
 
 def _entry_name(entry: dict) -> str:
@@ -210,6 +233,13 @@ def test_ehrhart_digests(tmp_path):
     _check_digests(stored, _ehrhart_digests(tmp_path), "ehrhart runs")
 
 
+def test_cr_digests(tmp_path):
+    """Every generated model's cr and betti reports are the committed
+    ones."""
+    stored = json.loads(CR_DIGESTS.read_text(encoding="utf-8"))
+    _check_digests(stored, _cr_digests(tmp_path), "cr and betti runs")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     assert _run_in_process(CASES[name]) == _expected(name)
@@ -249,6 +279,7 @@ if __name__ == "__main__":
         (MCKAY_DIGESTS, _mckay_digests),
         (BLOWUP_DIGESTS, _blowup_digests),
         (EHRHART_DIGESTS, _ehrhart_digests),
+        (CR_DIGESTS, _cr_digests),
     )
     for path, compute in digest_files:
         with tempfile.TemporaryDirectory() as workdir:
