@@ -22,7 +22,6 @@ from .blowup import (
 )
 from .cohomology import (
     CrReport,
-    IdentityCheck,
     check_age_partition,
     check_torus_stratification,
     cr_report,

@@ -420,9 +420,12 @@ class TriangulationCheck:
     """One instance of the age-polynomial refinement identity."""
 
     face: Face
-    passed: bool
     lhs: Poly
     rhs: Poly
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
 
 def check_triangulation_identity(
@@ -448,18 +451,19 @@ def check_triangulation_identity(
     for codim, facets in cones:
         by_codim.setdefault(codim, []).append(blown._group(facets).age_polynomial)
     rhs = _sum(e_torus(codim) * _sum(ages) for codim, ages in by_codim.items())
-    return TriangulationCheck(face=face, passed=lhs == rhs, lhs=lhs, rhs=rhs)
+    return TriangulationCheck(face=face, lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)
 class McKayReport:
     """Everything the crepant-blowup invariance check produces: the
-    checked face and canonical spec, the blown-up table and report, and
-    the triangulation identity of every subface of the face."""
+    checked :class:`Blowup` (the model ``before`` reports on, the face
+    and the canonical spec), the blown-up table and, when that stays
+    quasi-SL, its report, and the triangulation identity of every
+    subface of the face."""
 
     before: CrReport
-    face: Face
-    spec: BlowupSpec
+    blowup: Blowup
     blown_groups: LocalGroupTable
     after: CrReport | None
     triangulation_checks: tuple[TriangulationCheck, ...]
@@ -479,8 +483,7 @@ class McKayReport:
     @property
     def verdict(self) -> bool:
         return (
-            self.quasi_sl_after
-            and self.after is not None
+            self.after is not None
             and self.before.all_pass
             and self.after.all_pass
             and self.pp_cr_match
@@ -494,43 +497,35 @@ def mckay_check(
     """Blow up the model that ``before`` reports on, certify the result
     stays quasi-SL, compute the Chen-Ruan polynomial of the blown-up
     model by all three routes, and run the triangulation identity on the
-    subdivided face simplex and on every subface's simplex.  BlowupError
-    refuses, before anything is built, a blowup that is not crepant and
-    then one checked against another model than ``before``'s.  Each
-    identity reads its cones from the blown-up table by facet set
-    (:func:`_star_cones`) and builds no simplex.  The validated star
-    subdivision and each validated induced triangulation are built only
-    by the oracles :func:`validated_star_interior` and
+    subdivided face simplex and on every subface's simplex.  The report
+    holds ``blowup``, whose model, face and spec the oracles read.
+    BlowupError refuses, before anything is built, a blowup that is not
+    crepant and then one checked against another model than
+    ``before``'s.  Each identity reads its cones from the blown-up table
+    by facet set (:func:`_star_cones`) and builds no simplex.  The
+    validated star subdivision and each validated induced triangulation
+    are built only by the oracles :func:`validated_star_interior` and
     :func:`induced_triangulation_sums`.
 
-    The blown-up table is built on ``lender``, a table in the same
-    dimension (``before``'s when it is None), and takes the groups it
-    has built whose facet set and columns it shares
-    (:class:`LocalGroupTable`); :func:`identity_failures` lends the
-    blown-up table of the previous blowup of the same face, whose face
-    lattice is this one's."""
+    The blown-up table is :func:`blow_up_table`'s, built on ``lender``,
+    a table in the same dimension (``before``'s when it is None): it
+    takes the groups the lender has built whose facet set and columns it
+    shares (:class:`LocalGroupTable`).  :func:`identity_failures` lends
+    the blown-up table of the previous blowup of the same face, whose
+    face lattice is this one's."""
     _crepant(blowup)
-    face, spec = blowup.face, blowup.spec
-    groups = before.groups
-    model = groups.model
-    if blowup.model != model:
-        raise BlowupError(f"the blowup of {list(spec.face)} was checked against another model than the report's")
+    face, groups = blowup.face, before.groups
+    if blowup.model != groups.model:
+        raise BlowupError(f"the blowup of {list(face.facet_set)} was checked against another model than the report's")
     # The faces on the new facet are the interior cones of the
     # triangulations below.
-    blown_groups = LocalGroupTable(blow_up(blowup), lender or groups)
+    blown_groups = blow_up_table(lender or groups, blowup)
     after = cr_report(blown_groups) if blown_groups.quasi_sl else None
     checks = tuple(
-        check_triangulation_identity(sub, _star_cones(face, sub, model.m), groups, blown_groups)
+        check_triangulation_identity(sub, _star_cones(face, sub, blowup.model.m), groups, blown_groups)
         for sub in subfaces(face, groups.faces)
     )
-    return McKayReport(
-        before=before,
-        face=face,
-        spec=spec,
-        blown_groups=blown_groups,
-        after=after,
-        triangulation_checks=checks,
-    )
+    return McKayReport(before, blowup, blown_groups, after, checks)
 
 
 def vertex_orders(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
@@ -631,13 +626,14 @@ def table_failures(table: LocalGroupTable, groups: Sequence[LocalGroup], include
 
 
 def validated_star_interior(mckay: McKayReport, tau: Subdivision) -> Iterator[str]:
-    """Oracle: the cones ``mckay`` read for its face are those of the
-    interior of ``tau``, the validated star subdivision of the spec."""
-    model = mckay.before.groups.model
-    derived = _star_cones(mckay.face, mckay.face, model.m)
-    if sorted(derived) != _subdivision_cones(tau.interior, mckay.face, mckay.spec, model):
+    """Oracle: the cones ``mckay`` read for the face of its blowup are
+    those of the interior of ``tau``, the validated star subdivision of
+    that blowup."""
+    model, face = mckay.blowup.model, mckay.blowup.face
+    derived = _star_cones(face, face, model.m)
+    if sorted(derived) != _subdivision_cones(tau.interior, face, mckay.blowup.spec, model):
         yield (
-            f"the derived interior of the star subdivision of {list(mckay.face.facet_set)} "
+            f"the derived interior of the star subdivision of {list(face.facet_set)} "
             f"({len(derived)} simplices) is not the validated one "
             f"({len(tau.interior)} simplices)"
         )
@@ -646,12 +642,12 @@ def validated_star_interior(mckay: McKayReport, tau: Subdivision) -> Iterator[st
 def induced_triangulation_sums(mckay: McKayReport, tau: Subdivision) -> Iterator[str]:
     """Oracle: each subface's triangulation sum in ``mckay`` equals the
     one read from the validated induced triangulation, built whole from
-    ``tau``, the validated star subdivision of the same spec."""
-    model = mckay.before.groups.model
+    ``tau``, the validated star subdivision of ``mckay``'s blowup."""
+    model, face, spec = mckay.blowup.model, mckay.blowup.face, mckay.blowup.spec
     lazy = {check.face: check.rhs for check in mckay.triangulation_checks}
-    for sub in subfaces(mckay.face, mckay.before.groups.faces):
+    for sub in subfaces(face, mckay.before.groups.faces):
         induced = induced_triangulation(sub, tau, model)
-        cones = _subdivision_cones(induced.interior, sub, mckay.spec, model)
+        cones = _subdivision_cones(induced.interior, sub, spec, model)
         rhs = check_triangulation_identity(sub, cones, mckay.before.groups, mckay.blown_groups).rhs
         if lazy.get(sub) != rhs:
             yield (
@@ -693,11 +689,11 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
     report; a blown-up table that stays quasi-SL then runs the table
     checks on the faces of the new facet, the others being the base
     table's.  With ``include_oracle``, the table checks include the
-    oracles, and each McKay check builds the validated star subdivision
-    once: the cones of its interior are compared with those the check
-    read and each subface's triangulation sum with the validated induced
-    triangulation's, and the blown-up model is compared with its full
-    validation.
+    oracles, and the validated star subdivision of each McKay report's
+    blowup is built once: the cones of its interior are compared with
+    those the check read and each subface's triangulation sum with the
+    validated induced triangulation's, and the blown-up model is
+    compared with its full validation.
 
     A blown-up model's vertex list depends on the face alone, and
     :func:`crepant_candidates` yields the candidates of one face one
@@ -714,11 +710,10 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
     failures += [f"{label}: {text}" for text in table_failures(table, table.groups, include_oracle)]
     mckay = None
     for spec in crepant_candidates(table):
-        blowup = make_blowup_spec(model, spec.face, spec.weights, spec.lambda0)
         lender = None
-        if mckay is not None and mckay.spec.face == spec.face and mckay.quasi_sl_after:
+        if mckay is not None and mckay.blowup.spec.face == spec.face and mckay.quasi_sl_after:
             lender = mckay.blown_groups
-        mckay = mckay_check(report, blowup, lender)
+        mckay = mckay_check(report, make_blowup_spec(model, spec.face, spec.weights, spec.lambda0), lender)
         prefix = f"{label}: crepant blowup at {list(spec.face)}"
         if not mckay.quasi_sl_after:
             failures.append(f"{prefix} loses integral ages")
@@ -730,7 +725,7 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
             failures += [f"{prefix}: {text}" for text in table_failures(blown, on_new_facet, include_oracle)]
         if include_oracle:
             failures += [f"{prefix}: {text}" for text in validated_blowup(mckay)]
-            tau = star_subdivide(blowup)
+            tau = star_subdivide(mckay.blowup)
             failures += [f"{prefix}: {text}" for text in validated_star_interior(mckay, tau)]
             failures += [f"{prefix}: {text}" for text in induced_triangulation_sums(mckay, tau)]
     return failures

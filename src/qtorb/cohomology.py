@@ -119,23 +119,17 @@ def check_torus_stratification(groups: LocalGroupTable) -> tuple[bool, Poly, Pol
 
 
 @dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-    lhs: Poly
-    rhs: Poly
-
-
-@dataclass(frozen=True)
 class CrReport:
-    """Bundle of all polynomial computations and identity checks for one
-    model, with the local-group table they were computed from."""
+    """The polynomials computed for one model, with the local-group table
+    they were computed from: the ordinary polynomial ``pp``, the three
+    Chen-Ruan routes, the sum of torus E-polynomials over the faces and
+    the per-face age partitions.  Every verdict is derived from them."""
 
     pp: Poly
     pp_cr_direct: Poly
     pp_cr_closures: Poly
     pp_cr_strata: Poly
-    identities: tuple[IdentityCheck, ...]
+    torus_strata: Poly
     morestrat: tuple[tuple[Face, bool], ...]
     groups: LocalGroupTable = field(compare=False, repr=False)
 
@@ -146,6 +140,18 @@ class CrReport:
     @property
     def pp_cr(self) -> Poly:
         return self.pp_cr_direct
+
+    @property
+    def identity_sides(self) -> tuple[tuple[str, Poly, Poly], ...]:
+        """(name, lhs, rhs) of each named identity, in the order their
+        failures are reported: ``pp`` equals the torus-strata sum, and
+        the direct route equals the strata route and the closures route.
+        The routes agree exactly when the last two hold."""
+        return (
+            ("h_identity", self.pp, self.torus_strata),
+            ("newpon", self.pp_cr_direct, self.pp_cr_strata),
+            ("closures", self.pp_cr_direct, self.pp_cr_closures),
+        )
 
     def failures(self) -> Iterator[str]:
         """The failure texts of every report check, in the order of
@@ -158,13 +164,6 @@ class CrReport:
         """True iff no report check fails."""
         return next(self.failures(), None) is None
 
-    def identity(self, name: str) -> IdentityCheck:
-        """The identity check called ``name``; KeyError if there is none."""
-        for check in self.identities:
-            if check.name == name:
-                return check
-        raise KeyError(name)
-
 
 def route_agreement(report: CrReport) -> Iterator[str]:
     """The three Chen-Ruan routes give one polynomial."""
@@ -173,10 +172,11 @@ def route_agreement(report: CrReport) -> Iterator[str]:
 
 
 def named_identities(report: CrReport) -> Iterator[str]:
-    """Each identity of the report holds."""
-    for check in report.identities:
-        if not check.passed:
-            yield f"identity {check.name} fails ({check.lhs} != {check.rhs})"
+    """Each named identity of the report holds: its two sides in
+    :attr:`CrReport.identity_sides` are equal."""
+    for name, lhs, rhs in report.identity_sides:
+        if lhs != rhs:
+            yield f"identity {name} fails ({lhs} != {rhs})"
 
 
 def age_partition(report: CrReport) -> Iterator[str]:
@@ -217,24 +217,10 @@ REPORT_CHECKS = (route_agreement, named_identities, age_partition, orbifold_eule
 
 
 def cr_report(table: LocalGroupTable) -> CrReport:
-    """Full report on the table's model: the three routes and every
-    combinatorial identity the construction is supposed to satisfy, all
-    read from the one table."""
-    direct = pp_cr_direct(table)
-    closures = pp_cr_via_closures(table)
-    strata = pp_cr_via_strata(table)
-    strat_ok, strat_lhs, strat_rhs = check_torus_stratification(table)
-    identities = (
-        IdentityCheck("h_identity", strat_ok, strat_lhs, strat_rhs),
-        IdentityCheck("newpon", direct == strata, direct, strata),
-        IdentityCheck("closures", direct == closures, direct, closures),
-    )
-    return CrReport(
-        pp=Poly(table.sector_h_vectors[()]),
-        pp_cr_direct=direct,
-        pp_cr_closures=closures,
-        pp_cr_strata=strata,
-        identities=identities,
-        morestrat=tuple(check_age_partition(table)),
-        groups=table,
-    )
+    """Full report on the table's model: the ordinary polynomial and its
+    torus-strata sum (:func:`check_torus_stratification`), the three
+    routes and the age partitions, all read from the one table."""
+    # The routes come first: they refuse a table that is not quasi-SL.
+    routes = pp_cr_direct(table), pp_cr_via_closures(table), pp_cr_via_strata(table)
+    _, pp, torus_strata = check_torus_stratification(table)
+    return CrReport(pp, *routes, torus_strata, tuple(check_age_partition(table)), table)

@@ -968,7 +968,7 @@ def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
         spec = blowup.spec
         report = mckay_check(cr_report(LocalGroupTable(model)), blowup)
         tau = star_subdivide(blowup)
-        assert report.face == tau.ambient_face
+        assert report.blowup is blowup and blowup.face == tau.ambient_face
         subfaces = _subfaces(model, spec)
         assert [check.face for check in report.triangulation_checks] == subfaces
         for check, sub in zip(report.triangulation_checks, subfaces):
@@ -978,7 +978,7 @@ def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
                 (sx.codim, sorted(sx.verts + extra)) for sx in tau.interior
             )
             cones = _subdivision_cones(induced.interior, sub, spec, model)
-            assert sorted(_star_cones(report.face, sub, model.m)) == cones
+            assert sorted(_star_cones(blowup.face, sub, model.m)) == cones
             oracle = check_triangulation_identity(sub, cones, report.before.groups, report.blown_groups)
             assert check.rhs == oracle.rhs
             assert check.passed and oracle.passed

@@ -605,22 +605,19 @@ def test_runtime_error_is_structured(capsys, monkeypatch, wp112_path):
     assert json.loads(out) == {"error": "triangular form failed"}
 
 
-def test_cr_reads_identities_by_name(capsys, monkeypatch, wp112_path):
-    import dataclasses
+def test_cr_reads_identities_from_the_routes(capsys, monkeypatch, wp112_path):
+    """A strata route off by one fails newpon and the route agreement,
+    and leaves h_identity and the age partitions holding."""
+    import qtorb.cohomology as cohomology_mod
+    from qtorb.exact import Poly
 
-    import qtorb.cli as cli_mod
-    from qtorb.cohomology import cr_report
-
-    def reordered(table):
-        report = cr_report(table)
-        failing = dataclasses.replace(report.identity("newpon"), passed=False)
-        others = [c for c in report.identities if c.name != "newpon"]
-        return dataclasses.replace(report, identities=(failing, *reversed(others)))
-
-    monkeypatch.setattr(cli_mod, "cr_report", reordered)
+    real = cohomology_mod.pp_cr_via_strata
+    monkeypatch.setattr(cohomology_mod, "pp_cr_via_strata", lambda table: real(table) + Poly([1]))
     rc, out = run(capsys, "cr", wp112_path)
     assert rc == 1
-    assert json.loads(out)["identities"] == {"h_identity": True, "morestrat": True, "newpon": False}
+    report = json.loads(out)
+    assert report["routes_agree"] is False
+    assert report["identities"] == {"h_identity": True, "morestrat": True, "newpon": False}
 
 
 def test_identity_failures_reports_each_model_once(monkeypatch, z3, prism):
@@ -959,8 +956,8 @@ def _cr_dict(table) -> dict:
         "sectors": [_sector_dict(e) for e in sectors(table)],
         "identities": {
             "morestrat": all(ok for _, ok in report.morestrat),
-            "h_identity": report.identity("h_identity").passed,
-            "newpon": report.identity("newpon").passed,
+            "h_identity": report.pp == report.torus_strata,
+            "newpon": report.pp_cr_direct == report.pp_cr_strata,
         },
     }
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -197,12 +195,8 @@ def test_cr_report(wp112):
     assert report.routes_agree and report.all_pass
     assert report.pp == Poly([1, 1, 1])
     assert report.pp_cr == Poly([1, 2, 1])
-    assert [name for name in (c.name for c in report.identities)] == [
-        "h_identity",
-        "newpon",
-        "closures",
-    ]
-    assert all(c.passed for c in report.identities)
+    assert [name for name, _, _ in report.identity_sides] == ["h_identity", "newpon", "closures"]
+    assert all(lhs == rhs for _, lhs, rhs in report.identity_sides)
     # untwisted sector first, then the age-1 vertex sector, which adds s
     assert [(e.face.facet_set, e.age) for e in sectors(report.groups)] == [((), 0), ((0, 2), 1)]
     assert report.pp_cr - report.pp == Poly([0, 1])
@@ -284,26 +278,35 @@ def test_age_partition_sums_each_list_of_pieces_once(monkeypatch, corpus):
     assert mutations > len(tables)
 
 
-def test_identity_lookup_by_name(wp112):
-    report = cr_report(LocalGroupTable(wp112))
-    for check in report.identities:
-        assert report.identity(check.name) is check
-    with pytest.raises(KeyError):
-        report.identity("no-such-identity")
+def test_a_wrong_torus_strata_sum_fails_h_identity_alone(monkeypatch, corpus):
+    """A torus-strata sum off by one fails the identity h_identity and no
+    other report check: the routes, the age partitions, the Euler number
+    and duality read no torus-strata sum."""
+
+    def off_by_one(table):
+        _, lhs, rhs = check_torus_stratification(table)
+        return lhs == rhs + Poly([1]), lhs, rhs + Poly([1])
+
+    monkeypatch.setattr(cohomology_mod, "check_torus_stratification", off_by_one)
+    for model in corpus:
+        report = cr_report(LocalGroupTable(model))
+        torus = report.pp + Poly([1])
+        assert report.torus_strata == torus
+        assert list(report.failures()) == [f"identity h_identity fails ({report.pp} != {torus})"]
 
 
 def test_all_pass_is_no_report_check_failing(monkeypatch, corpus, z3):
     """``all_pass`` is "no report check fails", which is the conjunction
     of route agreement, every identity, every age partition, the
     orbifold Euler number and Poincare duality, over the corpus and under
-    mutations that fail the routes, an identity, the age partition or the
-    Euler number."""
+    mutations that fail the routes and an identity, the age partition or
+    the Euler number."""
 
     def conjunction(report):
         coeffs, model = report.pp_cr.coeffs, report.groups.model
         return (
             report.routes_agree
-            and all(check.passed for check in report.identities)
+            and all(lhs == rhs for _, lhs, rhs in report.identity_sides)
             and all(ok for _, ok in report.morestrat)
             and sum(coeffs) == sum(abs(d) for d in model.vertex_dets)
             and len(coeffs) == model.n + 1
@@ -312,11 +315,13 @@ def test_all_pass_is_no_report_check_failing(monkeypatch, corpus, z3):
 
     reports = [cr_report(LocalGroupTable(model)) for model in corpus]
     base = reports[0]
-    newpon = dataclasses.replace(base.identity("newpon"), passed=False)
-    reports += [
-        dataclasses.replace(base, pp_cr_closures=base.pp_cr_closures + Poly([1])),
-        dataclasses.replace(base, identities=(newpon,)),
-    ]
+    # A closures or strata route off by one fails the route agreement and
+    # the identity that compares it with the direct route.
+    for route in ("pp_cr_via_closures", "pp_cr_via_strata"):
+        with monkeypatch.context() as patch:
+            real = getattr(cohomology_mod, route)
+            patch.setattr(cohomology_mod, route, lambda table, real=real: real(table) + Poly([1]))
+            reports.append(cr_report(base.groups))
     # A wrongly trivial face fails the age partition; the order-3 vertex
     # of the tetrahedron built trivial fails only the Euler number.
     for model in corpus[::3]:
@@ -334,9 +339,14 @@ def test_all_pass_is_no_report_check_failing(monkeypatch, corpus, z3):
         assert report.all_pass == (not failures) == conjunction(report)
         verdicts.add(report.all_pass)
     assert verdicts == {True, False}
-    assert list(reports[len(corpus)].failures()) == ["the three Chen-Ruan routes disagree"]
+    wrong = base.pp_cr + Poly([1])
+    assert list(reports[len(corpus)].failures()) == [
+        "the three Chen-Ruan routes disagree",
+        f"identity closures fails ({base.pp_cr} != {wrong})",
+    ]
     assert list(reports[len(corpus) + 1].failures()) == [
-        f"identity newpon fails ({base.pp_cr_direct} != {base.pp_cr_strata})"
+        "the three Chen-Ruan routes disagree",
+        f"identity newpon fails ({base.pp_cr} != {wrong})",
     ]
     assert any(f.startswith("age partition fails at face ") for r in reports for f in r.failures())
 

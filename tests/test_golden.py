@@ -247,13 +247,14 @@ def test_golden_output(name):
 
 @pytest.mark.parametrize(
     "name",
-    ["z3tetra-ehrhart-oracle", "fuzz-n4", "z3tetra-validate", "z3tetra-mckay", "tri-m1-m100-sectors"],
+    ["z3tetra-ehrhart-oracle", "fuzz-n4", "z3tetra-validate", "z3tetra-mckay", "z3tetra-cr", "tri-m1-m100-sectors"],
 )
 def test_golden_output_under_optimize_flag(name):
     # ``python -O`` strips asserts, so a check that relies on one would
     # change the output here.  fuzz-n4 runs crepant blowups and their
     # subdivision checks; validate reads the vertex signs from the stored
-    # determinants; the sector listing is written from integer data.
+    # determinants; cr reads its identities from the routes; the sector
+    # listing is written from integer data.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
