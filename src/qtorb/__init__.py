@@ -5,7 +5,6 @@ Betti numbers survive them."""
 from .blowup import (
     Blowup,
     BlowupError,
-    BlowupSpec,
     McKayReport,
     Subdivision,
     TriangulationCheck,

@@ -6,14 +6,16 @@ the identity suite that runs that check for every crepant candidate.
 A blowup replaces the chosen face by a new facet whose characteristic
 vector is a positive combination of the vectors meeting at the face.
 Combinatorially, every vertex on the face splits into one vertex per
-dropped facet; no geometric hyperplane is ever materialized.  A spec is
-checked once, by :func:`make_blowup_spec` (a face of codimension at
-least 2, one positive weight per facet, the weighted sum of their
-vectors exactly the new primitive vector), which returns a
-:class:`Blowup`: the model, the face and the canonical spec.
+dropped facet; no geometric hyperplane is ever materialized.  One value
+describes a blowup, :class:`Blowup`: the model, the face, its weights
+and the new vector.  A spec from outside is checked once, by
+:func:`make_blowup_spec` (a face of codimension at least 2, one positive
+weight per facet, their weighted sum of vectors a primitive integer
+vector); :func:`crepant_candidates` builds its Blowups from a table's
+box elements, which meet every condition of that check by construction.
 ``blow_up``, ``blow_up_table``, ``star_subdivide`` and ``mckay_check``
-take that value and check nothing of it again.  The blown-up model is
-derived from its base: given a checked spec, full model validation
+take a Blowup and check nothing of it again.  The blown-up model is
+derived from its base: given a checked blowup, full model validation
 could not fail on it, and every new vertex determinant is a weight
 times a base one.  The triangulation identities read their cones from
 the blown-up model's table by facet set, and build no simplex.  Full
@@ -48,15 +50,6 @@ class BlowupError(ValueError):
     """The blowup data is invalid for the given model."""
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
-    """Face to truncate, positive weights, and the resulting new vector."""
-
-    face: tuple[int, ...]
-    weights: tuple[Fraction, ...]
-    lambda0: IntVec
-
-
 def _converted(convert, tokens: Sequence, what: str) -> list:
     """``convert`` of each token, in order; BlowupError naming the first
     token it rejects."""
@@ -80,36 +73,36 @@ def _weight(token) -> Fraction:
 
 @dataclass(frozen=True)
 class Blowup:
-    """A blowup spec checked against a model: the model, the face its
-    facets meet at and the canonical spec.  :func:`make_blowup_spec`
-    builds it; :func:`blow_up`, :func:`blow_up_table`,
-    :func:`star_subdivide` and :func:`mckay_check` take it and check
-    nothing of the spec again."""
+    """A blowup of a model: the face to truncate, one strictly positive
+    weight per facet of the face and the new vector, their weighted sum
+    of the facets' vectors, a primitive integer vector; weights and
+    vector in facet order.  :func:`make_blowup_spec` builds it from a
+    spec given from outside, :func:`crepant_candidates` from a table;
+    :func:`blow_up`, :func:`blow_up_table`, :func:`star_subdivide` and
+    :func:`mckay_check` take it and check nothing of it again."""
 
     model: Model = field(repr=False)
     face: Face
-    spec: BlowupSpec
+    weights: tuple[Fraction, ...]
+    lambda0: IntVec
 
 
-def make_blowup_spec(
-    model: Model, face_indices: Sequence, weights: Sequence, lambda0: Sequence[int] | None = None
-) -> Blowup:
+def make_blowup_spec(model: Model, face_indices: Sequence, weights: Sequence) -> Blowup:
     """The one check of a blowup spec against a model.  The facet indices
     are integers or their strings; the weights pair with them in the
     order given and are rationals or their strings: an integer, "p/q" or
     a plain decimal such as "0.5", without an exponent.  The face is
-    found by one scan of the vertices, and the canonical spec holds the
-    facets sorted, each weight moved with its facet, and the new vector,
-    the weighted sum of the facets' vectors.  BlowupError names the
-    first fault, in this order: a facet index token is not an integer;
-    the facets are not a face (no vertex holds them all); its
+    found by one scan of the vertices, and the :class:`Blowup` holds it,
+    each weight moved with its facet into facet order, and the new
+    vector, the weighted sum of the facets' vectors.  BlowupError names
+    the first fault, in this order: a facet index token is not an
+    integer; the facets are not a face (no vertex holds them all); its
     codimension is below 2; a weight token is not a rational; the
     weights are not one per facet; a weight is not strictly positive;
-    the new vector, ``lambda0`` or the weighted sum, has an entry of
-    more digits than Python prints (``sys.get_int_max_str_digits()``, 0
-    or absent for no limit); the sum is not ``lambda0``, when one is
-    given; the sum is not integral, named by the face and the positions
-    of its fractional coordinates; it is not primitive."""
+    the weighted sum has an entry of more digits than Python prints
+    (``sys.get_int_max_str_digits()``, 0 or absent for no limit); the
+    sum is not integral, named by the face and the positions of its
+    fractional coordinates; it is not primitive."""
     facets = _converted(int, face_indices, "facet index")
     key = tuple(sorted(facets))
     cut = set(key)
@@ -134,14 +127,11 @@ def make_blowup_spec(
     point = tuple(t // denom for t in sums)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # An entry of at most 3 bits per digit is short, as 8**limit < 10**limit.
-    entries = point + tuple(lambda0 or ())
-    if limit and any(abs(c).bit_length() > 3 * limit and abs(c) >= 10**limit for c in entries):
+    if limit and any(abs(c).bit_length() > 3 * limit and abs(c) >= 10**limit for c in point):
         raise BlowupError(
             f"new characteristic vector on face {list(key)} has an entry of more than "
             f"{limit} digits, the limit for printing an integer"
         )
-    if lambda0 is not None and sums != [denom * c for c in lambda0]:
-        raise BlowupError(f"weights on {list(key)} do not give the new vector {list(lambda0)}")
     fractional = [r for r, t in enumerate(sums) if t % denom]
     if fractional:
         raise BlowupError(
@@ -151,12 +141,12 @@ def make_blowup_spec(
     if not is_primitive(point):
         raise BlowupError(f"new characteristic vector {list(point)} is not primitive")
     face = Face(facet_set=key, dim=model.n - len(key), vertex_ids=on_face)
-    return Blowup(model, face, BlowupSpec(face=key, weights=tuple(ws), lambda0=point))
+    return Blowup(model, face, tuple(ws), point)
 
 
 def is_crepant(blowup: Blowup) -> bool:
     """True iff the weights sum to exactly 1."""
-    return sum(blowup.spec.weights) == 1
+    return sum(blowup.weights) == 1
 
 
 def _crepant(blowup: Blowup) -> None:
@@ -164,7 +154,7 @@ def _crepant(blowup: Blowup) -> None:
     ``star_subdivide`` and ``mckay_check``."""
     if not is_crepant(blowup):
         raise BlowupError(
-            f"weights sum to {sum(blowup.spec.weights)}, expected 1 for a crepant blowup"
+            f"weights sum to {sum(blowup.weights)}, expected 1 for a crepant blowup"
         )
 
 
@@ -172,18 +162,17 @@ def blow_up(blowup: Blowup) -> Model:
     """Truncate the face: one extra facet m, and every vertex v containing
     the face splits into one vertex (v - {j}) + {m} per facet j of the
     face.  The model is derived from the checked one without validating
-    it afresh: the new vector is the spec's weighted sum, so by
+    it afresh: the new vector is the weighted sum, so by
     multilinearity the split vertex's determinant is w_j det(v), signed
     by moving the new column from j's position to the end; every other
-    vertex keeps its determinant.  The spec check
-    (:func:`make_blowup_spec`) found a face of codimension at least 2,
-    one strictly positive weight per facet, and the new vector, a
-    primitive integer vector.  Given these, no vertex repeats, every
-    facet stays in use and no determinant vanishes, so full validation,
-    the oracle :func:`validated_blowup`, cannot fail."""
-    model, face, spec = blowup.model, blowup.face, blowup.spec
+    vertex keeps its determinant.  A :class:`Blowup` holds a face of
+    codimension at least 2, one strictly positive weight per facet, and
+    the new vector, a primitive integer vector.  Given these, no vertex
+    repeats, every facet stays in use and no determinant vanishes, so
+    full validation, the oracle :func:`validated_blowup`, cannot fail."""
+    model, face = blowup.model, blowup.face
     n, new = model.n, model.m
-    weight = dict(zip(spec.face, spec.weights))
+    weight = dict(zip(face.facet_set, blowup.weights))
     split_ids = set(face.vertex_ids)
     rows = [row for vid, row in enumerate(zip(model.vertices, model.vertex_dets)) if vid not in split_ids]
     for vid in face.vertex_ids:
@@ -202,7 +191,7 @@ def blow_up(blowup: Blowup) -> Model:
         n=n,
         m=new + 1,
         vertices=vertices,
-        char_vectors=model.char_vectors + (spec.lambda0,),
+        char_vectors=model.char_vectors + (blowup.lambda0,),
         name=model.name,
         vertex_dets=vertex_dets,
     )
@@ -214,10 +203,16 @@ def blow_up_table(table: LocalGroupTable, blowup: Blowup) -> LocalGroupTable:
     return LocalGroupTable(blow_up(blowup), table)
 
 
-def crepant_candidates(table: LocalGroupTable) -> list[BlowupSpec]:
+def crepant_candidates(table: LocalGroupTable) -> list[Blowup]:
     """Every crepant blowup the table's model admits: interior box
     elements of age exactly 1 with a primitive lattice point, over all
-    faces of codimension at least 2."""
+    faces of codimension at least 2, on the table's own Face.  Each
+    meets every condition :func:`make_blowup_spec` checks, so none is
+    checked again: the face is one of the table's, of codimension at
+    least 2; an interior element has one coefficient per facet, each in
+    (0, 1); its point, the weighted sum, is integral by construction
+    (``LocalGroup._point``); and the filter keeps primitive points
+    alone."""
     out = []
     for group in table.groups:
         if group.face.codim < 2:
@@ -226,7 +221,7 @@ def crepant_candidates(table: LocalGroupTable) -> list[BlowupSpec]:
             if sum(group.numerators[i]) == group.exponent:
                 element = group.box_element(i)
                 if is_primitive(element.point):
-                    out.append(BlowupSpec(group.face.facet_set, element.coeffs, element.point))
+                    out.append(Blowup(table.model, group.face, element.coeffs, element.point))
     return out
 
 
@@ -314,10 +309,10 @@ def star_subdivide(blowup: Blowup) -> Subdivision:
     faces join them.
     """
     _crepant(blowup)
-    face, spec = blowup.face, blowup.spec
+    face = blowup.face
     whole = face_simplex(face, blowup.model)
-    pool_points = whole.verts + (spec.lambda0,)
-    pool_coords = whole.coords + (spec.weights,)
+    pool_points = whole.verts + (blowup.lambda0,)
+    pool_coords = whole.coords + (blowup.weights,)
     k = face.codim
     apex = k
     vertex_sets: set[tuple[int, ...]] = set()
@@ -354,15 +349,15 @@ def _star_cones(face: Face, sub: Face, m: int) -> list[tuple[int, tuple[int, ...
 
 
 def _subdivision_cones(
-    interior: Sequence[LatticeSimplex], sub: Face, spec: BlowupSpec, model: Model
+    interior: Sequence[LatticeSimplex], sub: Face, lambda0: IntVec, model: Model
 ) -> list[tuple[int, tuple[int, ...]]]:
     """The sorted (codimension, blown facet set) of each simplex in
     ``interior``, those of a triangulation of ``sub``'s simplex through
-    the new vector that meet its interior: ``sub``'s vectors, which are
-    independent, map to their facets and the new one, a positive
-    combination of at least two of them, to m."""
+    the new vector ``lambda0`` that meet its interior: ``sub``'s vectors,
+    which are independent, map to their facets and the new one, a
+    positive combination of at least two of them, to m."""
     facet = {model.char_vectors[i]: i for i in sub.facet_set}
-    facet[spec.lambda0] = model.m
+    facet[lambda0] = model.m
     return sorted((sx.codim, tuple(sorted(facet[v] for v in sx.verts))) for sx in interior)
 
 
@@ -457,8 +452,8 @@ def check_triangulation_identity(
 @dataclass(frozen=True)
 class McKayReport:
     """Everything the crepant-blowup invariance check produces: the
-    checked :class:`Blowup` (the model ``before`` reports on, the face
-    and the canonical spec), the blown-up table and, when that stays
+    :class:`Blowup` (the model ``before`` reports on, the face, the
+    weights and the new vector), the blown-up table and, when that stays
     quasi-SL, its report, and the triangulation identity of every
     subface of the face."""
 
@@ -498,7 +493,7 @@ def mckay_check(
     stays quasi-SL, compute the Chen-Ruan polynomial of the blown-up
     model by all three routes, and run the triangulation identity on the
     subdivided face simplex and on every subface's simplex.  The report
-    holds ``blowup``, whose model, face and spec the oracles read.
+    holds ``blowup``, whose model, face and new vector the oracles read.
     BlowupError refuses, before anything is built, a blowup that is not
     crepant and then one checked against another model than
     ``before``'s.  Each identity reads its cones from the blown-up table
@@ -631,7 +626,7 @@ def validated_star_interior(mckay: McKayReport, tau: Subdivision) -> Iterator[st
     that blowup."""
     model, face = mckay.blowup.model, mckay.blowup.face
     derived = _star_cones(face, face, model.m)
-    if sorted(derived) != _subdivision_cones(tau.interior, face, mckay.blowup.spec, model):
+    if sorted(derived) != _subdivision_cones(tau.interior, face, mckay.blowup.lambda0, model):
         yield (
             f"the derived interior of the star subdivision of {list(face.facet_set)} "
             f"({len(derived)} simplices) is not the validated one "
@@ -643,11 +638,11 @@ def induced_triangulation_sums(mckay: McKayReport, tau: Subdivision) -> Iterator
     """Oracle: each subface's triangulation sum in ``mckay`` equals the
     one read from the validated induced triangulation, built whole from
     ``tau``, the validated star subdivision of ``mckay``'s blowup."""
-    model, face, spec = mckay.blowup.model, mckay.blowup.face, mckay.blowup.spec
+    model, face, lambda0 = mckay.blowup.model, mckay.blowup.face, mckay.blowup.lambda0
     lazy = {check.face: check.rhs for check in mckay.triangulation_checks}
     for sub in subfaces(face, mckay.before.groups.faces):
         induced = induced_triangulation(sub, tau, model)
-        cones = _subdivision_cones(induced.interior, sub, spec, model)
+        cones = _subdivision_cones(induced.interior, sub, lambda0, model)
         rhs = check_triangulation_identity(sub, cones, mckay.before.groups, mckay.blown_groups).rhs
         if lazy.get(sub) != rhs:
             yield (
@@ -683,9 +678,10 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
 
     The base model's report passes every :data:`REPORT_CHECKS` entry
     (routes, identities, age partition) and its table every
-    :data:`TABLE_CHECKS` entry on every face.  Every crepant candidate
-    is checked once, by :func:`make_blowup_spec`, and its McKay check
-    must pass, which runs the report checks on the blown-up model's
+    :data:`TABLE_CHECKS` entry on every face.  Every crepant candidate,
+    a :class:`Blowup` built from the table (:func:`crepant_candidates`)
+    and so not checked again, must pass its McKay check, which runs the
+    report checks on the blown-up model's
     report; a blown-up table that stays quasi-SL then runs the table
     checks on the faces of the new facet, the others being the base
     table's.  With ``include_oracle``, the table checks include the
@@ -709,12 +705,12 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
     failures = [f"{label}: {text}" for text in report.failures()]
     failures += [f"{label}: {text}" for text in table_failures(table, table.groups, include_oracle)]
     mckay = None
-    for spec in crepant_candidates(table):
+    for blowup in crepant_candidates(table):
         lender = None
-        if mckay is not None and mckay.blowup.spec.face == spec.face and mckay.quasi_sl_after:
+        if mckay is not None and mckay.blowup.face == blowup.face and mckay.quasi_sl_after:
             lender = mckay.blown_groups
-        mckay = mckay_check(report, make_blowup_spec(model, spec.face, spec.weights, spec.lambda0), lender)
-        prefix = f"{label}: crepant blowup at {list(spec.face)}"
+        mckay = mckay_check(report, blowup, lender)
+        prefix = f"{label}: crepant blowup at {list(blowup.face.facet_set)}"
         if not mckay.quasi_sl_after:
             failures.append(f"{prefix} loses integral ages")
         if not mckay.verdict:
@@ -725,7 +721,7 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
             failures += [f"{prefix}: {text}" for text in table_failures(blown, on_new_facet, include_oracle)]
         if include_oracle:
             failures += [f"{prefix}: {text}" for text in validated_blowup(mckay)]
-            tau = star_subdivide(mckay.blowup)
+            tau = star_subdivide(blowup)
             failures += [f"{prefix}: {text}" for text in validated_star_interior(mckay, tau)]
             failures += [f"{prefix}: {text}" for text in induced_triangulation_sums(mckay, tau)]
     return failures

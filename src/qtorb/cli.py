@@ -254,7 +254,7 @@ def _cmd_blowup(args) -> int:
     blown = blow_up(blowup)
     payload = {
         "crepant": is_crepant(blowup),
-        "lambda0": list(blowup.spec.lambda0),
+        "lambda0": list(blowup.lambda0),
         "model": model_to_dict(blown),
     }
     if args.output:
@@ -273,7 +273,7 @@ def _cmd_mckay(args) -> int:
     report = mckay_check(before, blowup)
     payload = {
         "verdict": report.verdict,
-        "lambda0": list(blowup.spec.lambda0),
+        "lambda0": list(blowup.lambda0),
         "quasi_sl_after_blowup": report.quasi_sl_after,
         "pp_cr": {
             "before": list(report.before.pp_cr.coeffs),

@@ -403,7 +403,10 @@ def _mutated_table(rng: random.Random, table: LocalGroupTable, n: int) -> LocalG
     changes make of ``table``'s.  Each new table is built on the current
     one: a blowup's borrows the groups the current table has built, and
     a unimodular change's, over the same vertex list, shares its face
-    lattice and h-vectors.  A function of its own, so that the
+    lattice and h-vectors.  A crepant blowup is drawn from the table's
+    candidates, Blowups that need no check; a unit-weight truncation,
+    whose new vector may not be integral or primitive, is checked by
+    ``make_blowup_spec``.  A function of its own, so that the
     generator's frame keeps no table of a model it has already
     yielded."""
     from . import blowup as blowup_mod
@@ -416,8 +419,7 @@ def _mutated_table(rng: random.Random, table: LocalGroupTable, n: int) -> LocalG
             candidates = blowup_mod.crepant_candidates(table)
             if not candidates:
                 continue
-            spec = rng.choice(candidates)
-            blowup = blowup_mod.make_blowup_spec(model, spec.face, spec.weights, spec.lambda0)
+            blowup = rng.choice(candidates)
         elif roll < 0.85:
             table = LocalGroupTable(apply_unimodular(model, random_unimodular(rng, n)), table)
             continue

@@ -38,7 +38,6 @@ from qtorb.cli import main
 from qtorb.exact import Poly
 from qtorb.intlat import det
 from qtorb.model import apply_unimodular, random_unimodular
-from tests.conftest import checked
 from tests.test_model import vertex_matrix
 from tests.test_sectors import interior_elements
 
@@ -84,7 +83,7 @@ def test_criterion_2_z3_resolution(z3):
     assert result.after.pp_cr == expected
     tau = star_subdivide(blowup)
     vertex = tau.ambient_face
-    cones = _subdivision_cones(tau.interior, vertex, blowup.spec, z3)
+    cones = _subdivision_cones(tau.interior, vertex, blowup.lambda0, z3)
     assert check_triangulation_identity(vertex, cones, groups, result.blown_groups).passed
     report("2 (order-3 corner resolution)", started, limit=1.0)
 
@@ -140,8 +139,7 @@ def test_criterion_5_blowup_lemmas(corpus):
     for model in corpus:
         before = cr_report(LocalGroupTable(model))
         expected = before.pp_cr_direct
-        for spec in crepant_candidates(before.groups):
-            blowup = checked(model, spec)
+        for blowup in crepant_candidates(before.groups):
             blown = blow_up(blowup)
             assert LocalGroupTable(blown).quasi_sl
             assert pp_cr_direct(LocalGroupTable(blown)) == expected

@@ -38,7 +38,6 @@ from qtorb import (
 )
 from qtorb.cli import main
 from qtorb.intlat import det
-from tests.conftest import checked
 from tests.test_ehrhart import _count_plans
 from tests.test_sectors import _zero_generators, sectors
 
@@ -123,7 +122,7 @@ def test_derived_models_compute_no_vertex_determinant(monkeypatch, corpus, rng):
     from the base model's, and apply_unimodular from det(u), the one
     determinant it computes, which refuses a u that is not unimodular."""
     blowups = [
-        (table, checked(table.model, spec)) for table in map(LocalGroupTable, corpus) for spec in crepant_candidates(table)
+        (table, blowup) for table in map(LocalGroupTable, corpus) for blowup in crepant_candidates(table)
     ]
     assert blowups
     stacks = _record_det_calls(monkeypatch)
@@ -737,7 +736,7 @@ def test_identity_failures_reports_each_model_once(monkeypatch, z3, prism):
     for model in (z3, prism):
         reported.clear()
         assert blowup_mod.identity_failures(LocalGroupTable(model)) == []
-        blown = [blowup_mod.blow_up(checked(model, spec)) for spec in crepant_candidates(LocalGroupTable(model))]
+        blown = [blowup_mod.blow_up(blowup) for blowup in crepant_candidates(LocalGroupTable(model))]
         assert blown
         assert reported == [model] + [b for b in blown if LocalGroupTable(b).quasi_sl]
 
@@ -803,7 +802,7 @@ def test_identity_failures_builds_one_face_lattice_per_blown_vertex_list(monkeyp
     shared = 0
     for model in corpus:
         table = LocalGroupTable(model)
-        blown = [blow_up(checked(model, spec)).vertices for spec in crepant_candidates(table)]
+        blown = [blow_up(blowup).vertices for blowup in crepant_candidates(table)]
         with monkeypatch.context() as patch:
             lattices = record_face_lattices(patch)
             assert identity_failures(table) == []
@@ -1026,16 +1025,16 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "qtorb", "sectors", str(path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    assert proc.stdout.readline() == b"[\n"
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=120) == 2
+    ) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
     assert b"Traceback" not in stderr
     assert b"BrokenPipeError" not in stderr
 

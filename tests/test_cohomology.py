@@ -17,7 +17,6 @@ from qtorb import (
     faces,
     generate_test_models,
     h_vector,
-    make_blowup_spec,
     make_model,
     pp_cr_direct,
     pp_cr_via_closures,
@@ -246,8 +245,8 @@ def test_age_partition_sums_each_list_of_pieces_once(monkeypatch, corpus):
         for model in generate_test_models(seed, 20, n=4):
             table = LocalGroupTable(model)
             tables.append(table)
-            for spec in crepant_candidates(table):
-                blown = blow_up_table(table, make_blowup_spec(model, spec.face, spec.weights, spec.lambda0))
+            for blowup in crepant_candidates(table):
+                blown = blow_up_table(table, blowup)
                 if blown.quasi_sl:
                     tables.append(blown)
     sums = []

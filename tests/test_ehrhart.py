@@ -187,7 +187,7 @@ def test_oracle_fuzz_plans_once_per_checked_face(monkeypatch, corpus):
     ``ORACLE_MAX_ORDER`` of the base table, then, for each crepant
     candidate in turn, one per such face on the new facet of its
     blown-up table.  A facet's one-vertex simplex needs no plan."""
-    from qtorb import blow_up_table, crepant_candidates, identity_failures, make_blowup_spec
+    from qtorb import blow_up_table, crepant_candidates, identity_failures
 
     def checked(table, keep=lambda face: True):
         return [
@@ -201,8 +201,8 @@ def test_oracle_fuzz_plans_once_per_checked_face(monkeypatch, corpus):
     for model in corpus:
         table = LocalGroupTable(model)
         expected = checked(table)
-        for spec in crepant_candidates(table):
-            blown = blow_up_table(table, make_blowup_spec(model, spec.face, spec.weights, spec.lambda0))
+        for blowup in crepant_candidates(table):
+            blown = blow_up_table(table, blowup)
             if blown.quasi_sl:
                 expected += checked(blown, lambda face: model.m in face.facet_set)
         blown_checked += len(expected) - len(checked(table))

@@ -142,9 +142,9 @@ def _mckay_digests(workdir) -> list[dict]:
 
     entries = []
     for n, seed, index, model, path in _generated_models(workdir):
-        for spec in crepant_candidates(LocalGroupTable(model)):
-            face = ",".join(map(str, spec.face))
-            weights = ",".join(map(str, spec.weights))
+        for blowup in crepant_candidates(LocalGroupTable(model)):
+            face = ",".join(map(str, blowup.face.facet_set))
+            weights = ",".join(map(str, blowup.weights))
             entries.append({
                 "n": n, "seed": seed, "model": index, "face": face, "weights": weights,
                 **_digest(["mckay", str(path), "--face", face, "--weights", weights]),
@@ -161,7 +161,7 @@ def _blowup_digests(workdir) -> list[dict]:
 
     entries = []
     for n, seed, index, model, path in _generated_models(workdir):
-        specs = [(spec.face, spec.weights) for spec in crepant_candidates(LocalGroupTable(model))]
+        specs = [(blowup.face.facet_set, blowup.weights) for blowup in crepant_candidates(LocalGroupTable(model))]
         face = next(face for face in faces(model) if face.codim >= 2)
         specs.append((face.facet_set, [1] * face.codim))
         for facets, weights in specs:

@@ -611,7 +611,7 @@ def test_table_groups_equal_triangular_basis_groups(corpus, crepant_blowups, bas
         return table
 
     tables = [(model, LocalGroupTable(model)) for model in corpus]
-    tables += [(blown, blow_up_table(built(model), spec)) for model, spec, blown in crepant_blowups]
+    tables += [(blown, blow_up_table(built(model), blowup)) for model, blowup, blown in crepant_blowups]
     skipped = 0
     for model, table in tables:
         skipped += sum(1 for f in table.faces if f.codim > 0) - len(basis_faces(model))
@@ -670,11 +670,11 @@ def test_no_face_of_codimension_at_most_one_computes_a_basis(
     for model in corpus:
         check(LocalGroupTable(model))
     singular_facets = 0
-    for model, spec, blown in crepant_blowups:
+    for model, blowup, blown in crepant_blowups:
         check(LocalGroupTable(blown))
         base = LocalGroupTable(model)
         base.groups  # a table lends only the groups it has built
-        check(blow_up_table(base, spec), model)
+        check(blow_up_table(base, blowup), model)
         singular_facets += sum(
             f.codim == 1 and all(abs(blown.vertex_dets[i]) != 1 for i in f.vertex_ids) for f in faces(blown)
         )
