@@ -853,7 +853,12 @@ def test_blown_table_box_enumeration_is_an_oracle(monkeypatch):
 
 def _plus_one_at_psi0(real):
     """``ehrhart_numerator`` with 1 added to psi_0."""
-    return lambda sx: (lambda psi: (psi[0] + 1, *psi[1:]))(real(sx))
+
+    def mutated(sx):
+        psi = real(sx)
+        return (psi[0] + 1, *psi[1:])
+
+    return mutated
 
 
 def _without_the_last_element(real):
