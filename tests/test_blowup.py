@@ -329,7 +329,6 @@ def test_every_built_spec_gives_its_star_point(corpus):
     crepant = unit = 0
     for model in corpus:
         for blowup in crepant_candidates(LocalGroupTable(model)):
-            assert make_blowup_spec(model, blowup.face.facet_set, blowup.weights) == blowup
             assert star_subdivide(blowup).ambient_face.facet_set == blowup.face.facet_set
             crepant += 1
         for face in faces(model):
