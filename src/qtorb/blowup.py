@@ -18,9 +18,12 @@ take a Blowup and check nothing of it again.  The blown-up model is
 derived from its base: given a checked blowup, full model validation
 could not fail on it, and every new vertex determinant is a weight
 times a base one.  The triangulation identities read their cones from
-the blown-up model's table by facet set, and build no simplex.  Full
-validation of the derived model and the geometry of the star
-subdivision and of the triangulations it induces run as oracles.
+the blown-up model's table by facet set, and build no simplex.  A
+crepant blowup of a quasi-SL model is quasi-SL, so every McKay check
+reports on the blown-up model, and its verdict is that it names no
+failure (:meth:`McKayReport.failures`).  Full validation of the derived
+model and the geometry of the star subdivision and of the
+triangulations it induces run as oracles.
 """
 
 from __future__ import annotations
@@ -453,54 +456,56 @@ def check_triangulation_identity(
 class McKayReport:
     """Everything the crepant-blowup invariance check produces: the
     :class:`Blowup` (the model ``before`` reports on, the face, the
-    weights and the new vector), the blown-up table and, when that stays
-    quasi-SL, its report, and the triangulation identity of every
+    weights and the new vector), the blown-up model's report, whose
+    table is ``after.groups``, and the triangulation identity of every
     subface of the face."""
 
     before: CrReport
     blowup: Blowup
-    blown_groups: LocalGroupTable
-    after: CrReport | None
+    after: CrReport
     triangulation_checks: tuple[TriangulationCheck, ...]
 
     @property
     def blown(self) -> Model:
-        return self.blown_groups.model
+        return self.after.groups.model
 
-    @property
-    def quasi_sl_after(self) -> bool:
-        return self.blown_groups.quasi_sl
-
-    @property
-    def pp_cr_match(self) -> bool:
-        return self.after is not None and self.before.pp_cr == self.after.pp_cr
+    def failures(self) -> Iterator[str]:
+        """The failure texts of the check, in this order: each failure of
+        the blown-up model's report, a Chen-Ruan polynomial that the
+        blowup changes, and each triangulation identity that fails."""
+        for text in self.after.failures():
+            yield f"blown-up model: {text}"
+        if self.before.pp_cr != self.after.pp_cr:
+            yield f"changes the Betti numbers ({self.before.pp_cr} != {self.after.pp_cr})"
+        for check in self.triangulation_checks:
+            if not check.passed:
+                yield f"triangulation identity fails at {list(check.face.facet_set)} ({check.lhs} != {check.rhs})"
 
     @property
     def verdict(self) -> bool:
-        return (
-            self.after is not None
-            and self.before.all_pass
-            and self.after.all_pass
-            and self.pp_cr_match
-            and all(check.passed for check in self.triangulation_checks)
-        )
+        """True iff the report before the blowup passes and the check
+        names no failure."""
+        return self.before.all_pass and next(self.failures(), None) is None
 
 
 def mckay_check(
     before: CrReport, blowup: Blowup, lender: LocalGroupTable | None = None
 ) -> McKayReport:
-    """Blow up the model that ``before`` reports on, certify the result
-    stays quasi-SL, compute the Chen-Ruan polynomial of the blown-up
-    model by all three routes, and run the triangulation identity on the
-    subdivided face simplex and on every subface's simplex.  The report
-    holds ``blowup``, whose model, face and new vector the oracles read.
-    BlowupError refuses, before anything is built, a blowup that is not
-    crepant and then one checked against another model than
-    ``before``'s.  Each identity reads its cones from the blown-up table
-    by facet set (:func:`_star_cones`) and builds no simplex.  The
-    validated star subdivision and each validated induced triangulation
-    are built only by the oracles :func:`validated_star_interior` and
-    :func:`induced_triangulation_sums`.
+    """Blow up the model that ``before`` reports on, compute the
+    Chen-Ruan polynomial of the blown-up model by all three routes, and
+    run the triangulation identity on the subdivided face simplex and on
+    every subface's simplex.  The report holds ``blowup``, whose model,
+    face and new vector the oracles read.  BlowupError refuses, before
+    anything is built, a blowup that is not crepant and then one checked
+    against another model than ``before``'s.  A crepant blowup of a
+    quasi-SL model is quasi-SL: at each vertex the age functional is 1
+    on every vector, so on the new one, a combination with weights of
+    sum 1.  A blown-up model that is not would be refused, by
+    :func:`cr_report`, with NonIntegralAgeError.  Each identity reads its
+    cones from the blown-up table by facet set (:func:`_star_cones`) and
+    builds no simplex.  The validated star subdivision and each
+    validated induced triangulation are built only by the oracles
+    :func:`validated_star_interior` and :func:`induced_triangulation_sums`.
 
     The blown-up table is :func:`blow_up_table`'s, built on ``lender``,
     a table in the same dimension (``before``'s when it is None): it
@@ -514,13 +519,12 @@ def mckay_check(
         raise BlowupError(f"the blowup of {list(face.facet_set)} was checked against another model than the report's")
     # The faces on the new facet are the interior cones of the
     # triangulations below.
-    blown_groups = blow_up_table(lender or groups, blowup)
-    after = cr_report(blown_groups) if blown_groups.quasi_sl else None
+    after = cr_report(blow_up_table(lender or groups, blowup))
     checks = tuple(
-        check_triangulation_identity(sub, _star_cones(face, sub, blowup.model.m), groups, blown_groups)
+        check_triangulation_identity(sub, _star_cones(face, sub, blowup.model.m), groups, after.groups)
         for sub in subfaces(face, groups.faces)
     )
-    return McKayReport(before, blowup, blown_groups, after, checks)
+    return McKayReport(before, blowup, after, checks)
 
 
 def vertex_orders(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
@@ -643,7 +647,7 @@ def induced_triangulation_sums(mckay: McKayReport, tau: Subdivision) -> Iterator
     for sub in subfaces(face, mckay.before.groups.faces):
         induced = induced_triangulation(sub, tau, model)
         cones = _subdivision_cones(induced.interior, sub, lambda0, model)
-        rhs = check_triangulation_identity(sub, cones, mckay.before.groups, mckay.blown_groups).rhs
+        rhs = check_triangulation_identity(sub, cones, mckay.before.groups, mckay.after.groups).rhs
         if lazy.get(sub) != rhs:
             yield (
                 f"the induced triangulation of {list(sub.facet_set)} sums to {rhs}, "
@@ -677,27 +681,27 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
     returns failure messages.
 
     The base model's report passes every :data:`REPORT_CHECKS` entry
-    (routes, identities, age partition) and its table every
+    (identities, age partition, Euler number, duality) and its table every
     :data:`TABLE_CHECKS` entry on every face.  Every crepant candidate,
     a :class:`Blowup` built from the table (:func:`crepant_candidates`)
-    and so not checked again, must pass its McKay check, which runs the
-    report checks on the blown-up model's
-    report; a blown-up table that stays quasi-SL then runs the table
-    checks on the faces of the new facet, the others being the base
-    table's.  With ``include_oracle``, the table checks include the
-    oracles, and the validated star subdivision of each McKay report's
-    blowup is built once: the cones of its interior are compared with
-    those the check read and each subface's triangulation sum with the
-    validated induced triangulation's, and the blown-up model is
-    compared with its full validation.
+    and so not checked again, runs its McKay check, whose named
+    failures (:meth:`McKayReport.failures`) are reported with the
+    blowup, and then the table checks on the faces of the new facet,
+    the others being the base table's.  With ``include_oracle``, the
+    table checks include the oracles, and the validated star
+    subdivision of each McKay report's blowup is built once: the cones
+    of its interior are compared with those the check read and each
+    subface's triangulation sum with the validated induced
+    triangulation's, and the blown-up model is compared with its full
+    validation.
 
     A blown-up model's vertex list depends on the face alone, and
     :func:`crepant_candidates` yields the candidates of one face one
     after another.  So each blown-up table after the first at a face is
-    built on the one before it when that one stayed quasi-SL, its report
-    having built every group: the two share one face lattice, and the
-    groups off the new facet.  Otherwise it is built on the base table.
-    At most two blown-up tables are alive at a time.
+    built on the one before it, whose report has built every group: the
+    two share one face lattice, and the groups off the new facet.  The
+    first at a face is built on the base table.  At most two blown-up
+    tables are alive at a time.
     """
     model = table.model
     label = model.name or "<model>"
@@ -706,19 +710,13 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
     failures += [f"{label}: {text}" for text in table_failures(table, table.groups, include_oracle)]
     mckay = None
     for blowup in crepant_candidates(table):
-        lender = None
-        if mckay is not None and mckay.blowup.face == blowup.face and mckay.quasi_sl_after:
-            lender = mckay.blown_groups
+        lender = mckay.after.groups if mckay is not None and mckay.blowup.face == blowup.face else None
         mckay = mckay_check(report, blowup, lender)
         prefix = f"{label}: crepant blowup at {list(blowup.face.facet_set)}"
-        if not mckay.quasi_sl_after:
-            failures.append(f"{prefix} loses integral ages")
-        if not mckay.verdict:
-            failures.append(f"{prefix} changes the Betti numbers")
-        if mckay.quasi_sl_after:
-            blown = mckay.blown_groups
-            on_new_facet = [g for g in blown.groups if model.m in g.face.facet_set]
-            failures += [f"{prefix}: {text}" for text in table_failures(blown, on_new_facet, include_oracle)]
+        failures += [f"{prefix}: {text}" for text in mckay.failures()]
+        blown = mckay.after.groups
+        on_new_facet = [g for g in blown.groups if model.m in g.face.facet_set]
+        failures += [f"{prefix}: {text}" for text in table_failures(blown, on_new_facet, include_oracle)]
         if include_oracle:
             failures += [f"{prefix}: {text}" for text in validated_blowup(mckay)]
             tau = star_subdivide(blowup)

@@ -274,14 +274,14 @@ def _cmd_mckay(args) -> int:
     payload = {
         "verdict": report.verdict,
         "lambda0": list(blowup.lambda0),
-        "quasi_sl_after_blowup": report.quasi_sl_after,
+        "quasi_sl_after_blowup": report.after.groups.quasi_sl,
         "pp_cr": {
             "before": list(report.before.pp_cr.coeffs),
-            "after": list(report.after.pp_cr.coeffs) if report.after else None,
+            "after": list(report.after.pp_cr.coeffs),
         },
         "routes_agree": {
             "before": report.before.routes_agree,
-            "after": report.after.routes_agree if report.after else None,
+            "after": report.after.routes_agree,
         },
         "triangulation_checks": [
             {"face": list(c.face.facet_set), "pass": c.passed}

@@ -84,7 +84,7 @@ def test_criterion_2_z3_resolution(z3):
     tau = star_subdivide(blowup)
     vertex = tau.ambient_face
     cones = _subdivision_cones(tau.interior, vertex, blowup.lambda0, z3)
-    assert check_triangulation_identity(vertex, cones, groups, result.blown_groups).passed
+    assert check_triangulation_identity(vertex, cones, groups, result.after.groups).passed
     report("2 (order-3 corner resolution)", started, limit=1.0)
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import qtorb.blowup as blowup_mod
+import qtorb.cohomology as cohomology_mod
 import qtorb.sectors as sectors_mod
 from qtorb import (
     BlowupError,
@@ -425,7 +426,7 @@ def test_mckay_wp112(wp112):
     spec = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
     report = mckay_check(cr_report(LocalGroupTable(wp112)), spec)
     assert report.verdict
-    assert report.quasi_sl_after
+    assert report.after.groups.quasi_sl
     assert report.before.pp_cr == Poly([1, 2, 1])
     assert report.after.pp_cr == Poly([1, 2, 1])
     assert len(report.triangulation_checks) == 1
@@ -521,9 +522,39 @@ def test_box_partition_computes_each_point_once(monkeypatch, corpus):
 
 
 def test_lemma_quasi_sl_preserved_on_corpus(corpus):
-    for model in corpus:
-        for blowup in crepant_candidates(LocalGroupTable(model)):
-            assert LocalGroupTable(blow_up(blowup)).quasi_sl
+    """A crepant blowup of a quasi-SL model is quasi-SL: at each vertex the
+    age functional is 1 on every vector, so on the new one, whose weights
+    sum to 1.  Checked on a fresh table of every crepant candidate of the
+    corpus and of ``generate_test_tables(s, 20, n)``, s = 1..3, n = 2, 3,
+    4."""
+    tables = [LocalGroupTable(model) for model in corpus]
+    tables += [table for n in (2, 3, 4) for seed in (1, 2, 3) for table in generate_test_tables(seed, 20, n)]
+    candidates = 0
+    for table in tables:
+        for blowup in crepant_candidates(table):
+            assert LocalGroupTable(blow_up(blowup)).quasi_sl, (table.model.name, blowup)
+            candidates += 1
+    assert candidates > 100
+
+
+def test_a_blown_up_model_that_is_not_quasi_sl_is_refused(monkeypatch, capsys, wp112):
+    """``mckay_check`` has no branch for a blown-up model that is not
+    quasi-SL, which the lemma rules out: under a faulty ``blow_up`` that
+    returns wp112 blown up at [0, 2] with the new vector (2, 3), whose
+    vertex [0, 3] has an element of age 2/3, the blown-up model's report
+    refuses it with NonIntegralAgeError, and ``qtorb mckay`` exits 2
+    printing only the error object."""
+    blowup = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
+    faulty = _validated_blowup(wp112, replace(blowup, lambda0=(2, 3)))
+    monkeypatch.setattr(blowup_mod, "blow_up", lambda _: faulty)
+    text = "non-integral age 2/3 at face [0, 3] for coefficients ['1/3', '1/3']"
+    with pytest.raises(NonIntegralAgeError) as refused:
+        mckay_check(cr_report(LocalGroupTable(wp112)), blowup)
+    assert str(refused.value) == text
+    rc = main(["mckay", str(ROOT / "models" / "wp112.json"), "--face", "0,2", "--weights", "1/2,1/2"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    assert json.loads(out) == {"error": text}
 
 
 def test_mckay_on_corpus(corpus):
@@ -533,8 +564,74 @@ def test_mckay_on_corpus(corpus):
         for blowup in crepant_candidates(before.groups):
             report = mckay_check(before, blowup)
             assert report.verdict, (model.name, blowup)
+            assert report.verdict == (before.all_pass and not list(report.failures()))
             count += 1
     assert count > 0
+
+
+def _perturbed_route_after_the_blowup(patch, model):
+    """The direct route plus 1 on every table but ``model``'s."""
+    real = cohomology_mod.pp_cr_direct
+    patch.setattr(cohomology_mod, "pp_cr_direct", lambda t: real(t) + Poly([1]) * (t.model != model))
+
+
+def _lossy_triangulation_checks(patch, model):
+    """Triangulation identities that read every cone but the first."""
+    real = blowup_mod.check_triangulation_identity
+    patch.setattr(
+        blowup_mod, "check_triangulation_identity", lambda face, cones, *tables: real(face, list(cones)[1:], *tables)
+    )
+
+
+def _polytope_partition_fails_after_the_blowup(patch, model):
+    """The age partition fails at the polytope on every table but
+    ``model``'s."""
+    real = cohomology_mod.check_age_partition
+    patch.setattr(
+        cohomology_mod,
+        "check_age_partition",
+        lambda t: [(face, ok and (t.model == model or face.codim > 0)) for face, ok in real(t)],
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate, expected",
+    [
+        (
+            _perturbed_route_after_the_blowup,
+            [
+                "blown-up model: identity newpon fails (2 + 2*s + 2*s^2 + s^3 != 1 + 2*s + 2*s^2 + s^3)",
+                "blown-up model: identity closures fails (2 + 2*s + 2*s^2 + s^3 != 1 + 2*s + 2*s^2 + s^3)",
+                "blown-up model: the Chen-Ruan Betti numbers sum to 7, not the orbifold Euler number 6",
+                "blown-up model: the Chen-Ruan polynomial [2, 2, 2, 1] is not palindromic of degree 3",
+                "changes the Betti numbers (1 + 2*s + 2*s^2 + s^3 != 2 + 2*s + 2*s^2 + s^3)",
+            ],
+        ),
+        (
+            _lossy_triangulation_checks,
+            ["triangulation identity fails at [0, 1, 2] (1 + s + s^2 != 3*s)"],
+        ),
+        (
+            _polytope_partition_fails_after_the_blowup,
+            ["blown-up model: age partition fails at face []"],
+        ),
+    ],
+    ids=["betti", "triangulation", "age_partition"],
+)
+def test_each_mckay_failure_is_named(monkeypatch, z3, mutate, expected):
+    """A fault in one part of the McKay check of the tetrahedron's
+    crepant blowup at [0, 1, 2] is named by what failed, in the order of
+    ``McKayReport.failures``, and ``identity_failures`` reports exactly
+    those texts with the blowup; the verdict is that no failure is
+    named."""
+    before = cr_report(LocalGroupTable(z3))
+    (blowup,) = crepant_candidates(before.groups)
+    mutate(monkeypatch, z3)
+    report = mckay_check(before, blowup)
+    assert list(report.failures()) == expected
+    assert before.all_pass and not report.verdict
+    prefix = "z3-tetrahedron: crepant blowup at [0, 1, 2]"
+    assert identity_failures(before.groups) == [f"{prefix}: {text}" for text in expected]
 
 
 def test_iterated_blowups(z3):
@@ -828,15 +925,25 @@ def _fuzz_n4_1():
 def test_blown_table_vertex_order_is_checked_without_the_oracle(monkeypatch):
     """The order-4 vertex (0, 1, 2, 5) of the blown-up model built as the
     trivial group fails its order against |det| on the default path,
-    reported with the blowup, after the candidate's verdict."""
+    reported with the blowup, after the McKay check's named failures: the
+    blown-up model's strata route and age partition, and the identity of
+    the vertex (0, 1, 2, 4) whose cone it is.  The direct route, and so
+    PP_CR, is kept."""
     model = _fuzz_n4_1()
     assert identity_failures(LocalGroupTable(model), include_oracle=True) == []
     _mislabel_as_trivial(monkeypatch, (0, 1, 2, 5))
     failures = identity_failures(LocalGroupTable(model))
     prefix = "fuzz-n4-1: crepant blowup at [0, 4]"
-    order = f"{prefix}: group order 1 is not |det| 4 at vertex [0, 1, 2, 5]"
-    assert failures[:2] == [f"{prefix} changes the Betti numbers", order]
+    assert failures[:5] == [
+        f"{prefix}: blown-up model: identity newpon fails "
+        "(1 + 5*s + 5*s^2 + 5*s^3 + s^4 != 1 + 2*s + 5*s^2 + 5*s^3 + s^4)",
+        f"{prefix}: blown-up model: age partition fails at face [0, 1, 2, 5]",
+        f"{prefix}: triangulation identity fails at [0, 1, 2, 4] (1 + 4*s != 1 + s)",
+        f"{prefix}: group order 1 is not |det| 4 at vertex [0, 1, 2, 5]",
+        f"{prefix}: box partition fails at vertex [0, 1, 2, 5]",
+    ]
     assert all(f.startswith(prefix) for f in failures)
+    assert not any("changes the Betti numbers" in f for f in failures)
 
 
 def test_blown_table_box_enumeration_is_an_oracle(monkeypatch):
@@ -848,6 +955,20 @@ def test_blown_table_box_enumeration_is_an_oracle(monkeypatch):
     message = "fuzz-n4-1: crepant blowup at [0, 4]: box enumeration disagrees with exhaustion at [0, 5]"
     assert message not in identity_failures(LocalGroupTable(model))
     assert message in identity_failures(LocalGroupTable(model), include_oracle=True)
+
+
+def _mutation_tables():
+    """The tables the mutation tests run on: the shipped models, the z4
+    tetrahedron and ``generate_test_tables(1, 10, n=3)``."""
+    models = [parse_model(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "models").glob("*.json"))]
+    models.append(_z4_tetra_blowups()[0][0])
+    return [LocalGroupTable(model) for model in models] + list(generate_test_tables(1, 10, n=3))
+
+
+def _all_checks_failures(table):
+    """The failure texts of every report check and every table check,
+    the oracles included."""
+    return list(cr_report(table).failures()) + table_failures(table, table.groups, True)
 
 
 def _plus_one_at_psi0(real):
@@ -879,23 +1000,70 @@ def test_each_oracle_table_check_can_fail_alone(monkeypatch, name, mutate, text)
     no other check of ``TABLE_CHECKS`` or ``REPORT_CHECKS``: on the
     shipped models, the z4 tetrahedron and
     ``generate_test_tables(1, 10, n=3)``."""
-    models = [parse_model(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "models").glob("*.json"))]
-    models.append(_z4_tetra_blowups()[0][0])
-    tables = [LocalGroupTable(model) for model in models] + list(generate_test_tables(1, 10, n=3))
-
-    def failures(table):
-        return list(cr_report(table).failures()) + table_failures(table, table.groups, True)
-
-    assert all(failures(table) == [] for table in tables)
+    tables = _mutation_tables()
+    assert all(_all_checks_failures(table) == [] for table in tables)
     monkeypatch.setattr(blowup_mod, name, mutate(getattr(blowup_mod, name)))
     for table in tables:
         checked = [
             g.face for g in table.groups if g.face.codim and lattice_index(g.columns) <= ORACLE_MAX_ORDER
         ]
         expected = [f"{text} at {re.escape(str(list(face.facet_set)))}" for face in checked]
-        found = failures(table)
+        found = _all_checks_failures(table)
         assert checked and len(found) == len(expected), table.model.name
         assert all(re.fullmatch(pattern, line) for pattern, line in zip(expected, found)), found
+
+
+def _one_off_in_a_long_point_list(real):
+    """``LocalGroup.point_rows`` that adds 1 to the first coordinate of
+    the last point of any list longer than the group has columns."""
+
+    def point_rows(group, indices):
+        rows = real(group, indices)
+        if len(indices) > len(group.columns):
+            rows[-1] = (rows[-1][0] + 1,) + rows[-1][1:]
+        return rows
+
+    return point_rows
+
+
+def _containing_without_the_polytope(real):
+    """``check_age_partition`` that reads each list of containing sector
+    groups without its first piece, the polytope."""
+
+    def check_age_partition(table):
+        containing = table.sector_groups_containing
+        table.sector_groups_containing = lambda face: containing(face)[1:]
+        try:
+            return real(table)
+        finally:
+            del table.sector_groups_containing
+
+    return check_age_partition
+
+
+@pytest.mark.parametrize(
+    "module, name, mutate, text, count",
+    [
+        (sectors_mod.LocalGroup, "point_rows", _one_off_in_a_long_point_list, "box partition fails at vertex", 57),
+        (cohomology_mod, "check_age_partition", _containing_without_the_polytope, "age partition fails at face", 205),
+    ],
+    ids=["box_partition", "age_partition"],
+)
+def test_each_partition_check_can_fail_alone(monkeypatch, module, name, mutate, text, count):
+    """A mutation of what a partition check reads fails that check and no
+    other check of ``TABLE_CHECKS`` or ``REPORT_CHECKS``, the oracles
+    included, on the tables of the oracle mutations above: ``count``
+    times in all.  Without the polytope every face's age partition
+    fails; a point list is long at the vertices of order above n and at
+    faces with more interior elements than columns."""
+    tables = _mutation_tables()
+    assert all(_all_checks_failures(table) == [] for table in tables)
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    found = [line for table in tables for line in _all_checks_failures(table)]
+    assert len(found) == count
+    assert all(re.fullmatch(rf"{text} \[[\d, ]*\]", line) for line in found), found
+    if name == "check_age_partition":
+        assert found == [f"{text} {list(g.face.facet_set)}" for table in tables for g in table.groups]
 
 
 @pytest.mark.parametrize("order", [1000, 1])
@@ -1032,7 +1200,7 @@ def test_join_equals_induced_triangulation_on_every_subface(crepant_blowups):
             )
             cones = _subdivision_cones(induced.interior, sub, blowup.lambda0, model)
             assert sorted(_star_cones(blowup.face, sub, model.m)) == cones
-            oracle = check_triangulation_identity(sub, cones, report.before.groups, report.blown_groups)
+            oracle = check_triangulation_identity(sub, cones, report.before.groups, report.after.groups)
             assert check.rhs == oracle.rhs
             assert check.passed and oracle.passed
             proper += bool(extra)
@@ -1075,8 +1243,9 @@ def test_mckay_fails_without_an_interior_simplex(monkeypatch, crepant_blowups):
 @pytest.mark.parametrize("repeat", [False, True], ids=["drop", "repeat"])
 def test_a_wrong_star_interior_is_named_by_the_oracle(monkeypatch, crepant_blowups, prism, repeat):
     """Derived star cones that lack a cone or hold one twice fail the
-    verdict on the default path, and the oracle that compares them with
-    the validated star subdivision's names the face."""
+    verdict on the default path, through the triangulation identity of
+    every subface, and the oracle that compares them with the validated
+    star subdivision's names the face."""
     mutated = 0
     for model, blowup, _ in crepant_blowups[::3] + _z4_tetra_blowups():
         table = LocalGroupTable(model)
@@ -1099,12 +1268,19 @@ def test_a_wrong_star_interior_is_named_by_the_oracle(monkeypatch, crepant_blowu
         f"{prefix}: the derived interior of the star subdivision of [0, 1] "
         f"({3 + (1 if repeat else -1)} simplices) is not the validated one (3 simplices)"
     )
+    # The first cone is the new vector's ray, with the subface's other
+    # facets, of age polynomial 1: dropping it takes s - 1 from each
+    # sum, repeating it adds s - 1.
+    rhs = "2*s" if repeat else "2"
+    identities = [
+        f"{prefix}: triangulation identity fails at {sub} (1 + s != {rhs})" for sub in ([0, 1], [0, 1, 3], [0, 1, 4])
+    ]
     with monkeypatch.context() as patch:
         _mutate_star_cones(patch, 0, repeat)
         default = identity_failures(LocalGroupTable(prism))
         oracle = identity_failures(LocalGroupTable(prism), include_oracle=True)
-    assert default == [f"{prefix} changes the Betti numbers"]
-    assert oracle[:2] == [f"{prefix} changes the Betti numbers", row]
+    assert default == identities
+    assert oracle[:4] == identities + [row]
 
 
 def test_mckay_fails_without_the_extra_vectors(monkeypatch, crepant_blowups):
@@ -1152,13 +1328,15 @@ def test_oracle_reports_a_lazy_sum_that_disagrees(monkeypatch, prism):
             return real_mckay(before, spec, lender)
 
     monkeypatch.setattr(blowup_mod, "mckay_check", mckay)
-    betti = "prism: crepant blowup at [0, 1] changes the Betti numbers"
-    assert identity_failures(LocalGroupTable(prism)) == [betti]
-    failures = identity_failures(LocalGroupTable(prism), include_oracle=True)
-    assert failures[0] == betti
     subfaces = [[0, 1], [0, 1, 3], [0, 1, 4]]
-    assert len(failures) == 1 + len(subfaces)
-    for message, sub in zip(failures[1:], subfaces):
+    identities = [
+        f"prism: crepant blowup at [0, 1]: triangulation identity fails at {sub} (1 + s != 2)" for sub in subfaces
+    ]
+    assert identity_failures(LocalGroupTable(prism)) == identities
+    failures = identity_failures(LocalGroupTable(prism), include_oracle=True)
+    assert failures[: len(subfaces)] == identities
+    assert len(failures) == 2 * len(subfaces)
+    for message, sub in zip(failures[len(subfaces):], subfaces):
         assert message.startswith(
             f"prism: crepant blowup at [0, 1]: the induced triangulation of {sub} sums to "
         )

@@ -965,7 +965,9 @@ def test_ehrhart_runs_one_triangular_basis_per_proper_face(capsys, monkeypatch, 
 def test_mckay_verdict_reads_the_blown_models_identities(capsys, monkeypatch, z3):
     """An identity that fails on the blown-up model alone fails the McKay
     verdict, in ``qtorb mckay`` and in ``identity_failures``, although
-    the three routes agree and PP_CR is kept."""
+    the three routes agree and PP_CR is kept: ``identity_failures``
+    names the blown-up model's age partition at each of its faces, and
+    no change of the Betti numbers."""
     import qtorb.cohomology as cohomology_mod
     from qtorb import identity_failures
 
@@ -985,8 +987,11 @@ def test_mckay_verdict_reads_the_blown_models_identities(capsys, monkeypatch, z3
     assert report["verdict"] is False
     assert report["routes_agree"] == {"before": True, "after": True}
     assert report["pp_cr"]["before"] == report["pp_cr"]["after"]
-    failures = identity_failures(LocalGroupTable(z3))
-    assert failures and all("changes the Betti numbers" in f for f in failures)
+    blown = LocalGroupTable(blow_up(make_blowup_spec(z3, (0, 1, 2), ["1/3"] * 3)))
+    prefix = "z3-tetrahedron: crepant blowup at [0, 1, 2]: blown-up model"
+    assert identity_failures(LocalGroupTable(z3)) == [
+        f"{prefix}: age partition fails at face {list(face.facet_set)}" for face in blown.faces
+    ]
 
 
 def test_ehrhart_oracle_plans_once_per_proper_face(capsys, monkeypatch):
