@@ -11,8 +11,9 @@ describes a blowup, :class:`Blowup`: the model, the face, its weights
 and the new vector.  A spec from outside is checked once, by
 :func:`make_blowup_spec` (a face of codimension at least 2, one positive
 weight per facet, their weighted sum of vectors a primitive integer
-vector); :func:`crepant_candidates` builds its Blowups from a table's
-box elements, which meet every condition of that check by construction.
+vector); :func:`crepant_candidates` builds its Blowups from a quasi-SL
+table's box elements, which meet every condition of that check by
+construction.
 ``blow_up``, ``blow_up_table``, ``star_subdivide`` and ``mckay_check``
 take a Blowup and check nothing of it again.  The blown-up model is
 derived from its base: given a checked blowup, full model validation
@@ -208,14 +209,23 @@ def blow_up_table(table: LocalGroupTable, blowup: Blowup) -> LocalGroupTable:
 
 def crepant_candidates(table: LocalGroupTable) -> list[Blowup]:
     """Every crepant blowup the table's model admits: interior box
-    elements of age exactly 1 with a primitive lattice point, over all
-    faces of codimension at least 2, on the table's own Face.  Each
-    meets every condition :func:`make_blowup_spec` checks, so none is
-    checked again: the face is one of the table's, of codimension at
-    least 2; an interior element has one coefficient per facet, each in
-    (0, 1); its point, the weighted sum, is integral by construction
-    (``LocalGroup._point``); and the filter keeps primitive points
-    alone."""
+    elements of age exactly 1, over all faces of codimension at least 2,
+    on the table's own Face.  The model must be quasi-SL, and a table
+    that is not raises :class:`NonIntegralAgeError` first
+    (:meth:`LocalGroupTable.ensure_quasi_sl`).  Each candidate meets
+    every condition :func:`make_blowup_spec` checks, so none is checked
+    again: the face is one of the table's, of codimension at least 2; an
+    interior element has one coefficient per facet, each in (0, 1); and
+    its point, the weighted sum, is integral by construction
+    (``LocalGroup._point``).
+
+    The point is primitive too, so no filter tests it.  Suppose
+    p = sum(c_j * lambda_j), with every c_j in (0, 1) and sum(c_j) = 1,
+    were d * q for some d >= 2 and q in the lattice.  Then
+    q = sum((c_j / d) * lambda_j) with every coefficient in (0, 1 / d),
+    so q is a box element of the face of age 1 / d, and a quasi-SL
+    model has no box element of fractional age."""
+    table.ensure_quasi_sl()
     out = []
     for group in table.groups:
         if group.face.codim < 2:
@@ -223,8 +233,7 @@ def crepant_candidates(table: LocalGroupTable) -> list[Blowup]:
         for i in group.interior:
             if sum(group.numerators[i]) == group.exponent:
                 element = group.box_element(i)
-                if is_primitive(element.point):
-                    out.append(Blowup(table.model, group.face, element.coeffs, element.point))
+                out.append(Blowup(table.model, group.face, element.coeffs, element.point))
     return out
 
 

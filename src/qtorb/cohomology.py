@@ -51,13 +51,15 @@ def _sum(polys) -> Poly:
 def pp_cr_direct(table: LocalGroupTable) -> Poly:
     """Chen-Ruan polynomial from the sector decomposition: each interior
     box element g of each face contributes s^age(g) times the face's
-    ordinary polynomial, added into one coefficient list."""
+    ordinary polynomial, added into one coefficient list.  The ages are
+    read from the coefficient sums (:meth:`LocalGroup.interior_ages`),
+    one divmod per sector."""
     table.ensure_quasi_sl()
     total: list[int] = []
+    h_vectors = table.sector_h_vectors
     for facet_set, group in table.sector_groups.items():
-        h = table.sector_h_vectors[facet_set]
-        for i in group.interior:
-            age = group.age(i)
+        h = h_vectors[facet_set]
+        for age in group.interior_ages():
             if age + len(h) > len(total):
                 total.extend([0] * (age + len(h) - len(total)))
             for j, c in enumerate(h, age):
@@ -93,12 +95,13 @@ def check_age_partition(table: LocalGroupTable) -> list[tuple[Face, bool]]:
     face is partitioned by the interiors of its superfaces).  The sum
     reads ``table.sector_groups_containing``: a face without interior
     elements adds zero.  Most faces share their list of containing
-    sector groups, so each distinct list is summed once."""
+    sector groups, so each distinct list, keyed by the identity of its
+    pieces, is summed once."""
     out = []
-    sums: dict[tuple[tuple[int, ...], ...], Poly] = {}
+    sums: dict[tuple[int, ...], Poly] = {}
     for group in table.groups:
         pieces = table.sector_groups_containing(group.face)
-        key = tuple(other.face.facet_set for other in pieces)
+        key = tuple(map(id, pieces))
         rhs = sums.get(key)
         if rhs is None:
             rhs = sums[key] = _sum(other.interior_age_polynomial for other in pieces)

@@ -120,11 +120,12 @@ def triangular_form(m: IntMat) -> IntMat:
 
     m has n rows and k independent columns, and H is k x k.  Column c is
     cleared below row c by Euclid: the row with the smallest nonzero
-    entry in the column (the first such row) is swapped into row c, and
-    every row below takes its multiples off that pivot, until the pivot
-    is alone.  The rows are copied as given, unconverted.  Raises
-    :class:`RankDeficientError` for dependent columns and ValueError for
-    a ragged matrix.
+    |entry| in the column (the first such row), found by one plain loop
+    that skips the zero entries, is swapped into row c, and every row
+    below with a nonzero quotient takes its multiples off that pivot,
+    until the pivot is alone.  The rows are copied as given,
+    unconverted.  Raises :class:`RankDeficientError` for dependent
+    columns and ValueError for a ragged matrix.
     """
     a = [list(row) for row in m]
     nrows = len(a)
@@ -132,21 +133,32 @@ def triangular_form(m: IntMat) -> IntMat:
     if any(len(row) != ncols for row in a):
         raise ValueError("ragged matrix")
     for c in range(ncols):
-        alone = False
-        while not alone:
-            pivot = min(
-                (r for r in range(c, nrows) if a[r][c]), key=lambda r: abs(a[r][c]), default=None
-            )
-            if pivot is None:
+        while True:
+            pivot, least = c, 0
+            for r in range(c, nrows):
+                x = a[r][c]
+                if x:
+                    if x < 0:
+                        x = -x
+                    if not least or x < least:
+                        pivot, least = r, x
+            if not least:
                 raise RankDeficientError("columns are not linearly independent")
-            a[c], a[pivot] = a[pivot], a[c]
-            top = a[c]
+            top = a[pivot]
+            a[pivot] = a[c]
+            a[c] = top
+            p = top[c]
             alone = True
             for r in range(c + 1, nrows):
-                q = a[r][c] // top[c]
-                if q:
-                    a[r] = [x - q * y for x, y in zip(a[r], top)]
-                alone = alone and not a[r][c]
+                x = a[r][c]
+                if x:
+                    q = x // p
+                    if q:
+                        a[r] = [y - q * z for y, z in zip(a[r], top)]
+                    if x != q * p:
+                        alone = False
+            if alone:
+                break
         if a[c][c] < 0:
             a[c] = [-x for x in a[c]]
     return tuple(map(tuple, a[:ncols]))

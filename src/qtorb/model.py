@@ -263,21 +263,29 @@ def faces(model: Model) -> tuple[Face, ...]:
     In a simple polytope the faces through a vertex are exactly the
     subsets of its facet set, so one pass over the vertices finds every
     face together with its ``vertex_ids``, the vertices it occurs at.
+    The subsets of each size r, the faces of codimension r, go into one
+    dict per codimension, and each dict is sorted by facet set alone.
     ValueError when the |V| 2^n subsets exceed :data:`FACE_SUBSET_LIMIT`.
     """
-    if len(model.vertices) * 2**model.n > FACE_SUBSET_LIMIT:
+    n = model.n
+    if len(model.vertices) * 2**n > FACE_SUBSET_LIMIT:
         raise ValueError(
-            f"the face lattice of {len(model.vertices)} vertices in dimension {model.n} "
+            f"the face lattice of {len(model.vertices)} vertices in dimension {n} "
             f"exceeds the limit of {FACE_SUBSET_LIMIT} vertex facet subsets"
         )
-    vertex_ids: dict[tuple[int, ...], list[int]] = {}
+    by_codim: list[dict[tuple[int, ...], list[int]]] = [{} for _ in range(n + 1)]
     for vid, vert in enumerate(model.vertices):
-        for r in range(model.n + 1):
+        for r, vertex_ids in enumerate(by_codim):
             for facet_set in itertools.combinations(vert, r):
-                vertex_ids.setdefault(facet_set, []).append(vid)
+                ids = vertex_ids.get(facet_set)
+                if ids is None:
+                    vertex_ids[facet_set] = [vid]
+                else:
+                    ids.append(vid)
     return tuple(
-        Face(facet_set=fs, dim=model.n - len(fs), vertex_ids=tuple(vertex_ids[fs]))
-        for fs in sorted(vertex_ids, key=lambda s: (len(s), s))
+        Face(facet_set=fs, dim=n - r, vertex_ids=tuple(vertex_ids[fs]))
+        for r, vertex_ids in enumerate(by_codim)
+        for fs in sorted(vertex_ids)
     )
 
 

@@ -137,23 +137,26 @@ class LocalGroup:
 
     def __init__(self, columns: Sequence[IntVec], ambient_dim: int, face: Face | None = None):
         columns = tuple(tuple(c) for c in columns)
-        exponent, cycles = 1, ()
+        order, exponent, cycles = 1, 1, ()
         if columns:
             h = triangular_form(tuple(zip(*columns, strict=True)))
-            order = math.prod(h[i][i] for i in range(len(h)))
+            for i, row in enumerate(h):
+                order *= row[i]
+        if order > 1:
             generators = _inverse_columns(h, order)
             exponent = math.lcm(*(order // math.gcd(order, *g) for _, g in generators))
-            cycles = tuple(
-                (step, tuple(x * exponent // order % exponent for x in g)) for step, g in generators
-            )
-        self._set(columns, ambient_dim, face, exponent, cycles)
+            # exponent divides order, and generator i over order has
+            # order dividing exponent, so each division is exact.
+            scale = order // exponent
+            cycles = tuple((step, tuple(x // scale % exponent for x in g)) for step, g in generators)
+        self._set(columns, ambient_dim, face, order, exponent, cycles)
 
     @classmethod
     def _trivial(cls, columns: tuple[IntVec, ...], ambient_dim: int, face: Face) -> "LocalGroup":
         """The trivial group of columns that are part of a lattice basis,
         built without a triangular basis."""
         group = cls.__new__(cls)
-        group._set(columns, ambient_dim, face, 1, ())
+        group._set(columns, ambient_dim, face, 1, 1, ())
         return group
 
     def _set(
@@ -161,21 +164,25 @@ class LocalGroup:
         columns: tuple[IntVec, ...],
         ambient_dim: int,
         face: Face | None,
+        order: int,
         exponent: int,
         cycles: tuple[tuple[int, tuple[int, ...]], ...],
     ) -> None:
         """``cycles`` holds (h_ii, numerators of generator i over
-        ``exponent``) for every diagonal entry h_ii > 1.  A group without
-        cycles is trivial and is given the data of its one element, the
-        identity, here: it enumerates nothing."""
+        ``exponent``) for every diagonal entry h_ii > 1, and ``order`` is
+        the product of the h_ii.  A group without cycles is trivial and is
+        given the data of its one element, the identity, here: it
+        enumerates nothing."""
         self.columns = columns
         self.ambient_dim = ambient_dim
         self.face = face
+        self.order = order
         self.exponent = exponent
         self._cycles = cycles
-        self.order = math.prod(step for step, _ in cycles)
-        self.integral_ages = all(sum(gen) % exponent == 0 for _, gen in cycles)
-        if not cycles:
+        if cycles:
+            self.integral_ages = all(sum(gen) % exponent == 0 for _, gen in cycles)
+        else:
+            self.integral_ages = True
             # The identity has age 0; it is interior only when there is
             # no coefficient, at the polytope.
             self.numerators = ((0,) * len(columns),)
@@ -309,6 +316,19 @@ class LocalGroup:
         if rem:
             raise NonIntegralAgeError(self.box_element(i))
         return q
+
+    def interior_ages(self) -> list[int]:
+        """The integral age of every interior element, in :attr:`interior`
+        order, each read from its coefficient sum with one divmod; the
+        first fractional one raises :meth:`age`'s error."""
+        e, sums = self.exponent, self._sums
+        ages = []
+        for i in self.interior:
+            age, rem = divmod(sums[i], e)
+            if rem:
+                self.age(i)
+            ages.append(age)
+        return ages
 
     def _age_counts(self, indices: Iterable[int], sums: Iterable[int]) -> Poly:
         """Sum of s^age over the elements ``indices``, whose coefficient
@@ -492,11 +512,12 @@ class LocalGroupTable:
 
     def _build(self, face: Face) -> LocalGroup:
         model = self.model
-        columns = tuple(model.char_vectors[i] for i in face.facet_set)
-        known = self._lent.get(face.facet_set)
+        facet_set = face.facet_set
+        columns = tuple(map(model.char_vectors.__getitem__, facet_set))
+        known = self._lent.get(facet_set)
         if known is not None and known.columns == columns and known.ambient_dim == model.n:
             return known if known.face is face else known.retagged(face)
-        if face.codim <= 1 or not self._smooth.isdisjoint(face.vertex_ids):
+        if len(facet_set) <= 1 or not self._smooth.isdisjoint(face.vertex_ids):
             return LocalGroup._trivial(columns, model.n, face)
         return LocalGroup(columns, model.n, face)
 
@@ -516,11 +537,19 @@ class LocalGroupTable:
 
     @cached_property
     def groups(self) -> tuple[LocalGroup, ...]:
-        """The group of every face, in ``faces(model)`` order.  Once all
-        are built, the table lets go of ``base``'s groups."""
-        groups = tuple(self._group(facet_set) for facet_set in self._faces)
+        """The group of every face, in ``faces(model)`` order: one loop
+        over the face index reads the groups already built and builds
+        the rest.  Once all are built, the table lets go of ``base``'s
+        groups."""
+        built = self._by_facets
+        groups = []
+        for facet_set, face in self._faces.items():
+            group = built.get(facet_set)
+            if group is None:
+                group = built[facet_set] = self._build(face)
+            groups.append(group)
         self._lent = {}
-        return groups
+        return tuple(groups)
 
     @cached_property
     def quasi_sl(self) -> bool:
@@ -547,12 +576,20 @@ class LocalGroupTable:
                 known[facet_set] = h_vector(group.face, self.faces)
         return {facet_set: known[facet_set] for facet_set in self.sector_groups}
 
+    @cached_property
+    def _sector_facets(self) -> list[tuple[frozenset[int], LocalGroup]]:
+        """Each of the :attr:`sector_groups` with its facet set as a
+        frozenset, in ``faces(model)`` order."""
+        return [(frozenset(fs), group) for fs, group in self.sector_groups.items()]
+
     def sector_groups_containing(self, face: Face) -> list[LocalGroup]:
         """The :attr:`sector_groups` of the faces containing ``face``,
         itself included, in ``faces(model)`` order: in a simple polytope,
-        the faces whose facet set is part of ``face``'s."""
+        the faces whose facet set is part of ``face``'s.  One scan of the
+        table's list of sector facet sets, each a frozenset, tests each
+        against ``face``'s facets."""
         facets = set(face.facet_set)
-        return [g for fs, g in self.sector_groups.items() if facets.issuperset(fs)]
+        return [group for fs, group in self._sector_facets if fs <= facets]
 
     def ensure_quasi_sl(self) -> None:
         """Raise :class:`NonIntegralAgeError` for the first fractional age,

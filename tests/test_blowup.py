@@ -483,9 +483,21 @@ def test_smooth_model_crepant_blowup(cp2):
     assert candidates == []
 
 
+def test_crepant_candidates_refuse_a_table_that_is_not_quasi_sl():
+    """Without a primitivity filter the candidates are right only on a
+    quasi-SL table, so another table is refused by its first fractional
+    age: here the element (1/3, 1/3) at the vertex [0, 2], of age 2/3."""
+    model = make_model(2, 3, [[0, 1], [1, 2], [0, 2]], [(1, 0), (0, 1), (-1, -3)])
+    table = LocalGroupTable(model)
+    assert not table.quasi_sl
+    text = "non-integral age 2/3 at face [0, 2] for coefficients ['1/3', '1/3']"
+    with pytest.raises(NonIntegralAgeError, match=f"^{re.escape(text)}$"):
+        crepant_candidates(table)
+
+
 def test_crepant_candidates_compute_the_points_of_age_one_elements(monkeypatch, corpus):
     """Only an interior element of age 1 can give a crepant blowup, and
-    only its point is computed, once, to test it for primitivity."""
+    only its point is computed, once, as the blowup's new vector."""
     computed = record_points(monkeypatch)
     candidates = skipped = 0
     for model in corpus:

@@ -57,6 +57,20 @@ def test_pp_cr_golden_values(wp112, cp2, z3):
     assert pp_cr_direct(LocalGroupTable(z3)) == Poly([1, 2, 2, 1])
 
 
+def test_pp_is_palindromic_and_counts_the_vertices(corpus, crepant_blowups):
+    """The ordinary polynomial PP of every corpus model and of every
+    crepant blowup of one is the polytope's h-vector: palindromic of
+    degree n (Dehn-Sommerville), and PP(1) = f_0, the number of
+    vertices.  ``perfbench/reference.py`` (``check_pp``) requires both of
+    every ``cr`` and ``betti`` output."""
+    models = list(corpus) + [blown for _, _, blown in crepant_blowups]
+    assert len(models) > len(corpus)
+    for model in models:
+        coeffs = cr_report(LocalGroupTable(model)).pp.coeffs
+        assert len(coeffs) == model.n + 1 and coeffs == coeffs[::-1], (model.name, coeffs)
+        assert sum(coeffs) == len(model.vertices), (model.name, coeffs)
+
+
 def test_three_routes_agree_on_goldens(wp112, cp2, z3, prism):
     for model in (wp112, cp2, z3, prism):
         table = LocalGroupTable(model)

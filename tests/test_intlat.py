@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtorb.intlat import (
@@ -192,14 +192,14 @@ def test_adjugate_edge_shapes():
         adjugate(((1, 2),))
 
 
-def test_snf_identity():
+def test_triangular_form_identity():
     """A lattice basis has Smith invariants 1 and is its own triangular
     form."""
     assert smith_invariants(identity(3)) == (1, 1, 1)
     assert triangular_form(identity(3)) == identity(3)
 
 
-def test_snf_hand_example():
+def test_triangular_form_hand_example():
     m = as_mat([[1, 1], [0, 2]])
     assert smith_invariants(m) == (1, 2)
     assert triangular_form(m) == m
@@ -208,19 +208,19 @@ def test_snf_hand_example():
 
 
 @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[2, 0, 0], [0, 3]]])
-def test_snf_rejects_ragged_matrix(rows):
+def test_triangular_form_rejects_ragged_matrix(rows):
     with pytest.raises(ValueError, match="ragged matrix"):
         triangular_form(rows)
 
 
-def test_snf_of_lists_equals_snf_of_tuples():
+def test_triangular_form_of_lists_equals_triangular_form_of_tuples():
     rows = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
     result = triangular_form(rows)
     assert result == triangular_form(as_mat(rows))
     assert type(result) is tuple and all(type(r) is tuple for r in result)
 
 
-def test_snf_zero_matrix():
+def test_triangular_form_zero_matrix():
     zero = as_mat([[0, 0], [0, 0]])
     assert smith_invariants(zero) == ()
     with pytest.raises(RankDeficientError):
@@ -229,7 +229,7 @@ def test_snf_zero_matrix():
 
 @given(small_rect)
 @settings(max_examples=150)
-def test_snf_properties(m):
+def test_triangular_form_properties(m):
     """For independent columns, the triangular form has a positive
     diagonal whose product is the product of the Smith invariants, and
     the unimodular row operations keep every Smith invariant.  Dependent
@@ -247,13 +247,79 @@ def test_snf_properties(m):
     assert smith_invariants(h) == invariants
 
 
-def test_snf_deterministic(rng):
+def test_triangular_form_deterministic(rng):
     for _ in range(20):
         m = as_mat(
             [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(3)]
         )
         if det(m):
             assert triangular_form(m) == triangular_form(m)
+
+
+def min_pivot_triangular_form(m):
+    """``triangular_form`` as first written, with the pivot found by a
+    ``min()`` over the nonzero rows keyed by |entry| and every row below
+    updated: the reference whose H the library's must equal entry for
+    entry, ties and raised errors included."""
+    a = [list(row) for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    if any(len(row) != ncols for row in a):
+        raise ValueError("ragged matrix")
+    for c in range(ncols):
+        alone = False
+        while not alone:
+            pivot = min(
+                (r for r in range(c, nrows) if a[r][c]), key=lambda r: abs(a[r][c]), default=None
+            )
+            if pivot is None:
+                raise RankDeficientError("columns are not linearly independent")
+            a[c], a[pivot] = a[pivot], a[c]
+            top = a[c]
+            alone = True
+            for r in range(c + 1, nrows):
+                q = a[r][c] // top[c]
+                if q:
+                    a[r] = [x - q * y for x, y in zip(a[r], top)]
+                alone = alone and not a[r][c]
+        if a[c][c] < 0:
+            a[c] = [-x for x in a[c]]
+    return tuple(map(tuple, a[:ncols]))
+
+
+def _outcome(form, rows):
+    """The H that ``form`` returns, or the type and text of its error."""
+    try:
+        return form(rows)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Rows of one to four columns with small entries, so that rows of equal
+# |entry| in a column are common; up to seven rows, so most are tall.
+_rows = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k), max_size=7)
+)
+# Every row twice, once negated, in any order: each column's pivot search
+# meets a tie of equal |entry| between a row and its negation.
+_tied_rows = _rows.flatmap(lambda rows: st.permutations(rows + [[-x for x in row] for row in rows]))
+_ragged_rows = st.lists(st.lists(st.integers(-4, 4), max_size=4), min_size=2, max_size=4)
+
+
+@given(_rows | _tied_rows | _ragged_rows)
+@settings(max_examples=400)
+@example([[2, 1], [-2, 3], [2, 5]])  # three rows tie at |2|: the first is the pivot
+@example([[0, 1], [-3, 2], [3, 0], [1, 1]])  # tall, and the pivot's row moves up
+@example([[-3, 1], [0, -2]])  # both diagonal entries flip their sign
+@example([[1, 2], [2, 4], [3, 6]])  # dependent columns
+@example([[1, 2, 3], [4, 5, 6]])  # more columns than rows
+@example([[1, 2], [3]])  # ragged
+@example([])
+def test_triangular_form_equals_the_min_pivot_reference(rows):
+    """The library's pivot loop, which skips zero entries and updates
+    only the rows with a nonzero quotient, returns exactly the H of the
+    ``min()`` reference, or raises the same error with the same text."""
+    assert _outcome(triangular_form, rows) == _outcome(min_pivot_triangular_form, rows)
 
 
 def test_saturation_index_one_pair():
