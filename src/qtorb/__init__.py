@@ -17,6 +17,8 @@ from .blowup import (
     is_crepant,
     make_blowup_spec,
     mckay_check,
+    passes,
+    run_checks,
     star_subdivide,
 )
 from .cohomology import (

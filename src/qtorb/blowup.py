@@ -21,10 +21,14 @@ could not fail on it, and every new vertex determinant is a weight
 times a base one.  The triangulation identities read their cones from
 the blown-up model's table by facet set, and build no simplex.  A
 crepant blowup of a quasi-SL model is quasi-SL, so every McKay check
-reports on the blown-up model, and its verdict is that it names no
-failure (:meth:`McKayReport.failures`).  Full validation of the derived
-model and the geometry of the star subdivision and of the
-triangulations it induces run as oracles.
+reports on the blown-up model.  Full validation of the derived model and
+the geometry of the star subdivision and of the triangulations it
+induces run as oracles.
+
+Every check lives here, the one module that imports every type a check
+takes, and is named once, in :data:`CHECKS`; :func:`passes` is a
+report's verdict, and :func:`identity_failures` two calls of
+:func:`run_checks`.
 """
 
 from __future__ import annotations
@@ -313,7 +317,7 @@ def _validated_subdivision(
 def star_subdivide(blowup: Blowup) -> Subdivision:
     """Star subdivision of the checked face's simplex at the new vector,
     validated whole: the oracle for the cones that ``mckay_check`` reads
-    (:func:`validated_star_interior`).
+    (:func:`star_subdivision`).
 
     The blowup must be crepant: its weights, strictly positive with sum
     1, are the point's coordinates on the face simplex.  Maximal
@@ -467,7 +471,7 @@ class McKayReport:
     :class:`Blowup` (the model ``before`` reports on, the face, the
     weights and the new vector), the blown-up model's report, whose
     table is ``after.groups``, and the triangulation identity of every
-    subface of the face."""
+    subface of the face.  Its verdict is :func:`passes`."""
 
     before: CrReport
     blowup: Blowup
@@ -477,24 +481,6 @@ class McKayReport:
     @property
     def blown(self) -> Model:
         return self.after.groups.model
-
-    def failures(self) -> Iterator[str]:
-        """The failure texts of the check, in this order: each failure of
-        the blown-up model's report, a Chen-Ruan polynomial that the
-        blowup changes, and each triangulation identity that fails."""
-        for text in self.after.failures():
-            yield f"blown-up model: {text}"
-        if self.before.pp_cr != self.after.pp_cr:
-            yield f"changes the Betti numbers ({self.before.pp_cr} != {self.after.pp_cr})"
-        for check in self.triangulation_checks:
-            if not check.passed:
-                yield f"triangulation identity fails at {list(check.face.facet_set)} ({check.lhs} != {check.rhs})"
-
-    @property
-    def verdict(self) -> bool:
-        """True iff the report before the blowup passes and the check
-        names no failure."""
-        return self.before.all_pass and next(self.failures(), None) is None
 
 
 def mckay_check(
@@ -513,8 +499,8 @@ def mckay_check(
     :func:`cr_report`, with NonIntegralAgeError.  Each identity reads its
     cones from the blown-up table by facet set (:func:`_star_cones`) and
     builds no simplex.  The validated star subdivision and each
-    validated induced triangulation are built only by the oracles
-    :func:`validated_star_interior` and :func:`induced_triangulation_sums`.
+    validated induced triangulation are built only by the oracle
+    :func:`star_subdivision`.
 
     The blown-up table is :func:`blow_up_table`'s, built on ``lender``,
     a table in the same dimension (``before``'s when it is None): it
@@ -534,6 +520,65 @@ def mckay_check(
         for sub in subfaces(face, groups.faces)
     )
     return McKayReport(before, blowup, after, checks)
+
+
+def named_identities(report: CrReport) -> Iterator[str]:
+    """Each named identity of the report holds: its two sides in
+    :attr:`CrReport.identity_sides` are equal.  The last two hold
+    exactly when the three Chen-Ruan routes agree, so no other check
+    compares the routes."""
+    for name, lhs, rhs in report.identity_sides:
+        if lhs != rhs:
+            yield f"identity {name} fails ({lhs} != {rhs})"
+
+
+def age_partition(report: CrReport) -> Iterator[str]:
+    """Each face's age polynomial is the sum of the interior age
+    polynomials of the faces containing it (:func:`check_age_partition`)."""
+    for face, ok in report.morestrat:
+        if not ok:
+            yield f"age partition fails at face {list(face.facet_set)}"
+
+
+def orbifold_euler_number(report: CrReport) -> Iterator[str]:
+    """The Chen-Ruan Betti numbers add up to the orbifold Euler number,
+    PP_CR(1) = the sum of |det| over the vertices, as validation
+    computed them: each vertex box has |det| elements and is partitioned
+    by the interiors of the faces through the vertex, and a sector of a
+    face adds one Betti number per vertex of the face."""
+    total = sum(report.pp_cr.coeffs)
+    euler = sum(map(abs, report.groups.model.vertex_dets))
+    if total != euler:
+        yield f"the Chen-Ruan Betti numbers sum to {total}, not the orbifold Euler number {euler}"
+
+
+def poincare_duality(report: CrReport) -> Iterator[str]:
+    """Chen-Ruan Poincare duality: PP_CR is palindromic of degree n.  The
+    inverse of an interior element of age a at a face of codimension k
+    is interior there too, of age k - a, and the face's h-vector is
+    palindromic of degree n - k."""
+    coeffs, n = report.pp_cr.coeffs, report.groups.model.n
+    if len(coeffs) != n + 1 or coeffs != coeffs[::-1]:
+        yield f"the Chen-Ruan polynomial {list(coeffs)} is not palindromic of degree {n}"
+
+
+def blown_up_report(mckay: McKayReport) -> Iterator[str]:
+    """The blown-up model's report passes every report check."""
+    for text in run_checks({"report": (mckay.after,)}):
+        yield f"blown-up model: {text}"
+
+
+def betti_numbers_kept(mckay: McKayReport) -> Iterator[str]:
+    """The blowup keeps the Chen-Ruan polynomial: the McKay correspondence."""
+    if mckay.before.pp_cr != mckay.after.pp_cr:
+        yield f"changes the Betti numbers ({mckay.before.pp_cr} != {mckay.after.pp_cr})"
+
+
+def triangulation_identities(mckay: McKayReport) -> Iterator[str]:
+    """The triangulation identity of every subface of the face holds."""
+    for check in mckay.triangulation_checks:
+        if not check.passed:
+            yield f"triangulation identity fails at {list(check.face.facet_set)} ({check.lhs} != {check.rhs})"
 
 
 def vertex_orders(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
@@ -611,47 +656,21 @@ def dilate_numerators(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> I
             yield f"dilate-series numerator {list(psi)} does not match ages at {list(face.facet_set)}"
 
 
-# The checks every table must pass, with whether each is an oracle, run
-# only on request; in the order their failures are reported.  Each takes
-# a table and the groups of the faces to check, and yields failure texts.
-TABLE_CHECKS = (
-    (vertex_orders, False),
-    (box_partition, False),
-    (box_enumeration, True),
-    (dilate_numerators, True),
-)
-
-
-def table_failures(table: LocalGroupTable, groups: Sequence[LocalGroup], include_oracle: bool) -> list[str]:
-    """The failure texts of every table check, the oracles only with
-    ``include_oracle``, on the faces of ``groups``."""
-    return [
-        text
-        for check, oracle in TABLE_CHECKS
-        if include_oracle or not oracle
-        for text in check(table, groups)
-    ]
-
-
-def validated_star_interior(mckay: McKayReport, tau: Subdivision) -> Iterator[str]:
-    """Oracle: the cones ``mckay`` read for the face of its blowup are
-    those of the interior of ``tau``, the validated star subdivision of
-    that blowup."""
-    model, face = mckay.blowup.model, mckay.blowup.face
+def star_subdivision(mckay: McKayReport) -> Iterator[str]:
+    """Oracle: the validated star subdivision tau of ``mckay``'s blowup,
+    built once, has the interior whose cones ``mckay`` read for the face
+    of the blowup; and each subface's triangulation sum in ``mckay``
+    equals the one read from the validated induced triangulation, built
+    whole from tau."""
+    model, face, lambda0 = mckay.blowup.model, mckay.blowup.face, mckay.blowup.lambda0
+    tau = star_subdivide(mckay.blowup)
     derived = _star_cones(face, face, model.m)
-    if sorted(derived) != _subdivision_cones(tau.interior, face, mckay.blowup.lambda0, model):
+    if sorted(derived) != _subdivision_cones(tau.interior, face, lambda0, model):
         yield (
             f"the derived interior of the star subdivision of {list(face.facet_set)} "
             f"({len(derived)} simplices) is not the validated one "
             f"({len(tau.interior)} simplices)"
         )
-
-
-def induced_triangulation_sums(mckay: McKayReport, tau: Subdivision) -> Iterator[str]:
-    """Oracle: each subface's triangulation sum in ``mckay`` equals the
-    one read from the validated induced triangulation, built whole from
-    ``tau``, the validated star subdivision of ``mckay``'s blowup."""
-    model, face, lambda0 = mckay.blowup.model, mckay.blowup.face, mckay.blowup.lambda0
     lazy = {check.face: check.rhs for check in mckay.triangulation_checks}
     for sub in subfaces(face, mckay.before.groups.faces):
         induced = induced_triangulation(sub, tau, model)
@@ -684,25 +703,60 @@ def validated_blowup(mckay: McKayReport) -> Iterator[str]:
         )
 
 
+# Every check, once, as (level, oracle, check), in the order failures are
+# reported.  The level names what a check takes: a Chen-Ruan report
+# ("report"), a table and the groups of the faces to check ("table"), or
+# a McKay report ("mckay").  An oracle runs only on request.  A check's
+# name is its function's __name__, and it yields failure texts.
+CHECKS = (
+    ("report", False, named_identities),
+    ("report", False, age_partition),
+    ("report", False, orbifold_euler_number),
+    ("report", False, poincare_duality),
+    ("mckay", False, blown_up_report),
+    ("mckay", False, betti_numbers_kept),
+    ("mckay", False, triangulation_identities),
+    ("table", False, vertex_orders),
+    ("table", False, box_partition),
+    ("table", True, box_enumeration),
+    ("table", True, dilate_numerators),
+    ("mckay", True, validated_blowup),
+    ("mckay", True, star_subdivision),
+)
+
+
+def run_checks(subjects: dict[str, tuple], include_oracle: bool = False) -> Iterator[str]:
+    """The failure texts of every check of :data:`CHECKS` whose level has
+    arguments in ``subjects``, called with them, in the registry's order;
+    the oracles only with ``include_oracle``."""
+    for level, oracle, check in CHECKS:
+        if level in subjects and (include_oracle or not oracle):
+            yield from check(*subjects[level])
+
+
+def passes(report: CrReport | McKayReport) -> bool:
+    """True iff no check but the oracles fails: on a Chen-Ruan report,
+    the report checks; on a McKay report, those of the report before the
+    blowup and the McKay checks."""
+    mckay = isinstance(report, McKayReport)
+    subjects = {"report": (report.before,), "mckay": (report,)} if mckay else {"report": (report,)}
+    return next(run_checks(subjects), None) is None
+
+
 def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> list[str]:
     """Run the full identity suite on the model of one table, the table
     its caller built (``generate_test_tables`` for ``qtorb fuzz``);
     returns failure messages.
 
-    The base model's report passes every :data:`REPORT_CHECKS` entry
-    (identities, age partition, Euler number, duality) and its table every
-    :data:`TABLE_CHECKS` entry on every face.  Every crepant candidate,
-    a :class:`Blowup` built from the table (:func:`crepant_candidates`)
-    and so not checked again, runs its McKay check, whose named
-    failures (:meth:`McKayReport.failures`) are reported with the
-    blowup, and then the table checks on the faces of the new facet,
-    the others being the base table's.  With ``include_oracle``, the
-    table checks include the oracles, and the validated star
-    subdivision of each McKay report's blowup is built once: the cones
-    of its interior are compared with those the check read and each
-    subface's triangulation sum with the validated induced
-    triangulation's, and the blown-up model is compared with its full
-    validation.
+    Two calls of :func:`run_checks` do it, the oracles only with
+    ``include_oracle``.  The base model's report runs the report checks
+    and its table the table checks on every face.  Every crepant
+    candidate, a :class:`Blowup` built from the table
+    (:func:`crepant_candidates`) and so not checked again, runs its McKay
+    check, whose report runs the McKay checks, and the blown-up table
+    runs the table checks on the faces of the new facet, the others
+    being the base table's.  These are reported with the blowup, in the
+    order of :data:`CHECKS`.
 
     A blown-up model's vertex list depends on the face alone, and
     :func:`crepant_candidates` yields the candidates of one face one
@@ -715,20 +769,15 @@ def identity_failures(table: LocalGroupTable, include_oracle: bool = False) -> l
     model = table.model
     label = model.name or "<model>"
     report = cr_report(table)
-    failures = [f"{label}: {text}" for text in report.failures()]
-    failures += [f"{label}: {text}" for text in table_failures(table, table.groups, include_oracle)]
+    base = {"report": (report,), "table": (table, table.groups)}
+    failures = [f"{label}: {text}" for text in run_checks(base, include_oracle)]
     mckay = None
     for blowup in crepant_candidates(table):
         lender = mckay.after.groups if mckay is not None and mckay.blowup.face == blowup.face else None
         mckay = mckay_check(report, blowup, lender)
         prefix = f"{label}: crepant blowup at {list(blowup.face.facet_set)}"
-        failures += [f"{prefix}: {text}" for text in mckay.failures()]
         blown = mckay.after.groups
         on_new_facet = [g for g in blown.groups if model.m in g.face.facet_set]
-        failures += [f"{prefix}: {text}" for text in table_failures(blown, on_new_facet, include_oracle)]
-        if include_oracle:
-            failures += [f"{prefix}: {text}" for text in validated_blowup(mckay)]
-            tau = star_subdivide(blowup)
-            failures += [f"{prefix}: {text}" for text in validated_star_interior(mckay, tau)]
-            failures += [f"{prefix}: {text}" for text in induced_triangulation_sums(mckay, tau)]
+        subjects = {"mckay": (mckay,), "table": (blown, on_new_facet)}
+        failures += [f"{prefix}: {text}" for text in run_checks(subjects, include_oracle)]
     return failures

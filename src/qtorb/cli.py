@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import kernels
-from .blowup import blow_up, identity_failures, is_crepant, make_blowup_spec, mckay_check
+from .blowup import blow_up, identity_failures, is_crepant, make_blowup_spec, mckay_check, passes
 from .cohomology import cr_report
 from .ehrhart import count_from_ages, dilate_counts, face_simplex, numerator_from_counts
 from .model import (
@@ -208,7 +208,7 @@ def _cmd_cr(args) -> int:
         },
     }
     _emit(payload, _sector_listing(table))
-    return 0 if report.all_pass else 1
+    return 0 if passes(report) else 1
 
 
 def _cmd_ehrhart(args) -> int:
@@ -272,7 +272,7 @@ def _cmd_mckay(args) -> int:
     before = cr_report(LocalGroupTable(model))
     report = mckay_check(before, blowup)
     payload = {
-        "verdict": report.verdict,
+        "verdict": passes(report),
         "lambda0": list(blowup.lambda0),
         "quasi_sl_after_blowup": report.after.groups.quasi_sl,
         "pp_cr": {
@@ -294,7 +294,7 @@ def _cmd_mckay(args) -> int:
         },
     }
     _emit(payload)
-    return 0 if report.verdict else 1
+    return 0 if passes(report) else 1
 
 
 def _cmd_fuzz(args) -> int:

@@ -12,8 +12,9 @@ The Chen-Ruan polynomial is computed along three independent routes:
 
 Agreement of the three, together with the per-face age-partition and
 torus-stratification identities, the orbifold Euler number and
-Chen-Ruan Poincare duality, is what the verdict commands certify:
-:data:`REPORT_CHECKS` lists the checks a :class:`CrReport` must pass.
+Chen-Ruan Poincare duality, is what the verdict commands certify.  The
+checks of a :class:`CrReport` live with every other check in the
+registry of :mod:`qtorb.blowup`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .exact import Poly
 from .model import Face
@@ -155,64 +155,6 @@ class CrReport:
             ("newpon", self.pp_cr_direct, self.pp_cr_strata),
             ("closures", self.pp_cr_direct, self.pp_cr_closures),
         )
-
-    def failures(self) -> Iterator[str]:
-        """The failure texts of every report check, in the order of
-        :data:`REPORT_CHECKS`."""
-        for check in REPORT_CHECKS:
-            yield from check(self)
-
-    @property
-    def all_pass(self) -> bool:
-        """True iff no report check fails."""
-        return next(self.failures(), None) is None
-
-
-def named_identities(report: CrReport) -> Iterator[str]:
-    """Each named identity of the report holds: its two sides in
-    :attr:`CrReport.identity_sides` are equal.  The last two hold
-    exactly when the three Chen-Ruan routes agree, so no other check
-    compares the routes."""
-    for name, lhs, rhs in report.identity_sides:
-        if lhs != rhs:
-            yield f"identity {name} fails ({lhs} != {rhs})"
-
-
-def age_partition(report: CrReport) -> Iterator[str]:
-    """Each face's age polynomial is the sum of the interior age
-    polynomials of the faces containing it (:func:`check_age_partition`)."""
-    for face, ok in report.morestrat:
-        if not ok:
-            yield f"age partition fails at face {list(face.facet_set)}"
-
-
-def orbifold_euler_number(report: CrReport) -> Iterator[str]:
-    """The Chen-Ruan Betti numbers add up to the orbifold Euler number,
-    PP_CR(1) = the sum of |det| over the vertices, as validation
-    computed them: each vertex box has |det| elements and is partitioned
-    by the interiors of the faces through the vertex, and a sector of a
-    face adds one Betti number per vertex of the face."""
-    total = sum(report.pp_cr.coeffs)
-    euler = sum(map(abs, report.groups.model.vertex_dets))
-    if total != euler:
-        yield f"the Chen-Ruan Betti numbers sum to {total}, not the orbifold Euler number {euler}"
-
-
-def poincare_duality(report: CrReport) -> Iterator[str]:
-    """Chen-Ruan Poincare duality: PP_CR is palindromic of degree n.  The
-    inverse of an interior element of age a at a face of codimension k
-    is interior there too, of age k - a, and the face's h-vector is
-    palindromic of degree n - k."""
-    coeffs, n = report.pp_cr.coeffs, report.groups.model.n
-    if len(coeffs) != n + 1 or coeffs != coeffs[::-1]:
-        yield f"the Chen-Ruan polynomial {list(coeffs)} is not palindromic of degree {n}"
-
-
-# The checks every Chen-Ruan report must pass, in the order their
-# failures are reported.  Each takes a report and yields failure texts.
-# The last two read only PP_CR, the vertex determinants and n, none of
-# the routes' terms.
-REPORT_CHECKS = (named_identities, age_partition, orbifold_euler_number, poincare_duality)
 
 
 def cr_report(table: LocalGroupTable) -> CrReport:

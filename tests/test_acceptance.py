@@ -27,6 +27,7 @@ from qtorb import (
     faces,
     make_blowup_spec,
     mckay_check,
+    passes,
     pp_cr_direct,
     pp_cr_via_closures,
     pp_cr_via_strata,
@@ -58,7 +59,7 @@ def test_criterion_1_wp112_mckay(wp112):
     assert pp_cr_via_strata(table) == expected
     spec = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
     result = mckay_check(cr_report(table), spec)
-    assert result.verdict
+    assert passes(result)
     assert result.after.pp_cr == expected
     golden = pathlib.Path(__file__).parent.parent / "models" / "wp112.json"
     captured = io.StringIO()
@@ -77,7 +78,7 @@ def test_criterion_2_z3_resolution(z3):
     assert pp_cr_direct(groups) == expected
     blowup = make_blowup_spec(z3, (0, 1, 2), ["1/3", "1/3", "1/3"])
     result = mckay_check(cr_report(groups), blowup)
-    assert result.verdict
+    assert passes(result)
     blown = result.blown
     assert all(abs(det(vertex_matrix(blown, v))) == 1 for v in blown.vertices)
     assert result.after.pp_cr == expected
@@ -117,7 +118,7 @@ def test_criterion_4_identity_suite(corpus):
         lhs, rhs = check_torus_stratification(table)
         assert lhs == rhs
         rep = cr_report(table)
-        assert rep.routes_agree and rep.all_pass
+        assert rep.routes_agree and passes(rep)
         interior = {f.facet_set: interior_elements(table.group(f)) for f in faces(model)}
         for face in faces(model):
             if face.codim != model.n:
@@ -143,7 +144,7 @@ def test_criterion_5_blowup_lemmas(corpus):
             blown = blow_up(blowup)
             assert LocalGroupTable(blown).quasi_sl
             assert pp_cr_direct(LocalGroupTable(blown)) == expected
-            assert mckay_check(before, blowup).verdict
+            assert passes(mckay_check(before, blowup))
             blowups += 1
     assert blowups > 0
     report(f"5 (quasi-SL and Betti invariance over {blowups} blowups)", started)

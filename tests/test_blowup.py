@@ -34,7 +34,9 @@ from qtorb import (
     mckay_check,
     model_to_json,
     parse_model,
+    passes,
     random_unimodular,
+    run_checks,
     star_subdivide,
 )
 from qtorb.blowup import (
@@ -43,7 +45,7 @@ from qtorb.blowup import (
     _star_cones,
     _subdivision_cones,
     _validated_subdivision,
-    table_failures,
+    star_subdivision,
 )
 from qtorb.cli import main
 from qtorb.exact import Poly
@@ -425,7 +427,7 @@ def test_weights_pair_with_the_face_as_given(wp112):
 def test_mckay_wp112(wp112):
     spec = make_blowup_spec(wp112, (0, 2), ["1/2", "1/2"])
     report = mckay_check(cr_report(LocalGroupTable(wp112)), spec)
-    assert report.verdict
+    assert passes(report)
     assert report.after.groups.quasi_sl
     assert report.before.pp_cr == Poly([1, 2, 1])
     assert report.after.pp_cr == Poly([1, 2, 1])
@@ -435,7 +437,7 @@ def test_mckay_wp112(wp112):
 def test_mckay_z3(z3):
     spec = make_blowup_spec(z3, (0, 1, 2), ["1/3", "1/3", "1/3"])
     report = mckay_check(cr_report(LocalGroupTable(z3)), spec)
-    assert report.verdict
+    assert passes(report)
     assert report.before.pp_cr == Poly([1, 2, 2, 1])
     assert report.after.pp_cr == Poly([1, 2, 2, 1])
     # the blown-up model is smooth, so its polynomial is purely ordinary
@@ -445,7 +447,7 @@ def test_mckay_z3(z3):
 def test_mckay_prism_edge(prism):
     spec = make_blowup_spec(prism, (0, 1), ["1/2", "1/2"])
     report = mckay_check(cr_report(LocalGroupTable(prism)), spec)
-    assert report.verdict
+    assert passes(report)
     assert report.before.pp_cr == Poly([1, 3, 3, 1])
     # the edge and the two vertices on it each get a triangulation check
     assert sorted(c.face.facet_set for c in report.triangulation_checks) == [
@@ -472,7 +474,7 @@ def test_mckay_check_refuses_a_blowup_checked_against_another_model(wp112):
     text = "the blowup of [0, 2] was checked against another model than the report's"
     with pytest.raises(BlowupError, match=f"^{re.escape(text)}$"):
         mckay_check(cr_report(LocalGroupTable(flipped)), blowup)
-    assert mckay_check(cr_report(LocalGroupTable(parse_model(model_to_json(wp112)))), blowup).verdict
+    assert passes(mckay_check(cr_report(LocalGroupTable(parse_model(model_to_json(wp112)))), blowup))
 
 
 def test_smooth_model_crepant_blowup(cp2):
@@ -575,8 +577,8 @@ def test_mckay_on_corpus(corpus):
         before = cr_report(LocalGroupTable(model))
         for blowup in crepant_candidates(before.groups):
             report = mckay_check(before, blowup)
-            assert report.verdict, (model.name, blowup)
-            assert report.verdict == (before.all_pass and not list(report.failures()))
+            assert passes(report), (model.name, blowup)
+            assert passes(report) == (passes(before) and not list(run_checks({"mckay": (report,)})))
             count += 1
     assert count > 0
 
@@ -633,15 +635,14 @@ def _polytope_partition_fails_after_the_blowup(patch, model):
 def test_each_mckay_failure_is_named(monkeypatch, z3, mutate, expected):
     """A fault in one part of the McKay check of the tetrahedron's
     crepant blowup at [0, 1, 2] is named by what failed, in the order of
-    ``McKayReport.failures``, and ``identity_failures`` reports exactly
-    those texts with the blowup; the verdict is that no failure is
-    named."""
+    the McKay checks, and ``identity_failures`` reports exactly those
+    texts with the blowup; the verdict is that no failure is named."""
     before = cr_report(LocalGroupTable(z3))
     (blowup,) = crepant_candidates(before.groups)
     mutate(monkeypatch, z3)
     report = mckay_check(before, blowup)
-    assert list(report.failures()) == expected
-    assert before.all_pass and not report.verdict
+    assert list(run_checks({"mckay": (report,)})) == expected
+    assert passes(before) and not passes(report)
     prefix = "z3-tetrahedron: crepant blowup at [0, 1, 2]"
     assert identity_failures(before.groups) == [f"{prefix}: {text}" for text in expected]
 
@@ -695,7 +696,7 @@ def _assert_equals_fresh(table):
         assert a.box_elements() == b.box_elements()
     assert table.sector_h_vectors == fresh.sector_h_vectors
     assert cr_report(table) == cr_report(fresh)
-    assert table_failures(table, table.groups, False) == table_failures(fresh, fresh.groups, False) == []
+    assert list(run_checks({"table": (table, table.groups)})) == list(run_checks({"table": (fresh, fresh.groups)})) == []
 
 
 def test_blown_table_from_base_equals_fresh_table(crepant_blowups):
@@ -870,7 +871,7 @@ def test_mckay_check_checks_its_spec_once(monkeypatch, crepant_blowups):
     for model, blowup, _ in crepant_blowups:
         before = cr_report(LocalGroupTable(model))
         calls.clear()
-        assert mckay_check(before, blowup_mod.make_blowup_spec(model, blowup.face.facet_set, blowup.weights)).verdict
+        assert passes(mckay_check(before, blowup_mod.make_blowup_spec(model, blowup.face.facet_set, blowup.weights)))
         assert sorted(calls) == ["_crepant", "make_blowup_spec"], (model.name, blowup)
 
 
@@ -980,7 +981,7 @@ def _mutation_tables():
 def _all_checks_failures(table):
     """The failure texts of every report check and every table check,
     the oracles included."""
-    return list(cr_report(table).failures()) + table_failures(table, table.groups, True)
+    return list(run_checks({"report": (cr_report(table),), "table": (table, table.groups)}, True))
 
 
 def _plus_one_at_psi0(real):
@@ -1009,7 +1010,7 @@ def _without_the_last_element(real):
 def test_each_oracle_table_check_can_fail_alone(monkeypatch, name, mutate, text):
     """A mutation of what an oracle reads fails that oracle, at every
     proper face whose lattice index is at most ``ORACLE_MAX_ORDER``, and
-    no other check of ``TABLE_CHECKS`` or ``REPORT_CHECKS``: on the
+    no other report or table check: on the
     shipped models, the z4 tetrahedron and
     ``generate_test_tables(1, 10, n=3)``."""
     tables = _mutation_tables()
@@ -1063,7 +1064,7 @@ def _containing_without_the_polytope(real):
 )
 def test_each_partition_check_can_fail_alone(monkeypatch, module, name, mutate, text, count):
     """A mutation of what a partition check reads fails that check and no
-    other check of ``TABLE_CHECKS`` or ``REPORT_CHECKS``, the oracles
+    other report or table check, the oracles
     included, on the tables of the oracle mutations above: ``count``
     times in all.  Without the polytope every face's age partition
     fails; a point list is long at the vertices of order above n and at
@@ -1115,9 +1116,10 @@ def test_table_checks_run_once_per_table(monkeypatch, corpus, include_oracle):
 
         return run
 
-    checks = blowup_mod.TABLE_CHECKS
-    names = [check.__name__ for check, oracle in checks if include_oracle or not oracle]
-    monkeypatch.setattr(blowup_mod, "TABLE_CHECKS", tuple((recording(check), oracle) for check, oracle in checks))
+    checks = blowup_mod.CHECKS
+    names = [check.__name__ for level, oracle, check in checks if level == "table" and (include_oracle or not oracle)]
+    recorded = tuple((level, oracle, recording(check) if level == "table" else check) for level, oracle, check in checks)
+    monkeypatch.setattr(blowup_mod, "CHECKS", recorded)
     blown_runs = 0
     for model in corpus[::3]:
         table = LocalGroupTable(model)
@@ -1162,7 +1164,7 @@ def test_mckay_runs_one_triangular_basis_per_face_on_the_new_facet(
         before = cr_report(LocalGroupTable(model))
         calls.clear()
         cones.clear()
-        assert mckay_check(before, blowup).verdict
+        assert passes(mckay_check(before, blowup))
         on_new_facet = [f for f in faces(blown) if model.m in f.facet_set]
         assert len(calls) == len(basis_faces(blown, model))
         assert all(model.m in f.facet_set for f in basis_faces(blown, model))
@@ -1246,7 +1248,7 @@ def test_mckay_fails_without_an_interior_simplex(monkeypatch, crepant_blowups):
             with monkeypatch.context() as patch:
                 _mutate_star_cones(patch, index)
                 report = mckay_check(before, blowup)
-            assert not report.verdict, (model.name, blowup, index)
+            assert not passes(report), (model.name, blowup, index)
             assert not any(check.passed for check in report.triangulation_checks)
             mutated += 1
     assert mutated > len(crepant_blowups)
@@ -1271,8 +1273,10 @@ def test_a_wrong_star_interior_is_named_by_the_oracle(monkeypatch, crepant_blowu
             with monkeypatch.context() as patch:
                 _mutate_star_cones(patch, index, repeat)
                 report = mckay_check(before, blowup)
-                assert not report.verdict, (model.name, blowup, index)
-                assert list(blowup_mod.validated_star_interior(report, star_subdivide(blowup))) == [text]
+                assert not passes(report), (model.name, blowup, index)
+                texts = list(star_subdivision(report))
+                assert texts[0] == text
+                assert all(t.startswith("the induced triangulation of ") for t in texts[1:])
             mutated += 1
     assert mutated > 0
     prefix = "prism: crepant blowup at [0, 1]"
@@ -1311,11 +1315,8 @@ def test_mckay_fails_without_the_extra_vectors(monkeypatch, crepant_blowups):
             sub for sub in _subfaces(model, blowup) if groups.group(sub).age_polynomial != own
         ]
         assert [c.face for c in report.triangulation_checks if not c.passed] == differ
-        assert report.verdict == (not differ)
-        named = [
-            text.split(" sums to ")[0]
-            for text in blowup_mod.induced_triangulation_sums(report, star_subdivide(blowup))
-        ]
+        assert passes(report) == (not differ)
+        named = [text.split(" sums to ")[0] for text in star_subdivision(report)]
         assert named == [f"the induced triangulation of {list(sub.facet_set)}" for sub in differ]
         if differ:
             flipped.append((model.name, blowup.face.facet_set, [sub.facet_set for sub in differ]))

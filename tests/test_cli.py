@@ -1471,13 +1471,14 @@ def test_oracle_computes_each_lattice_index_twice_per_proper_face(capsys, monkey
     for module in (blowup_mod, sectors_mod):
         monkeypatch.setattr(module, "lattice_index", lambda cols: calls.append(cols) or real(cols))
     checked = []
-    table_failures = blowup_mod.table_failures
+    box_enumeration = blowup_mod.box_enumeration
 
-    def recording(table, groups, include_oracle):
+    def recording(table, groups):
         checked.extend(group.face for group in groups if group.face.codim)
-        return table_failures(table, groups, include_oracle)
+        return box_enumeration(table, groups)
 
-    monkeypatch.setattr(blowup_mod, "table_failures", recording)
+    checks = tuple((level, oracle, recording if check is box_enumeration else check) for level, oracle, check in blowup_mod.CHECKS)
+    monkeypatch.setattr(blowup_mod, "CHECKS", checks)
     rc, out = run(capsys, "fuzz", "--seed", "1", "--count", "5", "--n", "4", "--oracle")
     assert rc == 0 and json.loads(out)["all_pass"]
     assert checked and len(calls) == 2 * len(checked)

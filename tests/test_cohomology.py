@@ -18,11 +18,13 @@ from qtorb import (
     generate_test_models,
     h_vector,
     make_model,
+    passes,
     pp_cr_direct,
     pp_cr_via_closures,
     pp_cr_via_strata,
     random_unimodular,
     relabel_facets,
+    run_checks,
 )
 from qtorb.cohomology import _sum
 from qtorb.exact import Poly
@@ -207,7 +209,7 @@ def test_pp_cr_rejects_non_quasi_sl():
 
 def test_cr_report(wp112):
     report = cr_report(LocalGroupTable(wp112))
-    assert report.routes_agree and report.all_pass
+    assert report.routes_agree and passes(report)
     assert report.pp == Poly([1, 1, 1])
     assert report.pp_cr == Poly([1, 2, 1])
     assert [name for name, _, _ in report.identity_sides] == ["h_identity", "newpon", "closures"]
@@ -307,11 +309,11 @@ def test_a_wrong_torus_strata_sum_fails_h_identity_alone(monkeypatch, corpus):
         report = cr_report(LocalGroupTable(model))
         torus = report.pp + Poly([1])
         assert report.torus_strata == torus
-        assert list(report.failures()) == [f"identity h_identity fails ({report.pp} != {torus})"]
+        assert list(run_checks({"report": (report,)})) == [f"identity h_identity fails ({report.pp} != {torus})"]
 
 
-def test_all_pass_is_no_report_check_failing(monkeypatch, corpus, z3):
-    """``all_pass`` is "no report check fails", which is the conjunction
+def test_passes_is_no_report_check_failing(monkeypatch, corpus, z3):
+    """``passes`` is "no report check fails", which is the conjunction
     of route agreement, every identity, every age partition, the
     orbifold Euler number and Poincare duality, over the corpus and under
     mutations that fail the routes and an identity, the age partition or
@@ -350,18 +352,18 @@ def test_all_pass_is_no_report_check_failing(monkeypatch, corpus, z3):
         reports.append(cr_report(LocalGroupTable(z3)))
     verdicts = set()
     for report in reports:
-        failures = list(report.failures())
-        assert report.all_pass == (not failures) == conjunction(report)
-        verdicts.add(report.all_pass)
+        failures = list(run_checks({"report": (report,)}))
+        assert passes(report) == (not failures) == conjunction(report)
+        verdicts.add(passes(report))
     assert verdicts == {True, False}
     wrong = base.pp_cr + Poly([1])
-    assert list(reports[len(corpus)].failures()) == [
+    assert list(run_checks({"report": (reports[len(corpus)],)})) == [
         f"identity closures fails ({base.pp_cr} != {wrong})",
     ]
-    assert list(reports[len(corpus) + 1].failures()) == [
+    assert list(run_checks({"report": (reports[len(corpus) + 1],)})) == [
         f"identity newpon fails ({base.pp_cr} != {wrong})",
     ]
-    assert any(f.startswith("age partition fails at face ") for r in reports for f in r.failures())
+    assert any(f.startswith("age partition fails at face ") for r in reports for f in run_checks({"report": (r,)}))
 
 
 def test_the_euler_number_alone_catches_a_vertex_built_trivial(monkeypatch, z3):
@@ -370,9 +372,9 @@ def test_the_euler_number_alone_catches_a_vertex_built_trivial(monkeypatch, z3):
     palindromic, and the routes, the identities and the age partition
     agree on it; but it sums to 4, not to the orbifold Euler number,
     |det| summed over the vertices, 3 + 1 + 1 + 1."""
-    assert list(cr_report(LocalGroupTable(z3)).failures()) == []
+    assert list(run_checks({"report": (cr_report(LocalGroupTable(z3)),)})) == []
     _mislabel_as_trivial(monkeypatch, (0, 1, 2))
-    assert list(cr_report(LocalGroupTable(z3)).failures()) == [
+    assert list(run_checks({"report": (cr_report(LocalGroupTable(z3)),)})) == [
         "the Chen-Ruan Betti numbers sum to 4, not the orbifold Euler number 6"
     ]
 
@@ -386,6 +388,6 @@ def test_poincare_duality_alone_catches_an_age_without_its_inverse(z3):
     vertex = table.group(face_by_indices(z3, (0, 1, 2)))
     assert [vertex.age(i) for i in range(vertex.order)] == [0, 1, 2]
     vertex._sums = [0, 3, 3]
-    assert list(cr_report(table).failures()) == [
+    assert list(run_checks({"report": (cr_report(table),)})) == [
         "the Chen-Ruan polynomial [1, 3, 1, 1] is not palindromic of degree 3"
     ]

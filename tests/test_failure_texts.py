@@ -197,5 +197,60 @@ def test_every_fault_fails_something_and_the_clean_suite_nothing():
     assert all(identity_failures(LocalGroupTable(model), True) == [] for model in _models())
 
 
+# Every entry of the registry of checks, as (name, level, oracle), in its
+# order.
+REGISTRY = [
+    ("named_identities", "report", False),
+    ("age_partition", "report", False),
+    ("orbifold_euler_number", "report", False),
+    ("poincare_duality", "report", False),
+    ("blown_up_report", "mckay", False),
+    ("betti_numbers_kept", "mckay", False),
+    ("triangulation_identities", "mckay", False),
+    ("vertex_orders", "table", False),
+    ("box_partition", "table", False),
+    ("box_enumeration", "table", True),
+    ("dilate_numerators", "table", True),
+    ("validated_blowup", "mckay", True),
+    ("star_subdivision", "mckay", True),
+]
+
+
+def test_the_registry_lists_every_check_once():
+    """The registry holds the checks of :data:`REGISTRY`, by name, level
+    and oracle flag, in that order, so a check added without being listed
+    there fails this test.  The names are unique, and each names the
+    check of at least one fault of the golden file."""
+    entries = [(check.__name__, level, oracle) for level, oracle, check in blowup_mod.CHECKS]
+    assert entries == REGISTRY
+    names = [name for name, _, _ in entries]
+    assert len(set(names)) == len(names)
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert {entry["check"] for entry in stored} == set(names)
+
+
+def test_each_fault_fails_the_check_it_is_named_with():
+    """Under each fault, with the oracles, the check the fault is named
+    with yields at least one of the texts: every check can fail."""
+    checks, models = blowup_mod.CHECKS, _models()
+
+    def recording(check, failed):
+        def run(*args):
+            for text in check(*args):
+                failed.add(check.__name__)
+                yield text
+
+        return run
+
+    for name, target, fault in FAULTS:
+        failed: set[str] = set()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(blowup_mod, "CHECKS", tuple((lv, o, recording(c, failed)) for lv, o, c in checks))
+            fault(patch)
+            for model in models:
+                identity_failures(LocalGroupTable(model), True)
+        assert target in failed, (name, sorted(failed))
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(_text(compute()), encoding="utf-8")
