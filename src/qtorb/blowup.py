@@ -562,6 +562,14 @@ def poincare_duality(report: CrReport) -> Iterator[str]:
         yield f"the Chen-Ruan polynomial {list(coeffs)} is not palindromic of degree {n}"
 
 
+def dehn_sommerville(report: CrReport) -> Iterator[str]:
+    """PP, the simple polytope's h-polynomial, is palindromic of degree n
+    (Dehn-Sommerville), and PP(1) is the number of vertices."""
+    coeffs, n, f0 = report.pp.coeffs, report.groups.model.n, len(report.groups.model.vertices)
+    if len(coeffs) != n + 1 or coeffs != coeffs[::-1] or sum(coeffs) != f0:
+        yield f"PP {list(coeffs)} is not palindromic of degree {n} with sum {f0}, the vertex count"
+
+
 def blown_up_report(mckay: McKayReport) -> Iterator[str]:
     """The blown-up model's report passes every report check."""
     for text in run_checks({"report": (mckay.after,)}):
@@ -593,10 +601,7 @@ def vertex_orders(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Itera
             continue
         index = abs(model.vertex_dets[vertex.face.vertex_ids[0]])
         if vertex.order != index:
-            yield (
-                f"group order {vertex.order} is not |det| {index} "
-                f"at vertex {list(vertex.face.facet_set)}"
-            )
+            yield f"group order {vertex.order} is not |det| {index} at vertex {list(vertex.face.facet_set)}"
 
 
 def box_partition(table: LocalGroupTable, groups: Sequence[LocalGroup]) -> Iterator[str]:
@@ -713,6 +718,7 @@ CHECKS = (
     ("report", False, age_partition),
     ("report", False, orbifold_euler_number),
     ("report", False, poincare_duality),
+    ("report", False, dehn_sommerville),
     ("mckay", False, blown_up_report),
     ("mckay", False, betti_numbers_kept),
     ("mckay", False, triangulation_identities),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,6 +73,25 @@ def test_pp_is_palindromic_and_counts_the_vertices(corpus, crepant_blowups):
         coeffs = cr_report(LocalGroupTable(model)).pp.coeffs
         assert len(coeffs) == model.n + 1 and coeffs == coeffs[::-1], (model.name, coeffs)
         assert sum(coeffs) == len(model.vertices), (model.name, coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[1, 2, 0, 1], [2, 1, 1, 2], [2, 2]], ids=["not-palindromic", "not-the-vertex-count", "not-degree-n"]
+)
+def test_a_doctored_pp_fails_dehn_sommerville_alone(z3, coeffs):
+    """A report of the tetrahedron, whose PP is 1 + s + s^2 + s^3 over 4
+    vertices, with PP doctored to fail one of the three conditions of
+    the check ``dehn_sommerville`` (palindromic, summing to the vertex
+    count, of degree n), fails that check alone.  The torus-strata sum is
+    doctored alike, so the identity h_identity that compares the two
+    holds."""
+    report = cr_report(LocalGroupTable(z3))
+    assert list(run_checks({"report": (report,)})) == []
+    doctored = replace(report, pp=Poly(coeffs), torus_strata=Poly(coeffs))
+    assert list(run_checks({"report": (doctored,)})) == [
+        f"PP {coeffs} is not palindromic of degree 3 with sum 4, the vertex count"
+    ]
+    assert not passes(doctored)
 
 
 def test_three_routes_agree_on_goldens(wp112, cp2, z3, prism):
