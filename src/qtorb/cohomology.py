@@ -11,10 +11,10 @@ The Chen-Ruan polynomial is computed along three independent routes:
   polynomials.
 
 Agreement of the three, together with the per-face age-partition and
-torus-stratification identities, the orbifold Euler number and
-Chen-Ruan Poincare duality, is what the verdict commands certify.  The
-checks of a :class:`CrReport` live with every other check in the
-registry of :mod:`qtorb.blowup`.
+torus-stratification identities, the orbifold Euler number, Chen-Ruan
+Poincare duality and Dehn-Sommerville for PP, is what the verdict
+commands certify.  These checks of a :class:`CrReport` live with every
+other check in the registry of :mod:`qtorb.blowup`.
 """
 
 from __future__ import annotations

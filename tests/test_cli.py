@@ -1477,7 +1477,7 @@ def test_oracle_computes_each_lattice_index_twice_per_proper_face(capsys, monkey
         checked.extend(group.face for group in groups if group.face.codim)
         return box_enumeration(table, groups)
 
-    checks = tuple((level, oracle, recording if check is box_enumeration else check) for level, oracle, check in blowup_mod.CHECKS)
+    checks = tuple((lv, o, recording if c is box_enumeration else c) for lv, o, c in blowup_mod.CHECKS)
     monkeypatch.setattr(blowup_mod, "CHECKS", checks)
     rc, out = run(capsys, "fuzz", "--seed", "1", "--count", "5", "--n", "4", "--oracle")
     assert rc == 0 and json.loads(out)["all_pass"]
